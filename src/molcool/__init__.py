@@ -45,7 +45,6 @@ from .oracle import (
     truncation_levels,
 )
 from .profiles import FrequencyProfile, ProfileShape, omega_at
-from .quadrature import QuadratureError, integrate_adaptive_simpson
 from .solver import (
     EtaTrajectory,
     RecoveryResult,
@@ -96,7 +95,6 @@ __all__ = [
     "PopulationTrajectory",
     "PopulationVector",
     "ProfileShape",
-    "QuadratureError",
     "QuenchedState",
     "RECOVERY_TARGET",
     "REFERENCE_MIN_T_RATIO",
@@ -117,7 +115,6 @@ __all__ = [
     "evolve_eta_ode",
     "evolve_populations",
     "ideal_cooling_limit",
-    "integrate_adaptive_simpson",
     "mean_occupation",
     "nu_of",
     "omega_at",

@@ -4,8 +4,8 @@ Subcommands: `cycle` (one run), `sweep` (one axis, many runs),
 `convert-units` (dimensionless <-> SI), `reproduce-fig4` (the pinned
 reference cycle with its two anchors checked).
 
-Exit codes: 0 success, 1 reference-anchor failure, 2 validation error,
-3 solver cross-check failure, 4 I/O error.
+Exit codes: 0 success, 1 reference-anchor failure, 2 validation error or a
+run the solver cannot finish, 3 solver cross-check failure, 4 I/O error.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ from .cycle import (
     sweep_range_values,
 )
 from .errors import SolverCrossCheckError, SolverError
-from .quadrature import QuadratureError
 from .units import PhysicalParams, reduce_to_relative_mode, si_roundtrip, to_dimensionless
 
 _AXIS_BY_FLAG = {"theta0": "theta0", "ratio": "freq_ratio_r", "gamma-tau": "gamma_tau_g"}
@@ -346,7 +345,7 @@ def main(argv=None) -> int:
     except SolverCrossCheckError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, SolverError, QuadratureError) as exc:
+    except (ValueError, SolverError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -202,7 +202,6 @@ def run_cycle(
     *,
     samples_per_unit: int = 2000,
     ode_step: float = 1e-4,
-    quad_tol: float = 1e-12,
     oracle_samples_per_unit: int = 100,
 ) -> CycleResult:
     """Run one full cycle with both eta solvers and return the consensus.
@@ -220,10 +219,7 @@ def run_cycle(
     s_parts, w_parts, eta_parts, ratio_parts, ode_parts = [], [], [], [], []
     eta_cf = eta_ode = eta0
     for start, prof, duration in segments:
-        cf = evolve_eta_closed_form(
-            d, prof, eta_cf, duration,
-            tol=quad_tol, samples_per_unit=samples_per_unit,
-        )
+        cf = evolve_eta_closed_form(d, prof, eta_cf, duration, samples_per_unit=samples_per_unit)
         ode = evolve_eta_ode(
             d, prof, eta_ode, duration,
             step_size=ode_step, samples_per_unit=samples_per_unit,
@@ -254,7 +250,7 @@ def run_cycle(
         mean_n=eta - 1.0,
         T_ratio=_stitch(ratio_parts),
         method="closed-form",
-        tolerance=quad_tol,
+        tolerance=cf.tolerance,
     )
 
     oracle_traj = None

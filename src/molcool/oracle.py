@@ -35,7 +35,8 @@ import scipy.sparse as sp
 from scipy.integrate import solve_ivp
 
 from .errors import SolverError
-from .profiles import FrequencyProfile, _omega_scalar, omega_at
+from .profiles import FrequencyProfile, omega_at
+from .solver import _check_run
 from .thermo import QuenchedState, nu_of
 from .units import DimensionlessParams
 
@@ -118,11 +119,27 @@ def mean_occupation(pv: PopulationVector) -> float:
     return float(n @ pv.p)
 
 
-def _rates(d: DimensionlessParams, profile: FrequencyProfile, s: float):
-    theta = d.theta0 * d.freq_ratio_r * _omega_scalar(profile, s)
-    occ = 1.0 / math.expm1(theta) if theta <= 700.0 else 0.0
+def _rates(d: DimensionlessParams, profile: FrequencyProfile, s):
+    occ = nu_of(d.theta0 * d.freq_ratio_r * omega_at(profile, s))
     g = d.gamma_tau_g
-    return g * (occ + 1.0), g * occ  # (down, up) per-quantum rates
+    return g * (occ + 1.0), g * occ  # (down, up) per-quantum rates, scalar or array s
+
+
+def _population_rhs(y, down, up, n_idx):
+    """d/ds of (p_0..p_{n_max}, tail) at per-quantum rates (down, up)."""
+    p = y[:-1]
+    shifted_up = np.empty_like(p)
+    shifted_up[:-1] = p[1:]
+    shifted_up[-1] = 0.0
+    shifted_down = np.empty_like(p)
+    shifted_down[0] = 0.0
+    shifted_down[1:] = p[:-1]
+    dy = np.empty_like(y)
+    dy[:-1] = down * ((n_idx + 1.0) * shifted_up - n_idx * p) + up * (
+        n_idx * shifted_down - (n_idx + 1.0) * p
+    )
+    dy[-1] = up * n_idx.size * p[-1]
+    return dy
 
 
 def evolve_populations(
@@ -149,16 +166,7 @@ def evolve_populations(
     or the running tail estimate exceeds `tail_threshold` (truncation
     too small for the schedule).
     """
-    if profile.freq_ratio_r != d.freq_ratio_r:
-        raise ValueError(
-            f"profile frequency ratio {profile.freq_ratio_r} does not match "
-            f"the dimensionless parameters ({d.freq_ratio_r})"
-        )
-    if not (math.isfinite(horizon) and horizon > 0.0):
-        raise ValueError(f"horizon must be positive, got {horizon}")
-    n_intervals = int(round(horizon * samples_per_unit))
-    if n_intervals < 1:
-        raise ValueError("horizon shorter than one sample interval")
+    n_intervals = _check_run(d, profile, horizon, samples_per_unit)
     samples = np.linspace(0.0, horizon, n_intervals + 1)
     if method == "bdf":
         s_grid, y = _evolve_bdf(d, profile, init, samples, rtol, atol)
@@ -168,14 +176,14 @@ def evolve_populations(
         label = "rk4-fixed"
     else:
         raise ValueError(f"unknown method {method!r}: expected 'bdf' or 'rk4'")
-    pops = y[:, :-1]
-    tails = y[:, -1]
-    worst = float(pops.min())
+    worst = float(y.min())
     if worst < NEGATIVITY_FLOOR:
         raise SolverError(
             f"integrator failure: population {worst:.3e} below the {NEGATIVITY_FLOOR:g} floor"
         )
-    pops = np.clip(pops, 0.0, None)  # forgive sub-floor negative roundoff
+    # forgive sub-floor negative roundoff, in the tail estimate as in the levels
+    pops = np.clip(y[:, :-1], 0.0, None)
+    tails = np.clip(y[:, -1], 0.0, None)
     if np.any(tails > tail_threshold):
         k = int(np.argmax(tails > tail_threshold))
         raise SolverError(
@@ -197,23 +205,9 @@ def _evolve_bdf(d, profile, init, samples, rtol, atol):
     n_idx = np.arange(n_max + 1, dtype=float)
     lower_idx = np.arange(1.0, n_max + 2.0)  # row n gains up*n from below; last row is the tail
     upper_base = np.concatenate([np.arange(1.0, n_max + 1.0), [0.0]])
-    top_out = float(n_max + 1)
 
     def rhs(s, y):
-        down, up = _rates(d, profile, float(s))
-        p = y[:-1]
-        shifted_up = np.empty_like(p)
-        shifted_up[:-1] = p[1:]
-        shifted_up[-1] = 0.0
-        shifted_down = np.empty_like(p)
-        shifted_down[0] = 0.0
-        shifted_down[1:] = p[:-1]
-        dy = np.empty_like(y)
-        dy[:-1] = down * ((n_idx + 1.0) * shifted_up - n_idx * p) + up * (
-            n_idx * shifted_down - (n_idx + 1.0) * p
-        )
-        dy[-1] = up * top_out * p[-1]
-        return dy
+        return _population_rhs(y, *_rates(d, profile, float(s)), n_idx)
 
     def jac(s, y):
         down, up = _rates(d, profile, float(s))
@@ -261,25 +255,8 @@ def _evolve_rk4(d, profile, init, samples, step_size):
             f"{_RK4_STABILITY_SPAN / rho:.3e} for n_max={n_max}, nu_max={nu_max:.3g}; "
             "reduce step_size or use method='bdf'"
         )
-    rates = [_rates(d, profile, float(t)) for t in ts]
+    down, up = (rate.tolist() for rate in _rates(d, profile, ts))
     n_idx = np.arange(n_max + 1, dtype=float)
-    top_out = float(n_max + 1)
-
-    def deriv(y, rate_pair):
-        down, up = rate_pair
-        p = y[:-1]
-        shifted_up = np.empty_like(p)
-        shifted_up[:-1] = p[1:]
-        shifted_up[-1] = 0.0
-        shifted_down = np.empty_like(p)
-        shifted_down[0] = 0.0
-        shifted_down[1:] = p[:-1]
-        dy = np.empty_like(y)
-        dy[:-1] = down * ((n_idx + 1.0) * shifted_up - n_idx * p) + up * (
-            n_idx * shifted_down - (n_idx + 1.0) * p
-        )
-        dy[-1] = up * top_out * p[-1]
-        return dy
 
     y = np.concatenate([init.p, [init.tail_bound]])
     out = np.empty((n_intervals + 1, y.size))
@@ -287,10 +264,10 @@ def _evolve_rk4(d, profile, init, samples, step_size):
     idx = 0
     for k in range(n_sub):
         i2 = 2 * k
-        k1 = deriv(y, rates[i2])
-        k2 = deriv(y + (0.5 * h) * k1, rates[i2 + 1])
-        k3 = deriv(y + (0.5 * h) * k2, rates[i2 + 1])
-        k4 = deriv(y + h * k3, rates[i2 + 2])
+        k1 = _population_rhs(y, down[i2], up[i2], n_idx)
+        k2 = _population_rhs(y + (0.5 * h) * k1, down[i2 + 1], up[i2 + 1], n_idx)
+        k3 = _population_rhs(y + (0.5 * h) * k2, down[i2 + 1], up[i2 + 1], n_idx)
+        k4 = _population_rhs(y + h * k3, down[i2 + 2], up[i2 + 2], n_idx)
         y = y + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
         if (k + 1) % m == 0:
             idx += 1

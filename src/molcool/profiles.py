@@ -82,16 +82,3 @@ def omega_at(profile: FrequencyProfile, s):
         return float(w)
     return w
 
-
-def _omega_scalar(profile: FrequencyProfile, s: float) -> float:
-    # math-only fast path for quadrature integrands
-    r = profile.freq_ratio_r
-    if profile.shape is ProfileShape.SINE_OPENING:
-        x = min(s / profile.duration, 1.0)
-        return 1.0 + (1.0 / r - 1.0) * math.sin(0.5 * math.pi * x)
-    if profile.shape is ProfileShape.REVERSED_SINE_CLOSING:
-        x = min(s / profile.duration, 1.0)
-        return 1.0 + (1.0 / r - 1.0) * math.sin(0.5 * math.pi * (1.0 - x))
-    if profile.shape is ProfileShape.CONSTANT:
-        return profile.level
-    return float(omega_at(profile, s))

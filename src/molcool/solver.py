@@ -10,6 +10,13 @@ Two independent routes integrate it: a fixed-step explicit 4th-order
 stepper (`evolve_eta_ode`) and the exact exponential-kernel solution
 evaluated by adaptive quadrature (`evolve_eta_closed_form`).  The cycle
 engine cross-checks one against the other on every run.
+
+The kernel route's adaptive Simpson runs on `_QUAD_CHUNK` intervals at
+a time: each bisection level evaluates the forcing at all pending pieces
+in one `omega_at`/`nu_of` call, as the stepper does, and halves only the
+pieces that miss their tolerance.  Too many pending pieces, or too deep a
+bisection, raises `SolverError` naming the `s` range, so over-stiff
+coupling fails fast instead of hanging or exhausting memory.
 """
 
 from __future__ import annotations
@@ -20,13 +27,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SolverError
-from .profiles import FrequencyProfile, _omega_scalar, omega_at
-from .quadrature import integrate_adaptive_simpson
+from .profiles import FrequencyProfile, omega_at
 from .thermo import nu_of, ratio_from_eta
 from .units import DimensionlessParams
 
 _MIN_STEP = 1e-12
-_NU_UNDERFLOW_THETA = 700.0
+_QUAD_TOL = 1e-12           # absolute tolerance of each kernel-route interval integral
+_QUAD_MAX_DEPTH = 40
+_QUAD_CHUNK = 1024          # intervals integrated together
+_QUAD_MAX_PIECES = 1 << 18  # pending pieces allowed per chunk; bounds memory and time
 
 
 @dataclass(eq=False)
@@ -157,8 +166,6 @@ def evolve_eta_closed_form(
     eta0: float | None = None,
     horizon: float = 10.0,
     *,
-    tol: float = 1e-12,
-    max_depth: int = 40,
     samples_per_unit: int = 2000,
 ) -> EtaTrajectory:
     """Exact exponential-kernel solution of the eta relaxation law.
@@ -169,26 +176,28 @@ def evolve_eta_closed_form(
                      + integral over [0, D] of g exp(-g (D - v)) (nu(theta(s + v)) + 1) dv,
 
     and each interval integral is evaluated by adaptive Simpson to
-    absolute tolerance `tol`.  No finite-difference stepping is involved,
-    which makes this route the authoritative one in cross-checks.
+    absolute tolerance `_QUAD_TOL`.  No finite-difference stepping is
+    involved, which makes this route the authoritative one in cross-checks.
     """
     n_intervals = _check_run(d, profile, horizon, samples_per_unit)
     eta0 = _default_eta0(d) if eta0 is None else _check_eta0(eta0)
     g = d.gamma_tau_g
     t0r = d.theta0 * d.freq_ratio_r
     samples = np.linspace(0.0, horizon, n_intervals + 1)
+    starts = samples[:-1]
+    widths = samples[1:] - starts
+
+    def integrand(start, v, width):
+        occ = nu_of(t0r * omega_at(profile, start + v))
+        return g * np.exp(g * (v - width)) * (occ + 1.0)
+
+    integrals = np.concatenate([
+        _simpson_batch(integrand, starts[lo:lo + _QUAD_CHUNK], widths[lo:lo + _QUAD_CHUNK])
+        for lo in range(0, n_intervals, _QUAD_CHUNK)
+    ])
     out = np.empty(n_intervals + 1)
     out[0] = eta = float(eta0)
-    for k in range(n_intervals):
-        a = samples[k]
-        width = samples[k + 1] - a
-
-        def integrand(v, _a=a, _w=width):
-            th = t0r * _omega_scalar(profile, _a + v)
-            occ = 1.0 / math.expm1(th) if th <= _NU_UNDERFLOW_THETA else 0.0
-            return g * math.exp(g * (v - _w)) * (occ + 1.0)
-
-        value, _ = integrate_adaptive_simpson(integrand, 0.0, width, tol=tol, max_depth=max_depth)
+    for k, (width, value) in enumerate(zip(widths.tolist(), integrals.tolist())):
         eta = math.exp(-g * width) * eta + value
         if not eta > 1.0:
             raise SolverError(
@@ -196,7 +205,53 @@ def evolve_eta_closed_form(
                 "(at or below the ground-state limit)"
             )
         out[k + 1] = eta
-    return _finish(d, profile, samples, out, "closed-form", tolerance=tol)
+    return _finish(d, profile, samples, out, "closed-form", tolerance=_QUAD_TOL)
+
+
+def _simpson_batch(f, start, width):
+    """Integrals of f(start[i], v, width[i]) over v in [0, width[i]], for every i.
+
+    Bisecting Simpson rule: a piece is accepted once |S_fine - S_coarse|
+    <= 15 * (its share of `_QUAD_TOL`), or once it is below float
+    resolution, and S_fine + (S_fine - S_coarse)/15 joins its interval's total.
+    """
+    total = np.zeros(start.size)
+    k = np.arange(start.size)
+    a = np.zeros(start.size)
+    b = width
+    m = 0.5 * (a + b)
+    fa, fm, fb = np.split(f(np.tile(start, 3), np.concatenate([a, m, b]), np.tile(width, 3)), 3)
+    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
+    tol = _QUAD_TOL
+    for depth in range(_QUAD_MAX_DEPTH + 1):
+        lm = 0.5 * (a + m)
+        rm = 0.5 * (m + b)
+        flm, frm = np.split(
+            f(np.tile(start[k], 2), np.concatenate([lm, rm]), np.tile(width[k], 2)), 2
+        )
+        left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
+        right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
+        delta = (left + right) - whole
+        # lm == a or rm == m means the piece is below float resolution
+        done = (np.abs(delta) <= 15.0 * tol) | (lm <= a) | (rm >= b)
+        np.add.at(total, k[done], (left + right + delta / 15.0)[done])
+        fail = np.flatnonzero(~done)
+        if fail.size == 0:
+            return total
+        if depth >= _QUAD_MAX_DEPTH or 2 * fail.size > _QUAD_MAX_PIECES:
+            i = fail[0]
+            raise SolverError(
+                f"kernel quadrature did not converge on s in "
+                f"[{float(start[k[i]] + a[i])!r}, {float(start[k[i]] + b[i])!r}] at depth {depth}: "
+                f"local error estimate {abs(delta[i]) / 15.0:.3e} > tolerance {tol:.3e}"
+            )
+        # children: [a, m] refines `left`, [m, b] refines `right`
+        k = np.tile(k[fail], 2)
+        a, fa, m, fm, b, fb, whole = [
+            np.concatenate([lo[fail], hi[fail]])
+            for lo, hi in ((a, m), (fa, fm), (lm, rm), (flm, frm), (m, b), (fm, fb), (left, right))
+        ]
+        tol = 0.5 * tol
 
 
 def recovery_time(traj, target: float = 0.997) -> RecoveryResult:

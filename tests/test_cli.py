@@ -1,4 +1,9 @@
-"""End-to-end tests of the command-line interface (in-process)."""
+"""End-to-end tests of the command-line interface (in-process unless noted)."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -174,6 +179,19 @@ def test_validation_exit_codes(tmp_path, capsys):
     assert "unknown key" in capsys.readouterr().err
     assert run_cli("sweep", "--axis", "theta0", "--range", "1:2") == 2
     assert "min:max:count" in capsys.readouterr().err
+
+
+def test_over_stiff_coupling_fails_fast():
+    # a separate process, so a hang is caught by the timeout instead of
+    # stalling the suite
+    paths = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "molcool.cli", "cycle", "--gamma-tau", "3e4"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 2
+    assert "did not converge on s in [" in proc.stderr
 
 
 def test_io_exit_codes(tmp_path, capsys):

@@ -9,6 +9,7 @@ from molcool.errors import SolverError
 from molcool.profiles import FrequencyProfile, ProfileShape
 from molcool.solver import (
     RecoveryResult,
+    _simpson_batch,
     evolve_eta_closed_form,
     evolve_eta_ode,
     recovery_time,
@@ -46,13 +47,29 @@ def test_constant_frequency_fixed_point_is_exact():
 
 
 def test_closed_form_matches_analytic_relaxation():
-    d = DimensionlessParams(theta0=0.1, freq_ratio_r=1.0, gamma_tau_g=1.0)
+    # g = 300 makes the kernel bisect every interval several levels deep
     prof = constant_profile(level=1.0, r=1.0)
     eta0 = 50.0
-    traj = evolve_eta_closed_form(d, prof, eta0=eta0, horizon=5.0, samples_per_unit=400)
     eta_star = nu_of(0.1) + 1.0
-    expected = eta_star + (eta0 - eta_star) * np.exp(-traj.s)
-    np.testing.assert_allclose(traj.eta, expected, rtol=1e-11)
+    for g in (1.0, 300.0):
+        d = DimensionlessParams(theta0=0.1, freq_ratio_r=1.0, gamma_tau_g=g)
+        traj = evolve_eta_closed_form(d, prof, eta0=eta0, horizon=5.0, samples_per_unit=400)
+        expected = eta_star + (eta0 - eta_star) * np.exp(-g * traj.s)
+        np.testing.assert_allclose(traj.eta, expected, rtol=1e-11)
+
+
+def test_kernel_quadrature_refines_only_the_kinked_interval():
+    # |x - 0.3| is linear, so exact at depth 0, except in the middle interval,
+    # whose pieces around the kink bisect 28 levels deep
+    start = np.array([0.0, 0.25, 0.5])
+    width = np.full(3, 0.25)
+    values = _simpson_batch(lambda s0, v, w: np.abs(s0 + v - 0.3), start, width)
+
+    def antiderivative(x):
+        return (x - 0.3) * abs(x - 0.3) / 2.0
+
+    exact = [antiderivative(a + w) - antiderivative(a) for a, w in zip(start, width)]
+    np.testing.assert_allclose(values, exact, rtol=0, atol=1e-12)
 
 
 def test_ode_agrees_with_closed_form():
