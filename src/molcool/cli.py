@@ -24,6 +24,7 @@ from .cycle import (
     REFERENCE_RECOVERY_S,
     SweepSpec,
     ThermalClosed,
+    _fmt,
     default_cycle_config,
     emit_csv,
     emit_plot_script,
@@ -37,10 +38,6 @@ from .errors import SolverCrossCheckError, SolverError
 from .units import PhysicalParams, reduce_to_relative_mode, si_roundtrip, to_dimensionless
 
 _AXIS_BY_FLAG = {"theta0": "theta0", "ratio": "freq_ratio_r", "gamma-tau": "gamma_tau_g"}
-
-
-def _fmt(value: float) -> str:
-    return f"{value:.11e}"
 
 
 def _add_param_flags(sub):

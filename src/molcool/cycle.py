@@ -101,10 +101,76 @@ def default_cycle_config() -> CycleConfig:
     )
 
 
+_POW10 = np.array([float(10**k) for k in range(23)])  # every one an exact double
+_QUANTIZE_BLOCK = 1 << 14
+
+
+def _decimal12(v: np.ndarray):
+    """Integer mantissa d and exponent e of `"%.11e" % abs(x)` for each x in v,
+    which prints as d's 12 digits with a point after the first, then e.
+
+    Fast path (Clinger's exact case): with e = floor(log10|x|), |x|
+    times or divided by the exact power 10**|11 - e| is one correctly
+    rounded operation, off the exact product by at most 2**-14 below
+    10**12, so its rint is the printed mantissa unless the fraction lies
+    within 1e-3 of a half.  A mantissa rounded up to 10**12 becomes
+    10**11 at the next exponent.  Elements off the fast path (a log10
+    estimate one off, |11 - e| > 22, a near-half fraction) are printed
+    with "%.11e" and their digits parsed back; zero and non-finite
+    elements give d = e = 0.
+    """
+    usable = np.isfinite(v) & (v != 0.0)
+    a = np.where(usable, np.abs(v), 1.0)  # a stand-in that gives zero and non-finite x e = 0
+    e = np.floor(np.log10(a)).astype(np.int64)
+    shift = 11 - e
+    p = _POW10[np.minimum(np.abs(shift), 22)]
+    up = shift >= 0
+    scaled = np.multiply(a, p, out=np.empty_like(a), where=up)
+    np.divide(a, p, out=scaled, where=~up)
+    d = np.rint(scaled)
+    fast = (
+        usable
+        & (np.abs(shift) <= 22)
+        & (scaled >= 1e11)
+        & (scaled < 1e12)
+        & (np.abs(scaled - np.floor(scaled) - 0.5) > 1e-3)
+    )
+    bump = fast & (d == 1e12)
+    d = np.where(bump, 1e11, np.where(fast, d, 0.0)).astype(np.int64)
+    e += bump
+    d_flat, e_flat, a_flat = d.reshape(-1), e.reshape(-1), a.reshape(-1)
+    for i in np.flatnonzero(usable & ~fast):
+        text = "%.11e" % a_flat[i]
+        d_flat[i] = int(text[0] + text[2:13])
+        e_flat[i] = int(text[14:])
+    return d, e
+
+
 def _quantize(values) -> np.ndarray:
-    # round onto the 12-significant-digit grid the CSV emitter writes,
-    # so records roundtrip through their files bit-identically
-    return np.array([float(f"{v:.11e}") for v in np.asarray(values, dtype=float)])
+    """Round onto the 12-significant-digit grid the CSV emitter writes, so
+    records roundtrip through their files bit-identically.
+
+    Each value is rebuilt from `_decimal12`'s digits as d * 10**(e - 11),
+    or d / 10**(11 - e), with both operands exact, so it equals
+    float("%.11e" % x) bit for bit.  Only a value with |e - 11| > 22,
+    where the power of ten is no longer exact, is parsed from that
+    string instead; non-finite values pass through unchanged.  Values go
+    `_QUANTIZE_BLOCK` at a time, which bounds the temporaries.
+    """
+    v = np.asarray(values, dtype=float)
+    out = np.empty(v.shape)
+    v_flat, out_flat = v.reshape(-1), out.reshape(-1)
+    for lo in range(0, v_flat.size, _QUANTIZE_BLOCK):
+        x = v_flat[lo:lo + _QUANTIZE_BLOCK]
+        d, e = _decimal12(x)
+        k = e - 11
+        p = _POW10[np.minimum(np.abs(k), 22)]
+        q = np.where(k >= 0, d * p, d / p)
+        q = np.where(np.signbit(x), -q, q)
+        for i in np.flatnonzero(np.abs(k) > 22):
+            q[i] = float(f"{x[i]:.11e}")
+        out_flat[lo:lo + _QUANTIZE_BLOCK] = np.where(np.isfinite(x), q, x)
+    return out
 
 
 @dataclass(eq=False)
@@ -119,13 +185,16 @@ class TimeSeriesRecord:
     T_ratio: np.ndarray
 
     def __post_init__(self):
-        cols = [self.s, self.omega_over_omega1, self.eta, self.mean_n, self.T_ratio]
-        quantized = [_quantize(c) for c in cols]
-        self.s, self.omega_over_omega1, self.eta, self.mean_n, self.T_ratio = quantized
-        n = self.s.size
-        if any(c.size != n for c in quantized):
+        cols = [
+            np.asarray(c, dtype=float)
+            for c in (self.s, self.omega_over_omega1, self.eta, self.mean_n, self.T_ratio)
+        ]
+        n = cols[0].size
+        if any(c.size != n for c in cols):
             raise ValueError("record columns must have equal length")
-        if any(not np.all(np.isfinite(c)) for c in quantized):
+        quantized = _quantize(np.stack([c.reshape(n) for c in cols]))
+        self.s, self.omega_over_omega1, self.eta, self.mean_n, self.T_ratio = quantized
+        if not np.all(np.isfinite(quantized)):
             raise ValueError("record values must all be finite")
         if n >= 2 and not np.all(np.diff(self.s) > 0.0):
             raise ValueError("sample times must be strictly increasing")
@@ -399,26 +468,62 @@ def _fmt(value: float) -> str:
     return f"{value:.11e}"
 
 
+_CSV_BLOCK_ROWS = 2048  # rows formatted per block; bounds the writer's memory
+_CELL = 20  # "-", 12 digits and the point, "e", exponent sign, 3 exponent digits, separator
+_DIGIT_CELLS = (13, 12, 11, 10, 9, 8, 7, 6, 5, 4, 3, 1)  # mantissa digits, last first
+
+
+def _format_rows(block: np.ndarray) -> bytes:
+    """CSV bytes of a (rows, columns) block of finite values: each cell is
+    `"%.11e" % x`, cells joined by "," and rows ended by "\n".
+
+    Every cell is laid out at full width in a uint8 matrix, one digit
+    position at a time from `_decimal12`'s mantissa and exponent; a mask
+    then drops the "-" of non-negative values and the hundreds digit of
+    two-digit exponents.
+    """
+    rows, columns = block.shape
+    d, e = _decimal12(block)
+    cells = np.empty((rows, columns, _CELL), dtype=np.uint8)
+    cells[..., 0] = ord("-")
+    for j in _DIGIT_CELLS:
+        q = d // 10  # a floor division by a constant is far cheaper than %
+        cells[..., j] = d - 10 * q + ord("0")
+        d = q
+    cells[..., 2] = ord(".")
+    cells[..., 14] = ord("e")
+    cells[..., 15] = np.where(e < 0, ord("-"), ord("+"))
+    abs_e = np.abs(e)
+    for j in (18, 17):
+        q = abs_e // 10
+        cells[..., j] = abs_e - 10 * q + ord("0")
+        abs_e = q
+    cells[..., 16] = abs_e + ord("0")
+    cells[..., 19] = ord(",")
+    cells[:, -1, 19] = ord("\n")
+    keep = np.ones(cells.shape, dtype=bool)
+    keep[..., 0] = np.signbit(block)
+    keep[..., 16] = abs_e > 0  # abs_e now holds the hundreds digit
+    return cells[keep].tobytes()
+
+
 def emit_csv(record: TimeSeriesRecord, path) -> None:
     """Write the record as CSV: fixed header, 12-significant-digit scientific
-    notation, LF line endings, byte-deterministic for equal records."""
+    notation, LF line endings, byte-deterministic for equal records.
+
+    Cells are exactly Python's `"%.11e" % x`, built by `_format_rows` in
+    blocks of `_CSV_BLOCK_ROWS` rows; only the values `_decimal12` sends
+    off its fast path are printed one at a time.
+    """
+    cols = (record.s, record.omega_over_omega1, record.eta, record.mean_n, record.T_ratio)
+    if not all(np.all(np.isfinite(c)) for c in cols):
+        raise ValueError("record values must all be finite")
     try:
-        with open(path, "w", newline="") as fh:
-            fh.write(CSV_HEADER + "\n")
-            for k in range(len(record)):
-                fh.write(
-                    ",".join(
-                        _fmt(col[k])
-                        for col in (
-                            record.s,
-                            record.omega_over_omega1,
-                            record.eta,
-                            record.mean_n,
-                            record.T_ratio,
-                        )
-                    )
-                    + "\n"
-                )
+        with open(path, "wb") as fh:
+            fh.write(CSV_HEADER.encode() + b"\n")
+            for lo in range(0, len(record), _CSV_BLOCK_ROWS):
+                block = np.stack([c[lo:lo + _CSV_BLOCK_ROWS] for c in cols], axis=1)
+                fh.write(_format_rows(block))
     except OSError as exc:
         raise OSError(f"CSV emission to {path} failed: {exc}") from exc
 

@@ -7,6 +7,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from molcool.cycle import (
     CSV_HEADER,
@@ -17,6 +19,8 @@ from molcool.cycle import (
     SweepSpec,
     ThermalClosed,
     TimeSeriesRecord,
+    _format_rows,
+    _quantize,
     default_cycle_config,
     emit_csv,
     emit_plot_script,
@@ -61,9 +65,58 @@ def test_closed_configuration_is_inert():
 def test_record_cells_are_quantized(default_result):
     record = default_result.record
     # every stored value survives a 12-significant-digit text roundtrip
-    for column in (record.s, record.omega_over_omega1, record.eta, record.mean_n):
-        sample = column[::4000]
-        assert all(float(f"{v:.11e}") == v for v in sample)
+    for column in (
+        record.s, record.omega_over_omega1, record.eta, record.mean_n, record.T_ratio
+    ):
+        assert all(float(f"{v:.11e}") == v for v in column.tolist())
+
+
+# values whose "%.11e" digits leave the decimal kernel's fast path, or sit
+# where a one-off exponent or a wrong rounding direction would show
+FORMAT_EDGE_CASES = [
+    -0.0,
+    0.0,
+    9.9999999999996,        # rounds up to 1.00000000000e+01
+    -9.99999999999951,      # rounds up to -1.00000000000e+01
+    123456789012.5,         # exact tie, rounds half-even
+    5.606394622305,         # times 1e11 rounds to a tie; the exact product is above it
+    1e-150,                 # three-digit exponents
+    1e200,
+    5e-324,
+    1.7976931348623157e308,
+]
+
+
+def assert_formats_like_python(values):
+    values = [float(v) for v in values]
+    expected = np.array([float(f"{v:.11e}") for v in values])
+    assert np.array_equal(_quantize(np.array(values)).view(np.uint64), expected.view(np.uint64))
+    block = np.array(values).reshape(-1, 1)
+    assert _format_rows(block) == "".join(f"{v:.11e}\n" for v in values).encode()
+    if len(values) % 5 == 0:
+        rows = np.array(values).reshape(-1, 5)
+        lines = "".join(",".join(f"{v:.11e}" for v in row) + "\n" for row in rows.tolist())
+        assert _format_rows(rows) == lines.encode()
+
+
+def test_decimal_kernel_edge_cases(tmp_path):
+    assert_formats_like_python(FORMAT_EDGE_CASES)
+    # the same cells through a record and its CSV file
+    n = len(FORMAT_EDGE_CASES)
+    record = TimeSeriesRecord(
+        s=np.arange(n, dtype=float), omega_over_omega1=np.ones(n),
+        eta=FORMAT_EDGE_CASES, mean_n=np.ones(n), T_ratio=np.ones(n),
+    )
+    path = tmp_path / "edges.csv"
+    emit_csv(record, path)
+    lines = path.read_text().split("\n")[1:-1]
+    assert [line.split(",")[2] for line in lines] == [f"{v:.11e}" for v in FORMAT_EDGE_CASES]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=20))
+def test_decimal_kernel_matches_python_format(values):
+    assert_formats_like_python(values)
 
 
 def test_record_validation():

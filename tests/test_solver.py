@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from molcool.errors import SolverError
-from molcool.profiles import FrequencyProfile, ProfileShape
+from molcool.profiles import FrequencyProfile, ProfileShape, omega_at
 from molcool.solver import (
     RecoveryResult,
     _simpson_batch,
@@ -80,6 +80,42 @@ def test_ode_agrees_with_closed_form():
     np.testing.assert_allclose(ode.s, closed.s, rtol=0, atol=1e-12)
 
 
+def rk4_substep_reference(d, profile, eta0, horizon, step_size, samples_per_unit):
+    """Plain RK4 of eta' = u - g eta, one substep at a time, sampled like evolve_eta_ode."""
+    n_intervals = round(horizon * samples_per_unit)
+    m = max(1, math.ceil(horizon / n_intervals / step_size - 1e-9))
+    n_sub = m * n_intervals
+    ts = np.linspace(0.0, horizon, 2 * n_sub + 1)
+    g = d.gamma_tau_g
+    u = (g * (nu_of(d.theta0 * d.freq_ratio_r * omega_at(profile, ts)) + 1.0)).tolist()
+    h = horizon / n_sub
+    eta, out = eta0, [eta0]
+    for k in range(n_sub):
+        u0, um, u1 = u[2 * k], u[2 * k + 1], u[2 * k + 2]
+        k1 = u0 - g * eta
+        k2 = um - g * (eta + 0.5 * h * k1)
+        k3 = um - g * (eta + 0.5 * h * k2)
+        k4 = u1 - g * (eta + h * k3)
+        eta += h / 6.0 * (k1 + 2.0 * (k2 + k3) + k4)
+        if (k + 1) % m == 0:
+            out.append(eta)
+    return np.array(out)
+
+
+@pytest.mark.parametrize("g", [0.0, 1.0, 100.0, 1000.0])
+@pytest.mark.parametrize("step_size", [1e-3, 2e-4])  # 1 and 5 substeps per sample
+def test_ode_matches_per_substep_rk4(g, step_size):
+    d = DimensionlessParams(theta0=0.032, freq_ratio_r=2.0, gamma_tau_g=g)
+    eta0 = 30.0
+    traj = evolve_eta_ode(
+        d, OPENING, eta0=eta0, horizon=2.0, step_size=step_size, samples_per_unit=1000
+    )
+    expected = rk4_substep_reference(d, OPENING, eta0, 2.0, step_size, 1000)
+    np.testing.assert_allclose(traj.eta, expected, rtol=1e-12, atol=0)
+    if g == 0.0:
+        assert np.all(traj.eta == eta0)
+
+
 def test_ode_step_halving_is_converged():
     coarse = evolve_eta_ode(DEFAULT, OPENING, horizon=2.0, samples_per_unit=200)
     fine = evolve_eta_ode(
@@ -124,6 +160,10 @@ def test_unstable_step_aborts_below_ground_state():
             step_size=1.0,
             samples_per_unit=1,
         )
+    # started above the fixed point, the same instability runs away upward
+    d = DimensionlessParams(theta0=0.032, freq_ratio_r=2.0, gamma_tau_g=5e4)
+    with pytest.raises(SolverError, match="unstable"):
+        evolve_eta_ode(d, OPENING, eta0=40.0, horizon=1.0, step_size=1e-3, samples_per_unit=200)
 
 
 def test_step_size_underflow():
