@@ -344,21 +344,18 @@ def _run_oracle(d, segments, eta0, samples_per_unit, trajectory) -> PopulationTr
     w_min = float(trajectory.omega_over_omega1.min())
     n_max = truncation_levels(float(nu_of(d.theta0 * d.freq_ratio_r * w_min))) + 20
     pv = populations_from_quenched(QuenchedState(eta=eta0), n_max)
-    s_parts, pop_parts, tail_parts, mean_parts = [], [], [], []
+    parts = []
     for start, prof, duration in segments:
         seg = evolve_populations(
             d, prof, pv, duration, samples_per_unit=samples_per_unit
         )
-        pv = seg.at(-1)
-        s_parts.append(start + seg.s)
-        pop_parts.append(seg.populations)
-        tail_parts.append(seg.tail_bound)
-        mean_parts.append(seg.mean_n)
+        pv = seg.final
+        seg.s = start + seg.s
+        parts.append(seg)
+    per_sample = ("s", "mean_n", "tail_bound", "mass", "geometric_residual")
     stitched = PopulationTrajectory(
-        s=_stitch(s_parts),
-        populations=np.concatenate([pop_parts[0]] + [p[1:] for p in pop_parts[1:]]),
-        tail_bound=_stitch(tail_parts),
-        mean_n=_stitch(mean_parts),
+        **{name: _stitch([getattr(seg, name) for seg in parts]) for name in per_sample},
+        populations=parts[-1].populations,
         method="bdf",
     )
     idx = _nearest_indices(trajectory.s, stitched.s)

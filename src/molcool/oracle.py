@@ -17,12 +17,20 @@ compensating upward outflow g*nu*(n_max+1)*p_{n_max} is integrated into
 the tail estimate, making "sum(p) + tail_bound" a conserved quantity of
 the augmented system (conservation violations measure integrator error).
 
-The default integrator is implicit (BDF with an analytic sparse
-Jacobian): the truncated generator's spectral radius grows like
-g * n_max * (4*nu + 2), which makes explicit fixed-step integration
-unstable at deep-classical corners (large nu) for any affordable step.
-A fixed-step explicit 4th-order route is kept for cross-validation and
-refuses steps outside its rigorous Gershgorin stability bound.
+The default integrator is implicit (BDF with an analytic Jacobian): the
+truncated generator's spectral radius grows like g * n_max * (4*nu + 2),
+which makes explicit fixed-step integration unstable at deep-classical
+corners (large nu) for any affordable step.  The generator, tail row
+included, is tridiagonal, so BDF's Newton matrix I - cJ is factored and
+solved with LAPACK's tridiagonal dgttrf/dgttrs instead of a general
+sparse LU.  A fixed-step explicit 4th-order route is kept for
+cross-validation and refuses steps outside its rigorous Gershgorin
+stability bound.
+
+Both routes stream their samples: at most `_BLOCK` = 64 samples at a
+time are checked and reduced to per-sample mean level, tail, total mass
+and geometric-shape residual, and only the final vector is kept, so
+memory grows as O(levels x 64), not O(levels x samples).
 """
 
 from __future__ import annotations
@@ -32,16 +40,19 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.integrate import solve_ivp
+from scipy.integrate import BDF
+from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .errors import SolverError
 from .profiles import FrequencyProfile, omega_at
-from .solver import _check_run
+from .solver import _check_run, _substeps_per_interval
 from .thermo import QuenchedState, nu_of
 from .units import DimensionlessParams
 
 NEGATIVITY_FLOOR = -1e-14
 _RK4_STABILITY_SPAN = 2.78  # explicit 4th-order real-axis stability limit
+_BLOCK = 64         # samples reduced at a time
+_SHAPE_WINDOW = 51  # geometric residual over p_{n+1}/p_n for n < 51
 
 
 @dataclass(eq=False)
@@ -67,16 +78,27 @@ class PopulationVector:
 
 @dataclass(eq=False)
 class PopulationTrajectory:
-    """Sampled population dynamics: populations[k] holds levels 0..n_max at s[k]."""
+    """Per-sample reductions of the population dynamics, and the final vector.
+
+    At each s[k]: mean_n = sum of n p_n; tail_bound, the estimated mass
+    above n_max; mass = sum(p) + tail_bound, conserved by the exact flow;
+    geometric_residual = max |r_n / mean(r) - 1| over the adjacent-level
+    ratios r_n = p_{n+1} / p_n, n < 51, which is 0 in quenched Boltzmann
+    form.  `populations` holds levels 0..n_max at s[-1] only.
+    """
 
     s: np.ndarray
-    populations: np.ndarray
-    tail_bound: np.ndarray
     mean_n: np.ndarray
+    tail_bound: np.ndarray
+    mass: np.ndarray
+    geometric_residual: np.ndarray
+    populations: np.ndarray
     method: str
 
-    def at(self, k: int) -> PopulationVector:
-        return PopulationVector(p=self.populations[k].copy(), tail_bound=float(self.tail_bound[k]))
+    @property
+    def final(self) -> PopulationVector:
+        """A copy of the final vector, with its tail bound."""
+        return PopulationVector(p=self.populations.copy(), tail_bound=float(self.tail_bound[-1]))
 
 
 def truncation_levels(nu_max: float) -> int:
@@ -157,51 +179,120 @@ def evolve_populations(
 ) -> PopulationTrajectory:
     """Integrate the truncated birth-death populations over `horizon`.
 
-    method="bdf" (default): implicit multistep with the analytic sparse
-    Jacobian, controlled by `rtol`/`atol`.  method="rk4": fixed-step
-    explicit stepper with substep bound `step_size`, rejected when the
-    step violates the Gershgorin stability bound of the generator.
+    method="bdf" (default): implicit multistep with the analytic
+    tridiagonal Jacobian, controlled by `rtol`/`atol`.  method="rk4":
+    fixed-step explicit stepper with substep bound `step_size`, rejected
+    when the step violates the Gershgorin stability bound of the generator.
 
-    Aborts when any population drops below -1e-14 (integrator failure)
-    or the running tail estimate exceeds `tail_threshold` (truncation
-    too small for the schedule).
+    Samples are reduced as they are produced (see `PopulationTrajectory`);
+    only the final vector is kept.  Aborts at the first sample where any
+    population or the tail drops below -1e-14 (integrator failure) or the
+    tail estimate exceeds `tail_threshold` (truncation too small for the
+    schedule).
     """
     n_intervals = _check_run(d, profile, horizon, samples_per_unit)
     samples = np.linspace(0.0, horizon, n_intervals + 1)
+    reducer = _SampleReducer(samples, init.p.size, tail_threshold)
+    y0 = np.concatenate([init.p, [init.tail_bound]])
     if method == "bdf":
-        s_grid, y = _evolve_bdf(d, profile, init, samples, rtol, atol)
+        _evolve_bdf(d, profile, y0, samples, rtol, atol, reducer)
         label = "bdf"
     elif method == "rk4":
-        s_grid, y = _evolve_rk4(d, profile, init, samples, step_size)
+        _evolve_rk4(d, profile, y0, samples, step_size, reducer)
         label = "rk4-fixed"
     else:
         raise ValueError(f"unknown method {method!r}: expected 'bdf' or 'rk4'")
-    worst = float(y.min())
-    if worst < NEGATIVITY_FLOOR:
-        raise SolverError(
-            f"integrator failure: population {worst:.3e} below the {NEGATIVITY_FLOOR:g} floor"
-        )
-    # forgive sub-floor negative roundoff, in the tail estimate as in the levels
-    pops = np.clip(y[:, :-1], 0.0, None)
-    tails = np.clip(y[:, -1], 0.0, None)
-    if np.any(tails > tail_threshold):
-        k = int(np.argmax(tails > tail_threshold))
-        raise SolverError(
-            f"truncation too small: tail bound {tails[k]:.3e} exceeded threshold "
-            f"{tail_threshold:.3e} at s = {s_grid[k]:.6g}; increase n_max"
-        )
-    n_idx = np.arange(init.n_max + 1, dtype=float)
-    return PopulationTrajectory(
-        s=s_grid,
-        populations=pops,
-        tail_bound=tails,
-        mean_n=pops @ n_idx,
-        method=label,
-    )
+    return reducer.trajectory(label)
 
 
-def _evolve_bdf(d, profile, init, samples, rtol, atol):
-    n_max = init.n_max
+class _SampleReducer:
+    """Checks and reduces sample blocks, in order, into per-sample arrays.
+
+    A block is a (levels + 1, k) array whose columns hold p_0..p_{n_max}
+    and the tail at the next k samples; it is clipped at 0 in place.
+    """
+
+    def __init__(self, samples: np.ndarray, n_levels: int, tail_threshold: float):
+        self.samples = samples
+        self.tail_threshold = tail_threshold
+        self.n_idx = np.arange(n_levels, dtype=float)
+        self.window = min(_SHAPE_WINDOW, n_levels - 1)
+        self.mean_n, self.tail_bound, self.mass, self.geometric_residual = (
+            np.empty(samples.size) for _ in range(4)
+        )
+        self.done = 0
+        self.last = None
+
+    def add(self, block: np.ndarray) -> None:
+        lo, hi = self.done, self.done + block.shape[1]
+        worst = block.min(axis=0)
+        bad = np.flatnonzero(worst < NEGATIVITY_FLOOR)
+        if bad.size:
+            k = int(bad[0])
+            raise SolverError(
+                f"integrator failure: population {worst[k]:.3e} below the "
+                f"{NEGATIVITY_FLOOR:g} floor at s = {self.samples[lo + k]:.6g}"
+            )
+        # forgive sub-floor negative roundoff, in the tail estimate as in the levels
+        np.maximum(block, 0.0, out=block)
+        pops, tails = block[:-1], block[-1]
+        over = np.flatnonzero(tails > self.tail_threshold)
+        if over.size:
+            k = int(over[0])
+            raise SolverError(
+                f"truncation too small: tail bound {tails[k]:.3e} exceeded threshold "
+                f"{self.tail_threshold:.3e} at s = {self.samples[lo + k]:.6g}; increase n_max"
+            )
+        self.mean_n[lo:hi] = self.n_idx @ pops
+        self.tail_bound[lo:hi] = tails
+        self.mass[lo:hi] = pops.sum(axis=0) + tails
+        w = self.window
+        # an empty level in the window leaves its sample's residual inf or nan
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratios = pops[1 : w + 1] / pops[:w]
+            spread = np.abs(ratios / ratios.mean(axis=0) - 1.0)
+            self.geometric_residual[lo:hi] = spread.max(axis=0)
+        self.last = pops[:, -1].copy()
+        self.done = hi
+
+    def trajectory(self, method: str) -> PopulationTrajectory:
+        return PopulationTrajectory(
+            s=self.samples,
+            mean_n=self.mean_n,
+            tail_bound=self.tail_bound,
+            mass=self.mass,
+            geometric_residual=self.geometric_residual,
+            populations=self.last,
+            method=method,
+        )
+
+
+def _use_tridiagonal_lu(solver: BDF) -> None:
+    """Factor BDF's Newton matrix I - cJ with LAPACK's tridiagonal dgttrf.
+
+    The augmented generator, tail row included, has offsets -1, 0 and +1
+    only, so its three diagonals are the whole matrix; this replaces the
+    general SuperLU factorization `BDF.__init__` sets up for a sparse J.
+    """
+
+    def lu(a):
+        solver.nlu += 1
+        dl, d, du, du2, ipiv, info = dgttrf(a.diagonal(-1), a.diagonal(0), a.diagonal(1))
+        if info != 0:
+            raise SolverError(
+                f"population integration failed: singular Newton matrix at row {info}"
+            )
+        return dl, d, du, du2, ipiv
+
+    def solve_lu(factors, b):
+        x, _ = dgttrs(*factors, b)
+        return x
+
+    solver.lu, solver.solve_lu = lu, solve_lu
+
+
+def _evolve_bdf(d, profile, y0, samples, rtol, atol, reducer):
+    n_max = y0.size - 2
     n_idx = np.arange(n_max + 1, dtype=float)
     lower_idx = np.arange(1.0, n_max + 2.0)  # row n gains up*n from below; last row is the tail
     upper_base = np.concatenate([np.arange(1.0, n_max + 1.0), [0.0]])
@@ -218,30 +309,28 @@ def _evolve_bdf(d, profile, init, samples, rtol, atol):
             format="csc",
         )
 
-    y0 = np.concatenate([init.p, [init.tail_bound]])
-    sol = solve_ivp(
-        rhs,
-        (float(samples[0]), float(samples[-1])),
-        y0,
-        method="BDF",
-        t_eval=samples,
-        rtol=rtol,
-        atol=atol,
-        jac=jac,
-    )
-    if not sol.success:
-        raise SolverError(f"population integration failed: {sol.message}")
-    return samples, sol.y.T.copy()
+    solver = BDF(rhs, float(samples[0]), y0, float(samples[-1]), rtol=rtol, atol=atol, jac=jac)
+    _use_tridiagonal_lu(solver)
+    # the samples in (t_old, t] of each step, and s = 0 with the first,
+    # from its dense output (as solve_ivp's t_eval)
+    done = 0
+    while done < samples.size:
+        message = solver.step()
+        if solver.status == "failed":
+            raise SolverError(f"population integration failed: {message}")
+        upto = int(np.searchsorted(samples, solver.t, side="right"))
+        if upto > done:
+            dense = solver.dense_output()
+            for lo in range(done, upto, _BLOCK):
+                reducer.add(dense(samples[lo : min(lo + _BLOCK, upto)]))
+            done = upto
 
 
-def _evolve_rk4(d, profile, init, samples, step_size):
-    if not (math.isfinite(step_size) and step_size >= 1e-12):
-        raise SolverError(f"step-size underflow: step {step_size} below 1e-12")
-    n_max = init.n_max
+def _evolve_rk4(d, profile, y0, samples, step_size, reducer):
+    n_max = y0.size - 2
     horizon = float(samples[-1])
     n_intervals = samples.size - 1
-    delta = horizon / n_intervals
-    m = max(1, math.ceil(delta / step_size - 1e-9))
+    m = _substeps_per_interval(horizon, n_intervals, step_size)
     n_sub = m * n_intervals
     ts = np.linspace(0.0, horizon, 2 * n_sub + 1)
     # rigorous stability guard: Gershgorin row bound of the generator
@@ -258,10 +347,10 @@ def _evolve_rk4(d, profile, init, samples, step_size):
     down, up = (rate.tolist() for rate in _rates(d, profile, ts))
     n_idx = np.arange(n_max + 1, dtype=float)
 
-    y = np.concatenate([init.p, [init.tail_bound]])
-    out = np.empty((n_intervals + 1, y.size))
-    out[0] = y
-    idx = 0
+    # sample rows, handed to the reducer as (levels + 1, k) column blocks
+    buf = np.empty((_BLOCK, y0.size))
+    buf[0] = y = y0
+    filled = 1
     for k in range(n_sub):
         i2 = 2 * k
         k1 = _population_rhs(y, down[i2], up[i2], n_idx)
@@ -270,6 +359,9 @@ def _evolve_rk4(d, profile, init, samples, step_size):
         k4 = _population_rhs(y + h * k3, down[i2 + 2], up[i2 + 2], n_idx)
         y = y + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
         if (k + 1) % m == 0:
-            idx += 1
-            out[idx] = y
-    return samples, out
+            if filled == _BLOCK:
+                reducer.add(buf.T)
+                filled = 0
+            buf[filled] = y
+            filled += 1
+    reducer.add(buf[:filled].T)

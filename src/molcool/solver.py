@@ -48,6 +48,7 @@ from .thermo import nu_of, ratio_from_eta
 from .units import DimensionlessParams
 
 _MIN_STEP = 1e-12
+_MAX_STAGE_POINTS = 200_000_000  # fixed-step stage grid: substep edges and midpoints
 _QUAD_TOL = 1e-12           # absolute tolerance of each kernel-route interval integral
 _QUAD_MAX_DEPTH = 40
 _QUAD_CHUNK = 1024          # intervals integrated together
@@ -89,6 +90,26 @@ def _check_run(d: DimensionlessParams, profile: FrequencyProfile, horizon, sampl
     if n_intervals < 1:
         raise ValueError("horizon shorter than one sample interval")
     return n_intervals
+
+
+def _substeps_per_interval(horizon: float, n_intervals: int, step_size: float) -> int:
+    """Equal substeps of at most `step_size` per sample interval.
+
+    Checked before a fixed-step route allocates its stage grid of
+    2 * m * n_intervals + 1 points, so a tiny step fails fast instead of
+    exhausting memory.
+    """
+    if not (math.isfinite(step_size) and step_size >= _MIN_STEP):
+        raise SolverError(
+            f"step-size underflow: step {step_size} below the smallest usable step {_MIN_STEP}"
+        )
+    m = max(1, math.ceil(horizon / n_intervals / step_size - 1e-9))
+    if 2 * m * n_intervals + 1 > _MAX_STAGE_POINTS:
+        raise SolverError(
+            f"step-size underflow: a substep grid of {2 * m * n_intervals + 1} points would "
+            f"exceed memory limits ({_MAX_STAGE_POINTS} allowed)"
+        )
+    return m
 
 
 def _default_eta0(d: DimensionlessParams) -> float:
@@ -135,16 +156,10 @@ def evolve_eta_ode(
     decoupled from the integration step.
     """
     n_intervals = _check_run(d, profile, horizon, samples_per_unit)
-    if not (math.isfinite(step_size) and step_size >= _MIN_STEP):
-        raise SolverError(
-            f"step-size underflow: step {step_size} below the smallest usable step {_MIN_STEP}"
-        )
+    m = _substeps_per_interval(horizon, n_intervals, step_size)
     eta0 = _default_eta0(d) if eta0 is None else _check_eta0(eta0)
     g = d.gamma_tau_g
-    m = max(1, math.ceil(horizon / n_intervals / step_size - 1e-9))
     n_sub = m * n_intervals
-    if 2 * n_sub + 1 > 200_000_000:
-        raise SolverError("step-size underflow: substep grid would exceed memory limits")
     # stage grid holds every substep edge and midpoint
     ts = np.linspace(0.0, horizon, 2 * n_sub + 1)
     u = g * (nu_of(d.theta0 * d.freq_ratio_r * omega_at(profile, ts)) + 1.0)

@@ -1,6 +1,7 @@
 """Tests for the occupation-factor relaxation solvers."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -169,8 +170,15 @@ def test_unstable_step_aborts_below_ground_state():
 def test_step_size_underflow():
     with pytest.raises(SolverError, match="step-size underflow"):
         evolve_eta_ode(DEFAULT, OPENING, horizon=1.0, step_size=1e-13)
-    with pytest.raises(SolverError, match="memory"):
-        evolve_eta_ode(DEFAULT, OPENING, horizon=10.0, step_size=1e-9)
+    # a 2e10-point stage grid, 100 times the guard: refused with no grid allocated
+    tracemalloc.start()
+    try:
+        with pytest.raises(SolverError, match="memory"):
+            evolve_eta_ode(DEFAULT, OPENING, horizon=10.0, step_size=1e-9)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
 
 
 def test_eta0_validation():
