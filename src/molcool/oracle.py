@@ -17,20 +17,25 @@ compensating upward outflow g*nu*(n_max+1)*p_{n_max} is integrated into
 the tail estimate, making "sum(p) + tail_bound" a conserved quantity of
 the augmented system (conservation violations measure integrator error).
 
-The default integrator is implicit (BDF with an analytic Jacobian): the
+The integrator is implicit (BDF with an analytic Jacobian): the
 truncated generator's spectral radius grows like g * n_max * (4*nu + 2),
 which makes explicit fixed-step integration unstable at deep-classical
 corners (large nu) for any affordable step.  The generator, tail row
 included, is tridiagonal, so BDF's Newton matrix I - cJ is factored and
 solved with LAPACK's tridiagonal dgttrf/dgttrs instead of a general
-sparse LU.  A fixed-step explicit 4th-order route is kept for
-cross-validation and refuses steps outside its rigorous Gershgorin
-stability bound.
+sparse LU.  Newton iterations evaluate the rates at one s many times
+over, so the last (s, rates) pair is kept.
 
-Both routes stream their samples: at most `_BLOCK` = 64 samples at a
-time are checked and reduced to per-sample mean level, tail, total mass
-and geometric-shape residual, and only the final vector is kept, so
-memory grows as O(levels x 64), not O(levels x samples).
+Samples are streamed from BDF's dense output: at most `_BLOCK` = 64
+samples at a time are checked and reduced to per-sample mean level,
+tail, total mass and geometric-shape residual, and only the final vector
+is kept, so memory grows as O(levels x 64), not O(levels x samples).
+Each block is transposed once so that every reduction runs along
+memory, one sample's levels at a time.
+
+scipy is imported by the functions that call it, not with this module:
+`import molcool` and every run without the oracle never load it, and
+the first oracle run in a process pays its import.
 """
 
 from __future__ import annotations
@@ -39,18 +44,14 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.integrate import BDF
-from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .errors import SolverError
 from .profiles import FrequencyProfile, omega_at
-from .solver import _check_run, _substeps_per_interval
+from .solver import _check_run
 from .thermo import QuenchedState, nu_of
 from .units import DimensionlessParams
 
 NEGATIVITY_FLOOR = -1e-14
-_RK4_STABILITY_SPAN = 2.78  # explicit 4th-order real-axis stability limit
 _BLOCK = 64         # samples reduced at a time
 _SHAPE_WINDOW = 51  # geometric residual over p_{n+1}/p_n for n < 51
 
@@ -170,8 +171,6 @@ def evolve_populations(
     init: PopulationVector,
     horizon: float = 10.0,
     *,
-    method: str = "bdf",
-    step_size: float = 1e-5,
     rtol: float = 1e-8,
     atol: float = 1e-15,
     samples_per_unit: int = 100,
@@ -179,37 +178,29 @@ def evolve_populations(
 ) -> PopulationTrajectory:
     """Integrate the truncated birth-death populations over `horizon`.
 
-    method="bdf" (default): implicit multistep with the analytic
-    tridiagonal Jacobian, controlled by `rtol`/`atol`.  method="rk4":
-    fixed-step explicit stepper with substep bound `step_size`, rejected
-    when the step violates the Gershgorin stability bound of the generator.
-
-    Samples are reduced as they are produced (see `PopulationTrajectory`);
-    only the final vector is kept.  Aborts at the first sample where any
-    population or the tail drops below -1e-14 (integrator failure) or the
-    tail estimate exceeds `tail_threshold` (truncation too small for the
-    schedule).
+    Implicit multistep (BDF) with the analytic tridiagonal Jacobian,
+    controlled by `rtol`/`atol`.  Samples are reduced as they are
+    produced (see `PopulationTrajectory`); only the final vector is kept.
+    Aborts at the first sample where any population or the tail drops
+    below -1e-14 (integrator failure) or the tail estimate exceeds
+    `tail_threshold` (truncation too small for the schedule).
     """
     n_intervals = _check_run(d, profile, horizon, samples_per_unit)
     samples = np.linspace(0.0, horizon, n_intervals + 1)
     reducer = _SampleReducer(samples, init.p.size, tail_threshold)
     y0 = np.concatenate([init.p, [init.tail_bound]])
-    if method == "bdf":
-        _evolve_bdf(d, profile, y0, samples, rtol, atol, reducer)
-        label = "bdf"
-    elif method == "rk4":
-        _evolve_rk4(d, profile, y0, samples, step_size, reducer)
-        label = "rk4-fixed"
-    else:
-        raise ValueError(f"unknown method {method!r}: expected 'bdf' or 'rk4'")
-    return reducer.trajectory(label)
+    _evolve_bdf(d, profile, y0, samples, rtol, atol, reducer)
+    return reducer.trajectory("bdf")
 
 
 class _SampleReducer:
     """Checks and reduces sample blocks, in order, into per-sample arrays.
 
     A block is a (levels + 1, k) array whose columns hold p_0..p_{n_max}
-    and the tail at the next k samples; it is clipped at 0 in place.
+    and the tail at the next k samples, as BDF's dense output returns it.
+    It is transposed once into sample-major order, so each reduction
+    runs along memory over one sample's levels; for k = 1 the transpose
+    is a view and the block itself is clipped at 0.
     """
 
     def __init__(self, samples: np.ndarray, n_levels: int, tail_threshold: float):
@@ -224,8 +215,9 @@ class _SampleReducer:
         self.last = None
 
     def add(self, block: np.ndarray) -> None:
-        lo, hi = self.done, self.done + block.shape[1]
-        worst = block.min(axis=0)
+        rows = np.ascontiguousarray(block.T)  # one row per sample
+        lo, hi = self.done, self.done + rows.shape[0]
+        worst = rows.min(axis=1)
         bad = np.flatnonzero(worst < NEGATIVITY_FLOOR)
         if bad.size:
             k = int(bad[0])
@@ -234,8 +226,8 @@ class _SampleReducer:
                 f"{NEGATIVITY_FLOOR:g} floor at s = {self.samples[lo + k]:.6g}"
             )
         # forgive sub-floor negative roundoff, in the tail estimate as in the levels
-        np.maximum(block, 0.0, out=block)
-        pops, tails = block[:-1], block[-1]
+        np.maximum(rows, 0.0, out=rows)
+        pops, tails = rows[:, :-1], rows[:, -1]
         over = np.flatnonzero(tails > self.tail_threshold)
         if over.size:
             k = int(over[0])
@@ -243,16 +235,17 @@ class _SampleReducer:
                 f"truncation too small: tail bound {tails[k]:.3e} exceeded threshold "
                 f"{self.tail_threshold:.3e} at s = {self.samples[lo + k]:.6g}; increase n_max"
             )
-        self.mean_n[lo:hi] = self.n_idx @ pops
+        # row by row, so a sample's bits do not depend on the block it came in
+        self.mean_n[lo:hi] = np.einsum("ij,j->i", pops, self.n_idx)
         self.tail_bound[lo:hi] = tails
-        self.mass[lo:hi] = pops.sum(axis=0) + tails
+        self.mass[lo:hi] = pops.sum(axis=1) + tails
         w = self.window
         # an empty level in the window leaves its sample's residual inf or nan
         with np.errstate(divide="ignore", invalid="ignore"):
-            ratios = pops[1 : w + 1] / pops[:w]
-            spread = np.abs(ratios / ratios.mean(axis=0) - 1.0)
-            self.geometric_residual[lo:hi] = spread.max(axis=0)
-        self.last = pops[:, -1].copy()
+            ratios = pops[:, 1 : w + 1] / pops[:, :w]
+            spread = np.abs(ratios / ratios.mean(axis=1, keepdims=True) - 1.0)
+            self.geometric_residual[lo:hi] = spread.max(axis=1)
+        self.last = pops[-1].copy()
         self.done = hi
 
     def trajectory(self, method: str) -> PopulationTrajectory:
@@ -267,13 +260,14 @@ class _SampleReducer:
         )
 
 
-def _use_tridiagonal_lu(solver: BDF) -> None:
+def _use_tridiagonal_lu(solver) -> None:
     """Factor BDF's Newton matrix I - cJ with LAPACK's tridiagonal dgttrf.
 
     The augmented generator, tail row included, has offsets -1, 0 and +1
     only, so its three diagonals are the whole matrix; this replaces the
     general SuperLU factorization `BDF.__init__` sets up for a sparse J.
     """
+    from scipy.linalg.lapack import dgttrf, dgttrs
 
     def lu(a):
         solver.nlu += 1
@@ -292,16 +286,26 @@ def _use_tridiagonal_lu(solver: BDF) -> None:
 
 
 def _evolve_bdf(d, profile, y0, samples, rtol, atol, reducer):
+    import scipy.sparse as sp
+    from scipy.integrate import BDF
+
     n_max = y0.size - 2
     n_idx = np.arange(n_max + 1, dtype=float)
     lower_idx = np.arange(1.0, n_max + 2.0)  # row n gains up*n from below; last row is the tail
     upper_base = np.concatenate([np.arange(1.0, n_max + 1.0), [0.0]])
+    last = [None, None]  # the latest (s, (down, up)); Newton iterations repeat s
+
+    def rates(s):
+        s = float(s)
+        if s != last[0]:
+            last[:] = s, _rates(d, profile, s)
+        return last[1]
 
     def rhs(s, y):
-        return _population_rhs(y, *_rates(d, profile, float(s)), n_idx)
+        return _population_rhs(y, *rates(s), n_idx)
 
     def jac(s, y):
-        down, up = _rates(d, profile, float(s))
+        down, up = rates(s)
         main = np.concatenate([-(down * n_idx + up * (n_idx + 1.0)), [0.0]])
         return sp.diags(
             [up * lower_idx, main, down * upper_base],
@@ -324,44 +328,3 @@ def _evolve_bdf(d, profile, y0, samples, rtol, atol, reducer):
             for lo in range(done, upto, _BLOCK):
                 reducer.add(dense(samples[lo : min(lo + _BLOCK, upto)]))
             done = upto
-
-
-def _evolve_rk4(d, profile, y0, samples, step_size, reducer):
-    n_max = y0.size - 2
-    horizon = float(samples[-1])
-    n_intervals = samples.size - 1
-    m = _substeps_per_interval(horizon, n_intervals, step_size)
-    n_sub = m * n_intervals
-    ts = np.linspace(0.0, horizon, 2 * n_sub + 1)
-    # rigorous stability guard: Gershgorin row bound of the generator
-    w = omega_at(profile, ts)
-    nu_max = float(nu_of(d.theta0 * d.freq_ratio_r * float(w.min())))
-    rho = d.gamma_tau_g * (2.0 * n_max + 1.0) * (2.0 * nu_max + 1.0)
-    h = horizon / n_sub
-    if rho > 0.0 and h > _RK4_STABILITY_SPAN / rho:
-        raise SolverError(
-            f"explicit step {h:.3e} violates the stability bound "
-            f"{_RK4_STABILITY_SPAN / rho:.3e} for n_max={n_max}, nu_max={nu_max:.3g}; "
-            "reduce step_size or use method='bdf'"
-        )
-    down, up = (rate.tolist() for rate in _rates(d, profile, ts))
-    n_idx = np.arange(n_max + 1, dtype=float)
-
-    # sample rows, handed to the reducer as (levels + 1, k) column blocks
-    buf = np.empty((_BLOCK, y0.size))
-    buf[0] = y = y0
-    filled = 1
-    for k in range(n_sub):
-        i2 = 2 * k
-        k1 = _population_rhs(y, down[i2], up[i2], n_idx)
-        k2 = _population_rhs(y + (0.5 * h) * k1, down[i2 + 1], up[i2 + 1], n_idx)
-        k3 = _population_rhs(y + (0.5 * h) * k2, down[i2 + 1], up[i2 + 1], n_idx)
-        k4 = _population_rhs(y + h * k3, down[i2 + 2], up[i2 + 2], n_idx)
-        y = y + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
-        if (k + 1) % m == 0:
-            if filled == _BLOCK:
-                reducer.add(buf.T)
-                filled = 0
-            buf[filled] = y
-            filled += 1
-    reducer.add(buf[:filled].T)

@@ -234,16 +234,19 @@ def evolve_eta_closed_form(
         _simpson_batch(integrand, starts[lo:lo + _QUAD_CHUNK], widths[lo:lo + _QUAD_CHUNK])
         for lo in range(0, n_intervals, _QUAD_CHUNK)
     ])
-    out = np.empty(n_intervals + 1)
-    out[0] = eta = float(eta0)
-    for k, (width, value) in enumerate(zip(widths.tolist(), integrals.tolist())):
-        eta = math.exp(-g * width) * eta + value
-        if not eta > 1.0:
-            raise SolverError(
-                f"model violation: eta reached {eta} at s = {samples[k + 1]:.6g} "
-                "(at or below the ground-state limit)"
-            )
-        out[k + 1] = eta
+    eta = float(eta0)
+    out = [eta]
+    for decay, value in zip(map(math.exp, (-g * widths).tolist()), integrals.tolist()):
+        eta = decay * eta + value
+        out.append(eta)
+    out = np.array(out)
+    bad = np.flatnonzero(~(out > 1.0))
+    if bad.size:
+        k = bad[0]
+        raise SolverError(
+            f"model violation: eta reached {out[k]} at s = {samples[k]:.6g} "
+            "(at or below the ground-state limit)"
+        )
     return _finish(d, profile, samples, out, "closed-form", tolerance=_QUAD_TOL)
 
 

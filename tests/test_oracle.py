@@ -1,7 +1,6 @@
 """Tests for the truncated level-population reference integrator."""
 
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -89,40 +88,26 @@ def test_population_vector_validation():
 
 
 def test_stationary_state_is_preserved():
-    # theta held at 1.0; both integrators must sit on the thermal state
+    # theta held at 1.0; the integrator must sit on the thermal state
     d = DimensionlessParams(theta0=0.5, freq_ratio_r=2.0, gamma_tau_g=1.0)
     prof = FrequencyProfile(freq_ratio_r=2.0, shape=ProfileShape.CONSTANT, level=1.0)
     init = thermal_vector(1.0, truncation_levels(nu_of(1.0)) + 30)
-    for method, kwargs in (("bdf", {}), ("rk4", {"step_size": 1e-3})):
-        traj = evolve_populations(d, prof, init, horizon=10.0, method=method, **kwargs)
-        drift = np.max(np.abs(traj.populations - init.p))
-        assert drift < 1e-10, method
-        # column sums of the generator vanish, so total mass is conserved
-        assert np.max(np.abs(traj.mass - (init.p.sum() + init.tail_bound))) < 1e-9
+    traj = evolve_populations(d, prof, init, horizon=10.0)
+    assert np.max(np.abs(traj.populations - init.p)) < 1e-10
+    # column sums of the generator vanish, so total mass is conserved
+    assert np.max(np.abs(traj.mass - (init.p.sum() + init.tail_bound))) < 1e-9
 
 
 def test_decoupled_populations_are_frozen():
-    # zero coupling zeroes every transition rate, so RK4 stages all vanish
+    # zero coupling zeroes every transition rate and the Jacobian, so BDF's
+    # Newton corrections and its dense output's differences all vanish
     d = DimensionlessParams(theta0=0.3, freq_ratio_r=2.0, gamma_tau_g=0.0)
     prof = FrequencyProfile(freq_ratio_r=2.0)
     init = thermal_vector(0.6, truncation_levels(nu_of(0.6)) + 20)
-    traj = evolve_populations(d, prof, init, horizon=2.0, method="rk4", step_size=1e-3)
+    traj = evolve_populations(d, prof, init, horizon=2.0)
     assert np.all(traj.populations == init.p)
     assert np.all(traj.mean_n == traj.mean_n[0])
     assert np.all(traj.mass == traj.mass[0])
-
-
-def test_rk4_agrees_with_bdf():
-    d = DimensionlessParams(theta0=0.3, freq_ratio_r=2.0, gamma_tau_g=1.0)
-    prof = FrequencyProfile(freq_ratio_r=2.0)
-    init = thermal_vector(0.6, truncation_levels(nu_of(0.3)) + 20)
-    bdf = evolve_populations(d, prof, init, horizon=1.0)
-    rk4 = evolve_populations(d, prof, init, horizon=1.0, method="rk4", step_size=5e-4)
-    assert bdf.method == "bdf"
-    assert rk4.method == "rk4-fixed"
-    rel = np.max(np.abs(rk4.mean_n / bdf.mean_n - 1.0))
-    assert rel < 1e-6
-    assert np.max(np.abs(bdf.mass - 1.0)) < 1e-9
 
 
 def test_cooling_preserves_quenched_form():
@@ -131,20 +116,10 @@ def test_cooling_preserves_quenched_form():
     prof = FrequencyProfile(freq_ratio_r=2.0)
     init = thermal_vector(0.6, truncation_levels(nu_of(0.3)) + 20)
     traj = evolve_populations(d, prof, init, horizon=1.0)
+    assert np.max(np.abs(traj.mass - 1.0)) < 1e-9
     p_end = traj.final.p
     ratios = p_end[1:22] / p_end[:21]
     assert np.max(np.abs(ratios / ratios.mean() - 1.0)) < 1e-6
-
-
-def test_rk4_stability_guard():
-    # wide truncation and strong coupling push the spectral radius far
-    # past what the default explicit step can take
-    d = DimensionlessParams(theta0=0.01, freq_ratio_r=3.0, gamma_tau_g=10.0)
-    prof = FrequencyProfile(freq_ratio_r=3.0)
-    init = thermal_vector(0.03, truncation_levels(nu_of(0.01)))
-    with pytest.raises(SolverError, match="stability bound") as excinfo:
-        evolve_populations(d, prof, init, horizon=0.1, method="rk4")
-    assert "method='bdf'" in str(excinfo.value)
 
 
 def test_tail_overflow_aborts_mid_run():
@@ -162,6 +137,7 @@ def test_trajectory_sample_access():
     prof = FrequencyProfile(freq_ratio_r=2.0)
     init = thermal_vector(0.6, truncation_levels(nu_of(0.3)) + 20)
     traj = evolve_populations(d, prof, init, horizon=0.5, samples_per_unit=10)
+    assert traj.method == "bdf"
     for name in ("s", "mean_n", "tail_bound", "mass", "geometric_residual"):
         assert getattr(traj, name).shape == (6,), name
     # only the final vector is kept
@@ -179,14 +155,10 @@ def test_run_validation():
     d = DimensionlessParams(theta0=0.3, freq_ratio_r=2.0, gamma_tau_g=1.0)
     prof = FrequencyProfile(freq_ratio_r=2.0)
     init = thermal_vector(0.6, 80)
-    with pytest.raises(ValueError, match="unknown method"):
-        evolve_populations(d, prof, init, horizon=1.0, method="euler")
     with pytest.raises(ValueError, match="does not match"):
         evolve_populations(d, FrequencyProfile(freq_ratio_r=3.0), init, horizon=1.0)
     with pytest.raises(ValueError, match="horizon must be positive"):
         evolve_populations(d, prof, init, horizon=0.0)
-    with pytest.raises(SolverError, match="step-size underflow"):
-        evolve_populations(d, prof, init, horizon=1.0, method="rk4", step_size=1e-14)
 
 
 def test_sample_reducer_checks_and_clips():
@@ -213,22 +185,49 @@ def test_sample_reducer_checks_and_clips():
         _SampleReducer(samples, 3, tail_threshold=1e-10).add(leaking)
 
 
+def test_sample_reducer_matches_column_reference():
+    # dense output hands over C-ordered (levels + 1, k) blocks; the reducer
+    # works on their transpose and must agree with a per-column reduction
+    rng = np.random.default_rng(7)
+    n_levels = 80
+    blocks = []
+    for k in (5, 1):
+        p = 0.9 ** np.arange(n_levels)[:, None] * rng.uniform(0.5, 1.5, (n_levels, k))
+        block = np.vstack([p / p.sum(axis=0), rng.uniform(0.0, 1e-12, (1, k))])
+        assert block.flags.c_contiguous
+        blocks.append(block)
+    samples = np.linspace(0.0, 1.0, 6)
+    reducer = _SampleReducer(samples, n_levels, tail_threshold=1e-10)
+    for block in blocks:
+        reducer.add(block.copy())
+    traj = reducer.trajectory("bdf")
+    columns = np.hstack(blocks).T
+    n_idx = np.arange(n_levels, dtype=float)
+    for k, col in enumerate(columns):
+        pops, tail = col[:-1], col[-1]
+        ratios = pops[1:52] / pops[:51]
+        assert traj.mean_n[k] == pytest.approx(pops @ n_idx, rel=1e-14)
+        assert traj.tail_bound[k] == tail
+        assert traj.mass[k] == pytest.approx(pops.sum() + tail, rel=1e-14)
+        assert traj.geometric_residual[k] == pytest.approx(
+            np.max(np.abs(ratios / ratios.mean() - 1.0)), rel=1e-14
+        )
+    assert np.array_equal(traj.populations, columns[-1, :-1])
+
+
 def shape_residual(p):
     ratios = p[1:52] / p[:51]
     return float(np.max(np.abs(ratios / ratios.mean() - 1.0)))
 
 
-@pytest.mark.parametrize("method", ["bdf", "rk4"])
-def test_geometric_residual_definition(method):
+def test_geometric_residual_definition():
     # a start off quenched form by a few percent, level by level
     d = DimensionlessParams(theta0=0.3, freq_ratio_r=2.0, gamma_tau_g=1.0)
     prof = FrequencyProfile(freq_ratio_r=2.0)
     base = thermal_vector(0.6, truncation_levels(nu_of(0.3)) + 20)
     p = base.p * (1.0 + 0.03 * np.sin(np.arange(base.p.size)))
     init = PopulationVector(p=p / (p.sum() + base.tail_bound), tail_bound=base.tail_bound)
-    traj = evolve_populations(
-        d, prof, init, horizon=0.5, method=method, step_size=1e-3, samples_per_unit=10
-    )
+    traj = evolve_populations(d, prof, init, horizon=0.5, samples_per_unit=10)
     assert shape_residual(init.p) > 0.01
     assert traj.geometric_residual[0] == pytest.approx(shape_residual(init.p), abs=1e-12)
     assert traj.geometric_residual[-1] == pytest.approx(shape_residual(traj.final.p), abs=1e-15)
@@ -295,21 +294,6 @@ def test_newton_solves_bypass_superlu(monkeypatch):
     # ... and the oracle never calls it
     traj = evolve_populations(d, prof, init, horizon=1.0)
     assert traj.s[-1] == 1.0
-
-
-def test_rk4_stage_grid_is_sized_before_allocation():
-    d = DimensionlessParams(theta0=0.3, freq_ratio_r=2.0, gamma_tau_g=1.0)
-    prof = FrequencyProfile(freq_ratio_r=2.0)
-    init = thermal_vector(0.6, 80)
-    # 100 intervals of 1e10 substeps: a 2e12-point stage grid, 10^4 times the guard
-    tracemalloc.start()
-    try:
-        with pytest.raises(SolverError, match="step-size underflow"):
-            evolve_populations(d, prof, init, horizon=1.0, method="rk4", step_size=1e-12)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 100_000
 
 
 if __name__ == "__main__":

@@ -167,6 +167,21 @@ def test_unstable_step_aborts_below_ground_state():
         evolve_eta_ode(d, OPENING, eta0=40.0, horizon=1.0, step_size=1e-3, samples_per_unit=200)
 
 
+def test_kernel_route_reports_first_sample_below_ground_state(monkeypatch):
+    # with no forcing eta only decays: 1.05 exp(-0.01 k) first reaches 1 at k = 5
+    monkeypatch.setattr(
+        "molcool.solver._simpson_batch", lambda f, start, width: np.zeros(start.size)
+    )
+    samples = np.linspace(0.0, 1.0, 101)
+    eta = 1.05
+    for width in np.diff(samples[:6]).tolist():
+        eta = math.exp(-width) * eta
+    assert eta <= 1.0 < math.exp(-0.04) * 1.05
+    with pytest.raises(SolverError, match="ground-state limit") as excinfo:
+        evolve_eta_closed_form(DEFAULT, OPENING, eta0=1.05, horizon=1.0, samples_per_unit=100)
+    assert f"eta reached {eta} at s = 0.05 " in str(excinfo.value)
+
+
 def test_step_size_underflow():
     with pytest.raises(SolverError, match="step-size underflow"):
         evolve_eta_ode(DEFAULT, OPENING, horizon=1.0, step_size=1e-13)
