@@ -53,13 +53,11 @@ from .solver import (
     recovery_time,
 )
 from .thermo import (
-    BathSpec,
     OccupationUnderflow,
     QuenchedState,
     ideal_cooling_limit,
     nu_of,
     ratio_from_eta,
-    temperature_ratio,
     thermal_state,
 )
 from .units import (
@@ -78,7 +76,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AdiabaticityWarning",
-    "BathSpec",
     "CSV_HEADER",
     "CycleConfig",
     "CycleResult",
@@ -130,7 +127,6 @@ __all__ = [
     "serialize_config",
     "si_roundtrip",
     "sweep_range_values",
-    "temperature_ratio",
     "thermal_state",
     "to_dimensionless",
     "truncation_levels",

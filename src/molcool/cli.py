@@ -23,7 +23,8 @@ from .cycle import (
     REFERENCE_MIN_T_RATIO,
     REFERENCE_RECOVERY_S,
     SweepSpec,
-    ThermalClosed,
+    _INIT_MODES,
+    _config_for_value,
     _fmt,
     default_cycle_config,
     emit_csv,
@@ -53,7 +54,7 @@ def _add_param_flags(sub):
     )
     sub.add_argument(
         "--init-mode",
-        choices=["thermal-closed", "finite-dwell"],
+        choices=list(_INIT_MODES),
         default=None,
         help="start thermalized at the closed frequency, or model the closing ramp too",
     )
@@ -118,6 +119,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config(args) -> CycleConfig:
+    """The config file's settings (or the reference cycle's), overridden by
+    every flag given."""
     if args.config is not None:
         try:
             with open(args.config) as fh:
@@ -126,36 +129,20 @@ def _load_config(args) -> CycleConfig:
             raise OSError(f"config file {args.config}: {exc}") from exc
     else:
         cfg = default_cycle_config()
-    dims = cfg.dimensionless
-    updates = {}
-    if args.theta0 is not None:
-        updates["theta0"] = args.theta0
-    if args.ratio is not None:
-        updates["freq_ratio_r"] = args.ratio
-    if args.gamma_tau is not None:
-        updates["gamma_tau_g"] = args.gamma_tau
-    if updates:
-        dims = replace(dims, **updates)
-    profile = cfg.profile
-    if profile is not None and "freq_ratio_r" in updates:
-        profile = replace(profile, freq_ratio_r=dims.freq_ratio_r)
+    for flag, axis in _AXIS_BY_FLAG.items():
+        value = getattr(args, flag.replace("-", "_"))
+        if value is not None:
+            cfg = _config_for_value(cfg, axis, value)
     init_mode = cfg.init_mode
-    if args.init_mode == "thermal-closed":
-        init_mode = ThermalClosed()
-    elif args.init_mode == "finite-dwell":
-        init_mode = FiniteDwell(dwell=args.dwell if args.dwell is not None else 0.0)
-    elif args.dwell is not None:
+    if args.init_mode is not None:
+        init_mode = _INIT_MODES[args.init_mode]()
+    if args.dwell is not None:
         if not isinstance(init_mode, FiniteDwell):
             raise ValueError("--dwell requires --init-mode finite-dwell")
-        init_mode = FiniteDwell(dwell=args.dwell)
-    return CycleConfig(
-        dimensionless=dims,
-        profile=profile,
-        init_mode=init_mode,
-        horizon=cfg.horizon if args.horizon is None else args.horizon,
-        with_oracle=cfg.with_oracle if args.with_oracle is None else True,
-        output_dir=cfg.output_dir if args.out is None else args.out,
-        output_format=cfg.output_format,
+        init_mode = FiniteDwell(args.dwell)
+    flags = {"horizon": args.horizon, "with_oracle": args.with_oracle, "output_dir": args.out}
+    return replace(
+        cfg, init_mode=init_mode, **{k: v for k, v in flags.items() if v is not None}
     )
 
 
@@ -176,7 +163,7 @@ def _write_cycle_outputs(result: CycleResult, out_dir: str) -> None:
     csv_path = os.path.join(out_dir, "cycle.csv")
     emit_csv(result.record, csv_path)
     script_path = os.path.join(out_dir, "cycle_plot.py")
-    emit_plot_script(result.record, script_path, csv_name="cycle.csv")
+    emit_plot_script(result.record, script_path)
     print(f"wrote {csv_path}")
     print(f"wrote {script_path}")
 
@@ -224,7 +211,7 @@ def _cmd_sweep(args) -> int:
         csv_path = os.path.join(base.output_dir, "sweep.csv")
         emit_sweep_csv(rows, csv_path)
         script_path = os.path.join(base.output_dir, "sweep_plot.py")
-        emit_plot_script(rows, script_path, csv_name="sweep.csv", axis=axis)
+        emit_plot_script(rows, script_path, axis=axis)
         print(f"wrote {csv_path}")
         print(f"wrote {script_path}")
     return 0

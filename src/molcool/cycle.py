@@ -14,6 +14,7 @@ import io
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
+from typing import ClassVar
 
 import numpy as np
 
@@ -53,6 +54,8 @@ SWEEP_AXES = ("theta0", "freq_ratio_r", "gamma_tau_g")
 class ThermalClosed:
     """Start the run already thermalized at the closed (stiff) frequency."""
 
+    name: ClassVar[str] = "thermal-closed"
+
 
 @dataclass(frozen=True)
 class FiniteDwell:
@@ -61,11 +64,15 @@ class FiniteDwell:
     then open.  The pre-opening phases appear at negative s in the output.
     """
 
-    dwell: float
+    name: ClassVar[str] = "finite-dwell"
+    dwell: float = 0.0
 
     def __post_init__(self):
         if not (math.isfinite(self.dwell) and self.dwell >= 0.0):
             raise ValueError(f"dwell must be finite and >= 0, got {self.dwell}")
+
+
+_INIT_MODES = {mode.name: mode for mode in (ThermalClosed, FiniteDwell)}
 
 
 @dataclass(frozen=True)
@@ -78,7 +85,6 @@ class CycleConfig:
     horizon: float = 10.0
     with_oracle: bool = False
     output_dir: str | None = None
-    output_format: str = "csv"
 
     def __post_init__(self):
         if not (math.isfinite(self.horizon) and self.horizon >= 1.0):
@@ -90,8 +96,6 @@ class CycleConfig:
             )
         if not isinstance(self.init_mode, (ThermalClosed, FiniteDwell)):
             raise ValueError(f"unknown init_mode {self.init_mode!r}")
-        if self.output_format != "csv":
-            raise ValueError(f"unsupported output format {self.output_format!r}")
 
 
 def default_cycle_config() -> CycleConfig:
@@ -356,7 +360,6 @@ def _run_oracle(d, segments, eta0, samples_per_unit, trajectory) -> PopulationTr
     stitched = PopulationTrajectory(
         **{name: _stitch([getattr(seg, name) for seg in parts]) for name in per_sample},
         populations=parts[-1].populations,
-        method="bdf",
     )
     idx = _nearest_indices(trajectory.s, stitched.s)
     eta_ref = trajectory.eta[idx]
@@ -406,6 +409,8 @@ def sweep_range_values(vmin: float, vmax: float, count: int, spacing: str = "lin
 
 
 def _config_for_value(base: CycleConfig, axis: str, value: float) -> CycleConfig:
+    """`base` with one dimensionless parameter set to `value`; a profile's
+    own frequency ratio follows a new freq_ratio_r."""
     dims = replace(base.dimensionless, **{axis: value})
     prof = base.profile
     if prof is not None and axis == "freq_ratio_r":
@@ -660,10 +665,11 @@ print(f"wrote {{out}}")
 '''
 
 
-def emit_plot_script(source, path, csv_name=None, axis=None) -> None:
+def emit_plot_script(source, path, axis=None) -> None:
     """Write a self-contained matplotlib script that plots the CSV emitted
-    alongside it.  `source` is a TimeSeriesRecord (cycle panels) or a
-    sequence of SweepRow (summary curve); the script resolves the CSV
+    alongside it, `cycle.csv` or `sweep.csv`.  `source` is a
+    TimeSeriesRecord (cycle panels) or a sequence of SweepRow (summary
+    curve, with `axis` as its label); the script resolves the CSV
     relative to its own location and exits with a message naming it when
     it is missing, before it imports matplotlib.
     """
@@ -673,34 +679,19 @@ def emit_plot_script(source, path, csv_name=None, axis=None) -> None:
         title = "Cooling cycle"
         if source.s[0] < 0.0:
             title += " (pre-opening close and dwell included; extension mode)"
-        text = _CYCLE_PLOT.format(
-            csv_name=csv_name or "cycle.csv", title=title, png_name="cycle.png"
-        )
+        text = _CYCLE_PLOT.format(csv_name="cycle.csv", title=title, png_name="cycle.png")
     else:
-        rows = list(source)
-        if not rows:
+        if not list(source):
             raise ValueError("cannot emit a plot script for an empty sweep")
+        axis = axis or "axis value"
         text = _SWEEP_PLOT.format(
-            csv_name=csv_name or "sweep.csv",
-            axis=axis or "axis value",
-            title=f"Sweep over {axis or 'axis value'}",
-            png_name="sweep.png",
+            csv_name="sweep.csv", axis=axis, title=f"Sweep over {axis}", png_name="sweep.png"
         )
     try:
         with open(path, "w", newline="") as fh:
             fh.write(text)
     except OSError as exc:
         raise OSError(f"plot-script emission to {path} failed: {exc}") from exc
-
-
-_INIT_MODE_NAMES = {"thermal-closed": ThermalClosed, "finite-dwell": FiniteDwell}
-
-_CONFIG_KEYS = {
-    "dimensionless": {"theta0", "freq_ratio_r", "gamma_tau_g"},
-    "profile": {"shape", "duration", "level", "breakpoints"},
-    "run": {"init_mode", "dwell", "horizon", "with_oracle"},
-    "output": {"directory", "format"},
-}
 
 
 def serialize_config(cfg: CycleConfig) -> str:
@@ -721,20 +712,14 @@ def serialize_config(cfg: CycleConfig) -> str:
                 f"{repr(sv)}:{repr(wv)}" for sv, wv in cfg.profile.breakpoints
             )
         cp["profile"] = prof
-    run = {}
+    run = {"init_mode": cfg.init_mode.name}
     if isinstance(cfg.init_mode, FiniteDwell):
-        run["init_mode"] = "finite-dwell"
         run["dwell"] = repr(cfg.init_mode.dwell)
-    else:
-        run["init_mode"] = "thermal-closed"
     run["horizon"] = repr(cfg.horizon)
     run["with_oracle"] = "true" if cfg.with_oracle else "false"
     cp["run"] = run
-    out = {}
     if cfg.output_dir is not None:
-        out["directory"] = cfg.output_dir
-    out["format"] = cfg.output_format
-    cp["output"] = out
+        cp["output"] = {"directory": cfg.output_dir}
     buf = io.StringIO()
     cp.write(buf)
     return buf.getvalue()
@@ -753,8 +738,53 @@ def _parse_breakpoints(text: str):
     return tuple(points)
 
 
+def _profile_shape(text: str) -> ProfileShape:
+    try:
+        return ProfileShape(text)
+    except ValueError:
+        names = sorted(m.value for m in ProfileShape)
+        raise ValueError(f"unknown profile shape {text!r}; expected one of {names}") from None
+
+
+def _init_mode(name: str) -> ThermalClosed | FiniteDwell:
+    if name not in _INIT_MODES:
+        raise ValueError(f"unknown init_mode {name!r}; expected one of {sorted(_INIT_MODES)}")
+    return _INIT_MODES[name]()
+
+
+def _boolean(text: str) -> bool:
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[text.lower()]
+    except KeyError:
+        raise ValueError(f"not a boolean: {text!r}") from None
+
+
+def _csv_only(text: str) -> str:
+    if text != "csv":
+        raise ValueError(f"unsupported output format {text!r}")
+    return text
+
+
+# every section and key a config file may hold, each with its parser
+_CONFIG_KEYS = {
+    "dimensionless": {"theta0": float, "freq_ratio_r": float, "gamma_tau_g": float},
+    "profile": {
+        "shape": _profile_shape,
+        "duration": float,
+        "level": float,
+        "breakpoints": _parse_breakpoints,
+    },
+    "run": {"init_mode": _init_mode, "dwell": float, "horizon": float, "with_oracle": _boolean},
+    "output": {"directory": str, "format": _csv_only},
+}
+
+
 def parse_config(text: str) -> CycleConfig:
-    """Parse INI text into a CycleConfig; unknown sections or keys are errors."""
+    """Parse INI text into a CycleConfig; unknown sections or keys are errors.
+
+    Only the keys present are passed on, so every absent one takes its
+    CycleConfig or FrequencyProfile default.
+    """
     cp = configparser.ConfigParser(inline_comment_prefixes=("#",))
     try:
         cp.read_string(text)
@@ -762,66 +792,29 @@ def parse_config(text: str) -> CycleConfig:
         raise ValueError(f"malformed config: {exc}") from exc
     if cp.defaults():
         raise ValueError("config must not use a DEFAULT section")
+    given = {}
     for section in cp.sections():
         if section not in _CONFIG_KEYS:
             raise ValueError(f"unknown config section [{section}]")
-        stray = set(cp[section]) - _CONFIG_KEYS[section]
+        stray = set(cp[section]) - set(_CONFIG_KEYS[section])
         if stray:
             raise ValueError(f"unknown key(s) in [{section}]: {sorted(stray)}")
-    if not cp.has_section("dimensionless"):
+        given[section] = {
+            key: _CONFIG_KEYS[section][key](value) for key, value in cp[section].items()
+        }
+    if "dimensionless" not in given:
         raise ValueError("config needs a [dimensionless] section")
-    dsec = cp["dimensionless"]
-    missing = _CONFIG_KEYS["dimensionless"] - set(dsec)
+    missing = set(_CONFIG_KEYS["dimensionless"]) - set(given["dimensionless"])
     if missing:
         raise ValueError(f"[dimensionless] is missing {sorted(missing)}")
-    dims = DimensionlessParams(
-        theta0=dsec.getfloat("theta0"),
-        freq_ratio_r=dsec.getfloat("freq_ratio_r"),
-        gamma_tau_g=dsec.getfloat("gamma_tau_g"),
-    )
-    profile = None
-    if cp.has_section("profile"):
-        psec = cp["profile"]
-        shape_name = psec.get("shape", ProfileShape.SINE_OPENING.value)
-        try:
-            shape = ProfileShape(shape_name)
-        except ValueError:
-            names = sorted(m.value for m in ProfileShape)
-            raise ValueError(f"unknown profile shape {shape_name!r}; expected one of {names}")
-        kwargs = {"duration": psec.getfloat("duration", 1.0)}
-        if "level" in psec:
-            kwargs["level"] = psec.getfloat("level")
-        if "breakpoints" in psec:
-            kwargs["breakpoints"] = _parse_breakpoints(psec["breakpoints"])
-        profile = FrequencyProfile(dims.freq_ratio_r, shape, **kwargs)
-    init_mode = ThermalClosed()
-    horizon = 10.0
-    with_oracle = False
-    if cp.has_section("run"):
-        rsec = cp["run"]
-        mode_name = rsec.get("init_mode", "thermal-closed")
-        if mode_name not in _INIT_MODE_NAMES:
-            raise ValueError(
-                f"unknown init_mode {mode_name!r}; expected one of {sorted(_INIT_MODE_NAMES)}"
-            )
-        if mode_name == "finite-dwell":
-            init_mode = FiniteDwell(dwell=rsec.getfloat("dwell", 0.0))
-        elif "dwell" in rsec:
+    dims = DimensionlessParams(**given["dimensionless"])
+    changes = given.get("run", {})
+    if "dwell" in changes:
+        if not isinstance(changes.get("init_mode"), FiniteDwell):
             raise ValueError("dwell is only meaningful with init_mode = finite-dwell")
-        horizon = rsec.getfloat("horizon", 10.0)
-        with_oracle = rsec.getboolean("with_oracle", False)
-    output_dir = None
-    output_format = "csv"
-    if cp.has_section("output"):
-        osec = cp["output"]
-        output_dir = osec.get("directory", None)
-        output_format = osec.get("format", "csv")
-    return CycleConfig(
-        dimensionless=dims,
-        profile=profile,
-        init_mode=init_mode,
-        horizon=horizon,
-        with_oracle=with_oracle,
-        output_dir=output_dir,
-        output_format=output_format,
-    )
+        changes["init_mode"] = FiniteDwell(changes.pop("dwell"))
+    if "profile" in given:
+        changes["profile"] = FrequencyProfile(dims.freq_ratio_r, **given["profile"])
+    if "directory" in given.get("output", {}):
+        changes["output_dir"] = given["output"]["directory"]
+    return CycleConfig(dimensionless=dims, **changes)

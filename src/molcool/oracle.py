@@ -52,6 +52,8 @@ from .thermo import QuenchedState, nu_of
 from .units import DimensionlessParams
 
 NEGATIVITY_FLOOR = -1e-14
+TAIL_THRESHOLD = 1e-10  # largest estimated mass above n_max a run accepts
+_RTOL, _ATOL = 1e-8, 1e-15  # BDF error control
 _BLOCK = 64         # samples reduced at a time
 _SHAPE_WINDOW = 51  # geometric residual over p_{n+1}/p_n for n < 51
 
@@ -94,7 +96,6 @@ class PopulationTrajectory:
     mass: np.ndarray
     geometric_residual: np.ndarray
     populations: np.ndarray
-    method: str
 
     @property
     def final(self) -> PopulationVector:
@@ -109,22 +110,20 @@ def truncation_levels(nu_max: float) -> int:
     return int(math.ceil(40.0 * nu_max))
 
 
-def populations_from_quenched(
-    state: QuenchedState, n_max: int, tail_threshold: float = 1e-10
-) -> PopulationVector:
+def populations_from_quenched(state: QuenchedState, n_max: int) -> PopulationVector:
     """Truncated quenched Boltzmann populations p_n = (1/eta)(1 - 1/eta)^n.
 
     The mass above n_max is exactly (1 - 1/eta)^(n_max + 1); it must come
-    in under `tail_threshold` or the truncation is rejected.
+    in under `TAIL_THRESHOLD` or the truncation is rejected.
     """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     q = 1.0 - 1.0 / state.eta
     tail = q ** (n_max + 1)
-    if tail > tail_threshold:
+    if tail > TAIL_THRESHOLD:
         raise ValueError(
             f"truncation too small: tail bound {tail:.3e} above threshold "
-            f"{tail_threshold:.3e}; increase n_max"
+            f"{TAIL_THRESHOLD:.3e}; increase n_max"
         )
     p = (1.0 / state.eta) * q ** np.arange(n_max + 1)
     return PopulationVector(p=p, tail_bound=float(tail))
@@ -171,26 +170,24 @@ def evolve_populations(
     init: PopulationVector,
     horizon: float = 10.0,
     *,
-    rtol: float = 1e-8,
-    atol: float = 1e-15,
     samples_per_unit: int = 100,
-    tail_threshold: float = 1e-10,
 ) -> PopulationTrajectory:
     """Integrate the truncated birth-death populations over `horizon`.
 
     Implicit multistep (BDF) with the analytic tridiagonal Jacobian,
-    controlled by `rtol`/`atol`.  Samples are reduced as they are
-    produced (see `PopulationTrajectory`); only the final vector is kept.
-    Aborts at the first sample where any population or the tail drops
-    below -1e-14 (integrator failure) or the tail estimate exceeds
-    `tail_threshold` (truncation too small for the schedule).
+    under the error control `_RTOL`/`_ATOL`.  Samples are
+    reduced as they are produced (see `PopulationTrajectory`); only the
+    final vector is kept.  Aborts at the first sample where any
+    population or the tail drops below `NEGATIVITY_FLOOR` (integrator
+    failure) or the tail estimate exceeds `TAIL_THRESHOLD` (truncation
+    too small for the schedule).
     """
     n_intervals = _check_run(d, profile, horizon, samples_per_unit)
     samples = np.linspace(0.0, horizon, n_intervals + 1)
-    reducer = _SampleReducer(samples, init.p.size, tail_threshold)
+    reducer = _SampleReducer(samples, init.p.size)
     y0 = np.concatenate([init.p, [init.tail_bound]])
-    _evolve_bdf(d, profile, y0, samples, rtol, atol, reducer)
-    return reducer.trajectory("bdf")
+    _evolve_bdf(d, profile, y0, samples, reducer)
+    return reducer.trajectory()
 
 
 class _SampleReducer:
@@ -203,9 +200,8 @@ class _SampleReducer:
     is a view and the block itself is clipped at 0.
     """
 
-    def __init__(self, samples: np.ndarray, n_levels: int, tail_threshold: float):
+    def __init__(self, samples: np.ndarray, n_levels: int):
         self.samples = samples
-        self.tail_threshold = tail_threshold
         self.n_idx = np.arange(n_levels, dtype=float)
         self.window = min(_SHAPE_WINDOW, n_levels - 1)
         self.mean_n, self.tail_bound, self.mass, self.geometric_residual = (
@@ -228,12 +224,12 @@ class _SampleReducer:
         # forgive sub-floor negative roundoff, in the tail estimate as in the levels
         np.maximum(rows, 0.0, out=rows)
         pops, tails = rows[:, :-1], rows[:, -1]
-        over = np.flatnonzero(tails > self.tail_threshold)
+        over = np.flatnonzero(tails > TAIL_THRESHOLD)
         if over.size:
             k = int(over[0])
             raise SolverError(
                 f"truncation too small: tail bound {tails[k]:.3e} exceeded threshold "
-                f"{self.tail_threshold:.3e} at s = {self.samples[lo + k]:.6g}; increase n_max"
+                f"{TAIL_THRESHOLD:.3e} at s = {self.samples[lo + k]:.6g}; increase n_max"
             )
         # row by row, so a sample's bits do not depend on the block it came in
         self.mean_n[lo:hi] = np.einsum("ij,j->i", pops, self.n_idx)
@@ -248,7 +244,7 @@ class _SampleReducer:
         self.last = pops[-1].copy()
         self.done = hi
 
-    def trajectory(self, method: str) -> PopulationTrajectory:
+    def trajectory(self) -> PopulationTrajectory:
         return PopulationTrajectory(
             s=self.samples,
             mean_n=self.mean_n,
@@ -256,7 +252,6 @@ class _SampleReducer:
             mass=self.mass,
             geometric_residual=self.geometric_residual,
             populations=self.last,
-            method=method,
         )
 
 
@@ -285,7 +280,7 @@ def _use_tridiagonal_lu(solver) -> None:
     solver.lu, solver.solve_lu = lu, solve_lu
 
 
-def _evolve_bdf(d, profile, y0, samples, rtol, atol, reducer):
+def _evolve_bdf(d, profile, y0, samples, reducer):
     import scipy.sparse as sp
     from scipy.integrate import BDF
 
@@ -313,7 +308,7 @@ def _evolve_bdf(d, profile, y0, samples, rtol, atol, reducer):
             format="csc",
         )
 
-    solver = BDF(rhs, float(samples[0]), y0, float(samples[-1]), rtol=rtol, atol=atol, jac=jac)
+    solver = BDF(rhs, float(samples[0]), y0, float(samples[-1]), rtol=_RTOL, atol=_ATOL, jac=jac)
     _use_tridiagonal_lu(solver)
     # the samples in (t_old, t] of each step, and s = 0 with the first,
     # from its dense output (as solve_ivp's t_eval)

@@ -26,7 +26,8 @@ class FrequencyProfile:
     """One control segment for omega(s)/omega1.
 
     `level` applies to CONSTANT only; `breakpoints` ((s, omega/omega1)
-    pairs, s ascending from 0) to PIECEWISE_LINEAR only.  The sine shapes
+    pairs, s ascending from 0) to PIECEWISE_LINEAR only; other shapes
+    reject a `level` other than 1 and any `breakpoints`.  The sine shapes
     run between the closed value 1 and the open value 1/r over `duration`.
     """
 
@@ -44,6 +45,8 @@ class FrequencyProfile:
         if self.shape is ProfileShape.CONSTANT:
             if not (math.isfinite(self.level) and self.level > 0.0):
                 raise ValueError(f"constant profile needs a positive level, got {self.level}")
+        elif self.level != 1.0:
+            raise ValueError(f"level applies to the constant shape only, not {self.shape.value}")
         if self.shape is ProfileShape.PIECEWISE_LINEAR:
             pts = self.breakpoints
             if len(pts) < 2:
@@ -58,6 +61,10 @@ class FrequencyProfile:
                 raise ValueError("first breakpoint must be at s = 0")
             if any(w <= 0.0 for w in ws):
                 raise ValueError("breakpoint frequencies must be positive")
+        elif self.breakpoints:
+            raise ValueError(
+                f"breakpoints apply to the piecewise-linear shape only, not {self.shape.value}"
+            )
 
 
 def omega_at(profile: FrequencyProfile, s):

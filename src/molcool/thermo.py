@@ -27,20 +27,6 @@ class OccupationUnderflow(RuntimeWarning):
 
 
 @dataclass(frozen=True)
-class BathSpec:
-    """Thermal contact: relaxation rate gamma (1/s) at bath temperature T (K)."""
-
-    gamma: float
-    temperature: float
-
-    def __post_init__(self):
-        if not (self.gamma > 0.0 and np.isfinite(self.gamma)):
-            raise ValueError(f"bath gamma must be positive, got {self.gamma}")
-        if not (self.temperature > 0.0 and np.isfinite(self.temperature)):
-            raise ValueError(f"bath temperature must be positive, got {self.temperature}")
-
-
-@dataclass(frozen=True)
 class QuenchedState:
     """Quenched Boltzmann state with mean excitation eta - 1."""
 
@@ -91,10 +77,11 @@ def thermal_state(theta: float) -> QuenchedState:
 
 
 def ratio_from_eta(eta, theta_now):
-    """Effective-temperature ratio for raw eta values (vectorized core).
+    """Effective temperature over the bath temperature, for scalar or array eta.
 
     T_eff/T = log[nu/(nu+1)] / log[1 - 1/eta] evaluated at the
-    instantaneous splitting theta_now.  Since nu/(nu+1) = exp(-theta)
+    instantaneous splitting theta_now: 1 for a state bath-equilibrated
+    at theta_now, below 1 for a colder one.  Since nu/(nu+1) = exp(-theta)
     identically, the numerator is computed as -theta_now; the denominator
     uses log1p for accuracy near equilibrium.
     """
@@ -108,15 +95,6 @@ def ratio_from_eta(eta, theta_now):
     if np.ndim(eta) == 0 and np.ndim(theta_now) == 0:
         return float(ratio)
     return ratio
-
-
-def temperature_ratio(state: QuenchedState, theta_now: float) -> float:
-    """Effective temperature of `state` over the bath temperature.
-
-    Equals 1 when the state is bath-equilibrated at theta_now, drops below
-    1 when the state is colder than the bath at the current splitting.
-    """
-    return ratio_from_eta(state.eta, theta_now)
 
 
 def ideal_cooling_limit(freq_ratio_r: float) -> float:

@@ -20,7 +20,7 @@ from molcool.cycle import (
 from molcool.oracle import evolve_populations, populations_from_quenched, truncation_levels
 from molcool.profiles import FrequencyProfile, ProfileShape
 from molcool.solver import evolve_eta_closed_form, evolve_eta_ode
-from molcool.thermo import nu_of, ratio_from_eta, thermal_state, temperature_ratio
+from molcool.thermo import nu_of, ratio_from_eta, thermal_state
 from molcool.units import DimensionlessParams, si_roundtrip
 
 _CACHE = {}
@@ -117,7 +117,7 @@ def test_criterion_6_equilibrium_identity_and_hold():
     start = time.perf_counter()
     thetas = np.geomspace(1e-3, 10.0, 200)
     worst_identity = max(
-        abs(temperature_ratio(thermal_state(t), t) - 1.0) for t in thetas
+        abs(ratio_from_eta(thermal_state(t).eta, t) - 1.0) for t in thetas
     )
     # hold at constant frequency for 100 relaxation times
     d = DimensionlessParams(theta0=0.024, freq_ratio_r=2.0, gamma_tau_g=1.0)

@@ -3,14 +3,16 @@
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from molcool.cli import main
-from molcool.cycle import default_cycle_config, serialize_config
+from molcool.cycle import CycleConfig, _fmt, default_cycle_config, run_cycle, serialize_config
 from molcool.errors import SolverCrossCheckError
-from molcool.units import AdiabaticityWarning
+from molcool.profiles import FrequencyProfile, ProfileShape
+from molcool.units import AdiabaticityWarning, DimensionlessParams
 
 
 def run_cli(*argv):
@@ -164,12 +166,38 @@ def test_config_file_with_flag_overrides(tmp_path, capsys):
     assert capsys.readouterr().out == override_out
 
 
+def test_ratio_flag_moves_the_config_profile(tmp_path, capsys):
+    # the profile's own ratio follows --ratio, as for a sweep over it
+    dims = DimensionlessParams(theta0=0.032, freq_ratio_r=2.0, gamma_tau_g=1.0)
+    profile = FrequencyProfile(
+        freq_ratio_r=2.0,
+        shape=ProfileShape.PIECEWISE_LINEAR,
+        breakpoints=((0.0, 1.0), (1.0, 0.5)),
+    )
+    path = tmp_path / "run.ini"
+    path.write_text(serialize_config(CycleConfig(dimensionless=dims, profile=profile)))
+    rc = run_cli("cycle", "--config", str(path), "--ratio", "3", "--horizon", "2")
+    out = capsys.readouterr().out
+    assert rc == 0
+    expected = run_cycle(
+        CycleConfig(
+            dimensionless=replace(dims, freq_ratio_r=3.0),
+            profile=replace(profile, freq_ratio_r=3.0),
+            horizon=2.0,
+        )
+    ).summary
+    assert f"min T_ratio = {_fmt(expected.min_t_ratio)} at s = {_fmt(expected.argmin_s)}" in out
+    assert f"final eta = {_fmt(expected.final_eta)}" in out
+
+
 def test_validation_exit_codes(tmp_path, capsys):
     assert run_cli("cycle", "--ratio", "0.5") == 2
     assert "freq_ratio_r" in capsys.readouterr().err
     assert run_cli("sweep", "--axis", "theta0", "--values", "a,b") == 2
     capsys.readouterr()
     assert run_cli("cycle", "--dwell", "2") == 2
+    assert "--dwell requires --init-mode finite-dwell" in capsys.readouterr().err
+    assert run_cli("cycle", "--init-mode", "thermal-closed", "--dwell", "3") == 2
     assert "--dwell requires --init-mode finite-dwell" in capsys.readouterr().err
     bad = tmp_path / "bad.ini"
     bad.write_text(

@@ -178,7 +178,6 @@ def test_oracle_cross_check_runs():
     cfg = CycleConfig(dimensionless=d, horizon=3.0, with_oracle=True)
     res = run_cycle(cfg, samples_per_unit=500, oracle_samples_per_unit=50)
     assert res.oracle is not None
-    assert res.oracle.method == "bdf"
     assert res.oracle.s[-1] == 3.0
     # mean occupation and the eta route describe one distribution
     idx = np.searchsorted(res.trajectory.s, res.oracle.s)
@@ -205,8 +204,6 @@ def test_cycle_config_validation():
         CycleConfig(dimensionless=dims, horizon=0.5)
     with pytest.raises(ValueError, match="does not match"):
         CycleConfig(dimensionless=dims, profile=FrequencyProfile(freq_ratio_r=3.0))
-    with pytest.raises(ValueError, match="unsupported output format"):
-        CycleConfig(dimensionless=dims, output_format="json")
     with pytest.raises(ValueError, match="unknown init_mode"):
         CycleConfig(dimensionless=dims, init_mode="thermal")
     with pytest.raises(ValueError, match="dwell"):
@@ -395,6 +392,13 @@ def test_config_parse_errors():
         )
     with pytest.raises(ValueError, match="malformed config"):
         parse_config("not an ini file at all [")
+    with pytest.raises(ValueError, match="unsupported output format 'json'"):
+        parse_config(good + "\n[output]\nformat = json\n")
+    # keys of another shape are rejected, not kept where they would break the roundtrip
+    with pytest.raises(ValueError, match="level applies to the constant shape only"):
+        parse_config(good + "\n[profile]\nshape = sine-opening\nlevel = 0.3\n")
+    with pytest.raises(ValueError, match="breakpoints apply to the piecewise-linear shape only"):
+        parse_config(good + "\n[profile]\nshape = sine-opening\nbreakpoints = 0:1, 1:0.5\n")
 
 
 if __name__ == "__main__":

@@ -24,10 +24,8 @@ from molcool.thermo import QuenchedState, nu_of
 from molcool.units import DimensionlessParams
 
 
-def thermal_vector(theta, n_max, tail_threshold=1e-10):
-    return populations_from_quenched(
-        QuenchedState(eta=nu_of(theta) + 1.0), n_max, tail_threshold=tail_threshold
-    )
+def thermal_vector(theta, n_max):
+    return populations_from_quenched(QuenchedState(eta=nu_of(theta) + 1.0), n_max)
 
 
 def test_quenched_populations_are_geometric():
@@ -137,7 +135,6 @@ def test_trajectory_sample_access():
     prof = FrequencyProfile(freq_ratio_r=2.0)
     init = thermal_vector(0.6, truncation_levels(nu_of(0.3)) + 20)
     traj = evolve_populations(d, prof, init, horizon=0.5, samples_per_unit=10)
-    assert traj.method == "bdf"
     for name in ("s", "mean_n", "tail_bound", "mass", "geometric_residual"):
         assert getattr(traj, name).shape == (6,), name
     # only the final vector is kept
@@ -165,24 +162,24 @@ def test_sample_reducer_checks_and_clips():
     samples = np.array([0.0, 0.5, 1.0])
     # columns are samples; rows p_0, p_1, p_2 and the tail
     block = np.array([[0.5, 0.5], [0.3, 0.3], [0.2, 0.2], [-1e-20, 1e-11]])
-    reducer = _SampleReducer(samples, 3, tail_threshold=1e-10)
+    reducer = _SampleReducer(samples, 3)
     reducer.add(block)
     # sub-floor roundoff in the tail is clipped before it is reduced
     assert reducer.tail_bound[0] == 0.0
     assert reducer.mass[0] == 1.0
     assert reducer.mean_n[1] == pytest.approx(0.7, rel=1e-15)
     reducer.add(np.array([[1.0], [0.0], [0.0], [0.0]]))
-    traj = reducer.trajectory("bdf")
+    traj = reducer.trajectory()
     assert np.array_equal(traj.populations, [1.0, 0.0, 0.0])
     # an empty level in the window leaves its residual undefined, not an error
     assert not np.isfinite(traj.geometric_residual[-1])
 
     negative = np.array([[0.5], [0.5], [-1e-13], [0.0]])
     with pytest.raises(SolverError, match=r"integrator failure.*at s = 0$"):
-        _SampleReducer(samples, 3, tail_threshold=1e-10).add(negative)
+        _SampleReducer(samples, 3).add(negative)
     leaking = np.array([[0.5, 0.5], [0.5, 0.5], [0.0, 0.0], [0.0, 2e-10]])
     with pytest.raises(SolverError, match=r"truncation too small.*at s = 0\.5"):
-        _SampleReducer(samples, 3, tail_threshold=1e-10).add(leaking)
+        _SampleReducer(samples, 3).add(leaking)
 
 
 def test_sample_reducer_matches_column_reference():
@@ -197,10 +194,10 @@ def test_sample_reducer_matches_column_reference():
         assert block.flags.c_contiguous
         blocks.append(block)
     samples = np.linspace(0.0, 1.0, 6)
-    reducer = _SampleReducer(samples, n_levels, tail_threshold=1e-10)
+    reducer = _SampleReducer(samples, n_levels)
     for block in blocks:
         reducer.add(block.copy())
-    traj = reducer.trajectory("bdf")
+    traj = reducer.trajectory()
     columns = np.hstack(blocks).T
     n_idx = np.arange(n_levels, dtype=float)
     for k, col in enumerate(columns):

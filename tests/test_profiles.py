@@ -112,6 +112,26 @@ def test_profile_validation():
             shape=ProfileShape.PIECEWISE_LINEAR,
             breakpoints=((0.0, 1.0), (1.0, 0.0)),
         )
+    # shape-specific fields are refused on every other shape
+    with pytest.raises(ValueError, match="level applies to the constant shape only"):
+        FrequencyProfile(freq_ratio_r=2.0, level=0.3)
+    with pytest.raises(ValueError, match="level applies"):
+        FrequencyProfile(
+            freq_ratio_r=2.0,
+            shape=ProfileShape.PIECEWISE_LINEAR,
+            level=0.5,
+            breakpoints=((0.0, 1.0), (1.0, 0.5)),
+        )
+    with pytest.raises(ValueError, match="breakpoints apply to the piecewise-linear shape only"):
+        FrequencyProfile(
+            freq_ratio_r=2.0, shape=ProfileShape.CONSTANT, breakpoints=((0.0, 1.0), (1.0, 0.5))
+        )
+    with pytest.raises(ValueError, match="breakpoints apply"):
+        FrequencyProfile(
+            freq_ratio_r=2.0,
+            shape=ProfileShape.REVERSED_SINE_CLOSING,
+            breakpoints=((0.0, 1.0), (1.0, 0.5)),
+        )
 
 
 def test_shape_enum_values():

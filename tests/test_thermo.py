@@ -2,13 +2,11 @@ import numpy as np
 import pytest
 
 from molcool import (
-    BathSpec,
     OccupationUnderflow,
     QuenchedState,
     ideal_cooling_limit,
     nu_of,
     ratio_from_eta,
-    temperature_ratio,
     thermal_state,
 )
 
@@ -68,7 +66,7 @@ def test_thermal_state():
 def test_temperature_ratio_equilibrium_is_unity():
     for theta in np.geomspace(1e-3, 10.0, 60):
         np.testing.assert_allclose(
-            temperature_ratio(thermal_state(theta), theta), 1.0, atol=1e-12
+            ratio_from_eta(thermal_state(theta).eta, theta), 1.0, atol=1e-12
         )
 
 
@@ -77,23 +75,23 @@ def test_temperature_ratio_octave_quench():
     # one half: both logs collapse to -theta and -2*theta
     for theta in (0.01, 0.032, 0.3):
         state = thermal_state(2.0 * theta)
-        np.testing.assert_allclose(temperature_ratio(state, theta), 0.5, atol=1e-12)
+        np.testing.assert_allclose(ratio_from_eta(state.eta, theta), 0.5, atol=1e-12)
     np.testing.assert_allclose(
-        temperature_ratio(QuenchedState(eta=16.130332969279948), 0.032), 0.5, atol=1e-3
+        ratio_from_eta(QuenchedState(eta=16.130332969279948).eta, 0.032), 0.5, atol=1e-3
     )
 
 
 def test_temperature_ratio_direction():
     nu = nu_of(0.032)
-    assert temperature_ratio(QuenchedState(eta=0.5 * nu + 1.0), 0.032) < 1.0
-    assert temperature_ratio(QuenchedState(eta=2.0 * nu + 1.0), 0.032) > 1.0
+    assert ratio_from_eta(QuenchedState(eta=0.5 * nu + 1.0).eta, 0.032) < 1.0
+    assert ratio_from_eta(QuenchedState(eta=2.0 * nu + 1.0).eta, 0.032) > 1.0
 
 
 def test_temperature_ratio_monotone_in_eta():
     rng = np.random.default_rng(11)
     for theta in (0.01, 0.1, 1.0):
         etas = np.sort(1.0 + np.exp(rng.uniform(-6, 6, size=100)))
-        ratios = [temperature_ratio(QuenchedState(eta=e), theta) for e in etas]
+        ratios = [ratio_from_eta(QuenchedState(eta=e).eta, theta) for e in etas]
         assert np.all(np.diff(ratios) > 0)
 
 
@@ -112,11 +110,3 @@ def test_ideal_cooling_limit():
     np.testing.assert_allclose(1.0 - ideal_cooling_limit(4.0), 0.75, rtol=1e-15)
     with pytest.raises(ValueError):
         ideal_cooling_limit(0.9)
-
-
-def test_bath_spec_validation():
-    assert BathSpec(gamma=1.0, temperature=300.0).temperature == 300.0
-    with pytest.raises(ValueError):
-        BathSpec(gamma=-1.0, temperature=300.0)
-    with pytest.raises(ValueError):
-        BathSpec(gamma=1.0, temperature=0.0)
