@@ -29,6 +29,8 @@ from .profiles import FrequencyProfile, ProfileShape
 from .solver import (
     EtaTrajectory,
     RecoveryResult,
+    _check_run,
+    _substeps_per_interval,
     evolve_eta_closed_form,
     evolve_eta_ode,
     recovery_time,
@@ -288,6 +290,9 @@ def run_cycle(
     """
     d = cfg.dimensionless
     eta0, segments = _plan_segments(cfg)
+    # every segment's grids pass their size checks before either route allocates
+    for _, prof, duration in segments:
+        _substeps_per_interval(duration, _check_run(d, prof, duration, samples_per_unit), ode_step)
 
     s_parts, w_parts, eta_parts, ratio_parts, ode_parts = [], [], [], [], []
     eta_cf = eta_ode = eta0

@@ -21,10 +21,16 @@ The integrator is implicit (BDF with an analytic Jacobian): the
 truncated generator's spectral radius grows like g * n_max * (4*nu + 2),
 which makes explicit fixed-step integration unstable at deep-classical
 corners (large nu) for any affordable step.  The generator, tail row
-included, is tridiagonal, so BDF's Newton matrix I - cJ is factored and
-solved with LAPACK's tridiagonal dgttrf/dgttrs instead of a general
-sparse LU.  Newton iterations evaluate the rates at one s many times
-over, so the last (s, rates) pair is kept.
+included, is tridiagonal, so BDF gets I and J as (3, n) bands: it forms
+I - cJ elementwise, with the entries sparse arithmetic would give, and
+LAPACK's tridiagonal dgttrf/dgttrs factor and solve it instead of a
+general sparse LU.  Newton iterations evaluate the rates at one s many
+times over, so the last (s, rates) pair is kept; and past the profile's
+`hold_start` every s maps to the hold's one pair, whose bits the profile
+guarantees, so a held stretch costs one rate evaluation.  When the
+integration ends the solver is emptied: scipy's closures and ours hold
+it in reference cycles, which would keep its arrays until the next
+cyclic garbage collection.
 
 Samples are streamed from BDF's dense output: at most `_BLOCK` = 64
 samples at a time are checked and reduced to per-sample mean level,
@@ -255,18 +261,29 @@ class _SampleReducer:
         )
 
 
-def _use_tridiagonal_lu(solver) -> None:
-    """Factor BDF's Newton matrix I - cJ with LAPACK's tridiagonal dgttrf.
+def _use_banded_newton(solver, band_jac) -> None:
+    """Hand BDF the Newton matrix I - cJ as its three diagonals.
 
     The augmented generator, tail row included, has offsets -1, 0 and +1
-    only, so its three diagonals are the whole matrix; this replaces the
-    general SuperLU factorization `BDF.__init__` sets up for a sparse J.
+    only, so a (3, n) band (upper, main and lower diagonal, as in
+    `scipy.linalg.solve_banded`) is the whole matrix.  With a banded I
+    and J, BDF's I - c*J is elementwise, and each entry is the one sparse
+    arithmetic computes (0 - c J_ij off the diagonal); LAPACK's dgttrf
+    factors it in place of the SuperLU factorization `BDF.__init__` sets
+    up for a sparse J.
     """
     from scipy.linalg.lapack import dgttrf, dgttrs
 
+    identity = np.zeros((3, solver.n))
+    identity[1] = 1.0
+
+    def jac(s, y):
+        solver.njev += 1
+        return band_jac(s, y)
+
     def lu(a):
         solver.nlu += 1
-        dl, d, du, du2, ipiv, info = dgttrf(a.diagonal(-1), a.diagonal(0), a.diagonal(1))
+        dl, d, du, du2, ipiv, info = dgttrf(a[2, :-1], a[1], a[0, 1:])
         if info != 0:
             raise SolverError(
                 f"population integration failed: singular Newton matrix at row {info}"
@@ -277,7 +294,8 @@ def _use_tridiagonal_lu(solver) -> None:
         x, _ = dgttrs(*factors, b)
         return x
 
-    solver.lu, solver.solve_lu = lu, solve_lu
+    solver.I, solver.J = identity, band_jac(solver.t, solver.y)
+    solver.jac, solver.lu, solver.solve_lu = jac, lu, solve_lu
 
 
 def _evolve_bdf(d, profile, y0, samples, reducer):
@@ -288,10 +306,12 @@ def _evolve_bdf(d, profile, y0, samples, reducer):
     n_idx = np.arange(n_max + 1, dtype=float)
     lower_idx = np.arange(1.0, n_max + 2.0)  # row n gains up*n from below; last row is the tail
     upper_base = np.concatenate([np.arange(1.0, n_max + 1.0), [0.0]])
+    hold = profile.hold_start
     last = [None, None]  # the latest (s, (down, up)); Newton iterations repeat s
 
     def rates(s):
-        s = float(s)
+        # from the hold on the rates are one value; min() maps every held s to it
+        s = min(float(s), hold)
         if s != last[0]:
             last[:] = s, _rates(d, profile, s)
         return last[1]
@@ -299,27 +319,39 @@ def _evolve_bdf(d, profile, y0, samples, reducer):
     def rhs(s, y):
         return _population_rhs(y, *rates(s), n_idx)
 
-    def jac(s, y):
+    def diagonals(s):
         down, up = rates(s)
         main = np.concatenate([-(down * n_idx + up * (n_idx + 1.0)), [0.0]])
-        return sp.diags(
-            [up * lower_idx, main, down * upper_base],
-            offsets=[-1, 0, 1],
-            format="csc",
-        )
+        return up * lower_idx, main, down * upper_base
 
-    solver = BDF(rhs, float(samples[0]), y0, float(samples[-1]), rtol=_RTOL, atol=_ATOL, jac=jac)
-    _use_tridiagonal_lu(solver)
-    # the samples in (t_old, t] of each step, and s = 0 with the first,
-    # from its dense output (as solve_ivp's t_eval)
-    done = 0
-    while done < samples.size:
-        message = solver.step()
-        if solver.status == "failed":
-            raise SolverError(f"population integration failed: {message}")
-        upto = int(np.searchsorted(samples, solver.t, side="right"))
-        if upto > done:
-            dense = solver.dense_output()
-            for lo in range(done, upto, _BLOCK):
-                reducer.add(dense(samples[lo : min(lo + _BLOCK, upto)]))
-            done = upto
+    def band_jac(s, y):
+        lower, main, upper = diagonals(s)
+        band = np.zeros((3, main.size))
+        band[0, 1:], band[1], band[2, :-1] = upper, main, lower
+        return band
+
+    # BDF.__init__ takes J as an (n, n) matrix, which as a sparse one
+    # costs O(n); the band replaces it right after
+    solver = BDF(
+        rhs, float(samples[0]), y0, float(samples[-1]), rtol=_RTOL, atol=_ATOL,
+        jac=lambda s, y: sp.diags(diagonals(s), offsets=[-1, 0, 1], format="csc"),
+    )
+    try:
+        _use_banded_newton(solver, band_jac)
+        # the samples in (t_old, t] of each step, and s = 0 with the first,
+        # from its dense output (as solve_ivp's t_eval)
+        done = 0
+        while done < samples.size:
+            message = solver.step()
+            if solver.status == "failed":
+                raise SolverError(f"population integration failed: {message}")
+            upto = int(np.searchsorted(samples, solver.t, side="right"))
+            if upto > done:
+                dense = solver.dense_output()
+                for lo in range(done, upto, _BLOCK):
+                    reducer.add(dense(samples[lo : min(lo + _BLOCK, upto)]))
+                done = upto
+    finally:
+        # scipy's closures and ours hold the solver in reference cycles;
+        # emptying it frees its arrays now, not at the next cyclic collection
+        vars(solver).clear()

@@ -3,6 +3,12 @@
 Frequencies are expressed as omega/omega1 (closed-configuration units)
 and times as s = t/tau_open.  Every shape holds its final value past its
 duration, so profiles compose cleanly into multi-segment cycles.
+
+`FrequencyProfile.hold_start` is where that hold begins.  From it on,
+`omega_at` returns the same bits for every s: the sine shapes clip
+s/duration to exactly 1.0, and `np.interp` returns the last breakpoint's
+value itself at and past its s.  The solvers rely on this to evaluate
+the forcing of a held stretch once instead of at every point of it.
 """
 
 from __future__ import annotations
@@ -65,6 +71,15 @@ class FrequencyProfile:
             raise ValueError(
                 f"breakpoints apply to the piecewise-linear shape only, not {self.shape.value}"
             )
+
+    @property
+    def hold_start(self) -> float:
+        """The s from which omega_at returns its final value, bit for bit."""
+        if self.shape is ProfileShape.CONSTANT:
+            return 0.0
+        if self.shape is ProfileShape.PIECEWISE_LINEAR:
+            return float(self.breakpoints[-1][0])
+        return self.duration
 
 
 def omega_at(profile: FrequencyProfile, s):

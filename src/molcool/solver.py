@@ -33,6 +33,16 @@ in one `omega_at`/`nu_of` call, as the stepper does, and halves only the
 pieces that miss their tolerance.  Too many pending pieces, or too deep a
 bisection, raises `SolverError` naming the `s` range, so over-stiff
 coupling fails fast instead of hanging or exhausting memory.
+
+Both routes do the work of a held stretch once.  From the profile's
+`hold_start` on, `omega_at` returns the same bits at every s, so the
+forcing there is one number.  The stepper evaluates it only up to the
+first interval that starts in the hold; a held interval's forcing
+differences are exact zeros, so its drive is one value for all of them.
+The kernel route integrates the intervals past the chunk in which the
+hold starts once per distinct width, since their integrands differ in
+the width alone.  Every sample comes out with the bits it would have
+with the forcing evaluated at every point.
 """
 
 from __future__ import annotations
@@ -112,6 +122,17 @@ def _substeps_per_interval(horizon: float, n_intervals: int, step_size: float) -
     return m
 
 
+def _stage_points(horizon: float, n_sub: int, idx: np.ndarray) -> np.ndarray:
+    """np.linspace(0.0, horizon, 2 * n_sub + 1)[idx], without the whole grid.
+
+    linspace computes point i as i * (horizon / (2 n_sub)) and sets the
+    last point to `horizon` itself; so does this.
+    """
+    ts = idx * (horizon / (2 * n_sub))
+    ts[idx == 2 * n_sub] = horizon
+    return ts
+
+
 def _default_eta0(d: DimensionlessParams) -> float:
     # thermalized at the closed frequency, theta = theta0 * r
     return nu_of(d.theta0 * d.freq_ratio_r) + 1.0
@@ -160,8 +181,13 @@ def evolve_eta_ode(
     eta0 = _default_eta0(d) if eta0 is None else _check_eta0(eta0)
     g = d.gamma_tau_g
     n_sub = m * n_intervals
-    # stage grid holds every substep edge and midpoint
-    ts = np.linspace(0.0, horizon, 2 * n_sub + 1)
+    # the stage grid holds every substep edge and midpoint, np.linspace(0,
+    # horizon, 2 n_sub + 1); only the samples and the stages of the
+    # intervals that start before the hold are built
+    s = _stage_points(horizon, n_sub, np.arange(0, 2 * n_sub + 1, 2 * m))
+    n_ramp = int(np.searchsorted(s[:-1], profile.hold_start))
+    ts = _stage_points(horizon, n_sub, np.arange(2 * m * n_ramp + 1))
+    # u[-1] sits at the first held interval's start, or at the horizon
     u = g * (nu_of(d.theta0 * d.freq_ratio_r * omega_at(profile, ts)) + 1.0)
     h = horizon / n_sub
     # one RK4 substep of eta' = u - g eta, exactly:
@@ -173,17 +199,23 @@ def evolve_eta_ode(
     # m substeps from sample k: eta + A (u0[k] - g eta) + drive[k], with
     # A = alpha sum_j r^j and drive[k] the substeps' forcing beyond u0[k],
     # each carried to the sample's end by its power of r
-    u0 = u[0:-1:2].reshape(n_intervals, m)
-    um = u[1::2].reshape(n_intervals, m)
-    u1 = u[2::2].reshape(n_intervals, m)
+    u0 = u[0:-1:2].reshape(n_ramp, m)
+    um = u[1::2].reshape(n_ramp, m)
+    u1 = u[2::2].reshape(n_ramp, m)
     # an unstable step overflows here; the check on eta below reports it
     with np.errstate(over="ignore", invalid="ignore"):
         weights = r ** np.arange(m - 1, -1, -1, dtype=float)
         a_m = alpha * float(weights.sum())
         drive = (alpha * (u0 - u0[:, :1]) + h / 6.0 * (q * (um - u0) + (u1 - u0))) @ weights
+        # a held interval's forcing differences are all exactly 0, so its
+        # drive is 0, or nan once the weights overflow
+        held_drive = float(np.zeros(m) @ weights)
+    n_held = n_intervals - n_ramp
     eta = float(eta0)
     out = [eta]
-    for u0_k, drive_k in zip(u0[:, 0].tolist(), drive.tolist()):
+    for u0_k, drive_k in zip(
+        u0[:, 0].tolist() + [float(u[-1])] * n_held, drive.tolist() + [held_drive] * n_held
+    ):
         eta = eta + a_m * (u0_k - g * eta) + drive_k
         out.append(eta)
     out = np.array(out)
@@ -194,9 +226,9 @@ def evolve_eta_ode(
         k = bad[0]
         why = "at or below the ground-state limit" if out[k] <= 1.0 else "the fixed step is unstable"
         raise SolverError(
-            f"model violation: eta reached {out[k]} at s = {ts[2 * m * k]:.6g} ({why})"
+            f"model violation: eta reached {out[k]} at s = {s[k]:.6g} ({why})"
         )
-    return _finish(d, profile, ts[:: 2 * m], out, "rk4-fixed", step_size=h)
+    return _finish(d, profile, s, out, "rk4-fixed", step_size=h)
 
 
 def evolve_eta_closed_form(
@@ -230,10 +262,22 @@ def evolve_eta_closed_form(
         occ = nu_of(t0r * omega_at(profile, start + v))
         return g * np.exp(g * (v - width)) * (occ + 1.0)
 
-    integrals = np.concatenate([
-        _simpson_batch(integrand, starts[lo:lo + _QUAD_CHUNK], widths[lo:lo + _QUAD_CHUNK])
-        for lo in range(0, n_intervals, _QUAD_CHUNK)
-    ])
+    # an interval that starts at or after the hold sees one forcing value,
+    # so its integral depends on its width alone.  The chunks that hold an
+    # interval starting before the hold run whole, so that their pending-
+    # piece cap and error messages are those of a chunk-by-chunk run; the
+    # rest take one quadrature per distinct width
+    n_ramp = int(np.searchsorted(starts, profile.hold_start))
+    n_chunked = min(n_intervals, -(-n_ramp // _QUAD_CHUNK) * _QUAD_CHUNK)
+    integrals = np.empty(n_intervals)
+    for lo in range(0, n_chunked, _QUAD_CHUNK):
+        hi = min(lo + _QUAD_CHUNK, n_chunked)
+        integrals[lo:hi] = _simpson_batch(integrand, starts[lo:hi], widths[lo:hi])
+    if n_chunked < n_intervals:
+        held, first, inverse = np.unique(
+            widths[n_chunked:], return_index=True, return_inverse=True
+        )
+        integrals[n_chunked:] = _simpson_batch(integrand, starts[n_chunked:][first], held)[inverse]
     eta = float(eta0)
     out = [eta]
     for decay, value in zip(map(math.exp, (-g * widths).tolist()), integrals.tolist()):

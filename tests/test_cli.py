@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -220,6 +221,20 @@ def test_over_stiff_coupling_fails_fast():
     )
     assert proc.returncode == 2
     assert "did not converge on s in [" in proc.stderr
+
+
+def test_oversized_grid_is_refused_before_any_route_allocates(capsys):
+    # horizon 1e5 is a 2e9-point RK4 stage grid, which the step guard
+    # refuses; the kernel route, which runs first, would have asked for
+    # ~28 GB of its 2e8 samples before that guard was reached
+    tracemalloc.start()
+    try:
+        assert run_cli("cycle", "--horizon", "1e5") == 2
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert "exceed memory limits" in capsys.readouterr().err
+    assert peak < 1_000_000
 
 
 def test_io_exit_codes(tmp_path, capsys):

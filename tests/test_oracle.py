@@ -1,9 +1,12 @@
 """Tests for the truncated level-population reference integrator."""
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
+import scipy.integrate
 import scipy.integrate._ivp.bdf as scipy_bdf
 import scipy.sparse as sp
 from scipy.integrate import solve_ivp
@@ -290,6 +293,52 @@ def test_newton_solves_bypass_superlu(monkeypatch):
         reference_populations(d, prof, init, 1.0)
     # ... and the oracle never calls it
     traj = evolve_populations(d, prof, init, horizon=1.0)
+    assert traj.s[-1] == 1.0
+
+
+
+def test_newton_matrix_is_formed_without_sparse_arithmetic(monkeypatch):
+    # BDF is built with a sparse Jacobian; from then on I - cJ is formed
+    # on the three diagonals, so no sparse subtraction may happen
+    def refuse(self, other):
+        raise AssertionError("sparse subtraction called")
+
+    monkeypatch.setattr(sp._base._spbase, "__sub__", refuse)
+    monkeypatch.setattr(sp._base._spbase, "__rsub__", refuse)
+    with pytest.raises(AssertionError, match="sparse subtraction"):
+        sp.eye(3, format="csc") - sp.eye(3, format="csc")
+    d = DimensionlessParams(theta0=0.3, freq_ratio_r=2.0, gamma_tau_g=1.0)
+    prof = FrequencyProfile(freq_ratio_r=2.0)
+    init = thermal_vector(0.6, truncation_levels(nu_of(0.3)) + 20)
+    traj = evolve_populations(d, prof, init, horizon=2.0)
+    assert traj.s[-1] == 2.0
+
+
+def test_bdf_solver_is_freed_when_the_integration_ends(monkeypatch):
+    # the solver sits in reference cycles (its closures hold it); with the
+    # cyclic collector off it must still be gone once the run returns
+    solvers = []
+
+    class Recorded(scipy.integrate.BDF):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            solvers.append(weakref.ref(self))
+
+    monkeypatch.setattr(scipy.integrate, "BDF", Recorded)
+    d = DimensionlessParams(theta0=0.3, freq_ratio_r=2.0, gamma_tau_g=1.0)
+    prof = FrequencyProfile(freq_ratio_r=2.0)
+    init = thermal_vector(0.6, truncation_levels(nu_of(0.3)) + 20)
+    gc.disable()
+    try:
+        traj = evolve_populations(d, prof, init, horizon=1.0)
+        assert len(solvers) == 1 and solvers[0]() is None
+        # and after a failed run too
+        short = thermal_vector(0.6, truncation_levels(nu_of(0.6)))
+        with pytest.raises(SolverError, match="truncation too small"):
+            evolve_populations(d, prof, short, horizon=3.0)
+        assert len(solvers) == 2 and solvers[1]() is None
+    finally:
+        gc.enable()
     assert traj.s[-1] == 1.0
 
 

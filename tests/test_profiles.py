@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from molcool.profiles import FrequencyProfile, ProfileShape, omega_at
 
@@ -64,6 +66,44 @@ def test_piecewise_linear_interpolates():
     np.testing.assert_allclose(omega_at(prof, s), expected, rtol=0, atol=1e-15)
     # flat extrapolation beyond the last breakpoint
     assert omega_at(prof, 5.0) == pytest.approx(0.9, abs=1e-15)
+
+
+positive = st.floats(min_value=1e-6, max_value=1e3, allow_nan=False)
+
+
+@st.composite
+def profiles(draw):
+    r = draw(st.floats(min_value=1.0, max_value=10.0))
+    shape = draw(st.sampled_from(ProfileShape))
+    if shape is ProfileShape.CONSTANT:
+        return FrequencyProfile(r, shape, level=draw(positive))
+    if shape is ProfileShape.PIECEWISE_LINEAR:
+        times = draw(st.lists(positive, min_size=1, max_size=6, unique=True))
+        ws = draw(st.lists(positive, min_size=len(times) + 1, max_size=len(times) + 1))
+        return FrequencyProfile(r, shape, breakpoints=tuple(zip([0.0] + sorted(times), ws)))
+    return FrequencyProfile(r, shape, duration=draw(positive))
+
+
+def test_hold_start_per_shape():
+    assert FrequencyProfile(freq_ratio_r=2.0, duration=0.3).hold_start == 0.3
+    closing = FrequencyProfile(freq_ratio_r=2.0, shape=ProfileShape.REVERSED_SINE_CLOSING)
+    assert closing.hold_start == 1.0
+    constant = FrequencyProfile(freq_ratio_r=2.0, shape=ProfileShape.CONSTANT, duration=4.0)
+    assert constant.hold_start == 0.0
+    pts = ((0.0, 1.0), (0.5, 0.6), (2.0, 0.9))
+    prof = FrequencyProfile(freq_ratio_r=2.0, shape=ProfileShape.PIECEWISE_LINEAR, breakpoints=pts)
+    assert prof.hold_start == 2.0
+
+
+@settings(max_examples=300, deadline=None)
+@given(profiles(), st.lists(st.floats(min_value=0.0, max_value=1e12), min_size=1, max_size=8))
+def test_omega_is_bit_constant_from_the_hold_on(prof, offsets):
+    held = omega_at(prof, prof.hold_start)
+    s = prof.hold_start + np.array(offsets)
+    assert np.all(s >= prof.hold_start)
+    for si in s.tolist():
+        assert omega_at(prof, si) == held
+    assert omega_at(prof, s).tobytes() == np.full(s.size, held).tobytes()
 
 
 def test_scalar_and_array_returns():

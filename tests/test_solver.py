@@ -9,6 +9,7 @@ import pytest
 from molcool.errors import SolverError
 from molcool.profiles import FrequencyProfile, ProfileShape, omega_at
 from molcool.solver import (
+    _QUAD_CHUNK,
     RecoveryResult,
     _simpson_batch,
     evolve_eta_closed_form,
@@ -115,6 +116,89 @@ def test_ode_matches_per_substep_rk4(g, step_size):
     np.testing.assert_allclose(traj.eta, expected, rtol=1e-12, atol=0)
     if g == 0.0:
         assert np.all(traj.eta == eta0)
+
+
+def full_grid_kernel(d, profile, eta0, horizon, samples_per_unit):
+    """The kernel route with `_simpson_batch` over every interval, held or not."""
+    n_intervals = round(horizon * samples_per_unit)
+    g, t0r = d.gamma_tau_g, d.theta0 * d.freq_ratio_r
+    samples = np.linspace(0.0, horizon, n_intervals + 1)
+    starts, widths = samples[:-1], samples[1:] - samples[:-1]
+
+    def integrand(start, v, width):
+        return g * np.exp(g * (v - width)) * (nu_of(t0r * omega_at(profile, start + v)) + 1.0)
+
+    integrals = np.concatenate([
+        _simpson_batch(integrand, starts[lo:lo + _QUAD_CHUNK], widths[lo:lo + _QUAD_CHUNK])
+        for lo in range(0, n_intervals, _QUAD_CHUNK)
+    ])
+    eta, out = eta0, [eta0]
+    for decay, value in zip(map(math.exp, (-g * widths).tolist()), integrals.tolist()):
+        eta = decay * eta + value
+        out.append(eta)
+    return samples, np.array(out)
+
+
+def full_grid_rk4(d, profile, eta0, horizon, step_size, samples_per_unit):
+    """The RK4 route's drive form with the forcing at every stage point."""
+    n_intervals = round(horizon * samples_per_unit)
+    m = max(1, math.ceil(horizon / n_intervals / step_size - 1e-9))
+    n_sub = m * n_intervals
+    ts = np.linspace(0.0, horizon, 2 * n_sub + 1)
+    g = d.gamma_tau_g
+    u = g * (nu_of(d.theta0 * d.freq_ratio_r * omega_at(profile, ts)) + 1.0)
+    h = horizon / n_sub
+    z = g * h
+    alpha = h / 6.0 * (6.0 - 3.0 * z + z * z - z * z * z / 4.0)
+    q = 4.0 - 2.0 * z + z * z / 2.0
+    weights = (1.0 - g * alpha) ** np.arange(m - 1, -1, -1, dtype=float)
+    u0 = u[0:-1:2].reshape(n_intervals, m)
+    um = u[1::2].reshape(n_intervals, m)
+    u1 = u[2::2].reshape(n_intervals, m)
+    drive = (alpha * (u0 - u0[:, :1]) + h / 6.0 * (q * (um - u0) + (u1 - u0))) @ weights
+    a_m = alpha * float(weights.sum())
+    eta, out = eta0, [eta0]
+    for u0_k, drive_k in zip(u0[:, 0].tolist(), drive.tolist()):
+        eta = eta + a_m * (u0_k - g * eta) + drive_k
+        out.append(eta)
+    return ts[:: 2 * m], np.array(out)
+
+
+HOLD_PROFILES = {
+    # horizon 2 at 128 samples per unit: the sine's hold starts on sample 128
+    "sine, hold on a sample": FrequencyProfile(freq_ratio_r=2.0),
+    "sine, hold mid-interval": FrequencyProfile(freq_ratio_r=2.0, duration=0.3),
+    "sine, no hold": FrequencyProfile(freq_ratio_r=2.0, duration=5.0),
+    "constant, hold at 0": constant_profile(level=0.8),
+    "piecewise linear, hold mid-interval": FrequencyProfile(
+        freq_ratio_r=2.0,
+        shape=ProfileShape.PIECEWISE_LINEAR,
+        breakpoints=((0.0, 1.0), (0.4, 0.5), (1.2345, 0.75)),
+    ),
+    "reversed closing": FrequencyProfile(freq_ratio_r=2.0, shape=ProfileShape.REVERSED_SINE_CLOSING),
+}
+
+
+@pytest.mark.parametrize("g", [0.0, 1.0, 300.0])
+@pytest.mark.parametrize("name", HOLD_PROFILES)
+def test_held_forcing_is_evaluated_once_with_the_same_bits(name, g, monkeypatch):
+    # the routes skip the held stretch's forcing; every bit must stay as if
+    # it had been evaluated at every point, with 1 and 3 RK4 substeps per
+    # sample.  32-interval chunks put held intervals past the chunk that
+    # holds the hold's start, where one quadrature per width serves them
+    monkeypatch.setattr("molcool.solver._QUAD_CHUNK", 32)
+    profile = HOLD_PROFILES[name]
+    d = DimensionlessParams(theta0=0.032, freq_ratio_r=2.0, gamma_tau_g=g)
+    eta0 = 30.0
+    kernel = evolve_eta_closed_form(d, profile, eta0, horizon=2.0, samples_per_unit=128)
+    s, eta = full_grid_kernel(d, profile, eta0, 2.0, 128)
+    assert kernel.s.tobytes() == s.tobytes()
+    assert kernel.eta.tobytes() == eta.tobytes()
+    for step_size in (1.0 / 128, 0.003):
+        rk4 = evolve_eta_ode(d, profile, eta0, 2.0, step_size=step_size, samples_per_unit=128)
+        s, eta = full_grid_rk4(d, profile, eta0, 2.0, step_size, 128)
+        assert rk4.s.tobytes() == s.tobytes()
+        assert rk4.eta.tobytes() == eta.tobytes()
 
 
 def test_ode_step_halving_is_converged():
