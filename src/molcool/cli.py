@@ -36,7 +36,13 @@ from .cycle import (
     sweep_range_values,
 )
 from .errors import SolverCrossCheckError, SolverError
-from .units import PhysicalParams, reduce_to_relative_mode, si_roundtrip, to_dimensionless
+from .units import (
+    DimensionlessParams,
+    PhysicalParams,
+    reduce_to_relative_mode,
+    si_roundtrip,
+    to_dimensionless,
+)
 
 _AXIS_BY_FLAG = {"theta0": "theta0", "ratio": "freq_ratio_r", "gamma-tau": "gamma_tau_g"}
 
@@ -217,31 +223,33 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
-def _cmd_convert_units(args) -> int:
-    si_direction = args.spring is None
-    if si_direction:
-        missing = [
-            flag
-            for flag, value in (
-                ("--theta0", args.theta0),
-                ("--ratio", args.ratio),
-                ("--gamma-tau", args.gamma_tau),
-            )
-            if value is None
-        ]
-        if missing:
-            raise ValueError(f"dimensionless -> SI conversion needs {', '.join(missing)}")
-        from .units import DimensionlessParams
+def _check_direction(args, direction: str, needed, stray) -> None:
+    """Refuse a conversion missing a flag it needs or given one it ignores."""
 
+    def value(flag):
+        return getattr(args, flag[2:].replace("-", "_"))
+
+    missing = [flag for flag in needed if value(flag) is None]
+    if missing:
+        raise ValueError(f"{direction} conversion needs {', '.join(missing)}")
+    for flag in stray:
+        if value(flag) is not None:
+            raise ValueError(f"{flag} conflicts with the {direction} direction")
+
+
+def _cmd_convert_units(args) -> int:
+    if args.spring is None:
+        _check_direction(
+            args, "dimensionless -> SI", ("--theta0", "--ratio", "--gamma-tau"),
+            ("--gamma", "--coupling-max"),
+        )
         d = DimensionlessParams(
             theta0=args.theta0, freq_ratio_r=args.ratio, gamma_tau_g=args.gamma_tau
         )
-        kwargs = {}
-        if args.mass is not None:
-            kwargs["mass"] = args.mass
-        if args.tau_open is not None:
-            kwargs["tau_open"] = args.tau_open
-        si = si_roundtrip(d, args.temperature_kelvin, **kwargs)
+        scales = {"mass": args.mass, "tau_open": args.tau_open}
+        si = si_roundtrip(
+            d, args.temperature_kelvin, **{k: v for k, v in scales.items() if v is not None}
+        )
         print(f"omega0 = {_fmt(si.omega0)} rad/s")
         print(f"omega1 = {_fmt(si.omega1)} rad/s")
         print(f"tau_osc = {_fmt(si.tau_osc)} s")
@@ -254,25 +262,10 @@ def _cmd_convert_units(args) -> int:
             print(f"coupling_max = {_fmt(p.coupling_max)} N/m")
             print(f"tau_open = {_fmt(p.tau_open)} s")
         return 0
-    missing = [
-        flag
-        for flag, value in (
-            ("--mass", args.mass),
-            ("--coupling-max", args.coupling_max),
-            ("--gamma", args.gamma),
-            ("--tau-open", args.tau_open),
-        )
-        if value is None
-    ]
-    if missing:
-        raise ValueError(f"SI -> dimensionless conversion needs {', '.join(missing)}")
-    for flag, value in (
-        ("--theta0", args.theta0),
-        ("--ratio", args.ratio),
-        ("--gamma-tau", args.gamma_tau),
-    ):
-        if value is not None:
-            raise ValueError(f"{flag} conflicts with the SI -> dimensionless direction")
+    _check_direction(
+        args, "SI -> dimensionless", ("--mass", "--coupling-max", "--gamma", "--tau-open"),
+        ("--theta0", "--ratio", "--gamma-tau"),
+    )
     params = PhysicalParams(
         mass=args.mass,
         spring=args.spring,

@@ -4,6 +4,12 @@ Runs full cooling cycles with the exponential-kernel solver as the
 authority and the fixed-step route (plus, optionally, the Fock-level
 oracle) as cross-checks, sweeps one parameter axis across many runs,
 and emits deterministic CSV files, plot scripts, and config files.
+
+`run_cycle` only orchestrates.  It walks the segment plan (close, hold,
+open; or the opening alone), calls every route on each segment with the
+route's own default grid, joins each route's segments with `_stitch`,
+and compares routes with `_cross_check`, the one place a disagreement
+is measured and refused.
 """
 
 from __future__ import annotations
@@ -27,6 +33,8 @@ from .oracle import (
 )
 from .profiles import FrequencyProfile, ProfileShape
 from .solver import (
+    SAMPLES_PER_UNIT,
+    STEP_SIZE,
     EtaTrajectory,
     RecoveryResult,
     _check_run,
@@ -259,11 +267,34 @@ def _plan_segments(cfg: CycleConfig):
     return eta0, segments
 
 
-def _stitch(parts):
-    """Concatenate per-segment sample arrays, dropping each later segment's
-    duplicated first sample (it equals the previous segment's last)."""
-    keep = [parts[0]] + [p[1:] for p in parts[1:]]
-    return np.concatenate(keep)
+_ETA_SAMPLES = ("s", "omega_over_omega1", "eta", "mean_n", "T_ratio")
+_ORACLE_SAMPLES = ("s", "mean_n", "tail_bound", "mass", "geometric_residual")
+
+
+def _stitch(parts, segments, per_sample):
+    """The last segment's trajectory with each `per_sample` field joined
+    across all segments, s shifted to the global axis, and each later
+    segment's first sample dropped (it repeats the previous one's last)."""
+
+    def joined(name):
+        arrays = [getattr(part, name) for part in parts]
+        if name == "s":
+            arrays = [start + a for (start, _, _), a in zip(segments, arrays)]
+        return np.concatenate([arrays[0]] + [a[1:] for a in arrays[1:]])
+
+    return replace(parts[-1], **{name: joined(name) for name in per_sample})
+
+
+def _cross_check(route, disagreement, s, value, reference, rtol) -> None:
+    """Raise SolverCrossCheckError at the sample where `value` is furthest
+    from `reference`, relative to it, if that is more than `rtol`."""
+    rel = np.abs(value - reference) / reference
+    worst = int(np.argmax(rel))
+    if rel[worst] > rtol:
+        raise SolverCrossCheckError(
+            f"{route} cross-check failed: {disagreement} by {rel[worst]:.3e} relative "
+            f"at s = {s[worst]:.6g} (allowed {rtol:g})"
+        )
 
 
 def _nearest_indices(grid: np.ndarray, query: np.ndarray) -> np.ndarray:
@@ -272,13 +303,7 @@ def _nearest_indices(grid: np.ndarray, query: np.ndarray) -> np.ndarray:
     return idx - prefer_left.astype(int)
 
 
-def run_cycle(
-    cfg: CycleConfig,
-    *,
-    samples_per_unit: int = 2000,
-    ode_step: float = 1e-4,
-    oracle_samples_per_unit: int = 100,
-) -> CycleResult:
+def run_cycle(cfg: CycleConfig) -> CycleResult:
     """Run one full cycle with both eta solvers and return the consensus.
 
     The exponential-kernel route provides the reported values; the
@@ -286,54 +311,46 @@ def run_cycle(
     every sample or the run fails with "solver cross-check failed".
     With `cfg.with_oracle`, the Fock-level populations are evolved too
     and their mean occupation + 1 must match eta within
-    ORACLE_AGREEMENT_RTOL at the oracle's (coarser) samples.
+    ORACLE_AGREEMENT_RTOL at the oracle's (coarser) samples.  Every
+    route runs on its own default grid.
     """
     d = cfg.dimensionless
     eta0, segments = _plan_segments(cfg)
-    # every segment's grids pass their size checks before either route allocates
+    # every segment's grids pass their size checks before any route allocates
     for _, prof, duration in segments:
-        _substeps_per_interval(duration, _check_run(d, prof, duration, samples_per_unit), ode_step)
+        n_intervals = _check_run(d, prof, duration, SAMPLES_PER_UNIT)
+        _substeps_per_interval(duration, n_intervals, STEP_SIZE)
 
-    s_parts, w_parts, eta_parts, ratio_parts, ode_parts = [], [], [], [], []
-    eta_cf = eta_ode = eta0
-    for start, prof, duration in segments:
-        cf = evolve_eta_closed_form(d, prof, eta_cf, duration, samples_per_unit=samples_per_unit)
-        ode = evolve_eta_ode(
-            d, prof, eta_ode, duration,
-            step_size=ode_step, samples_per_unit=samples_per_unit,
-        )
-        eta_cf = float(cf.eta[-1])
-        eta_ode = float(ode.eta[-1])
-        s_parts.append(start + cf.s)
-        w_parts.append(cf.omega_over_omega1)
-        eta_parts.append(cf.eta)
-        ratio_parts.append(cf.T_ratio)
-        ode_parts.append(ode.eta)
-
-    s = _stitch(s_parts)
-    eta = _stitch(eta_parts)
-    eta_other = _stitch(ode_parts)
-    rel = np.abs(eta_other - eta) / eta
-    worst = int(np.argmax(rel))
-    if rel[worst] > SOLVER_AGREEMENT_RTOL:
-        raise SolverCrossCheckError(
-            f"solver cross-check failed: eta routes disagree by {rel[worst]:.3e} relative "
-            f"at s = {s[worst]:.6g} (allowed {SOLVER_AGREEMENT_RTOL:g})"
-        )
-
-    trajectory = EtaTrajectory(
-        s=s,
-        omega_over_omega1=_stitch(w_parts),
-        eta=eta,
-        mean_n=eta - 1.0,
-        T_ratio=_stitch(ratio_parts),
-        method="closed-form",
-        tolerance=cf.tolerance,
+    kernel, rk4 = [], []
+    eta_kernel = eta_rk4 = eta0
+    for _, prof, duration in segments:
+        kernel.append(evolve_eta_closed_form(d, prof, eta_kernel, duration))
+        rk4.append(evolve_eta_ode(d, prof, eta_rk4, duration))
+        eta_kernel, eta_rk4 = float(kernel[-1].eta[-1]), float(rk4[-1].eta[-1])
+    trajectory = _stitch(kernel, segments, _ETA_SAMPLES)
+    _cross_check(
+        "solver", "eta routes disagree", trajectory.s,
+        _stitch(rk4, segments, _ETA_SAMPLES).eta, trajectory.eta, SOLVER_AGREEMENT_RTOL,
     )
 
-    oracle_traj = None
+    oracle = None
     if cfg.with_oracle:
-        oracle_traj = _run_oracle(d, segments, eta0, oracle_samples_per_unit, trajectory)
+        # deepest occupation happens at the smallest omega over the schedule;
+        # +20 levels keep the one-way tail accumulator clear of its threshold
+        # in the small-occupation regime where ceil(40*nu) alone sits close
+        w_min = float(trajectory.omega_over_omega1.min())
+        n_max = truncation_levels(float(nu_of(d.theta0 * d.freq_ratio_r * w_min))) + 20
+        pv = populations_from_quenched(QuenchedState(eta=eta0), n_max)
+        parts = []
+        for _, prof, duration in segments:
+            parts.append(evolve_populations(d, prof, pv, duration))
+            pv = parts[-1].final
+        oracle = _stitch(parts, segments, _ORACLE_SAMPLES)
+        eta_ref = trajectory.eta[_nearest_indices(trajectory.s, oracle.s)]
+        _cross_check(
+            "oracle", "mean occupation disagrees with eta", oracle.s,
+            oracle.mean_n + 1.0, eta_ref, ORACLE_AGREEMENT_RTOL,
+        )
 
     record = TimeSeriesRecord.from_trajectory(trajectory)
     i_min = int(np.argmin(record.T_ratio))
@@ -343,40 +360,7 @@ def run_cycle(
         recovery=recovery_time(record, RECOVERY_TARGET),
         final_eta=float(record.eta[-1]),
     )
-    return CycleResult(record=record, summary=summary, trajectory=trajectory, oracle=oracle_traj)
-
-
-def _run_oracle(d, segments, eta0, samples_per_unit, trajectory) -> PopulationTrajectory:
-    # deepest occupation happens at the smallest omega over the schedule;
-    # +20 levels keep the one-way tail accumulator clear of its threshold
-    # in the small-occupation regime where ceil(40*nu) alone sits close
-    w_min = float(trajectory.omega_over_omega1.min())
-    n_max = truncation_levels(float(nu_of(d.theta0 * d.freq_ratio_r * w_min))) + 20
-    pv = populations_from_quenched(QuenchedState(eta=eta0), n_max)
-    parts = []
-    for start, prof, duration in segments:
-        seg = evolve_populations(
-            d, prof, pv, duration, samples_per_unit=samples_per_unit
-        )
-        pv = seg.final
-        seg.s = start + seg.s
-        parts.append(seg)
-    per_sample = ("s", "mean_n", "tail_bound", "mass", "geometric_residual")
-    stitched = PopulationTrajectory(
-        **{name: _stitch([getattr(seg, name) for seg in parts]) for name in per_sample},
-        populations=parts[-1].populations,
-    )
-    idx = _nearest_indices(trajectory.s, stitched.s)
-    eta_ref = trajectory.eta[idx]
-    rel = np.abs(stitched.mean_n + 1.0 - eta_ref) / eta_ref
-    worst = int(np.argmax(rel))
-    if rel[worst] > ORACLE_AGREEMENT_RTOL:
-        raise SolverCrossCheckError(
-            f"oracle cross-check failed: mean occupation disagrees with eta by "
-            f"{rel[worst]:.3e} relative at s = {stitched.s[worst]:.6g} "
-            f"(allowed {ORACLE_AGREEMENT_RTOL:g})"
-        )
-    return stitched
+    return CycleResult(record=record, summary=summary, trajectory=trajectory, oracle=oracle)
 
 
 @dataclass(frozen=True)

@@ -39,6 +39,10 @@ is kept, so memory grows as O(levels x 64), not O(levels x samples).
 Each block is transposed once so that every reduction runs along
 memory, one sample's levels at a time.
 
+The caller sizes the ladder, and `populations_from_quenched` refuses,
+before it allocates anything, one of more than `_MAX_LEVELS` levels,
+whose run would not fit in memory.
+
 scipy is imported by the functions that call it, not with this module:
 `import molcool` and every run without the oracle never load it, and
 the first oracle run in a process pays its import.
@@ -57,11 +61,15 @@ from .solver import _check_run
 from .thermo import QuenchedState, nu_of
 from .units import DimensionlessParams
 
+SAMPLES_PER_UNIT = 100  # output samples per tau_open
 NEGATIVITY_FLOOR = -1e-14
 TAIL_THRESHOLD = 1e-10  # largest estimated mass above n_max a run accepts
 _RTOL, _ATOL = 1e-8, 1e-15  # BDF error control
 _BLOCK = 64         # samples reduced at a time
 _SHAPE_WINDOW = 51  # geometric residual over p_{n+1}/p_n for n < 51
+# a run's peak memory grows by 650-730 B per level (measured), so 2e6
+# levels stay within the 1.6 GB the fixed-step route's stage grid may take
+_MAX_LEVELS = 2_000_000
 
 
 @dataclass(eq=False)
@@ -120,10 +128,16 @@ def populations_from_quenched(state: QuenchedState, n_max: int) -> PopulationVec
     """Truncated quenched Boltzmann populations p_n = (1/eta)(1 - 1/eta)^n.
 
     The mass above n_max is exactly (1 - 1/eta)^(n_max + 1); it must come
-    in under `TAIL_THRESHOLD` or the truncation is rejected.
+    in under `TAIL_THRESHOLD` or the truncation is rejected.  A ladder of
+    more than `_MAX_LEVELS` levels is refused before anything is allocated.
     """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
+    if n_max + 1 > _MAX_LEVELS:
+        raise ValueError(
+            f"a ladder of {n_max + 1} levels would exceed memory limits "
+            f"({_MAX_LEVELS} allowed)"
+        )
     q = 1.0 - 1.0 / state.eta
     tail = q ** (n_max + 1)
     if tail > TAIL_THRESHOLD:
@@ -176,7 +190,7 @@ def evolve_populations(
     init: PopulationVector,
     horizon: float = 10.0,
     *,
-    samples_per_unit: int = 100,
+    samples_per_unit: int = SAMPLES_PER_UNIT,
 ) -> PopulationTrajectory:
     """Integrate the truncated birth-death populations over `horizon`.
 

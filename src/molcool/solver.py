@@ -57,6 +57,8 @@ from .profiles import FrequencyProfile, omega_at
 from .thermo import nu_of, ratio_from_eta
 from .units import DimensionlessParams
 
+SAMPLES_PER_UNIT = 2000  # both routes' output samples per tau_open
+STEP_SIZE = 1e-4         # the fixed-step route's largest substep
 _MIN_STEP = 1e-12
 _MAX_STAGE_POINTS = 200_000_000  # fixed-step stage grid: substep edges and midpoints
 _QUAD_TOL = 1e-12           # absolute tolerance of each kernel-route interval integral
@@ -67,16 +69,15 @@ _QUAD_MAX_PIECES = 1 << 18  # pending pieces allowed per chunk; bounds memory an
 
 @dataclass(eq=False)
 class EtaTrajectory:
-    """Sampled eta dynamics, derived observables, and solver metadata."""
+    """Sampled eta dynamics and derived observables; `step_size` is the
+    fixed-step route's substep, None from the kernel route."""
 
     s: np.ndarray
     omega_over_omega1: np.ndarray
     eta: np.ndarray
     mean_n: np.ndarray
     T_ratio: np.ndarray
-    method: str
     step_size: float | None = None
-    tolerance: float | None = None
 
 
 @dataclass(frozen=True)
@@ -144,7 +145,7 @@ def _check_eta0(eta0: float) -> float:
     return float(eta0)
 
 
-def _finish(d, profile, s, eta, method, step_size=None, tolerance=None) -> EtaTrajectory:
+def _finish(d, profile, s, eta, step_size=None) -> EtaTrajectory:
     w = omega_at(profile, s)
     theta = d.theta0 * d.freq_ratio_r * w
     return EtaTrajectory(
@@ -153,9 +154,7 @@ def _finish(d, profile, s, eta, method, step_size=None, tolerance=None) -> EtaTr
         eta=eta,
         mean_n=eta - 1.0,
         T_ratio=ratio_from_eta(eta, theta),
-        method=method,
         step_size=step_size,
-        tolerance=tolerance,
     )
 
 
@@ -165,8 +164,8 @@ def evolve_eta_ode(
     eta0: float | None = None,
     horizon: float = 10.0,
     *,
-    step_size: float = 1e-4,
-    samples_per_unit: int = 2000,
+    step_size: float = STEP_SIZE,
+    samples_per_unit: int = SAMPLES_PER_UNIT,
 ) -> EtaTrajectory:
     """Fixed-step explicit 4th-order integration of the eta relaxation law.
 
@@ -228,7 +227,7 @@ def evolve_eta_ode(
         raise SolverError(
             f"model violation: eta reached {out[k]} at s = {s[k]:.6g} ({why})"
         )
-    return _finish(d, profile, s, out, "rk4-fixed", step_size=h)
+    return _finish(d, profile, s, out, step_size=h)
 
 
 def evolve_eta_closed_form(
@@ -237,7 +236,7 @@ def evolve_eta_closed_form(
     eta0: float | None = None,
     horizon: float = 10.0,
     *,
-    samples_per_unit: int = 2000,
+    samples_per_unit: int = SAMPLES_PER_UNIT,
 ) -> EtaTrajectory:
     """Exact exponential-kernel solution of the eta relaxation law.
 
@@ -291,7 +290,7 @@ def evolve_eta_closed_form(
             f"model violation: eta reached {out[k]} at s = {samples[k]:.6g} "
             "(at or below the ground-state limit)"
         )
-    return _finish(d, profile, samples, out, "closed-form", tolerance=_QUAD_TOL)
+    return _finish(d, profile, samples, out)
 
 
 def _simpson_batch(f, start, width):

@@ -154,6 +154,15 @@ def test_convert_units_conflicting_flags(capsys):
     err = capsys.readouterr().err
     assert rc == 2
     assert "--theta0 conflicts" in err
+    # the dimensionless -> SI direction takes no SI rate or coupling either
+    dimensionless = (
+        "convert-units", "--theta0", "0.032", "--ratio", "2", "--gamma-tau", "1",
+        "--temperature-kelvin", "300",
+    )
+    for flag, value in (("--gamma", "5"), ("--coupling-max", "3")):
+        assert run_cli(*dimensionless, flag, value) == 2
+        err = capsys.readouterr().err
+        assert f"{flag} conflicts with the dimensionless -> SI direction" in err
 
 
 def test_config_file_with_flag_overrides(tmp_path, capsys):
@@ -235,6 +244,12 @@ def test_oversized_grid_is_refused_before_any_route_allocates(capsys):
         tracemalloc.stop()
     assert "exceed memory limits" in capsys.readouterr().err
     assert peak < 1_000_000
+
+
+def test_oversized_oracle_ladder_is_refused(capsys):
+    # theta0 = 1e-6 needs a ladder of 4e7 levels, ~30 GB at its peak
+    assert run_cli("cycle", "--theta0", "1e-6", "--with-oracle") == 2
+    assert "a ladder of 40000002 levels would exceed memory limits" in capsys.readouterr().err
 
 
 def test_io_exit_codes(tmp_path, capsys):

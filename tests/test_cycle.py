@@ -1,5 +1,6 @@
 """Tests for cycle orchestration, sweeps, CSV/plot emission, and config files."""
 
+import functools
 import re
 import subprocess
 import sys
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import molcool.cycle
 from molcool.cycle import (
     CSV_HEADER,
     SWEEP_CSV_HEADER,
@@ -33,7 +35,9 @@ from molcool.cycle import (
     sweep_range_values,
 )
 from molcool.errors import SolverCrossCheckError
+from molcool.oracle import evolve_populations
 from molcool.profiles import FrequencyProfile, ProfileShape
+from molcool.solver import evolve_eta_closed_form, evolve_eta_ode
 from molcool.thermo import OccupationUnderflow
 from molcool.units import DimensionlessParams
 
@@ -167,16 +171,50 @@ def test_read_csv_rejects_foreign_header(tmp_path):
         read_csv_record(path)
 
 
-def test_solver_cross_check_guards_coarse_steps():
+# the full text of a cross-check failure, with the worst relative disagreement
+RELATIVE_AT_S = r" by \d\.\d{3}e[+-]\d{2} relative at s = -?\d[\d.e+-]* "
+
+
+def test_solver_cross_check_guards_coarse_steps(monkeypatch):
+    # the routes on a 10-samples-per-unit grid, RK4 with one 0.1 substep each
+    monkeypatch.setattr(
+        molcool.cycle, "evolve_eta_closed_form",
+        functools.partial(evolve_eta_closed_form, samples_per_unit=10),
+    )
+    monkeypatch.setattr(
+        molcool.cycle, "evolve_eta_ode",
+        functools.partial(evolve_eta_ode, samples_per_unit=10, step_size=0.1),
+    )
     d = DimensionlessParams(theta0=0.032, freq_ratio_r=2.0, gamma_tau_g=10.0)
-    with pytest.raises(SolverCrossCheckError, match="solver cross-check failed"):
-        run_cycle(CycleConfig(dimensionless=d), samples_per_unit=10, ode_step=0.1)
+    shape = (
+        "^solver cross-check failed: eta routes disagree"
+        + RELATIVE_AT_S + r"\(allowed 1e-06\)$"
+    )
+    with pytest.raises(SolverCrossCheckError, match=shape):
+        run_cycle(CycleConfig(dimensionless=d))
+
+
+def test_oracle_cross_check_refuses_a_disagreeing_mean(monkeypatch):
+    def one_percent_high(*args, **kwargs):
+        traj = evolve_populations(*args, **kwargs)
+        traj.mean_n = traj.mean_n * 1.01
+        return traj
+
+    monkeypatch.setattr(molcool.cycle, "evolve_populations", one_percent_high)
+    d = DimensionlessParams(theta0=0.3, freq_ratio_r=2.0, gamma_tau_g=1.0)
+    cfg = CycleConfig(dimensionless=d, horizon=3.0, with_oracle=True)
+    shape = (
+        "^oracle cross-check failed: mean occupation disagrees with eta"
+        + RELATIVE_AT_S + r"\(allowed 0\.001\)$"
+    )
+    with pytest.raises(SolverCrossCheckError, match=shape):
+        run_cycle(cfg)
 
 
 def test_oracle_cross_check_runs():
     d = DimensionlessParams(theta0=0.3, freq_ratio_r=2.0, gamma_tau_g=1.0)
     cfg = CycleConfig(dimensionless=d, horizon=3.0, with_oracle=True)
-    res = run_cycle(cfg, samples_per_unit=500, oracle_samples_per_unit=50)
+    res = run_cycle(cfg)
     assert res.oracle is not None
     assert res.oracle.s[-1] == 3.0
     # mean occupation and the eta route describe one distribution
@@ -331,10 +369,7 @@ def test_plot_script_exits_when_csv_is_missing(tmp_path):
 
 def test_dwell_title_marks_extension_mode(tmp_path):
     base = default_cycle_config().dimensionless
-    res = run_cycle(
-        CycleConfig(dimensionless=base, init_mode=FiniteDwell(dwell=1.0)),
-        samples_per_unit=200,
-    )
+    res = run_cycle(CycleConfig(dimensionless=base, init_mode=FiniteDwell(dwell=1.0)))
     script = tmp_path / "cycle_plot.py"
     emit_plot_script(res.record, script)
     assert "extension mode" in script.read_text()

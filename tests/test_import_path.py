@@ -28,7 +28,7 @@ from molcool.units import DimensionlessParams
 
 d = DimensionlessParams(theta0=0.3, freq_ratio_r=2.0, gamma_tau_g=1.0)
 cfg = CycleConfig(dimensionless=d, horizon=1.0, with_oracle=True)
-run_cycle(cfg, samples_per_unit=100, oracle_samples_per_unit=10)
+run_cycle(cfg)
 assert "scipy.integrate" in sys.modules, "not loaded by the oracle"
 print("ok")
 """

@@ -2,6 +2,7 @@
 
 import gc
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -14,6 +15,7 @@ from scipy.integrate import solve_ivp
 from molcool.errors import SolverError
 from molcool.oracle import (
     PopulationVector,
+    _MAX_LEVELS,
     _population_rhs,
     _rates,
     _SampleReducer,
@@ -51,6 +53,23 @@ def test_quenched_rejects_short_truncation():
         populations_from_quenched(QuenchedState(eta=31.752666621156665), n_max=200)
     with pytest.raises(ValueError, match="n_max must be >= 1"):
         populations_from_quenched(QuenchedState(eta=2.0), n_max=0)
+
+
+def test_oversized_ladder_is_refused_before_allocation():
+    state = QuenchedState(eta=2.0)
+    assert populations_from_quenched(state, n_max=_MAX_LEVELS - 1).p.size == _MAX_LEVELS
+    refusal = (
+        rf"^a ladder of {_MAX_LEVELS + 1} levels would exceed memory limits "
+        rf"\({_MAX_LEVELS} allowed\)$"
+    )
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=refusal):
+            populations_from_quenched(state, n_max=_MAX_LEVELS)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def test_mean_occupation_matches_eta():

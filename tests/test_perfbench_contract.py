@@ -1,13 +1,16 @@
 """What the benchmark's tracing (perfbench/tracing.py) reads from molcool.
 
 The traced run wraps functions at their module attributes and counts
-work from the oracle trajectory's attributes, so both must keep existing.
+work from the oracle trajectory's attributes, so both must keep existing,
+and a cycle must keep calling its routes through those attributes.
 """
 
+from collections import Counter
 from pathlib import Path
 
 import molcool
 import molcool.cli
+from molcool.cycle import CycleConfig, FiniteDwell, default_cycle_config
 from molcool.oracle import evolve_populations, populations_from_quenched, truncation_levels
 from molcool.profiles import FrequencyProfile
 from molcool.thermo import QuenchedState, nu_of
@@ -35,3 +38,27 @@ def test_oracle_counts_read_the_trajectory(monkeypatch):
     # every call site the traced run wraps is a module attribute
     for owner, attr, _, _ in tracing._targets(molcool):
         assert callable(owner.__dict__[attr]), f"{owner.__name__}.{attr}"
+
+
+def test_traced_cycle_reaches_every_layer(monkeypatch):
+    # a cycle that stopped calling through the wrapped attributes would
+    # zero the harness's per-layer metrics without failing it
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracing
+
+    cfg = CycleConfig(
+        dimensionless=default_cycle_config().dimensionless,
+        init_mode=FiniteDwell(dwell=3.0),
+        with_oracle=True,
+    )
+    with tracing.instrument(tracing.Tracer(), molcool) as tracer:
+        molcool.cycle.run_cycle(cfg)
+    assert Counter(span.name for span in tracer.spans) == {
+        "cycle.run_cycle": 1,
+        "solver.evolve_eta_closed_form": 3,  # close, hold, open
+        "solver.evolve_eta_ode": 3,
+        "oracle.populations_from_quenched": 1,
+        "oracle.evolve_populations": 3,
+        "cycle.record": 1,
+        "solver.recovery_time": 1,
+    }
