@@ -10,6 +10,7 @@ import os
 import sys
 
 from molcool import (
+    RECOVERY_TARGET,
     REFERENCE_MIN_T_RATIO,
     REFERENCE_RECOVERY_S,
     default_cycle_config,
@@ -26,7 +27,7 @@ def main() -> int:
 
     print(f"samples: {len(result.record)}")
     print(f"min T_ratio = {summ.min_t_ratio:.6f} at s = {summ.argmin_s:.4f}")
-    print(f"recovery to 0.997 at s = {summ.recovery.s:.4f}")
+    print(f"recovery to {RECOVERY_TARGET} at s = {summ.recovery.s:.4f}")
     print(f"final eta = {summ.final_eta:.6f}")
 
     ok = True

@@ -192,13 +192,17 @@ def _parse_sweep_values(args):
     parts = args.value_range.split(":")
     if len(parts) not in (3, 4):
         raise ValueError(f"--range expects min:max:count[:log], got {args.value_range!r}")
-    spacing = "linear"
-    if len(parts) == 4:
-        spacing = parts[3]
-    return sweep_range_values(float(parts[0]), float(parts[1]), int(parts[2]), spacing)
+    try:
+        count = int(parts[2])
+    except ValueError:
+        raise ValueError(f"--range count must be a whole number, got {parts[2]!r}") from None
+    spacing = parts[3] if len(parts) == 4 else "linear"
+    return sweep_range_values(float(parts[0]), float(parts[1]), count, spacing)
 
 
 def _cmd_sweep(args) -> int:
+    if args.workers is not None and args.workers < 1:
+        raise ValueError(f"--workers must be at least 1, got {args.workers}")
     base = _load_config(args)
     axis = _AXIS_BY_FLAG[args.axis]
     spec = SweepSpec(axis=axis, values=_parse_sweep_values(args), base=base)

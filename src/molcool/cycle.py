@@ -28,11 +28,12 @@ from .errors import SolverCrossCheckError
 from .oracle import (
     PopulationTrajectory,
     evolve_populations,
+    ladder_levels,
     populations_from_quenched,
-    truncation_levels,
 )
 from .profiles import FrequencyProfile, ProfileShape
 from .solver import (
+    RECOVERY_TARGET,
     SAMPLES_PER_UNIT,
     STEP_SIZE,
     EtaTrajectory,
@@ -46,7 +47,6 @@ from .solver import (
 from .thermo import QuenchedState, nu_of
 from .units import DimensionlessParams
 
-RECOVERY_TARGET = 0.997
 SOLVER_AGREEMENT_RTOL = 1e-6   # fixed-step route must match the kernel route this well
 ORACLE_AGREEMENT_RTOL = 1e-3   # Fock-level mean occupation + 1 vs eta
 
@@ -58,6 +58,7 @@ REFERENCE_MIN_T_RATIO = (0.65, 0.05)
 REFERENCE_RECOVERY_S = (6.0, 1.0)
 
 SWEEP_AXES = ("theta0", "freq_ratio_r", "gamma_tau_g")
+_MAX_SWEEP_VALUES = 1_000_000  # at 0.03 s or more per cycle, over 8 h of runs
 
 
 @dataclass(frozen=True)
@@ -316,10 +317,12 @@ def run_cycle(cfg: CycleConfig) -> CycleResult:
     """
     d = cfg.dimensionless
     eta0, segments = _plan_segments(cfg)
-    # every segment's grids pass their size checks before any route allocates
+    # the routes' grids and the oracle's ladder pass their size checks before any route runs
     for _, prof, duration in segments:
         n_intervals = _check_run(d, prof, duration, SAMPLES_PER_UNIT)
         _substeps_per_interval(duration, n_intervals, STEP_SIZE)
+    if cfg.with_oracle:
+        pv = populations_from_quenched(QuenchedState(eta=eta0), ladder_levels(d, segments))
 
     kernel, rk4 = [], []
     eta_kernel = eta_rk4 = eta0
@@ -335,12 +338,6 @@ def run_cycle(cfg: CycleConfig) -> CycleResult:
 
     oracle = None
     if cfg.with_oracle:
-        # deepest occupation happens at the smallest omega over the schedule;
-        # +20 levels keep the one-way tail accumulator clear of its threshold
-        # in the small-occupation regime where ceil(40*nu) alone sits close
-        w_min = float(trajectory.omega_over_omega1.min())
-        n_max = truncation_levels(float(nu_of(d.theta0 * d.freq_ratio_r * w_min))) + 20
-        pv = populations_from_quenched(QuenchedState(eta=eta0), n_max)
         parts = []
         for _, prof, duration in segments:
             parts.append(evolve_populations(d, prof, pv, duration))
@@ -386,6 +383,10 @@ def sweep_range_values(vmin: float, vmax: float, count: int, spacing: str = "lin
     """Expand a (min, max, count, spacing) range into explicit sweep values."""
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
+    if count > _MAX_SWEEP_VALUES:
+        raise ValueError(
+            f"a sweep of {count} values would exceed memory limits ({_MAX_SWEEP_VALUES} allowed)"
+        )
     if not (math.isfinite(vmin) and math.isfinite(vmax) and vmin <= vmax):
         raise ValueError(f"need finite min <= max, got {vmin}..{vmax}")
     if spacing == "linear":
@@ -413,10 +414,10 @@ class SweepRow:
     when that run failed."""
 
     axis_value: float
-    min_t_ratio: float | None
-    argmin_s: float | None
-    recovery_s: float | None
-    recovered: bool | None
+    min_t_ratio: float | None = None
+    argmin_s: float | None = None
+    recovery_s: float | None = None
+    recovered: bool | None = None
     error: str | None = None
 
 
@@ -432,14 +433,7 @@ def run_sweep(spec: SweepSpec, max_workers: int | None = None) -> list[SweepRow]
         try:
             result = run_cycle(_config_for_value(spec.base, spec.axis, value))
         except Exception as exc:
-            return SweepRow(
-                axis_value=value,
-                min_t_ratio=None,
-                argmin_s=None,
-                recovery_s=None,
-                recovered=None,
-                error=f"{type(exc).__name__}: {exc}",
-            )
+            return SweepRow(axis_value=value, error=f"{type(exc).__name__}: {exc}")
         summ = result.summary
         return SweepRow(
             axis_value=value,

@@ -17,20 +17,20 @@ compensating upward outflow g*nu*(n_max+1)*p_{n_max} is integrated into
 the tail estimate, making "sum(p) + tail_bound" a conserved quantity of
 the augmented system (conservation violations measure integrator error).
 
-The integrator is implicit (BDF with an analytic Jacobian): the
-truncated generator's spectral radius grows like g * n_max * (4*nu + 2),
-which makes explicit fixed-step integration unstable at deep-classical
-corners (large nu) for any affordable step.  The generator, tail row
-included, is tridiagonal, so BDF gets I and J as (3, n) bands: it forms
-I - cJ elementwise, with the entries sparse arithmetic would give, and
-LAPACK's tridiagonal dgttrf/dgttrs factor and solve it instead of a
-general sparse LU.  Newton iterations evaluate the rates at one s many
-times over, so the last (s, rates) pair is kept; and past the profile's
-`hold_start` every s maps to the hold's one pair, whose bits the profile
-guarantees, so a held stretch costs one rate evaluation.  When the
-integration ends the solver is emptied: scipy's closures and ours hold
-it in reference cycles, which would keep its arrays until the next
-cyclic garbage collection.
+The generator, tail row included, is tridiagonal, and it is written
+once: as its (3, n) band of upper, main and lower diagonals at s.  The
+right-hand side is band . y, three slice multiply-adds; the band is the
+Jacobian, and BDF's start-up sparse J is built from it, so the law and
+its Jacobian cannot disagree.  The integrator is implicit (BDF): the
+generator's spectral radius grows like g * n_max * (4*nu + 2), which
+makes explicit fixed-step integration unstable at deep-classical corners
+(large nu) for any affordable step.  Its Newton matrix I - cJ is a band
+too, which LAPACK's tridiagonal dgttrf/dgttrs factor and solve.  Newton
+iterations repeat s, so the last (s, band) pair is kept, and past the
+profile's `hold_start` every s maps to the hold's one band, whose bits
+the profile guarantees.  When the integration ends the solver is
+emptied: scipy's closures and ours hold it in reference cycles, which
+would keep its arrays until the next cyclic garbage collection.
 
 Samples are streamed from BDF's dense output: at most `_BLOCK` = 64
 samples at a time are checked and reduced to per-sample mean level,
@@ -39,9 +39,10 @@ is kept, so memory grows as O(levels x 64), not O(levels x samples).
 Each block is transposed once so that every reduction runs along
 memory, one sample's levels at a time.
 
-The caller sizes the ladder, and `populations_from_quenched` refuses,
-before it allocates anything, one of more than `_MAX_LEVELS` levels,
-whose run would not fit in memory.
+`ladder_levels` sizes the ladder from the cycle's plan, before any
+route runs, and `populations_from_quenched` refuses one of more than
+`_MAX_LEVELS` levels, whose run would not fit in memory, before it
+allocates anything.
 
 scipy is imported by the functions that call it, not with this module:
 `import molcool` and every run without the oracle never load it, and
@@ -57,7 +58,7 @@ import numpy as np
 
 from .errors import SolverError
 from .profiles import FrequencyProfile, omega_at
-from .solver import _check_run
+from .solver import SAMPLES_PER_UNIT as _ETA_SAMPLES_PER_UNIT, _check_run, _stage_points
 from .thermo import QuenchedState, nu_of
 from .units import DimensionlessParams
 
@@ -124,6 +125,24 @@ def truncation_levels(nu_max: float) -> int:
     return int(math.ceil(40.0 * nu_max))
 
 
+def ladder_levels(d: DimensionlessParams, segments) -> int:
+    """n_max for a run through the plan's (start, profile, duration) `segments`.
+
+    The deepest occupation, at the smallest omega on the eta routes'
+    sample grids (each up to its hold, past which it repeats), sized by
+    `truncation_levels`; 20 more levels keep the one-way tail accumulator
+    clear of its threshold where ceil(40 * nu) alone sits close to it.
+    """
+    w_min = math.inf
+    for _, prof, duration in segments:
+        n = _check_run(d, prof, duration, _ETA_SAMPLES_PER_UNIT)
+        # the first sample at or past the hold, or one later under roundoff
+        k = min(n, math.ceil(prof.hold_start / duration * n) + 1)
+        samples = _stage_points(duration, n, 2 * np.arange(k + 1))  # np.linspace's first k + 1
+        w_min = min(w_min, float(omega_at(prof, samples).min()))
+    return truncation_levels(float(nu_of(d.theta0 * d.freq_ratio_r * w_min))) + 20
+
+
 def populations_from_quenched(state: QuenchedState, n_max: int) -> PopulationVector:
     """Truncated quenched Boltzmann populations p_n = (1/eta)(1 - 1/eta)^n.
 
@@ -165,23 +184,6 @@ def _rates(d: DimensionlessParams, profile: FrequencyProfile, s):
     occ = nu_of(d.theta0 * d.freq_ratio_r * omega_at(profile, s))
     g = d.gamma_tau_g
     return g * (occ + 1.0), g * occ  # (down, up) per-quantum rates, scalar or array s
-
-
-def _population_rhs(y, down, up, n_idx):
-    """d/ds of (p_0..p_{n_max}, tail) at per-quantum rates (down, up)."""
-    p = y[:-1]
-    shifted_up = np.empty_like(p)
-    shifted_up[:-1] = p[1:]
-    shifted_up[-1] = 0.0
-    shifted_down = np.empty_like(p)
-    shifted_down[0] = 0.0
-    shifted_down[1:] = p[:-1]
-    dy = np.empty_like(y)
-    dy[:-1] = down * ((n_idx + 1.0) * shifted_up - n_idx * p) + up * (
-        n_idx * shifted_down - (n_idx + 1.0) * p
-    )
-    dy[-1] = up * n_idx.size * p[-1]
-    return dy
 
 
 def evolve_populations(
@@ -275,16 +277,14 @@ class _SampleReducer:
         )
 
 
-def _use_banded_newton(solver, band_jac) -> None:
+def _use_banded_newton(solver, band) -> None:
     """Hand BDF the Newton matrix I - cJ as its three diagonals.
 
-    The augmented generator, tail row included, has offsets -1, 0 and +1
-    only, so a (3, n) band (upper, main and lower diagonal, as in
-    `scipy.linalg.solve_banded`) is the whole matrix.  With a banded I
-    and J, BDF's I - c*J is elementwise, and each entry is the one sparse
-    arithmetic computes (0 - c J_ij off the diagonal); LAPACK's dgttrf
-    factors it in place of the SuperLU factorization `BDF.__init__` sets
-    up for a sparse J.
+    `band(s)` is the generator's (3, n) band, laid out as for
+    `scipy.linalg.solve_banded`.  With a banded I and J, BDF's I - c*J is
+    elementwise, and each entry is the one sparse arithmetic computes
+    (0 - c J_ij off the diagonal); LAPACK's dgttrf factors it in place of
+    the SuperLU factorization `BDF.__init__` sets up for a sparse J.
     """
     from scipy.linalg.lapack import dgttrf, dgttrs
 
@@ -293,7 +293,7 @@ def _use_banded_newton(solver, band_jac) -> None:
 
     def jac(s, y):
         solver.njev += 1
-        return band_jac(s, y)
+        return band(s)
 
     def lu(a):
         solver.nlu += 1
@@ -308,7 +308,7 @@ def _use_banded_newton(solver, band_jac) -> None:
         x, _ = dgttrs(*factors, b)
         return x
 
-    solver.I, solver.J = identity, band_jac(solver.t, solver.y)
+    solver.I, solver.J = identity, band(solver.t)
     solver.jac, solver.lu, solver.solve_lu = jac, lu, solve_lu
 
 
@@ -316,42 +316,38 @@ def _evolve_bdf(d, profile, y0, samples, reducer):
     import scipy.sparse as sp
     from scipy.integrate import BDF
 
-    n_max = y0.size - 2
-    n_idx = np.arange(n_max + 1, dtype=float)
-    lower_idx = np.arange(1.0, n_max + 2.0)  # row n gains up*n from below; last row is the tail
-    upper_base = np.concatenate([np.arange(1.0, n_max + 1.0), [0.0]])
+    n_idx = np.arange(y0.size - 1, dtype=float)  # levels 0..n_max; the tail follows
     hold = profile.hold_start
-    last = [None, None]  # the latest (s, (down, up)); Newton iterations repeat s
+    last = [None, None]  # the latest (s, band); Newton iterations repeat s
 
-    def rates(s):
-        # from the hold on the rates are one value; min() maps every held s to it
+    def band(s):
+        # the generator's upper, main and lower diagonals at s; from the
+        # hold on they are one band, and min() maps every held s to it
         s = min(float(s), hold)
         if s != last[0]:
-            last[:] = s, _rates(d, profile, s)
+            down, up = _rates(d, profile, s)
+            b = np.zeros((3, y0.size))
+            b[0, 1:-1] = down * n_idx[1:]  # row n gains down (n+1) p_{n+1}
+            b[1, :-1] = -(down * n_idx + up * (n_idx + 1.0))
+            b[2, :-1] = up * (n_idx + 1.0)  # row n+1 gains up (n+1) p_n; the last is the tail
+            last[:] = s, b
         return last[1]
 
     def rhs(s, y):
-        return _population_rhs(y, *rates(s), n_idx)
-
-    def diagonals(s):
-        down, up = rates(s)
-        main = np.concatenate([-(down * n_idx + up * (n_idx + 1.0)), [0.0]])
-        return up * lower_idx, main, down * upper_base
-
-    def band_jac(s, y):
-        lower, main, upper = diagonals(s)
-        band = np.zeros((3, main.size))
-        band[0, 1:], band[1], band[2, :-1] = upper, main, lower
-        return band
+        b = band(s)
+        dy = b[1] * y
+        dy[:-1] += b[0, 1:] * y[1:]
+        dy[1:] += b[2, :-1] * y[:-1]
+        return dy
 
     # BDF.__init__ takes J as an (n, n) matrix, which as a sparse one
     # costs O(n); the band replaces it right after
     solver = BDF(
         rhs, float(samples[0]), y0, float(samples[-1]), rtol=_RTOL, atol=_ATOL,
-        jac=lambda s, y: sp.diags(diagonals(s), offsets=[-1, 0, 1], format="csc"),
+        jac=lambda s, y: sp.dia_matrix((band(s), [1, 0, -1]), shape=(y0.size,) * 2).tocsc(),
     )
     try:
-        _use_banded_newton(solver, band_jac)
+        _use_banded_newton(solver, band)
         # the samples in (t_old, t] of each step, and s = 0 with the first,
         # from its dense output (as solve_ivp's t_eval)
         done = 0

@@ -339,7 +339,10 @@ def _simpson_batch(f, start, width):
         tol = 0.5 * tol
 
 
-def recovery_time(traj, target: float = 0.997) -> RecoveryResult:
+RECOVERY_TARGET = 0.997  # T_ratio a run must climb back to
+
+
+def recovery_time(traj, target: float = RECOVERY_TARGET) -> RecoveryResult:
     """First s at or after the T_ratio minimum where T_ratio >= target.
 
     Works on any object with `s` and `T_ratio` sample arrays (solver

@@ -217,6 +217,11 @@ def test_validation_exit_codes(tmp_path, capsys):
     assert "unknown key" in capsys.readouterr().err
     assert run_cli("sweep", "--axis", "theta0", "--range", "1:2") == 2
     assert "min:max:count" in capsys.readouterr().err
+    assert run_cli("sweep", "--axis", "theta0", "--range", "0.01:1:2.5") == 2
+    assert "--range count must be a whole number, got '2.5'" in capsys.readouterr().err
+    for workers in ("0", "-3"):
+        assert run_cli("sweep", "--axis", "theta0", "--values", "0.03", "--workers", workers) == 2
+        assert f"--workers must be at least 1, got {workers}" in capsys.readouterr().err
 
 
 def test_over_stiff_coupling_fails_fast():
@@ -246,10 +251,29 @@ def test_oversized_grid_is_refused_before_any_route_allocates(capsys):
     assert peak < 1_000_000
 
 
-def test_oversized_oracle_ladder_is_refused(capsys):
-    # theta0 = 1e-6 needs a ladder of 4e7 levels, ~30 GB at its peak
-    assert run_cli("cycle", "--theta0", "1e-6", "--with-oracle") == 2
+def test_oversized_oracle_ladder_is_refused(monkeypatch, capsys):
+    # theta0 = 1e-6 needs a ladder of 4e7 levels, ~30 GB at its peak; it is
+    # refused from the plan, before either eta route runs its 6e6 samples
+    def refuse(*args, **kwargs):
+        raise AssertionError("an eta route ran before the ladder was sized")
+
+    monkeypatch.setattr("molcool.cycle.evolve_eta_closed_form", refuse)
+    monkeypatch.setattr("molcool.cycle.evolve_eta_ode", refuse)
+    assert run_cli("cycle", "--theta0", "1e-6", "--with-oracle", "--horizon", "3000") == 2
     assert "a ladder of 40000002 levels would exceed memory limits" in capsys.readouterr().err
+
+
+def test_oversized_sweep_range_is_refused_before_allocation(capsys):
+    # 1e9 values would take ~41 GB as a tuple of floats
+    tracemalloc.start()
+    try:
+        assert run_cli("sweep", "--axis", "theta0", "--range", "0.01:1:1000000000") == 2
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    err = capsys.readouterr().err
+    assert "a sweep of 1000000000 values would exceed memory limits (1000000 allowed)" in err
+    assert peak < 1_000_000
 
 
 def test_io_exit_codes(tmp_path, capsys):

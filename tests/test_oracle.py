@@ -16,7 +16,6 @@ from molcool.errors import SolverError
 from molcool.oracle import (
     PopulationVector,
     _MAX_LEVELS,
-    _population_rhs,
     _rates,
     _SampleReducer,
     evolve_populations,
@@ -256,13 +255,26 @@ def test_geometric_residual_definition():
 
 def reference_populations(d, prof, init, horizon, samples_per_unit=100):
     """(samples, levels + 1) matrix from solve_ivp's BDF with t_eval and a
-    sparse (SuperLU) Jacobian: the unstreamed route the oracle replaces."""
+    sparse (SuperLU) Jacobian: the unstreamed route the oracle replaces.
+    Its right-hand side is the birth-death law written level by level,
+    not the oracle's band."""
     n_idx = np.arange(init.n_max + 1, dtype=float)
     lower_idx = np.arange(1.0, init.n_max + 2.0)
     upper_base = np.concatenate([np.arange(1.0, init.n_max + 1.0), [0.0]])
 
     def rhs(s, y):
-        return _population_rhs(y, *_rates(d, prof, float(s)), n_idx)
+        # dp_n/ds = down [(n+1) p_{n+1} - n p_n] + up [n p_{n-1} - (n+1) p_n],
+        # with no level above n_max; the tail gains up (n_max+1) p_{n_max}
+        down, up = _rates(d, prof, float(s))
+        p = y[:-1]
+        above = np.append(p[1:], 0.0)
+        below = np.concatenate([[0.0], p[:-1]])
+        dy = np.empty_like(y)
+        dy[:-1] = down * ((n_idx + 1.0) * above - n_idx * p) + up * (
+            n_idx * below - (n_idx + 1.0) * p
+        )
+        dy[-1] = up * n_idx.size * p[-1]
+        return dy
 
     def jac(s, y):
         down, up = _rates(d, prof, float(s))

@@ -62,3 +62,7 @@ def test_traced_cycle_reaches_every_layer(monkeypatch):
         "cycle.record": 1,
         "solver.recovery_time": 1,
     }
+    # the ladder is sized and refused, if at all, before either eta route starts
+    ladder = next(s for s in tracer.spans if s.name == "oracle.populations_from_quenched")
+    kernel = next(s for s in tracer.spans if s.name == "solver.evolve_eta_closed_form")
+    assert ladder.end <= kernel.start
