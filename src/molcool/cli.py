@@ -95,9 +95,7 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument(
         "--range", dest="value_range", default=None, help="min:max:count[:log] axis values"
     )
-    sweep.add_argument(
-        "--workers", type=int, default=None, help="worker threads (default: executor's choice)"
-    )
+    sweep.add_argument("--workers", type=int, default=1, help="worker threads (default: 1)")
     sweep.set_defaults(func=_cmd_sweep)
 
     conv = commands.add_parser(
@@ -197,11 +195,14 @@ def _parse_sweep_values(args):
     except ValueError:
         raise ValueError(f"--range count must be a whole number, got {parts[2]!r}") from None
     spacing = parts[3] if len(parts) == 4 else "linear"
-    return sweep_range_values(float(parts[0]), float(parts[1]), count, spacing)
+    try:
+        return sweep_range_values(float(parts[0]), float(parts[1]), count, spacing)
+    except ValueError as exc:
+        raise ValueError(f"--range {args.value_range!r}: {exc}") from None
 
 
 def _cmd_sweep(args) -> int:
-    if args.workers is not None and args.workers < 1:
+    if args.workers < 1:
         raise ValueError(f"--workers must be at least 1, got {args.workers}")
     base = _load_config(args)
     axis = _AXIS_BY_FLAG[args.axis]

@@ -88,10 +88,11 @@ _INIT_MODES = {mode.name: mode for mode in (ThermalClosed, FiniteDwell)}
 
 @dataclass(frozen=True)
 class CycleConfig:
-    """One full cooling-cycle run; `profile=None` means the default sine opening."""
+    """One full cooling-cycle run.  `profile` is the opening's schedule;
+    its frequency ratio r is `dimensionless.freq_ratio_r`."""
 
     dimensionless: DimensionlessParams
-    profile: FrequencyProfile | None = None
+    profile: FrequencyProfile = field(default_factory=FrequencyProfile)
     init_mode: ThermalClosed | FiniteDwell = field(default_factory=ThermalClosed)
     horizon: float = 10.0
     with_oracle: bool = False
@@ -100,11 +101,8 @@ class CycleConfig:
     def __post_init__(self):
         if not (math.isfinite(self.horizon) and self.horizon >= 1.0):
             raise ValueError(f"horizon must cover at least the opening, got {self.horizon}")
-        if self.profile is not None and self.profile.freq_ratio_r != self.dimensionless.freq_ratio_r:
-            raise ValueError(
-                f"profile frequency ratio {self.profile.freq_ratio_r} does not match "
-                f"the dimensionless parameters ({self.dimensionless.freq_ratio_r})"
-            )
+        if not isinstance(self.profile, FrequencyProfile):
+            raise ValueError(f"profile must be a FrequencyProfile, got {self.profile!r}")
         if not isinstance(self.init_mode, (ThermalClosed, FiniteDwell)):
             raise ValueError(f"unknown init_mode {self.init_mode!r}")
 
@@ -251,20 +249,15 @@ class CycleResult:
 def _plan_segments(cfg: CycleConfig):
     """Initial eta plus (global start, profile, duration) for each phase."""
     d = cfg.dimensionless
-    opening = cfg.profile or FrequencyProfile(freq_ratio_r=d.freq_ratio_r)
     if isinstance(cfg.init_mode, ThermalClosed):
         eta0 = nu_of(d.theta0 * d.freq_ratio_r) + 1.0
-        return eta0, [(0.0, opening, cfg.horizon)]
+        return eta0, [(0.0, cfg.profile, cfg.horizon)]
     dwell = cfg.init_mode.dwell
     eta0 = nu_of(d.theta0) + 1.0  # thermal at the open frequency
-    segments = [
-        (-1.0 - dwell, FrequencyProfile(d.freq_ratio_r, ProfileShape.REVERSED_SINE_CLOSING), 1.0)
-    ]
-    if dwell > 0.0:
-        segments.append(
-            (-dwell, FrequencyProfile(d.freq_ratio_r, ProfileShape.CONSTANT, level=1.0), dwell)
-        )
-    segments.append((0.0, opening, cfg.horizon))
+    segments = [(-1.0 - dwell, FrequencyProfile(ProfileShape.REVERSED_SINE_CLOSING), 1.0)]
+    if -1.0 - dwell < -1.0:  # a dwell too short to move the close off s = -1 is none
+        segments.append((-dwell, FrequencyProfile(ProfileShape.CONSTANT), dwell))
+    segments.append((0.0, cfg.profile, cfg.horizon))
     return eta0, segments
 
 
@@ -318,8 +311,8 @@ def run_cycle(cfg: CycleConfig) -> CycleResult:
     d = cfg.dimensionless
     eta0, segments = _plan_segments(cfg)
     # the routes' grids and the oracle's ladder pass their size checks before any route runs
-    for _, prof, duration in segments:
-        n_intervals = _check_run(d, prof, duration, SAMPLES_PER_UNIT)
+    for _, _, duration in segments:
+        n_intervals = _check_run(duration, SAMPLES_PER_UNIT)
         _substeps_per_interval(duration, n_intervals, STEP_SIZE)
     if cfg.with_oracle:
         pv = populations_from_quenched(QuenchedState(eta=eta0), ladder_levels(d, segments))
@@ -399,13 +392,8 @@ def sweep_range_values(vmin: float, vmax: float, count: int, spacing: str = "lin
 
 
 def _config_for_value(base: CycleConfig, axis: str, value: float) -> CycleConfig:
-    """`base` with one dimensionless parameter set to `value`; a profile's
-    own frequency ratio follows a new freq_ratio_r."""
-    dims = replace(base.dimensionless, **{axis: value})
-    prof = base.profile
-    if prof is not None and axis == "freq_ratio_r":
-        prof = replace(prof, freq_ratio_r=value)
-    return replace(base, dimensionless=dims, profile=prof)
+    """`base` with one dimensionless parameter set to `value`."""
+    return replace(base, dimensionless=replace(base.dimensionless, **{axis: value}))
 
 
 @dataclass(frozen=True)
@@ -421,8 +409,10 @@ class SweepRow:
     error: str | None = None
 
 
-def run_sweep(spec: SweepSpec, max_workers: int | None = None) -> list[SweepRow]:
-    """Evaluate every sweep value, in order, optionally across worker threads.
+def run_sweep(spec: SweepSpec, max_workers: int = 1) -> list[SweepRow]:
+    """Evaluate every sweep value, in order, in the calling thread or across
+    `max_workers` threads; the runs are GIL-bound, so threads do not speed
+    them up.
 
     Rows are pure functions of their own config (no shared state), so the
     result is identical for any worker count.  A failed run is captured in
@@ -686,7 +676,7 @@ def serialize_config(cfg: CycleConfig) -> str:
         "freq_ratio_r": repr(d.freq_ratio_r),
         "gamma_tau_g": repr(d.gamma_tau_g),
     }
-    if cfg.profile is not None:
+    if cfg.profile != FrequencyProfile():
         prof = {"shape": cfg.profile.shape.value, "duration": repr(cfg.profile.duration)}
         if cfg.profile.shape is ProfileShape.CONSTANT:
             prof["level"] = repr(cfg.profile.level)
@@ -797,7 +787,7 @@ def parse_config(text: str) -> CycleConfig:
             raise ValueError("dwell is only meaningful with init_mode = finite-dwell")
         changes["init_mode"] = FiniteDwell(changes.pop("dwell"))
     if "profile" in given:
-        changes["profile"] = FrequencyProfile(dims.freq_ratio_r, **given["profile"])
+        changes["profile"] = FrequencyProfile(**given["profile"])
     if "directory" in given.get("output", {}):
         changes["output_dir"] = given["output"]["directory"]
     return CycleConfig(dimensionless=dims, **changes)

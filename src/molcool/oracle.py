@@ -135,11 +135,11 @@ def ladder_levels(d: DimensionlessParams, segments) -> int:
     """
     w_min = math.inf
     for _, prof, duration in segments:
-        n = _check_run(d, prof, duration, _ETA_SAMPLES_PER_UNIT)
+        n = _check_run(duration, _ETA_SAMPLES_PER_UNIT)
         # the first sample at or past the hold, or one later under roundoff
         k = min(n, math.ceil(prof.hold_start / duration * n) + 1)
         samples = _stage_points(duration, n, 2 * np.arange(k + 1))  # np.linspace's first k + 1
-        w_min = min(w_min, float(omega_at(prof, samples).min()))
+        w_min = min(w_min, float(omega_at(prof, samples, d.freq_ratio_r).min()))
     return truncation_levels(float(nu_of(d.theta0 * d.freq_ratio_r * w_min))) + 20
 
 
@@ -181,7 +181,7 @@ def mean_occupation(pv: PopulationVector) -> float:
 
 
 def _rates(d: DimensionlessParams, profile: FrequencyProfile, s):
-    occ = nu_of(d.theta0 * d.freq_ratio_r * omega_at(profile, s))
+    occ = nu_of(d.theta0 * d.freq_ratio_r * omega_at(profile, s, d.freq_ratio_r))
     g = d.gamma_tau_g
     return g * (occ + 1.0), g * occ  # (down, up) per-quantum rates, scalar or array s
 
@@ -204,7 +204,7 @@ def evolve_populations(
     failure) or the tail estimate exceeds `TAIL_THRESHOLD` (truncation
     too small for the schedule).
     """
-    n_intervals = _check_run(d, profile, horizon, samples_per_unit)
+    n_intervals = _check_run(horizon, samples_per_unit)
     samples = np.linspace(0.0, horizon, n_intervals + 1)
     reducer = _SampleReducer(samples, init.p.size)
     y0 = np.concatenate([init.p, [init.tail_bound]])

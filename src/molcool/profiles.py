@@ -4,6 +4,10 @@ Frequencies are expressed as omega/omega1 (closed-configuration units)
 and times as s = t/tau_open.  Every shape holds its final value past its
 duration, so profiles compose cleanly into multi-segment cycles.
 
+A profile is a schedule only.  The frequency ratio r = omega1/omega0
+is stored once, in the run's `DimensionlessParams`, and `omega_at`
+takes it from its caller.
+
 `FrequencyProfile.hold_start` is where that hold begins.  From it on,
 `omega_at` returns the same bits for every s: the sine shapes clip
 s/duration to exactly 1.0, and `np.interp` returns the last breakpoint's
@@ -34,18 +38,16 @@ class FrequencyProfile:
     `level` applies to CONSTANT only; `breakpoints` ((s, omega/omega1)
     pairs, s ascending from 0) to PIECEWISE_LINEAR only; other shapes
     reject a `level` other than 1 and any `breakpoints`.  The sine shapes
-    run between the closed value 1 and the open value 1/r over `duration`.
+    run between the closed value 1 and the open value 1/r over `duration`,
+    r being the run's `DimensionlessParams.freq_ratio_r`.
     """
 
-    freq_ratio_r: float
     shape: ProfileShape = ProfileShape.SINE_OPENING
     duration: float = 1.0
     level: float = 1.0
     breakpoints: tuple[tuple[float, float], ...] = field(default_factory=tuple)
 
     def __post_init__(self):
-        if not (math.isfinite(self.freq_ratio_r) and self.freq_ratio_r >= 1.0):
-            raise ValueError(f"freq_ratio_r must be >= 1, got {self.freq_ratio_r}")
         if not (math.isfinite(self.duration) and self.duration > 0.0):
             raise ValueError(f"duration must be positive, got {self.duration}")
         if self.shape is ProfileShape.CONSTANT:
@@ -82,12 +84,13 @@ class FrequencyProfile:
         return self.duration
 
 
-def omega_at(profile: FrequencyProfile, s):
-    """omega(s)/omega1 for scalar or array s >= 0 (profile-local time)."""
+def omega_at(profile: FrequencyProfile, s, r: float):
+    """omega(s)/omega1 for scalar or array s >= 0 (profile-local time), at
+    the run's frequency ratio `r` (its `DimensionlessParams.freq_ratio_r`),
+    which sets the sine shapes' open value 1/r."""
     s_arr = np.asarray(s, dtype=float)
     if not np.all(np.isfinite(s_arr)) or np.any(s_arr < 0.0):
         raise ValueError("s must be >= 0 and finite")
-    r = profile.freq_ratio_r
     if profile.shape is ProfileShape.SINE_OPENING:
         x = np.clip(s_arr / profile.duration, 0.0, 1.0)
         w = 1.0 + (1.0 / r - 1.0) * np.sin(0.5 * math.pi * x)

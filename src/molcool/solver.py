@@ -89,18 +89,12 @@ class RecoveryResult:
     horizon: float
 
 
-def _check_run(d: DimensionlessParams, profile: FrequencyProfile, horizon, samples_per_unit):
-    if profile.freq_ratio_r != d.freq_ratio_r:
-        raise ValueError(
-            f"profile frequency ratio {profile.freq_ratio_r} does not match "
-            f"the dimensionless parameters ({d.freq_ratio_r})"
-        )
+def _check_run(horizon, samples_per_unit) -> int:
+    """Sample intervals over `horizon`: samples_per_unit per unit, and at
+    least one, so a run shorter than one interval still has two samples."""
     if not (math.isfinite(horizon) and horizon > 0.0):
         raise ValueError(f"horizon must be positive, got {horizon}")
-    n_intervals = int(round(horizon * samples_per_unit))
-    if n_intervals < 1:
-        raise ValueError("horizon shorter than one sample interval")
-    return n_intervals
+    return max(1, int(round(horizon * samples_per_unit)))
 
 
 def _substeps_per_interval(horizon: float, n_intervals: int, step_size: float) -> int:
@@ -146,7 +140,7 @@ def _check_eta0(eta0: float) -> float:
 
 
 def _finish(d, profile, s, eta, step_size=None) -> EtaTrajectory:
-    w = omega_at(profile, s)
+    w = omega_at(profile, s, d.freq_ratio_r)
     theta = d.theta0 * d.freq_ratio_r * w
     return EtaTrajectory(
         s=s,
@@ -175,7 +169,7 @@ def evolve_eta_ode(
     count.  Output sampling (`samples_per_unit` per tau_open) is
     decoupled from the integration step.
     """
-    n_intervals = _check_run(d, profile, horizon, samples_per_unit)
+    n_intervals = _check_run(horizon, samples_per_unit)
     m = _substeps_per_interval(horizon, n_intervals, step_size)
     eta0 = _default_eta0(d) if eta0 is None else _check_eta0(eta0)
     g = d.gamma_tau_g
@@ -187,7 +181,7 @@ def evolve_eta_ode(
     n_ramp = int(np.searchsorted(s[:-1], profile.hold_start))
     ts = _stage_points(horizon, n_sub, np.arange(2 * m * n_ramp + 1))
     # u[-1] sits at the first held interval's start, or at the horizon
-    u = g * (nu_of(d.theta0 * d.freq_ratio_r * omega_at(profile, ts)) + 1.0)
+    u = g * (nu_of(d.theta0 * d.freq_ratio_r * omega_at(profile, ts, d.freq_ratio_r)) + 1.0)
     h = horizon / n_sub
     # one RK4 substep of eta' = u - g eta, exactly:
     #   eta + alpha (u0 - g eta) + (h/6) (Q (um - u0) + (u1 - u0))
@@ -249,7 +243,7 @@ def evolve_eta_closed_form(
     absolute tolerance `_QUAD_TOL`.  No finite-difference stepping is
     involved, which makes this route the authoritative one in cross-checks.
     """
-    n_intervals = _check_run(d, profile, horizon, samples_per_unit)
+    n_intervals = _check_run(horizon, samples_per_unit)
     eta0 = _default_eta0(d) if eta0 is None else _check_eta0(eta0)
     g = d.gamma_tau_g
     t0r = d.theta0 * d.freq_ratio_r
@@ -258,7 +252,7 @@ def evolve_eta_closed_form(
     widths = samples[1:] - starts
 
     def integrand(start, v, width):
-        occ = nu_of(t0r * omega_at(profile, start + v))
+        occ = nu_of(t0r * omega_at(profile, start + v, d.freq_ratio_r))
         return g * np.exp(g * (v - width)) * (occ + 1.0)
 
     # an interval that starts at or after the hold sees one forcing value,

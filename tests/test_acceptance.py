@@ -72,7 +72,7 @@ def test_criterion_4_three_way_solver_agreement():
         for ratio in (1.5, 2.0, 3.0):
             for g in (0.1, 1.0, 10.0):
                 d = DimensionlessParams(theta0=theta0, freq_ratio_r=ratio, gamma_tau_g=g)
-                prof = FrequencyProfile(freq_ratio_r=ratio)
+                prof = FrequencyProfile()
                 closed = evolve_eta_closed_form(d, prof, horizon=3.0, samples_per_unit=100)
                 ode = evolve_eta_ode(d, prof, horizon=3.0, samples_per_unit=100)
                 worst_routes = max(
@@ -98,7 +98,7 @@ def test_criterion_4_three_way_solver_agreement():
 
 def test_criterion_5_quenched_form_is_preserved():
     d = default_cycle_config().dimensionless
-    prof = FrequencyProfile(freq_ratio_r=d.freq_ratio_r)
+    prof = FrequencyProfile()
     init = populations_from_quenched(
         thermal_state(d.theta0 * d.freq_ratio_r), truncation_levels(nu_of(d.theta0)) + 20
     )
@@ -121,7 +121,7 @@ def test_criterion_6_equilibrium_identity_and_hold():
     )
     # hold at constant frequency for 100 relaxation times
     d = DimensionlessParams(theta0=0.024, freq_ratio_r=2.0, gamma_tau_g=1.0)
-    prof = FrequencyProfile(freq_ratio_r=2.0, shape=ProfileShape.CONSTANT, level=1.0)
+    prof = FrequencyProfile(shape=ProfileShape.CONSTANT, level=1.0)
     eta_star = nu_of(0.048) + 1.0
     ode = evolve_eta_ode(d, prof, horizon=100.0, step_size=1e-3, samples_per_unit=200)
     closed = evolve_eta_closed_form(d, prof, horizon=100.0, samples_per_unit=200)

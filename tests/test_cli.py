@@ -177,10 +177,9 @@ def test_config_file_with_flag_overrides(tmp_path, capsys):
 
 
 def test_ratio_flag_moves_the_config_profile(tmp_path, capsys):
-    # the profile's own ratio follows --ratio, as for a sweep over it
+    # --ratio replaces the config's r, and the config's profile runs at it
     dims = DimensionlessParams(theta0=0.032, freq_ratio_r=2.0, gamma_tau_g=1.0)
     profile = FrequencyProfile(
-        freq_ratio_r=2.0,
         shape=ProfileShape.PIECEWISE_LINEAR,
         breakpoints=((0.0, 1.0), (1.0, 0.5)),
     )
@@ -191,13 +190,31 @@ def test_ratio_flag_moves_the_config_profile(tmp_path, capsys):
     assert rc == 0
     expected = run_cycle(
         CycleConfig(
-            dimensionless=replace(dims, freq_ratio_r=3.0),
-            profile=replace(profile, freq_ratio_r=3.0),
-            horizon=2.0,
+            dimensionless=replace(dims, freq_ratio_r=3.0), profile=profile, horizon=2.0
         )
     ).summary
     assert f"min T_ratio = {_fmt(expected.min_t_ratio)} at s = {_fmt(expected.argmin_s)}" in out
     assert f"final eta = {_fmt(expected.final_eta)}" in out
+
+
+def test_sweep_runs_in_the_calling_thread_by_default(monkeypatch, capsys):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a thread pool was started")
+
+    monkeypatch.setattr("molcool.cycle.ThreadPoolExecutor", no_pool)
+    assert run_cli("sweep", "--axis", "gamma-tau", "--values", "0.5,1", "--horizon", "2") == 0
+
+
+def test_short_dwell_runs_with_the_oracle(capsys):
+    # a dwell shorter than one sample interval of either grid is one interval
+    args = ("cycle", "--init-mode", "finite-dwell", "--horizon", "2", "--with-oracle")
+    assert run_cli(*args, "--dwell", "0.001") == 0
+    assert "oracle cross-check passed" in capsys.readouterr().out
+    # one too short to move the close's start off s = -1 is no dwell at all
+    assert run_cli(*args, "--dwell", "1e-17") == 0
+    no_dwell = capsys.readouterr().out
+    assert run_cli(*args, "--dwell", "0") == 0
+    assert capsys.readouterr().out == no_dwell
 
 
 def test_validation_exit_codes(tmp_path, capsys):
@@ -219,6 +236,10 @@ def test_validation_exit_codes(tmp_path, capsys):
     assert "min:max:count" in capsys.readouterr().err
     assert run_cli("sweep", "--axis", "theta0", "--range", "0.01:1:2.5") == 2
     assert "--range count must be a whole number, got '2.5'" in capsys.readouterr().err
+    assert run_cli("sweep", "--axis", "theta0", "--range", "0.01:1:-3") == 2
+    assert "--range '0.01:1:-3': count must be >= 1, got -3" in capsys.readouterr().err
+    assert run_cli("sweep", "--axis", "theta0", "--range", "a:1:3") == 2
+    assert "--range 'a:1:3': could not convert string to float: 'a'" in capsys.readouterr().err
     for workers in ("0", "-3"):
         assert run_cli("sweep", "--axis", "theta0", "--values", "0.03", "--workers", workers) == 2
         assert f"--workers must be at least 1, got {workers}" in capsys.readouterr().err

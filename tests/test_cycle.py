@@ -34,7 +34,7 @@ from molcool.cycle import (
     serialize_config,
     sweep_range_values,
 )
-from molcool.errors import SolverCrossCheckError
+from molcool.errors import SolverCrossCheckError, SolverError
 from molcool.oracle import evolve_populations
 from molcool.profiles import FrequencyProfile, ProfileShape
 from molcool.solver import evolve_eta_closed_form, evolve_eta_ode
@@ -236,12 +236,68 @@ def test_finite_dwell_extends_the_record():
     assert abs(res6.summary.min_t_ratio - 0.667407478804) < 1e-3
 
 
+@st.composite
+def opening_profiles(draw, shape):
+    """Profiles of one shape; frequencies within a factor 5 of closed, kinks anywhere."""
+    level = st.floats(min_value=0.2, max_value=2.0)
+    if shape is ProfileShape.CONSTANT:
+        return FrequencyProfile(shape, level=draw(level))
+    if shape is ProfileShape.PIECEWISE_LINEAR:
+        times = draw(st.lists(st.floats(min_value=0.01, max_value=3.0), min_size=1, max_size=3))
+        times = sorted(set(times))
+        ws = draw(st.lists(level, min_size=len(times) + 1, max_size=len(times) + 1))
+        return FrequencyProfile(shape, breakpoints=tuple(zip([0.0] + times, ws)))
+    return FrequencyProfile(shape, duration=draw(st.floats(min_value=0.1, max_value=3.0)))
+
+
+INIT_MODES = {
+    "thermal-closed": st.just(ThermalClosed()),
+    "finite-dwell": st.builds(FiniteDwell, st.floats(min_value=0.0, max_value=2.0)),
+}
+
+
+@pytest.mark.parametrize("mode", INIT_MODES)
+@pytest.mark.parametrize("shape", ProfileShape, ids=lambda shape: shape.value)
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(
+    data=st.data(),
+    theta0=st.floats(min_value=-3.0, max_value=0.7).map(lambda x: 10.0**x),
+    r=st.floats(min_value=1.0, max_value=5.0),
+    g=st.floats(min_value=0.0, max_value=30.0),
+)
+def test_temperature_ratio_keeps_the_adiabatic_bound(shape, mode, data, theta0, r, g):
+    """w(s) / max w <= T_ratio(s) <= w(s) / min w, extremes over [start, s].
+
+    eta(s) is a convex combination of the equilibrium values nu(theta0 r w) + 1
+    seen since the start, the start's own included: w = 1 when thermal at the
+    closed frequency, w = 1/r when thermal at the open one.  T_ratio rises
+    with eta at fixed w(s), so it lies between its values at those extremes.
+    """
+    d = DimensionlessParams(theta0=theta0, freq_ratio_r=r, gamma_tau_g=g)
+    init_mode = data.draw(INIT_MODES[mode])
+    cfg = CycleConfig(
+        dimensionless=d, profile=data.draw(opening_profiles(shape)), init_mode=init_mode,
+        horizon=2.0,
+    )
+    try:
+        traj = run_cycle(cfg).trajectory
+    except (ValueError, SolverError, SolverCrossCheckError):
+        return  # a refusal the CLI maps to exit 2 or 3 is an answer too
+    w_start = 1.0 if isinstance(init_mode, ThermalClosed) else 1.0 / r
+    w = traj.omega_over_omega1
+    seen = np.concatenate([[w_start], w])
+    lower = w / np.maximum.accumulate(seen)[1:]
+    upper = w / np.minimum.accumulate(seen)[1:]
+    assert np.all(traj.T_ratio >= lower * (1.0 - 1e-9))
+    assert np.all(traj.T_ratio <= upper * (1.0 + 1e-9))
+
+
 def test_cycle_config_validation():
     dims = default_cycle_config().dimensionless
     with pytest.raises(ValueError, match="cover at least the opening"):
         CycleConfig(dimensionless=dims, horizon=0.5)
-    with pytest.raises(ValueError, match="does not match"):
-        CycleConfig(dimensionless=dims, profile=FrequencyProfile(freq_ratio_r=3.0))
+    with pytest.raises(ValueError, match="profile must be a FrequencyProfile"):
+        CycleConfig(dimensionless=dims, profile=None)
     with pytest.raises(ValueError, match="unknown init_mode"):
         CycleConfig(dimensionless=dims, init_mode="thermal")
     with pytest.raises(ValueError, match="dwell"):
@@ -257,6 +313,28 @@ def test_sweep_row_matches_single_run(default_result):
     assert row.argmin_s == default_result.summary.argmin_s
     assert row.recovery_s == default_result.summary.recovery.s
     assert row.recovered is True
+
+
+@pytest.mark.parametrize(
+    "profile",
+    [
+        FrequencyProfile(duration=2.0),
+        FrequencyProfile(
+            shape=ProfileShape.PIECEWISE_LINEAR, breakpoints=((0.0, 1.0), (0.5, 0.6), (1.5, 0.8))
+        ),
+    ],
+    ids=["sine opening over 2", "piecewise linear"],
+)
+def test_ratio_sweep_runs_the_profile_at_each_r(profile):
+    dims = default_cycle_config().dimensionless
+    base = CycleConfig(dimensionless=dims, profile=profile, horizon=3.0)
+    spec = SweepSpec(axis="freq_ratio_r", values=(1.5, 3.0), base=base)
+    for row in run_sweep(spec):
+        at_r = replace(base, dimensionless=replace(dims, freq_ratio_r=row.axis_value))
+        summ = run_cycle(at_r).summary
+        assert row.error is None
+        assert (row.min_t_ratio, row.argmin_s) == (summ.min_t_ratio, summ.argmin_s)
+        assert (row.recovery_s, row.recovered) == (summ.recovery.s, summ.recovery.recovered)
 
 
 def test_sweep_worker_count_is_immaterial():
@@ -381,7 +459,6 @@ def test_config_roundtrips_exactly():
         CycleConfig(
             dimensionless=DimensionlessParams(theta0=0.1, freq_ratio_r=2.5, gamma_tau_g=0.3),
             profile=FrequencyProfile(
-                freq_ratio_r=2.5,
                 shape=ProfileShape.PIECEWISE_LINEAR,
                 duration=2.0,
                 breakpoints=((0.0, 1.0), (0.7, 0.4), (2.0, 1.0)),
@@ -392,10 +469,12 @@ def test_config_roundtrips_exactly():
             output_dir="out/run7",
         ),
         CycleConfig(
+            dimensionless=DimensionlessParams(theta0=0.05, freq_ratio_r=3.0, gamma_tau_g=2.0),
+            profile=FrequencyProfile(duration=2.0),
+        ),
+        CycleConfig(
             dimensionless=DimensionlessParams(theta0=0.05, freq_ratio_r=1.0, gamma_tau_g=2.0),
-            profile=FrequencyProfile(
-                freq_ratio_r=1.0, shape=ProfileShape.CONSTANT, level=0.75
-            ),
+            profile=FrequencyProfile(shape=ProfileShape.CONSTANT, level=0.75),
         ),
     ]
     for cfg in configs:

@@ -5,15 +5,31 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
+ORACLE_DEMO = ROOT / "demos" / "oracle_crosscheck.py"
+# every other demo; the oracle demo has its own test, which also reads its output
+DEMOS = [d for d in sorted((ROOT / "demos").glob("*.py")) if d != ORACLE_DEMO]
 
 
-def test_oracle_crosscheck_demo_runs():
+def run_demo(demo, tmp_path):
+    """Run one demo in `tmp_path`, its output directory there too."""
     paths = [str(ROOT / "src"), os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
-    proc = subprocess.run(
-        [sys.executable, str(ROOT / "demos" / "oracle_crosscheck.py")],
-        capture_output=True, text=True, env=env, timeout=60,
+    return subprocess.run(
+        [sys.executable, str(demo), str(tmp_path / "out")],
+        capture_output=True, text=True, env=env, cwd=tmp_path, timeout=60,
     )
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
+def test_demo_runs(demo, tmp_path):
+    proc = run_demo(demo, tmp_path)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_oracle_crosscheck_demo_runs(tmp_path):
+    proc = run_demo(ORACLE_DEMO, tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert "level-ratio spread at the T_ratio minimum" in proc.stdout

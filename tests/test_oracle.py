@@ -109,7 +109,7 @@ def test_population_vector_validation():
 def test_stationary_state_is_preserved():
     # theta held at 1.0; the integrator must sit on the thermal state
     d = DimensionlessParams(theta0=0.5, freq_ratio_r=2.0, gamma_tau_g=1.0)
-    prof = FrequencyProfile(freq_ratio_r=2.0, shape=ProfileShape.CONSTANT, level=1.0)
+    prof = FrequencyProfile(shape=ProfileShape.CONSTANT, level=1.0)
     init = thermal_vector(1.0, truncation_levels(nu_of(1.0)) + 30)
     traj = evolve_populations(d, prof, init, horizon=10.0)
     assert np.max(np.abs(traj.populations - init.p)) < 1e-10
@@ -121,7 +121,7 @@ def test_decoupled_populations_are_frozen():
     # zero coupling zeroes every transition rate and the Jacobian, so BDF's
     # Newton corrections and its dense output's differences all vanish
     d = DimensionlessParams(theta0=0.3, freq_ratio_r=2.0, gamma_tau_g=0.0)
-    prof = FrequencyProfile(freq_ratio_r=2.0)
+    prof = FrequencyProfile()
     init = thermal_vector(0.6, truncation_levels(nu_of(0.6)) + 20)
     traj = evolve_populations(d, prof, init, horizon=2.0)
     assert np.all(traj.populations == init.p)
@@ -132,7 +132,7 @@ def test_decoupled_populations_are_frozen():
 def test_cooling_preserves_quenched_form():
     # the birth-death flow maps a geometric start onto geometric states
     d = DimensionlessParams(theta0=0.3, freq_ratio_r=2.0, gamma_tau_g=1.0)
-    prof = FrequencyProfile(freq_ratio_r=2.0)
+    prof = FrequencyProfile()
     init = thermal_vector(0.6, truncation_levels(nu_of(0.3)) + 20)
     traj = evolve_populations(d, prof, init, horizon=1.0)
     assert np.max(np.abs(traj.mass - 1.0)) < 1e-9
@@ -144,7 +144,7 @@ def test_cooling_preserves_quenched_form():
 def test_tail_overflow_aborts_mid_run():
     # truncated for the initial state only; heating past it must abort
     d = DimensionlessParams(theta0=0.3, freq_ratio_r=2.0, gamma_tau_g=1.0)
-    prof = FrequencyProfile(freq_ratio_r=2.0)
+    prof = FrequencyProfile()
     init = thermal_vector(0.6, truncation_levels(nu_of(0.6)))
     with pytest.raises(SolverError, match="truncation too small") as excinfo:
         evolve_populations(d, prof, init, horizon=3.0)
@@ -153,7 +153,7 @@ def test_tail_overflow_aborts_mid_run():
 
 def test_trajectory_sample_access():
     d = DimensionlessParams(theta0=0.3, freq_ratio_r=2.0, gamma_tau_g=1.0)
-    prof = FrequencyProfile(freq_ratio_r=2.0)
+    prof = FrequencyProfile()
     init = thermal_vector(0.6, truncation_levels(nu_of(0.3)) + 20)
     traj = evolve_populations(d, prof, init, horizon=0.5, samples_per_unit=10)
     for name in ("s", "mean_n", "tail_bound", "mass", "geometric_residual"):
@@ -171,10 +171,8 @@ def test_trajectory_sample_access():
 
 def test_run_validation():
     d = DimensionlessParams(theta0=0.3, freq_ratio_r=2.0, gamma_tau_g=1.0)
-    prof = FrequencyProfile(freq_ratio_r=2.0)
+    prof = FrequencyProfile()
     init = thermal_vector(0.6, 80)
-    with pytest.raises(ValueError, match="does not match"):
-        evolve_populations(d, FrequencyProfile(freq_ratio_r=3.0), init, horizon=1.0)
     with pytest.raises(ValueError, match="horizon must be positive"):
         evolve_populations(d, prof, init, horizon=0.0)
 
@@ -241,7 +239,7 @@ def shape_residual(p):
 def test_geometric_residual_definition():
     # a start off quenched form by a few percent, level by level
     d = DimensionlessParams(theta0=0.3, freq_ratio_r=2.0, gamma_tau_g=1.0)
-    prof = FrequencyProfile(freq_ratio_r=2.0)
+    prof = FrequencyProfile()
     base = thermal_vector(0.6, truncation_levels(nu_of(0.3)) + 20)
     p = base.p * (1.0 + 0.03 * np.sin(np.arange(base.p.size)))
     init = PopulationVector(p=p / (p.sum() + base.tail_bound), tail_bound=base.tail_bound)
@@ -298,7 +296,7 @@ def test_streamed_bdf_matches_unstreamed_reference():
     # as long as BDF takes the same steps; a roundoff-level flip of one
     # step decision would move the results by up to the BDF tolerance
     d = DimensionlessParams(theta0=0.01, freq_ratio_r=2.0, gamma_tau_g=1.0)
-    prof = FrequencyProfile(freq_ratio_r=2.0)
+    prof = FrequencyProfile()
     init = thermal_vector(0.02, truncation_levels(nu_of(0.01)) + 20)
     assert init.p.size >= 1000
     traj = evolve_populations(d, prof, init, horizon=10.0)
@@ -317,7 +315,7 @@ def test_newton_solves_bypass_superlu(monkeypatch):
 
     monkeypatch.setattr(scipy_bdf, "splu", refuse)
     d = DimensionlessParams(theta0=0.3, freq_ratio_r=2.0, gamma_tau_g=1.0)
-    prof = FrequencyProfile(freq_ratio_r=2.0)
+    prof = FrequencyProfile()
     init = thermal_vector(0.6, truncation_levels(nu_of(0.3)) + 20)
     # the patch reaches solve_ivp's sparse-Jacobian BDF ...
     with pytest.raises(AssertionError, match="SuperLU"):
@@ -339,7 +337,7 @@ def test_newton_matrix_is_formed_without_sparse_arithmetic(monkeypatch):
     with pytest.raises(AssertionError, match="sparse subtraction"):
         sp.eye(3, format="csc") - sp.eye(3, format="csc")
     d = DimensionlessParams(theta0=0.3, freq_ratio_r=2.0, gamma_tau_g=1.0)
-    prof = FrequencyProfile(freq_ratio_r=2.0)
+    prof = FrequencyProfile()
     init = thermal_vector(0.6, truncation_levels(nu_of(0.3)) + 20)
     traj = evolve_populations(d, prof, init, horizon=2.0)
     assert traj.s[-1] == 2.0
@@ -357,7 +355,7 @@ def test_bdf_solver_is_freed_when_the_integration_ends(monkeypatch):
 
     monkeypatch.setattr(scipy.integrate, "BDF", Recorded)
     d = DimensionlessParams(theta0=0.3, freq_ratio_r=2.0, gamma_tau_g=1.0)
-    prof = FrequencyProfile(freq_ratio_r=2.0)
+    prof = FrequencyProfile()
     init = thermal_vector(0.6, truncation_levels(nu_of(0.3)) + 20)
     gc.disable()
     try:

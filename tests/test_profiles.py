@@ -11,61 +11,65 @@ from molcool.profiles import FrequencyProfile, ProfileShape, omega_at
 
 
 def test_sine_opening_endpoints():
-    prof = FrequencyProfile(freq_ratio_r=2.0)
-    assert omega_at(prof, 0.0) == 1.0
-    assert omega_at(prof, 1.0) == pytest.approx(0.5, abs=1e-15)
+    prof = FrequencyProfile()
+    assert omega_at(prof, 0.0, 2.0) == 1.0
+    assert omega_at(prof, 1.0, 2.0) == pytest.approx(0.5, abs=1e-15)
     # holds the open value past the ramp
-    assert omega_at(prof, 1.5) == pytest.approx(0.5, abs=1e-15)
-    assert omega_at(prof, 10.0) == pytest.approx(0.5, abs=1e-15)
+    assert omega_at(prof, 1.5, 2.0) == pytest.approx(0.5, abs=1e-15)
+    assert omega_at(prof, 10.0, 2.0) == pytest.approx(0.5, abs=1e-15)
 
 
 def test_sine_opening_midpoint():
-    prof = FrequencyProfile(freq_ratio_r=2.0)
+    prof = FrequencyProfile()
     expected = 1.0 - 0.5 * math.sin(0.25 * math.pi)
-    assert omega_at(prof, 0.5) == pytest.approx(expected, abs=1e-15)
+    assert omega_at(prof, 0.5, 2.0) == pytest.approx(expected, abs=1e-15)
 
 
 def test_sine_opening_monotone_nonincreasing():
+    prof = FrequencyProfile()
     for r in (1.5, 2.0, 3.0):
-        prof = FrequencyProfile(freq_ratio_r=r)
-        w = omega_at(prof, np.linspace(0.0, 1.0, 401))
+        w = omega_at(prof, np.linspace(0.0, 1.0, 401), r)
         assert np.all(np.diff(w) <= 0.0)
         assert w.min() >= 1.0 / r - 1e-15
 
 
 def test_reversed_closing_mirrors_opening():
-    opening = FrequencyProfile(freq_ratio_r=3.0)
-    closing = FrequencyProfile(freq_ratio_r=3.0, shape=ProfileShape.REVERSED_SINE_CLOSING)
+    opening = FrequencyProfile()
+    closing = FrequencyProfile(shape=ProfileShape.REVERSED_SINE_CLOSING)
     s = np.linspace(0.0, 1.0, 201)
-    np.testing.assert_allclose(omega_at(closing, s), omega_at(opening, 1.0 - s), rtol=0, atol=1e-15)
+    np.testing.assert_allclose(
+        omega_at(closing, s, 3.0), omega_at(opening, 1.0 - s, 3.0), rtol=0, atol=1e-15
+    )
     # closing ends closed and stays there
-    assert omega_at(closing, 0.0) == pytest.approx(1.0 / 3.0, abs=1e-15)
-    assert omega_at(closing, 1.0) == 1.0
-    assert omega_at(closing, 4.0) == 1.0
+    assert omega_at(closing, 0.0, 3.0) == pytest.approx(1.0 / 3.0, abs=1e-15)
+    assert omega_at(closing, 1.0, 3.0) == 1.0
+    assert omega_at(closing, 4.0, 3.0) == 1.0
 
 
 def test_duration_rescales_ramp():
-    unit = FrequencyProfile(freq_ratio_r=2.0)
-    slow = FrequencyProfile(freq_ratio_r=2.0, duration=4.0)
+    unit = FrequencyProfile()
+    slow = FrequencyProfile(duration=4.0)
     s = np.linspace(0.0, 1.0, 50)
-    np.testing.assert_allclose(omega_at(slow, 4.0 * s), omega_at(unit, s), rtol=0, atol=1e-15)
+    np.testing.assert_allclose(
+        omega_at(slow, 4.0 * s, 2.0), omega_at(unit, s, 2.0), rtol=0, atol=1e-15
+    )
 
 
 def test_constant_profile():
-    prof = FrequencyProfile(freq_ratio_r=2.0, shape=ProfileShape.CONSTANT, level=0.75)
+    prof = FrequencyProfile(shape=ProfileShape.CONSTANT, level=0.75)
     s = np.linspace(0.0, 7.0, 11)
-    np.testing.assert_allclose(omega_at(prof, s), 0.75, rtol=0, atol=0)
-    assert omega_at(prof, 0.3) == 0.75
+    np.testing.assert_allclose(omega_at(prof, s, 2.0), 0.75, rtol=0, atol=0)
+    assert omega_at(prof, 0.3, 2.0) == 0.75
 
 
 def test_piecewise_linear_interpolates():
     pts = ((0.0, 1.0), (0.5, 0.6), (2.0, 0.9))
-    prof = FrequencyProfile(freq_ratio_r=2.0, shape=ProfileShape.PIECEWISE_LINEAR, breakpoints=pts)
+    prof = FrequencyProfile(shape=ProfileShape.PIECEWISE_LINEAR, breakpoints=pts)
     s = np.linspace(0.0, 3.0, 61)
     expected = np.interp(s, [p[0] for p in pts], [p[1] for p in pts])
-    np.testing.assert_allclose(omega_at(prof, s), expected, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(omega_at(prof, s, 2.0), expected, rtol=0, atol=1e-15)
     # flat extrapolation beyond the last breakpoint
-    assert omega_at(prof, 5.0) == pytest.approx(0.9, abs=1e-15)
+    assert omega_at(prof, 5.0, 2.0) == pytest.approx(0.9, abs=1e-15)
 
 
 positive = st.floats(min_value=1e-6, max_value=1e3, allow_nan=False)
@@ -73,102 +77,98 @@ positive = st.floats(min_value=1e-6, max_value=1e3, allow_nan=False)
 
 @st.composite
 def profiles(draw):
-    r = draw(st.floats(min_value=1.0, max_value=10.0))
     shape = draw(st.sampled_from(ProfileShape))
     if shape is ProfileShape.CONSTANT:
-        return FrequencyProfile(r, shape, level=draw(positive))
+        return FrequencyProfile(shape, level=draw(positive))
     if shape is ProfileShape.PIECEWISE_LINEAR:
         times = draw(st.lists(positive, min_size=1, max_size=6, unique=True))
         ws = draw(st.lists(positive, min_size=len(times) + 1, max_size=len(times) + 1))
-        return FrequencyProfile(r, shape, breakpoints=tuple(zip([0.0] + sorted(times), ws)))
-    return FrequencyProfile(r, shape, duration=draw(positive))
+        return FrequencyProfile(shape, breakpoints=tuple(zip([0.0] + sorted(times), ws)))
+    return FrequencyProfile(shape, duration=draw(positive))
 
 
 def test_hold_start_per_shape():
-    assert FrequencyProfile(freq_ratio_r=2.0, duration=0.3).hold_start == 0.3
-    closing = FrequencyProfile(freq_ratio_r=2.0, shape=ProfileShape.REVERSED_SINE_CLOSING)
+    assert FrequencyProfile(duration=0.3).hold_start == 0.3
+    closing = FrequencyProfile(shape=ProfileShape.REVERSED_SINE_CLOSING)
     assert closing.hold_start == 1.0
-    constant = FrequencyProfile(freq_ratio_r=2.0, shape=ProfileShape.CONSTANT, duration=4.0)
+    constant = FrequencyProfile(shape=ProfileShape.CONSTANT, duration=4.0)
     assert constant.hold_start == 0.0
     pts = ((0.0, 1.0), (0.5, 0.6), (2.0, 0.9))
-    prof = FrequencyProfile(freq_ratio_r=2.0, shape=ProfileShape.PIECEWISE_LINEAR, breakpoints=pts)
+    prof = FrequencyProfile(shape=ProfileShape.PIECEWISE_LINEAR, breakpoints=pts)
     assert prof.hold_start == 2.0
 
 
 @settings(max_examples=300, deadline=None)
-@given(profiles(), st.lists(st.floats(min_value=0.0, max_value=1e12), min_size=1, max_size=8))
-def test_omega_is_bit_constant_from_the_hold_on(prof, offsets):
-    held = omega_at(prof, prof.hold_start)
+@given(
+    profiles(),
+    st.floats(min_value=1.0, max_value=10.0),
+    st.lists(st.floats(min_value=0.0, max_value=1e12), min_size=1, max_size=8),
+)
+def test_omega_is_bit_constant_from_the_hold_on(prof, r, offsets):
+    held = omega_at(prof, prof.hold_start, r)
     s = prof.hold_start + np.array(offsets)
     assert np.all(s >= prof.hold_start)
     for si in s.tolist():
-        assert omega_at(prof, si) == held
-    assert omega_at(prof, s).tobytes() == np.full(s.size, held).tobytes()
+        assert omega_at(prof, si, r) == held
+    assert omega_at(prof, s, r).tobytes() == np.full(s.size, held).tobytes()
 
 
 def test_scalar_and_array_returns():
-    prof = FrequencyProfile(freq_ratio_r=2.0)
-    assert isinstance(omega_at(prof, 0.25), float)
-    out = omega_at(prof, np.array([0.0, 0.5, 1.0]))
+    prof = FrequencyProfile()
+    assert isinstance(omega_at(prof, 0.25, 2.0), float)
+    out = omega_at(prof, np.array([0.0, 0.5, 1.0]), 2.0)
     assert out.shape == (3,)
 
 
 def test_rejects_negative_time():
-    prof = FrequencyProfile(freq_ratio_r=2.0)
+    prof = FrequencyProfile()
     with pytest.raises(ValueError, match="s must be >= 0"):
-        omega_at(prof, -0.1)
+        omega_at(prof, -0.1, 2.0)
     with pytest.raises(ValueError):
-        omega_at(prof, np.array([0.0, -1.0]))
+        omega_at(prof, np.array([0.0, -1.0]), 2.0)
     with pytest.raises(ValueError):
-        omega_at(prof, math.nan)
+        omega_at(prof, math.nan, 2.0)
 
 
 def test_profile_validation():
-    with pytest.raises(ValueError, match="freq_ratio_r"):
-        FrequencyProfile(freq_ratio_r=0.5)
     with pytest.raises(ValueError, match="duration"):
-        FrequencyProfile(freq_ratio_r=2.0, duration=0.0)
+        FrequencyProfile(duration=0.0)
     with pytest.raises(ValueError, match="level"):
-        FrequencyProfile(freq_ratio_r=2.0, shape=ProfileShape.CONSTANT, level=-1.0)
+        FrequencyProfile(shape=ProfileShape.CONSTANT, level=-1.0)
     with pytest.raises(ValueError, match="two breakpoints"):
         FrequencyProfile(
-            freq_ratio_r=2.0, shape=ProfileShape.PIECEWISE_LINEAR, breakpoints=((0.0, 1.0),)
+            shape=ProfileShape.PIECEWISE_LINEAR, breakpoints=((0.0, 1.0),)
         )
     with pytest.raises(ValueError, match="strictly increasing"):
         FrequencyProfile(
-            freq_ratio_r=2.0,
             shape=ProfileShape.PIECEWISE_LINEAR,
             breakpoints=((0.0, 1.0), (0.0, 0.5)),
         )
     with pytest.raises(ValueError, match="s = 0"):
         FrequencyProfile(
-            freq_ratio_r=2.0,
             shape=ProfileShape.PIECEWISE_LINEAR,
             breakpoints=((0.1, 1.0), (1.0, 0.5)),
         )
     with pytest.raises(ValueError, match="positive"):
         FrequencyProfile(
-            freq_ratio_r=2.0,
             shape=ProfileShape.PIECEWISE_LINEAR,
             breakpoints=((0.0, 1.0), (1.0, 0.0)),
         )
     # shape-specific fields are refused on every other shape
     with pytest.raises(ValueError, match="level applies to the constant shape only"):
-        FrequencyProfile(freq_ratio_r=2.0, level=0.3)
+        FrequencyProfile(level=0.3)
     with pytest.raises(ValueError, match="level applies"):
         FrequencyProfile(
-            freq_ratio_r=2.0,
             shape=ProfileShape.PIECEWISE_LINEAR,
             level=0.5,
             breakpoints=((0.0, 1.0), (1.0, 0.5)),
         )
     with pytest.raises(ValueError, match="breakpoints apply to the piecewise-linear shape only"):
         FrequencyProfile(
-            freq_ratio_r=2.0, shape=ProfileShape.CONSTANT, breakpoints=((0.0, 1.0), (1.0, 0.5))
+            shape=ProfileShape.CONSTANT, breakpoints=((0.0, 1.0), (1.0, 0.5))
         )
     with pytest.raises(ValueError, match="breakpoints apply"):
         FrequencyProfile(
-            freq_ratio_r=2.0,
             shape=ProfileShape.REVERSED_SINE_CLOSING,
             breakpoints=((0.0, 1.0), (1.0, 0.5)),
         )

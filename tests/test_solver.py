@@ -21,11 +21,11 @@ from molcool.units import DimensionlessParams
 
 
 DEFAULT = DimensionlessParams(theta0=0.032, freq_ratio_r=2.0, gamma_tau_g=1.0)
-OPENING = FrequencyProfile(freq_ratio_r=2.0)
+OPENING = FrequencyProfile()
 
 
-def constant_profile(level=1.0, r=2.0):
-    return FrequencyProfile(freq_ratio_r=r, shape=ProfileShape.CONSTANT, level=level)
+def constant_profile(level=1.0):
+    return FrequencyProfile(shape=ProfileShape.CONSTANT, level=level)
 
 
 def test_decoupled_eta_is_frozen():
@@ -50,7 +50,7 @@ def test_constant_frequency_fixed_point_is_exact():
 
 def test_closed_form_matches_analytic_relaxation():
     # g = 300 makes the kernel bisect every interval several levels deep
-    prof = constant_profile(level=1.0, r=1.0)
+    prof = constant_profile(level=1.0)
     eta0 = 50.0
     eta_star = nu_of(0.1) + 1.0
     for g in (1.0, 300.0):
@@ -88,8 +88,8 @@ def rk4_substep_reference(d, profile, eta0, horizon, step_size, samples_per_unit
     m = max(1, math.ceil(horizon / n_intervals / step_size - 1e-9))
     n_sub = m * n_intervals
     ts = np.linspace(0.0, horizon, 2 * n_sub + 1)
-    g = d.gamma_tau_g
-    u = (g * (nu_of(d.theta0 * d.freq_ratio_r * omega_at(profile, ts)) + 1.0)).tolist()
+    g, r = d.gamma_tau_g, d.freq_ratio_r
+    u = (g * (nu_of(d.theta0 * r * omega_at(profile, ts, r)) + 1.0)).tolist()
     h = horizon / n_sub
     eta, out = eta0, [eta0]
     for k in range(n_sub):
@@ -121,12 +121,13 @@ def test_ode_matches_per_substep_rk4(g, step_size):
 def full_grid_kernel(d, profile, eta0, horizon, samples_per_unit):
     """The kernel route with `_simpson_batch` over every interval, held or not."""
     n_intervals = round(horizon * samples_per_unit)
-    g, t0r = d.gamma_tau_g, d.theta0 * d.freq_ratio_r
+    g, r = d.gamma_tau_g, d.freq_ratio_r
+    t0r = d.theta0 * r
     samples = np.linspace(0.0, horizon, n_intervals + 1)
     starts, widths = samples[:-1], samples[1:] - samples[:-1]
 
     def integrand(start, v, width):
-        return g * np.exp(g * (v - width)) * (nu_of(t0r * omega_at(profile, start + v)) + 1.0)
+        return g * np.exp(g * (v - width)) * (nu_of(t0r * omega_at(profile, start + v, r)) + 1.0)
 
     integrals = np.concatenate([
         _simpson_batch(integrand, starts[lo:lo + _QUAD_CHUNK], widths[lo:lo + _QUAD_CHUNK])
@@ -145,8 +146,8 @@ def full_grid_rk4(d, profile, eta0, horizon, step_size, samples_per_unit):
     m = max(1, math.ceil(horizon / n_intervals / step_size - 1e-9))
     n_sub = m * n_intervals
     ts = np.linspace(0.0, horizon, 2 * n_sub + 1)
-    g = d.gamma_tau_g
-    u = g * (nu_of(d.theta0 * d.freq_ratio_r * omega_at(profile, ts)) + 1.0)
+    g, r = d.gamma_tau_g, d.freq_ratio_r
+    u = g * (nu_of(d.theta0 * r * omega_at(profile, ts, r)) + 1.0)
     h = horizon / n_sub
     z = g * h
     alpha = h / 6.0 * (6.0 - 3.0 * z + z * z - z * z * z / 4.0)
@@ -166,16 +167,15 @@ def full_grid_rk4(d, profile, eta0, horizon, step_size, samples_per_unit):
 
 HOLD_PROFILES = {
     # horizon 2 at 128 samples per unit: the sine's hold starts on sample 128
-    "sine, hold on a sample": FrequencyProfile(freq_ratio_r=2.0),
-    "sine, hold mid-interval": FrequencyProfile(freq_ratio_r=2.0, duration=0.3),
-    "sine, no hold": FrequencyProfile(freq_ratio_r=2.0, duration=5.0),
+    "sine, hold on a sample": FrequencyProfile(),
+    "sine, hold mid-interval": FrequencyProfile(duration=0.3),
+    "sine, no hold": FrequencyProfile(duration=5.0),
     "constant, hold at 0": constant_profile(level=0.8),
     "piecewise linear, hold mid-interval": FrequencyProfile(
-        freq_ratio_r=2.0,
         shape=ProfileShape.PIECEWISE_LINEAR,
         breakpoints=((0.0, 1.0), (0.4, 0.5), (1.2345, 0.75)),
     ),
-    "reversed closing": FrequencyProfile(freq_ratio_r=2.0, shape=ProfileShape.REVERSED_SINE_CLOSING),
+    "reversed closing": FrequencyProfile(shape=ProfileShape.REVERSED_SINE_CLOSING),
 }
 
 
@@ -235,7 +235,7 @@ def test_unstable_step_aborts_below_ground_state():
     with pytest.raises(SolverError, match="ground-state limit"):
         evolve_eta_ode(
             d,
-            constant_profile(level=1.0, r=1.0),
+            constant_profile(level=1.0),
             eta0=1.05,
             horizon=4.0,
             step_size=1.0,
@@ -285,13 +285,13 @@ def test_eta0_validation():
 
 
 def test_run_validation():
-    mismatched = FrequencyProfile(freq_ratio_r=3.0)
-    with pytest.raises(ValueError, match="does not match"):
-        evolve_eta_ode(DEFAULT, mismatched, horizon=1.0)
     with pytest.raises(ValueError, match="horizon must be positive"):
         evolve_eta_closed_form(DEFAULT, OPENING, horizon=-1.0)
-    with pytest.raises(ValueError, match="one sample interval"):
-        evolve_eta_closed_form(DEFAULT, OPENING, horizon=1e-6)
+    # a horizon shorter than one sample interval is one interval: two samples
+    for evolve in (evolve_eta_closed_form, evolve_eta_ode):
+        traj = evolve(DEFAULT, OPENING, horizon=1e-6)
+        assert traj.s.tolist() == [0.0, 1e-6]
+        assert traj.eta[1] == pytest.approx(traj.eta[0], rel=1e-6)
 
 
 def test_recovery_time_default_cycle():
