@@ -323,11 +323,15 @@ def run_cycle(cfg: CycleConfig) -> CycleResult:
         kernel.append(evolve_eta_closed_form(d, prof, eta_kernel, duration))
         rk4.append(evolve_eta_ode(d, prof, eta_rk4, duration))
         eta_kernel, eta_rk4 = float(kernel[-1].eta[-1]), float(rk4[-1].eta[-1])
+    # the fixed-step route is a witness: only its eta is stitched, and no
+    # route's segments outlive their stitch
     trajectory = _stitch(kernel, segments, _ETA_SAMPLES)
+    del kernel
     _cross_check(
         "solver", "eta routes disagree", trajectory.s,
-        _stitch(rk4, segments, _ETA_SAMPLES).eta, trajectory.eta, SOLVER_AGREEMENT_RTOL,
+        _stitch(rk4, segments, ("eta",)).eta, trajectory.eta, SOLVER_AGREEMENT_RTOL,
     )
+    del rk4
 
     oracle = None
     if cfg.with_oracle:

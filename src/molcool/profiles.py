@@ -13,6 +13,8 @@ takes it from its caller.
 s/duration to exactly 1.0, and `np.interp` returns the last breakpoint's
 value itself at and past its s.  The solvers rely on this to evaluate
 the forcing of a held stretch once instead of at every point of it.
+`FrequencyProfile.kinks` lists where omega's slope jumps; the
+fixed-step solver splits its substeps there.
 """
 
 from __future__ import annotations
@@ -82,6 +84,17 @@ class FrequencyProfile:
         if self.shape is ProfileShape.PIECEWISE_LINEAR:
             return float(self.breakpoints[-1][0])
         return self.duration
+
+    @property
+    def kinks(self) -> tuple[float, ...]:
+        """The s > 0 at which omega's slope jumps: every breakpoint after
+        the first, and the end of the reversed closing, whose sine meets
+        its hold at full slope (the opening meets its hold at zero slope)."""
+        if self.shape is ProfileShape.PIECEWISE_LINEAR:
+            return tuple(float(p[0]) for p in self.breakpoints[1:])
+        if self.shape is ProfileShape.REVERSED_SINE_CLOSING:
+            return (self.duration,)
+        return ()
 
 
 def omega_at(profile: FrequencyProfile, s, r: float):

@@ -12,8 +12,8 @@ evaluated by adaptive quadrature (`evolve_eta_closed_form`).  The cycle
 engine cross-checks one against the other on every run.
 
 The stepper is classical RK4 on the stage grid of substep edges and
-midpoints, run one sample at a time rather than one substep at a time.
-For this linear law one substep of size h is exactly
+midpoints, with no loop over substeps or samples.  For this linear law
+one substep of size h is exactly
 
     eta + alpha (u0 - g eta) + (h/6) (Q (um - u0) + (u1 - u0)),
 
@@ -22,10 +22,18 @@ and u = g (nu + 1) at the substep's start, midpoint and end, so the m
 substeps of a sample interval compose to eta + A (u0 - g eta) + G_k, with
 A = alpha sum_j R^j, R = 1 - g alpha, and G_k the interval's forcing
 beyond its first u0 carried forward by powers of R (one matrix product
-for all intervals).  It is still RK4, with RK4's O(h^4) error against
-the kernel route's quadrature error, so the cross-check keeps its
-independence; and in this drive form constant forcing adds exactly
-nothing, a fixed point stays put exactly and g = 0 freezes eta.
+for all intervals).  The deviation e = eta - eta0 from the start value
+then obeys e_{k+1} = c e_k + x_k, with c = 1 - g A and x_k = A (u0_k -
+g eta0) + G_k: a first-order linear recurrence, which `_scan` evaluates
+as a prefix scan in ceil(log2 n) numpy doubling passes (Blelloch, "Prefix
+sums and their applications", 1990).  In this form constant forcing
+adds exactly nothing, a fixed point stays put exactly and g = 0 freezes
+eta.  A sample interval with a kink of the profile strictly inside
+(`FrequencyProfile.kinks`) splits the substep the kink falls in there,
+since a substep across a jump in the forcing's slope costs RK4 its
+order, and enters the scan with its own c_k and x_k.  It is still RK4,
+with RK4's O(h^4) error against the kernel route's quadrature error, so
+the cross-check keeps its independence.
 
 The kernel route's adaptive Simpson runs on `_QUAD_CHUNK` intervals at
 a time: each bisection level evaluates the forcing at all pending pieces
@@ -152,6 +160,76 @@ def _finish(d, profile, s, eta, step_size=None) -> EtaTrajectory:
     )
 
 
+def _substep_coefficients(g, h):
+    """alpha and Q of one RK4 substep of size h of eta' = u - g eta, which is
+    exactly eta + alpha (u0 - g eta) + (h/6) (Q (um - u0) + (u1 - u0))."""
+    z = g * h
+    return h / 6.0 * (6.0 - 3.0 * z + z * z - z * z * z / 4.0), 4.0 - 2.0 * z + z * z / 2.0
+
+
+def _split_at_kinks(profile, s, m, g, eta0, forcing) -> dict:
+    """{k: (c_k, x_k)} for every sample interval k of the grid `s` with one
+    of the profile's kinks strictly inside: its m substeps, the one a kink
+    falls in split there, composed so that its deviation from eta0 goes
+    e -> c_k e + x_k."""
+    kinks = np.array(profile.kinks)
+    n_intervals = s.size - 1
+    k_of = np.searchsorted(s, kinks, side="right") - 1
+    inside = (k_of < n_intervals) & (s[k_of] < kinks)
+    n_sub = m * n_intervals
+    split = {}
+    for k in np.unique(k_of[inside]).tolist():
+        edges = _stage_points(s[-1], n_sub, np.arange(2 * m * k, 2 * m * (k + 1) + 1, 2))
+        edges = np.union1d(edges, kinks[k_of == k])
+        h = np.diff(edges)
+        alpha, q = _substep_coefficients(g, h)
+        r = 1.0 - g * alpha
+        starts = edges[:-1]
+        u0, um, u1 = np.split(forcing(np.concatenate([starts, starts + 0.5 * h, edges[1:]])), 3)
+        x = alpha * (u0 - g * eta0) + h / 6.0 * (q * (um - u0) + (u1 - u0))
+        # each substep's x is carried to the interval's end by the substeps after it
+        later = np.append(np.cumprod(r[:0:-1])[::-1], 1.0)
+        split[k] = float(np.prod(r)), float(x @ later)
+    return split
+
+
+def _deviations(c, e, split) -> None:
+    """Turn e, which holds (0, x[0], ..., x[n-1]), into e[k] = eta[k] - eta0
+    in place: e[k+1] = c e[k] + x[k] on every sample interval k but those in
+    `split`, which go e[k+1] = c_k e[k] + x_k with their own pair; `_scan`
+    runs between them."""
+    n = e.size - 1
+    buf = np.empty(n)
+    lo = 0
+    for k in sorted(split) + [n]:
+        _scan(c, e[lo + 1 : k + 1], e[lo], buf)
+        if k < n:
+            c_k, x_k = split[k]
+            e[k + 1] = c_k * e[k] + x_k
+        lo = k + 1
+
+
+def _scan(c, x, start, buf) -> None:
+    """x[i] <- c x[i-1] + x[i] for every i, with x[-1] = `start`, in place.
+
+    Doubling passes (Hillis and Steele; Blelloch 1990): after the pass of
+    stride d, x[i] sums c^j x[i-j] over j < 2d, so ceil(log2 n) passes
+    finish it, each through the scratch `buf`.
+    """
+    n = x.size
+    if start:
+        x[:1] += c * start
+    stride, power = 1, c
+    while stride < n:
+        carried = buf[: n - stride]
+        np.multiply(x[:-stride], power, out=carried)
+        if math.isinf(power):
+            # an unstable c overflows its power; a zero partial sum still adds nothing
+            carried[x[:-stride] == 0.0] = 0.0
+        x[stride:] += carried
+        stride, power = 2 * stride, power * power
+
+
 def evolve_eta_ode(
     d: DimensionlessParams,
     profile: FrequencyProfile,
@@ -166,28 +244,32 @@ def evolve_eta_ode(
     `step_size` is an upper bound on the substep: every inter-sample
     interval is split into equally many equal substeps, so sample times
     are hit exactly and halving the step exactly doubles the substep
-    count.  Output sampling (`samples_per_unit` per tau_open) is
-    decoupled from the integration step.
+    count.  An interval with one of the profile's kinks strictly inside
+    also splits the substep the kink falls in there, so that RK4 only
+    steps over smooth forcing.  Output sampling (`samples_per_unit` per
+    tau_open) is decoupled from the integration step.  The samples come
+    from one numpy scan of the sample-to-sample recurrence, not from a
+    loop over them.
     """
     n_intervals = _check_run(horizon, samples_per_unit)
     m = _substeps_per_interval(horizon, n_intervals, step_size)
     eta0 = _default_eta0(d) if eta0 is None else _check_eta0(eta0)
     g = d.gamma_tau_g
+    t0r = d.theta0 * d.freq_ratio_r
+
+    def forcing(t):
+        return g * (nu_of(t0r * omega_at(profile, t, d.freq_ratio_r)) + 1.0)
+
     n_sub = m * n_intervals
     # the stage grid holds every substep edge and midpoint, np.linspace(0,
     # horizon, 2 n_sub + 1); only the samples and the stages of the
     # intervals that start before the hold are built
     s = _stage_points(horizon, n_sub, np.arange(0, 2 * n_sub + 1, 2 * m))
     n_ramp = int(np.searchsorted(s[:-1], profile.hold_start))
-    ts = _stage_points(horizon, n_sub, np.arange(2 * m * n_ramp + 1))
     # u[-1] sits at the first held interval's start, or at the horizon
-    u = g * (nu_of(d.theta0 * d.freq_ratio_r * omega_at(profile, ts, d.freq_ratio_r)) + 1.0)
+    u = forcing(_stage_points(horizon, n_sub, np.arange(2 * m * n_ramp + 1)))
     h = horizon / n_sub
-    # one RK4 substep of eta' = u - g eta, exactly:
-    #   eta + alpha (u0 - g eta) + (h/6) (Q (um - u0) + (u1 - u0))
-    z = g * h
-    alpha = h / 6.0 * (6.0 - 3.0 * z + z * z - z * z * z / 4.0)
-    q = 4.0 - 2.0 * z + z * z / 2.0
+    alpha, q = _substep_coefficients(g, h)
     r = 1.0 - g * alpha
     # m substeps from sample k: eta + A (u0[k] - g eta) + drive[k], with
     # A = alpha sum_j r^j and drive[k] the substeps' forcing beyond u0[k],
@@ -195,23 +277,24 @@ def evolve_eta_ode(
     u0 = u[0:-1:2].reshape(n_ramp, m)
     um = u[1::2].reshape(n_ramp, m)
     u1 = u[2::2].reshape(n_ramp, m)
-    # an unstable step overflows here; the check on eta below reports it
+    # e[k] = eta[k] - eta0 obeys e[k+1] = c e[k] + x[k], c = 1 - g A and
+    # x[k] = A (u0[k] - g eta0) + drive[k]; x is built in e's tail and
+    # scanned there.  An unstable step overflows here; the check on eta
+    # below reports it
+    e = np.empty(n_intervals + 1)
+    e[0] = 0.0
+    x = e[1:]
     with np.errstate(over="ignore", invalid="ignore"):
         weights = r ** np.arange(m - 1, -1, -1, dtype=float)
         a_m = alpha * float(weights.sum())
+        c = 1.0 - g * a_m
         drive = (alpha * (u0 - u0[:, :1]) + h / 6.0 * (q * (um - u0) + (u1 - u0))) @ weights
+        x[:n_ramp] = a_m * (u0[:, 0] - g * eta0) + drive
         # a held interval's forcing differences are all exactly 0, so its
         # drive is 0, or nan once the weights overflow
-        held_drive = float(np.zeros(m) @ weights)
-    n_held = n_intervals - n_ramp
-    eta = float(eta0)
-    out = [eta]
-    for u0_k, drive_k in zip(
-        u0[:, 0].tolist() + [float(u[-1])] * n_held, drive.tolist() + [held_drive] * n_held
-    ):
-        eta = eta + a_m * (u0_k - g * eta) + drive_k
-        out.append(eta)
-    out = np.array(out)
+        x[n_ramp:] = a_m * (u[-1] - g * eta0) + np.zeros(m) @ weights
+        _deviations(c, e, _split_at_kinks(profile, s, m, g, eta0, forcing))
+    out = np.add(e, eta0, out=e)
     # RK4's stability polynomial r is positive for every real z, so an
     # unstable step's runaway keeps its sign and still shows at the sample's end
     bad = np.flatnonzero(~((out > 1.0) & (out < math.inf)))

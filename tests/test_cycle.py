@@ -4,6 +4,7 @@ import functools
 import re
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 import molcool.cycle
 from molcool.cycle import (
     CSV_HEADER,
+    SOLVER_AGREEMENT_RTOL,
     SWEEP_CSV_HEADER,
     CycleConfig,
     FiniteDwell,
@@ -192,6 +194,42 @@ def test_solver_cross_check_guards_coarse_steps(monkeypatch):
     )
     with pytest.raises(SolverCrossCheckError, match=shape):
         run_cycle(CycleConfig(dimensionless=d))
+
+
+def test_kinks_inside_substeps_keep_the_fixed_step_order():
+    # the ramp's kinks at 0.50013 and 0.50513 fall inside 1e-4 substeps; the
+    # RK4 route splits those substeps there, so it keeps its 4th order and
+    # the run answers within the unchanged tolerance, where an unsplit
+    # substep over a kink put the routes 1.278e-06 apart at s = 0.5055
+    assert SOLVER_AGREEMENT_RTOL == 1e-6
+    d = DimensionlessParams(theta0=0.032, freq_ratio_r=2.0, gamma_tau_g=100.0)
+    ramp = FrequencyProfile(
+        shape=ProfileShape.PIECEWISE_LINEAR,
+        breakpoints=((0.0, 1.0), (0.50013, 1.0), (0.50513, 0.5)),
+    )
+    result = run_cycle(CycleConfig(dimensionless=d, profile=ramp, horizon=2.0))
+    assert result.summary.argmin_s == pytest.approx(0.505)
+    rk4 = evolve_eta_ode(d, ramp, horizon=2.0)
+    assert np.max(np.abs(rk4.eta / result.trajectory.eta - 1.0)) < 1e-8
+
+
+@pytest.mark.parametrize(
+    "init_mode, bound_mb",
+    # measured 4.18 and 5.14 MB; the same runs peaked at 5.78 and 7.39 MB
+    # while every route segment and the whole fixed-step trajectory were kept
+    [(ThermalClosed(), 4.5), (FiniteDwell(dwell=3.0), 5.5)],
+    ids=["thermal-closed", "dwell-3"],
+)
+def test_cycle_memory_peak(init_mode, bound_mb):
+    cfg = replace(default_cycle_config(), init_mode=init_mode)
+    run_cycle(cfg)  # warm: one-time allocations are not the run's
+    tracemalloc.start()
+    try:
+        run_cycle(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < bound_mb * 1e6
 
 
 def test_oracle_cross_check_refuses_a_disagreeing_mean(monkeypatch):

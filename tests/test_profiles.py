@@ -98,6 +98,23 @@ def test_hold_start_per_shape():
     assert prof.hold_start == 2.0
 
 
+def test_kinks_are_where_the_slope_jumps():
+    pts = ((0.0, 1.0), (0.5, 0.6), (2.0, 0.9))
+    shapes = [
+        (FrequencyProfile(shape=ProfileShape.PIECEWISE_LINEAR, breakpoints=pts), (0.5, 2.0)),
+        (FrequencyProfile(shape=ProfileShape.REVERSED_SINE_CLOSING, duration=0.3), (0.3,)),
+        (FrequencyProfile(duration=0.3), ()),
+        (FrequencyProfile(shape=ProfileShape.CONSTANT, level=0.7), ()),
+    ]
+    eps = 1e-6
+    for prof, kinks in shapes:
+        assert prof.kinks == kinks
+        for s in kinks + (0.3, 0.5, 2.0):
+            left = (omega_at(prof, s, 2.0) - omega_at(prof, s - eps, 2.0)) / eps
+            right = (omega_at(prof, s + eps, 2.0) - omega_at(prof, s, 2.0)) / eps
+            assert (abs(right - left) > 0.1) == (s in kinks)
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     profiles(),

@@ -11,7 +11,13 @@ from molcool.profiles import FrequencyProfile, ProfileShape, omega_at
 from molcool.solver import (
     _QUAD_CHUNK,
     RecoveryResult,
+    _check_run,
+    _default_eta0,
+    _deviations,
     _simpson_batch,
+    _split_at_kinks,
+    _stage_points,
+    _substeps_per_interval,
     evolve_eta_closed_form,
     evolve_eta_ode,
     recovery_time,
@@ -46,6 +52,10 @@ def test_constant_frequency_fixed_point_is_exact():
     eta_star = nu_of(0.064) + 1.0
     assert np.all(traj.eta == eta_star)
     np.testing.assert_allclose(traj.T_ratio, 1.0, rtol=0, atol=1e-12)
+    # so it does with an unstable step (g h = 50), whose powers overflow in the scan
+    d = DimensionlessParams(theta0=0.032, freq_ratio_r=2.0, gamma_tau_g=5e4)
+    traj = evolve_eta_ode(d, constant_profile(), horizon=1.0, step_size=1e-3, samples_per_unit=200)
+    assert np.all(traj.eta == eta_star)
 
 
 def test_closed_form_matches_analytic_relaxation():
@@ -141,13 +151,17 @@ def full_grid_kernel(d, profile, eta0, horizon, samples_per_unit):
 
 
 def full_grid_rk4(d, profile, eta0, horizon, step_size, samples_per_unit):
-    """The RK4 route's drive form with the forcing at every stage point."""
+    """The RK4 route's scan with x[k] built from the forcing at every stage point."""
     n_intervals = round(horizon * samples_per_unit)
     m = max(1, math.ceil(horizon / n_intervals / step_size - 1e-9))
     n_sub = m * n_intervals
     ts = np.linspace(0.0, horizon, 2 * n_sub + 1)
     g, r = d.gamma_tau_g, d.freq_ratio_r
-    u = g * (nu_of(d.theta0 * r * omega_at(profile, ts, r)) + 1.0)
+
+    def forcing(t):
+        return g * (nu_of(d.theta0 * r * omega_at(profile, t, r)) + 1.0)
+
+    u = forcing(ts)
     h = horizon / n_sub
     z = g * h
     alpha = h / 6.0 * (6.0 - 3.0 * z + z * z - z * z * z / 4.0)
@@ -158,11 +172,79 @@ def full_grid_rk4(d, profile, eta0, horizon, step_size, samples_per_unit):
     u1 = u[2::2].reshape(n_intervals, m)
     drive = (alpha * (u0 - u0[:, :1]) + h / 6.0 * (q * (um - u0) + (u1 - u0))) @ weights
     a_m = alpha * float(weights.sum())
-    eta, out = eta0, [eta0]
-    for u0_k, drive_k in zip(u0[:, 0].tolist(), drive.tolist()):
-        eta = eta + a_m * (u0_k - g * eta) + drive_k
-        out.append(eta)
-    return ts[:: 2 * m], np.array(out)
+    e = np.empty(n_intervals + 1)
+    e[0] = 0.0
+    e[1:] = a_m * (u0[:, 0] - g * eta0) + drive
+    s = ts[:: 2 * m]
+    _deviations(1.0 - g * a_m, e, _split_at_kinks(profile, s, m, g, eta0, forcing))
+    return s, e + eta0
+
+
+def sequential_rk4(d, profile, eta0, horizon, step_size, samples_per_unit):
+    """The RK4 route as it ran before its scan: one sample per loop iteration,
+    samples and eta returned unchecked.  It does not split kinked intervals."""
+    n_intervals = _check_run(horizon, samples_per_unit)
+    m = _substeps_per_interval(horizon, n_intervals, step_size)
+    eta0 = _default_eta0(d) if eta0 is None else eta0
+    g = d.gamma_tau_g
+    n_sub = m * n_intervals
+    s = _stage_points(horizon, n_sub, np.arange(0, 2 * n_sub + 1, 2 * m))
+    n_ramp = int(np.searchsorted(s[:-1], profile.hold_start))
+    ts = _stage_points(horizon, n_sub, np.arange(2 * m * n_ramp + 1))
+    u = g * (nu_of(d.theta0 * d.freq_ratio_r * omega_at(profile, ts, d.freq_ratio_r)) + 1.0)
+    h = horizon / n_sub
+    z = g * h
+    alpha = h / 6.0 * (6.0 - 3.0 * z + z * z - z * z * z / 4.0)
+    q = 4.0 - 2.0 * z + z * z / 2.0
+    r = 1.0 - g * alpha
+    u0 = u[0:-1:2].reshape(n_ramp, m)
+    um = u[1::2].reshape(n_ramp, m)
+    u1 = u[2::2].reshape(n_ramp, m)
+    with np.errstate(over="ignore", invalid="ignore"):
+        weights = r ** np.arange(m - 1, -1, -1, dtype=float)
+        a_m = alpha * float(weights.sum())
+        drive = (alpha * (u0 - u0[:, :1]) + h / 6.0 * (q * (um - u0) + (u1 - u0))) @ weights
+        held_drive = float(np.zeros(m) @ weights)
+        n_held = n_intervals - n_ramp
+        eta = float(eta0)
+        out = [eta]
+        for u0_k, drive_k in zip(
+            u0[:, 0].tolist() + [float(u[-1])] * n_held, drive.tolist() + [held_drive] * n_held
+        ):
+            eta = eta + a_m * (u0_k - g * eta) + drive_k
+            out.append(eta)
+    return s, np.array(out)
+
+
+def first_bad_sample(s, eta):
+    """s and reason of the first sample the route's check refuses, as it words them."""
+    k = np.flatnonzero(~((eta > 1.0) & (eta < math.inf)))[0]
+    why = "at or below the ground-state limit" if eta[k] <= 1.0 else "the fixed step is unstable"
+    return f"at s = {s[k]:.6g} ({why})"
+
+
+SHAPES = {
+    "sine opening": OPENING,
+    "constant": constant_profile(level=0.8),
+    # breakpoints on samples, so the route splits no interval, as the loop never does
+    "piecewise linear": FrequencyProfile(
+        shape=ProfileShape.PIECEWISE_LINEAR, breakpoints=((0.0, 1.0), (0.5, 0.6), (1.5, 0.9))
+    ),
+    "reversed closing": FrequencyProfile(shape=ProfileShape.REVERSED_SINE_CLOSING),
+}
+
+
+@pytest.mark.parametrize(
+    "eta0", [None, nu_of(0.032) + 1.0], ids=["thermal-closed", "finite-dwell"]
+)
+@pytest.mark.parametrize("shape", SHAPES)
+@pytest.mark.parametrize("g", [0.0, 1e-3, 1.0, 300.0, 3000.0, 2e4])
+def test_scan_matches_sequential_loop(g, shape, eta0):
+    d = DimensionlessParams(theta0=0.032, freq_ratio_r=2.0, gamma_tau_g=g)
+    traj = evolve_eta_ode(d, SHAPES[shape], eta0, horizon=2.0)
+    s, eta = sequential_rk4(d, SHAPES[shape], eta0, 2.0, 1e-4, 2000)
+    assert traj.s.tobytes() == s.tobytes()
+    np.testing.assert_allclose(traj.eta, eta, rtol=1e-12, atol=0)
 
 
 HOLD_PROFILES = {
@@ -230,21 +312,23 @@ def test_trajectory_metadata():
 
 
 def test_unstable_step_aborts_below_ground_state():
-    # one huge explicit step amplifies the offset far past the fixed point
-    d = DimensionlessParams(theta0=1.0, freq_ratio_r=1.0, gamma_tau_g=50.0)
-    with pytest.raises(SolverError, match="ground-state limit"):
-        evolve_eta_ode(
-            d,
-            constant_profile(level=1.0),
-            eta0=1.05,
-            horizon=4.0,
-            step_size=1.0,
-            samples_per_unit=1,
-        )
-    # started above the fixed point, the same instability runs away upward
-    d = DimensionlessParams(theta0=0.032, freq_ratio_r=2.0, gamma_tau_g=5e4)
-    with pytest.raises(SolverError, match="unstable"):
-        evolve_eta_ode(d, OPENING, eta0=40.0, horizon=1.0, step_size=1e-3, samples_per_unit=200)
+    cases = [
+        # one huge explicit step amplifies the offset far past the fixed point
+        ("ground-state limit", DimensionlessParams(theta0=1.0, freq_ratio_r=1.0, gamma_tau_g=50.0),
+         constant_profile(level=1.0), 1.05, 4.0, 1.0, 1),
+        # started above the fixed point, the same instability runs away upward
+        ("unstable", DimensionlessParams(theta0=0.032, freq_ratio_r=2.0, gamma_tau_g=5e4),
+         OPENING, 40.0, 1.0, 1e-3, 200),
+    ]
+    for reason, d, profile, eta0, horizon, step_size, samples_per_unit in cases:
+        with pytest.raises(SolverError, match=reason) as excinfo:
+            evolve_eta_ode(
+                d, profile, eta0=eta0, horizon=horizon, step_size=step_size,
+                samples_per_unit=samples_per_unit,
+            )
+        # the scan refuses at the sample and with the reason of the sequential loop
+        s, eta = sequential_rk4(d, profile, eta0, horizon, step_size, samples_per_unit)
+        assert first_bad_sample(s, eta) in str(excinfo.value)
 
 
 def test_kernel_route_reports_first_sample_below_ground_state(monkeypatch):
