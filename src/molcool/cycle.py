@@ -448,42 +448,75 @@ def _fmt(value: float) -> str:
 
 
 _CSV_BLOCK_ROWS = 2048  # rows formatted per block; bounds the writer's memory
-_CELL = 20  # "-", 12 digits and the point, "e", exponent sign, 3 exponent digits, separator
-_DIGIT_CELLS = (13, 12, 11, 10, 9, 8, 7, 6, 5, 4, 3, 1)  # mantissa digits, last first
+
+
+_DIGITS = np.frombuffer(b"0123456789", dtype=np.uint8)
+
+
+def _digit_rows(places: int) -> np.ndarray:
+    """The ASCII digits of 0 .. 10**places - 1, one row each, most
+    significant first, built by repeating "0123456789" (a division loop's
+    first call alone raised the process's peak RSS by ~0.3 MB)."""
+    n = 10**places
+    return np.stack(
+        [np.tile(np.repeat(_DIGITS, n // 10 ** (j + 1)), 10**j) for j in range(places)], axis=1
+    )
+
+
+def _byte_strings(chars: np.ndarray) -> np.ndarray:
+    """A read-only table of the rows of a uint8 matrix, as byte strings."""
+    table = chars.view(f"S{chars.shape[1]}").reshape(-1)
+    table.flags.writeable = False
+    return table
+
+
+def _exponent_chars() -> np.ndarray:
+    """"e±htu" for each e in [-999, 999], with NUL for the h of |e| < 100."""
+    magnitude = _digit_rows(3)
+    chars = np.empty((1999, 5), dtype=np.uint8)
+    chars[:, 0] = ord("e")
+    chars[:999, 1] = ord("-")
+    chars[999:, 1] = ord("+")
+    chars[:, 2:] = np.concatenate((magnitude[:0:-1], magnitude))  # 999 .. 1, then 0 .. 999
+    chars[chars[:, 2] == ord("0"), 2] = 0
+    return chars
+
+
+_quad = _digit_rows(4)
+_QUAD = _byte_strings(_quad)  # "dddd" at i: a mantissa's middle or low four digits
+_HEAD = _byte_strings(np.insert(_quad, 1, ord("."), axis=1))  # "d.ddd" at i: its high four
+_EXPONENT = _byte_strings(_exponent_chars())  # at e + 999
+del _quad
+# one cell of `"%.11e" % x` and its separator, 20 bytes; NUL marks a byte
+# the cell does not print
+_CELL = np.dtype(
+    [("sign", "S1"), ("head", "S5"), ("mid", "S4"), ("low", "S4"), ("exp", "S5"), ("sep", "S1")]
+)
 
 
 def _format_rows(block: np.ndarray) -> bytes:
     """CSV bytes of a (rows, columns) block of finite values: each cell is
     `"%.11e" % x`, cells joined by "," and rows ended by "\n".
 
-    Every cell is laid out at full width in a uint8 matrix, one digit
-    position at a time from `_decimal12`'s mantissa and exponent; a mask
-    then drops the "-" of non-negative values and the hundreds digit of
-    two-digit exponents.
+    Each cell is one `_CELL` record filled from `_decimal12`'s mantissa d
+    and exponent e by four table lookups: "d.ddd" from `_HEAD` at
+    d // 10**8, the middle and low four digits from `_QUAD`, and the
+    exponent from `_EXPONENT` at e + 999.  The sign byte of a value
+    without its sign bit and the hundreds digit of a two-digit exponent
+    are NUL, and one `translate` of the block's bytes drops them.
     """
-    rows, columns = block.shape
     d, e = _decimal12(block)
-    cells = np.empty((rows, columns, _CELL), dtype=np.uint8)
-    cells[..., 0] = ord("-")
-    for j in _DIGIT_CELLS:
-        q = d // 10  # a floor division by a constant is far cheaper than %
-        cells[..., j] = d - 10 * q + ord("0")
-        d = q
-    cells[..., 2] = ord(".")
-    cells[..., 14] = ord("e")
-    cells[..., 15] = np.where(e < 0, ord("-"), ord("+"))
-    abs_e = np.abs(e)
-    for j in (18, 17):
-        q = abs_e // 10
-        cells[..., j] = abs_e - 10 * q + ord("0")
-        abs_e = q
-    cells[..., 16] = abs_e + ord("0")
-    cells[..., 19] = ord(",")
-    cells[:, -1, 19] = ord("\n")
-    keep = np.ones(cells.shape, dtype=bool)
-    keep[..., 0] = np.signbit(block)
-    keep[..., 16] = abs_e > 0  # abs_e now holds the hundreds digit
-    return cells[keep].tobytes()
+    cells = np.empty(block.shape, dtype=_CELL)
+    cells["sign"].view(np.uint8)[...] = np.signbit(block) * np.uint8(ord("-"))
+    head = d // 100_000_000  # a floor division by a constant is far cheaper than divmod
+    upper = d // 10_000
+    cells["head"] = np.take(_HEAD, head)
+    cells["mid"] = np.take(_QUAD, upper - head * 10_000)
+    cells["low"] = np.take(_QUAD, d - upper * 10_000)
+    cells["exp"] = np.take(_EXPONENT, e + 999)
+    cells["sep"] = b","
+    cells["sep"][:, -1] = b"\n"
+    return cells.tobytes().translate(None, b"\0")
 
 
 def emit_csv(record: TimeSeriesRecord, path) -> None:
@@ -491,8 +524,8 @@ def emit_csv(record: TimeSeriesRecord, path) -> None:
     notation, LF line endings, byte-deterministic for equal records.
 
     Cells are exactly Python's `"%.11e" % x`, built by `_format_rows` in
-    blocks of `_CSV_BLOCK_ROWS` rows; only the values `_decimal12` sends
-    off its fast path are printed one at a time.
+    blocks of `_CSV_BLOCK_ROWS` rows from digit tables; only the values
+    `_decimal12` sends off its fast path are printed one at a time.
     """
     cols = (record.s, record.omega_over_omega1, record.eta, record.mean_n, record.T_ratio)
     if not all(np.all(np.isfinite(c)) for c in cols):

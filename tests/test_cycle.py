@@ -93,6 +93,10 @@ FORMAT_EDGE_CASES = [
 ]
 
 
+def python_csv_rows(rows) -> bytes:
+    return "".join(",".join(f"{v:.11e}" for v in row) + "\n" for row in rows).encode()
+
+
 def assert_formats_like_python(values):
     values = [float(v) for v in values]
     expected = np.array([float(f"{v:.11e}") for v in values])
@@ -101,8 +105,7 @@ def assert_formats_like_python(values):
     assert _format_rows(block) == "".join(f"{v:.11e}\n" for v in values).encode()
     if len(values) % 5 == 0:
         rows = np.array(values).reshape(-1, 5)
-        lines = "".join(",".join(f"{v:.11e}" for v in row) + "\n" for row in rows.tolist())
-        assert _format_rows(rows) == lines.encode()
+        assert _format_rows(rows) == python_csv_rows(rows.tolist())
 
 
 def test_decimal_kernel_edge_cases(tmp_path):
@@ -123,6 +126,70 @@ def test_decimal_kernel_edge_cases(tmp_path):
 @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=20))
 def test_decimal_kernel_matches_python_format(values):
     assert_formats_like_python(values)
+
+
+SUBNORMAL = st.floats(min_value=5e-324, max_value=2.2250738585072009e-308)
+NEAR_1E100 = st.floats(min_value=9.9e99, max_value=1.1e100)  # e+99 | e+100
+NEAR_1E_MINUS_100 = st.floats(min_value=9.9e-101, max_value=1.1e-99)  # e-101 | e-100 | e-99
+CELL_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 9.999999999996e99, 9.999999999996e-100]),
+    SUBNORMAL, NEAR_1E100, NEAR_1E_MINUS_100, st.floats(-1e6, 1e6),
+    st.floats(allow_nan=False, allow_infinity=False),
+).flatmap(lambda x: st.sampled_from([x, -x]))
+# one of each in a single column, so a sign or exponent NUL that leaks
+# into a neighbour shows in that column's rows
+COLUMN_ANCHORS = (0.0, -0.0, 5e-324, -3.25, 9.9e99, 1.0e100, -1.0e-100, 2.5e-99, 7.0, 1e-5)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    rows=st.integers(len(COLUMN_ANCHORS), 16).flatmap(
+        lambda k: st.lists(st.lists(CELL_VALUES, min_size=5, max_size=5), min_size=k, max_size=k)
+    ),
+    column=st.integers(0, 4),
+    anchors=st.permutations(COLUMN_ANCHORS),
+)
+def test_format_rows_mixes_signs_and_exponent_widths(rows, column, anchors):
+    for row, anchor in zip(rows, anchors):
+        row[column] = anchor
+    out = _format_rows(np.array(rows))
+    assert out == python_csv_rows(rows)
+    assert b"\0" not in out
+
+
+def test_cell_tables_match_python_format():
+    assert molcool.cycle._QUAD.tolist() == [f"{i:04d}".encode() for i in range(10_000)]
+    assert molcool.cycle._HEAD.tolist() == [
+        f"{i // 1000}.{i % 1000:03d}".encode() for i in range(10_000)
+    ]
+    exponent = molcool.cycle._EXPONENT
+    assert exponent.dtype == np.dtype("S5") and exponent.size == 1999
+    cells = [exponent[i:i + 1].tobytes() for i in range(exponent.size)]
+    exponents = range(-999, 1000)
+    assert [c.replace(b"\0", b"") for c in cells] == [f"e{e:+03d}".encode() for e in exponents]
+    # a two-digit exponent keeps a NUL where its hundreds digit would go
+    assert [c.find(b"\0") for c in cells] == [2 if abs(e) < 100 else -1 for e in exponents]
+    for table in (molcool.cycle._QUAD, molcool.cycle._HEAD, exponent):
+        assert not table.flags.writeable
+
+
+def test_dwell_csv_matches_python_format(tmp_path):
+    # 28,001 rows in 14 blocks; s < 0 through the dwell, so one block
+    # holds both signs in the s column and the rest hold one
+    d = default_cycle_config().dimensionless
+    record = run_cycle(CycleConfig(dimensionless=d, init_mode=FiniteDwell(dwell=3.0))).record
+    n, block = len(record), molcool.cycle._CSV_BLOCK_ROWS
+    assert n == 28001 and -(-n // block) == 14
+    signs = {
+        (bool(np.any(record.s[lo:lo + block] < 0)), bool(np.any(record.s[lo:lo + block] >= 0)))
+        for lo in range(0, n, block)
+    }
+    assert signs == {(True, False), (True, True), (False, True)}
+    path = tmp_path / "cycle.csv"
+    emit_csv(record, path)
+    columns = (record.s, record.omega_over_omega1, record.eta, record.mean_n, record.T_ratio)
+    rows = np.stack(columns, axis=1).tolist()
+    assert path.read_bytes() == CSV_HEADER.encode() + b"\n" + python_csv_rows(rows)
 
 
 def test_record_validation():

@@ -66,3 +66,18 @@ def test_traced_cycle_reaches_every_layer(monkeypatch):
     ladder = next(s for s in tracer.spans if s.name == "oracle.populations_from_quenched")
     kernel = next(s for s in tracer.spans if s.name == "solver.evolve_eta_closed_form")
     assert ladder.end <= kernel.start
+
+
+def test_traced_cli_reaches_the_emitters(monkeypatch, tmp_path):
+    # the CLI must call its emitters through the wrapped module attributes,
+    # or cycle.emit_csv_s and cycle.csv_bytes would read zero without failing
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracing
+
+    with tracing.instrument(tracing.Tracer(), molcool) as tracer:
+        assert molcool.cli.main(["reproduce-fig4", "--out", str(tmp_path)]) == 0
+    calls = Counter(span.name for span in tracer.spans)
+    assert calls["cycle.emit_csv"] == 1
+    assert calls["cycle.emit_plot_script"] == 1
+    csv_span = next(s for s in tracer.spans if s.name == "cycle.emit_csv")
+    assert csv_span.counts["bytes"] == (tmp_path / "cycle.csv").stat().st_size
