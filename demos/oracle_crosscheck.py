@@ -15,6 +15,7 @@ from molcool import (
     DimensionlessParams,
     run_cycle,
 )
+from molcool.cycle import _nearest_indices
 
 
 def main() -> None:
@@ -24,8 +25,10 @@ def main() -> None:
     oracle = result.oracle
     assert oracle is not None
 
-    idx = np.searchsorted(result.trajectory.s, oracle.s)
-    eta = result.trajectory.eta[idx]
+    # each oracle sample against the nearest record sample, as run_cycle's check pairs them
+    record = result.record
+    idx = _nearest_indices(record.s, oracle.s)
+    eta = record.eta[idx]
     rel = np.abs((oracle.mean_n + 1.0) / eta - 1.0)
     print(f"ladder size: {oracle.populations.size} levels")
     print(f"samples compared: {oracle.s.size}")
@@ -33,7 +36,7 @@ def main() -> None:
     print(f"largest truncation tail bound: {oracle.tail_bound.max():.3e}")
 
     # geometric form: adjacent-level ratios p_{n+1}/p_n (n < 51) should be flat
-    k = int(np.argmin(result.trajectory.T_ratio[idx]))
+    k = int(np.argmin(record.T_ratio[idx]))
     print(f"level-ratio spread at the T_ratio minimum: {oracle.geometric_residual[k]:.3e}")
     print(f"largest level-ratio spread: {oracle.geometric_residual.max():.3e}")
 

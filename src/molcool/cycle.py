@@ -9,7 +9,8 @@ and emits deterministic CSV files, plot scripts, and config files.
 open; or the opening alone), calls every route on each segment with the
 route's own default grid, joins each route's segments with `_stitch`,
 and compares routes with `_cross_check`, the one place a disagreement
-is measured and refused.
+is measured and refused.  `TimeSeriesRecord.from_trajectory` derives
+the observables from the kernel route's eta, once.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import configparser
 import csv
 import io
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import ClassVar
@@ -31,7 +33,7 @@ from .oracle import (
     ladder_levels,
     populations_from_quenched,
 )
-from .profiles import FrequencyProfile, ProfileShape
+from .profiles import FrequencyProfile, ProfileShape, omega_at
 from .solver import (
     RECOVERY_TARGET,
     SAMPLES_PER_UNIT,
@@ -44,7 +46,7 @@ from .solver import (
     evolve_eta_ode,
     recovery_time,
 )
-from .thermo import QuenchedState, nu_of
+from .thermo import QuenchedState, ratio_from_eta, thermal_eta
 from .units import DimensionlessParams
 
 SOLVER_AGREEMENT_RTOL = 1e-6   # fixed-step route must match the kernel route this well
@@ -216,14 +218,11 @@ class TimeSeriesRecord:
         return int(self.s.size)
 
     @classmethod
-    def from_trajectory(cls, traj: EtaTrajectory) -> "TimeSeriesRecord":
-        return cls(
-            s=traj.s,
-            omega_over_omega1=traj.omega_over_omega1,
-            eta=traj.eta,
-            mean_n=traj.mean_n,
-            T_ratio=traj.T_ratio,
-        )
+    def from_trajectory(cls, traj: EtaTrajectory, omega_over_omega1, theta0_r: float):
+        """The record of `traj` under the schedule `omega_over_omega1` at
+        theta0 * r = `theta0_r`: the one place mean_n and T_ratio are derived."""
+        ratio = ratio_from_eta(traj.eta, theta0_r * omega_over_omega1)
+        return cls(traj.s, omega_over_omega1, traj.eta, traj.eta - 1.0, ratio)
 
 
 @dataclass(frozen=True)
@@ -237,12 +236,10 @@ class CycleSummary:
 @dataclass(eq=False)
 class CycleResult:
     """Everything a cycle run produced: the rounded record, its summary,
-    the full-precision authoritative trajectory, and (when requested)
-    the stitched Fock-level oracle trajectory."""
+    and (when requested) the stitched Fock-level oracle trajectory."""
 
     record: TimeSeriesRecord
     summary: CycleSummary
-    trajectory: EtaTrajectory
     oracle: PopulationTrajectory | None = None
 
 
@@ -250,10 +247,10 @@ def _plan_segments(cfg: CycleConfig):
     """Initial eta plus (global start, profile, duration) for each phase."""
     d = cfg.dimensionless
     if isinstance(cfg.init_mode, ThermalClosed):
-        eta0 = nu_of(d.theta0 * d.freq_ratio_r) + 1.0
+        eta0 = thermal_eta(d.theta0 * d.freq_ratio_r)
         return eta0, [(0.0, cfg.profile, cfg.horizon)]
     dwell = cfg.init_mode.dwell
-    eta0 = nu_of(d.theta0) + 1.0  # thermal at the open frequency
+    eta0 = thermal_eta(d.theta0)  # thermal at the open frequency
     segments = [(-1.0 - dwell, FrequencyProfile(ProfileShape.REVERSED_SINE_CLOSING), 1.0)]
     if -1.0 - dwell < -1.0:  # a dwell too short to move the close off s = -1 is none
         segments.append((-dwell, FrequencyProfile(ProfileShape.CONSTANT), dwell))
@@ -261,20 +258,23 @@ def _plan_segments(cfg: CycleConfig):
     return eta0, segments
 
 
-_ETA_SAMPLES = ("s", "omega_over_omega1", "eta", "mean_n", "T_ratio")
 _ORACLE_SAMPLES = ("s", "mean_n", "tail_bound", "mass", "geometric_residual")
+
+
+def _join(arrays):
+    """Segment arrays end to end, each later one's first sample (its predecessor's last) dropped."""
+    return np.concatenate([arrays[0]] + [a[1:] for a in arrays[1:]])
 
 
 def _stitch(parts, segments, per_sample):
     """The last segment's trajectory with each `per_sample` field joined
-    across all segments, s shifted to the global axis, and each later
-    segment's first sample dropped (it repeats the previous one's last)."""
+    across all segments by `_join`, s shifted to the global axis."""
 
     def joined(name):
         arrays = [getattr(part, name) for part in parts]
         if name == "s":
             arrays = [start + a for (start, _, _), a in zip(segments, arrays)]
-        return np.concatenate([arrays[0]] + [a[1:] for a in arrays[1:]])
+        return _join(arrays)
 
     return replace(parts[-1], **{name: joined(name) for name in per_sample})
 
@@ -323,9 +323,12 @@ def run_cycle(cfg: CycleConfig) -> CycleResult:
         kernel.append(evolve_eta_closed_form(d, prof, eta_kernel, duration))
         rk4.append(evolve_eta_ode(d, prof, eta_rk4, duration))
         eta_kernel, eta_rk4 = float(kernel[-1].eta[-1]), float(rk4[-1].eta[-1])
-    # the fixed-step route is a witness: only its eta is stitched, and no
-    # route's segments outlive their stitch
-    trajectory = _stitch(kernel, segments, _ETA_SAMPLES)
+    # omega is evaluated on each segment's own s; the fixed-step route is a
+    # witness, so only its eta is stitched; no segment outlives its stitch
+    trajectory = _stitch(kernel, segments, ("s", "eta"))
+    omega = _join(
+        [omega_at(prof, part.s, d.freq_ratio_r) for part, (_, prof, _) in zip(kernel, segments)]
+    )
     del kernel
     _cross_check(
         "solver", "eta routes disagree", trajectory.s,
@@ -346,7 +349,7 @@ def run_cycle(cfg: CycleConfig) -> CycleResult:
             oracle.mean_n + 1.0, eta_ref, ORACLE_AGREEMENT_RTOL,
         )
 
-    record = TimeSeriesRecord.from_trajectory(trajectory)
+    record = TimeSeriesRecord.from_trajectory(trajectory, omega, d.theta0 * d.freq_ratio_r)
     i_min = int(np.argmin(record.T_ratio))
     summary = CycleSummary(
         min_t_ratio=float(record.T_ratio[i_min]),
@@ -354,7 +357,7 @@ def run_cycle(cfg: CycleConfig) -> CycleResult:
         recovery=recovery_time(record, RECOVERY_TARGET),
         final_eta=float(record.eta[-1]),
     )
-    return CycleResult(record=record, summary=summary, trajectory=trajectory, oracle=oracle)
+    return CycleResult(record=record, summary=summary, oracle=oracle)
 
 
 @dataclass(frozen=True)
@@ -413,10 +416,15 @@ class SweepRow:
     error: str | None = None
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
 def run_sweep(spec: SweepSpec, max_workers: int = 1) -> list[SweepRow]:
     """Evaluate every sweep value, in order, in the calling thread or across
-    `max_workers` threads; the runs are GIL-bound, so threads do not speed
-    them up.
+    at most `max_workers` threads, and no more than there are values or
+    usable CPUs; the runs are GIL-bound, so threads do not speed them up.
 
     Rows are pure functions of their own config (no shared state), so the
     result is identical for any worker count.  A failed run is captured in
@@ -437,9 +445,10 @@ def run_sweep(spec: SweepSpec, max_workers: int = 1) -> list[SweepRow]:
             recovered=summ.recovery.recovered,
         )
 
-    if max_workers == 1:
+    workers = min(max_workers, len(spec.values), _usable_cpus())
+    if workers == 1:
         return [one(v) for v in spec.values]
-    with ThreadPoolExecutor(max_workers=max_workers) as pool:
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(one, spec.values))
 
 
@@ -556,10 +565,7 @@ def read_csv_record(path) -> TimeSeriesRecord:
                 rows.append([float(v) for v in row])
     except OSError as exc:
         raise OSError(f"CSV read from {path} failed: {exc}") from exc
-    cols = np.array(rows, dtype=float).reshape(len(rows), len(names)).T
-    return TimeSeriesRecord(
-        s=cols[0], omega_over_omega1=cols[1], eta=cols[2], mean_n=cols[3], T_ratio=cols[4]
-    )
+    return TimeSeriesRecord(*np.array(rows, dtype=float).reshape(len(rows), len(names)).T)
 
 
 def emit_sweep_csv(rows, path) -> None:

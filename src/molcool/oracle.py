@@ -57,9 +57,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SolverError
-from .profiles import FrequencyProfile, omega_at
-from .solver import SAMPLES_PER_UNIT as _ETA_SAMPLES_PER_UNIT, _check_run, _stage_points
-from .thermo import QuenchedState, nu_of
+from .profiles import FrequencyProfile
+from .solver import SAMPLES_PER_UNIT as _ETA_SAMPLES_PER_UNIT
+from .solver import _check_run, _stage_points, occupation_at
+from .thermo import QuenchedState
 from .units import DimensionlessParams
 
 SAMPLES_PER_UNIT = 100  # output samples per tau_open
@@ -128,19 +129,19 @@ def truncation_levels(nu_max: float) -> int:
 def ladder_levels(d: DimensionlessParams, segments) -> int:
     """n_max for a run through the plan's (start, profile, duration) `segments`.
 
-    The deepest occupation, at the smallest omega on the eta routes'
-    sample grids (each up to its hold, past which it repeats), sized by
-    `truncation_levels`; 20 more levels keep the one-way tail accumulator
-    clear of its threshold where ceil(40 * nu) alone sits close to it.
+    The largest occupation on the eta routes' sample grids (each up to
+    its hold, past which it repeats), sized by `truncation_levels`; 20
+    more levels keep the one-way tail accumulator clear of its threshold
+    where ceil(40 * nu) alone sits close to it.
     """
-    w_min = math.inf
+    nu_max = 0.0
     for _, prof, duration in segments:
         n = _check_run(duration, _ETA_SAMPLES_PER_UNIT)
         # the first sample at or past the hold, or one later under roundoff
         k = min(n, math.ceil(prof.hold_start / duration * n) + 1)
         samples = _stage_points(duration, n, 2 * np.arange(k + 1))  # np.linspace's first k + 1
-        w_min = min(w_min, float(omega_at(prof, samples, d.freq_ratio_r).min()))
-    return truncation_levels(float(nu_of(d.theta0 * d.freq_ratio_r * w_min))) + 20
+        nu_max = max(nu_max, float(occupation_at(d, prof, samples).max()))
+    return truncation_levels(nu_max) + 20
 
 
 def populations_from_quenched(state: QuenchedState, n_max: int) -> PopulationVector:
@@ -181,7 +182,7 @@ def mean_occupation(pv: PopulationVector) -> float:
 
 
 def _rates(d: DimensionlessParams, profile: FrequencyProfile, s):
-    occ = nu_of(d.theta0 * d.freq_ratio_r * omega_at(profile, s, d.freq_ratio_r))
+    occ = occupation_at(d, profile, s)
     g = d.gamma_tau_g
     return g * (occ + 1.0), g * occ  # (down, up) per-quantum rates, scalar or array s
 

@@ -9,7 +9,8 @@ linear relaxation law (s = t/tau_open, g = gamma*tau_open)
 Two independent routes integrate it: a fixed-step explicit 4th-order
 stepper (`evolve_eta_ode`) and the exact exponential-kernel solution
 evaluated by adaptive quadrature (`evolve_eta_closed_form`).  The cycle
-engine cross-checks one against the other on every run.
+engine cross-checks one against the other on every run.  A route returns
+its samples s and eta alone; the cycle's record derives the observables.
 
 The stepper is classical RK4 on the stage grid of substep edges and
 midpoints, with no loop over substeps or samples.  For this linear law
@@ -62,7 +63,7 @@ import numpy as np
 
 from .errors import SolverError
 from .profiles import FrequencyProfile, omega_at
-from .thermo import nu_of, ratio_from_eta
+from .thermo import nu_of, thermal_eta
 from .units import DimensionlessParams
 
 SAMPLES_PER_UNIT = 2000  # both routes' output samples per tau_open
@@ -77,14 +78,13 @@ _QUAD_MAX_PIECES = 1 << 18  # pending pieces allowed per chunk; bounds memory an
 
 @dataclass(eq=False)
 class EtaTrajectory:
-    """Sampled eta dynamics and derived observables; `step_size` is the
-    fixed-step route's substep, None from the kernel route."""
+    """What an eta route computes: eta at the samples s (profile-local, from
+    0 to the horizon), and the substep it took, `step_size`, which is None
+    from the kernel route.  The observables are derived from eta once, by
+    `cycle.TimeSeriesRecord.from_trajectory`."""
 
     s: np.ndarray
-    omega_over_omega1: np.ndarray
     eta: np.ndarray
-    mean_n: np.ndarray
-    T_ratio: np.ndarray
     step_size: float | None = None
 
 
@@ -136,28 +136,16 @@ def _stage_points(horizon: float, n_sub: int, idx: np.ndarray) -> np.ndarray:
     return ts
 
 
-def _default_eta0(d: DimensionlessParams) -> float:
-    # thermalized at the closed frequency, theta = theta0 * r
-    return nu_of(d.theta0 * d.freq_ratio_r) + 1.0
+def occupation_at(d: DimensionlessParams, profile: FrequencyProfile, s):
+    """nu(theta0 r omega(s)/omega1): the bath occupation the schedule sets
+    at profile-local s, scalar or array."""
+    return nu_of(d.theta0 * d.freq_ratio_r * omega_at(profile, s, d.freq_ratio_r))
 
 
 def _check_eta0(eta0: float) -> float:
     if not (math.isfinite(eta0) and eta0 > 1.0):
         raise ValueError(f"eta0 must exceed 1 (the ground-state limit), got {eta0}")
     return float(eta0)
-
-
-def _finish(d, profile, s, eta, step_size=None) -> EtaTrajectory:
-    w = omega_at(profile, s, d.freq_ratio_r)
-    theta = d.theta0 * d.freq_ratio_r * w
-    return EtaTrajectory(
-        s=s,
-        omega_over_omega1=w,
-        eta=eta,
-        mean_n=eta - 1.0,
-        T_ratio=ratio_from_eta(eta, theta),
-        step_size=step_size,
-    )
 
 
 def _substep_coefficients(g, h):
@@ -253,12 +241,11 @@ def evolve_eta_ode(
     """
     n_intervals = _check_run(horizon, samples_per_unit)
     m = _substeps_per_interval(horizon, n_intervals, step_size)
-    eta0 = _default_eta0(d) if eta0 is None else _check_eta0(eta0)
+    eta0 = thermal_eta(d.theta0 * d.freq_ratio_r) if eta0 is None else _check_eta0(eta0)
     g = d.gamma_tau_g
-    t0r = d.theta0 * d.freq_ratio_r
 
     def forcing(t):
-        return g * (nu_of(t0r * omega_at(profile, t, d.freq_ratio_r)) + 1.0)
+        return g * (occupation_at(d, profile, t) + 1.0)
 
     n_sub = m * n_intervals
     # the stage grid holds every substep edge and midpoint, np.linspace(0,
@@ -304,7 +291,7 @@ def evolve_eta_ode(
         raise SolverError(
             f"model violation: eta reached {out[k]} at s = {s[k]:.6g} ({why})"
         )
-    return _finish(d, profile, s, out, step_size=h)
+    return EtaTrajectory(s, out, h)
 
 
 def evolve_eta_closed_form(
@@ -327,16 +314,14 @@ def evolve_eta_closed_form(
     involved, which makes this route the authoritative one in cross-checks.
     """
     n_intervals = _check_run(horizon, samples_per_unit)
-    eta0 = _default_eta0(d) if eta0 is None else _check_eta0(eta0)
+    eta0 = thermal_eta(d.theta0 * d.freq_ratio_r) if eta0 is None else _check_eta0(eta0)
     g = d.gamma_tau_g
-    t0r = d.theta0 * d.freq_ratio_r
     samples = np.linspace(0.0, horizon, n_intervals + 1)
     starts = samples[:-1]
     widths = samples[1:] - starts
 
     def integrand(start, v, width):
-        occ = nu_of(t0r * omega_at(profile, start + v, d.freq_ratio_r))
-        return g * np.exp(g * (v - width)) * (occ + 1.0)
+        return g * np.exp(g * (v - width)) * (occupation_at(d, profile, start + v) + 1.0)
 
     # an interval that starts at or after the hold sees one forcing value,
     # so its integral depends on its width alone.  The chunks that hold an
@@ -367,7 +352,7 @@ def evolve_eta_closed_form(
             f"model violation: eta reached {out[k]} at s = {samples[k]:.6g} "
             "(at or below the ground-state limit)"
         )
-    return _finish(d, profile, samples, out)
+    return EtaTrajectory(samples, out)
 
 
 def _simpson_batch(f, start, width):
@@ -422,8 +407,8 @@ RECOVERY_TARGET = 0.997  # T_ratio a run must climb back to
 def recovery_time(traj, target: float = RECOVERY_TARGET) -> RecoveryResult:
     """First s at or after the T_ratio minimum where T_ratio >= target.
 
-    Works on any object with `s` and `T_ratio` sample arrays (solver
-    trajectories and emitted records alike).  The sub-sample crossing is
+    Works on records (`cycle.TimeSeriesRecord`), or any object with `s`
+    and `T_ratio` sample arrays.  The sub-sample crossing is
     located by bisection on the piecewise-linear interpolant between the
     bracketing samples.  When the trajectory never crosses the target the
     result carries `recovered=False` and the horizon that was searched.

@@ -71,9 +71,14 @@ def nu_of(theta):
     return nu
 
 
+def thermal_eta(theta: float) -> float:
+    """eta = nu(theta) + 1 of the bath equilibrium at splitting theta."""
+    return nu_of(theta) + 1.0
+
+
 def thermal_state(theta: float) -> QuenchedState:
-    """Bath equilibrium at splitting theta: eta = nu(theta) + 1."""
-    return QuenchedState(eta=nu_of(theta) + 1.0)
+    """Bath equilibrium at splitting theta, eta = `thermal_eta(theta)`."""
+    return QuenchedState(eta=thermal_eta(theta))
 
 
 def ratio_from_eta(eta, theta_now):

@@ -1,6 +1,7 @@
 """Tests for cycle orchestration, sweeps, CSV/plot emission, and config files."""
 
 import functools
+import os
 import re
 import subprocess
 import sys
@@ -13,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import molcool.cycle
+from molcool.cli import main
 from molcool.cycle import (
     CSV_HEADER,
     SOLVER_AGREEMENT_RTOL,
@@ -24,6 +26,7 @@ from molcool.cycle import (
     ThermalClosed,
     TimeSeriesRecord,
     _format_rows,
+    _nearest_indices,
     _quantize,
     default_cycle_config,
     emit_csv,
@@ -277,7 +280,7 @@ def test_kinks_inside_substeps_keep_the_fixed_step_order():
     result = run_cycle(CycleConfig(dimensionless=d, profile=ramp, horizon=2.0))
     assert result.summary.argmin_s == pytest.approx(0.505)
     rk4 = evolve_eta_ode(d, ramp, horizon=2.0)
-    assert np.max(np.abs(rk4.eta / result.trajectory.eta - 1.0)) < 1e-8
+    assert np.max(np.abs(rk4.eta / result.record.eta - 1.0)) < 1e-8
 
 
 @pytest.mark.parametrize(
@@ -323,8 +326,8 @@ def test_oracle_cross_check_runs():
     assert res.oracle is not None
     assert res.oracle.s[-1] == 3.0
     # mean occupation and the eta route describe one distribution
-    idx = np.searchsorted(res.trajectory.s, res.oracle.s)
-    rel = np.abs((res.oracle.mean_n + 1.0) / res.trajectory.eta[idx] - 1.0)
+    idx = _nearest_indices(res.record.s, res.oracle.s)
+    rel = np.abs((res.oracle.mean_n + 1.0) / res.record.eta[idx] - 1.0)
     assert np.max(rel) < 1e-3
 
 
@@ -385,7 +388,7 @@ def test_temperature_ratio_keeps_the_adiabatic_bound(shape, mode, data, theta0, 
         horizon=2.0,
     )
     try:
-        traj = run_cycle(cfg).trajectory
+        traj = run_cycle(cfg).record
     except (ValueError, SolverError, SolverCrossCheckError):
         return  # a refusal the CLI maps to exit 2 or 3 is an answer too
     w_start = 1.0 if isinstance(init_mode, ThermalClosed) else 1.0 / r
@@ -447,6 +450,61 @@ def test_sweep_worker_count_is_immaterial():
         axis="gamma_tau_g", values=(0.5, 1.0, 2.0), base=default_cycle_config()
     )
     assert run_sweep(spec, max_workers=1) == run_sweep(spec, max_workers=3)
+
+
+class SerialExecutor:
+    """A ThreadPoolExecutor stand-in that records the worker count it was
+    asked for and maps in the calling thread, so no thread starts."""
+
+    def __init__(self, asked, max_workers):
+        asked.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, values):
+        return map(fn, values)
+
+
+def recording_executor(monkeypatch, cpus):
+    """Worker counts asked of the sweep's executor, on `cpus` usable CPUs."""
+    asked = []
+    executor = functools.partial(SerialExecutor, asked)
+    monkeypatch.setattr(molcool.cycle, "ThreadPoolExecutor", executor)
+    monkeypatch.setattr(molcool.cycle, "_usable_cpus", lambda: cpus)
+    return asked
+
+
+def test_sweep_threads_are_capped_by_values_and_cpus(monkeypatch):
+    # each submit can start a thread until max_workers exist, so an uncapped
+    # pool would take as many threads as the caller asks for
+    asked = recording_executor(monkeypatch, cpus=3)
+    base = replace(default_cycle_config(), horizon=1.0)
+    wide = SweepSpec(axis="gamma_tau_g", values=(0.5, 1.0, 2.0, 4.0, 8.0), base=base)
+    narrow = SweepSpec(axis="gamma_tau_g", values=(0.5, 1.0), base=base)
+    rows = run_sweep(wide, max_workers=1_000_000)
+    assert run_sweep(narrow, max_workers=1_000_000) == rows[:2]
+    assert asked == [3, 2]
+    # on one usable CPU the sweep runs in the calling thread
+    serial = recording_executor(monkeypatch, cpus=1)
+    assert run_sweep(wide, max_workers=1_000_000) == rows
+    assert serial == []
+
+
+def test_sweep_workers_flag_is_capped(monkeypatch, capsys):
+    # --workers has a lower bound only
+    asked = recording_executor(monkeypatch, cpus=2)
+    argv = ["sweep", "--axis", "theta0", "--values", "0.02,0.03,0.04", "--horizon", "1"]
+    assert main(argv + ["--workers", "1000000"]) == 0
+    assert asked == [2]
+    assert capsys.readouterr().out.count("min T_ratio = ") == 3
+
+
+def test_usable_cpus_counts_this_process():
+    assert 1 <= molcool.cycle._usable_cpus() <= os.cpu_count()
 
 
 @pytest.mark.filterwarnings("ignore::molcool.thermo.OccupationUnderflow")

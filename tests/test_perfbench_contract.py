@@ -1,8 +1,10 @@
 """What the benchmark's tracing (perfbench/tracing.py) reads from molcool.
 
 The traced run wraps functions at their module attributes and counts
-work from the oracle trajectory's attributes, so both must keep existing,
-and a cycle must keep calling its routes through those attributes.
+work from what they return (the eta routes' samples and step, the
+record's length, the oracle trajectory's attributes), so all must keep
+existing and keep their meaning, and a cycle must keep calling its
+routes through those attributes.
 """
 
 from collections import Counter
@@ -10,9 +12,10 @@ from pathlib import Path
 
 import molcool
 import molcool.cli
-from molcool.cycle import CycleConfig, FiniteDwell, default_cycle_config
+from molcool.cycle import CycleConfig, FiniteDwell, _plan_segments, default_cycle_config
 from molcool.oracle import evolve_populations, populations_from_quenched, truncation_levels
 from molcool.profiles import FrequencyProfile
+from molcool.solver import SAMPLES_PER_UNIT, STEP_SIZE, _check_run, _substeps_per_interval
 from molcool.thermo import QuenchedState, nu_of
 from molcool.units import DimensionlessParams
 
@@ -66,6 +69,34 @@ def test_traced_cycle_reaches_every_layer(monkeypatch):
     ladder = next(s for s in tracer.spans if s.name == "oracle.populations_from_quenched")
     kernel = next(s for s in tracer.spans if s.name == "solver.evolve_eta_closed_form")
     assert ladder.end <= kernel.start
+
+
+def test_traced_counts_are_the_work_done(monkeypatch):
+    # solver.kernel_us_per_sample, solver.rk4_ns_per_substep and
+    # cycle.record_values divide by or report these counts, which the
+    # harness takes from what the routes return (s, step_size) and from
+    # the record's length; a change to either would skew them silently
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracing
+
+    cfg = CycleConfig(
+        dimensionless=default_cycle_config().dimensionless, init_mode=FiniteDwell(dwell=3.0)
+    )
+    with tracing.instrument(tracing.Tracer(), molcool) as tracer:
+        result = molcool.cycle.run_cycle(cfg)
+
+    def counted(name, key):
+        return sum(span.counts[key] for span in tracer.spans if span.name == name)
+
+    _, segments = _plan_segments(cfg)
+    intervals = [_check_run(duration, SAMPLES_PER_UNIT) for _, _, duration in segments]
+    substeps = [
+        n * _substeps_per_interval(duration, n, STEP_SIZE)
+        for n, (_, _, duration) in zip(intervals, segments)
+    ]
+    assert counted("solver.evolve_eta_closed_form", "samples") == sum(intervals) == 28_000
+    assert counted("solver.evolve_eta_ode", "substeps") == sum(substeps) == 140_000
+    assert counted("cycle.record", "values") == 5 * len(result.record)
 
 
 def test_traced_cli_reaches_the_emitters(monkeypatch, tmp_path):

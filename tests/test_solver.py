@@ -5,14 +5,16 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from molcool.cycle import TimeSeriesRecord
 from molcool.errors import SolverError
 from molcool.profiles import FrequencyProfile, ProfileShape, omega_at
 from molcool.solver import (
     _QUAD_CHUNK,
     RecoveryResult,
     _check_run,
-    _default_eta0,
     _deviations,
     _simpson_batch,
     _split_at_kinks,
@@ -22,7 +24,7 @@ from molcool.solver import (
     evolve_eta_ode,
     recovery_time,
 )
-from molcool.thermo import nu_of
+from molcool.thermo import nu_of, ratio_from_eta, thermal_eta
 from molcool.units import DimensionlessParams
 
 
@@ -34,14 +36,77 @@ def constant_profile(level=1.0):
     return FrequencyProfile(shape=ProfileShape.CONSTANT, level=level)
 
 
+def schedule(d, profile, traj):
+    """omega/omega1 at a route's samples."""
+    return omega_at(profile, traj.s, d.freq_ratio_r)
+
+
+def temperature_ratio(d, profile, traj):
+    """T_ratio of a route's samples at full precision, as the record derives it."""
+    return ratio_from_eta(traj.eta, d.theta0 * d.freq_ratio_r * schedule(d, profile, traj))
+
+
+def record_of(d, profile, traj):
+    """The record of a route's samples, rounded to the CSV's 12 digits."""
+    return TimeSeriesRecord.from_trajectory(
+        traj, schedule(d, profile, traj), d.theta0 * d.freq_ratio_r
+    )
+
+
 def test_decoupled_eta_is_frozen():
     d = DimensionlessParams(theta0=0.032, freq_ratio_r=2.0, gamma_tau_g=0.0)
     eta0 = nu_of(0.064) + 1.0
     traj = evolve_eta_ode(d, OPENING, horizon=2.0, samples_per_unit=500)
     assert np.all(traj.eta == eta0)
     # frozen eta turns the temperature ratio into the frequency schedule itself
-    np.testing.assert_allclose(traj.T_ratio, traj.omega_over_omega1, rtol=0, atol=1e-13)
-    assert traj.T_ratio[-1] == pytest.approx(0.5, abs=1e-13)
+    ratio = temperature_ratio(d, OPENING, traj)
+    np.testing.assert_allclose(ratio, schedule(d, OPENING, traj), rtol=0, atol=1e-13)
+    assert ratio[-1] == pytest.approx(0.5, abs=1e-13)
+
+
+@st.composite
+def frozen_runs(draw, shape):
+    """(profile, horizon, samples per unit) with omega within a factor 5 of
+    closed; piecewise-linear breakpoints fall inside the horizon and off
+    the sample grid, so the fixed-step route splits the substeps they hit."""
+    horizon = draw(st.floats(min_value=0.1, max_value=3.0))
+    samples_per_unit = draw(st.sampled_from([20, 100, 500]))
+    level = st.floats(min_value=0.2, max_value=2.0)
+    if shape is ProfileShape.CONSTANT:
+        return FrequencyProfile(shape, level=draw(level)), horizon, samples_per_unit
+    if shape is ProfileShape.PIECEWISE_LINEAR:
+        fractions = draw(st.lists(st.floats(min_value=0.01, max_value=0.99), min_size=1, max_size=3))
+        times = sorted({horizon * f for f in fractions})
+        grid = np.linspace(0.0, horizon, _check_run(horizon, samples_per_unit) + 1)
+        assume(not np.isin(times, grid).any())
+        ws = draw(st.lists(level, min_size=len(times) + 1, max_size=len(times) + 1))
+        profile = FrequencyProfile(shape, breakpoints=tuple(zip([0.0] + times, ws)))
+        return profile, horizon, samples_per_unit
+    duration = draw(st.floats(min_value=0.1, max_value=3.0))
+    return FrequencyProfile(shape, duration=duration), horizon, samples_per_unit
+
+
+@pytest.mark.parametrize("shape", ProfileShape, ids=lambda shape: shape.value)
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(
+    data=st.data(),
+    theta0=st.floats(min_value=-3.0, max_value=1.0).map(lambda x: 10.0**x),
+    r=st.floats(min_value=1.0, max_value=5.0),
+    eta0=st.floats(min_value=-6.0, max_value=3.0).map(lambda x: 1.0 + 10.0**x),
+)
+def test_zero_coupling_freezes_eta_exactly(shape, data, theta0, r, eta0):
+    # with g = 0 the kernel's decay is exp(0) = 1 and its integrals vanish,
+    # and every RK4 stage's forcing is 0 * (nu + 1): both routes must
+    # return eta0 bit for bit, kinked intervals included
+    profile, horizon, samples_per_unit = data.draw(frozen_runs(shape))
+    d = DimensionlessParams(theta0=theta0, freq_ratio_r=r, gamma_tau_g=0.0)
+    kernel = evolve_eta_closed_form(d, profile, eta0, horizon, samples_per_unit=samples_per_unit)
+    rk4 = evolve_eta_ode(
+        d, profile, eta0, horizon, step_size=1e-3, samples_per_unit=samples_per_unit
+    )
+    for traj in (kernel, rk4):
+        assert traj.eta.size == _check_run(horizon, samples_per_unit) + 1
+        assert np.all(traj.eta == eta0)
 
 
 def test_constant_frequency_fixed_point_is_exact():
@@ -51,7 +116,9 @@ def test_constant_frequency_fixed_point_is_exact():
     )
     eta_star = nu_of(0.064) + 1.0
     assert np.all(traj.eta == eta_star)
-    np.testing.assert_allclose(traj.T_ratio, 1.0, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(
+        temperature_ratio(DEFAULT, constant_profile(), traj), 1.0, rtol=0, atol=1e-12
+    )
     # so it does with an unstable step (g h = 50), whose powers overflow in the scan
     d = DimensionlessParams(theta0=0.032, freq_ratio_r=2.0, gamma_tau_g=5e4)
     traj = evolve_eta_ode(d, constant_profile(), horizon=1.0, step_size=1e-3, samples_per_unit=200)
@@ -185,7 +252,7 @@ def sequential_rk4(d, profile, eta0, horizon, step_size, samples_per_unit):
     samples and eta returned unchecked.  It does not split kinked intervals."""
     n_intervals = _check_run(horizon, samples_per_unit)
     m = _substeps_per_interval(horizon, n_intervals, step_size)
-    eta0 = _default_eta0(d) if eta0 is None else eta0
+    eta0 = thermal_eta(d.theta0 * d.freq_ratio_r) if eta0 is None else eta0
     g = d.gamma_tau_g
     n_sub = m * n_intervals
     s = _stage_points(horizon, n_sub, np.arange(0, 2 * n_sub + 1, 2 * m))
@@ -295,7 +362,7 @@ def test_ode_step_halving_is_converged():
 def test_overdamped_limit_tracks_instantaneous_equilibrium():
     d = DimensionlessParams(theta0=0.032, freq_ratio_r=2.0, gamma_tau_g=1e3)
     traj = evolve_eta_closed_form(d, OPENING, horizon=1.0, samples_per_unit=2000)
-    theta = 0.064 * traj.omega_over_omega1
+    theta = 0.064 * schedule(d, OPENING, traj)
     target = nu_of(theta) + 1.0
     mask = traj.s >= 0.1
     rel = np.max(np.abs(traj.eta[mask] / target[mask] - 1.0))
@@ -379,7 +446,7 @@ def test_run_validation():
 
 
 def test_recovery_time_default_cycle():
-    traj = evolve_eta_closed_form(DEFAULT, OPENING, horizon=10.0)
+    traj = record_of(DEFAULT, OPENING, evolve_eta_closed_form(DEFAULT, OPENING, horizon=10.0))
     rec = recovery_time(traj)
     assert rec.recovered
     assert rec.horizon == 10.0
@@ -390,7 +457,7 @@ def test_recovery_time_default_cycle():
 
 
 def test_recovery_time_edge_cases():
-    traj = evolve_eta_closed_form(DEFAULT, OPENING, horizon=10.0)
+    traj = record_of(DEFAULT, OPENING, evolve_eta_closed_form(DEFAULT, OPENING, horizon=10.0))
     floor = float(np.min(traj.T_ratio))
     at_min = recovery_time(traj, target=floor)
     assert at_min.recovered
@@ -402,9 +469,9 @@ def test_recovery_time_edge_cases():
 
 
 def test_recovery_faster_at_stronger_coupling():
-    slow = evolve_eta_closed_form(DEFAULT, OPENING, horizon=10.0)
+    slow = record_of(DEFAULT, OPENING, evolve_eta_closed_form(DEFAULT, OPENING, horizon=10.0))
     d_fast = DimensionlessParams(theta0=0.032, freq_ratio_r=2.0, gamma_tau_g=10.0)
-    fast = evolve_eta_closed_form(d_fast, OPENING, horizon=10.0)
+    fast = record_of(d_fast, OPENING, evolve_eta_closed_form(d_fast, OPENING, horizon=10.0))
     s_slow = recovery_time(slow).s
     s_fast = recovery_time(fast).s
     assert s_fast == pytest.approx(1.1970, abs=1e-3)
