@@ -13,19 +13,17 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import replace
 
 from .cycle import (
     CycleConfig,
     CycleResult,
-    FiniteDwell,
     RECOVERY_TARGET,
     REFERENCE_MIN_T_RATIO,
     REFERENCE_RECOVERY_S,
     SweepSpec,
     _INIT_MODES,
-    _config_for_value,
     _fmt,
+    _override,
     default_cycle_config,
     emit_csv,
     emit_plot_script,
@@ -124,7 +122,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _load_config(args) -> CycleConfig:
     """The config file's settings (or the reference cycle's), overridden by
-    every flag given."""
+    every flag given, under the same rules as the file's keys."""
     if args.config is not None:
         try:
             with open(args.config) as fh:
@@ -133,20 +131,10 @@ def _load_config(args) -> CycleConfig:
             raise OSError(f"config file {args.config}: {exc}") from exc
     else:
         cfg = default_cycle_config()
-    for flag, axis in _AXIS_BY_FLAG.items():
-        value = getattr(args, flag.replace("-", "_"))
-        if value is not None:
-            cfg = _config_for_value(cfg, axis, value)
-    init_mode = cfg.init_mode
-    if args.init_mode is not None:
-        init_mode = _INIT_MODES[args.init_mode]()
-    if args.dwell is not None:
-        if not isinstance(init_mode, FiniteDwell):
-            raise ValueError("--dwell requires --init-mode finite-dwell")
-        init_mode = FiniteDwell(args.dwell)
-    flags = {"horizon": args.horizon, "with_oracle": args.with_oracle, "output_dir": args.out}
-    return replace(
-        cfg, init_mode=init_mode, **{k: v for k, v in flags.items() if v is not None}
+    return _override(
+        cfg, theta0=args.theta0, freq_ratio_r=args.ratio, gamma_tau_g=args.gamma_tau,
+        init_mode=args.init_mode, dwell=args.dwell, horizon=args.horizon,
+        with_oracle=args.with_oracle, output_dir=args.out,
     )
 
 
@@ -162,12 +150,13 @@ def _print_summary(result: CycleResult) -> None:
         print("oracle cross-check passed")
 
 
-def _write_cycle_outputs(result: CycleResult, out_dir: str) -> None:
+def _write_outputs(out_dir: str, kind: str, emit, source, **plot) -> None:
+    """`<kind>.csv` written by `emit` and `<kind>_plot.py`, both from `source`."""
     os.makedirs(out_dir, exist_ok=True)
-    csv_path = os.path.join(out_dir, "cycle.csv")
-    emit_csv(result.record, csv_path)
-    script_path = os.path.join(out_dir, "cycle_plot.py")
-    emit_plot_script(result.record, script_path)
+    csv_path = os.path.join(out_dir, f"{kind}.csv")
+    emit(source, csv_path)
+    script_path = os.path.join(out_dir, f"{kind}_plot.py")
+    emit_plot_script(source, script_path, **plot)
     print(f"wrote {csv_path}")
     print(f"wrote {script_path}")
 
@@ -177,7 +166,7 @@ def _cmd_cycle(args) -> int:
     result = run_cycle(cfg)
     _print_summary(result)
     if cfg.output_dir is not None:
-        _write_cycle_outputs(result, cfg.output_dir)
+        _write_outputs(cfg.output_dir, "cycle", emit_csv, result.record)
     return 0
 
 
@@ -218,13 +207,7 @@ def _cmd_sweep(args) -> int:
             f"at s = {_fmt(row.argmin_s)}, recovery at s = {recov}"
         )
     if base.output_dir is not None:
-        os.makedirs(base.output_dir, exist_ok=True)
-        csv_path = os.path.join(base.output_dir, "sweep.csv")
-        emit_sweep_csv(rows, csv_path)
-        script_path = os.path.join(base.output_dir, "sweep_plot.py")
-        emit_plot_script(rows, script_path, axis=axis)
-        print(f"wrote {csv_path}")
-        print(f"wrote {script_path}")
+        _write_outputs(base.output_dir, "sweep", emit_sweep_csv, rows, axis=axis)
     return 0
 
 
@@ -292,30 +275,22 @@ def _cmd_convert_units(args) -> int:
 
 
 def _cmd_reproduce_fig4(args) -> int:
-    cfg = default_cycle_config()
-    result = run_cycle(cfg)
+    result = run_cycle(default_cycle_config())
     summ = result.summary
+    recovery_s = summ.recovery.s if summ.recovery.recovered else None
+    anchors = (
+        ("min T_ratio", summ.min_t_ratio, REFERENCE_MIN_T_RATIO),
+        (f"recovery to {RECOVERY_TARGET} at s", recovery_s, REFERENCE_RECOVERY_S),
+    )
     ok = True
-
-    expected, tol = REFERENCE_MIN_T_RATIO
-    passed = abs(summ.min_t_ratio - expected) <= tol
-    ok &= passed
-    print(
-        f"min T_ratio = {_fmt(summ.min_t_ratio)} "
-        f"(expected {expected} +/- {tol}): {'PASS' if passed else 'FAIL'}"
-    )
-
-    expected, tol = REFERENCE_RECOVERY_S
-    passed = summ.recovery.recovered and abs(summ.recovery.s - expected) <= tol
-    ok &= passed
-    recov = _fmt(summ.recovery.s) if summ.recovery.recovered else "not reached"
-    print(
-        f"recovery to {RECOVERY_TARGET} at s = {recov} "
-        f"(expected {expected} +/- {tol}): {'PASS' if passed else 'FAIL'}"
-    )
-
+    for label, value, (expected, tol) in anchors:
+        passed = value is not None and abs(value - expected) <= tol
+        ok &= passed
+        shown = "not reached" if value is None else _fmt(value)
+        verdict = "PASS" if passed else "FAIL"
+        print(f"{label} = {shown} (expected {expected} +/- {tol}): {verdict}")
     if args.out is not None:
-        _write_cycle_outputs(result, args.out)
+        _write_outputs(args.out, "cycle", emit_csv, result.record)
     return 0 if ok else 1
 
 

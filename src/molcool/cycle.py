@@ -46,7 +46,7 @@ from .solver import (
     evolve_eta_ode,
     recovery_time,
 )
-from .thermo import QuenchedState, ratio_from_eta, thermal_eta
+from .thermo import GROUND_STATE_EPS, QuenchedState, ratio_from_eta, thermal_eta
 from .units import DimensionlessParams
 
 SOLVER_AGREEMENT_RTOL = 1e-6   # fixed-step route must match the kernel route this well
@@ -113,6 +113,30 @@ def default_cycle_config() -> CycleConfig:
     """The pinned reference cycle (theta0=0.032, r=2, g=1, sine opening)."""
     return CycleConfig(
         dimensionless=DimensionlessParams(theta0=0.032, freq_ratio_r=2.0, gamma_tau_g=1.0)
+    )
+
+
+def _override(base: CycleConfig, **settings) -> CycleConfig:
+    """`base` with each of `settings` that is not None applied: the
+    `SWEEP_AXES` groups, init_mode by name, dwell, horizon, with_oracle,
+    output_dir and profile.  Config files, CLI flags and sweep values all
+    come through here, so one rule holds for each: a mode name equal to
+    the base's keeps its dwell, and a dwell applies under finite-dwell only.
+    """
+    given = {key: value for key, value in settings.items() if value is not None}
+    dims = {axis: given.pop(axis) for axis in SWEEP_AXES if axis in given}
+    mode = base.init_mode
+    name = given.pop("init_mode", mode.name)
+    if name != mode.name:
+        if name not in _INIT_MODES:
+            raise ValueError(f"unknown init_mode {name!r}; expected one of {sorted(_INIT_MODES)}")
+        mode = _INIT_MODES[name]()
+    if "dwell" in given:
+        if not isinstance(mode, FiniteDwell):
+            raise ValueError("dwell applies to init_mode finite-dwell only")
+        mode = FiniteDwell(given.pop("dwell"))
+    return replace(
+        base, dimensionless=replace(base.dimensionless, **dims), init_mode=mode, **given
     )
 
 
@@ -310,6 +334,11 @@ def run_cycle(cfg: CycleConfig) -> CycleResult:
     """
     d = cfg.dimensionless
     eta0, segments = _plan_segments(cfg)
+    # `ratio_from_eta` would refuse this start at the record's first sample
+    if not eta0 > 1.0 + GROUND_STATE_EPS:
+        raise ValueError(
+            f"eta0 must exceed 1 + {GROUND_STATE_EPS:g} (the ground-state limit), got {eta0}"
+        )
     # the routes' grids and the oracle's ladder pass their size checks before any route runs
     for _, _, duration in segments:
         n_intervals = _check_run(duration, SAMPLES_PER_UNIT)
@@ -376,7 +405,7 @@ class SweepSpec:
             raise ValueError("sweep needs at least one value")
         object.__setattr__(self, "values", vals)
         for v in vals:
-            _config_for_value(self.base, self.axis, v)  # reject out-of-range values now
+            _override(self.base, **{self.axis: v})  # reject out-of-range values now
 
 
 def sweep_range_values(vmin: float, vmax: float, count: int, spacing: str = "linear"):
@@ -396,11 +425,6 @@ def sweep_range_values(vmin: float, vmax: float, count: int, spacing: str = "lin
             raise ValueError("log spacing needs a positive minimum")
         return tuple(float(v) for v in np.geomspace(vmin, vmax, count))
     raise ValueError(f"spacing must be 'linear' or 'log', got {spacing!r}")
-
-
-def _config_for_value(base: CycleConfig, axis: str, value: float) -> CycleConfig:
-    """`base` with one dimensionless parameter set to `value`."""
-    return replace(base, dimensionless=replace(base.dimensionless, **{axis: value}))
 
 
 @dataclass(frozen=True)
@@ -433,7 +457,7 @@ def run_sweep(spec: SweepSpec, max_workers: int = 1) -> list[SweepRow]:
 
     def one(value: float) -> SweepRow:
         try:
-            result = run_cycle(_config_for_value(spec.base, spec.axis, value))
+            result = run_cycle(_override(spec.base, **{spec.axis: value}))
         except Exception as exc:
             return SweepRow(axis_value=value, error=f"{type(exc).__name__}: {exc}")
         summ = result.summary
@@ -560,9 +584,12 @@ def read_csv_record(path) -> TimeSeriesRecord:
                 raise ValueError(f"{path}: expected header {CSV_HEADER!r}, got {header!r}")
             rows = []
             for lineno, row in enumerate(reader, start=2):
-                if len(row) != len(names):
-                    raise ValueError(f"{path}:{lineno}: expected {len(names)} columns")
-                rows.append([float(v) for v in row])
+                try:
+                    if len(row) != len(names):
+                        raise ValueError(f"expected {len(names)} columns")
+                    rows.append([float(v) for v in row])
+                except ValueError as exc:
+                    raise ValueError(f"{path}:{lineno}: {exc}") from None
     except OSError as exc:
         raise OSError(f"CSV read from {path} failed: {exc}") from exc
     return TimeSeriesRecord(*np.array(rows, dtype=float).reshape(len(rows), len(names)).T)
@@ -711,8 +738,9 @@ def emit_plot_script(source, path, axis=None) -> None:
 
 
 def serialize_config(cfg: CycleConfig) -> str:
-    """Render a CycleConfig as INI text; parse_config inverts this exactly."""
-    cp = configparser.ConfigParser()
+    """Render a CycleConfig as INI text that parse_config inverts exactly;
+    an output_dir it would read back differently (one with " #") is refused."""
+    cp = configparser.ConfigParser(interpolation=None)
     d = cfg.dimensionless
     cp["dimensionless"] = {
         "theta0": repr(d.theta0),
@@ -738,7 +766,10 @@ def serialize_config(cfg: CycleConfig) -> str:
         cp["output"] = {"directory": cfg.output_dir}
     buf = io.StringIO()
     cp.write(buf)
-    return buf.getvalue()
+    text = buf.getvalue()
+    if cfg.output_dir is not None and parse_config(text).output_dir != cfg.output_dir:
+        raise ValueError(f"output_dir {cfg.output_dir!r} would read back differently")
+    return text
 
 
 def _parse_breakpoints(text: str):
@@ -760,12 +791,6 @@ def _profile_shape(text: str) -> ProfileShape:
     except ValueError:
         names = sorted(m.value for m in ProfileShape)
         raise ValueError(f"unknown profile shape {text!r}; expected one of {names}") from None
-
-
-def _init_mode(name: str) -> ThermalClosed | FiniteDwell:
-    if name not in _INIT_MODES:
-        raise ValueError(f"unknown init_mode {name!r}; expected one of {sorted(_INIT_MODES)}")
-    return _INIT_MODES[name]()
 
 
 def _boolean(text: str) -> bool:
@@ -790,7 +815,7 @@ _CONFIG_KEYS = {
         "level": float,
         "breakpoints": _parse_breakpoints,
     },
-    "run": {"init_mode": _init_mode, "dwell": float, "horizon": float, "with_oracle": _boolean},
+    "run": {"init_mode": str, "dwell": float, "horizon": float, "with_oracle": _boolean},
     "output": {"directory": str, "format": _csv_only},
 }
 
@@ -798,10 +823,10 @@ _CONFIG_KEYS = {
 def parse_config(text: str) -> CycleConfig:
     """Parse INI text into a CycleConfig; unknown sections or keys are errors.
 
-    Only the keys present are passed on, so every absent one takes its
-    CycleConfig or FrequencyProfile default.
+    Values are read literally (no `%` interpolation).  Only the keys
+    present are passed on, so every absent one takes its default.
     """
-    cp = configparser.ConfigParser(inline_comment_prefixes=("#",))
+    cp = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=("#",))
     try:
         cp.read_string(text)
     except configparser.Error as exc:
@@ -823,14 +848,8 @@ def parse_config(text: str) -> CycleConfig:
     missing = set(_CONFIG_KEYS["dimensionless"]) - set(given["dimensionless"])
     if missing:
         raise ValueError(f"[dimensionless] is missing {sorted(missing)}")
-    dims = DimensionlessParams(**given["dimensionless"])
-    changes = given.get("run", {})
-    if "dwell" in changes:
-        if not isinstance(changes.get("init_mode"), FiniteDwell):
-            raise ValueError("dwell is only meaningful with init_mode = finite-dwell")
-        changes["init_mode"] = FiniteDwell(changes.pop("dwell"))
-    if "profile" in given:
-        changes["profile"] = FrequencyProfile(**given["profile"])
-    if "directory" in given.get("output", {}):
-        changes["output_dir"] = given["output"]["directory"]
-    return CycleConfig(dimensionless=dims, **changes)
+    profile = FrequencyProfile(**given["profile"]) if "profile" in given else None
+    return _override(
+        default_cycle_config(), **given["dimensionless"], **given.get("run", {}),
+        profile=profile, output_dir=given.get("output", {}).get("directory"),
+    )

@@ -8,9 +8,19 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from molcool.cli import main
-from molcool.cycle import CycleConfig, _fmt, default_cycle_config, run_cycle, serialize_config
+from molcool.cli import _load_config, build_parser, main
+from molcool.cycle import (
+    CycleConfig,
+    FiniteDwell,
+    _fmt,
+    default_cycle_config,
+    parse_config,
+    run_cycle,
+    serialize_config,
+)
 from molcool.errors import SolverCrossCheckError
 from molcool.profiles import FrequencyProfile, ProfileShape
 from molcool.units import AdiabaticityWarning, DimensionlessParams
@@ -176,6 +186,110 @@ def test_config_file_with_flag_overrides(tmp_path, capsys):
     assert capsys.readouterr().out == override_out
 
 
+def test_restated_init_mode_keeps_the_file_dwell(tmp_path, capsys):
+    cfg = replace(default_cycle_config(), init_mode=FiniteDwell(dwell=3.0))
+    path = tmp_path / "dwell.ini"
+    path.write_text(serialize_config(cfg))
+    for command in (("cycle",), ("sweep", "--axis", "theta0", "--values", "0.032")):
+        assert run_cli(*command, "--config", str(path)) == 0
+        from_file = capsys.readouterr().out
+        assert "min T_ratio = 6.75191091365e-01" in from_file
+        assert run_cli(*command, "--config", str(path), "--init-mode", "finite-dwell") == 0
+        assert capsys.readouterr().out == from_file
+    # another mode name replaces the file's mode, dwell and all
+    assert run_cli("cycle", "--config", str(path), "--init-mode", "thermal-closed") == 0
+    thermal_closed = capsys.readouterr().out
+    assert run_cli("cycle") == 0
+    assert capsys.readouterr().out == thermal_closed
+
+
+def test_config_values_are_read_literally(tmp_path, capsys):
+    out_dir = tmp_path / "runs 100%"
+    path = tmp_path / "run.ini"
+    path.write_text(serialize_config(replace(default_cycle_config(), output_dir=str(out_dir))))
+    assert run_cli("cycle", "--config", str(path), "--horizon", "2") == 0
+    assert f"wrote {out_dir / 'cycle.csv'}" in capsys.readouterr().out
+    assert (out_dir / "cycle.csv").exists()
+
+
+FLAG_OF = {
+    "theta0": "--theta0", "freq_ratio_r": "--ratio", "gamma_tau_g": "--gamma-tau",
+    "horizon": "--horizon", "init_mode": "--init-mode", "dwell": "--dwell",
+}
+
+
+DIMENSIONLESS_KEYS = {
+    "theta0": st.floats(min_value=1e-4, max_value=10.0),
+    "freq_ratio_r": st.floats(min_value=1.0, max_value=10.0),
+    "gamma_tau_g": st.floats(min_value=0.0, max_value=100.0),
+}
+RUN_KEYS = {
+    "horizon": st.floats(min_value=1.0, max_value=100.0),
+    "with_oracle": st.booleans(),
+    "init_mode": st.sampled_from(["thermal-closed", "finite-dwell"]),
+    "dwell": st.floats(min_value=0.0, max_value=10.0),
+}
+
+
+@st.composite
+def config_keys(draw):
+    """Every dimensionless key, and each [run] key or not."""
+    keys = {key: draw(strategy) for key, strategy in DIMENSIONLESS_KEYS.items()}
+    for key, strategy in RUN_KEYS.items():
+        value = draw(st.none() | strategy)
+        if value is not None:
+            keys[key] = value
+    return keys
+
+
+def config_text(keys):
+    lines = ["[dimensionless]"] + [f"{key} = {keys[key]!r}" for key in DIMENSIONLESS_KEYS]
+    lines.append("[run]")
+    for key, value in keys.items():
+        if key in RUN_KEYS:
+            lines.append(f"{key} = {str(value).lower() if key == 'with_oracle' else value}")
+    return "\n".join(lines) + "\n"
+
+
+def flags(keys):
+    argv = []
+    for key, value in keys.items():
+        if key == "with_oracle":
+            argv += ["--with-oracle"] if value else []
+        else:
+            argv += [FLAG_OF[key], str(value)]
+    return argv
+
+
+def load_or_refuse(load, *args):
+    """The config `load` builds, or the text of the ValueError it raises."""
+    try:
+        return load(*args)
+    except ValueError as exc:
+        return f"refused: {exc}"
+
+
+@settings(
+    max_examples=200, deadline=None, derandomize=True,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(keys=config_keys(), restate=st.data())
+def test_flags_and_file_agree(tmp_path, keys, restate):
+    parser = build_parser()
+    # flags on the default config build what a file with the same keys does
+    from_file = load_or_refuse(parse_config, config_text(keys))
+    from_flags = load_or_refuse(_load_config, parser.parse_args(["cycle", *flags(keys)]))
+    assert from_flags == from_file
+    if isinstance(from_file, str):
+        return
+    # flags that restate some of a file's keys leave its config as it is
+    path = tmp_path / "run.ini"
+    path.write_text(config_text(keys))
+    subset = {k: v for k, v in keys.items() if restate.draw(st.booleans(), label=k)}
+    argv = ["cycle", "--config", str(path), *flags(subset)]
+    assert _load_config(parser.parse_args(argv)) == from_file
+
+
 def test_ratio_flag_moves_the_config_profile(tmp_path, capsys):
     # --ratio replaces the config's r, and the config's profile runs at it
     dims = DimensionlessParams(theta0=0.032, freq_ratio_r=2.0, gamma_tau_g=1.0)
@@ -222,10 +336,18 @@ def test_validation_exit_codes(tmp_path, capsys):
     assert "freq_ratio_r" in capsys.readouterr().err
     assert run_cli("sweep", "--axis", "theta0", "--values", "a,b") == 2
     capsys.readouterr()
-    assert run_cli("cycle", "--dwell", "2") == 2
-    assert "--dwell requires --init-mode finite-dwell" in capsys.readouterr().err
-    assert run_cli("cycle", "--init-mode", "thermal-closed", "--dwell", "3") == 2
-    assert "--dwell requires --init-mode finite-dwell" in capsys.readouterr().err
+    # one dwell rule, and one message, for flags and file
+    stray_dwell = tmp_path / "dwell.ini"
+    stray_dwell.write_text(
+        serialize_config(default_cycle_config()).replace("horizon = ", "dwell = 3\nhorizon = ")
+    )
+    for argv in (
+        ("--dwell", "2"),
+        ("--init-mode", "thermal-closed", "--dwell", "3"),
+        ("--config", str(stray_dwell)),
+    ):
+        assert run_cli("cycle", *argv) == 2
+        assert capsys.readouterr().err == "error: dwell applies to init_mode finite-dwell only\n"
     bad = tmp_path / "bad.ini"
     bad.write_text(
         serialize_config(default_cycle_config()).replace("horizon = ", "speed = 9\nhorizon = ")
@@ -282,6 +404,29 @@ def test_oversized_oracle_ladder_is_refused(monkeypatch, capsys):
     monkeypatch.setattr("molcool.cycle.evolve_eta_ode", refuse)
     assert run_cli("cycle", "--theta0", "1e-6", "--with-oracle", "--horizon", "3000") == 2
     assert "a ladder of 40000002 levels would exceed memory limits" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("ignore::molcool.thermo.OccupationUnderflow")
+@pytest.mark.parametrize("theta0", ["14", "18", "20", "400"])
+def test_ground_state_start_is_refused_before_any_route(monkeypatch, capsys, theta0):
+    # at r = 2, theta0 >= ~13.8 starts within 1e-12 of eta = 1, which the
+    # record's first sample would refuse; it is refused before anything runs
+    def refuse(*args, **kwargs):
+        raise AssertionError("a route ran before the start state was checked")
+
+    for route in ("evolve_eta_closed_form", "evolve_eta_ode", "ladder_levels",
+                  "populations_from_quenched"):
+        monkeypatch.setattr(f"molcool.cycle.{route}", refuse)
+    assert run_cli("cycle", "--theta0", theta0) == 2
+    err = capsys.readouterr().err.splitlines()[-1]
+    assert err.startswith("error: eta0 must exceed 1 + 1e-12 (the ground-state limit), got 1.0")
+    assert run_cli("cycle", "--theta0", theta0, "--with-oracle") == 2
+    assert capsys.readouterr().err.splitlines()[-1] == err
+
+
+def test_start_just_above_the_ground_state_answers(capsys):
+    assert run_cli("cycle", "--theta0", "13") == 0
+    assert "min T_ratio = 8.51771449869e-01" in capsys.readouterr().out
 
 
 def test_oversized_sweep_range_is_refused_before_allocation(capsys):

@@ -243,6 +243,13 @@ def test_read_csv_rejects_foreign_header(tmp_path):
         read_csv_record(path)
 
 
+def test_read_csv_names_the_line_of_a_bad_cell(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"{CSV_HEADER}\n0.0,1.0,2.0,1.0,1.0\n1.0,1.0,x,1.0,1.0\n")
+    with pytest.raises(ValueError, match=re.escape(f"{path}:3: could not convert string")):
+        read_csv_record(path)
+
+
 # the full text of a cross-check failure, with the worst relative disagreement
 RELATIVE_AT_S = r" by \d\.\d{3}e[+-]\d{2} relative at s = -?\d[\d.e+-]* "
 
@@ -640,6 +647,9 @@ def test_config_roundtrips_exactly():
             profile=FrequencyProfile(shape=ProfileShape.CONSTANT, level=0.75),
         ),
     ]
+    # values are literal: no % interpolation, and a # not after whitespace is no comment
+    for directory in ("runs/100%", "runs/%(theta0)s", "runs/a#1", "runs/%%#"):
+        configs.append(replace(default_cycle_config(), output_dir=directory))
     for cfg in configs:
         assert parse_config(serialize_config(cfg)) == cfg
 
@@ -660,8 +670,10 @@ def test_config_parse_errors():
         parse_config(
             good + "\n[profile]\nshape = triangle\nduration = 1.0\n"
         )
-    with pytest.raises(ValueError, match="finite-dwell"):
+    with pytest.raises(ValueError, match="dwell applies to init_mode finite-dwell only"):
         parse_config(good.replace("init_mode = thermal-closed", "init_mode = thermal-closed\ndwell = 2"))
+    with pytest.raises(ValueError, match="unknown init_mode 'warm'"):
+        parse_config(good.replace("init_mode = thermal-closed", "init_mode = warm"))
     with pytest.raises(ValueError, match="s:omega form"):
         parse_config(
             good
@@ -676,6 +688,11 @@ def test_config_parse_errors():
         parse_config(good + "\n[profile]\nshape = sine-opening\nlevel = 0.3\n")
     with pytest.raises(ValueError, match="breakpoints apply to the piecewise-linear shape only"):
         parse_config(good + "\n[profile]\nshape = sine-opening\nbreakpoints = 0:1, 1:0.5\n")
+    # a directory that would come back as another one is refused, not written
+    for directory, read in (("runs/a #1", "runs/a"), (" runs/b", "runs/b")):
+        with pytest.raises(ValueError, match=re.escape(f"output_dir {directory!r} would read back")):
+            serialize_config(replace(default_cycle_config(), output_dir=directory))
+        assert parse_config(good + f"\n[output]\ndirectory = {directory}\n").output_dir == read
 
 
 if __name__ == "__main__":

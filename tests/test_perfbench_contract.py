@@ -112,3 +112,24 @@ def test_traced_cli_reaches_the_emitters(monkeypatch, tmp_path):
     assert calls["cycle.emit_plot_script"] == 1
     csv_span = next(s for s in tracer.spans if s.name == "cycle.emit_csv")
     assert csv_span.counts["bytes"] == (tmp_path / "cycle.csv").stat().st_size
+
+
+def test_each_workload_runs_one_op_cleanly(monkeypatch, tmp_path):
+    # BENCHMARK.json runs two of the three workloads; one op of each, on
+    # its cheapest input, keeps the calls all three make of molcool
+    # (run_sweep's max_workers, SweepSpec's positional fields, the
+    # oracle's mean_n) from changing shape unnoticed
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import workloads
+
+    reference = workloads.Reference(seed=0, workdir=str(tmp_path))
+    assert reference.check("reproduce-fig4", reference.run("reproduce-fig4")) == []
+    sweep = workloads.StiffSweep(seed=0, workdir=str(tmp_path))
+    spec = max(sweep.specs)  # the largest theta0
+    assert sweep.check(spec, sweep.run(spec)) == []
+    assert sweep.check(spec, sweep.run_serial(spec)) == []
+    ladder = workloads.OracleLadder(seed=0, workdir=str(tmp_path))
+    theta0 = max(ladder.specs)  # the smallest ladder
+    result = ladder.run(theta0)
+    assert ladder.check(theta0, result) == []
+    ladder.digest(theta0, result)  # reads result.oracle.mean_n
