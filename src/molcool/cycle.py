@@ -11,6 +11,12 @@ route's own default grid, joins each route's segments with `_stitch`,
 and compares routes with `_cross_check`, the one place a disagreement
 is measured and refused.  `TimeSeriesRecord.from_trajectory` derives
 the observables from the kernel route's eta, once.
+
+A `TimeSeriesRecord` is immutable.  Its construction rounds every value
+to the 12 significant digits the CSV prints and keeps the decimal
+digits that rounding computed, so `emit_csv` builds each cell from them
+by table lookups of 4-byte words, and no value's digits are worked out
+twice.
 """
 
 from __future__ import annotations
@@ -141,100 +147,126 @@ def _override(base: CycleConfig, **settings) -> CycleConfig:
 
 
 _POW10 = np.array([float(10**k) for k in range(23)])  # every one an exact double
-_QUANTIZE_BLOCK = 1 << 14
+_QUANTIZE_BLOCK = 1 << 12  # values per `_decimal12` call; bounds its temporaries
 
 
 def _decimal12(v: np.ndarray):
-    """Integer mantissa d and exponent e of `"%.11e" % abs(x)` for each x in v,
-    which prints as d's 12 digits with a point after the first, then e.
+    """q = float("%.11e" % x) for each x in v, with the mantissa d (int64)
+    and exponent e (int16) of `"%.11e" % abs(x)`, which prints as d's 12
+    digits with a point after the first, then e.
 
     Fast path (Clinger's exact case): with e = floor(log10|x|), |x|
     times or divided by the exact power 10**|11 - e| is one correctly
     rounded operation, off the exact product by at most 2**-14 below
-    10**12, so its rint is the printed mantissa unless the fraction lies
-    within 1e-3 of a half.  A mantissa rounded up to 10**12 becomes
-    10**11 at the next exponent.  Elements off the fast path (a log10
-    estimate one off, |11 - e| > 22, a near-half fraction) are printed
-    with "%.11e" and their digits parsed back; zero and non-finite
-    elements give d = e = 0.
+    10**12, so its rint r is the printed mantissa unless the fraction
+    lies within 1e-3 of a half, and r divided or multiplied back by the
+    same power, both operands exact, is |q|.  A mantissa rounded up to
+    10**12 becomes 10**11 at the next exponent.  Elements off the fast
+    path (a log10 estimate one off, |11 - e| > 22, a near-half fraction)
+    are printed with "%.11e" and their digits and value parsed back.
+    Zero and non-finite elements give d = e = 0 and q = x.
     """
     usable = np.isfinite(v) & (v != 0.0)
     a = np.where(usable, np.abs(v), 1.0)  # a stand-in that gives zero and non-finite x e = 0
-    e = np.floor(np.log10(a)).astype(np.int64)
+    e = np.floor(np.log10(a)).astype(np.int16)
     shift = 11 - e
-    p = _POW10[np.minimum(np.abs(shift), 22)]
+    magnitude = np.abs(shift)
+    p = np.take(_POW10, magnitude, mode="clip")  # 10**min(|11 - e|, 22)
     up = shift >= 0
-    scaled = np.multiply(a, p, out=np.empty_like(a), where=up)
-    np.divide(a, p, out=scaled, where=~up)
+    every_up = bool(up.all())  # every |x| below 10**12, as in a cycle record
+    if every_up:
+        scaled = a * p
+    else:
+        scaled = np.multiply(a, p, out=np.empty_like(a), where=up)
+        np.divide(a, p, out=scaled, where=~up)
     d = np.rint(scaled)
-    fast = (
-        usable
-        & (np.abs(shift) <= 22)
-        & (scaled >= 1e11)
-        & (scaled < 1e12)
-        & (np.abs(scaled - np.floor(scaled) - 0.5) > 1e-3)
-    )
-    bump = fast & (d == 1e12)
-    d = np.where(bump, 1e11, np.where(fast, d, 0.0)).astype(np.int64)
-    e += bump
-    d_flat, e_flat, a_flat = d.reshape(-1), e.reshape(-1), a.reshape(-1)
-    for i in np.flatnonzero(usable & ~fast):
+    fast = usable & (magnitude <= 22) & (scaled >= 1e11) & (scaled < 1e12)
+    fast &= np.abs(scaled - d) < 0.499
+    if every_up:
+        q = np.divide(d, p, out=scaled)
+    else:
+        # what these leave in the elements off the fast path is overwritten below
+        q = np.divide(d, p, out=scaled, where=up)
+        np.multiply(d, p, out=q, where=fast & ~up)
+    np.copyto(d, 0.0, where=~fast)
+    bump = d == 1e12
+    if bump.any():
+        d[bump] = 1e11
+        e[bump] += 1
+    d = d.astype(np.int64)
+    q_flat, d_flat, e_flat, a_flat = q.reshape(-1), d.reshape(-1), e.reshape(-1), a.reshape(-1)
+    for i in np.flatnonzero(usable != fast):  # fast implies usable
         text = "%.11e" % a_flat[i]
+        q_flat[i] = float(text)
         d_flat[i] = int(text[0] + text[2:13])
         e_flat[i] = int(text[14:])
-    return d, e
+    np.copysign(q, v, out=q)
+    np.copyto(q, v, where=~usable)
+    return q, d, e
 
 
-def _quantize(values) -> np.ndarray:
-    """Round onto the 12-significant-digit grid the CSV emitter writes, so
-    records roundtrip through their files bit-identically.
+def _quantize(values, out=None):
+    """Round a 1-D array onto the 12-significant-digit grid the CSV
+    emitter writes, so records roundtrip through their files
+    bit-identically.  Returns `_decimal12`'s (q, d, e): the rounded
+    values, each equal to float("%.11e" % x) bit for bit (non-finite
+    values pass through unchanged), and the mantissas (int64) and
+    exponents (int16) that print them.
 
-    Each value is rebuilt from `_decimal12`'s digits as d * 10**(e - 11),
-    or d / 10**(11 - e), with both operands exact, so it equals
-    float("%.11e" % x) bit for bit.  Only a value with |e - 11| > 22,
-    where the power of ten is no longer exact, is parsed from that
-    string instead; non-finite values pass through unchanged.  Values go
-    `_QUANTIZE_BLOCK` at a time, which bounds the temporaries.
+    `out`, if given, is the (q, d, e) triple of arrays to fill.  Values
+    go `_QUANTIZE_BLOCK` at a time, which bounds the temporaries.
     """
     v = np.asarray(values, dtype=float)
-    out = np.empty(v.shape)
-    v_flat, out_flat = v.reshape(-1), out.reshape(-1)
-    for lo in range(0, v_flat.size, _QUANTIZE_BLOCK):
-        x = v_flat[lo:lo + _QUANTIZE_BLOCK]
-        d, e = _decimal12(x)
-        k = e - 11
-        p = _POW10[np.minimum(np.abs(k), 22)]
-        q = np.where(k >= 0, d * p, d / p)
-        q = np.where(np.signbit(x), -q, q)
-        for i in np.flatnonzero(np.abs(k) > 22):
-            q[i] = float(f"{x[i]:.11e}")
-        out_flat[lo:lo + _QUANTIZE_BLOCK] = np.where(np.isfinite(x), q, x)
+    if out is None:
+        out = (np.empty(v.shape), np.empty(v.shape, np.int64), np.empty(v.shape, np.int16))
+    q, d, e = out
+    for lo in range(0, v.size, _QUANTIZE_BLOCK):
+        block = slice(lo, lo + _QUANTIZE_BLOCK)
+        q[block], d[block], e[block] = _decimal12(v[block])
     return out
 
 
-@dataclass(eq=False)
+_COLUMNS = CSV_HEADER.split(",")
+
+
+@dataclass(frozen=True, eq=False)
 class TimeSeriesRecord:
     """Sampled cycle output, one row per sample, stored pre-rounded to the
-    12 significant digits that the CSV emitter writes."""
+    12 significant digits that the CSV emitter writes.
+
+    A record is immutable: its fields cannot be reassigned and its
+    column arrays are read-only.  `_quantized` = (q, d, e) holds the
+    quantized values q, one row per column (the record's columns are its
+    rows), and the mantissas d and exponents e that `_quantize` computed
+    for them, one row per sample as in the CSV, from which `emit_csv`
+    formats the cells: row order makes every cell write contiguous, and
+    each column stays contiguous for its readers.
+    """
 
     s: np.ndarray
     omega_over_omega1: np.ndarray
     eta: np.ndarray
     mean_n: np.ndarray
     T_ratio: np.ndarray
+    _quantized: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
-        cols = [
-            np.asarray(c, dtype=float)
-            for c in (self.s, self.omega_over_omega1, self.eta, self.mean_n, self.T_ratio)
-        ]
+        cols = [np.asarray(getattr(self, name), dtype=float) for name in _COLUMNS]
         n = cols[0].size
         if any(c.size != n for c in cols):
             raise ValueError("record columns must have equal length")
-        quantized = _quantize(np.stack([c.reshape(n) for c in cols]))
-        self.s, self.omega_over_omega1, self.eta, self.mean_n, self.T_ratio = quantized
-        if not np.all(np.isfinite(quantized)):
+        q = np.empty((len(cols), n))
+        d = np.empty((n, len(cols)), np.int64)
+        e = np.empty(d.shape, np.int16)
+        for i, c in enumerate(cols):
+            _quantize(c.reshape(n), out=(q[i], d[:, i], e[:, i]))
+        if not np.all(np.isfinite(q)):
             raise ValueError("record values must all be finite")
+        for a in (q, d, e):
+            a.flags.writeable = False
+        for name, column in zip(_COLUMNS, q):
+            object.__setattr__(self, name, column)
+        object.__setattr__(self, "_quantized", (q, d, e))
         if n >= 2 and not np.all(np.diff(self.s) > 0.0):
             raise ValueError("sample times must be strictly increasing")
 
@@ -496,103 +528,149 @@ def _digit_rows(places: int) -> np.ndarray:
     )
 
 
-def _byte_strings(chars: np.ndarray) -> np.ndarray:
-    """A read-only table of the rows of a uint8 matrix, as byte strings."""
-    table = chars.view(f"S{chars.shape[1]}").reshape(-1)
+def _words(chars: np.ndarray) -> np.ndarray:
+    """A read-only flat table of the last-axis rows of a uint8 array of 2 or
+    4 columns, each row's bytes packed in memory order into one word."""
+    table = np.ascontiguousarray(chars).view(f"u{chars.shape[-1]}").reshape(-1)
     table.flags.writeable = False
     return table
 
 
-def _exponent_chars() -> np.ndarray:
-    """"e±htu" for each e in [-999, 999], with NUL for the h of |e| < 100."""
-    magnitude = _digit_rows(3)
-    chars = np.empty((1999, 5), dtype=np.uint8)
-    chars[:, 0] = ord("e")
-    chars[:999, 1] = ord("-")
-    chars[999:, 1] = ord("+")
-    chars[:, 2:] = np.concatenate((magnitude[:0:-1], magnitude))  # 999 .. 1, then 0 .. 999
-    chars[chars[:, 2] == ord("0"), 2] = 0
+def _signed_exponents(top: int) -> np.ndarray:
+    """"±htu" for each e in [-top, top], at e + top."""
+    magnitude = _digit_rows(3)[:top + 1]
+    chars = np.empty((2 * top + 1, 4), dtype=np.uint8)
+    chars[:top, 0] = ord("-")
+    chars[top:, 0] = ord("+")
+    chars[:, 1:] = np.concatenate((magnitude[:0:-1], magnitude))  # top .. 1, then 0 .. top
     return chars
 
 
+def _exponent_words(exponents: np.ndarray, first: np.ndarray) -> np.ndarray:
+    """"De±X" for each last mantissa digit D and each row of `_signed_exponents`,
+    at D * rows + row, where X is `first` at that row."""
+    chars = np.empty((10, len(exponents), 4), dtype=np.uint8)
+    chars[..., 0] = _DIGITS[:, None]
+    chars[..., 1] = ord("e")
+    chars[..., 2] = exponents[:, 0]
+    chars[..., 3] = first
+    return _words(chars)
+
+
 _quad = _digit_rows(4)
-_QUAD = _byte_strings(_quad)  # "dddd" at i: a mantissa's middle or low four digits
-_HEAD = _byte_strings(np.insert(_quad, 1, ord("."), axis=1))  # "d.ddd" at i: its high four
-_EXPONENT = _byte_strings(_exponent_chars())  # at e + 999
-del _quad
-# one cell of `"%.11e" % x` and its separator, 20 bytes; NUL marks a byte
-# the cell does not print
-_CELL = np.dtype(
-    [("sign", "S1"), ("head", "S5"), ("mid", "S4"), ("low", "S4"), ("exp", "S5"), ("sep", "S1")]
+_QUAD = _words(_quad)  # "DDDD" at i: a mantissa's 4th to 7th or 8th to 11th digits
+_LEAD = _words(np.insert(_quad[:1000, 1:], 1, ord("."), axis=1))  # "D.DD" at i: its first three
+_narrow = _signed_exponents(99)  # the exponents of a block without a three-digit one
+_NARROW_EXP = _exponent_words(_narrow, _narrow[:, 2])  # "De±t" at D * 199 + e + 99
+# "u," at e + 99 and "u\n" at 199 + e + 99: the units digit and the separator
+_NARROW_TAIL = _words(
+    np.stack([np.stack((_narrow[:, 3], np.full(199, sep, np.uint8)), axis=1) for sep in b",\n"])
 )
+_wide = _signed_exponents(999)
+_WIDE_EXP = _exponent_words(_wide, np.where(_wide[:, 1] == ord("0"), 0, _wide[:, 1]))  # "De±h"
+_WIDE_TAIL = _words(_wide[:, 2:])  # "tu" at e + 999
+del _quad, _narrow, _wide
+
+
+def _cell(signed: bool, wide: bool) -> np.dtype:
+    """One cell of `"%.11e" % x` and its separator, laid out for a block
+    with (`signed`) or without a negative value and with (`wide`) or
+    without a three-digit exponent; NUL marks a byte the cell does not
+    print."""
+    fields = [("sign", "u1")] if signed else []
+    fields += [("lead", "u4"), ("mid", "u4"), ("low", "u4"), ("exp", "u4"), ("tail", "u2")]
+    return np.dtype(fields + [("sep", "u1")] if wide else fields)
+
+
+_CELLS = {(signed, wide): _cell(signed, wide) for signed in (False, True) for wide in (False, True)}
+
+
+def _format_cells(q: np.ndarray, d: np.ndarray, e: np.ndarray) -> bytes:
+    """CSV bytes of a (rows, columns) block of finite values q, given with
+    their `_decimal12` mantissas d and exponents e: each cell is
+    `"%.11e" % x`, cells joined by "," and rows ended by "\n".
+
+    Each cell is one record of `_CELLS`, filled word by word from tables
+    of 4-byte words: "D.DD" from `_LEAD`, the next two groups of four
+    digits from `_QUAD`, then the last digit, "e", the exponent's sign
+    and its first digit in one word, and a 2-byte tail.  A block of
+    two-digit exponents has a "De±t" word and a "u," or "u\n" tail; a
+    block with a three-digit one has "De±h", with NUL for the h of
+    |e| < 100, a "tu" tail and a separator byte.  Only a block holding a
+    negative value has a sign byte, NUL for the others.  The NUL bytes
+    are dropped by one `translate`, run only on a block that holds one.
+    """
+    negative = np.signbit(q)
+    signed = bool(negative.any())
+    wide = bool(np.abs(e).max(initial=0) >= 100)
+    cells = np.empty(q.shape, dtype=_CELLS[signed, wide])
+    if signed:
+        cells["sign"] = negative * np.uint8(ord("-"))
+    tens = d // 10  # a floor division by a constant is far cheaper than divmod
+    last = d - tens * 10
+    upper = tens // 10_000
+    cells["low"] = np.take(_QUAD, tens - upper * 10_000)
+    lead = upper // 10_000
+    cells["mid"] = np.take(_QUAD, upper - lead * 10_000)
+    cells["lead"] = np.take(_LEAD, lead)
+    if wide:
+        cells["exp"] = np.take(_WIDE_EXP, last * 1999 + (e + 999))
+        cells["tail"] = np.take(_WIDE_TAIL, e + 999)
+        cells["sep"] = ord(",")
+        cells["sep"][:, -1] = ord("\n")
+    else:
+        cells["exp"] = np.take(_NARROW_EXP, last * 199 + (e + 99))
+        tail = e + 99
+        tail[:, -1] += 199
+        cells["tail"] = np.take(_NARROW_TAIL, tail)
+    out = cells.tobytes()
+    return out.translate(None, b"\0") if b"\0" in out else out
 
 
 def _format_rows(block: np.ndarray) -> bytes:
-    """CSV bytes of a (rows, columns) block of finite values: each cell is
-    `"%.11e" % x`, cells joined by "," and rows ended by "\n".
-
-    Each cell is one `_CELL` record filled from `_decimal12`'s mantissa d
-    and exponent e by four table lookups: "d.ddd" from `_HEAD` at
-    d // 10**8, the middle and low four digits from `_QUAD`, and the
-    exponent from `_EXPONENT` at e + 999.  The sign byte of a value
-    without its sign bit and the hundreds digit of a two-digit exponent
-    are NUL, and one `translate` of the block's bytes drops them.
-    """
-    d, e = _decimal12(block)
-    cells = np.empty(block.shape, dtype=_CELL)
-    cells["sign"].view(np.uint8)[...] = np.signbit(block) * np.uint8(ord("-"))
-    head = d // 100_000_000  # a floor division by a constant is far cheaper than divmod
-    upper = d // 10_000
-    cells["head"] = np.take(_HEAD, head)
-    cells["mid"] = np.take(_QUAD, upper - head * 10_000)
-    cells["low"] = np.take(_QUAD, d - upper * 10_000)
-    cells["exp"] = np.take(_EXPONENT, e + 999)
-    cells["sep"] = b","
-    cells["sep"][:, -1] = b"\n"
-    return cells.tobytes().translate(None, b"\0")
+    """CSV bytes of a (rows, columns) block of finite values, formatted by
+    `_format_cells` from the digits `_decimal12` works out here."""
+    return _format_cells(*_decimal12(np.asarray(block, dtype=float)))
 
 
 def emit_csv(record: TimeSeriesRecord, path) -> None:
     """Write the record as CSV: fixed header, 12-significant-digit scientific
     notation, LF line endings, byte-deterministic for equal records.
 
-    Cells are exactly Python's `"%.11e" % x`, built by `_format_rows` in
-    blocks of `_CSV_BLOCK_ROWS` rows from digit tables; only the values
-    `_decimal12` sends off its fast path are printed one at a time.
+    Cells are exactly Python's `"%.11e" % x`, built by `_format_cells`
+    in blocks of `_CSV_BLOCK_ROWS` rows from the digits the record kept
+    when it was quantized; no value's digits are worked out again.
     """
-    cols = (record.s, record.omega_over_omega1, record.eta, record.mean_n, record.T_ratio)
-    if not all(np.all(np.isfinite(c)) for c in cols):
-        raise ValueError("record values must all be finite")
+    q, d, e = record._quantized
     try:
         with open(path, "wb") as fh:
             fh.write(CSV_HEADER.encode() + b"\n")
             for lo in range(0, len(record), _CSV_BLOCK_ROWS):
-                block = np.stack([c[lo:lo + _CSV_BLOCK_ROWS] for c in cols], axis=1)
-                fh.write(_format_rows(block))
+                block = slice(lo, lo + _CSV_BLOCK_ROWS)
+                fh.write(_format_cells(q[:, block].T, d[block], e[block]))
     except OSError as exc:
         raise OSError(f"CSV emission to {path} failed: {exc}") from exc
 
 
 def read_csv_record(path) -> TimeSeriesRecord:
     """Parse a file written by emit_csv back into a TimeSeriesRecord."""
-    names = CSV_HEADER.split(",")
     try:
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
-            if header != names:
+            if header != _COLUMNS:
                 raise ValueError(f"{path}: expected header {CSV_HEADER!r}, got {header!r}")
             rows = []
             for lineno, row in enumerate(reader, start=2):
                 try:
-                    if len(row) != len(names):
-                        raise ValueError(f"expected {len(names)} columns")
+                    if len(row) != len(_COLUMNS):
+                        raise ValueError(f"expected {len(_COLUMNS)} columns")
                     rows.append([float(v) for v in row])
                 except ValueError as exc:
                     raise ValueError(f"{path}:{lineno}: {exc}") from None
     except OSError as exc:
         raise OSError(f"CSV read from {path} failed: {exc}") from exc
-    return TimeSeriesRecord(*np.array(rows, dtype=float).reshape(len(rows), len(names)).T)
+    return TimeSeriesRecord(*np.array(rows, dtype=float).reshape(len(rows), len(_COLUMNS)).T)
 
 
 def emit_sweep_csv(rows, path) -> None:

@@ -428,12 +428,16 @@ def recovery_time(traj, target: float = RECOVERY_TARGET) -> RecoveryResult:
     if above.size == 0:
         return RecoveryResult(False, None, horizon)
     j = i_min + int(above[0])
-    lo, hi = float(s[j - 1]), float(s[j])
+    # np.interp on the bracketing pair gives the bits it gives on the whole
+    # arrays; it copies any read-only array it is given (a record's columns
+    # are) on every call, so the pair is copied once here
+    s_pair, ratio_pair = s[j - 1:j + 1].copy(), ratio[j - 1:j + 1].copy()
+    lo, hi = float(s_pair[0]), float(s_pair[1])
     for _ in range(200):
         if hi - lo <= 1e-12 * max(1.0, abs(hi)):
             break
         mid = 0.5 * (lo + hi)
-        if float(np.interp(mid, s, ratio)) >= target:
+        if float(np.interp(mid, s_pair, ratio_pair)) >= target:
             hi = mid
         else:
             lo = mid

@@ -6,7 +6,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -103,7 +103,11 @@ def python_csv_rows(rows) -> bytes:
 def assert_formats_like_python(values):
     values = [float(v) for v in values]
     expected = np.array([float(f"{v:.11e}") for v in values])
-    assert np.array_equal(_quantize(np.array(values)).view(np.uint64), expected.view(np.uint64))
+    quantized, d, e = _quantize(np.array(values))
+    assert np.array_equal(quantized.view(np.uint64), expected.view(np.uint64))
+    # the digits kept beside the values print them
+    printed = [f"{m // 10**11}.{m % 10**11:011d}e{x:+03d}" for m, x in zip(d.tolist(), e.tolist())]
+    assert printed == [f"{abs(v):.11e}" for v in values]
     block = np.array(values).reshape(-1, 1)
     assert _format_rows(block) == "".join(f"{v:.11e}\n" for v in values).encode()
     if len(values) % 5 == 0:
@@ -160,19 +164,42 @@ def test_format_rows_mixes_signs_and_exponent_widths(rows, column, anchors):
     assert b"\0" not in out
 
 
+def table_entries(table):
+    """The bytes each entry of a cell table writes."""
+    return [table[i:i + 1].tobytes() for i in range(table.size)]
+
+
 def test_cell_tables_match_python_format():
-    assert molcool.cycle._QUAD.tolist() == [f"{i:04d}".encode() for i in range(10_000)]
-    assert molcool.cycle._HEAD.tolist() == [
-        f"{i // 1000}.{i % 1000:03d}".encode() for i in range(10_000)
+    cycle = molcool.cycle
+    for table in (cycle._LEAD, cycle._QUAD, cycle._NARROW_EXP, cycle._WIDE_EXP):
+        assert table.dtype.itemsize == 4
+    lead = [f"{i // 100}.{i % 100:02d}".encode() for i in range(1000)]
+    assert table_entries(cycle._LEAD) == lead
+    assert table_entries(cycle._QUAD) == [f"{i:04d}".encode() for i in range(10_000)]
+    # the last mantissa digit D, the exponent and the separator, per layout
+    narrow = table_entries(cycle._NARROW_EXP)
+    tails = table_entries(cycle._NARROW_TAIL)
+    assert [
+        narrow[digit * 199 + e + 99] + tails[last * 199 + e + 99]
+        for digit in range(10) for last in (0, 1) for e in range(-99, 100)
+    ] == [
+        f"{digit}e{e:+03d}{sep}".encode()
+        for digit in range(10) for sep in ",\n" for e in range(-99, 100)
     ]
-    exponent = molcool.cycle._EXPONENT
-    assert exponent.dtype == np.dtype("S5") and exponent.size == 1999
-    cells = [exponent[i:i + 1].tobytes() for i in range(exponent.size)]
-    exponents = range(-999, 1000)
-    assert [c.replace(b"\0", b"") for c in cells] == [f"e{e:+03d}".encode() for e in exponents]
+    wide = table_entries(cycle._WIDE_EXP)
+    tails = table_entries(cycle._WIDE_TAIL)
+    cells = [
+        wide[digit * 1999 + e + 999] + tails[e + 999]
+        for digit in range(10) for e in range(-999, 1000)
+    ]
+    expected = [(f"{digit}e{e:+03d}", abs(e)) for digit in range(10) for e in range(-999, 1000)]
+    assert [c.replace(b"\0", b"") for c in cells] == [text.encode() for text, _ in expected]
     # a two-digit exponent keeps a NUL where its hundreds digit would go
-    assert [c.find(b"\0") for c in cells] == [2 if abs(e) < 100 else -1 for e in exponents]
-    for table in (molcool.cycle._QUAD, molcool.cycle._HEAD, exponent):
+    assert [c.find(b"\0") for c in cells] == [3 if size < 100 else -1 for _, size in expected]
+    for table in (
+        cycle._LEAD, cycle._QUAD, cycle._NARROW_EXP, cycle._NARROW_TAIL,
+        cycle._WIDE_EXP, cycle._WIDE_TAIL,
+    ):
         assert not table.flags.writeable
 
 
@@ -225,6 +252,90 @@ def test_csv_roundtrip_is_byte_identical(tmp_path, default_result):
     assert text.endswith("\n") and "\r" not in text
     # fixed-width scientific cells, 12 significant digits
     assert re.fullmatch(r"(-?\d\.\d{11}e[+-]\d{2,3})(,-?\d\.\d{11}e[+-]\d{2,3}){4}", lines[1])
+
+
+def record_rows(record):
+    return np.stack([getattr(record, name) for name in CSV_HEADER.split(",")], axis=1)
+
+
+def assert_csv_roundtrip(record, path):
+    """emit_csv writes Python's "%.11e" cells, and reading them back gives
+    every column bit for bit."""
+    emit_csv(record, path)
+    rows = record_rows(record)
+    assert path.read_bytes() == CSV_HEADER.encode() + b"\n" + python_csv_rows(rows.tolist())
+    back = read_csv_record(path)
+    assert np.array_equal(record_rows(back).view(np.uint64), rows.view(np.uint64))
+
+
+# values whose blocks take every cell layout: positive with two-digit
+# exponents, holding a negative, holding a three-digit exponent
+LAYOUT_VALUES = st.one_of(
+    st.floats(min_value=1e-99, max_value=9.99e99),
+    st.floats(min_value=-9.99e99, max_value=9.99e99),
+    SUBNORMAL, st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    columns=st.integers(1, 40).flatmap(
+        lambda n: st.lists(st.lists(LAYOUT_VALUES, min_size=n, max_size=n), min_size=4, max_size=4)
+    ),
+    start=st.sampled_from([0.0, -3.5, 1e-120, -2e150]),
+)
+def test_csv_roundtrip_reproduces_any_record(tmp_path_factory, columns, start):
+    n = len(columns[0])
+    s = start + np.arange(n) * max(abs(start), 1.0)  # strictly increasing, also past 12 digits
+    record = TimeSeriesRecord(s, *columns)
+    assert_csv_roundtrip(record, tmp_path_factory.mktemp("roundtrip") / "cycle.csv")
+
+
+def test_csv_blocks_of_every_layout(tmp_path, monkeypatch):
+    block = molcool.cycle._CSV_BLOCK_ROWS
+    n = 3 * block
+    s = np.linspace(0.0, 3.0, n)
+    eta = np.linspace(1.5, 40.0, n)
+    eta[block + 7] = -2.5  # the second block holds a negative
+    eta[2 * block + 11] = 3.0e-120  # the third a three-digit exponent
+    record = TimeSeriesRecord(s, np.ones(n), eta, np.full(n, 0.5), np.full(n, 0.75))
+    layouts = []
+    format_cells = molcool.cycle._format_cells
+
+    def spy(q, d, e):
+        layouts.append((bool(np.signbit(q).any()), bool(np.abs(e).max() >= 100)))
+        return format_cells(q, d, e)
+
+    monkeypatch.setattr(molcool.cycle, "_format_cells", spy)
+    assert_csv_roundtrip(record, tmp_path / "cycle.csv")
+    assert layouts == [(False, False), (True, False), (False, True)]
+
+
+def test_emit_csv_reuses_the_record_digits(tmp_path, monkeypatch, default_result):
+    expected = tmp_path / "expected.csv"
+    emit_csv(default_result.record, expected)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("emit_csv worked out digits the record keeps")
+
+    monkeypatch.setattr(molcool.cycle, "_decimal12", refuse)
+    path = tmp_path / "cycle.csv"
+    emit_csv(default_result.record, path)
+    assert path.read_bytes() == expected.read_bytes()
+
+
+def test_records_are_immutable(default_result):
+    record = default_result.record
+    with pytest.raises(FrozenInstanceError):
+        record.eta = record.eta * 2.0
+    for name in CSV_HEADER.split(","):
+        column = getattr(record, name)
+        with pytest.raises(ValueError, match="read-only"):
+            column[0] = 1.0
+        with pytest.raises(ValueError):
+            column.flags.writeable = True
+    for table in record._quantized:
+        assert not table.flags.writeable
 
 
 def test_empty_record_emits_header_only(tmp_path):
@@ -292,9 +403,11 @@ def test_kinks_inside_substeps_keep_the_fixed_step_order():
 
 @pytest.mark.parametrize(
     "init_mode, bound_mb",
-    # measured 4.18 and 5.14 MB; the same runs peaked at 5.78 and 7.39 MB
-    # while every route segment and the whole fixed-step trajectory were kept
-    [(ThermalClosed(), 4.5), (FiniteDwell(dwell=3.0), 5.5)],
+    # measured 2.84 and 3.90 MB, bounded 10% above; the same runs peaked at
+    # 4.18 and 5.14 MB while the record quantized a stacked copy of its
+    # columns 16,384 values at a time, and at 5.78 and 7.39 MB while every
+    # route segment and the whole fixed-step trajectory were kept
+    [(ThermalClosed(), 3.1), (FiniteDwell(dwell=3.0), 4.3)],
     ids=["thermal-closed", "dwell-3"],
 )
 def test_cycle_memory_peak(init_mode, bound_mb):
