@@ -173,21 +173,14 @@ def _decimal12(v: np.ndarray):
     magnitude = np.abs(shift)
     p = np.take(_POW10, magnitude, mode="clip")  # 10**min(|11 - e|, 22)
     up = shift >= 0
-    every_up = bool(up.all())  # every |x| below 10**12, as in a cycle record
-    if every_up:
-        scaled = a * p
-    else:
-        scaled = np.multiply(a, p, out=np.empty_like(a), where=up)
-        np.divide(a, p, out=scaled, where=~up)
+    scaled = np.multiply(a, p, out=np.empty_like(a), where=up)
+    np.divide(a, p, out=scaled, where=~up)
     d = np.rint(scaled)
     fast = usable & (magnitude <= 22) & (scaled >= 1e11) & (scaled < 1e12)
     fast &= np.abs(scaled - d) < 0.499
-    if every_up:
-        q = np.divide(d, p, out=scaled)
-    else:
-        # what these leave in the elements off the fast path is overwritten below
-        q = np.divide(d, p, out=scaled, where=up)
-        np.multiply(d, p, out=q, where=fast & ~up)
+    # what these leave in the elements off the fast path is overwritten below
+    q = np.divide(d, p, out=scaled, where=up)
+    np.multiply(d, p, out=q, where=fast & ~up)
     np.copyto(d, 0.0, where=~fast)
     bump = d == 1e12
     if bump.any():
@@ -205,20 +198,17 @@ def _decimal12(v: np.ndarray):
     return q, d, e
 
 
-def _quantize(values, out=None):
+def _quantize(values, out):
     """Round a 1-D array onto the 12-significant-digit grid the CSV
     emitter writes, so records roundtrip through their files
-    bit-identically.  Returns `_decimal12`'s (q, d, e): the rounded
-    values, each equal to float("%.11e" % x) bit for bit (non-finite
-    values pass through unchanged), and the mantissas (int64) and
-    exponents (int16) that print them.
-
-    `out`, if given, is the (q, d, e) triple of arrays to fill.  Values
-    go `_QUANTIZE_BLOCK` at a time, which bounds the temporaries.
+    bit-identically.  Fills `out`, the (q, d, e) triple of arrays of
+    `values`' length, with `_decimal12`'s results and returns it: the
+    rounded values, each equal to float("%.11e" % x) bit for bit
+    (non-finite values pass through unchanged), and the mantissas
+    (int64) and exponents (int16) that print them.  Values go
+    `_QUANTIZE_BLOCK` at a time, which bounds the temporaries.
     """
     v = np.asarray(values, dtype=float)
-    if out is None:
-        out = (np.empty(v.shape), np.empty(v.shape, np.int64), np.empty(v.shape, np.int16))
     q, d, e = out
     for lo in range(0, v.size, _QUANTIZE_BLOCK):
         block = slice(lo, lo + _QUANTIZE_BLOCK)

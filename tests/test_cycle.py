@@ -103,7 +103,10 @@ def python_csv_rows(rows) -> bytes:
 def assert_formats_like_python(values):
     values = [float(v) for v in values]
     expected = np.array([float(f"{v:.11e}") for v in values])
-    quantized, d, e = _quantize(np.array(values))
+    n = len(values)
+    quantized, d, e = _quantize(
+        np.array(values), out=(np.empty(n), np.empty(n, np.int64), np.empty(n, np.int16))
+    )
     assert np.array_equal(quantized.view(np.uint64), expected.view(np.uint64))
     # the digits kept beside the values print them
     printed = [f"{m // 10**11}.{m % 10**11:011d}e{x:+03d}" for m, x in zip(d.tolist(), e.tolist())]

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from molcool.cycle import CycleConfig, FiniteDwell, ThermalClosed, run_cycle
 from molcool.profiles import FrequencyProfile, ProfileShape, omega_at
-from molcool.solver import _QUAD_TOL, SAMPLES_PER_UNIT, evolve_eta_ode
+from molcool.solver import SAMPLES_PER_UNIT, evolve_eta_ode
 from molcool.thermo import thermal_eta
 from molcool.units import DimensionlessParams
 
@@ -107,6 +107,15 @@ def test_classical_limit_witness(shape, mode, r, g):
     assert np.all(np.abs(record.T_ratio - x) <= bound)
 
 
+HELD = FrequencyProfile(ProfileShape.CONSTANT)
+
+
+def held_record(theta0, r, g):
+    """The record of a thermal-closed start held at the closed frequency."""
+    d = DimensionlessParams(theta0=theta0, freq_ratio_r=r, gamma_tau_g=g)
+    return run_cycle(CycleConfig(dimensionless=d, profile=HELD, horizon=2.0)).record
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     theta0=st.floats(min_value=-3.0, max_value=0.5).map(lambda e: 10.0**e),
@@ -120,28 +129,39 @@ def test_thermal_state_holds_still_under_a_constant_profile(theta0, r, g):
 
     The fixed-step route evolves the deviation from eta0, to which a
     constant forcing adds exactly nothing, so it keeps eta0's bits.  The
-    kernel route, which the record reports, steps eta <- c eta + I with
-    c = e^{-gD} over the sample spacing D; each step may be off by its
-    quadrature tolerance `_QUAD_TOL` plus a few roundings of eta, and an
-    error decays by c per step, so k steps in eta is within
-    (tol + 4 eps eta0) min(k, 1/(1 - c)) of eta0, plus one unit of the
-    record's 12th digit.  (Past g D ~ 1e-5 that drift is seen to move the
-    12th digit; see CHANGES.md.)  theta0 r stays at or under 16, where
-    eta - 1 >= 1e-7 keeps T_ratio's rounding (1e-16 / ((eta - 1) theta),
-    see `thermo.ratio_from_eta`) well under its tolerance."""
+    kernel route, which the record reports, steps eta <- c eta + I and
+    drifts off eta0 by rounding (up to 8.9e-13 seen, see
+    `test_record_keeps_eta0_bits_under_a_constant_profile`); the record's
+    eta may differ from eta0's 12-digit value by one unit of the 12th
+    digit, the most that drift has been seen to move it, and no more.
+    theta0 r stays at or under 16, where eta - 1 >= 1e-7 keeps T_ratio's
+    rounding (1e-16 / ((eta - 1) theta), see `thermo.ratio_from_eta`)
+    well under its tolerance."""
     d = DimensionlessParams(theta0=theta0, freq_ratio_r=r, gamma_tau_g=g)
-    held = FrequencyProfile(ProfileShape.CONSTANT)
     eta0 = thermal_eta(theta0 * r)
-    assert np.all(evolve_eta_ode(d, held, eta0, 2.0).eta == eta0)
-    record = run_cycle(CycleConfig(dimensionless=d, profile=held, horizon=2.0)).record
+    assert np.all(evolve_eta_ode(d, HELD, eta0, 2.0).eta == eta0)
+    record = held_record(theta0, r, g)
     assert np.all(record.omega_over_omega1 == 1.0)
-    steps = np.arange(len(record))
-    damping = -np.expm1(-g / SAMPLES_PER_UNIT)  # 1 - c
-    reach = steps if damping == 0.0 else np.minimum(steps, 1.0 / damping)
-    drift = (_QUAD_TOL + 4.0 * np.finfo(float).eps * eta0) * reach
-    unit = 10.0 ** (np.floor(np.log10(eta0)) - 11.0)
-    assert np.all(np.abs(record.eta - eta0) <= drift + unit)
+    printed = float(f"{eta0:.11e}")
+    unit = 10.0 ** (np.floor(np.log10(printed)) - 11.0)
+    # record values differ from `printed` by whole units, so 1.5 units admits one
+    assert np.all(np.abs(record.eta - printed) <= 1.5 * unit)
     assert np.max(np.abs(record.T_ratio - 1.0)) <= 1e-10
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="the kernel route drifts off its fixed point by rounding "
+    "(FOUND in CHANGES.md); holding it would make this pass",
+)
+def test_record_keeps_eta0_bits_under_a_constant_profile():
+    """The record of a held thermal state prints eta0's 12 digits at every
+    sample.  Hypothesis found this start, where the kernel route's
+    eta <- c eta + I, damped only by 1 - c = 1.6e-5 per sample, drifts
+    by 8.9e-13 and the record's eta moves from 1.18113254178e+00 to
+    1.18113254179e+00 at sample 507."""
+    record = held_record(theta0=1.0, r=1.875, g=0.03125)
+    assert np.all(record.eta == float(f"{thermal_eta(1.875):.11e}"))
 
 
 def min_t_ratio(theta0, r, g):
