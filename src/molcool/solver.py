@@ -24,17 +24,21 @@ substeps of a sample interval compose to eta + A (u0 - g eta) + G_k, with
 A = alpha sum_j R^j, R = 1 - g alpha, and G_k the interval's forcing
 beyond its first u0 carried forward by powers of R (one matrix product
 for all intervals).  The deviation e = eta - eta0 from the start value
-then obeys e_{k+1} = c e_k + x_k, with c = 1 - g A and x_k = A (u0_k -
-g eta0) + G_k: a first-order linear recurrence, which `_scan` evaluates
-as a prefix scan in ceil(log2 n) numpy doubling passes (Blelloch, "Prefix
-sums and their applications", 1990).  In this form constant forcing
-adds exactly nothing, a fixed point stays put exactly and g = 0 freezes
-eta.  A sample interval with a kink of the profile strictly inside
+then goes through one affine map per sample interval, e_{k+1} = c_k e_k
++ x_k, with c_k = 1 - g A and x_k = A (u0_k - g eta0) + G_k.  A sample
+interval with a kink of the profile strictly inside
 (`FrequencyProfile.kinks`) splits the substep the kink falls in there,
 since a substep across a jump in the forcing's slope costs RK4 its
-order, and enters the scan with its own c_k and x_k.  It is still RK4,
-with RK4's O(h^4) error against the kernel route's quadrature error, so
-the cross-check keeps its independence.
+order, and writes its own c_k and x_k.  `_scan` composes all the maps
+as a prefix scan in ceil(log2 n) numpy doubling passes (Blelloch,
+"Prefix sums and their applications", 1990).  In this form constant
+forcing adds exactly nothing, a fixed point stays put exactly and g = 0
+freezes eta.  c_k is a product of R's, RK4's stability polynomial, so a
+step past RK4's stability limit (g h > 2.785) shows as c_k > 1, and the
+route refuses it before the scan, unless every x_k is exactly 0 and eta
+holds still at any step.  It is still RK4, with RK4's O(h^4) error
+against the kernel route's quadrature error, so the cross-check keeps
+its independence.
 
 The kernel route's adaptive Simpson runs on `_QUAD_CHUNK` intervals at
 a time: each bisection level evaluates the forcing at all pending pieces
@@ -155,17 +159,16 @@ def _substep_coefficients(g, h):
     return h / 6.0 * (6.0 - 3.0 * z + z * z - z * z * z / 4.0), 4.0 - 2.0 * z + z * z / 2.0
 
 
-def _split_at_kinks(profile, s, m, g, eta0, forcing) -> dict:
-    """{k: (c_k, x_k)} for every sample interval k of the grid `s` with one
-    of the profile's kinks strictly inside: its m substeps, the one a kink
-    falls in split there, composed so that its deviation from eta0 goes
-    e -> c_k e + x_k."""
+def _split_at_kinks(profile, s, m, g, eta0, forcing, c, x) -> None:
+    """Write (c_k, x_k) into c[k] and x[k] for every sample interval k of the
+    grid `s` with one of the profile's kinks strictly inside: its m
+    substeps, the one a kink falls in split there, composed so that its
+    deviation from eta0 goes e -> c_k e + x_k."""
     kinks = np.array(profile.kinks)
     n_intervals = s.size - 1
     k_of = np.searchsorted(s, kinks, side="right") - 1
     inside = (k_of < n_intervals) & (s[k_of] < kinks)
     n_sub = m * n_intervals
-    split = {}
     for k in np.unique(k_of[inside]).tolist():
         edges = _stage_points(s[-1], n_sub, np.arange(2 * m * k, 2 * m * (k + 1) + 1, 2))
         edges = np.union1d(edges, kinks[k_of == k])
@@ -174,48 +177,30 @@ def _split_at_kinks(profile, s, m, g, eta0, forcing) -> dict:
         r = 1.0 - g * alpha
         starts = edges[:-1]
         u0, um, u1 = np.split(forcing(np.concatenate([starts, starts + 0.5 * h, edges[1:]])), 3)
-        x = alpha * (u0 - g * eta0) + h / 6.0 * (q * (um - u0) + (u1 - u0))
+        x_sub = alpha * (u0 - g * eta0) + h / 6.0 * (q * (um - u0) + (u1 - u0))
         # each substep's x is carried to the interval's end by the substeps after it
         later = np.append(np.cumprod(r[:0:-1])[::-1], 1.0)
-        split[k] = float(np.prod(r)), float(x @ later)
-    return split
+        c[k], x[k] = np.prod(r), x_sub @ later
 
 
-def _deviations(c, e, split) -> None:
-    """Turn e, which holds (0, x[0], ..., x[n-1]), into e[k] = eta[k] - eta0
-    in place: e[k+1] = c e[k] + x[k] on every sample interval k but those in
-    `split`, which go e[k+1] = c_k e[k] + x_k with their own pair; `_scan`
-    runs between them."""
-    n = e.size - 1
-    buf = np.empty(n)
-    lo = 0
-    for k in sorted(split) + [n]:
-        _scan(c, e[lo + 1 : k + 1], e[lo], buf)
-        if k < n:
-            c_k, x_k = split[k]
-            e[k + 1] = c_k * e[k] + x_k
-        lo = k + 1
+def _scan(c, x) -> None:
+    """Compose the affine maps e -> c[i] e + x[i] from e = 0, in place.
 
-
-def _scan(c, x, start, buf) -> None:
-    """x[i] <- c x[i-1] + x[i] for every i, with x[-1] = `start`, in place.
-
-    Doubling passes (Hillis and Steele; Blelloch 1990): after the pass of
-    stride d, x[i] sums c^j x[i-j] over j < 2d, so ceil(log2 n) passes
-    finish it, each through the scratch `buf`.
+    Afterwards x[i] is the deviation after map i and c[i] the product of
+    c[0..i], so (c[-1], x[-1]) is the whole run's map.  Doubling passes
+    (Hillis and Steele; Blelloch 1990): after the pass of stride d, x[i]
+    and c[i] compose maps i-2d+1..i, so ceil(log2 n) passes finish it.
     """
     n = x.size
-    if start:
-        x[:1] += c * start
-    stride, power = 1, c
+    buf = np.empty(n)
+    stride = 1
     while stride < n:
         carried = buf[: n - stride]
-        np.multiply(x[:-stride], power, out=carried)
-        if math.isinf(power):
-            # an unstable c overflows its power; a zero partial sum still adds nothing
-            carried[x[:-stride] == 0.0] = 0.0
+        np.multiply(c[stride:], x[:-stride], out=carried)
         x[stride:] += carried
-        stride, power = 2 * stride, power * power
+        np.multiply(c[stride:], c[:-stride], out=carried)
+        c[stride:] = carried
+        stride *= 2
 
 
 def evolve_eta_ode(
@@ -236,8 +221,10 @@ def evolve_eta_ode(
     also splits the substep the kink falls in there, so that RK4 only
     steps over smooth forcing.  Output sampling (`samples_per_unit` per
     tau_open) is decoupled from the integration step.  The samples come
-    from one numpy scan of the sample-to-sample recurrence, not from a
-    loop over them.
+    from one numpy scan of the per-interval affine maps, not from a loop
+    over them.  A step past RK4's stability limit, g h > 2.785, raises
+    `SolverError` before the scan, unless the run sits on a fixed point
+    (every map adds exactly 0).
     """
     n_intervals = _check_run(horizon, samples_per_unit)
     m = _substeps_per_interval(horizon, n_intervals, step_size)
@@ -264,32 +251,36 @@ def evolve_eta_ode(
     u0 = u[0:-1:2].reshape(n_ramp, m)
     um = u[1::2].reshape(n_ramp, m)
     u1 = u[2::2].reshape(n_ramp, m)
-    # e[k] = eta[k] - eta0 obeys e[k+1] = c e[k] + x[k], c = 1 - g A and
-    # x[k] = A (u0[k] - g eta0) + drive[k]; x is built in e's tail and
-    # scanned there.  An unstable step overflows here; the check on eta
-    # below reports it
+    # e[k] = eta[k] - eta0 obeys e[k+1] = c[k] e[k] + x[k], c[k] = 1 - g A
+    # and x[k] = A (u0[k] - g eta0) + drive[k]; x is built in e's tail and
+    # scanned there.  An unstable step may overflow here; c says so below
     e = np.empty(n_intervals + 1)
     e[0] = 0.0
     x = e[1:]
     with np.errstate(over="ignore", invalid="ignore"):
         weights = r ** np.arange(m - 1, -1, -1, dtype=float)
         a_m = alpha * float(weights.sum())
-        c = 1.0 - g * a_m
+        c = np.full(n_intervals, 1.0 - g * a_m)
         drive = (alpha * (u0 - u0[:, :1]) + h / 6.0 * (q * (um - u0) + (u1 - u0))) @ weights
         x[:n_ramp] = a_m * (u0[:, 0] - g * eta0) + drive
-        # a held interval's forcing differences are all exactly 0, so its
-        # drive is 0, or nan once the weights overflow
-        x[n_ramp:] = a_m * (u[-1] - g * eta0) + np.zeros(m) @ weights
-        _deviations(c, e, _split_at_kinks(profile, s, m, g, eta0, forcing))
+        # a held interval's forcing differences are all exactly 0, so its drive is 0
+        x[n_ramp:] = a_m * (u[-1] - g * eta0)
+        _split_at_kinks(profile, s, m, g, eta0, forcing, c, x)
+    # with every x[k] exactly 0 (a fixed point) every deviation is 0, at any step
+    if x.any():
+        if not np.all(c <= 1.0):
+            raise SolverError(
+                f"the fixed step is unstable: g h = {g * h:.6g} exceeds RK4's stability "
+                "limit 2.785"
+            )
+        _scan(c, x)
     out = np.add(e, eta0, out=e)
-    # RK4's stability polynomial r is positive for every real z, so an
-    # unstable step's runaway keeps its sign and still shows at the sample's end
     bad = np.flatnonzero(~((out > 1.0) & (out < math.inf)))
     if bad.size:
         k = bad[0]
-        why = "at or below the ground-state limit" if out[k] <= 1.0 else "the fixed step is unstable"
         raise SolverError(
-            f"model violation: eta reached {out[k]} at s = {s[k]:.6g} ({why})"
+            f"model violation: eta reached {out[k]} at s = {s[k]:.6g} "
+            "(at or below the ground-state limit)"
         )
     return EtaTrajectory(s, out, h)
 

@@ -15,7 +15,7 @@ from molcool.solver import (
     _QUAD_CHUNK,
     RecoveryResult,
     _check_run,
-    _deviations,
+    _scan,
     _simpson_batch,
     _split_at_kinks,
     _stage_points,
@@ -119,7 +119,7 @@ def test_constant_frequency_fixed_point_is_exact():
     np.testing.assert_allclose(
         temperature_ratio(DEFAULT, constant_profile(), traj), 1.0, rtol=0, atol=1e-12
     )
-    # so it does with an unstable step (g h = 50), whose powers overflow in the scan
+    # so it does with an unstable step (g h = 50): every map adds exactly 0
     d = DimensionlessParams(theta0=0.032, freq_ratio_r=2.0, gamma_tau_g=5e4)
     traj = evolve_eta_ode(d, constant_profile(), horizon=1.0, step_size=1e-3, samples_per_unit=200)
     assert np.all(traj.eta == eta_star)
@@ -243,7 +243,9 @@ def full_grid_rk4(d, profile, eta0, horizon, step_size, samples_per_unit):
     e[0] = 0.0
     e[1:] = a_m * (u0[:, 0] - g * eta0) + drive
     s = ts[:: 2 * m]
-    _deviations(1.0 - g * a_m, e, _split_at_kinks(profile, s, m, g, eta0, forcing))
+    c = np.full(n_intervals, 1.0 - g * a_m)
+    _split_at_kinks(profile, s, m, g, eta0, forcing, c, e[1:])
+    _scan(c, e[1:])
     return s, e + eta0
 
 
@@ -283,13 +285,6 @@ def sequential_rk4(d, profile, eta0, horizon, step_size, samples_per_unit):
     return s, np.array(out)
 
 
-def first_bad_sample(s, eta):
-    """s and reason of the first sample the route's check refuses, as it words them."""
-    k = np.flatnonzero(~((eta > 1.0) & (eta < math.inf)))[0]
-    why = "at or below the ground-state limit" if eta[k] <= 1.0 else "the fixed step is unstable"
-    return f"at s = {s[k]:.6g} ({why})"
-
-
 SHAPES = {
     "sine opening": OPENING,
     "constant": constant_profile(level=0.8),
@@ -312,6 +307,49 @@ def test_scan_matches_sequential_loop(g, shape, eta0):
     s, eta = sequential_rk4(d, SHAPES[shape], eta0, 2.0, 1e-4, 2000)
     assert traj.s.tobytes() == s.tobytes()
     np.testing.assert_allclose(traj.eta, eta, rtol=1e-12, atol=0)
+
+
+def affine_loop(c, x):
+    """e_k of e = c[k] e + x[k] from e = 0, one map per loop iteration."""
+    e, out = 0.0, []
+    for c_k, x_k in zip(c.tolist(), x.tolist()):
+        e = c_k * e + x_k
+        out.append(e)
+    return np.array(out)
+
+
+def assert_scan_matches_loop(c, x):
+    scanned_c, scanned_x = c.copy(), x.copy()
+    _scan(scanned_c, scanned_x)
+    np.testing.assert_allclose(scanned_x, affine_loop(c, x), rtol=1e-12, atol=0)
+    # c ends as the composed maps' factors, the last one the whole run's
+    np.testing.assert_allclose(scanned_c, np.cumprod(c), rtol=1e-12, atol=1e-300)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 1023, 1024, 1025])
+def test_scan_composes_random_maps_like_a_loop(n):
+    rng = np.random.default_rng(n)
+    assert_scan_matches_loop(rng.uniform(0.0, 1.0, n), rng.uniform(0.0, 1.0, n))
+
+
+def test_scan_composes_the_routes_split_maps_like_a_loop(monkeypatch):
+    # kinks in two adjacent intervals (30 and 31) and twice in interval 50:
+    # each such interval enters the scan with its own c_k
+    profile = FrequencyProfile(
+        shape=ProfileShape.PIECEWISE_LINEAR,
+        breakpoints=((0.0, 1.0), (0.305, 0.8), (0.315, 0.7), (0.502, 0.9), (0.507, 0.6)),
+    )
+    maps = []
+
+    def spy(c, x):
+        maps.append((c.copy(), x.copy()))
+        _scan(c, x)
+
+    monkeypatch.setattr("molcool.solver._scan", spy)
+    evolve_eta_ode(DEFAULT, profile, eta0=50.0, horizon=1.0, step_size=2.5e-3, samples_per_unit=100)
+    (c, x), = maps
+    assert np.flatnonzero(c != c[0]).tolist() == [30, 31, 50]
+    assert_scan_matches_loop(c, x)
 
 
 HOLD_PROFILES = {
@@ -378,24 +416,22 @@ def test_trajectory_metadata():
     assert closed.s[0] == 0.0 and closed.s[-1] == 1.0
 
 
-def test_unstable_step_aborts_below_ground_state():
-    cases = [
-        # one huge explicit step amplifies the offset far past the fixed point
-        ("ground-state limit", DimensionlessParams(theta0=1.0, freq_ratio_r=1.0, gamma_tau_g=50.0),
-         constant_profile(level=1.0), 1.05, 4.0, 1.0, 1),
-        # started above the fixed point, the same instability runs away upward
-        ("unstable", DimensionlessParams(theta0=0.032, freq_ratio_r=2.0, gamma_tau_g=5e4),
-         OPENING, 40.0, 1.0, 1e-3, 200),
-    ]
-    for reason, d, profile, eta0, horizon, step_size, samples_per_unit in cases:
-        with pytest.raises(SolverError, match=reason) as excinfo:
-            evolve_eta_ode(
-                d, profile, eta0=eta0, horizon=horizon, step_size=step_size,
-                samples_per_unit=samples_per_unit,
-            )
-        # the scan refuses at the sample and with the reason of the sequential loop
-        s, eta = sequential_rk4(d, profile, eta0, horizon, step_size, samples_per_unit)
-        assert first_bad_sample(s, eta) in str(excinfo.value)
+def test_unstable_step_and_ground_state_are_refused():
+    # g h = 50 is past RK4's stability limit: refused from the maps, before
+    # the scan, so no overflowed sample is named
+    d = DimensionlessParams(theta0=0.032, freq_ratio_r=2.0, gamma_tau_g=5e4)
+    unstable = r"g h = 50 exceeds RK4's stability limit 2\.785"
+    with pytest.raises(SolverError, match=unstable) as excinfo:
+        evolve_eta_ode(d, OPENING, eta0=40.0, horizon=1.0, step_size=1e-3, samples_per_unit=200)
+    assert "inf" not in str(excinfo.value)
+    # a stable step (g h = 0.01) relaxing toward eta* = 1 + 4e-18, which
+    # rounds to 1: the first sample that reaches it is refused
+    d = DimensionlessParams(theta0=40.0, freq_ratio_r=1.0, gamma_tau_g=100.0)
+    with pytest.raises(SolverError) as excinfo:
+        evolve_eta_ode(d, constant_profile(level=1.0), eta0=1.05, horizon=1.0, samples_per_unit=100)
+    assert str(excinfo.value) == (
+        "model violation: eta reached 1.0 at s = 0.35 (at or below the ground-state limit)"
+    )
 
 
 def test_kernel_route_reports_first_sample_below_ground_state(monkeypatch):
