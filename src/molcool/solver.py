@@ -55,7 +55,9 @@ differences are exact zeros, so its drive is one value for all of them.
 The kernel route integrates the intervals past the chunk in which the
 hold starts once per distinct width, since their integrands differ in
 the width alone.  Every sample comes out with the bits it would have
-with the forcing evaluated at every point.
+with the forcing evaluated at every point.  A state that meets those
+intervals at the held forcing's equilibrium q = nu + 1 is held at q bit
+for bit: the recurrence would carry it off q by rounding, a few ulps.
 """
 
 from __future__ import annotations
@@ -321,20 +323,23 @@ def evolve_eta_closed_form(
     # rest take one quadrature per distinct width
     n_ramp = int(np.searchsorted(starts, profile.hold_start))
     n_chunked = min(n_intervals, -(-n_ramp // _QUAD_CHUNK) * _QUAD_CHUNK)
-    integrals = np.empty(n_intervals)
+    decays = list(map(math.exp, (-g * widths).tolist()))
+    out = [float(eta0)]
     for lo in range(0, n_chunked, _QUAD_CHUNK):
         hi = min(lo + _QUAD_CHUNK, n_chunked)
-        integrals[lo:hi] = _simpson_batch(integrand, starts[lo:hi], widths[lo:hi])
+        _propagate(out, decays[lo:hi], _simpson_batch(integrand, starts[lo:hi], widths[lo:hi]))
     if n_chunked < n_intervals:
-        held, first, inverse = np.unique(
-            widths[n_chunked:], return_index=True, return_inverse=True
-        )
-        integrals[n_chunked:] = _simpson_batch(integrand, starts[n_chunked:][first], held)[inverse]
-    eta = float(eta0)
-    out = [eta]
-    for decay, value in zip(map(math.exp, (-g * widths).tolist()), integrals.tolist()):
-        eta = decay * eta + value
-        out.append(eta)
+        # a state at the held forcing's equilibrium stays there; the
+        # recurrence would move it, since decay q + integral rounds off q
+        # and the rounding of each width's integral differs
+        if out[-1] == float(occupation_at(d, profile, profile.hold_start)) + 1.0:
+            out.extend([out[-1]] * (n_intervals - n_chunked))
+        else:
+            held, first, inverse = np.unique(
+                widths[n_chunked:], return_index=True, return_inverse=True
+            )
+            integrals = _simpson_batch(integrand, starts[n_chunked:][first], held)[inverse]
+            _propagate(out, decays[n_chunked:], integrals)
     out = np.array(out)
     bad = np.flatnonzero(~(out > 1.0))
     if bad.size:
@@ -344,6 +349,14 @@ def evolve_eta_closed_form(
             "(at or below the ground-state limit)"
         )
     return EtaTrajectory(samples, out)
+
+
+def _propagate(out, decays, integrals) -> None:
+    """Append eta <- decay eta + integral to out, one sample per interval."""
+    eta = out[-1]
+    for decay, value in zip(decays, integrals.tolist()):
+        eta = decay * eta + value
+        out.append(eta)
 
 
 def _simpson_batch(f, start, width):

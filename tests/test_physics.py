@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from molcool.cycle import CycleConfig, FiniteDwell, ThermalClosed, run_cycle
 from molcool.profiles import FrequencyProfile, ProfileShape, omega_at
-from molcool.solver import SAMPLES_PER_UNIT, evolve_eta_ode
+from molcool.solver import SAMPLES_PER_UNIT, evolve_eta_closed_form, evolve_eta_ode
 from molcool.thermo import thermal_eta
 from molcool.units import DimensionlessParams
 
@@ -122,44 +122,38 @@ def held_record(theta0, r, g):
     r=st.floats(min_value=1.0, max_value=5.0),
     g=st.one_of(st.just(0.0), st.floats(min_value=1e-3, max_value=1e3)),
 )
-@example(theta0=1.0, r=1.875, g=0.03125)  # the kernel route's drift moves the 12th digit
+@example(theta0=1.0, r=1.875, g=0.03125)  # the recurrence once drifted a 12th digit here
+@example(theta0=10.0**0.499, r=4.7152103179499045, g=918.046875)  # and 2 ulps here
 def test_thermal_state_holds_still_under_a_constant_profile(theta0, r, g):
     """Thermal at the closed frequency and held there, the state is at its
     fixed point eta0, and T_ratio stays 1.
 
     The fixed-step route evolves the deviation from eta0, to which a
     constant forcing adds exactly nothing, so it keeps eta0's bits.  The
-    kernel route, which the record reports, steps eta <- c eta + I and
-    drifts off eta0 by rounding (up to 8.9e-13 seen, see
-    `test_record_keeps_eta0_bits_under_a_constant_profile`); the record's
-    eta may differ from eta0's 12-digit value by one unit of the 12th
-    digit, the most that drift has been seen to move it, and no more.
-    theta0 r stays at or under 16, where eta - 1 >= 1e-7 keeps T_ratio's
-    rounding (1e-16 / ((eta - 1) theta), see `thermo.ratio_from_eta`)
-    well under its tolerance."""
+    kernel route, which the record reports, holds a state that meets the
+    hold at its equilibrium, so the record's eta prints eta0's 12 digits
+    at every sample.  theta0 r stays at or under 16, where eta - 1 >= 1e-7
+    keeps T_ratio's rounding (1e-16 / ((eta - 1) theta), see
+    `thermo.ratio_from_eta`) well under its tolerance; the recurrence
+    eta <- c eta + I, which drifted eta by 2 ulps at the second example,
+    moved T_ratio by 1.05e-10 there."""
     d = DimensionlessParams(theta0=theta0, freq_ratio_r=r, gamma_tau_g=g)
     eta0 = thermal_eta(theta0 * r)
     assert np.all(evolve_eta_ode(d, HELD, eta0, 2.0).eta == eta0)
+    assert np.all(evolve_eta_closed_form(d, HELD, eta0, 2.0).eta == eta0)
     record = held_record(theta0, r, g)
     assert np.all(record.omega_over_omega1 == 1.0)
-    printed = float(f"{eta0:.11e}")
-    unit = 10.0 ** (np.floor(np.log10(printed)) - 11.0)
-    # record values differ from `printed` by whole units, so 1.5 units admits one
-    assert np.all(np.abs(record.eta - printed) <= 1.5 * unit)
+    assert np.all(record.eta == float(f"{eta0:.11e}"))
     assert np.max(np.abs(record.T_ratio - 1.0)) <= 1e-10
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="the kernel route drifts off its fixed point by rounding "
-    "(FOUND in CHANGES.md); holding it would make this pass",
-)
 def test_record_keeps_eta0_bits_under_a_constant_profile():
     """The record of a held thermal state prints eta0's 12 digits at every
-    sample.  Hypothesis found this start, where the kernel route's
-    eta <- c eta + I, damped only by 1 - c = 1.6e-5 per sample, drifts
-    by 8.9e-13 and the record's eta moves from 1.18113254178e+00 to
-    1.18113254179e+00 at sample 507."""
+    sample.  At this start the recurrence eta <- c eta + I, damped only by
+    1 - c = 1.6e-5 per sample, drifted by 8.9e-13 and the record's eta
+    moved from 1.18113254178e+00 to 1.18113254179e+00 at sample 507,
+    before the kernel route held a state that meets the hold at its
+    equilibrium."""
     record = held_record(theta0=1.0, r=1.875, g=0.03125)
     assert np.all(record.eta == float(f"{thermal_eta(1.875):.11e}"))
 
