@@ -327,10 +327,10 @@ def _stitch(parts, segments, per_sample):
 
 def _cross_check(route, disagreement, s, value, reference, rtol) -> None:
     """Raise SolverCrossCheckError at the sample where `value` is furthest
-    from `reference`, relative to it, if that is more than `rtol`."""
+    from `reference`, relative to it, unless that is at most `rtol` (nan is not)."""
     rel = np.abs(value - reference) / reference
-    worst = int(np.argmax(rel))
-    if rel[worst] > rtol:
+    worst = int(np.argmax(rel))  # the first nan, if any
+    if not rel[worst] <= rtol:
         raise SolverCrossCheckError(
             f"{route} cross-check failed: {disagreement} by {rel[worst]:.3e} relative "
             f"at s = {s[worst]:.6g} (allowed {rtol:g})"

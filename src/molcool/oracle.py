@@ -18,35 +18,29 @@ the tail estimate, making "sum(p) + tail_bound" a conserved quantity of
 the augmented system (conservation violations measure integrator error).
 
 The generator, tail row included, is tridiagonal, and it is written
-once: as its (3, n) band of upper, main and lower diagonals at s.  The
-right-hand side is band . y, three slice multiply-adds; the band is the
-Jacobian, and BDF's start-up sparse J is built from it, so the law and
-its Jacobian cannot disagree.  The integrator is implicit (BDF): the
-generator's spectral radius grows like g * n_max * (4*nu + 2), which
-makes explicit fixed-step integration unstable at deep-classical corners
-(large nu) for any affordable step.  Its Newton matrix I - cJ is a band
-too, which LAPACK's tridiagonal dgttrf/dgttrs factor and solve.  Newton
-iterations repeat s, so the last (s, band) pair is kept, and past the
-profile's `hold_start` every s maps to the hold's one band, whose bits
-the profile guarantees.  When the integration ends the solver is
-emptied: scipy's closures and ours hold it in reference cycles, which
-would keep its arrays until the next cyclic garbage collection.
+once: as its (3, n) band of upper, main and lower diagonals at s; the
+right-hand side is band . y, three slice multiply-adds.  Its spectral
+radius grows like g * n_max * (4*nu + 2), too stiff for explicit steps
+at deep-classical corners (large nu), so the integrator is the implicit
+NDF method of orders 1-5 (Shampine & Reichelt, SIAM J. Sci. Comput. 18,
+1997) with scipy's coefficients and step control.  The law is linear:
+each attempted step solves its implicit system exactly, with one LAPACK
+tridiagonal solve (dgtsv) and no Newton iteration.  Past the profile's
+`hold_start` every s maps to the hold's one band.
 
-Samples are streamed from BDF's dense output: at most `_BLOCK` = 64
-samples at a time are checked and reduced to per-sample mean level,
-tail, total mass and geometric-shape residual, and only the final vector
-is kept, so memory grows as O(levels x 64), not O(levels x samples).
-Each block is transposed once so that every reduction runs along
-memory, one sample's levels at a time.
+Samples are read from each step's interpolating polynomial, at most
+`_BLOCK` = 64 at a time, and checked and reduced to per-sample mean
+level, tail, total mass and geometric-shape residual; only the final
+vector is kept, so memory grows as O(levels x 64).  Each block is
+transposed once, so every reduction runs along memory.
 
 `ladder_levels` sizes the ladder from the cycle's plan, before any
 route runs, and `populations_from_quenched` refuses one of more than
 `_MAX_LEVELS` levels, whose run would not fit in memory, before it
 allocates anything.
 
-scipy is imported by the functions that call it, not with this module:
-`import molcool` and every run without the oracle never load it, and
-the first oracle run in a process pays its import.
+Only the integrator imports scipy (its LAPACK wrappers): `import
+molcool` and every run without the oracle never load it.
 """
 
 from __future__ import annotations
@@ -67,10 +61,17 @@ SAMPLES_PER_UNIT = 100  # output samples per tau_open
 NEGATIVITY_FLOOR = -1e-14
 TAIL_THRESHOLD = 1e-10  # largest estimated mass above n_max a run accepts
 _RTOL, _ATOL = 1e-8, 1e-15  # BDF error control
+_MAX_ORDER = 5
+_KAPPA = np.array([0.0, -0.1850, -1.0 / 9.0, -0.0823, -0.0415, 0.0])
+_GAMMA = np.hstack((0.0, np.cumsum(1.0 / np.arange(1, _MAX_ORDER + 1))))
+_ALPHA = (1.0 - _KAPPA) * _GAMMA
+_ERROR_CONST = _KAPPA * _GAMMA + 1.0 / np.arange(1, _MAX_ORDER + 2)
+# step-size factors; the safety is scipy's 0.9 (2m + 1) / (2m + n) at n = 1 solve of m = 4
+_SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
 _BLOCK = 64         # samples reduced at a time
 _SHAPE_WINDOW = 51  # geometric residual over p_{n+1}/p_n for n < 51
-# a run's peak memory grows by 650-730 B per level (measured), so 2e6
-# levels stay within the 1.6 GB the fixed-step route's stage grid may take
+# a run's peak memory grows by 655-780 B per level (measured, 4e4-4e5 levels),
+# so 2e6 levels stay within the 1.6 GB the fixed-step route's stage grid may take
 _MAX_LEVELS = 2_000_000
 
 
@@ -197,7 +198,7 @@ def evolve_populations(
 ) -> PopulationTrajectory:
     """Integrate the truncated birth-death populations over `horizon`.
 
-    Implicit multistep (BDF) with the analytic tridiagonal Jacobian,
+    Implicit multistep (NDF) on the generator's tridiagonal band,
     under the error control `_RTOL`/`_ATOL`.  Samples are
     reduced as they are produced (see `PopulationTrajectory`); only the
     final vector is kept.  Aborts at the first sample where any
@@ -217,10 +218,9 @@ class _SampleReducer:
     """Checks and reduces sample blocks, in order, into per-sample arrays.
 
     A block is a (levels + 1, k) array whose columns hold p_0..p_{n_max}
-    and the tail at the next k samples, as BDF's dense output returns it.
-    It is transposed once into sample-major order, so each reduction
-    runs along memory over one sample's levels; for k = 1 the transpose
-    is a view and the block itself is clipped at 0.
+    and the tail at the next k samples.  It is read sample-major, so each
+    reduction runs along memory over one sample's levels; an integrator
+    block is the transpose of a sample-major array, read and clipped in place.
     """
 
     def __init__(self, samples: np.ndarray, n_levels: int):
@@ -237,7 +237,7 @@ class _SampleReducer:
         rows = np.ascontiguousarray(block.T)  # one row per sample
         lo, hi = self.done, self.done + rows.shape[0]
         worst = rows.min(axis=1)
-        bad = np.flatnonzero(worst < NEGATIVITY_FLOOR)
+        bad = np.flatnonzero(~(worst >= NEGATIVITY_FLOOR))  # nan included
         if bad.size:
             k = int(bad[0])
             raise SolverError(
@@ -278,53 +278,50 @@ class _SampleReducer:
         )
 
 
-def _use_banded_newton(solver, band) -> None:
-    """Hand BDF the Newton matrix I - cJ as its three diagonals.
+# `_change_d` and `_evolve_bdf` are adapted from scipy/integrate/_ivp/bdf.py, under its notice:
+# Copyright (c) 2001-2002 Enthought, Inc. 2003, SciPy Developers. All rights reserved.
+# Redistribution and use in source and binary forms, with or without modification, are permitted
+# provided that the following conditions are met: 1. Redistributions of source code must retain the
+# above copyright notice, this list of conditions and the following disclaimer. 2. Redistributions
+# in binary form must reproduce the above copyright notice, this list of conditions and the
+# following disclaimer in the documentation and/or other materials provided with the distribution.
+# 3. Neither the name of the copyright holder nor the names of its contributors may be used to
+# endorse or promote products derived from this software without specific prior written permission.
+# THIS SOFTWARE IS PROVIDED BY THE COPYRIGHT HOLDERS AND CONTRIBUTORS "AS IS" AND ANY EXPRESS OR
+# IMPLIED WARRANTIES, INCLUDING, BUT NOT LIMITED TO, THE IMPLIED WARRANTIES OF MERCHANTABILITY AND
+# FITNESS FOR A PARTICULAR PURPOSE ARE DISCLAIMED. IN NO EVENT SHALL THE COPYRIGHT OWNER OR
+# CONTRIBUTORS BE LIABLE FOR ANY DIRECT, INDIRECT, INCIDENTAL, SPECIAL, EXEMPLARY, OR CONSEQUENTIAL
+# DAMAGES (INCLUDING, BUT NOT LIMITED TO, PROCUREMENT OF SUBSTITUTE GOODS OR SERVICES; LOSS OF USE,
+# DATA, OR PROFITS; OR BUSINESS INTERRUPTION) HOWEVER CAUSED AND ON ANY THEORY OF LIABILITY,
+# WHETHER IN CONTRACT, STRICT LIABILITY, OR TORT (INCLUDING NEGLIGENCE OR OTHERWISE) ARISING IN ANY
+# WAY OUT OF THE USE OF THIS SOFTWARE, EVEN IF ADVISED OF THE POSSIBILITY OF SUCH DAMAGE.
+def _change_d(D, order, factor) -> None:
+    """Rescale the difference array in place to a step `factor` times as long."""
+    i = np.arange(1.0, order + 1.0)[:, None]
+    m = np.zeros((2, order + 1, order + 1))
+    m[:, 0] = 1.0
+    m[:, 1:, 1:] = (i - 1.0 - np.array([factor, 1.0])[:, None, None] * i.T) / i
+    r, u = np.cumprod(m, axis=1)
+    D[: order + 1] = (r @ u).T @ D[: order + 1]
 
-    `band(s)` is the generator's (3, n) band, laid out as for
-    `scipy.linalg.solve_banded`.  With a banded I and J, BDF's I - c*J is
-    elementwise, and each entry is the one sparse arithmetic computes
-    (0 - c J_ij off the diagonal); LAPACK's dgttrf factors it in place of
-    the SuperLU factorization `BDF.__init__` sets up for a sparse J.
-    """
-    from scipy.linalg.lapack import dgttrf, dgttrs
 
-    identity = np.zeros((3, solver.n))
-    identity[1] = 1.0
-
-    def jac(s, y):
-        solver.njev += 1
-        return band(s)
-
-    def lu(a):
-        solver.nlu += 1
-        dl, d, du, du2, ipiv, info = dgttrf(a[2, :-1], a[1], a[0, 1:])
-        if info != 0:
-            raise SolverError(
-                f"population integration failed: singular Newton matrix at row {info}"
-            )
-        return dl, d, du, du2, ipiv
-
-    def solve_lu(factors, b):
-        x, _ = dgttrs(*factors, b)
-        return x
-
-    solver.I, solver.J = identity, band(solver.t)
-    solver.jac, solver.lu, solver.solve_lu = jac, lu, solve_lu
+def _norm(x) -> float:
+    return float(np.linalg.norm(x)) / math.sqrt(x.size)  # root mean square
 
 
 def _evolve_bdf(d, profile, y0, samples, reducer):
-    import scipy.sparse as sp
-    from scipy.integrate import BDF
+    """Step dy/ds = band(s) . y over `samples`, handing each step's samples to
+    `reducer`; returns the (accepted, rejected) step counts.  A non-finite
+    correction halves the step; one under ten float spacings at s fails."""
+    from scipy.linalg.lapack import dgtsv
 
     n_idx = np.arange(y0.size - 1, dtype=float)  # levels 0..n_max; the tail follows
-    hold = profile.hold_start
-    last = [None, None]  # the latest (s, band); Newton iterations repeat s
+    last = [None, None]  # the latest (s, band); each step asks twice
 
     def band(s):
         # the generator's upper, main and lower diagonals at s; from the
         # hold on they are one band, and min() maps every held s to it
-        s = min(float(s), hold)
+        s = min(float(s), profile.hold_start)
         if s != last[0]:
             down, up = _rates(d, profile, s)
             b = np.zeros((3, y0.size))
@@ -341,28 +338,71 @@ def _evolve_bdf(d, profile, y0, samples, reducer):
         dy[1:] += b[2, :-1] * y[:-1]
         return dy
 
-    # BDF.__init__ takes J as an (n, n) matrix, which as a sparse one
-    # costs O(n); the band replaces it right after
-    solver = BDF(
-        rhs, float(samples[0]), y0, float(samples[-1]), rtol=_RTOL, atol=_ATOL,
-        jac=lambda s, y: sp.dia_matrix((band(s), [1, 0, -1]), shape=(y0.size,) * 2).tocsc(),
-    )
-    try:
-        _use_banded_newton(solver, band)
-        # the samples in (t_old, t] of each step, and s = 0 with the first,
-        # from its dense output (as solve_ivp's t_eval)
-        done = 0
-        while done < samples.size:
-            message = solver.step()
-            if solver.status == "failed":
-                raise SolverError(f"population integration failed: {message}")
-            upto = int(np.searchsorted(samples, solver.t, side="right"))
-            if upto > done:
-                dense = solver.dense_output()
-                for lo in range(done, upto, _BLOCK):
-                    reducer.add(dense(samples[lo : min(lo + _BLOCK, upto)]))
-                done = upto
-    finally:
-        # scipy's closures and ours hold the solver in reference cycles;
-        # emptying it frees its arrays now, not at the next cyclic collection
-        vars(solver).clear()
+    t, t_end = float(samples[0]), float(samples[-1])
+    # the first step: Hairer, Norsett & Wanner, Solving ODEs I, Sec. II.4
+    f0, scale = rhs(t, y0), _ATOL + _RTOL * np.abs(y0)
+    d0, d1 = _norm(y0 / scale), _norm(f0 / scale)
+    h0 = min(1e-6 if min(d0, d1) < 1e-5 else 0.01 * d0 / d1, t_end - t)
+    d2 = _norm((rhs(t + h0, y0 + h0 * f0) - f0) / scale) / h0
+    h1 = max(1e-6, 1e-3 * h0) if max(d1, d2) <= 1e-15 else (0.01 / max(d1, d2)) ** 0.5
+    h = min(100.0 * h0, h1, t_end - t)
+
+    D = np.empty((_MAX_ORDER + 3, y0.size))  # the backward differences, scaled to h
+    D[0], D[1] = y0, f0 * h
+    order, n_equal, accepted, rejected, done = 1, 0, 0, 0, 0
+    while done < samples.size:
+        while True:
+            if h < 10.0 * (np.nextafter(t, np.inf) - t):
+                raise SolverError(f"population integration failed: step {h:.3e} fell "
+                                  f"below the float spacing at s = {t:.6g}")
+            t_new = min(t + h, t_end)
+            if t_new < t + h:
+                _change_d(D, order, (t_new - t) / h)
+                n_equal = 0
+            h = t_new - t
+            y_pred = D[: order + 1].sum(axis=0)
+            psi = D[1 : order + 1].T @ _GAMMA[1 : order + 1] / _ALPHA[order]
+            c = h / _ALPHA[order]
+            b = band(t_new)
+            # (I - c band) dy = c band . y_pred - psi, the NDF system, solved exactly
+            *_, dy, info = dgtsv(
+                -c * b[2, :-1], 1.0 - c * b[1], -c * b[0, 1:], c * rhs(t_new, y_pred) - psi,
+                overwrite_dl=1, overwrite_d=1, overwrite_du=1, overwrite_b=1,
+            )
+            if info != 0:
+                raise SolverError(f"population integration failed: singular at row {info}")
+            scale = _ATOL + _RTOL * np.abs(y_pred + dy)
+            error_norm = _norm(_ERROR_CONST[order] * dy / scale)
+            if error_norm <= 1.0:
+                break
+            factor = 0.5  # for a non-finite correction
+            if math.isfinite(error_norm):
+                factor = max(_MIN_FACTOR, _SAFETY * error_norm ** (-1.0 / (order + 1)))
+            _change_d(D, order, factor)
+            h, n_equal, rejected = h * factor, 0, rejected + 1
+        accepted, n_equal, t = accepted + 1, n_equal + 1, t_new
+        D[order + 2], D[order + 1] = dy - D[order + 1], dy
+        for i in reversed(range(order + 1)):
+            D[i] += D[i + 1]
+        if n_equal > order:
+            # the order (one down, kept, one up) whose next step may be longest
+            with np.errstate(divide="ignore"):
+                factors = np.array([
+                    _norm(_ERROR_CONST[k] * D[k + 1] / scale) if 0 < k <= _MAX_ORDER else np.inf
+                    for k in range(order - 1, order + 2)
+                ]) ** (-1.0 / np.arange(order, order + 3))
+            order += int(np.argmax(factors)) - 1
+            factor = min(_MAX_FACTOR, _SAFETY * float(factors.max()))
+            _change_d(D, order, factor)
+            h, n_equal = h * factor, 0
+
+        # the samples in (t_old, t], and s = 0 with the first, from the step's polynomial
+        upto = int(np.searchsorted(samples, t, side="right"))
+        if upto > done:
+            j = np.arange(order)[:, None]
+            for lo in range(done, upto, _BLOCK):
+                x = (samples[lo : min(lo + _BLOCK, upto)] - (t - h * j)) / (h * (1.0 + j))
+                # built sample-major, so the reducer's transpose is a view
+                reducer.add((np.cumprod(x, axis=0).T @ D[1 : order + 1] + D[0]).T)
+            done = upto
+    return accepted, rejected

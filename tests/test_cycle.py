@@ -25,6 +25,7 @@ from molcool.cycle import (
     SweepSpec,
     ThermalClosed,
     TimeSeriesRecord,
+    _cross_check,
     _format_rows,
     _nearest_indices,
     _quantize,
@@ -440,6 +441,17 @@ def test_oracle_cross_check_refuses_a_disagreeing_mean(monkeypatch):
     )
     with pytest.raises(SolverCrossCheckError, match=shape):
         run_cycle(cfg)
+
+
+def test_cross_check_refuses_a_nan_disagreement():
+    s = np.array([0.0, 0.5, 1.0])
+    reference = np.ones(3)
+    _cross_check("oracle", "means disagree", s, np.array([1.0, 1.0005, 1.0]), reference, 1e-3)
+    # nan compares false against any bound, so it must fail, not pass
+    with pytest.raises(SolverCrossCheckError, match=r"by nan relative at s = 0\.5 "):
+        _cross_check("oracle", "means disagree", s, np.array([1.0, np.nan, 1.0]), reference, 1e-3)
+    with pytest.raises(SolverCrossCheckError, match=r"by nan relative at s = 1 "):
+        _cross_check("oracle", "means disagree", s[1:], np.array([1.0, np.nan]), reference[1:], 1e-3)
 
 
 def test_oracle_cross_check_runs():

@@ -1,22 +1,19 @@
 """Tests for the truncated level-population reference integrator."""
 
-import gc
 import math
 import tracemalloc
-import weakref
 
 import numpy as np
 import pytest
-import scipy.integrate
-import scipy.integrate._ivp.bdf as scipy_bdf
-import scipy.sparse as sp
-from scipy.integrate import solve_ivp
+import scipy.linalg.lapack
 
+import molcool.oracle
+from molcool.cycle import CycleConfig, FiniteDwell, _nearest_indices, run_cycle
 from molcool.errors import SolverError
 from molcool.oracle import (
     PopulationVector,
     _MAX_LEVELS,
-    _rates,
+    _evolve_bdf,
     _SampleReducer,
     evolve_populations,
     mean_occupation,
@@ -24,6 +21,7 @@ from molcool.oracle import (
     truncation_levels,
 )
 from molcool.profiles import FrequencyProfile, ProfileShape
+from molcool.solver import evolve_eta_closed_form
 from molcool.thermo import QuenchedState, nu_of
 from molcool.units import DimensionlessParams
 
@@ -199,6 +197,12 @@ def test_sample_reducer_checks_and_clips():
     leaking = np.array([[0.5, 0.5], [0.5, 0.5], [0.0, 0.0], [0.0, 2e-10]])
     with pytest.raises(SolverError, match=r"truncation too small.*at s = 0\.5"):
         _SampleReducer(samples, 3).add(leaking)
+    # nan compares false against the floor, so it is refused as a failure
+    for row in (1, 3):
+        poisoned = np.array([[0.5, 0.5], [0.3, 0.3], [0.2, 0.2], [0.0, 0.0]])
+        poisoned[row, 1] = np.nan
+        with pytest.raises(SolverError, match=r"integrator failure: population nan .* at s = 0\.5$"):
+            _SampleReducer(samples, 3).add(poisoned)
 
 
 def test_sample_reducer_matches_column_reference():
@@ -251,56 +255,36 @@ def test_geometric_residual_definition():
     assert traj.geometric_residual[-1] < traj.geometric_residual[0]
 
 
-def reference_populations(d, prof, init, horizon, samples_per_unit=100):
-    """(samples, levels + 1) matrix from solve_ivp's BDF with t_eval and a
-    sparse (SuperLU) Jacobian: the unstreamed route the oracle replaces.
-    Its right-hand side is the birth-death law written level by level,
-    not the oracle's band."""
-    n_idx = np.arange(init.n_max + 1, dtype=float)
-    lower_idx = np.arange(1.0, init.n_max + 2.0)
-    upper_base = np.concatenate([np.arange(1.0, init.n_max + 1.0), [0.0]])
+class RecordingReducer(_SampleReducer):
+    """A reducer that keeps a copy of every block before reducing it."""
 
-    def rhs(s, y):
-        # dp_n/ds = down [(n+1) p_{n+1} - n p_n] + up [n p_{n-1} - (n+1) p_n],
-        # with no level above n_max; the tail gains up (n_max+1) p_{n_max}
-        down, up = _rates(d, prof, float(s))
-        p = y[:-1]
-        above = np.append(p[1:], 0.0)
-        below = np.concatenate([[0.0], p[:-1]])
-        dy = np.empty_like(y)
-        dy[:-1] = down * ((n_idx + 1.0) * above - n_idx * p) + up * (
-            n_idx * below - (n_idx + 1.0) * p
-        )
-        dy[-1] = up * n_idx.size * p[-1]
-        return dy
+    def __init__(self, samples, n_levels):
+        super().__init__(samples, n_levels)
+        self.blocks = []
 
-    def jac(s, y):
-        down, up = _rates(d, prof, float(s))
-        main = np.concatenate([-(down * n_idx + up * (n_idx + 1.0)), [0.0]])
-        return sp.diags(
-            [up * lower_idx, main, down * upper_base], offsets=[-1, 0, 1], format="csc"
-        )
-
-    samples = np.linspace(0.0, horizon, int(round(horizon * samples_per_unit)) + 1)
-    sol = solve_ivp(
-        rhs, (0.0, horizon), np.concatenate([init.p, [init.tail_bound]]), method="BDF",
-        t_eval=samples, rtol=1e-8, atol=1e-15, jac=jac,
-    )
-    assert sol.success
-    return sol.y.T
+    def add(self, block):
+        self.blocks.append(block.copy())
+        super().add(block)
 
 
-def test_streamed_bdf_matches_unstreamed_reference():
-    # 4002 levels, 1001 samples.  The two routes differ only in roundoff
-    # (the Newton matrix's factorization, the reduction's summation order)
-    # as long as BDF takes the same steps; a roundoff-level flip of one
-    # step decision would move the results by up to the BDF tolerance
+def test_streamed_bdf_matches_unstreamed_reference(monkeypatch):
+    # 4002 levels, 1001 samples.  The integrator's own samples, recorded
+    # unreduced and reduced here as one (samples, levels + 1) matrix: the
+    # streamed reductions may differ from them only in summation order
+    recorders = []
+
+    def recording(samples, n_levels):
+        recorders.append(RecordingReducer(samples, n_levels))
+        return recorders[-1]
+
+    monkeypatch.setattr(molcool.oracle, "_SampleReducer", recording)
     d = DimensionlessParams(theta0=0.01, freq_ratio_r=2.0, gamma_tau_g=1.0)
     prof = FrequencyProfile()
     init = thermal_vector(0.02, truncation_levels(nu_of(0.01)) + 20)
     assert init.p.size >= 1000
     traj = evolve_populations(d, prof, init, horizon=10.0)
-    ref = np.clip(reference_populations(d, prof, init, 10.0), 0.0, None)
+    assert len(recorders) == 1 and len(recorders[0].blocks) > 1
+    ref = np.clip(np.hstack(recorders[0].blocks).T, 0.0, None)
     pops, tails = ref[:, :-1], ref[:, -1]
     assert traj.s.size == ref.shape[0]
     assert np.max(np.abs(traj.mean_n / (pops @ np.arange(init.p.size)) - 1.0)) <= 1e-12
@@ -309,66 +293,75 @@ def test_streamed_bdf_matches_unstreamed_reference():
     np.testing.assert_allclose(traj.populations, pops[-1], rtol=1e-12, atol=1e-15)
 
 
-def test_newton_solves_bypass_superlu(monkeypatch):
-    def refuse(matrix):
-        raise AssertionError("SuperLU factorization called")
-
-    monkeypatch.setattr(scipy_bdf, "splu", refuse)
-    d = DimensionlessParams(theta0=0.3, freq_ratio_r=2.0, gamma_tau_g=1.0)
+def test_mean_level_tracks_the_kernel_route():
+    # the oracle's accuracy at its error control: mean_n + 1 against the
+    # exact-kernel eta at every oracle sample.  4002 levels over horizon 10
+    # measure 1.9e-8; 1e-7 leaves room for a different step sequence
+    d = DimensionlessParams(theta0=0.01, freq_ratio_r=2.0, gamma_tau_g=1.0)
     prof = FrequencyProfile()
-    init = thermal_vector(0.6, truncation_levels(nu_of(0.3)) + 20)
-    # the patch reaches solve_ivp's sparse-Jacobian BDF ...
-    with pytest.raises(AssertionError, match="SuperLU"):
-        reference_populations(d, prof, init, 1.0)
-    # ... and the oracle never calls it
-    traj = evolve_populations(d, prof, init, horizon=1.0)
-    assert traj.s[-1] == 1.0
+    init = thermal_vector(0.02, truncation_levels(nu_of(0.01)) + 20)
+    traj = evolve_populations(d, prof, init, horizon=10.0)
+    kernel = evolve_eta_closed_form(d, prof, nu_of(0.02) + 1.0, 10.0)
+    idx = np.searchsorted(kernel.s, traj.s)
+    assert np.array_equal(kernel.s[idx], traj.s)
+    assert np.max(np.abs((traj.mean_n + 1.0) / kernel.eta[idx] - 1.0)) <= 1e-7
+    # and through a finite-dwell cycle: close, closed dwell, opening
+    cfg = CycleConfig(
+        dimensionless=d, init_mode=FiniteDwell(dwell=3.0), horizon=3.0, with_oracle=True
+    )
+    res = run_cycle(cfg)
+    assert res.oracle.s[0] < 0.0 < res.oracle.s[-1]
+    eta = res.record.eta[_nearest_indices(res.record.s, res.oracle.s)]
+    assert np.max(np.abs((res.oracle.mean_n + 1.0) / eta - 1.0)) <= 1e-7
 
 
+def test_one_tridiagonal_solve_per_attempted_step(monkeypatch):
+    # the law is linear, so a step's implicit system is solved once, exactly:
+    # no Newton iteration, accepted or rejected
+    solves = []
+    dgtsv = scipy.linalg.lapack.dgtsv
 
-def test_newton_matrix_is_formed_without_sparse_arithmetic(monkeypatch):
-    # BDF is built with a sparse Jacobian; from then on I - cJ is formed
-    # on the three diagonals, so no sparse subtraction may happen
-    def refuse(self, other):
-        raise AssertionError("sparse subtraction called")
+    def counted(*args, **kwargs):
+        solves.append(args[1].size)
+        return dgtsv(*args, **kwargs)
 
-    monkeypatch.setattr(sp._base._spbase, "__sub__", refuse)
-    monkeypatch.setattr(sp._base._spbase, "__rsub__", refuse)
-    with pytest.raises(AssertionError, match="sparse subtraction"):
-        sp.eye(3, format="csc") - sp.eye(3, format="csc")
-    d = DimensionlessParams(theta0=0.3, freq_ratio_r=2.0, gamma_tau_g=1.0)
+    monkeypatch.setattr(scipy.linalg.lapack, "dgtsv", counted)
+    d = DimensionlessParams(theta0=0.01, freq_ratio_r=2.0, gamma_tau_g=1.0)
     prof = FrequencyProfile()
-    init = thermal_vector(0.6, truncation_levels(nu_of(0.3)) + 20)
-    traj = evolve_populations(d, prof, init, horizon=2.0)
-    assert traj.s[-1] == 2.0
+    init = thermal_vector(0.02, truncation_levels(nu_of(0.01)) + 20)
+    samples = np.linspace(0.0, 10.0, 1001)
+    y0 = np.concatenate([init.p, [init.tail_bound]])
+    accepted, rejected = _evolve_bdf(d, prof, y0, samples, _SampleReducer(samples, init.p.size))
+    assert rejected > 0
+    assert len(solves) == accepted + rejected
+    assert set(solves) == {y0.size}
 
 
-def test_bdf_solver_is_freed_when_the_integration_ends(monkeypatch):
-    # the solver sits in reference cycles (its closures hold it); with the
-    # cyclic collector off it must still be gone once the run returns
-    solvers = []
+def test_singular_step_matrix_is_refused(monkeypatch):
+    def singular(dl, d, du, b, **kwargs):
+        return dl, d, du, b, 7
 
-    class Recorded(scipy.integrate.BDF):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            solvers.append(weakref.ref(self))
-
-    monkeypatch.setattr(scipy.integrate, "BDF", Recorded)
+    monkeypatch.setattr(scipy.linalg.lapack, "dgtsv", singular)
     d = DimensionlessParams(theta0=0.3, freq_ratio_r=2.0, gamma_tau_g=1.0)
-    prof = FrequencyProfile()
     init = thermal_vector(0.6, truncation_levels(nu_of(0.3)) + 20)
-    gc.disable()
-    try:
-        traj = evolve_populations(d, prof, init, horizon=1.0)
-        assert len(solvers) == 1 and solvers[0]() is None
-        # and after a failed run too
-        short = thermal_vector(0.6, truncation_levels(nu_of(0.6)))
-        with pytest.raises(SolverError, match="truncation too small"):
-            evolve_populations(d, prof, short, horizon=3.0)
-        assert len(solvers) == 2 and solvers[1]() is None
-    finally:
-        gc.enable()
-    assert traj.s[-1] == 1.0
+    with pytest.raises(SolverError, match=r"^population integration failed: singular at row 7$"):
+        evolve_populations(d, FrequencyProfile(), init, horizon=1.0)
+
+
+def test_non_finite_rates_fail_where_they_start(monkeypatch):
+    # every step past s = 0.5 has a nan correction and is halved, until
+    # the step is under ten float spacings at s = 0.5
+    rates = molcool.oracle._rates
+
+    def nan_past_half(d, profile, s):
+        return (math.nan, math.nan) if s > 0.5 else rates(d, profile, s)
+
+    monkeypatch.setattr(molcool.oracle, "_rates", nan_past_half)
+    d = DimensionlessParams(theta0=0.3, freq_ratio_r=2.0, gamma_tau_g=1.0)
+    init = thermal_vector(0.6, truncation_levels(nu_of(0.3)) + 20)
+    shape = r"^population integration failed: step .* below the float spacing at s = 0\.5$"
+    with pytest.raises(SolverError, match=shape):
+        evolve_populations(d, FrequencyProfile(), init, horizon=1.0)
 
 
 if __name__ == "__main__":
