@@ -15,8 +15,8 @@ the observables from the kernel route's eta, once.
 A `TimeSeriesRecord` is immutable.  Its construction rounds every value
 to the 12 significant digits the CSV prints and keeps the decimal
 digits that rounding computed, so `emit_csv` builds each cell from them
-by table lookups of 4-byte words, and no value's digits are worked out
-twice.
+by table lookups of 4-byte words (or "%.11e", in a block holding a
+three-digit exponent), and no value's digits are worked out twice.
 """
 
 from __future__ import annotations
@@ -198,24 +198,6 @@ def _decimal12(v: np.ndarray):
     return q, d, e
 
 
-def _quantize(values, out):
-    """Round a 1-D array onto the 12-significant-digit grid the CSV
-    emitter writes, so records roundtrip through their files
-    bit-identically.  Fills `out`, the (q, d, e) triple of arrays of
-    `values`' length, with `_decimal12`'s results and returns it: the
-    rounded values, each equal to float("%.11e" % x) bit for bit
-    (non-finite values pass through unchanged), and the mantissas
-    (int64) and exponents (int16) that print them.  Values go
-    `_QUANTIZE_BLOCK` at a time, which bounds the temporaries.
-    """
-    v = np.asarray(values, dtype=float)
-    q, d, e = out
-    for lo in range(0, v.size, _QUANTIZE_BLOCK):
-        block = slice(lo, lo + _QUANTIZE_BLOCK)
-        q[block], d[block], e[block] = _decimal12(v[block])
-    return out
-
-
 _COLUMNS = CSV_HEADER.split(",")
 
 
@@ -226,11 +208,12 @@ class TimeSeriesRecord:
 
     A record is immutable: its fields cannot be reassigned and its
     column arrays are read-only.  `_quantized` = (q, d, e) holds the
-    quantized values q, one row per column (the record's columns are its
-    rows), and the mantissas d and exponents e that `_quantize` computed
-    for them, one row per sample as in the CSV, from which `emit_csv`
-    formats the cells: row order makes every cell write contiguous, and
-    each column stays contiguous for its readers.
+    values q rounded by `_decimal12`, `_QUANTIZE_BLOCK` at a time, one
+    row per column (the record's columns are its rows), and the
+    mantissas d and exponents e that print them, one row per sample as
+    in the CSV, from which `emit_csv` formats the cells: row order makes
+    every cell write contiguous, and each column stays contiguous for
+    its readers.
     """
 
     s: np.ndarray
@@ -241,7 +224,7 @@ class TimeSeriesRecord:
     _quantized: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
-        cols = [np.asarray(getattr(self, name), dtype=float) for name in _COLUMNS]
+        cols = [np.asarray(getattr(self, name), dtype=float).reshape(-1) for name in _COLUMNS]
         n = cols[0].size
         if any(c.size != n for c in cols):
             raise ValueError("record columns must have equal length")
@@ -249,7 +232,9 @@ class TimeSeriesRecord:
         d = np.empty((n, len(cols)), np.int64)
         e = np.empty(d.shape, np.int16)
         for i, c in enumerate(cols):
-            _quantize(c.reshape(n), out=(q[i], d[:, i], e[:, i]))
+            for lo in range(0, n, _QUANTIZE_BLOCK):
+                block = slice(lo, lo + _QUANTIZE_BLOCK)
+                q[i, block], d[block, i], e[block, i] = _decimal12(c[block])
         if not np.all(np.isfinite(q)):
             raise ValueError("record values must all be finite")
         for a in (q, d, e):
@@ -266,7 +251,15 @@ class TimeSeriesRecord:
     @classmethod
     def from_trajectory(cls, traj: EtaTrajectory, omega_over_omega1, theta0_r: float):
         """The record of `traj` under the schedule `omega_over_omega1` at
-        theta0 * r = `theta0_r`: the one place mean_n and T_ratio are derived."""
+        theta0 * r = `theta0_r`: the one place mean_n and T_ratio are derived.
+        A sample at or below the ground-state limit is named by its s."""
+        above = traj.eta > 1.0 + GROUND_STATE_EPS
+        if not above.all():
+            i = int(np.argmin(above))  # the first sample that fails
+            raise ValueError(
+                f"eta = {float(traj.eta[i])!r} at s = {traj.s[i]:.6g} is at or below the "
+                f"ground-state limit 1 + {GROUND_STATE_EPS:g}"
+            )
         ratio = ratio_from_eta(traj.eta, theta0_r * omega_over_omega1)
         return cls(traj.s, omega_over_omega1, traj.eta, traj.eta - 1.0, ratio)
 
@@ -526,53 +519,24 @@ def _words(chars: np.ndarray) -> np.ndarray:
     return table
 
 
-def _signed_exponents(top: int) -> np.ndarray:
-    """"±htu" for each e in [-top, top], at e + top."""
-    magnitude = _digit_rows(3)[:top + 1]
-    chars = np.empty((2 * top + 1, 4), dtype=np.uint8)
-    chars[:top, 0] = ord("-")
-    chars[top:, 0] = ord("+")
-    chars[:, 1:] = np.concatenate((magnitude[:0:-1], magnitude))  # top .. 1, then 0 .. top
-    return chars
-
-
-def _exponent_words(exponents: np.ndarray, first: np.ndarray) -> np.ndarray:
-    """"De±X" for each last mantissa digit D and each row of `_signed_exponents`,
-    at D * rows + row, where X is `first` at that row."""
-    chars = np.empty((10, len(exponents), 4), dtype=np.uint8)
-    chars[..., 0] = _DIGITS[:, None]
-    chars[..., 1] = ord("e")
-    chars[..., 2] = exponents[:, 0]
-    chars[..., 3] = first
-    return _words(chars)
-
-
 _quad = _digit_rows(4)
 _QUAD = _words(_quad)  # "DDDD" at i: a mantissa's 4th to 7th or 8th to 11th digits
 _LEAD = _words(np.insert(_quad[:1000, 1:], 1, ord("."), axis=1))  # "D.DD" at i: its first three
-_narrow = _signed_exponents(99)  # the exponents of a block without a three-digit one
-_NARROW_EXP = _exponent_words(_narrow, _narrow[:, 2])  # "De±t" at D * 199 + e + 99
+_exponent = np.arange(-99, 100)
+_tu = _digit_rows(2)[np.abs(_exponent)]  # the tens and units digits of each exponent
+_chars = np.empty((10, 199, 4), dtype=np.uint8)
+_chars[..., 0] = _DIGITS[:, None]
+_chars[..., 1] = ord("e")
+_chars[..., 2] = np.where(_exponent < 0, ord("-"), ord("+"))
+_chars[..., 3] = _tu[:, 0]
+_EXP = _words(_chars)  # "De±t" at D * 199 + e + 99
 # "u," at e + 99 and "u\n" at 199 + e + 99: the units digit and the separator
-_NARROW_TAIL = _words(
-    np.stack([np.stack((_narrow[:, 3], np.full(199, sep, np.uint8)), axis=1) for sep in b",\n"])
+_TAIL = _words(
+    np.stack([np.stack((_tu[:, 1], np.full(199, sep, np.uint8)), axis=1) for sep in b",\n"])
 )
-_wide = _signed_exponents(999)
-_WIDE_EXP = _exponent_words(_wide, np.where(_wide[:, 1] == ord("0"), 0, _wide[:, 1]))  # "De±h"
-_WIDE_TAIL = _words(_wide[:, 2:])  # "tu" at e + 999
-del _quad, _narrow, _wide
+del _quad, _exponent, _tu, _chars
 
-
-def _cell(signed: bool, wide: bool) -> np.dtype:
-    """One cell of `"%.11e" % x` and its separator, laid out for a block
-    with (`signed`) or without a negative value and with (`wide`) or
-    without a three-digit exponent; NUL marks a byte the cell does not
-    print."""
-    fields = [("sign", "u1")] if signed else []
-    fields += [("lead", "u4"), ("mid", "u4"), ("low", "u4"), ("exp", "u4"), ("tail", "u2")]
-    return np.dtype(fields + [("sep", "u1")] if wide else fields)
-
-
-_CELLS = {(signed, wide): _cell(signed, wide) for signed in (False, True) for wide in (False, True)}
+_CELL = np.dtype([("lead", "u4"), ("mid", "u4"), ("low", "u4"), ("exp", "u4"), ("tail", "u2")])
 
 
 def _format_cells(q: np.ndarray, d: np.ndarray, e: np.ndarray) -> bytes:
@@ -580,22 +544,18 @@ def _format_cells(q: np.ndarray, d: np.ndarray, e: np.ndarray) -> bytes:
     their `_decimal12` mantissas d and exponents e: each cell is
     `"%.11e" % x`, cells joined by "," and rows ended by "\n".
 
-    Each cell is one record of `_CELLS`, filled word by word from tables
-    of 4-byte words: "D.DD" from `_LEAD`, the next two groups of four
-    digits from `_QUAD`, then the last digit, "e", the exponent's sign
-    and its first digit in one word, and a 2-byte tail.  A block of
-    two-digit exponents has a "De±t" word and a "u," or "u\n" tail; a
-    block with a three-digit one has "De±h", with NUL for the h of
-    |e| < 100, a "tu" tail and a separator byte.  Only a block holding a
-    negative value has a sign byte, NUL for the others.  The NUL bytes
-    are dropped by one `translate`, run only on a block that holds one.
+    Each cell of |x| is one 18-byte `_CELL` record, filled word by word
+    from tables of 4-byte words: "D.DD" from `_LEAD`, the next two groups
+    of four digits from `_QUAD`, then the last digit, "e", the exponent's
+    sign and its tens digit from `_EXP`, and its units digit with the
+    separator from `_TAIL`.  One `np.insert` puts a "-" before each
+    negative cell.  A block holding a three-digit exponent (|x| < 1e-99
+    or >= 1e100), which the tables do not cover, is printed value by
+    value with "%.11e".
     """
-    negative = np.signbit(q)
-    signed = bool(negative.any())
-    wide = bool(np.abs(e).max(initial=0) >= 100)
-    cells = np.empty(q.shape, dtype=_CELLS[signed, wide])
-    if signed:
-        cells["sign"] = negative * np.uint8(ord("-"))
+    if np.abs(e).max(initial=0) >= 100:
+        return "".join(",".join(map(_fmt, row)) + "\n" for row in q.tolist()).encode()
+    cells = np.empty(q.shape, dtype=_CELL)
     tens = d // 10  # a floor division by a constant is far cheaper than divmod
     last = d - tens * 10
     upper = tens // 10_000
@@ -603,24 +563,15 @@ def _format_cells(q: np.ndarray, d: np.ndarray, e: np.ndarray) -> bytes:
     lead = upper // 10_000
     cells["mid"] = np.take(_QUAD, upper - lead * 10_000)
     cells["lead"] = np.take(_LEAD, lead)
-    if wide:
-        cells["exp"] = np.take(_WIDE_EXP, last * 1999 + (e + 999))
-        cells["tail"] = np.take(_WIDE_TAIL, e + 999)
-        cells["sep"] = ord(",")
-        cells["sep"][:, -1] = ord("\n")
-    else:
-        cells["exp"] = np.take(_NARROW_EXP, last * 199 + (e + 99))
-        tail = e + 99
-        tail[:, -1] += 199
-        cells["tail"] = np.take(_NARROW_TAIL, tail)
-    out = cells.tobytes()
-    return out.translate(None, b"\0") if b"\0" in out else out
-
-
-def _format_rows(block: np.ndarray) -> bytes:
-    """CSV bytes of a (rows, columns) block of finite values, formatted by
-    `_format_cells` from the digits `_decimal12` works out here."""
-    return _format_cells(*_decimal12(np.asarray(block, dtype=float)))
+    cells["exp"] = np.take(_EXP, last * 199 + (e + 99))
+    tail = e + 99
+    tail[:, -1] += 199
+    cells["tail"] = np.take(_TAIL, tail)
+    negative = np.signbit(q)
+    if not negative.any():
+        return cells.tobytes()
+    at = np.flatnonzero(negative) * _CELL.itemsize
+    return np.insert(cells.view(np.uint8).reshape(-1), at, ord("-")).tobytes()
 
 
 def emit_csv(record: TimeSeriesRecord, path) -> None:

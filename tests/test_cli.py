@@ -424,6 +424,16 @@ def test_ground_state_start_is_refused_before_any_route(monkeypatch, capsys, the
     assert capsys.readouterr().err.splitlines()[-1] == err
 
 
+def test_ground_state_reached_mid_run_is_named_by_its_s(capsys):
+    # the start (theta0 = 14 at the open frequency) passes; the close then
+    # drives eta to within 1e-12 of 1, first at sample 3,570 of 28,001
+    argv = ["--theta0", "14", "--ratio", "2", "--gamma-tau", "10"]
+    assert run_cli("cycle", *argv, "--init-mode", "finite-dwell", "--dwell", "3") == 2
+    err = capsys.readouterr().err.splitlines()[-1]
+    assert err.startswith("error: eta = 1.0000000000")
+    assert "at s = -2.215 is at or below the ground-state limit 1 + 1e-12" in err
+
+
 def test_start_just_above_the_ground_state_answers(capsys):
     assert run_cli("cycle", "--theta0", "13") == 0
     assert "min T_ratio = 8.51771449869e-01" in capsys.readouterr().out

@@ -26,9 +26,9 @@ from molcool.cycle import (
     ThermalClosed,
     TimeSeriesRecord,
     _cross_check,
-    _format_rows,
+    _decimal12,
+    _format_cells,
     _nearest_indices,
-    _quantize,
     default_cycle_config,
     emit_csv,
     emit_plot_script,
@@ -101,22 +101,25 @@ def python_csv_rows(rows) -> bytes:
     return "".join(",".join(f"{v:.11e}" for v in row) + "\n" for row in rows).encode()
 
 
+def format_rows(block) -> bytes:
+    """CSV bytes of a (rows, columns) block of finite values, formatted by
+    `_format_cells` from the digits `_decimal12` works out here."""
+    return _format_cells(*_decimal12(np.asarray(block, dtype=float)))
+
+
 def assert_formats_like_python(values):
     values = [float(v) for v in values]
     expected = np.array([float(f"{v:.11e}") for v in values])
-    n = len(values)
-    quantized, d, e = _quantize(
-        np.array(values), out=(np.empty(n), np.empty(n, np.int64), np.empty(n, np.int16))
-    )
+    quantized, d, e = _decimal12(np.array(values))
     assert np.array_equal(quantized.view(np.uint64), expected.view(np.uint64))
     # the digits kept beside the values print them
     printed = [f"{m // 10**11}.{m % 10**11:011d}e{x:+03d}" for m, x in zip(d.tolist(), e.tolist())]
     assert printed == [f"{abs(v):.11e}" for v in values]
     block = np.array(values).reshape(-1, 1)
-    assert _format_rows(block) == "".join(f"{v:.11e}\n" for v in values).encode()
+    assert format_rows(block) == "".join(f"{v:.11e}\n" for v in values).encode()
     if len(values) % 5 == 0:
         rows = np.array(values).reshape(-1, 5)
-        assert _format_rows(rows) == python_csv_rows(rows.tolist())
+        assert format_rows(rows) == python_csv_rows(rows.tolist())
 
 
 def test_decimal_kernel_edge_cases(tmp_path):
@@ -147,8 +150,8 @@ CELL_VALUES = st.one_of(
     SUBNORMAL, NEAR_1E100, NEAR_1E_MINUS_100, st.floats(-1e6, 1e6),
     st.floats(allow_nan=False, allow_infinity=False),
 ).flatmap(lambda x: st.sampled_from([x, -x]))
-# one of each in a single column, so a sign or exponent NUL that leaks
-# into a neighbour shows in that column's rows
+# one of each in a single column, so a sign or exponent that leaks into
+# a neighbour shows in that column's rows
 COLUMN_ANCHORS = (0.0, -0.0, 5e-324, -3.25, 9.9e99, 1.0e100, -1.0e-100, 2.5e-99, 7.0, 1e-5)
 
 
@@ -163,7 +166,7 @@ COLUMN_ANCHORS = (0.0, -0.0, 5e-324, -3.25, 9.9e99, 1.0e100, -1.0e-100, 2.5e-99,
 def test_format_rows_mixes_signs_and_exponent_widths(rows, column, anchors):
     for row, anchor in zip(rows, anchors):
         row[column] = anchor
-    out = _format_rows(np.array(rows))
+    out = format_rows(np.array(rows))
     assert out == python_csv_rows(rows)
     assert b"\0" not in out
 
@@ -175,14 +178,14 @@ def table_entries(table):
 
 def test_cell_tables_match_python_format():
     cycle = molcool.cycle
-    for table in (cycle._LEAD, cycle._QUAD, cycle._NARROW_EXP, cycle._WIDE_EXP):
+    for table in (cycle._LEAD, cycle._QUAD, cycle._EXP):
         assert table.dtype.itemsize == 4
     lead = [f"{i // 100}.{i % 100:02d}".encode() for i in range(1000)]
     assert table_entries(cycle._LEAD) == lead
     assert table_entries(cycle._QUAD) == [f"{i:04d}".encode() for i in range(10_000)]
-    # the last mantissa digit D, the exponent and the separator, per layout
-    narrow = table_entries(cycle._NARROW_EXP)
-    tails = table_entries(cycle._NARROW_TAIL)
+    # the last mantissa digit D, the exponent and the separator
+    narrow = table_entries(cycle._EXP)
+    tails = table_entries(cycle._TAIL)
     assert [
         narrow[digit * 199 + e + 99] + tails[last * 199 + e + 99]
         for digit in range(10) for last in (0, 1) for e in range(-99, 100)
@@ -190,20 +193,7 @@ def test_cell_tables_match_python_format():
         f"{digit}e{e:+03d}{sep}".encode()
         for digit in range(10) for sep in ",\n" for e in range(-99, 100)
     ]
-    wide = table_entries(cycle._WIDE_EXP)
-    tails = table_entries(cycle._WIDE_TAIL)
-    cells = [
-        wide[digit * 1999 + e + 999] + tails[e + 999]
-        for digit in range(10) for e in range(-999, 1000)
-    ]
-    expected = [(f"{digit}e{e:+03d}", abs(e)) for digit in range(10) for e in range(-999, 1000)]
-    assert [c.replace(b"\0", b"") for c in cells] == [text.encode() for text, _ in expected]
-    # a two-digit exponent keeps a NUL where its hundreds digit would go
-    assert [c.find(b"\0") for c in cells] == [3 if size < 100 else -1 for _, size in expected]
-    for table in (
-        cycle._LEAD, cycle._QUAD, cycle._NARROW_EXP, cycle._NARROW_TAIL,
-        cycle._WIDE_EXP, cycle._WIDE_TAIL,
-    ):
+    for table in (cycle._LEAD, cycle._QUAD, cycle._EXP, cycle._TAIL):
         assert not table.flags.writeable
 
 
@@ -298,11 +288,16 @@ def test_csv_roundtrip_reproduces_any_record(tmp_path_factory, columns, start):
 def test_csv_blocks_of_every_layout(tmp_path, monkeypatch):
     block = molcool.cycle._CSV_BLOCK_ROWS
     n = 3 * block
+    # the first block holds negatives at its first cell, at the cell just
+    # after its first "\n", mid-row, at a row's last cell and at its last cell
     s = np.linspace(0.0, 3.0, n)
+    s[:2] = (-2.0, -1.0)
     eta = np.linspace(1.5, 40.0, n)
-    eta[block + 7] = -2.5  # the second block holds a negative
-    eta[2 * block + 11] = 3.0e-120  # the third a three-digit exponent
-    record = TimeSeriesRecord(s, np.ones(n), eta, np.full(n, 0.5), np.full(n, 0.75))
+    eta[7] = -2.5
+    t_ratio = np.full(n, 0.75)
+    t_ratio[[5, block - 1]] = -0.75
+    eta[2 * block + 11] = 1.0e100  # the third block holds the smallest three-digit exponent
+    record = TimeSeriesRecord(s, np.ones(n), eta, np.full(n, 0.5), t_ratio)
     layouts = []
     format_cells = molcool.cycle._format_cells
 
@@ -312,7 +307,7 @@ def test_csv_blocks_of_every_layout(tmp_path, monkeypatch):
 
     monkeypatch.setattr(molcool.cycle, "_format_cells", spy)
     assert_csv_roundtrip(record, tmp_path / "cycle.csv")
-    assert layouts == [(False, False), (True, False), (False, True)]
+    assert layouts == [(True, False), (False, False), (False, True)]
 
 
 def test_emit_csv_reuses_the_record_digits(tmp_path, monkeypatch, default_result):
