@@ -21,12 +21,9 @@ three-digit exponent), and no value's digits are worked out twice.
 
 from __future__ import annotations
 
-import configparser
-import csv
 import io
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import ClassVar
 
@@ -487,6 +484,7 @@ def run_sweep(spec: SweepSpec, max_workers: int = 1) -> list[SweepRow]:
     workers = min(max_workers, len(spec.values), _usable_cpus())
     if workers == 1:
         return [one(v) for v in spec.values]
+    from concurrent.futures import ThreadPoolExecutor
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(one, spec.values))
 
@@ -595,6 +593,7 @@ def emit_csv(record: TimeSeriesRecord, path) -> None:
 
 def read_csv_record(path) -> TimeSeriesRecord:
     """Parse a file written by emit_csv back into a TimeSeriesRecord."""
+    import csv
     try:
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
@@ -616,6 +615,7 @@ def read_csv_record(path) -> TimeSeriesRecord:
 
 def emit_sweep_csv(rows, path) -> None:
     """Write sweep rows as CSV (empty cells for a failed run's numbers)."""
+    import csv
 
     def cell(v):
         return "" if v is None else (_fmt(v) if isinstance(v, float) else str(v).lower())
@@ -759,6 +759,7 @@ def emit_plot_script(source, path, axis=None) -> None:
 def serialize_config(cfg: CycleConfig) -> str:
     """Render a CycleConfig as INI text that parse_config inverts exactly;
     an output_dir it would read back differently (one with " #") is refused."""
+    import configparser
     cp = configparser.ConfigParser(interpolation=None)
     d = cfg.dimensionless
     cp["dimensionless"] = {
@@ -813,6 +814,7 @@ def _profile_shape(text: str) -> ProfileShape:
 
 
 def _boolean(text: str) -> bool:
+    import configparser
     try:
         return configparser.ConfigParser.BOOLEAN_STATES[text.lower()]
     except KeyError:
@@ -845,6 +847,7 @@ def parse_config(text: str) -> CycleConfig:
     Values are read literally (no `%` interpolation).  Only the keys
     present are passed on, so every absent one takes its default.
     """
+    import configparser
     cp = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=("#",))
     try:
         cp.read_string(text)

@@ -31,8 +31,9 @@ tridiagonal solve (dgtsv) and no Newton iteration.  Past the profile's
 Samples are read from each step's interpolating polynomial, at most
 `_BLOCK` = 64 at a time, and checked and reduced to per-sample mean
 level, tail, total mass and geometric-shape residual; only the final
-vector is kept, so memory grows as O(levels x 64).  Each block is
-transposed once, so every reduction runs along memory.
+vector is kept, so memory grows as O(levels x 64).  Each block is one
+product written sample-major into a buffer allocated once per run, so
+every reduction runs along memory.
 
 `ladder_levels` sizes the ladder from the cycle's plan, before any
 route runs, and `populations_from_quenched` refuses one of more than
@@ -70,7 +71,7 @@ _ERROR_CONST = _KAPPA * _GAMMA + 1.0 / np.arange(1, _MAX_ORDER + 2)
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
 _BLOCK = 64         # samples reduced at a time
 _SHAPE_WINDOW = 51  # geometric residual over p_{n+1}/p_n for n < 51
-# a run's peak memory grows by 655-780 B per level (measured, 4e4-4e5 levels),
+# a run's peak RSS grows by 425-440 B per level (measured, 4e4-4e5 levels),
 # so 2e6 levels stay within the 1.6 GB the fixed-step route's stage grid may take
 _MAX_LEVELS = 2_000_000
 
@@ -217,15 +218,15 @@ def evolve_populations(
 class _SampleReducer:
     """Checks and reduces sample blocks, in order, into per-sample arrays.
 
-    A block is a (levels + 1, k) array whose columns hold p_0..p_{n_max}
-    and the tail at the next k samples.  It is read sample-major, so each
-    reduction runs along memory over one sample's levels; an integrator
-    block is the transpose of a sample-major array, read and clipped in place.
+    A block is a (k, levels + 1) array whose rows hold p_0..p_{n_max} and
+    the tail at the next k samples; it is read as it is and clipped in
+    place.  One min pass per block checks the floor, and one product with
+    the (levels, 2) weights [n, 1] gives every sample's mean level and mass.
     """
 
     def __init__(self, samples: np.ndarray, n_levels: int):
         self.samples = samples
-        self.n_idx = np.arange(n_levels, dtype=float)
+        self.weights = np.stack([np.arange(n_levels, dtype=float), np.ones(n_levels)], axis=1)
         self.window = min(_SHAPE_WINDOW, n_levels - 1)
         self.mean_n, self.tail_bound, self.mass, self.geometric_residual = (
             np.empty(samples.size) for _ in range(4)
@@ -234,9 +235,8 @@ class _SampleReducer:
         self.last = None
 
     def add(self, block: np.ndarray) -> None:
-        rows = np.ascontiguousarray(block.T)  # one row per sample
-        lo, hi = self.done, self.done + rows.shape[0]
-        worst = rows.min(axis=1)
+        lo, hi = self.done, self.done + block.shape[0]
+        worst = block.min(axis=1)
         bad = np.flatnonzero(~(worst >= NEGATIVITY_FLOOR))  # nan included
         if bad.size:
             k = int(bad[0])
@@ -244,9 +244,10 @@ class _SampleReducer:
                 f"integrator failure: population {worst[k]:.3e} below the "
                 f"{NEGATIVITY_FLOOR:g} floor at s = {self.samples[lo + k]:.6g}"
             )
-        # forgive sub-floor negative roundoff, in the tail estimate as in the levels
-        np.maximum(rows, 0.0, out=rows)
-        pops, tails = rows[:, :-1], rows[:, -1]
+        if worst.min() < 0.0:
+            # forgive sub-floor negative roundoff, in the tail estimate as in the levels
+            np.maximum(block, 0.0, out=block)
+        pops, tails = block[:, :-1], block[:, -1]
         over = np.flatnonzero(tails > TAIL_THRESHOLD)
         if over.size:
             k = int(over[0])
@@ -254,17 +255,19 @@ class _SampleReducer:
                 f"truncation too small: tail bound {tails[k]:.3e} exceeded threshold "
                 f"{TAIL_THRESHOLD:.3e} at s = {self.samples[lo + k]:.6g}; increase n_max"
             )
-        # row by row, so a sample's bits do not depend on the block it came in
-        self.mean_n[lo:hi] = np.einsum("ij,j->i", pops, self.n_idx)
+        # one (1, levels) @ (levels, 2) product per sample: a BLAS product over
+        # several rows gives each row bits that depend on how many rows came with it
+        self.mean_n[lo:hi], level_mass = np.matmul(pops[:, None], self.weights)[:, 0].T
         self.tail_bound[lo:hi] = tails
-        self.mass[lo:hi] = pops.sum(axis=1) + tails
+        self.mass[lo:hi] = level_mass + tails
         w = self.window
         # an empty level in the window leaves its sample's residual inf or nan
         with np.errstate(divide="ignore", invalid="ignore"):
             ratios = pops[:, 1 : w + 1] / pops[:, :w]
             spread = np.abs(ratios / ratios.mean(axis=1, keepdims=True) - 1.0)
             self.geometric_residual[lo:hi] = spread.max(axis=1)
-        self.last = pops[-1].copy()
+        if hi == self.samples.size:
+            self.last = pops[-1].copy()
         self.done = hi
 
     def trajectory(self) -> PopulationTrajectory:
@@ -331,11 +334,11 @@ def _evolve_bdf(d, profile, y0, samples, reducer):
             last[:] = s, b
         return last[1]
 
-    def rhs(s, y):
+    def rhs(s, y, out=None, tmp=None):  # tmp: n - 1 entries for the off-diagonal products
         b = band(s)
-        dy = b[1] * y
-        dy[:-1] += b[0, 1:] * y[1:]
-        dy[1:] += b[2, :-1] * y[:-1]
+        dy = np.multiply(b[1], y, out=out)
+        dy[:-1] += np.multiply(b[0, 1:], y[1:], out=tmp)
+        dy[1:] += np.multiply(b[2, :-1], y[:-1], out=tmp)
         return dy
 
     t, t_end = float(samples[0]), float(samples[-1])
@@ -349,6 +352,9 @@ def _evolve_bdf(d, profile, y0, samples, reducer):
 
     D = np.empty((_MAX_ORDER + 3, y0.size))  # the backward differences, scaled to h
     D[0], D[1] = y0, f0 * h
+    # a step's vectors (dl and du use n - 1 entries; scale is reused) and its samples
+    y_pred, psi, f, dl, dd, du = np.empty((6, y0.size))
+    block = np.empty((min(_BLOCK, samples.size), y0.size))
     order, n_equal, accepted, rejected, done = 1, 0, 0, 0, 0
     while done < samples.size:
         while True:
@@ -360,19 +366,28 @@ def _evolve_bdf(d, profile, y0, samples, reducer):
                 _change_d(D, order, (t_new - t) / h)
                 n_equal = 0
             h = t_new - t
-            y_pred = D[: order + 1].sum(axis=0)
-            psi = D[1 : order + 1].T @ _GAMMA[1 : order + 1] / _ALPHA[order]
+            np.sum(D[: order + 1], axis=0, out=y_pred)
+            np.matmul(D[1 : order + 1].T, _GAMMA[1 : order + 1], out=psi)
+            psi /= _ALPHA[order]
             c = h / _ALPHA[order]
             b = band(t_new)
             # (I - c band) dy = c band . y_pred - psi, the NDF system, solved exactly
+            rhs(t_new, y_pred, f, dl[:-1])
+            f *= c
+            f -= psi
+            np.multiply(-c, b[2, :-1], out=dl[:-1])
+            np.subtract(1.0, np.multiply(c, b[1], out=dd), out=dd)
+            np.multiply(-c, b[0, 1:], out=du[:-1])
             *_, dy, info = dgtsv(
-                -c * b[2, :-1], 1.0 - c * b[1], -c * b[0, 1:], c * rhs(t_new, y_pred) - psi,
+                dl[:-1], dd, du[:-1], f,
                 overwrite_dl=1, overwrite_d=1, overwrite_du=1, overwrite_b=1,
             )
             if info != 0:
                 raise SolverError(f"population integration failed: singular at row {info}")
-            scale = _ATOL + _RTOL * np.abs(y_pred + dy)
-            error_norm = _norm(_ERROR_CONST[order] * dy / scale)
+            np.abs(np.add(y_pred, dy, out=scale), out=scale)
+            np.add(_ATOL, np.multiply(_RTOL, scale, out=scale), out=scale)
+            error = np.multiply(_ERROR_CONST[order], dy, out=dd)  # the solve has spent dd
+            error_norm = _norm(np.divide(error, scale, out=error))
             if error_norm <= 1.0:
                 break
             factor = 0.5  # for a non-finite correction
@@ -396,13 +411,16 @@ def _evolve_bdf(d, profile, y0, samples, reducer):
             _change_d(D, order, factor)
             h, n_equal = h * factor, 0
 
-        # the samples in (t_old, t], and s = 0 with the first, from the step's polynomial
+        # the samples in (t_old, t], and s = 0 with the first, from the step's polynomial:
+        # one product with D[0] folded in by a leading coefficient of 1
         upto = int(np.searchsorted(samples, t, side="right"))
         if upto > done:
-            j = np.arange(order)[:, None]
+            j = np.arange(order)
+            coef = np.ones((block.shape[0], order + 1))
             for lo in range(done, upto, _BLOCK):
-                x = (samples[lo : min(lo + _BLOCK, upto)] - (t - h * j)) / (h * (1.0 + j))
-                # built sample-major, so the reducer's transpose is a view
-                reducer.add((np.cumprod(x, axis=0).T @ D[1 : order + 1] + D[0]).T)
+                k = min(_BLOCK, upto - lo)
+                x = (samples[lo : lo + k, None] - (t - h * j)) / (h * (1.0 + j))
+                np.cumprod(x, axis=1, out=coef[:k, 1:])
+                reducer.add(np.matmul(coef[:k], D[: order + 1], out=block[:k]))
             done = upto
     return accepted, rejected

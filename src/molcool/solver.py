@@ -323,7 +323,9 @@ def evolve_eta_closed_form(
     # rest take one quadrature per distinct width
     n_ramp = int(np.searchsorted(starts, profile.hold_start))
     n_chunked = min(n_intervals, -(-n_ramp // _QUAD_CHUNK) * _QUAD_CHUNK)
-    decays = list(map(math.exp, (-g * widths).tolist()))
+    # one decay per distinct width; np.linspace's widths take a handful of values
+    distinct, width_id = np.unique(widths, return_inverse=True)
+    decays = np.array(list(map(math.exp, (-g * distinct).tolist())))[width_id].tolist()
     out = [float(eta0)]
     for lo in range(0, n_chunked, _QUAD_CHUNK):
         hi = min(lo + _QUAD_CHUNK, n_chunked)
@@ -335,11 +337,13 @@ def evolve_eta_closed_form(
         if out[-1] == float(occupation_at(d, profile, profile.hold_start)) + 1.0:
             out.extend([out[-1]] * (n_intervals - n_chunked))
         else:
-            held, first, inverse = np.unique(
-                widths[n_chunked:], return_index=True, return_inverse=True
-            )
-            integrals = _simpson_batch(integrand, starts[n_chunked:][first], held)[inverse]
-            _propagate(out, decays[n_chunked:], integrals)
+            # each distinct width of the stretch once, from its first interval
+            ids = width_id[n_chunked:]
+            held = np.flatnonzero(np.bincount(ids, minlength=distinct.size))
+            first = [n_chunked + int(np.argmax(ids == i)) for i in held.tolist()]
+            integrals = np.empty(distinct.size)
+            integrals[held] = _simpson_batch(integrand, starts[first], distinct[held])
+            _propagate(out, decays[n_chunked:], integrals[ids])
     out = np.array(out)
     bad = np.flatnonzero(~(out > 1.0))
     if bad.size:

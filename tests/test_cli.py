@@ -315,7 +315,7 @@ def test_sweep_runs_in_the_calling_thread_by_default(monkeypatch, capsys):
     def no_pool(*args, **kwargs):
         raise AssertionError("a thread pool was started")
 
-    monkeypatch.setattr("molcool.cycle.ThreadPoolExecutor", no_pool)
+    monkeypatch.setattr("concurrent.futures.ThreadPoolExecutor", no_pool)
     assert run_cli("sweep", "--axis", "gamma-tau", "--values", "0.5,1", "--horizon", "2") == 0
 
 

@@ -1,5 +1,6 @@
 """Tests for cycle orchestration, sweeps, CSV/plot emission, and config files."""
 
+import concurrent.futures
 import functools
 import os
 import re
@@ -603,7 +604,7 @@ def recording_executor(monkeypatch, cpus):
     """Worker counts asked of the sweep's executor, on `cpus` usable CPUs."""
     asked = []
     executor = functools.partial(SerialExecutor, asked)
-    monkeypatch.setattr(molcool.cycle, "ThreadPoolExecutor", executor)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", executor)
     monkeypatch.setattr(molcool.cycle, "_usable_cpus", lambda: cpus)
     return asked
 

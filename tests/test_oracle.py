@@ -177,43 +177,52 @@ def test_run_validation():
 
 def test_sample_reducer_checks_and_clips():
     samples = np.array([0.0, 0.5, 1.0])
-    # columns are samples; rows p_0, p_1, p_2 and the tail
-    block = np.array([[0.5, 0.5], [0.3, 0.3], [0.2, 0.2], [-1e-20, 1e-11]])
+    # rows are samples; columns p_0, p_1, p_2 and the tail
+    block = np.array([[0.5, 0.3, 0.2, -1e-20], [0.5, 0.3, 0.2, 1e-11]])
     reducer = _SampleReducer(samples, 3)
     reducer.add(block)
     # sub-floor roundoff in the tail is clipped before it is reduced
     assert reducer.tail_bound[0] == 0.0
     assert reducer.mass[0] == 1.0
     assert reducer.mean_n[1] == pytest.approx(0.7, rel=1e-15)
-    reducer.add(np.array([[1.0], [0.0], [0.0], [0.0]]))
+    reducer.add(np.array([[1.0, 0.0, 0.0, 0.0]]))
     traj = reducer.trajectory()
     assert np.array_equal(traj.populations, [1.0, 0.0, 0.0])
     # an empty level in the window leaves its residual undefined, not an error
     assert not np.isfinite(traj.geometric_residual[-1])
 
-    negative = np.array([[0.5], [0.5], [-1e-13], [0.0]])
+    negative = np.array([[0.5, 0.5, -1e-13, 0.0]])
     with pytest.raises(SolverError, match=r"integrator failure.*at s = 0$"):
         _SampleReducer(samples, 3).add(negative)
-    leaking = np.array([[0.5, 0.5], [0.5, 0.5], [0.0, 0.0], [0.0, 2e-10]])
+    leaking = np.array([[0.5, 0.5, 0.0, 0.0], [0.5, 0.5, 0.0, 2e-10]])
     with pytest.raises(SolverError, match=r"truncation too small.*at s = 0\.5"):
         _SampleReducer(samples, 3).add(leaking)
     # nan compares false against the floor, so it is refused as a failure
-    for row in (1, 3):
-        poisoned = np.array([[0.5, 0.5], [0.3, 0.3], [0.2, 0.2], [0.0, 0.0]])
-        poisoned[row, 1] = np.nan
+    for col in (1, 3):
+        poisoned = np.array([[0.5, 0.3, 0.2, 0.0], [0.5, 0.3, 0.2, 0.0]])
+        poisoned[1, col] = np.nan
         with pytest.raises(SolverError, match=r"integrator failure: population nan .* at s = 0\.5$"):
             _SampleReducer(samples, 3).add(poisoned)
 
 
+def column_reference(rows, n_levels):
+    """Per-sample reductions of the sample-major `rows`, one sample at a time."""
+    n_idx = np.arange(n_levels, dtype=float)
+    for row in rows:
+        pops, tail = row[:-1], row[-1]
+        ratios = pops[1:52] / pops[:51]
+        yield pops @ n_idx, tail, pops.sum() + tail, np.max(np.abs(ratios / ratios.mean() - 1.0))
+
+
 def test_sample_reducer_matches_column_reference():
-    # dense output hands over C-ordered (levels + 1, k) blocks; the reducer
-    # works on their transpose and must agree with a per-column reduction
+    # the integrator hands over C-ordered (k, levels + 1) blocks, one row
+    # per sample; the reducer must agree with a sample-by-sample reduction
     rng = np.random.default_rng(7)
     n_levels = 80
     blocks = []
     for k in (5, 1):
-        p = 0.9 ** np.arange(n_levels)[:, None] * rng.uniform(0.5, 1.5, (n_levels, k))
-        block = np.vstack([p / p.sum(axis=0), rng.uniform(0.0, 1e-12, (1, k))])
+        p = 0.9 ** np.arange(n_levels) * rng.uniform(0.5, 1.5, (k, n_levels))
+        block = np.hstack([p / p.sum(axis=1, keepdims=True), rng.uniform(0.0, 1e-12, (k, 1))])
         assert block.flags.c_contiguous
         blocks.append(block)
     samples = np.linspace(0.0, 1.0, 6)
@@ -221,18 +230,42 @@ def test_sample_reducer_matches_column_reference():
     for block in blocks:
         reducer.add(block.copy())
     traj = reducer.trajectory()
-    columns = np.hstack(blocks).T
-    n_idx = np.arange(n_levels, dtype=float)
-    for k, col in enumerate(columns):
-        pops, tail = col[:-1], col[-1]
-        ratios = pops[1:52] / pops[:51]
-        assert traj.mean_n[k] == pytest.approx(pops @ n_idx, rel=1e-14)
+    rows = np.vstack(blocks)
+    for k, (mean_n, tail, mass, residual) in enumerate(column_reference(rows, n_levels)):
+        assert traj.mean_n[k] == pytest.approx(mean_n, rel=1e-14)
         assert traj.tail_bound[k] == tail
-        assert traj.mass[k] == pytest.approx(pops.sum() + tail, rel=1e-14)
-        assert traj.geometric_residual[k] == pytest.approx(
-            np.max(np.abs(ratios / ratios.mean() - 1.0)), rel=1e-14
-        )
-    assert np.array_equal(traj.populations, columns[-1, :-1])
+        assert traj.mass[k] == pytest.approx(mass, rel=1e-14)
+        assert traj.geometric_residual[k] == pytest.approx(residual, rel=1e-14)
+    assert np.array_equal(traj.populations, rows[-1, :-1])
+
+
+def test_sample_reducer_clips_only_negative_blocks():
+    # a block with sub-floor negatives in its levels and tail reduces as its
+    # clipped copy would; a block with none is left as it came
+    rng = np.random.default_rng(11)
+    n_levels = 60
+    p = 0.8 ** np.arange(n_levels) * rng.uniform(0.5, 1.5, (6, n_levels))
+    rows = np.hstack([p / p.sum(axis=1, keepdims=True), rng.uniform(0.0, 1e-12, (6, 1))])
+    # past the shape window, whose ratios a clipped level would leave undefined
+    rows[1, 55], rows[2, -1], rows[5, 57] = -3e-15, -1e-16, -2e-15
+    clipped = np.clip(rows, 0.0, None)
+    negative, clean, last = rows[:3].copy(), rows[3:5].copy(), rows[5:].copy()
+    reducer = _SampleReducer(np.linspace(0.0, 1.0, 6), n_levels)
+    reducer.add(negative)
+    assert np.array_equal(negative, clipped[:3])
+    reducer.add(clean)
+    assert np.array_equal(clean, rows[3:5])
+    assert reducer.last is None  # not the run's last sample yet
+    reducer.add(last)
+    traj = reducer.trajectory()
+    for k, (mean_n, tail, mass, residual) in enumerate(column_reference(clipped, n_levels)):
+        assert traj.mean_n[k] == pytest.approx(mean_n, rel=1e-14)
+        assert traj.tail_bound[k] == tail
+        assert traj.mass[k] == pytest.approx(mass, rel=1e-14)
+        assert traj.geometric_residual[k] == pytest.approx(residual, rel=1e-14)
+    # the final vector is the last sample, clipped, in its own memory
+    assert np.array_equal(traj.populations, clipped[-1, :-1])
+    assert not np.shares_memory(traj.populations, last)
 
 
 def shape_residual(p):
@@ -284,7 +317,7 @@ def test_streamed_bdf_matches_unstreamed_reference(monkeypatch):
     assert init.p.size >= 1000
     traj = evolve_populations(d, prof, init, horizon=10.0)
     assert len(recorders) == 1 and len(recorders[0].blocks) > 1
-    ref = np.clip(np.hstack(recorders[0].blocks).T, 0.0, None)
+    ref = np.clip(np.vstack(recorders[0].blocks), 0.0, None)
     pops, tails = ref[:, :-1], ref[:, -1]
     assert traj.s.size == ref.shape[0]
     assert np.max(np.abs(traj.mean_n / (pops @ np.arange(init.p.size)) - 1.0)) <= 1e-12
@@ -313,6 +346,21 @@ def test_mean_level_tracks_the_kernel_route():
     assert res.oracle.s[0] < 0.0 < res.oracle.s[-1]
     eta = res.record.eta[_nearest_indices(res.record.s, res.oracle.s)]
     assert np.max(np.abs((res.oracle.mean_n + 1.0) / eta - 1.0)) <= 1e-7
+
+
+def test_oracle_cycle_memory_peak():
+    # the run's sample block and step vectors are allocated once; 3.55 MB
+    # measured at theta0 = 0.01 (4,002 levels), bound at 10% above
+    d = DimensionlessParams(theta0=0.01, freq_ratio_r=2.0, gamma_tau_g=1.0)
+    cfg = CycleConfig(dimensionless=d, with_oracle=True)
+    run_cycle(cfg)  # warm: one-time allocations are not the run's
+    tracemalloc.start()
+    try:
+        run_cycle(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.9e6
 
 
 def test_one_tridiagonal_solve_per_attempted_step(monkeypatch):
