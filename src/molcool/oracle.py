@@ -24,9 +24,13 @@ radius grows like g * n_max * (4*nu + 2), too stiff for explicit steps
 at deep-classical corners (large nu), so the integrator is the implicit
 NDF method of orders 1-5 (Shampine & Reichelt, SIAM J. Sci. Comput. 18,
 1997) with scipy's coefficients and step control.  The law is linear:
-each attempted step solves its implicit system exactly, with one LAPACK
-tridiagonal solve (dgtsv) and no Newton iteration.  Past the profile's
-`hold_start` every s maps to the hold's one band.
+each attempted step solves its implicit system exactly, with no Newton
+iteration.  Before the profile's `hold_start` that is one LAPACK
+tridiagonal solve (dgtsv), as the band changes every step.  From it on
+every s maps to the hold's one band, so I - c band is factored (dgttrf)
+only when c = h/alpha changes, and each step solves on the kept factors
+(dgttrs).  The matrix is an M-matrix, so partial pivoting swaps no row
+and the kept factors repeat dgtsv's arithmetic bit for bit.
 
 Samples are read from each step's interpolating polynomial, at most
 `_BLOCK` = 64 at a time, and checked and reduced to per-sample mean
@@ -70,6 +74,7 @@ _ERROR_CONST = _KAPPA * _GAMMA + 1.0 / np.arange(1, _MAX_ORDER + 2)
 # step-size factors; the safety is scipy's 0.9 (2m + 1) / (2m + n) at n = 1 solve of m = 4
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
 _BLOCK = 64         # samples reduced at a time
+_SPENT = dict(overwrite_dl=1, overwrite_d=1, overwrite_du=1)  # a solve's diagonals are scratch
 _SHAPE_WINDOW = 51  # geometric residual over p_{n+1}/p_n for n < 51
 # a run's peak RSS grows by 425-440 B per level (measured, 4e4-4e5 levels),
 # so 2e6 levels stay within the 1.6 GB the fixed-step route's stage grid may take
@@ -218,16 +223,19 @@ def evolve_populations(
 class _SampleReducer:
     """Checks and reduces sample blocks, in order, into per-sample arrays.
 
-    A block is a (k, levels + 1) array whose rows hold p_0..p_{n_max} and
-    the tail at the next k samples; it is read as it is and clipped in
-    place.  One min pass per block checks the floor, and one product with
-    the (levels, 2) weights [n, 1] gives every sample's mean level and mass.
+    A block is a (k <= `_BLOCK`, levels + 1) array whose rows hold
+    p_0..p_{n_max} and the tail at the next k samples; it is read as it is
+    and clipped in place.  One min pass checks the floor and one max the
+    tail, and only a failed check looks for its sample.  One product per
+    sample with the (levels, 2) weights [n, 1] gives its mean level and
+    mass; the shape residual is reduced in a scratch allocated once per run.
     """
 
     def __init__(self, samples: np.ndarray, n_levels: int):
         self.samples = samples
         self.weights = np.stack([np.arange(n_levels, dtype=float), np.ones(n_levels)], axis=1)
         self.window = min(_SHAPE_WINDOW, n_levels - 1)
+        self.ratios = np.empty((min(_BLOCK, samples.size), self.window))  # shape-residual scratch
         self.mean_n, self.tail_bound, self.mass, self.geometric_residual = (
             np.empty(samples.size) for _ in range(4)
         )
@@ -237,20 +245,19 @@ class _SampleReducer:
     def add(self, block: np.ndarray) -> None:
         lo, hi = self.done, self.done + block.shape[0]
         worst = block.min(axis=1)
-        bad = np.flatnonzero(~(worst >= NEGATIVITY_FLOOR))  # nan included
-        if bad.size:
-            k = int(bad[0])
+        floor = worst.min()
+        if not floor >= NEGATIVITY_FLOOR:  # nan included
+            k = int(np.flatnonzero(~(worst >= NEGATIVITY_FLOOR))[0])
             raise SolverError(
                 f"integrator failure: population {worst[k]:.3e} below the "
                 f"{NEGATIVITY_FLOOR:g} floor at s = {self.samples[lo + k]:.6g}"
             )
-        if worst.min() < 0.0:
+        if floor < 0.0:
             # forgive sub-floor negative roundoff, in the tail estimate as in the levels
             np.maximum(block, 0.0, out=block)
         pops, tails = block[:, :-1], block[:, -1]
-        over = np.flatnonzero(tails > TAIL_THRESHOLD)
-        if over.size:
-            k = int(over[0])
+        if tails.max() > TAIL_THRESHOLD:
+            k = int(np.flatnonzero(tails > TAIL_THRESHOLD)[0])
             raise SolverError(
                 f"truncation too small: tail bound {tails[k]:.3e} exceeded threshold "
                 f"{TAIL_THRESHOLD:.3e} at s = {self.samples[lo + k]:.6g}; increase n_max"
@@ -263,9 +270,11 @@ class _SampleReducer:
         w = self.window
         # an empty level in the window leaves its sample's residual inf or nan
         with np.errstate(divide="ignore", invalid="ignore"):
-            ratios = pops[:, 1 : w + 1] / pops[:, :w]
-            spread = np.abs(ratios / ratios.mean(axis=1, keepdims=True) - 1.0)
-            self.geometric_residual[lo:hi] = spread.max(axis=1)
+            ratios = np.divide(pops[:, 1 : w + 1], pops[:, :w], out=self.ratios[: hi - lo])
+            residual = self.geometric_residual[lo:hi]  # holds the ratios' mean until it is spent
+            np.divide(np.add.reduce(ratios, axis=1, out=residual), w, out=residual)
+            np.subtract(np.divide(ratios, residual[:, None], out=ratios), 1.0, out=ratios)
+            np.maximum.reduce(np.abs(ratios, out=ratios), axis=1, out=residual)
         if hi == self.samples.size:
             self.last = pops[-1].copy()
         self.done = hi
@@ -309,30 +318,29 @@ def _change_d(D, order, factor) -> None:
 
 
 def _norm(x) -> float:
-    return float(np.linalg.norm(x)) / math.sqrt(x.size)  # root mean square
+    return math.sqrt(x @ x) / math.sqrt(x.size)  # root mean square
 
 
 def _evolve_bdf(d, profile, y0, samples, reducer):
     """Step dy/ds = band(s) . y over `samples`, handing each step's samples to
     `reducer`; returns the (accepted, rejected) step counts.  A non-finite
     correction halves the step; one under ten float spacings at s fails."""
-    from scipy.linalg.lapack import dgtsv
+    from scipy.linalg.lapack import dgtsv, dgttrf, dgttrs
 
-    n_idx = np.arange(y0.size - 1, dtype=float)  # levels 0..n_max; the tail follows
-    last = [None, None]  # the latest (s, band); each step asks twice
+    n_idx, n_up = np.arange(y0.size - 1.0), np.arange(1.0, y0.size)  # n, n + 1 at levels 0..n_max
+    b = np.zeros((3, y0.size))  # the generator's upper, main and lower diagonals at last[0]
+    last = [None]  # each step asks twice
 
     def band(s):
-        # the generator's upper, main and lower diagonals at s; from the
-        # hold on they are one band, and min() maps every held s to it
+        # from the hold on the diagonals are one band, and min() maps every held s to it
         s = min(float(s), profile.hold_start)
         if s != last[0]:
             down, up = _rates(d, profile, s)
-            b = np.zeros((3, y0.size))
-            b[0, 1:-1] = down * n_idx[1:]  # row n gains down (n+1) p_{n+1}
-            b[1, :-1] = -(down * n_idx + up * (n_idx + 1.0))
-            b[2, :-1] = up * (n_idx + 1.0)  # row n+1 gains up (n+1) p_n; the last is the tail
-            last[:] = s, b
-        return last[1]
+            np.multiply(down, n_idx, out=b[0, :-1])  # row n gains down (n+1) p_{n+1}; b[0, 0] idle
+            np.multiply(up, n_up, out=b[2, :-1])  # row n+1 gains up (n+1) p_n; the last is the tail
+            np.subtract(np.negative(b[0, :-1], out=b[1, :-1]), b[2, :-1], out=b[1, :-1])
+            last[0] = s
+        return b
 
     def rhs(s, y, out=None, tmp=None):  # tmp: n - 1 entries for the off-diagonal products
         b = band(s)
@@ -355,10 +363,12 @@ def _evolve_bdf(d, profile, y0, samples, reducer):
     # a step's vectors (dl and du use n - 1 entries; scale is reused) and its samples
     y_pred, psi, f, dl, dd, du = np.empty((6, y0.size))
     block = np.empty((min(_BLOCK, samples.size), y0.size))
+    coef = np.ones((block.shape[0], _MAX_ORDER + 1))
+    held_c = None  # dl, dd, du, du2 and ipiv hold the LU factors of the held I - c band
     order, n_equal, accepted, rejected, done = 1, 0, 0, 0, 0
     while done < samples.size:
         while True:
-            if h < 10.0 * (np.nextafter(t, np.inf) - t):
+            if h < 10.0 * (math.nextafter(t, math.inf) - t):
                 raise SolverError(f"population integration failed: step {h:.3e} fell "
                                   f"below the float spacing at s = {t:.6g}")
             t_new = min(t + h, t_end)
@@ -366,27 +376,32 @@ def _evolve_bdf(d, profile, y0, samples, reducer):
                 _change_d(D, order, (t_new - t) / h)
                 n_equal = 0
             h = t_new - t
-            np.sum(D[: order + 1], axis=0, out=y_pred)
+            np.add.reduce(D[: order + 1], axis=0, out=y_pred)
             np.matmul(D[1 : order + 1].T, _GAMMA[1 : order + 1], out=psi)
             psi /= _ALPHA[order]
             c = h / _ALPHA[order]
             b = band(t_new)
             # (I - c band) dy = c band . y_pred - psi, the NDF system, solved exactly
-            rhs(t_new, y_pred, f, dl[:-1])
+            rhs(t_new, y_pred, f, scale[:-1])
             f *= c
             f -= psi
-            np.multiply(-c, b[2, :-1], out=dl[:-1])
-            np.subtract(1.0, np.multiply(c, b[1], out=dd), out=dd)
-            np.multiply(-c, b[0, 1:], out=du[:-1])
-            *_, dy, info = dgtsv(
-                dl[:-1], dd, du[:-1], f,
-                overwrite_dl=1, overwrite_d=1, overwrite_du=1, overwrite_b=1,
-            )
-            if info != 0:
-                raise SolverError(f"population integration failed: singular at row {info}")
+            held = t_new >= profile.hold_start
+            if not (held and c == held_c):
+                np.multiply(-c, b[2, :-1], out=dl[:-1])
+                np.subtract(1.0, np.multiply(c, b[1], out=dd), out=dd)
+                np.multiply(-c, b[0, 1:], out=du[:-1])
+                if held:
+                    *_, du2, ipiv, info = dgttrf(dl[:-1], dd, du[:-1], **_SPENT)
+                else:
+                    *_, dy, info = dgtsv(dl[:-1], dd, du[:-1], f, overwrite_b=1, **_SPENT)
+                if info != 0:
+                    raise SolverError(f"population integration failed: singular at row {info}")
+                held_c = c if held else None
+            if held:
+                dy, _ = dgttrs(dl[:-1], dd, du[:-1], du2, ipiv, f, overwrite_b=1)
             np.abs(np.add(y_pred, dy, out=scale), out=scale)
             np.add(_ATOL, np.multiply(_RTOL, scale, out=scale), out=scale)
-            error = np.multiply(_ERROR_CONST[order], dy, out=dd)  # the solve has spent dd
+            error = np.multiply(_ERROR_CONST[order], dy, out=psi)  # the system has spent psi
             error_norm = _norm(np.divide(error, scale, out=error))
             if error_norm <= 1.0:
                 break
@@ -396,14 +411,16 @@ def _evolve_bdf(d, profile, y0, samples, reducer):
             _change_d(D, order, factor)
             h, n_equal, rejected = h * factor, 0, rejected + 1
         accepted, n_equal, t = accepted + 1, n_equal + 1, t_new
-        D[order + 2], D[order + 1] = dy - D[order + 1], dy
+        np.subtract(dy, D[order + 1], out=D[order + 2])
+        D[order + 1] = dy
         for i in reversed(range(order + 1)):
             D[i] += D[i + 1]
         if n_equal > order:
             # the order (one down, kept, one up) whose next step may be longest
             with np.errstate(divide="ignore"):
                 factors = np.array([
-                    _norm(_ERROR_CONST[k] * D[k + 1] / scale) if 0 < k <= _MAX_ORDER else np.inf
+                    _norm(np.divide(np.multiply(_ERROR_CONST[k], D[k + 1], out=psi), scale, psi))
+                    if 0 < k <= _MAX_ORDER else np.inf
                     for k in range(order - 1, order + 2)
                 ]) ** (-1.0 / np.arange(order, order + 3))
             order += int(np.argmax(factors)) - 1
@@ -416,11 +433,11 @@ def _evolve_bdf(d, profile, y0, samples, reducer):
         upto = int(np.searchsorted(samples, t, side="right"))
         if upto > done:
             j = np.arange(order)
-            coef = np.ones((block.shape[0], order + 1))
+            origin, width, cf = t - h * j, h * (1.0 + j), coef[:, : order + 1]
             for lo in range(done, upto, _BLOCK):
                 k = min(_BLOCK, upto - lo)
-                x = (samples[lo : lo + k, None] - (t - h * j)) / (h * (1.0 + j))
-                np.cumprod(x, axis=1, out=coef[:k, 1:])
-                reducer.add(np.matmul(coef[:k], D[: order + 1], out=block[:k]))
+                x = np.subtract(samples[lo : lo + k, None], origin, out=cf[:k, 1:])
+                np.cumprod(np.divide(x, width, out=x), axis=1, out=x)
+                reducer.add(np.matmul(cf[:k], D[: order + 1], out=block[:k]))
             done = upto
     return accepted, rejected

@@ -361,6 +361,52 @@ def test_read_csv_names_the_line_of_a_bad_cell(tmp_path):
         read_csv_record(path)
 
 
+def test_read_csv_names_a_row_of_four_cells(tmp_path):
+    path = tmp_path / "short.csv"
+    path.write_text(f"{CSV_HEADER}\n0.0,1.0,2.0,1.0,1.0\n1.0,1.0,2.0,1.0\n")
+    with pytest.raises(ValueError, match=re.escape(f"{path}:3: expected 5 columns")):
+        read_csv_record(path)
+
+
+def row_by_row(path):
+    """The columns of a CSV file read as `csv.reader` splits it, one float() per cell."""
+    import csv
+
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == CSV_HEADER.split(",")
+    return np.array([[float(v) for v in row] for row in rows[1:]]).reshape(-1, 5)
+
+
+@pytest.mark.parametrize(
+    "layout",
+    ["lf", "crlf", "crlf-header", "mixed", "no-final-newline", "quoted", "spaced", "lone-cr"],
+)
+def test_read_csv_reads_any_layout_as_the_row_loop_does(tmp_path, default_result, layout):
+    # the one-pass parse takes only the layout it can read; every other file
+    # is read row by row, and both give what csv.reader and float() give
+    first = tmp_path / "cycle.csv"
+    emit_csv(default_result.record, first)
+    text = first.read_bytes()[: 40 * 74]  # the header and about 40 rows
+    text = text[: text.rindex(b"\n") + 1]
+    head, body = text.split(b"\n", 1)
+    changed = {
+        "lf": text,
+        "crlf": text.replace(b"\n", b"\r\n"),
+        "crlf-header": text.replace(b"\n", b"\r\n", 1),
+        "mixed": text.replace(b"\n", b"\r\n", 7),
+        "no-final-newline": text[:-1],
+        "quoted": head + b'\n"' + body.replace(b",", b'",', 1),
+        "spaced": head + b"\n" + body.replace(b",", b", "),
+        "lone-cr": text.replace(b"\n", b"\r"),
+    }[layout]
+    path = tmp_path / f"{layout}.csv"
+    path.write_bytes(changed)
+    expected = row_by_row(path)
+    assert expected.shape[0] > 30
+    assert np.array_equal(record_rows(read_csv_record(path)), expected)
+
+
 # the full text of a cross-check failure, with the worst relative disagreement
 RELATIVE_AT_S = r" by \d\.\d{3}e[+-]\d{2} relative at s = -?\d[\d.e+-]* "
 
@@ -448,6 +494,27 @@ def test_cross_check_refuses_a_nan_disagreement():
         _cross_check("oracle", "means disagree", s, np.array([1.0, np.nan, 1.0]), reference, 1e-3)
     with pytest.raises(SolverCrossCheckError, match=r"by nan relative at s = 1 "):
         _cross_check("oracle", "means disagree", s[1:], np.array([1.0, np.nan]), reference[1:], 1e-3)
+
+
+def test_cross_checks_return_the_margin_they_passed_by(monkeypatch):
+    # measured: the solver check passes by 1.316e-13 at s = 7.439 (reference)
+    # and at s = 5.363 (dwell 3); the oracle's by 1.93e-8 at s = 6.13
+    passed = []
+
+    def spy(route, *args):
+        passed.append((route, *_cross_check(route, *args)))
+        return passed[-1][1:]
+
+    monkeypatch.setattr(molcool.cycle, "_cross_check", spy)
+    run_cycle(default_cycle_config())
+    run_cycle(replace(default_cycle_config(), init_mode=FiniteDwell(dwell=3.0)))
+    d = DimensionlessParams(theta0=0.01, freq_ratio_r=2.0, gamma_tau_g=1.0)
+    run_cycle(CycleConfig(dimensionless=d, with_oracle=True))
+    (ref, ref_rel, ref_s), (dwell, dwell_rel, dwell_s), _, (oracle, oracle_rel, oracle_s) = passed
+    assert (ref, dwell, oracle) == ("solver", "solver", "oracle")
+    assert ref_rel < 1e-12 and ref_s == pytest.approx(7.439)
+    assert dwell_rel < 1e-12 and dwell_s == pytest.approx(5.363)
+    assert oracle_rel < 1e-7 and oracle_s == pytest.approx(6.13)
 
 
 def test_oracle_cross_check_runs():

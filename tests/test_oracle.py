@@ -16,6 +16,7 @@ from molcool.oracle import (
     _evolve_bdf,
     _SampleReducer,
     evolve_populations,
+    ladder_levels,
     mean_occupation,
     populations_from_quenched,
     truncation_levels,
@@ -365,24 +366,38 @@ def test_oracle_cycle_memory_peak():
 
 def test_one_tridiagonal_solve_per_attempted_step(monkeypatch):
     # the law is linear, so a step's implicit system is solved once, exactly:
-    # no Newton iteration, accepted or rejected
-    solves = []
-    dgtsv = scipy.linalg.lapack.dgtsv
+    # no Newton iteration, accepted or rejected.  Ramp steps solve with dgtsv;
+    # from the hold on, I - c band is factored by dgttrf only when c changes,
+    # and every held step solves with dgttrs on the kept factors
+    calls = []
 
-    def counted(*args, **kwargs):
-        solves.append(args[1].size)
-        return dgtsv(*args, **kwargs)
+    def spy(name):
+        lapack = getattr(scipy.linalg.lapack, name)
 
-    monkeypatch.setattr(scipy.linalg.lapack, "dgtsv", counted)
+        def counted(*args, **kwargs):
+            calls.append((name, args[1].size, b"".join(a.tobytes() for a in args[:3])))
+            return lapack(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg.lapack, name, counted)
+
+    for name in ("dgtsv", "dgttrf", "dgttrs"):
+        spy(name)
     d = DimensionlessParams(theta0=0.01, freq_ratio_r=2.0, gamma_tau_g=1.0)
     prof = FrequencyProfile()
     init = thermal_vector(0.02, truncation_levels(nu_of(0.01)) + 20)
     samples = np.linspace(0.0, 10.0, 1001)
     y0 = np.concatenate([init.p, [init.tail_bound]])
     accepted, rejected = _evolve_bdf(d, prof, y0, samples, _SampleReducer(samples, init.p.size))
+    names = [name for name, _, _ in calls]
     assert rejected > 0
-    assert len(solves) == accepted + rejected
-    assert set(solves) == {y0.size}
+    assert names.count("dgtsv") + names.count("dgttrs") == accepted + rejected
+    assert {size for _, size, _ in calls} == {y0.size}
+    # held steps: 32 factorizations for 131 solves (measured); each factors a
+    # matrix other than the one before it, and is followed by its step's solve
+    factored = [matrix for name, _, matrix in calls if name == "dgttrf"]
+    assert 0 < len(factored) < names.count("dgttrs") / 3
+    assert all(a != b for a, b in zip(factored, factored[1:]))
+    assert all(names[i + 1] == "dgttrs" for i, name in enumerate(names) if name == "dgttrf")
 
 
 def test_singular_step_matrix_is_refused(monkeypatch):
@@ -394,6 +409,44 @@ def test_singular_step_matrix_is_refused(monkeypatch):
     init = thermal_vector(0.6, truncation_levels(nu_of(0.3)) + 20)
     with pytest.raises(SolverError, match=r"^population integration failed: singular at row 7$"):
         evolve_populations(d, FrequencyProfile(), init, horizon=1.0)
+
+
+def test_singular_held_matrix_is_refused(monkeypatch):
+    # the ramp solves with dgtsv; the held matrix's zero pivot comes from dgttrf
+    dgttrf = scipy.linalg.lapack.dgttrf
+
+    def singular(dl, d, du, **kwargs):
+        return (*dgttrf(dl, d, du, **kwargs)[:-1], 7)
+
+    monkeypatch.setattr(scipy.linalg.lapack, "dgttrf", singular)
+    d = DimensionlessParams(theta0=0.3, freq_ratio_r=2.0, gamma_tau_g=1.0)
+    init = thermal_vector(0.6, truncation_levels(nu_of(0.3)) + 20)
+    with pytest.raises(SolverError, match=r"^population integration failed: singular at row 7$"):
+        evolve_populations(d, FrequencyProfile(), init, horizon=2.0)
+
+
+@pytest.mark.parametrize("theta0", [0.003, 0.01, 0.3])
+@pytest.mark.parametrize("g", [0.1, 1.0, 100.0])
+def test_held_factors_repeat_the_tridiagonal_solve(theta0, g):
+    # I - c band is strictly column diagonally dominant, so dgttrf swaps no
+    # row, and its factors solve as dgtsv does, bit for bit
+    d = DimensionlessParams(theta0=theta0, freq_ratio_r=2.0, gamma_tau_g=g)
+    prof = FrequencyProfile()
+    levels = np.arange(ladder_levels(d, [(0.0, prof, 10.0)]) + 1, dtype=float)
+    down, up = molcool.oracle._rates(d, prof, prof.hold_start)
+    lower, upper = up * (levels + 1.0), np.append(down * levels[1:], 0.0)
+    main = np.append(-(down * levels + up * (levels + 1.0)), 0.0)
+    rhs = np.random.default_rng(3).uniform(-1.0, 1.0, levels.size + 1)
+    for c in np.geomspace(1e-4, 1.0, 9):
+        dl, dd, du = -c * lower, 1.0 - c * main, -c * upper
+        *factors, ipiv, info = scipy.linalg.lapack.dgttrf(dl, dd, du)
+        assert info == 0
+        assert np.array_equal(ipiv, np.arange(1, dd.size + 1))
+        held, info = scipy.linalg.lapack.dgttrs(*factors, ipiv, rhs)
+        assert info == 0
+        *_, solved, info = scipy.linalg.lapack.dgtsv(dl, dd, du, rhs)
+        assert info == 0
+        assert np.array_equal(held.view(np.uint64), solved.view(np.uint64))
 
 
 def test_non_finite_rates_fail_where_they_start(monkeypatch):
