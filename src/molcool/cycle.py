@@ -386,7 +386,11 @@ def run_cycle(cfg: CycleConfig) -> CycleResult:
         for _, prof, duration in segments:
             parts.append(evolve_populations(d, prof, pv, duration))
             pv = parts[-1].final
-        oracle = _stitch(parts, segments, _ORACLE_SAMPLES)
+        oracle = replace(
+            _stitch(parts, segments, _ORACLE_SAMPLES),
+            accepted=sum(part.accepted for part in parts),
+            rejected=sum(part.rejected for part in parts),
+        )
         eta_ref = trajectory.eta[_nearest_indices(trajectory.s, oracle.s)]
         _cross_check(
             "oracle", "mean occupation disagrees with eta", oracle.s,

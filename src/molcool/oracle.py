@@ -17,15 +17,15 @@ compensating upward outflow g*nu*(n_max+1)*p_{n_max} is integrated into
 the tail estimate, making "sum(p) + tail_bound" a conserved quantity of
 the augmented system (conservation violations measure integrator error).
 
-The generator, tail row included, is tridiagonal, and it is written
-once: as its (3, n) band of upper, main and lower diagonals at s; the
-right-hand side is band . y, three slice multiply-adds.  Its spectral
+The generator, tail row included, is tridiagonal: column n loses
+up (n+1) p_n to row n + 1 and down n p_n to row n - 1.  Its spectral
 radius grows like g * n_max * (4*nu + 2), too stiff for explicit steps
 at deep-classical corners (large nu), so the integrator is the implicit
 NDF method of orders 1-5 (Shampine & Reichelt, SIAM J. Sci. Comput. 18,
 1997) with scipy's coefficients and step control.  The law is linear:
-each attempted step solves its implicit system exactly, with no Newton
-iteration.  Before the profile's `hold_start` that is one LAPACK
+each attempted step solves (I - c band) y_new = y_pred - psi for its
+new state exactly, with no Newton iteration, on I - c band written from
+the two rates.  Before the profile's `hold_start` that is one LAPACK
 tridiagonal solve (dgtsv), as the band changes every step.  From it on
 every s maps to the hold's one band, so I - c band is factored (dgttrf)
 only when c = h/alpha changes, and each step solves on the kept factors
@@ -37,7 +37,8 @@ Samples are read from each step's interpolating polynomial, at most
 level, tail, total mass and geometric-shape residual; only the final
 vector is kept, so memory grows as O(levels x 64).  Each block is one
 product written sample-major into a buffer allocated once per run, so
-every reduction runs along memory.
+every reduction runs along memory; mean level and mass are linear, so
+each sample's come from the step's differences' own.
 
 `ladder_levels` sizes the ladder from the cycle's plan, before any
 route runs, and `populations_from_quenched` refuses one of more than
@@ -71,6 +72,9 @@ _KAPPA = np.array([0.0, -0.1850, -1.0 / 9.0, -0.0823, -0.0415, 0.0])
 _GAMMA = np.hstack((0.0, np.cumsum(1.0 / np.arange(1, _MAX_ORDER + 1))))
 _ALPHA = (1.0 - _KAPPA) * _GAMMA
 _ERROR_CONST = _KAPPA * _GAMMA + 1.0 / np.arange(1, _MAX_ORDER + 2)
+# at each order, D[:order + 1]'s weights in the predicted state and in it less psi
+_PREDICT = {k: np.stack([np.ones(k + 1), 1.0 - _GAMMA[: k + 1] / _ALPHA[k]])
+            for k in range(1, _MAX_ORDER + 1)}
 # step-size factors; the safety is scipy's 0.9 (2m + 1) / (2m + n) at n = 1 solve of m = 4
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
 _BLOCK = 64         # samples reduced at a time
@@ -110,7 +114,8 @@ class PopulationTrajectory:
     above n_max; mass = sum(p) + tail_bound, conserved by the exact flow;
     geometric_residual = max |r_n / mean(r) - 1| over the adjacent-level
     ratios r_n = p_{n+1} / p_n, n < 51, which is 0 in quenched Boltzmann
-    form.  `populations` holds levels 0..n_max at s[-1] only.
+    form.  `populations` holds levels 0..n_max at s[-1] only; `accepted`
+    and `rejected` count the integrator's steps.
     """
 
     s: np.ndarray
@@ -119,6 +124,8 @@ class PopulationTrajectory:
     mass: np.ndarray
     geometric_residual: np.ndarray
     populations: np.ndarray
+    accepted: int
+    rejected: int
 
     @property
     def final(self) -> PopulationVector:
@@ -216,8 +223,8 @@ def evolve_populations(
     samples = np.linspace(0.0, horizon, n_intervals + 1)
     reducer = _SampleReducer(samples, init.p.size)
     y0 = np.concatenate([init.p, [init.tail_bound]])
-    _evolve_bdf(d, profile, y0, samples, reducer)
-    return reducer.trajectory()
+    accepted, rejected = _evolve_bdf(d, profile, y0, samples, reducer)
+    return reducer.trajectory(accepted, rejected)
 
 
 class _SampleReducer:
@@ -225,10 +232,12 @@ class _SampleReducer:
 
     A block is a (k <= `_BLOCK`, levels + 1) array whose rows hold
     p_0..p_{n_max} and the tail at the next k samples; it is read as it is
-    and clipped in place.  One min pass checks the floor and one max the
-    tail, and only a failed check looks for its sample.  One product per
-    sample with the (levels, 2) weights [n, 1] gives its mean level and
-    mass; the shape residual is reduced in a scratch allocated once per run.
+    and clipped in place.  Its (k, 2) moments are its levels times the
+    (levels, 2) `weights` [n, 1], each sample's mean level and level mass,
+    which the integrator forms from its differences' own; a clipped block's
+    moments lose its clipped entries' share.  One min pass checks the floor
+    and one max the tail, and only a failed check looks for its sample; the
+    shape residual is reduced in a scratch allocated once per run.
     """
 
     def __init__(self, samples: np.ndarray, n_levels: int):
@@ -242,7 +251,7 @@ class _SampleReducer:
         self.done = 0
         self.last = None
 
-    def add(self, block: np.ndarray) -> None:
+    def add(self, block: np.ndarray, moments: np.ndarray) -> None:
         lo, hi = self.done, self.done + block.shape[0]
         worst = block.min(axis=1)
         floor = worst.min()
@@ -254,6 +263,7 @@ class _SampleReducer:
             )
         if floor < 0.0:
             # forgive sub-floor negative roundoff, in the tail estimate as in the levels
+            moments -= np.minimum(block[:, :-1], 0.0) @ self.weights
             np.maximum(block, 0.0, out=block)
         pops, tails = block[:, :-1], block[:, -1]
         if tails.max() > TAIL_THRESHOLD:
@@ -262,9 +272,7 @@ class _SampleReducer:
                 f"truncation too small: tail bound {tails[k]:.3e} exceeded threshold "
                 f"{TAIL_THRESHOLD:.3e} at s = {self.samples[lo + k]:.6g}; increase n_max"
             )
-        # one (1, levels) @ (levels, 2) product per sample: a BLAS product over
-        # several rows gives each row bits that depend on how many rows came with it
-        self.mean_n[lo:hi], level_mass = np.matmul(pops[:, None], self.weights)[:, 0].T
+        self.mean_n[lo:hi], level_mass = moments.T
         self.tail_bound[lo:hi] = tails
         self.mass[lo:hi] = level_mass + tails
         w = self.window
@@ -279,7 +287,7 @@ class _SampleReducer:
             self.last = pops[-1].copy()
         self.done = hi
 
-    def trajectory(self) -> PopulationTrajectory:
+    def trajectory(self, accepted: int, rejected: int) -> PopulationTrajectory:
         return PopulationTrajectory(
             s=self.samples,
             mean_n=self.mean_n,
@@ -287,6 +295,8 @@ class _SampleReducer:
             mass=self.mass,
             geometric_residual=self.geometric_residual,
             populations=self.last,
+            accepted=accepted,
+            rejected=rejected,
         )
 
 
@@ -327,26 +337,17 @@ def _evolve_bdf(d, profile, y0, samples, reducer):
     correction halves the step; one under ten float spacings at s fails."""
     from scipy.linalg.lapack import dgtsv, dgttrf, dgttrs
 
-    n_idx, n_up = np.arange(y0.size - 1.0), np.arange(1.0, y0.size)  # n, n + 1 at levels 0..n_max
-    b = np.zeros((3, y0.size))  # the generator's upper, main and lower diagonals at last[0]
-    last = [None]  # each step asks twice
+    # column n of the generator: up (n + 1) p_n flows to row n + 1 (the tail at n = n_max),
+    # down n p_n to row n - 1, and the diagonal loses both; the tail flows nowhere
+    n_up, n_down = np.append(np.arange(1.0, y0.size), 0.0), np.append(np.arange(y0.size - 1.0), 0.0)
+    held_rates = _rates(d, profile, profile.hold_start)  # every s from the hold on
 
-    def band(s):
-        # from the hold on the diagonals are one band, and min() maps every held s to it
-        s = min(float(s), profile.hold_start)
-        if s != last[0]:
-            down, up = _rates(d, profile, s)
-            np.multiply(down, n_idx, out=b[0, :-1])  # row n gains down (n+1) p_{n+1}; b[0, 0] idle
-            np.multiply(up, n_up, out=b[2, :-1])  # row n+1 gains up (n+1) p_n; the last is the tail
-            np.subtract(np.negative(b[0, :-1], out=b[1, :-1]), b[2, :-1], out=b[1, :-1])
-            last[0] = s
-        return b
-
-    def rhs(s, y, out=None, tmp=None):  # tmp: n - 1 entries for the off-diagonal products
-        b = band(s)
-        dy = np.multiply(b[1], y, out=out)
-        dy[:-1] += np.multiply(b[0, 1:], y[1:], out=tmp)
-        dy[1:] += np.multiply(b[2, :-1], y[:-1], out=tmp)
+    def rhs(s, y):  # band(s) . y, for the first step's size only
+        down, up = held_rates if s >= profile.hold_start else _rates(d, profile, s)
+        rise, fall = up * n_up * y, down * n_down * y
+        dy = -(rise + fall)
+        dy[1:] += rise[:-1]
+        dy[:-1] += fall[1:]
         return dy
 
     t, t_end = float(samples[0]), float(samples[-1])
@@ -360,8 +361,9 @@ def _evolve_bdf(d, profile, y0, samples, reducer):
 
     D = np.empty((_MAX_ORDER + 3, y0.size))  # the backward differences, scaled to h
     D[0], D[1] = y0, f0 * h
-    # a step's vectors (dl and du use n - 1 entries; scale is reused) and its samples
-    y_pred, psi, f, dl, dd, du = np.empty((6, y0.size))
+    # a step's predicted and new state, its vectors (I - c band's diagonals: dl by column,
+    # its last entry idle, du by column, its first idle) and its samples
+    pred, (dy, err, dl, dd, du) = np.empty((2, y0.size)), np.empty((5, y0.size))
     block = np.empty((min(_BLOCK, samples.size), y0.size))
     coef = np.ones((block.shape[0], _MAX_ORDER + 1))
     held_c = None  # dl, dd, du, du2 and ipiv hold the LU factors of the held I - c band
@@ -376,32 +378,28 @@ def _evolve_bdf(d, profile, y0, samples, reducer):
                 _change_d(D, order, (t_new - t) / h)
                 n_equal = 0
             h = t_new - t
-            np.add.reduce(D[: order + 1], axis=0, out=y_pred)
-            np.matmul(D[1 : order + 1].T, _GAMMA[1 : order + 1], out=psi)
-            psi /= _ALPHA[order]
+            # (I - c band) y_new = y_pred - psi, the NDF system, solved exactly
+            np.matmul(_PREDICT[order], D[: order + 1], out=pred)
             c = h / _ALPHA[order]
-            b = band(t_new)
-            # (I - c band) dy = c band . y_pred - psi, the NDF system, solved exactly
-            rhs(t_new, y_pred, f, scale[:-1])
-            f *= c
-            f -= psi
             held = t_new >= profile.hold_start
             if not (held and c == held_c):
-                np.multiply(-c, b[2, :-1], out=dl[:-1])
-                np.subtract(1.0, np.multiply(c, b[1], out=dd), out=dd)
-                np.multiply(-c, b[0, 1:], out=du[:-1])
+                down, up = held_rates if held else _rates(d, profile, t_new)
+                np.multiply(-c * up, n_up, out=dl)
+                np.multiply(-c * down, n_down, out=du)
+                np.subtract(np.subtract(1.0, dl, out=dd), du, out=dd)  # the tail row's is 1
                 if held:
-                    *_, du2, ipiv, info = dgttrf(dl[:-1], dd, du[:-1], **_SPENT)
+                    *_, du2, ipiv, info = dgttrf(dl[:-1], dd, du[1:], **_SPENT)
                 else:
-                    *_, dy, info = dgtsv(dl[:-1], dd, du[:-1], f, overwrite_b=1, **_SPENT)
+                    *_, y_new, info = dgtsv(dl[:-1], dd, du[1:], pred[1], overwrite_b=1, **_SPENT)
                 if info != 0:
                     raise SolverError(f"population integration failed: singular at row {info}")
                 held_c = c if held else None
             if held:
-                dy, _ = dgttrs(dl[:-1], dd, du[:-1], du2, ipiv, f, overwrite_b=1)
-            np.abs(np.add(y_pred, dy, out=scale), out=scale)
+                y_new, _ = dgttrs(dl[:-1], dd, du[1:], du2, ipiv, pred[1], overwrite_b=1)
+            np.subtract(y_new, pred[0], out=dy)
+            np.abs(y_new, out=scale)
             np.add(_ATOL, np.multiply(_RTOL, scale, out=scale), out=scale)
-            error = np.multiply(_ERROR_CONST[order], dy, out=psi)  # the system has spent psi
+            error = np.multiply(_ERROR_CONST[order], dy, out=err)
             error_norm = _norm(np.divide(error, scale, out=error))
             if error_norm <= 1.0:
                 break
@@ -419,7 +417,7 @@ def _evolve_bdf(d, profile, y0, samples, reducer):
             # the order (one down, kept, one up) whose next step may be longest
             with np.errstate(divide="ignore"):
                 factors = np.array([
-                    _norm(np.divide(np.multiply(_ERROR_CONST[k], D[k + 1], out=psi), scale, psi))
+                    _norm(np.divide(np.multiply(_ERROR_CONST[k], D[k + 1], out=err), scale, err))
                     if 0 < k <= _MAX_ORDER else np.inf
                     for k in range(order - 1, order + 2)
                 ]) ** (-1.0 / np.arange(order, order + 3))
@@ -429,15 +427,17 @@ def _evolve_bdf(d, profile, y0, samples, reducer):
             h, n_equal = h * factor, 0
 
         # the samples in (t_old, t], and s = 0 with the first, from the step's polynomial:
-        # one product with D[0] folded in by a leading coefficient of 1
+        # one product with D[0] folded in by a leading coefficient of 1, and the samples'
+        # mean levels and level masses from the differences' own
         upto = int(np.searchsorted(samples, t, side="right"))
         if upto > done:
             j = np.arange(order)
             origin, width, cf = t - h * j, h * (1.0 + j), coef[:, : order + 1]
+            basis = D[: order + 1, :-1] @ reducer.weights
             for lo in range(done, upto, _BLOCK):
                 k = min(_BLOCK, upto - lo)
                 x = np.subtract(samples[lo : lo + k, None], origin, out=cf[:k, 1:])
                 np.cumprod(np.divide(x, width, out=x), axis=1, out=x)
-                reducer.add(np.matmul(cf[:k], D[: order + 1], out=block[:k]))
+                reducer.add(np.matmul(cf[:k], D[: order + 1], out=block[:k]), cf[:k] @ basis)
             done = upto
     return accepted, rejected

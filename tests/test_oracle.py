@@ -176,34 +176,39 @@ def test_run_validation():
         evolve_populations(d, prof, init, horizon=0.0)
 
 
+def add(reducer, block):
+    """Hand `block` to `reducer` with the moments the integrator forms for it."""
+    reducer.add(block, block[:, :-1] @ reducer.weights)
+
+
 def test_sample_reducer_checks_and_clips():
     samples = np.array([0.0, 0.5, 1.0])
     # rows are samples; columns p_0, p_1, p_2 and the tail
     block = np.array([[0.5, 0.3, 0.2, -1e-20], [0.5, 0.3, 0.2, 1e-11]])
     reducer = _SampleReducer(samples, 3)
-    reducer.add(block)
+    add(reducer, block)
     # sub-floor roundoff in the tail is clipped before it is reduced
     assert reducer.tail_bound[0] == 0.0
     assert reducer.mass[0] == 1.0
     assert reducer.mean_n[1] == pytest.approx(0.7, rel=1e-15)
-    reducer.add(np.array([[1.0, 0.0, 0.0, 0.0]]))
-    traj = reducer.trajectory()
+    add(reducer, np.array([[1.0, 0.0, 0.0, 0.0]]))
+    traj = reducer.trajectory(0, 0)
     assert np.array_equal(traj.populations, [1.0, 0.0, 0.0])
     # an empty level in the window leaves its residual undefined, not an error
     assert not np.isfinite(traj.geometric_residual[-1])
 
     negative = np.array([[0.5, 0.5, -1e-13, 0.0]])
     with pytest.raises(SolverError, match=r"integrator failure.*at s = 0$"):
-        _SampleReducer(samples, 3).add(negative)
+        add(_SampleReducer(samples, 3), negative)
     leaking = np.array([[0.5, 0.5, 0.0, 0.0], [0.5, 0.5, 0.0, 2e-10]])
     with pytest.raises(SolverError, match=r"truncation too small.*at s = 0\.5"):
-        _SampleReducer(samples, 3).add(leaking)
+        add(_SampleReducer(samples, 3), leaking)
     # nan compares false against the floor, so it is refused as a failure
     for col in (1, 3):
         poisoned = np.array([[0.5, 0.3, 0.2, 0.0], [0.5, 0.3, 0.2, 0.0]])
         poisoned[1, col] = np.nan
         with pytest.raises(SolverError, match=r"integrator failure: population nan .* at s = 0\.5$"):
-            _SampleReducer(samples, 3).add(poisoned)
+            add(_SampleReducer(samples, 3), poisoned)
 
 
 def column_reference(rows, n_levels):
@@ -229,8 +234,8 @@ def test_sample_reducer_matches_column_reference():
     samples = np.linspace(0.0, 1.0, 6)
     reducer = _SampleReducer(samples, n_levels)
     for block in blocks:
-        reducer.add(block.copy())
-    traj = reducer.trajectory()
+        add(reducer, block.copy())
+    traj = reducer.trajectory(0, 0)
     rows = np.vstack(blocks)
     for k, (mean_n, tail, mass, residual) in enumerate(column_reference(rows, n_levels)):
         assert traj.mean_n[k] == pytest.approx(mean_n, rel=1e-14)
@@ -252,13 +257,13 @@ def test_sample_reducer_clips_only_negative_blocks():
     clipped = np.clip(rows, 0.0, None)
     negative, clean, last = rows[:3].copy(), rows[3:5].copy(), rows[5:].copy()
     reducer = _SampleReducer(np.linspace(0.0, 1.0, 6), n_levels)
-    reducer.add(negative)
+    add(reducer, negative)
     assert np.array_equal(negative, clipped[:3])
-    reducer.add(clean)
+    add(reducer, clean)
     assert np.array_equal(clean, rows[3:5])
     assert reducer.last is None  # not the run's last sample yet
-    reducer.add(last)
-    traj = reducer.trajectory()
+    add(reducer, last)
+    traj = reducer.trajectory(0, 0)
     for k, (mean_n, tail, mass, residual) in enumerate(column_reference(clipped, n_levels)):
         assert traj.mean_n[k] == pytest.approx(mean_n, rel=1e-14)
         assert traj.tail_bound[k] == tail
@@ -296,9 +301,9 @@ class RecordingReducer(_SampleReducer):
         super().__init__(samples, n_levels)
         self.blocks = []
 
-    def add(self, block):
+    def add(self, block, moments):
         self.blocks.append(block.copy())
-        super().add(block)
+        super().add(block, moments)
 
 
 def test_streamed_bdf_matches_unstreamed_reference(monkeypatch):
@@ -350,8 +355,9 @@ def test_mean_level_tracks_the_kernel_route():
 
 
 def test_oracle_cycle_memory_peak():
-    # the run's sample block and step vectors are allocated once; 3.55 MB
-    # measured at theta0 = 0.01 (4,002 levels), bound at 10% above
+    # the run's sample block and step vectors are allocated once; 3.59 MB
+    # measured at theta0 = 0.01 (4,002 levels); the bound is 10% above an
+    # earlier 3.55 MB
     d = DimensionlessParams(theta0=0.01, freq_ratio_r=2.0, gamma_tau_g=1.0)
     cfg = CycleConfig(dimensionless=d, with_oracle=True)
     run_cycle(cfg)  # warm: one-time allocations are not the run's
@@ -447,6 +453,89 @@ def test_held_factors_repeat_the_tridiagonal_solve(theta0, g):
         *_, solved, info = scipy.linalg.lapack.dgtsv(dl, dd, du, rhs)
         assert info == 0
         assert np.array_equal(held.view(np.uint64), solved.view(np.uint64))
+
+
+def dense_generator(d, profile, s, n_levels):
+    """The generator at s as a dense matrix over levels 0..n_max and the tail."""
+    down, up = molcool.oracle._rates(d, profile, s)
+    n = np.arange(n_levels)
+    gen = np.zeros((n_levels + 1, n_levels + 1))
+    gen[n[1:] - 1, n[1:]] = down * n[1:]  # down n p_n to level n - 1
+    gen[n + 1, n] = up * (n + 1)  # up (n + 1) p_n to level n + 1; from n_max to the tail
+    gen[n, n] = -(down * n + up * (n + 1))
+    return gen
+
+
+@pytest.mark.parametrize("g", [1.0, 100.0])
+def test_step_matrix_is_the_dense_ndf_matrix(monkeypatch, g):
+    # every matrix a step hands LAPACK is I - c B(s) for the generator B written
+    # densely, tail row included: s is the step's on the ramp (the last rates
+    # asked for) and the hold's from it on; c is read from one entry.  Every
+    # state a solve returns satisfies its dense system
+    d = DimensionlessParams(theta0=0.3, freq_ratio_r=2.0, gamma_tau_g=g)
+    prof = FrequencyProfile()
+    init = thermal_vector(0.6, truncation_levels(nu_of(0.3)) + 20)
+    asked, calls = [], []
+    rates = molcool.oracle._rates
+
+    def logged(d, profile, s):
+        asked.append(s)
+        return rates(d, profile, s)
+
+    monkeypatch.setattr(molcool.oracle, "_rates", logged)
+
+    def spy(name):
+        lapack = getattr(scipy.linalg.lapack, name)
+
+        def copied(*args, **kwargs):
+            given = [np.array(a) for a in args]
+            out = lapack(*args, **kwargs)
+            calls.append((name, asked[-1], given, np.array(out[-2])))
+            return out
+
+        monkeypatch.setattr(scipy.linalg.lapack, name, copied)
+
+    for name in ("dgtsv", "dgttrf", "dgttrs"):
+        spy(name)
+    evolve_populations(d, prof, init, horizon=2.0)
+    assert {name for name, *_ in calls} == {"dgtsv", "dgttrf", "dgttrs"}
+    for name, s, given, solved in calls:
+        if name != "dgttrs":  # the factored matrix stands for the solves that follow it
+            dl, dd, du = given[:3]
+            matrix = np.diag(dd) + np.diag(dl, -1) + np.diag(du, 1)
+            gen = dense_generator(d, prof, prof.hold_start if name == "dgttrf" else s, init.p.size)
+            c = -dl[0] / gen[1, 0]
+            assert c > 0.0
+            np.testing.assert_allclose(matrix, np.eye(dd.size) - c * gen, rtol=1e-14, atol=0.0)
+        if name != "dgttrf":
+            rhs = given[-1]
+            residual = np.max(np.abs(matrix @ solved - rhs))
+            scale = np.max(np.abs(matrix).sum(axis=1)) * np.max(np.abs(solved)) + np.max(np.abs(rhs))
+            assert residual <= 1e-13 * scale
+
+
+def test_step_counts_are_the_integrators(monkeypatch):
+    # a trajectory keeps its integrator's (accepted, rejected) steps, and a
+    # cycle's stitched trajectory their sums over its segments
+    returned = []
+    evolve = molcool.oracle._evolve_bdf
+
+    def counted(*args):
+        returned.append(evolve(*args))
+        return returned[-1]
+
+    monkeypatch.setattr(molcool.oracle, "_evolve_bdf", counted)
+    d = DimensionlessParams(theta0=0.1, freq_ratio_r=2.0, gamma_tau_g=1.0)
+    init = thermal_vector(0.2, truncation_levels(nu_of(0.1)) + 20)
+    traj = evolve_populations(d, FrequencyProfile(), init, horizon=3.0)
+    assert returned == [(traj.accepted, traj.rejected)]
+    returned.clear()
+    cfg = CycleConfig(
+        dimensionless=d, init_mode=FiniteDwell(dwell=3.0), horizon=3.0, with_oracle=True
+    )
+    oracle = run_cycle(cfg).oracle
+    assert len(returned) == 3 and all(accepted > 0 for accepted, _ in returned)
+    assert (oracle.accepted, oracle.rejected) == tuple(map(sum, zip(*returned)))
 
 
 def test_non_finite_rates_fail_where_they_start(monkeypatch):
