@@ -274,10 +274,13 @@ class CycleSummary:
 @dataclass(eq=False)
 class CycleResult:
     """Everything a cycle run produced: the rounded record, its summary,
-    and (when requested) the stitched Fock-level oracle trajectory."""
+    each cross-check's margin, and (when requested) the stitched Fock-level
+    oracle trajectory.  `margins` maps "solver", and "oracle" in a run with
+    the oracle, to the check's (worst relative disagreement, its s)."""
 
     record: TimeSeriesRecord
     summary: CycleSummary
+    margins: dict[str, tuple[float, float]]
     oracle: PopulationTrajectory | None = None
 
 
@@ -297,6 +300,7 @@ def _plan_segments(cfg: CycleConfig):
 
 
 _ORACLE_SAMPLES = ("s", "mean_n", "tail_bound", "mass", "geometric_residual")
+_ORACLE_COUNTS = ("accepted", "rejected", "dgtsv", "dgttrf", "dgttrs")  # summed over segments
 
 
 def _join(arrays):
@@ -374,10 +378,10 @@ def run_cycle(cfg: CycleConfig) -> CycleResult:
         [omega_at(prof, part.s, d.freq_ratio_r) for part, (_, prof, _) in zip(kernel, segments)]
     )
     del kernel
-    _cross_check(
+    margins = {"solver": _cross_check(
         "solver", "eta routes disagree", trajectory.s,
         _stitch(rk4, segments, ("eta",)).eta, trajectory.eta, SOLVER_AGREEMENT_RTOL,
-    )
+    )}
     del rk4
 
     oracle = None
@@ -388,11 +392,10 @@ def run_cycle(cfg: CycleConfig) -> CycleResult:
             pv = parts[-1].final
         oracle = replace(
             _stitch(parts, segments, _ORACLE_SAMPLES),
-            accepted=sum(part.accepted for part in parts),
-            rejected=sum(part.rejected for part in parts),
+            **{name: sum(getattr(part, name) for part in parts) for name in _ORACLE_COUNTS},
         )
         eta_ref = trajectory.eta[_nearest_indices(trajectory.s, oracle.s)]
-        _cross_check(
+        margins["oracle"] = _cross_check(
             "oracle", "mean occupation disagrees with eta", oracle.s,
             oracle.mean_n + 1.0, eta_ref, ORACLE_AGREEMENT_RTOL,
         )
@@ -405,7 +408,7 @@ def run_cycle(cfg: CycleConfig) -> CycleResult:
         recovery=recovery_time(record, RECOVERY_TARGET),
         final_eta=float(record.eta[-1]),
     )
-    return CycleResult(record=record, summary=summary, oracle=oracle)
+    return CycleResult(record=record, summary=summary, margins=margins, oracle=oracle)
 
 
 @dataclass(frozen=True)

@@ -32,11 +32,20 @@ only when c = h/alpha changes, and each step solves on the kept factors
 (dgttrs).  The matrix is an M-matrix, so partial pivoting swaps no row
 and the kept factors repeat dgtsv's arithmetic bit for bit.
 
-Samples are read from each step's interpolating polynomial, at most
-`_BLOCK` = 64 at a time, and checked and reduced to per-sample mean
-level, tail, total mass and geometric-shape residual; only the final
-vector is kept, so memory grows as O(levels x 64).  Each block is one
-product written sample-major into a buffer allocated once per run, so
+A step takes the step controller's own h, not the difference of the
+times it joins; only the last, clipped to the run's end, takes
+h = t_end - t.  So an unchanged step size gives the same c, bit for
+bit, and the held factors are reused.
+
+Samples are read from each step's interpolating polynomial into one
+block of at most `_BLOCK` = 16 rows, which spans steps: each step
+writes its samples at the block's next free row, and the block is
+checked and reduced to per-sample mean level, tail, total mass and
+geometric-shape residual when it is full, at the last sample, and
+before any `SolverError` leaves the integrator (so a floor or tail
+failure at an earlier s is the one reported).  Only the final vector is
+kept, so memory grows as O(levels x 16).  Each step's rows are one
+product written sample-major into the block, allocated once per run, so
 every reduction runs along memory; mean level and mass are linear, so
 each sample's come from the step's differences' own.
 
@@ -57,10 +66,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SolverError
-from .profiles import FrequencyProfile
+from .profiles import FrequencyProfile, _omega_core
 from .solver import SAMPLES_PER_UNIT as _ETA_SAMPLES_PER_UNIT
 from .solver import _check_run, _stage_points, occupation_at
-from .thermo import QuenchedState
+from .thermo import QuenchedState, _nu_core
 from .units import DimensionlessParams
 
 SAMPLES_PER_UNIT = 100  # output samples per tau_open
@@ -77,7 +86,7 @@ _PREDICT = {k: np.stack([np.ones(k + 1), 1.0 - _GAMMA[: k + 1] / _ALPHA[k]])
             for k in range(1, _MAX_ORDER + 1)}
 # step-size factors; the safety is scipy's 0.9 (2m + 1) / (2m + n) at n = 1 solve of m = 4
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
-_BLOCK = 64         # samples reduced at a time
+_BLOCK = 16         # samples reduced at a time
 _SPENT = dict(overwrite_dl=1, overwrite_d=1, overwrite_du=1)  # a solve's diagonals are scratch
 _SHAPE_WINDOW = 51  # geometric residual over p_{n+1}/p_n for n < 51
 # a run's peak RSS grows by 425-440 B per level (measured, 4e4-4e5 levels),
@@ -115,7 +124,9 @@ class PopulationTrajectory:
     geometric_residual = max |r_n / mean(r) - 1| over the adjacent-level
     ratios r_n = p_{n+1} / p_n, n < 51, which is 0 in quenched Boltzmann
     form.  `populations` holds levels 0..n_max at s[-1] only; `accepted`
-    and `rejected` count the integrator's steps.
+    and `rejected` count the integrator's steps, and `dgtsv`, `dgttrf`
+    and `dgttrs` its LAPACK calls (ramp solves, held factorizations and
+    held solves).
     """
 
     s: np.ndarray
@@ -126,6 +137,9 @@ class PopulationTrajectory:
     populations: np.ndarray
     accepted: int
     rejected: int
+    dgtsv: int
+    dgttrf: int
+    dgttrs: int
 
     @property
     def final(self) -> PopulationVector:
@@ -195,10 +209,12 @@ def mean_occupation(pv: PopulationVector) -> float:
     return float(n @ pv.p)
 
 
-def _rates(d: DimensionlessParams, profile: FrequencyProfile, s):
-    occ = occupation_at(d, profile, s)
+def _rates(d: DimensionlessParams, profile: FrequencyProfile, s: float):
+    """(down, up) per-quantum rates g (nu + 1) and g nu at a step's s >= 0, from
+    `occupation_at`'s cores without its input checks: the same bits, for less."""
+    occ = _nu_core(d.theta0 * d.freq_ratio_r * _omega_core(profile, s, d.freq_ratio_r))
     g = d.gamma_tau_g
-    return g * (occ + 1.0), g * occ  # (down, up) per-quantum rates, scalar or array s
+    return g * (occ + 1.0), g * occ
 
 
 def evolve_populations(
@@ -223,26 +239,28 @@ def evolve_populations(
     samples = np.linspace(0.0, horizon, n_intervals + 1)
     reducer = _SampleReducer(samples, init.p.size)
     y0 = np.concatenate([init.p, [init.tail_bound]])
-    accepted, rejected = _evolve_bdf(d, profile, y0, samples, reducer)
-    return reducer.trajectory(accepted, rejected)
+    return reducer.trajectory(*_evolve_bdf(d, profile, y0, samples, reducer))
 
 
 class _SampleReducer:
     """Checks and reduces sample blocks, in order, into per-sample arrays.
 
     A block is a (k <= `_BLOCK`, levels + 1) array whose rows hold
-    p_0..p_{n_max} and the tail at the next k samples; it is read as it is
-    and clipped in place.  Its (k, 2) moments are its levels times the
-    (levels, 2) `weights` [n, 1], each sample's mean level and level mass,
-    which the integrator forms from its differences' own; a clipped block's
-    moments lose its clipped entries' share.  One min pass checks the floor
-    and one max the tail, and only a failed check looks for its sample; the
-    shape residual is reduced in a scratch allocated once per run.
+    p_0..p_{n_max} and the tail at the next k samples, which may come from
+    several integrator steps; it is read as it is and clipped in place.  Its
+    (k, 2) moments are its levels times the (levels, 2) `weights` [n, 1],
+    each sample's mean level and level mass, which the integrator forms
+    from its differences' own; a clipped block's moments lose its clipped
+    entries' share.  `weights` is the transpose of one contiguous (2, levels)
+    array, so a product with it reads each weight row along memory.  One
+    min pass checks the floor and one max the tail, and only a failed check
+    looks for its sample; the shape residual is reduced in a scratch
+    allocated once per run.
     """
 
     def __init__(self, samples: np.ndarray, n_levels: int):
         self.samples = samples
-        self.weights = np.stack([np.arange(n_levels, dtype=float), np.ones(n_levels)], axis=1)
+        self.weights = np.stack([np.arange(n_levels, dtype=float), np.ones(n_levels)]).T
         self.window = min(_SHAPE_WINDOW, n_levels - 1)
         self.ratios = np.empty((min(_BLOCK, samples.size), self.window))  # shape-residual scratch
         self.mean_n, self.tail_bound, self.mass, self.geometric_residual = (
@@ -287,7 +305,7 @@ class _SampleReducer:
             self.last = pops[-1].copy()
         self.done = hi
 
-    def trajectory(self, accepted: int, rejected: int) -> PopulationTrajectory:
+    def trajectory(self, accepted, rejected, dgtsv, dgttrf, dgttrs) -> PopulationTrajectory:
         return PopulationTrajectory(
             s=self.samples,
             mean_n=self.mean_n,
@@ -297,6 +315,9 @@ class _SampleReducer:
             populations=self.last,
             accepted=accepted,
             rejected=rejected,
+            dgtsv=dgtsv,
+            dgttrf=dgttrf,
+            dgttrs=dgttrs,
         )
 
 
@@ -317,14 +338,22 @@ class _SampleReducer:
 # DATA, OR PROFITS; OR BUSINESS INTERRUPTION) HOWEVER CAUSED AND ON ANY THEORY OF LIABILITY,
 # WHETHER IN CONTRACT, STRICT LIABILITY, OR TORT (INCLUDING NEGLIGENCE OR OTHERWISE) ARISING IN ANY
 # WAY OUT OF THE USE OF THIS SOFTWARE, EVEN IF ADVISED OF THE POSSIBILITY OF SUCH DAMAGE.
+def _difference_map(order, factor):
+    """scipy's R(order, factor): with U = R(order, 1), (R U)^T maps the
+    differences of one step onto those of a step `factor` times as long."""
+    i = np.arange(1.0, order + 1.0)[:, None]
+    m = np.zeros((order + 1, order + 1))
+    m[0] = 1.0
+    m[1:, 1:] = (i - 1.0 - factor * i.T) / i
+    return np.cumprod(m, axis=0)
+
+
+_U = {k: _difference_map(k, 1.0) for k in range(1, _MAX_ORDER + 1)}  # factor-independent
+
+
 def _change_d(D, order, factor) -> None:
     """Rescale the difference array in place to a step `factor` times as long."""
-    i = np.arange(1.0, order + 1.0)[:, None]
-    m = np.zeros((2, order + 1, order + 1))
-    m[:, 0] = 1.0
-    m[:, 1:, 1:] = (i - 1.0 - np.array([factor, 1.0])[:, None, None] * i.T) / i
-    r, u = np.cumprod(m, axis=1)
-    D[: order + 1] = (r @ u).T @ D[: order + 1]
+    D[: order + 1] = (_difference_map(order, factor) @ _U[order]).T @ D[: order + 1]
 
 
 def _norm(x) -> float:
@@ -332,9 +361,11 @@ def _norm(x) -> float:
 
 
 def _evolve_bdf(d, profile, y0, samples, reducer):
-    """Step dy/ds = band(s) . y over `samples`, handing each step's samples to
-    `reducer`; returns the (accepted, rejected) step counts.  A non-finite
-    correction halves the step; one under ten float spacings at s fails."""
+    """Step dy/ds = band(s) . y over `samples`, handing the steps' samples to
+    `reducer` in blocks of up to `_BLOCK`; returns the (accepted, rejected)
+    step counts and the (dgtsv, dgttrf, dgttrs) call counts.  A non-finite
+    correction halves the step; one under ten float spacings at s fails.  The
+    samples written before a `SolverError` are reduced before it leaves."""
     from scipy.linalg.lapack import dgtsv, dgttrf, dgttrs
 
     # column n of the generator: up (n + 1) p_n flows to row n + 1 (the tail at n = n_max),
@@ -362,82 +393,103 @@ def _evolve_bdf(d, profile, y0, samples, reducer):
     D = np.empty((_MAX_ORDER + 3, y0.size))  # the backward differences, scaled to h
     D[0], D[1] = y0, f0 * h
     # a step's predicted and new state, its vectors (I - c band's diagonals: dl by column,
-    # its last entry idle, du by column, its first idle) and its samples
+    # its last entry idle, du by column, its first idle), and the block of samples (with
+    # their moments and coefficients) whose first `pending` rows await the reducer
     pred, (dy, err, dl, dd, du) = np.empty((2, y0.size)), np.empty((5, y0.size))
-    block = np.empty((min(_BLOCK, samples.size), y0.size))
-    coef = np.ones((block.shape[0], _MAX_ORDER + 1))
+    rows = min(_BLOCK, samples.size)
+    block, moments = np.empty((rows, y0.size)), np.empty((rows, 2))
+    coef = np.ones((rows, _MAX_ORDER + 1))
     held_c = None  # dl, dd, du, du2 and ipiv hold the LU factors of the held I - c band
-    order, n_equal, accepted, rejected, done = 1, 0, 0, 0, 0
-    while done < samples.size:
-        while True:
-            if h < 10.0 * (math.nextafter(t, math.inf) - t):
-                raise SolverError(f"population integration failed: step {h:.3e} fell "
-                                  f"below the float spacing at s = {t:.6g}")
-            t_new = min(t + h, t_end)
-            if t_new < t + h:
-                _change_d(D, order, (t_new - t) / h)
-                n_equal = 0
-            h = t_new - t
-            # (I - c band) y_new = y_pred - psi, the NDF system, solved exactly
-            np.matmul(_PREDICT[order], D[: order + 1], out=pred)
-            c = h / _ALPHA[order]
-            held = t_new >= profile.hold_start
-            if not (held and c == held_c):
-                down, up = held_rates if held else _rates(d, profile, t_new)
-                np.multiply(-c * up, n_up, out=dl)
-                np.multiply(-c * down, n_down, out=du)
-                np.subtract(np.subtract(1.0, dl, out=dd), du, out=dd)  # the tail row's is 1
+    order, n_equal, accepted, rejected, done, pending = 1, 0, 0, 0, 0, 0
+    n_gtsv = n_gttrf = n_gttrs = 0
+    try:
+        while done < samples.size:
+            while True:
+                if h < 10.0 * (math.nextafter(t, math.inf) - t):
+                    raise SolverError(f"population integration failed: step {h:.3e} fell "
+                                      f"below the float spacing at s = {t:.6g}")
+                t_new = t + h
+                if t_new > t_end:  # only the last step's h is not the controller's
+                    _change_d(D, order, (t_end - t) / h)
+                    t_new, h, n_equal = t_end, t_end - t, 0
+                # (I - c band) y_new = y_pred - psi, the NDF system, solved exactly
+                np.matmul(_PREDICT[order], D[: order + 1], out=pred)
+                c = h / _ALPHA[order]
+                held = t_new >= profile.hold_start
+                if not (held and c == held_c):
+                    down, up = held_rates if held else _rates(d, profile, t_new)
+                    np.multiply(-c * up, n_up, out=dl)
+                    np.multiply(-c * down, n_down, out=du)
+                    np.subtract(np.subtract(1.0, dl, out=dd), du, out=dd)  # the tail row's is 1
+                    if held:
+                        *_, du2, ipiv, info = dgttrf(dl[:-1], dd, du[1:], **_SPENT)
+                        n_gttrf += 1
+                    else:
+                        *_, y_new, info = dgtsv(dl[:-1], dd, du[1:], pred[1], overwrite_b=1,
+                                                **_SPENT)
+                        n_gtsv += 1
+                    if info != 0:
+                        raise SolverError(f"population integration failed: singular at row {info}")
+                    held_c = c if held else None
                 if held:
-                    *_, du2, ipiv, info = dgttrf(dl[:-1], dd, du[1:], **_SPENT)
-                else:
-                    *_, y_new, info = dgtsv(dl[:-1], dd, du[1:], pred[1], overwrite_b=1, **_SPENT)
-                if info != 0:
-                    raise SolverError(f"population integration failed: singular at row {info}")
-                held_c = c if held else None
-            if held:
-                y_new, _ = dgttrs(dl[:-1], dd, du[1:], du2, ipiv, pred[1], overwrite_b=1)
-            np.subtract(y_new, pred[0], out=dy)
-            np.abs(y_new, out=scale)
-            np.add(_ATOL, np.multiply(_RTOL, scale, out=scale), out=scale)
-            error = np.multiply(_ERROR_CONST[order], dy, out=err)
-            error_norm = _norm(np.divide(error, scale, out=error))
-            if error_norm <= 1.0:
-                break
-            factor = 0.5  # for a non-finite correction
-            if math.isfinite(error_norm):
-                factor = max(_MIN_FACTOR, _SAFETY * error_norm ** (-1.0 / (order + 1)))
-            _change_d(D, order, factor)
-            h, n_equal, rejected = h * factor, 0, rejected + 1
-        accepted, n_equal, t = accepted + 1, n_equal + 1, t_new
-        np.subtract(dy, D[order + 1], out=D[order + 2])
-        D[order + 1] = dy
-        for i in reversed(range(order + 1)):
-            D[i] += D[i + 1]
-        if n_equal > order:
-            # the order (one down, kept, one up) whose next step may be longest
-            with np.errstate(divide="ignore"):
-                factors = np.array([
-                    _norm(np.divide(np.multiply(_ERROR_CONST[k], D[k + 1], out=err), scale, err))
-                    if 0 < k <= _MAX_ORDER else np.inf
-                    for k in range(order - 1, order + 2)
-                ]) ** (-1.0 / np.arange(order, order + 3))
-            order += int(np.argmax(factors)) - 1
-            factor = min(_MAX_FACTOR, _SAFETY * float(factors.max()))
-            _change_d(D, order, factor)
-            h, n_equal = h * factor, 0
+                    y_new, _ = dgttrs(dl[:-1], dd, du[1:], du2, ipiv, pred[1], overwrite_b=1)
+                    n_gttrs += 1
+                np.subtract(y_new, pred[0], out=dy)
+                np.abs(y_new, out=scale)
+                np.add(_ATOL, np.multiply(_RTOL, scale, out=scale), out=scale)
+                error = np.multiply(_ERROR_CONST[order], dy, out=err)
+                error_norm = _norm(np.divide(error, scale, out=error))
+                if error_norm <= 1.0:
+                    break
+                factor = 0.5  # for a non-finite correction
+                if math.isfinite(error_norm):
+                    factor = max(_MIN_FACTOR, _SAFETY * error_norm ** (-1.0 / (order + 1)))
+                _change_d(D, order, factor)
+                h, n_equal, rejected = h * factor, 0, rejected + 1
+            accepted, n_equal, t = accepted + 1, n_equal + 1, t_new
+            np.subtract(dy, D[order + 1], out=D[order + 2])
+            D[order + 1] = dy
+            for i in reversed(range(order + 1)):
+                D[i] += D[i + 1]
+            if n_equal > order:
+                # the order (one down, kept, one up) whose next step may be longest; the
+                # kept order's error norm is the accepted step's own
+                norms = [np.inf, error_norm, np.inf]
+                for i, k in ((0, order - 1), (2, order + 1)):
+                    if 0 < k <= _MAX_ORDER:
+                        np.multiply(_ERROR_CONST[k], D[k + 1], out=err)
+                        norms[i] = _norm(np.divide(err, scale, out=err))
+                with np.errstate(divide="ignore"):
+                    factors = np.array(norms) ** (-1.0 / np.arange(order, order + 3))
+                order += int(np.argmax(factors)) - 1
+                factor = min(_MAX_FACTOR, _SAFETY * float(factors.max()))
+                _change_d(D, order, factor)
+                h, n_equal = h * factor, 0
 
-        # the samples in (t_old, t], and s = 0 with the first, from the step's polynomial:
-        # one product with D[0] folded in by a leading coefficient of 1, and the samples'
-        # mean levels and level masses from the differences' own
-        upto = int(np.searchsorted(samples, t, side="right"))
-        if upto > done:
-            j = np.arange(order)
-            origin, width, cf = t - h * j, h * (1.0 + j), coef[:, : order + 1]
-            basis = D[: order + 1, :-1] @ reducer.weights
-            for lo in range(done, upto, _BLOCK):
-                k = min(_BLOCK, upto - lo)
-                x = np.subtract(samples[lo : lo + k, None], origin, out=cf[:k, 1:])
-                np.cumprod(np.divide(x, width, out=x), axis=1, out=x)
-                reducer.add(np.matmul(cf[:k], D[: order + 1], out=block[:k]), cf[:k] @ basis)
-            done = upto
-    return accepted, rejected
+            # the samples in (t_old, t], and s = 0 with the first, from the step's polynomial,
+            # at the block's next free rows: one product with D[0] folded in by a leading
+            # coefficient of 1, and the samples' mean levels and level masses from the
+            # differences' own; a full block, or the last sample, goes to the reducer
+            upto = int(np.searchsorted(samples, t, side="right"))
+            if upto > done:
+                j = np.arange(order)
+                origin, width = t - h * j, h * (1.0 + j)
+                basis = D[: order + 1, :-1] @ reducer.weights
+                while done < upto:
+                    k = min(rows - pending, upto - done)
+                    cf = coef[pending : pending + k, : order + 1]
+                    x = np.subtract(samples[done : done + k, None], origin, out=cf[:, 1:])
+                    np.cumprod(np.divide(x, width, out=x), axis=1, out=x)
+                    np.matmul(cf, D[: order + 1], out=block[pending : pending + k])
+                    np.matmul(cf, basis, out=moments[pending : pending + k])
+                    pending, done = pending + k, done + k
+                    if pending == rows or done == samples.size:
+                        # zeroed first, so that a block the reducer refuses is not handed over twice
+                        k, pending = pending, 0
+                        reducer.add(block[:k], moments[:k])
+    except SolverError:
+        # an earlier sample's floor or tail failure is the one reported
+        if pending:
+            reducer.add(block[:pending], moments[:pending])
+        raise
+    return accepted, rejected, n_gtsv, n_gttrf, n_gttrs

@@ -15,6 +15,11 @@ value itself at and past its s.  The solvers rely on this to evaluate
 the forcing of a held stretch once instead of at every point of it.
 `FrequencyProfile.kinks` lists where omega's slope jumps; the
 fixed-step solver splits its substeps there.
+
+`omega_at` checks its s and then runs `_omega_core`, the one place
+omega(s) is computed.  A caller whose s is already known good (the
+oracle's step times, all finite and >= 0) calls the core directly and
+gets the same bits without paying for the checks.
 """
 
 from __future__ import annotations
@@ -104,19 +109,23 @@ def omega_at(profile: FrequencyProfile, s, r: float):
     s_arr = np.asarray(s, dtype=float)
     if not np.all(np.isfinite(s_arr)) or np.any(s_arr < 0.0):
         raise ValueError("s must be >= 0 and finite")
-    if profile.shape is ProfileShape.SINE_OPENING:
-        x = np.clip(s_arr / profile.duration, 0.0, 1.0)
-        w = 1.0 + (1.0 / r - 1.0) * np.sin(0.5 * math.pi * x)
-    elif profile.shape is ProfileShape.REVERSED_SINE_CLOSING:
-        x = np.clip(s_arr / profile.duration, 0.0, 1.0)
-        w = 1.0 + (1.0 / r - 1.0) * np.sin(0.5 * math.pi * (1.0 - x))
-    elif profile.shape is ProfileShape.CONSTANT:
-        w = np.full_like(s_arr, profile.level)
-    else:
-        xs = np.array([p[0] for p in profile.breakpoints])
-        ws = np.array([p[1] for p in profile.breakpoints])
-        w = np.interp(s_arr, xs, ws)
+    w = _omega_core(profile, s_arr, r)
     if np.ndim(s) == 0:
         return float(w)
     return w
 
+
+def _omega_core(profile: FrequencyProfile, s, r: float):
+    """`omega_at`'s arithmetic, unchecked: s must be finite and >= 0, a
+    float or a float array; returns a numpy scalar or array."""
+    if profile.shape is ProfileShape.SINE_OPENING:
+        x = np.minimum(s / profile.duration, 1.0)  # s >= 0, so s/duration clipped to [0, 1]
+        return 1.0 + (1.0 / r - 1.0) * np.sin(0.5 * math.pi * x)
+    if profile.shape is ProfileShape.REVERSED_SINE_CLOSING:
+        x = np.minimum(s / profile.duration, 1.0)
+        return 1.0 + (1.0 / r - 1.0) * np.sin(0.5 * math.pi * (1.0 - x))
+    if profile.shape is ProfileShape.CONSTANT:
+        return np.full_like(s, profile.level)
+    xs = np.array([p[0] for p in profile.breakpoints])
+    ws = np.array([p[1] for p in profile.breakpoints])
+    return np.interp(s, xs, ws)

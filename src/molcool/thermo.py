@@ -5,6 +5,10 @@ form: level populations p_n = (1/eta)(1 - 1/eta)^n, fully characterized
 by the single number eta = <n> + 1.  A mode equilibrated with the bath
 has eta = nu(theta) + 1, where nu is the Bose-Einstein occupation at the
 dimensionless level splitting theta = hbar*omega/(k_B*T).
+
+`nu_of` checks its theta and then runs `_nu_core`, the one place nu(theta)
+and its underflow rule are computed; a caller whose theta is already known
+good (the oracle's rates, on a checked schedule) calls the core directly.
 """
 
 from __future__ import annotations
@@ -58,17 +62,25 @@ def nu_of(theta):
         raise ValueError("theta must not be empty")
     if not np.all(np.isfinite(th)) or np.any(th <= 0.0):
         raise ValueError("theta must be positive and finite")
+    nu = _nu_core(th)
+    if np.ndim(theta) == 0:
+        return float(nu)
+    return nu
+
+
+def _nu_core(th):
+    """`nu_of`'s arithmetic, unchecked: th must be a positive, finite numpy
+    scalar or array.  A theta past `_THETA_UNDERFLOW` gives exactly 0.0, as
+    1/expm1(inf), and warns `OccupationUnderflow` at the caller's caller."""
     big = th > _THETA_UNDERFLOW
     if big.any():
         warnings.warn(
             f"occupation underflows to zero for theta > {_THETA_UNDERFLOW:g}",
             OccupationUnderflow,
-            stacklevel=2,
+            stacklevel=3,
         )
-    nu = np.where(big, 0.0, 1.0 / np.expm1(np.where(big, 1.0, th)))
-    if np.ndim(theta) == 0:
-        return float(nu)
-    return nu
+        th = np.where(big, np.inf, th)
+    return 1.0 / np.expm1(th)
 
 
 def thermal_eta(theta: float) -> float:

@@ -506,10 +506,15 @@ def test_cross_checks_return_the_margin_they_passed_by(monkeypatch):
         return passed[-1][1:]
 
     monkeypatch.setattr(molcool.cycle, "_cross_check", spy)
-    run_cycle(default_cycle_config())
-    run_cycle(replace(default_cycle_config(), init_mode=FiniteDwell(dwell=3.0)))
+    results = [
+        run_cycle(default_cycle_config()),
+        run_cycle(replace(default_cycle_config(), init_mode=FiniteDwell(dwell=3.0))),
+    ]
     d = DimensionlessParams(theta0=0.01, freq_ratio_r=2.0, gamma_tau_g=1.0)
-    run_cycle(CycleConfig(dimensionless=d, with_oracle=True))
+    results.append(run_cycle(CycleConfig(dimensionless=d, with_oracle=True)))
+    # each result carries the margins its checks passed by
+    kept = [(route, *margin) for res in results for route, margin in res.margins.items()]
+    assert kept == passed
     (ref, ref_rel, ref_s), (dwell, dwell_rel, dwell_s), _, (oracle, oracle_rel, oracle_s) = passed
     assert (ref, dwell, oracle) == ("solver", "solver", "oracle")
     assert ref_rel < 1e-12 and ref_s == pytest.approx(7.439)

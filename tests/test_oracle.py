@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -22,8 +23,8 @@ from molcool.oracle import (
     truncation_levels,
 )
 from molcool.profiles import FrequencyProfile, ProfileShape
-from molcool.solver import evolve_eta_closed_form
-from molcool.thermo import QuenchedState, nu_of
+from molcool.solver import evolve_eta_closed_form, occupation_at
+from molcool.thermo import OccupationUnderflow, QuenchedState, nu_of
 from molcool.units import DimensionlessParams
 
 
@@ -192,7 +193,7 @@ def test_sample_reducer_checks_and_clips():
     assert reducer.mass[0] == 1.0
     assert reducer.mean_n[1] == pytest.approx(0.7, rel=1e-15)
     add(reducer, np.array([[1.0, 0.0, 0.0, 0.0]]))
-    traj = reducer.trajectory(0, 0)
+    traj = reducer.trajectory(0, 0, 0, 0, 0)
     assert np.array_equal(traj.populations, [1.0, 0.0, 0.0])
     # an empty level in the window leaves its residual undefined, not an error
     assert not np.isfinite(traj.geometric_residual[-1])
@@ -235,7 +236,7 @@ def test_sample_reducer_matches_column_reference():
     reducer = _SampleReducer(samples, n_levels)
     for block in blocks:
         add(reducer, block.copy())
-    traj = reducer.trajectory(0, 0)
+    traj = reducer.trajectory(0, 0, 0, 0, 0)
     rows = np.vstack(blocks)
     for k, (mean_n, tail, mass, residual) in enumerate(column_reference(rows, n_levels)):
         assert traj.mean_n[k] == pytest.approx(mean_n, rel=1e-14)
@@ -263,7 +264,7 @@ def test_sample_reducer_clips_only_negative_blocks():
     assert np.array_equal(clean, rows[3:5])
     assert reducer.last is None  # not the run's last sample yet
     add(reducer, last)
-    traj = reducer.trajectory(0, 0)
+    traj = reducer.trajectory(0, 0, 0, 0, 0)
     for k, (mean_n, tail, mass, residual) in enumerate(column_reference(clipped, n_levels)):
         assert traj.mean_n[k] == pytest.approx(mean_n, rel=1e-14)
         assert traj.tail_bound[k] == tail
@@ -355,9 +356,9 @@ def test_mean_level_tracks_the_kernel_route():
 
 
 def test_oracle_cycle_memory_peak():
-    # the run's sample block and step vectors are allocated once; 3.59 MB
-    # measured at theta0 = 0.01 (4,002 levels); the bound is 10% above an
-    # earlier 3.55 MB
+    # the run's sample block and step vectors are allocated once; 3.02 MB
+    # measured at theta0 = 0.01 (4,002 levels) with 16-row blocks, 3.59 MB
+    # with 64-row ones; the bound is 10% above an earlier 3.55 MB
     d = DimensionlessParams(theta0=0.01, freq_ratio_r=2.0, gamma_tau_g=1.0)
     cfg = CycleConfig(dimensionless=d, with_oracle=True)
     run_cycle(cfg)  # warm: one-time allocations are not the run's
@@ -381,7 +382,7 @@ def test_one_tridiagonal_solve_per_attempted_step(monkeypatch):
         lapack = getattr(scipy.linalg.lapack, name)
 
         def counted(*args, **kwargs):
-            calls.append((name, args[1].size, b"".join(a.tobytes() for a in args[:3])))
+            calls.append((name, args[1].size, -args[0][0]))  # c times the up rate
             return lapack(*args, **kwargs)
 
         monkeypatch.setattr(scipy.linalg.lapack, name, counted)
@@ -393,16 +394,18 @@ def test_one_tridiagonal_solve_per_attempted_step(monkeypatch):
     init = thermal_vector(0.02, truncation_levels(nu_of(0.01)) + 20)
     samples = np.linspace(0.0, 10.0, 1001)
     y0 = np.concatenate([init.p, [init.tail_bound]])
-    accepted, rejected = _evolve_bdf(d, prof, y0, samples, _SampleReducer(samples, init.p.size))
+    accepted, rejected, *_ = _evolve_bdf(d, prof, y0, samples, _SampleReducer(samples, init.p.size))
     names = [name for name, _, _ in calls]
     assert rejected > 0
     assert names.count("dgtsv") + names.count("dgttrs") == accepted + rejected
     assert {size for _, size, _ in calls} == {y0.size}
-    # held steps: 32 factorizations for 131 solves (measured); each factors a
-    # matrix other than the one before it, and is followed by its step's solve
-    factored = [matrix for name, _, matrix in calls if name == "dgttrf"]
+    # held steps: 28 factorizations for 131 solves (measured); each factors a
+    # c more than 1e-12 relative away from the one before (a step size the
+    # controller kept is not recomputed, so it gives the same c and no
+    # factorization), and is followed by its step's solve
+    factored = [up_c for name, _, up_c in calls if name == "dgttrf"]
     assert 0 < len(factored) < names.count("dgttrs") / 3
-    assert all(a != b for a, b in zip(factored, factored[1:]))
+    assert all(abs(a / b - 1.0) > 1e-12 for a, b in zip(factored, factored[1:]))
     assert all(names[i + 1] == "dgttrs" for i, name in enumerate(names) if name == "dgttrf")
 
 
@@ -514,10 +517,14 @@ def test_step_matrix_is_the_dense_ndf_matrix(monkeypatch, g):
             assert residual <= 1e-13 * scale
 
 
+COUNTS = ("accepted", "rejected", "dgtsv", "dgttrf", "dgttrs")
+
+
 def test_step_counts_are_the_integrators(monkeypatch):
-    # a trajectory keeps its integrator's (accepted, rejected) steps, and a
+    # a trajectory keeps its integrator's (accepted, rejected) steps and its
+    # dgtsv, dgttrf and dgttrs calls, as a LAPACK spy counts them, and a
     # cycle's stitched trajectory their sums over its segments
-    returned = []
+    returned, lapack_calls = [], []
     evolve = molcool.oracle._evolve_bdf
 
     def counted(*args):
@@ -525,17 +532,39 @@ def test_step_counts_are_the_integrators(monkeypatch):
         return returned[-1]
 
     monkeypatch.setattr(molcool.oracle, "_evolve_bdf", counted)
+
+    def spy(name):
+        lapack = getattr(scipy.linalg.lapack, name)
+
+        def called(*args, **kwargs):
+            lapack_calls.append(name)
+            return lapack(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg.lapack, name, called)
+
+    for name in COUNTS[2:]:
+        spy(name)
+
+    def kept(traj):
+        return tuple(getattr(traj, name) for name in COUNTS)
+
+    def spied():
+        return tuple(map(lapack_calls.count, COUNTS[2:]))
+
     d = DimensionlessParams(theta0=0.1, freq_ratio_r=2.0, gamma_tau_g=1.0)
     init = thermal_vector(0.2, truncation_levels(nu_of(0.1)) + 20)
     traj = evolve_populations(d, FrequencyProfile(), init, horizon=3.0)
-    assert returned == [(traj.accepted, traj.rejected)]
+    assert returned == [kept(traj)]
+    assert kept(traj)[2:] == spied() and all(spied())
     returned.clear()
+    lapack_calls.clear()
     cfg = CycleConfig(
         dimensionless=d, init_mode=FiniteDwell(dwell=3.0), horizon=3.0, with_oracle=True
     )
     oracle = run_cycle(cfg).oracle
-    assert len(returned) == 3 and all(accepted > 0 for accepted, _ in returned)
-    assert (oracle.accepted, oracle.rejected) == tuple(map(sum, zip(*returned)))
+    assert len(returned) == 3 and all(accepted > 0 for accepted, *_ in returned)
+    assert kept(oracle) == tuple(map(sum, zip(*returned)))
+    assert kept(oracle)[2:] == spied()
 
 
 def test_non_finite_rates_fail_where_they_start(monkeypatch):
@@ -552,6 +581,96 @@ def test_non_finite_rates_fail_where_they_start(monkeypatch):
     shape = r"^population integration failed: step .* below the float spacing at s = 0\.5$"
     with pytest.raises(SolverError, match=shape):
         evolve_populations(d, FrequencyProfile(), init, horizon=1.0)
+
+
+def nan_past_half(monkeypatch):
+    """Make every rate past s = 0.5 nan, so the integrator fails there."""
+    rates = molcool.oracle._rates
+
+    def patched(d, profile, s):
+        return (math.nan, math.nan) if s > 0.5 else rates(d, profile, s)
+
+    monkeypatch.setattr(molcool.oracle, "_rates", patched)
+
+
+def test_pending_samples_are_reduced_before_a_failure_leaves(monkeypatch):
+    # sample blocks span steps; a failing step must not leave the samples
+    # its predecessors wrote unreduced.  The last accepted step ends a few
+    # float spacings short of s = 0.5, so every sample below it is reduced
+    # (without a flush only the 48 of the last full block would be)
+    nan_past_half(monkeypatch)
+    recorders = []
+
+    def recording(samples, n_levels):
+        recorders.append(RecordingReducer(samples, n_levels))
+        return recorders[-1]
+
+    monkeypatch.setattr(molcool.oracle, "_SampleReducer", recording)
+    d = DimensionlessParams(theta0=0.3, freq_ratio_r=2.0, gamma_tau_g=1.0)
+    init = thermal_vector(0.6, truncation_levels(nu_of(0.3)) + 20)
+    with pytest.raises(SolverError, match="below the float spacing at s = 0.5$"):
+        evolve_populations(d, FrequencyProfile(), init, horizon=1.0)
+    (reducer,) = recorders
+    assert reducer.done == np.searchsorted(reducer.samples, 0.5) == 50
+    assert sum(len(block) for block in reducer.blocks) == reducer.done
+    assert np.all(np.isfinite(reducer.mean_n[: reducer.done]))
+
+
+class PoisonedReducer(_SampleReducer):
+    """A reducer that sets p_0 to -1 at every sample from index `start` on."""
+
+    start = 0
+
+    def add(self, block, moments):
+        block[max(0, self.start - self.done) :, 0] = -1.0
+        super().add(block, moments)
+
+
+def test_a_pending_floor_failure_is_reported_before_a_later_one(monkeypatch):
+    # the rows still pending when the step fails at s = 0.5 fall below the
+    # floor: the first of them is the failure reported, with its own s
+    nan_past_half(monkeypatch)
+    start = 50 // molcool.oracle._BLOCK * molcool.oracle._BLOCK
+    monkeypatch.setattr(PoisonedReducer, "start", start)
+    monkeypatch.setattr(molcool.oracle, "_SampleReducer", PoisonedReducer)
+    d = DimensionlessParams(theta0=0.3, freq_ratio_r=2.0, gamma_tau_g=1.0)
+    init = thermal_vector(0.6, truncation_levels(nu_of(0.3)) + 20)
+    floor = rf"^integrator failure: population -1\.000e\+00 below the .* at s = {start / 100:g}$"
+    with pytest.raises(SolverError, match=floor):
+        evolve_populations(d, FrequencyProfile(), init, horizon=1.0)
+
+
+SHAPES = [
+    FrequencyProfile(),
+    FrequencyProfile(ProfileShape.REVERSED_SINE_CLOSING, duration=2.0),
+    FrequencyProfile(ProfileShape.CONSTANT, level=0.75),
+    FrequencyProfile(
+        ProfileShape.PIECEWISE_LINEAR, breakpoints=((0.0, 1.0), (0.5, 0.6), (1.5, 0.8))
+    ),
+]
+
+
+@pytest.mark.parametrize("profile", SHAPES, ids=lambda p: p.shape.value)
+def test_rates_are_the_checked_occupations(profile):
+    # the oracle's rates skip occupation_at's checks, not its arithmetic
+    d = DimensionlessParams(theta0=0.0055, freq_ratio_r=2.0, gamma_tau_g=0.7)
+    for s in (0.37 * profile.duration, profile.hold_start):
+        nu = occupation_at(d, profile, s)
+        down, up = molcool.oracle._rates(d, profile, s)
+        assert float(down).hex() == (0.7 * (nu + 1.0)).hex()
+        assert float(up).hex() == (0.7 * nu).hex()
+
+
+def test_rates_keep_the_underflow_rule():
+    # theta0 r omega = 800 at the closed end, past the 700 the occupation
+    # underflows at, and 400 at the open end
+    d = DimensionlessParams(theta0=400.0, freq_ratio_r=2.0, gamma_tau_g=1.5)
+    with pytest.warns(OccupationUnderflow):
+        assert molcool.oracle._rates(d, FrequencyProfile(), 0.0) == (1.5, 0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", OccupationUnderflow)
+        down, up = molcool.oracle._rates(d, FrequencyProfile(), 1.0)
+    assert down == 1.5 and 0.0 < up < 1e-170
 
 
 if __name__ == "__main__":
