@@ -265,6 +265,11 @@ class TimeSeriesRecord:
 
 @dataclass(frozen=True)
 class CycleSummary:
+    """A record's headline numbers: its lowest T_ratio, `min_t_ratio`, and
+    the s of its first sample there, `argmin_s`; the `recovery` search
+    from that minimum back to `RECOVERY_TARGET`; and eta at the last
+    sample, `final_eta`."""
+
     min_t_ratio: float
     argmin_s: float
     recovery: RecoveryResult
@@ -603,34 +608,40 @@ def emit_csv(record: TimeSeriesRecord, path) -> None:
 
 def read_csv_record(path) -> TimeSeriesRecord:
     """Parse a file written by emit_csv back into a TimeSeriesRecord: in one pass
-    over its bytes, or, where that fails, row by row, naming the line at fault."""
+    over its bytes, or, where that fails, row by row, naming the line at fault.
+    A record the values cannot make is refused with the file's name."""
     try:
         with open(path, "rb") as fh:
             head, _, body = fh.read().replace(b"\r\n", b"\n").partition(b"\n")
         n = body.count(b"\n")
+        cells = None
         if head == CSV_HEADER.encode() and body.translate(None, _NOT_SEPARATORS) == _ROW_ENDS * n:
             try:  # np.fromstring parses each cell as float() does, with no object per cell
-                cells = np.fromstring(body.replace(b"\n", b","), sep=",")
-                return TimeSeriesRecord(*cells.reshape(n, len(_COLUMNS)).T)
+                cells = np.fromstring(body.replace(b"\n", b","), sep=",").reshape(n, len(_COLUMNS))
             except ValueError:
-                pass  # a bad cell, or a record refused: the row loop names it
-        import csv
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header != _COLUMNS:
-                raise ValueError(f"{path}: expected header {CSV_HEADER!r}, got {header!r}")
-            rows = []
-            for lineno, row in enumerate(reader, start=2):
-                try:
-                    if len(row) != len(_COLUMNS):
-                        raise ValueError(f"expected {len(_COLUMNS)} columns")
-                    rows.append([float(v) for v in row])
-                except ValueError as exc:
-                    raise ValueError(f"{path}:{lineno}: {exc}") from None
+                pass  # a bad cell: the row loop names it
+        if cells is None:
+            import csv
+            with open(path, newline="") as fh:
+                reader = csv.reader(fh)
+                header = next(reader, None)
+                if header != _COLUMNS:
+                    raise ValueError(f"{path}: expected header {CSV_HEADER!r}, got {header!r}")
+                rows = []
+                for lineno, row in enumerate(reader, start=2):
+                    try:
+                        if len(row) != len(_COLUMNS):
+                            raise ValueError(f"expected {len(_COLUMNS)} columns")
+                        rows.append([float(v) for v in row])
+                    except ValueError as exc:
+                        raise ValueError(f"{path}:{lineno}: {exc}") from None
+            cells = np.array(rows, dtype=float).reshape(len(rows), len(_COLUMNS))
     except OSError as exc:
         raise OSError(f"CSV read from {path} failed: {exc}") from exc
-    return TimeSeriesRecord(*np.array(rows, dtype=float).reshape(len(rows), len(_COLUMNS)).T)
+    try:
+        return TimeSeriesRecord(*cells.T)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def emit_sweep_csv(rows, path) -> None:

@@ -46,8 +46,8 @@ before any `SolverError` leaves the integrator (so a floor or tail
 failure at an earlier s is the one reported).  Only the final vector is
 kept, so memory grows as O(levels x 16).  Each step's rows are one
 product written sample-major into the block, allocated once per run, so
-every reduction runs along memory; mean level and mass are linear, so
-each sample's come from the step's differences' own.
+every reduction runs along memory; a block's mean levels and masses are
+one more product, of its clipped levels with the weights [n, 1].
 
 `ladder_levels` sizes the ladder from the cycle's plan, before any
 route runs, and `populations_from_quenched` refuses one of more than
@@ -68,7 +68,7 @@ import numpy as np
 from .errors import SolverError
 from .profiles import FrequencyProfile, _omega_core
 from .solver import SAMPLES_PER_UNIT as _ETA_SAMPLES_PER_UNIT
-from .solver import _check_run, _stage_points, occupation_at
+from .solver import _check_run, occupation_at
 from .thermo import QuenchedState, _nu_core
 from .units import DimensionlessParams
 
@@ -158,17 +158,15 @@ def ladder_levels(d: DimensionlessParams, segments) -> int:
     """n_max for a run through the plan's (start, profile, duration) `segments`.
 
     The largest occupation on the eta routes' sample grids (each up to
-    its hold, past which it repeats), sized by `truncation_levels`; 20
-    more levels keep the one-way tail accumulator clear of its threshold
-    where ceil(40 * nu) alone sits close to it.
+    the first sample in its hold, past which it repeats), sized by
+    `truncation_levels`; 20 more levels keep the one-way tail accumulator
+    clear of its threshold where ceil(40 * nu) alone sits close to it.
     """
     nu_max = 0.0
     for _, prof, duration in segments:
-        n = _check_run(duration, _ETA_SAMPLES_PER_UNIT)
-        # the first sample at or past the hold, or one later under roundoff
-        k = min(n, math.ceil(prof.hold_start / duration * n) + 1)
-        samples = _stage_points(duration, n, 2 * np.arange(k + 1))  # np.linspace's first k + 1
-        nu_max = max(nu_max, float(occupation_at(d, prof, samples).max()))
+        samples = np.linspace(0.0, duration, _check_run(duration, _ETA_SAMPLES_PER_UNIT) + 1)
+        held = int(np.searchsorted(samples[:-1], prof.hold_start))  # the eta routes' rule
+        nu_max = max(nu_max, float(occupation_at(d, prof, samples[: held + 1]).max()))
     return truncation_levels(nu_max) + 20
 
 
@@ -247,29 +245,25 @@ class _SampleReducer:
 
     A block is a (k <= `_BLOCK`, levels + 1) array whose rows hold
     p_0..p_{n_max} and the tail at the next k samples, which may come from
-    several integrator steps; it is read as it is and clipped in place.  Its
-    (k, 2) moments are its levels times the (levels, 2) `weights` [n, 1],
-    each sample's mean level and level mass, which the integrator forms
-    from its differences' own; a clipped block's moments lose its clipped
-    entries' share.  `weights` is the transpose of one contiguous (2, levels)
-    array, so a product with it reads each weight row along memory.  One
-    min pass checks the floor and one max the tail, and only a failed check
-    looks for its sample; the shape residual is reduced in a scratch
-    allocated once per run.
+    several integrator steps; it is read as it is and clipped in place.
+    One min pass checks the floor and one max the tail, and only a failed
+    check looks for its sample.  Each sample's mean level and level mass
+    are the clipped levels times the (levels, 2) `weights` [n, 1], one
+    product per block; `weights` is the transpose of one contiguous
+    (2, levels) array, so the product reads each weight row along memory.
     """
 
     def __init__(self, samples: np.ndarray, n_levels: int):
         self.samples = samples
         self.weights = np.stack([np.arange(n_levels, dtype=float), np.ones(n_levels)]).T
         self.window = min(_SHAPE_WINDOW, n_levels - 1)
-        self.ratios = np.empty((min(_BLOCK, samples.size), self.window))  # shape-residual scratch
         self.mean_n, self.tail_bound, self.mass, self.geometric_residual = (
             np.empty(samples.size) for _ in range(4)
         )
         self.done = 0
         self.last = None
 
-    def add(self, block: np.ndarray, moments: np.ndarray) -> None:
+    def add(self, block: np.ndarray) -> None:
         lo, hi = self.done, self.done + block.shape[0]
         worst = block.min(axis=1)
         floor = worst.min()
@@ -281,7 +275,6 @@ class _SampleReducer:
             )
         if floor < 0.0:
             # forgive sub-floor negative roundoff, in the tail estimate as in the levels
-            moments -= np.minimum(block[:, :-1], 0.0) @ self.weights
             np.maximum(block, 0.0, out=block)
         pops, tails = block[:, :-1], block[:, -1]
         if tails.max() > TAIL_THRESHOLD:
@@ -290,17 +283,15 @@ class _SampleReducer:
                 f"truncation too small: tail bound {tails[k]:.3e} exceeded threshold "
                 f"{TAIL_THRESHOLD:.3e} at s = {self.samples[lo + k]:.6g}; increase n_max"
             )
-        self.mean_n[lo:hi], level_mass = moments.T
+        self.mean_n[lo:hi], level_mass = (pops @ self.weights).T
         self.tail_bound[lo:hi] = tails
         self.mass[lo:hi] = level_mass + tails
         w = self.window
         # an empty level in the window leaves its sample's residual inf or nan
         with np.errstate(divide="ignore", invalid="ignore"):
-            ratios = np.divide(pops[:, 1 : w + 1], pops[:, :w], out=self.ratios[: hi - lo])
-            residual = self.geometric_residual[lo:hi]  # holds the ratios' mean until it is spent
-            np.divide(np.add.reduce(ratios, axis=1, out=residual), w, out=residual)
-            np.subtract(np.divide(ratios, residual[:, None], out=ratios), 1.0, out=ratios)
-            np.maximum.reduce(np.abs(ratios, out=ratios), axis=1, out=residual)
+            ratios = pops[:, 1 : w + 1] / pops[:, :w]
+            mean = ratios.sum(axis=1) / w
+            self.geometric_residual[lo:hi] = np.abs(ratios / mean[:, None] - 1.0).max(axis=1)
         if hi == self.samples.size:
             self.last = pops[-1].copy()
         self.done = hi
@@ -371,10 +362,9 @@ def _evolve_bdf(d, profile, y0, samples, reducer):
     # column n of the generator: up (n + 1) p_n flows to row n + 1 (the tail at n = n_max),
     # down n p_n to row n - 1, and the diagonal loses both; the tail flows nowhere
     n_up, n_down = np.append(np.arange(1.0, y0.size), 0.0), np.append(np.arange(y0.size - 1.0), 0.0)
-    held_rates = _rates(d, profile, profile.hold_start)  # every s from the hold on
 
     def rhs(s, y):  # band(s) . y, for the first step's size only
-        down, up = held_rates if s >= profile.hold_start else _rates(d, profile, s)
+        down, up = _rates(d, profile, s)
         rise, fall = up * n_up * y, down * n_down * y
         dy = -(rise + fall)
         dy[1:] += rise[:-1]
@@ -394,10 +384,10 @@ def _evolve_bdf(d, profile, y0, samples, reducer):
     D[0], D[1] = y0, f0 * h
     # a step's predicted and new state, its vectors (I - c band's diagonals: dl by column,
     # its last entry idle, du by column, its first idle), and the block of samples (with
-    # their moments and coefficients) whose first `pending` rows await the reducer
+    # their coefficients) whose first `pending` rows await the reducer
     pred, (dy, err, dl, dd, du) = np.empty((2, y0.size)), np.empty((5, y0.size))
     rows = min(_BLOCK, samples.size)
-    block, moments = np.empty((rows, y0.size)), np.empty((rows, 2))
+    block = np.empty((rows, y0.size))
     coef = np.ones((rows, _MAX_ORDER + 1))
     held_c = None  # dl, dd, du, du2 and ipiv hold the LU factors of the held I - c band
     order, n_equal, accepted, rejected, done, pending = 1, 0, 0, 0, 0, 0
@@ -417,7 +407,7 @@ def _evolve_bdf(d, profile, y0, samples, reducer):
                 c = h / _ALPHA[order]
                 held = t_new >= profile.hold_start
                 if not (held and c == held_c):
-                    down, up = held_rates if held else _rates(d, profile, t_new)
+                    down, up = _rates(d, profile, t_new)  # a held t_new's are the hold's bits
                     np.multiply(-c * up, n_up, out=dl)
                     np.multiply(-c * down, n_down, out=du)
                     np.subtract(np.subtract(1.0, dl, out=dd), du, out=dd)  # the tail row's is 1
@@ -468,28 +458,25 @@ def _evolve_bdf(d, profile, y0, samples, reducer):
 
             # the samples in (t_old, t], and s = 0 with the first, from the step's polynomial,
             # at the block's next free rows: one product with D[0] folded in by a leading
-            # coefficient of 1, and the samples' mean levels and level masses from the
-            # differences' own; a full block, or the last sample, goes to the reducer
+            # coefficient of 1; a full block, or the last sample, goes to the reducer
             upto = int(np.searchsorted(samples, t, side="right"))
             if upto > done:
                 j = np.arange(order)
                 origin, width = t - h * j, h * (1.0 + j)
-                basis = D[: order + 1, :-1] @ reducer.weights
                 while done < upto:
                     k = min(rows - pending, upto - done)
                     cf = coef[pending : pending + k, : order + 1]
                     x = np.subtract(samples[done : done + k, None], origin, out=cf[:, 1:])
                     np.cumprod(np.divide(x, width, out=x), axis=1, out=x)
                     np.matmul(cf, D[: order + 1], out=block[pending : pending + k])
-                    np.matmul(cf, basis, out=moments[pending : pending + k])
                     pending, done = pending + k, done + k
                     if pending == rows or done == samples.size:
                         # zeroed first, so that a block the reducer refuses is not handed over twice
                         k, pending = pending, 0
-                        reducer.add(block[:k], moments[:k])
+                        reducer.add(block[:k])
     except SolverError:
         # an earlier sample's floor or tail failure is the one reported
         if pending:
-            reducer.add(block[:pending], moments[:pending])
+            reducer.add(block[:pending])
         raise
     return accepted, rejected, n_gtsv, n_gttrf, n_gttrs

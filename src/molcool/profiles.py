@@ -32,6 +32,9 @@ import numpy as np
 
 
 class ProfileShape(Enum):
+    """The shapes omega(s)/omega1 takes over a segment; each value is the
+    shape's name in a config file's [profile] section."""
+
     SINE_OPENING = "sine-opening"
     CONSTANT = "constant"
     PIECEWISE_LINEAR = "piecewise-linear"

@@ -52,12 +52,12 @@ Both routes do the work of a held stretch once.  From the profile's
 forcing there is one number.  The stepper evaluates it only up to the
 first interval that starts in the hold; a held interval's forcing
 differences are exact zeros, so its drive is one value for all of them.
-The kernel route integrates the intervals past the chunk in which the
-hold starts once per distinct width, since their integrands differ in
-the width alone.  Every sample comes out with the bits it would have
-with the forcing evaluated at every point.  A state that meets those
-intervals at the held forcing's equilibrium q = nu + 1 is held at q bit
-for bit: the recurrence would carry it off q by rounding, a few ulps.
+The kernel route integrates the intervals that start in the hold once
+per distinct width, since their integrands differ in the width alone.
+Every sample comes out with the bits it would have with the forcing
+evaluated at every point.  A state that meets those intervals at the
+held forcing's equilibrium q = nu + 1 is held at q bit for bit: the
+recurrence would carry it off q by rounding, a few ulps.
 """
 
 from __future__ import annotations
@@ -317,33 +317,31 @@ def evolve_eta_closed_form(
         return g * np.exp(g * (v - width)) * (occupation_at(d, profile, start + v) + 1.0)
 
     # an interval that starts at or after the hold sees one forcing value,
-    # so its integral depends on its width alone.  The chunks that hold an
-    # interval starting before the hold run whole, so that their pending-
-    # piece cap and error messages are those of a chunk-by-chunk run; the
-    # rest take one quadrature per distinct width
+    # so its integral depends on its width alone: the intervals before the
+    # hold run chunk by chunk, the held ones take one quadrature per
+    # distinct width
     n_ramp = int(np.searchsorted(starts, profile.hold_start))
-    n_chunked = min(n_intervals, -(-n_ramp // _QUAD_CHUNK) * _QUAD_CHUNK)
     # one decay per distinct width; np.linspace's widths take a handful of values
     distinct, width_id = np.unique(widths, return_inverse=True)
     decays = np.array(list(map(math.exp, (-g * distinct).tolist())))[width_id].tolist()
     out = [float(eta0)]
-    for lo in range(0, n_chunked, _QUAD_CHUNK):
-        hi = min(lo + _QUAD_CHUNK, n_chunked)
+    for lo in range(0, n_ramp, _QUAD_CHUNK):
+        hi = min(lo + _QUAD_CHUNK, n_ramp)
         _propagate(out, decays[lo:hi], _simpson_batch(integrand, starts[lo:hi], widths[lo:hi]))
-    if n_chunked < n_intervals:
+    if n_ramp < n_intervals:
         # a state at the held forcing's equilibrium stays there; the
         # recurrence would move it, since decay q + integral rounds off q
         # and the rounding of each width's integral differs
         if out[-1] == float(occupation_at(d, profile, profile.hold_start)) + 1.0:
-            out.extend([out[-1]] * (n_intervals - n_chunked))
+            out.extend([out[-1]] * (n_intervals - n_ramp))
         else:
             # each distinct width of the stretch once, from its first interval
-            ids = width_id[n_chunked:]
+            ids = width_id[n_ramp:]
             held = np.flatnonzero(np.bincount(ids, minlength=distinct.size))
-            first = [n_chunked + int(np.argmax(ids == i)) for i in held.tolist()]
+            first = [n_ramp + int(np.argmax(ids == i)) for i in held.tolist()]
             integrals = np.empty(distinct.size)
             integrals[held] = _simpson_batch(integrand, starts[first], distinct[held])
-            _propagate(out, decays[n_chunked:], integrals[ids])
+            _propagate(out, decays[n_ramp:], integrals[ids])
     out = np.array(out)
     bad = np.flatnonzero(~(out > 1.0))
     if bad.size:

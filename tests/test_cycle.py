@@ -368,6 +368,30 @@ def test_read_csv_names_a_row_of_four_cells(tmp_path):
         read_csv_record(path)
 
 
+@pytest.mark.parametrize("layout", ["emitted", "spaced"])
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        (["0.0,1.0,2.0,1.0,1.0", "1.0,1.0,nan,1.0,1.0"], "record values must all be finite"),
+        (["1.0,1.0,2.0,1.0,1.0", "0.5,1.0,2.0,1.0,1.0"], "sample times must be strictly increasing"),
+    ],
+)
+def test_read_csv_names_the_file_of_a_refused_record(tmp_path, monkeypatch, layout, rows, message):
+    # every cell parses, so the record itself refuses them, on the one-pass
+    # parse ("emitted", which leaves the row loop unread) as on the row loop
+    # ("spaced")
+    import csv
+
+    if layout == "emitted":
+        monkeypatch.setattr(csv, "reader", None)
+    body = "".join(row + "\n" for row in rows)
+    path = tmp_path / f"{layout}.csv"
+    path.write_text(f"{CSV_HEADER}\n" + (body.replace(",", ", ") if layout == "spaced" else body))
+    with pytest.raises(ValueError) as excinfo:
+        read_csv_record(path)
+    assert str(excinfo.value) == f"{path}: {message}"
+
+
 def row_by_row(path):
     """The columns of a CSV file read as `csv.reader` splits it, one float() per cell."""
     import csv

@@ -9,7 +9,7 @@ import pytest
 import scipy.linalg.lapack
 
 import molcool.oracle
-from molcool.cycle import CycleConfig, FiniteDwell, _nearest_indices, run_cycle
+from molcool.cycle import CycleConfig, FiniteDwell, _nearest_indices, _plan_segments, run_cycle
 from molcool.errors import SolverError
 from molcool.oracle import (
     PopulationVector,
@@ -23,7 +23,7 @@ from molcool.oracle import (
     truncation_levels,
 )
 from molcool.profiles import FrequencyProfile, ProfileShape
-from molcool.solver import evolve_eta_closed_form, occupation_at
+from molcool.solver import SAMPLES_PER_UNIT, evolve_eta_closed_form, occupation_at
 from molcool.thermo import OccupationUnderflow, QuenchedState, nu_of
 from molcool.units import DimensionlessParams
 
@@ -177,22 +177,17 @@ def test_run_validation():
         evolve_populations(d, prof, init, horizon=0.0)
 
 
-def add(reducer, block):
-    """Hand `block` to `reducer` with the moments the integrator forms for it."""
-    reducer.add(block, block[:, :-1] @ reducer.weights)
-
-
 def test_sample_reducer_checks_and_clips():
     samples = np.array([0.0, 0.5, 1.0])
     # rows are samples; columns p_0, p_1, p_2 and the tail
     block = np.array([[0.5, 0.3, 0.2, -1e-20], [0.5, 0.3, 0.2, 1e-11]])
     reducer = _SampleReducer(samples, 3)
-    add(reducer, block)
+    reducer.add(block)
     # sub-floor roundoff in the tail is clipped before it is reduced
     assert reducer.tail_bound[0] == 0.0
     assert reducer.mass[0] == 1.0
     assert reducer.mean_n[1] == pytest.approx(0.7, rel=1e-15)
-    add(reducer, np.array([[1.0, 0.0, 0.0, 0.0]]))
+    reducer.add(np.array([[1.0, 0.0, 0.0, 0.0]]))
     traj = reducer.trajectory(0, 0, 0, 0, 0)
     assert np.array_equal(traj.populations, [1.0, 0.0, 0.0])
     # an empty level in the window leaves its residual undefined, not an error
@@ -200,16 +195,16 @@ def test_sample_reducer_checks_and_clips():
 
     negative = np.array([[0.5, 0.5, -1e-13, 0.0]])
     with pytest.raises(SolverError, match=r"integrator failure.*at s = 0$"):
-        add(_SampleReducer(samples, 3), negative)
+        _SampleReducer(samples, 3).add(negative)
     leaking = np.array([[0.5, 0.5, 0.0, 0.0], [0.5, 0.5, 0.0, 2e-10]])
     with pytest.raises(SolverError, match=r"truncation too small.*at s = 0\.5"):
-        add(_SampleReducer(samples, 3), leaking)
+        _SampleReducer(samples, 3).add(leaking)
     # nan compares false against the floor, so it is refused as a failure
     for col in (1, 3):
         poisoned = np.array([[0.5, 0.3, 0.2, 0.0], [0.5, 0.3, 0.2, 0.0]])
         poisoned[1, col] = np.nan
         with pytest.raises(SolverError, match=r"integrator failure: population nan .* at s = 0\.5$"):
-            add(_SampleReducer(samples, 3), poisoned)
+            _SampleReducer(samples, 3).add(poisoned)
 
 
 def column_reference(rows, n_levels):
@@ -235,7 +230,7 @@ def test_sample_reducer_matches_column_reference():
     samples = np.linspace(0.0, 1.0, 6)
     reducer = _SampleReducer(samples, n_levels)
     for block in blocks:
-        add(reducer, block.copy())
+        reducer.add(block.copy())
     traj = reducer.trajectory(0, 0, 0, 0, 0)
     rows = np.vstack(blocks)
     for k, (mean_n, tail, mass, residual) in enumerate(column_reference(rows, n_levels)):
@@ -258,12 +253,12 @@ def test_sample_reducer_clips_only_negative_blocks():
     clipped = np.clip(rows, 0.0, None)
     negative, clean, last = rows[:3].copy(), rows[3:5].copy(), rows[5:].copy()
     reducer = _SampleReducer(np.linspace(0.0, 1.0, 6), n_levels)
-    add(reducer, negative)
+    reducer.add(negative)
     assert np.array_equal(negative, clipped[:3])
-    add(reducer, clean)
+    reducer.add(clean)
     assert np.array_equal(clean, rows[3:5])
     assert reducer.last is None  # not the run's last sample yet
-    add(reducer, last)
+    reducer.add(last)
     traj = reducer.trajectory(0, 0, 0, 0, 0)
     for k, (mean_n, tail, mass, residual) in enumerate(column_reference(clipped, n_levels)):
         assert traj.mean_n[k] == pytest.approx(mean_n, rel=1e-14)
@@ -302,9 +297,9 @@ class RecordingReducer(_SampleReducer):
         super().__init__(samples, n_levels)
         self.blocks = []
 
-    def add(self, block, moments):
+    def add(self, block):
         self.blocks.append(block.copy())
-        super().add(block, moments)
+        super().add(block)
 
 
 def test_streamed_bdf_matches_unstreamed_reference(monkeypatch):
@@ -432,6 +427,37 @@ def test_singular_held_matrix_is_refused(monkeypatch):
     init = thermal_vector(0.6, truncation_levels(nu_of(0.3)) + 20)
     with pytest.raises(SolverError, match=r"^population integration failed: singular at row 7$"):
         evolve_populations(d, FrequencyProfile(), init, horizon=2.0)
+
+
+LADDER_D = DimensionlessParams(theta0=0.0055, freq_ratio_r=2.0, gamma_tau_g=1.0)
+LADDER_SEGMENTS = {
+    # horizon 2 at the eta routes' 2000 samples per unit
+    "sine, hold on a sample": (FrequencyProfile(), 2.0),
+    "sine, hold mid-interval": (FrequencyProfile(duration=0.3), 2.0),
+    "sine, no hold": (FrequencyProfile(duration=5.0), 2.0),
+    "constant": (FrequencyProfile(ProfileShape.CONSTANT, level=0.8), 2.0),
+    "piecewise linear, hold mid-interval": (
+        FrequencyProfile(
+            ProfileShape.PIECEWISE_LINEAR, breakpoints=((0.0, 1.0), (0.4, 0.5), (1.2345, 0.75))
+        ),
+        2.0,
+    ),
+    "reversed closing": (FrequencyProfile(ProfileShape.REVERSED_SINE_CLOSING), 2.0),
+}
+_, DWELL_PLAN = _plan_segments(CycleConfig(LADDER_D, init_mode=FiniteDwell(dwell=3.0)))
+for k, (_, prof, duration) in enumerate(DWELL_PLAN):
+    LADDER_SEGMENTS[f"finite-dwell segment {k}"] = (prof, duration)
+
+
+@pytest.mark.parametrize("name", LADDER_SEGMENTS)
+def test_ladder_levels_match_the_full_sample_grid(name):
+    # the ladder reads the occupation up to the first held sample only; past
+    # it every sample repeats the hold's bits, so the whole grid's largest
+    # occupation is the same
+    prof, duration = LADDER_SEGMENTS[name]
+    grid = np.linspace(0.0, duration, round(duration * SAMPLES_PER_UNIT) + 1)
+    full = truncation_levels(float(occupation_at(LADDER_D, prof, grid).max())) + 20
+    assert ladder_levels(LADDER_D, [(0.0, prof, duration)]) == full
 
 
 @pytest.mark.parametrize("theta0", [0.003, 0.01, 0.3])
@@ -621,9 +647,9 @@ class PoisonedReducer(_SampleReducer):
 
     start = 0
 
-    def add(self, block, moments):
+    def add(self, block):
         block[max(0, self.start - self.done) :, 0] = -1.0
-        super().add(block, moments)
+        super().add(block)
 
 
 def test_a_pending_floor_failure_is_reported_before_a_later_one(monkeypatch):

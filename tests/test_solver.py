@@ -371,8 +371,8 @@ HOLD_PROFILES = {
 def test_held_forcing_is_evaluated_once_with_the_same_bits(name, g, monkeypatch):
     # the routes skip the held stretch's forcing; every bit must stay as if
     # it had been evaluated at every point, with 1 and 3 RK4 substeps per
-    # sample.  32-interval chunks put held intervals past the chunk that
-    # holds the hold's start, where one quadrature per width serves them
+    # sample.  32-interval chunks split the ramp into several, the last
+    # one short, before the held intervals' one quadrature per width
     monkeypatch.setattr("molcool.solver._QUAD_CHUNK", 32)
     profile = HOLD_PROFILES[name]
     d = DimensionlessParams(theta0=0.032, freq_ratio_r=2.0, gamma_tau_g=g)
@@ -386,6 +386,35 @@ def test_held_forcing_is_evaluated_once_with_the_same_bits(name, g, monkeypatch)
         s, eta = full_grid_rk4(d, profile, eta0, 2.0, step_size, 128)
         assert rk4.s.tobytes() == s.tobytes()
         assert rk4.eta.tobytes() == eta.tobytes()
+
+
+@pytest.mark.parametrize(
+    "profile, horizon, ramp, widths",
+    [(OPENING, 10.0, [1024, 976], 5),
+     (FrequencyProfile(shape=ProfileShape.REVERSED_SINE_CLOSING), 1.0, [1024, 976], 0)],
+    ids=["reference opening", "reversed closing"],
+)
+def test_kernel_route_integrates_each_interval_once(profile, horizon, ramp, widths, monkeypatch):
+    # the intervals that start before the hold go in whole chunks from the
+    # first, the last chunk ending at the hold; the held ones are one
+    # quadrature per distinct width, and nothing is integrated twice
+    calls = []
+
+    def spy(f, start, width):
+        calls.append((start.copy(), width.copy()))
+        return _simpson_batch(f, start, width)
+
+    monkeypatch.setattr("molcool.solver._simpson_batch", spy)
+    traj = evolve_eta_closed_form(DEFAULT, profile, horizon=horizon)
+    starts, n_ramp = traj.s[:-1], sum(ramp)
+    assert n_ramp == np.searchsorted(starts, profile.hold_start)
+    assert [start.size for start, _ in calls] == ramp + ([widths] if widths else [])
+    chunked = np.concatenate([start for start, _ in calls[: len(ramp)]])
+    assert chunked.tobytes() == starts[:n_ramp].tobytes()
+    if widths:
+        start, width = calls[-1]
+        assert np.all(start >= profile.hold_start)
+        assert width.tobytes() == np.unique(np.diff(traj.s)[n_ramp:]).tobytes()
 
 
 def test_ode_step_halving_is_converged():
