@@ -1,6 +1,8 @@
 """Command-line interface.
 
-Subcommands: `cycle` (one run), `sweep` (one axis, many runs),
+Subcommands: `cycle` (one run), `sweep` (one axis, many runs, one after
+another in the calling thread; `--workers N` is an accepted upper bound
+on threads, at least 1, that the one thread always meets),
 `convert-units` (dimensionless <-> SI), `reproduce-fig4` (the pinned
 reference cycle with its two anchors checked).
 
@@ -93,7 +95,10 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument(
         "--range", dest="value_range", default=None, help="min:max:count[:log] axis values"
     )
-    sweep.add_argument("--workers", type=int, default=1, help="worker threads (default: 1)")
+    sweep.add_argument(
+        "--workers", type=int, default=1,
+        help="upper bound on threads, at least 1; runs are serial (default: 1)",
+    )
     sweep.set_defaults(func=_cmd_sweep)
 
     conv = commands.add_parser(

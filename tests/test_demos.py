@@ -1,11 +1,14 @@
 """The demos run end to end against the current library API."""
 
+import ast
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+import molcool
 
 ROOT = Path(__file__).resolve().parents[1]
 ORACLE_DEMO = ROOT / "demos" / "oracle_crosscheck.py"
@@ -33,3 +36,18 @@ def test_oracle_crosscheck_demo_runs(tmp_path):
     proc = run_demo(ORACLE_DEMO, tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert "level-ratio spread at the T_ratio minimum" in proc.stdout
+
+
+def molcool_imports(demo):
+    """Each name a demo imports from molcool, as "module.name"."""
+    for node in ast.walk(ast.parse(demo.read_text())):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "molcool":
+            yield from (f"{node.module}.{alias.name}" for alias in node.names)
+        elif isinstance(node, ast.Import):
+            yield from (a.name for a in node.names if a.name.split(".")[0] == "molcool")
+
+
+@pytest.mark.parametrize("demo", DEMOS + [ORACLE_DEMO], ids=lambda d: d.name)
+def test_demo_imports_only_the_public_api(demo):
+    public = {f"molcool.{name}" for name in molcool.__all__}
+    assert set(molcool_imports(demo)) - public == set()

@@ -1,5 +1,7 @@
 """scipy loads only when the Fock-level oracle runs, and then only its LAPACK wrappers;
-csv, configparser and concurrent.futures load only with the calls that use them.
+csv and configparser load only with the calls that use them, and nothing in
+molcool imports concurrent.futures any more (sweeps run in the calling
+thread), which stays in LAZY so that no module-level import brings it back.
 
 Measured in fresh interpreters (2-core Xeon, Python 3.11, scipy 1.17):
 numpy and scipy alone reach 28 MB peak RSS; importing scipy.linalg.lapack
