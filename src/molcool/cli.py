@@ -180,7 +180,10 @@ def _parse_sweep_values(args):
         chunks = [c for c in (chunk.strip() for chunk in args.values.split(",")) if c]
         if not chunks:
             raise ValueError("--values must list at least one number")
-        return tuple(float(c) for c in chunks)
+        try:
+            return tuple(float(c) for c in chunks)
+        except ValueError as exc:
+            raise ValueError(f"--values {args.values!r}: {exc}") from None
     parts = args.value_range.split(":")
     if len(parts) not in (3, 4):
         raise ValueError(f"--range expects min:max:count[:log], got {args.value_range!r}")

@@ -2,7 +2,7 @@
 
 Frequencies are expressed as omega/omega1 (closed-configuration units)
 and times as s = t/tau_open.  Every shape holds its final value past its
-duration, so profiles compose cleanly into multi-segment cycles.
+end, so profiles compose cleanly into multi-segment cycles.
 
 A profile is a schedule only.  The frequency ratio r = omega1/omega0
 is stored once, in the run's `DimensionlessParams`, and `omega_at`
@@ -49,7 +49,10 @@ class FrequencyProfile:
     pairs, s ascending from 0) to PIECEWISE_LINEAR only; other shapes
     reject a `level` other than 1 and any `breakpoints`.  The sine shapes
     run between the closed value 1 and the open value 1/r over `duration`,
-    r being the run's `DimensionlessParams.freq_ratio_r`.
+    r being the run's `DimensionlessParams.freq_ratio_r`.  `duration`
+    applies to the sine shapes only: the constant shape holds from s = 0
+    and the piecewise-linear one from its last breakpoint, and both
+    ignore it.
     """
 
     shape: ProfileShape = ProfileShape.SINE_OPENING

@@ -52,8 +52,9 @@ Both routes do the work of a held stretch once.  From the profile's
 forcing there is one number.  The stepper evaluates it only up to the
 first interval that starts in the hold; a held interval's forcing
 differences are exact zeros, so its drive is one value for all of them.
-The kernel route integrates the intervals that start in the hold once
-per distinct width, since their integrands differ in the width alone.
+The kernel route integrates each distinct width of the intervals that
+start in the hold once, from the stretch's first start: their integrands
+differ in the width alone, so any held start gives the same bits.
 Every sample comes out with the bits it would have with the forcing
 evaluated at every point.  A state that meets those intervals at the
 held forcing's equilibrium q = nu + 1 is held at q bit for bit: the
@@ -115,18 +116,19 @@ def _substeps_per_interval(horizon: float, n_intervals: int, step_size: float) -
     """Equal substeps of at most `step_size` per sample interval.
 
     Checked before a fixed-step route allocates its stage grid of
-    2 * m * n_intervals + 1 points, so a tiny step fails fast instead of
-    exhausting memory.
+    2 * m * n_intervals + 1 points, so a tiny step or a long horizon fails
+    fast instead of exhausting memory.
     """
     if not (math.isfinite(step_size) and step_size >= _MIN_STEP):
         raise SolverError(
             f"step-size underflow: step {step_size} below the smallest usable step {_MIN_STEP}"
         )
     m = max(1, math.ceil(horizon / n_intervals / step_size - 1e-9))
-    if 2 * m * n_intervals + 1 > _MAX_STAGE_POINTS:
+    n_points = 2 * m * n_intervals + 1
+    if n_points > _MAX_STAGE_POINTS:
         raise SolverError(
-            f"step-size underflow: a substep grid of {2 * m * n_intervals + 1} points would "
-            f"exceed memory limits ({_MAX_STAGE_POINTS} allowed)"
+            f"a substep grid of {n_points} points (horizon {horizon:g} at step {step_size:g}) "
+            f"would exceed memory limits ({_MAX_STAGE_POINTS} allowed)"
         )
     return m
 
@@ -148,10 +150,26 @@ def occupation_at(d: DimensionlessParams, profile: FrequencyProfile, s):
     return nu_of(d.theta0 * d.freq_ratio_r * omega_at(profile, s, d.freq_ratio_r))
 
 
-def _check_eta0(eta0: float) -> float:
+def _start_eta(d: DimensionlessParams, eta0: float | None) -> float:
+    """A route's start value: `eta0`, or the thermal eta at the open
+    frequency when it is None."""
+    if eta0 is None:
+        return thermal_eta(d.theta0 * d.freq_ratio_r)
     if not (math.isfinite(eta0) and eta0 > 1.0):
         raise ValueError(f"eta0 must exceed 1 (the ground-state limit), got {eta0}")
     return float(eta0)
+
+
+def _checked_eta(s: np.ndarray, eta: np.ndarray) -> np.ndarray:
+    """`eta`, once every sample is finite and above the ground-state limit 1."""
+    bad = np.flatnonzero(~((eta > 1.0) & (eta < math.inf)))
+    if bad.size:
+        k = bad[0]
+        raise SolverError(
+            f"model violation: eta reached {eta[k]} at s = {s[k]:.6g} "
+            "(at or below the ground-state limit)"
+        )
+    return eta
 
 
 def _substep_coefficients(g, h):
@@ -230,7 +248,7 @@ def evolve_eta_ode(
     """
     n_intervals = _check_run(horizon, samples_per_unit)
     m = _substeps_per_interval(horizon, n_intervals, step_size)
-    eta0 = thermal_eta(d.theta0 * d.freq_ratio_r) if eta0 is None else _check_eta0(eta0)
+    eta0 = _start_eta(d, eta0)
     g = d.gamma_tau_g
 
     def forcing(t):
@@ -276,15 +294,7 @@ def evolve_eta_ode(
                 "limit 2.785"
             )
         _scan(c, x)
-    out = np.add(e, eta0, out=e)
-    bad = np.flatnonzero(~((out > 1.0) & (out < math.inf)))
-    if bad.size:
-        k = bad[0]
-        raise SolverError(
-            f"model violation: eta reached {out[k]} at s = {s[k]:.6g} "
-            "(at or below the ground-state limit)"
-        )
-    return EtaTrajectory(s, out, h)
+    return EtaTrajectory(s, _checked_eta(s, np.add(e, eta0, out=e)), h)
 
 
 def evolve_eta_closed_form(
@@ -307,7 +317,7 @@ def evolve_eta_closed_form(
     involved, which makes this route the authoritative one in cross-checks.
     """
     n_intervals = _check_run(horizon, samples_per_unit)
-    eta0 = thermal_eta(d.theta0 * d.freq_ratio_r) if eta0 is None else _check_eta0(eta0)
+    eta0 = _start_eta(d, eta0)
     g = d.gamma_tau_g
     samples = np.linspace(0.0, horizon, n_intervals + 1)
     starts = samples[:-1]
@@ -324,7 +334,7 @@ def evolve_eta_closed_form(
     # one decay per distinct width; np.linspace's widths take a handful of values
     distinct, width_id = np.unique(widths, return_inverse=True)
     decays = np.array(list(map(math.exp, (-g * distinct).tolist())))[width_id].tolist()
-    out = [float(eta0)]
+    out = [eta0]
     for lo in range(0, n_ramp, _QUAD_CHUNK):
         hi = min(lo + _QUAD_CHUNK, n_ramp)
         _propagate(out, decays[lo:hi], _simpson_batch(integrand, starts[lo:hi], widths[lo:hi]))
@@ -335,22 +345,12 @@ def evolve_eta_closed_form(
         if out[-1] == float(occupation_at(d, profile, profile.hold_start)) + 1.0:
             out.extend([out[-1]] * (n_intervals - n_ramp))
         else:
-            # each distinct width of the stretch once, from its first interval
-            ids = width_id[n_ramp:]
-            held = np.flatnonzero(np.bincount(ids, minlength=distinct.size))
-            first = [n_ramp + int(np.argmax(ids == i)) for i in held.tolist()]
-            integrals = np.empty(distinct.size)
-            integrals[held] = _simpson_batch(integrand, starts[first], distinct[held])
-            _propagate(out, decays[n_ramp:], integrals[ids])
-    out = np.array(out)
-    bad = np.flatnonzero(~(out > 1.0))
-    if bad.size:
-        k = bad[0]
-        raise SolverError(
-            f"model violation: eta reached {out[k]} at s = {samples[k]:.6g} "
-            "(at or below the ground-state limit)"
-        )
-    return EtaTrajectory(samples, out)
+            # each distinct width of the stretch once, all from its first start;
+            # searchsorted costs a third of np.unique's return_inverse
+            held = np.unique(widths[n_ramp:])
+            integrals = _simpson_batch(integrand, np.full(held.size, starts[n_ramp]), held)
+            _propagate(out, decays[n_ramp:], integrals[np.searchsorted(held, widths[n_ramp:])])
+    return EtaTrajectory(samples, _checked_eta(samples, np.array(out)))
 
 
 def _propagate(out, decays, integrals) -> None:
@@ -414,10 +414,10 @@ def recovery_time(traj, target: float = RECOVERY_TARGET) -> RecoveryResult:
     """First s at or after the T_ratio minimum where T_ratio >= target.
 
     Works on records (`cycle.TimeSeriesRecord`), or any object with `s`
-    and `T_ratio` sample arrays.  The sub-sample crossing is
-    located by bisection on the piecewise-linear interpolant between the
-    bracketing samples.  When the trajectory never crosses the target the
-    result carries `recovered=False` and the horizon that was searched.
+    and `T_ratio` sample arrays.  The sub-sample crossing is the root of
+    the straight line through the two bracketing samples.  When the
+    trajectory never crosses the target the result carries
+    `recovered=False` and the horizon that was searched.
     """
     s = np.asarray(traj.s, dtype=float)
     ratio = np.asarray(traj.T_ratio, dtype=float)
@@ -433,18 +433,8 @@ def recovery_time(traj, target: float = RECOVERY_TARGET) -> RecoveryResult:
     above = np.nonzero(ratio[i_min:] >= target)[0]
     if above.size == 0:
         return RecoveryResult(False, None, horizon)
+    # ratio[j - 1] < target <= ratio[j]: the line through the pair crosses once
     j = i_min + int(above[0])
-    # np.interp on the bracketing pair gives the bits it gives on the whole
-    # arrays; it copies any read-only array it is given (a record's columns
-    # are) on every call, so the pair is copied once here
-    s_pair, ratio_pair = s[j - 1:j + 1].copy(), ratio[j - 1:j + 1].copy()
-    lo, hi = float(s_pair[0]), float(s_pair[1])
-    for _ in range(200):
-        if hi - lo <= 1e-12 * max(1.0, abs(hi)):
-            break
-        mid = 0.5 * (lo + hi)
-        if float(np.interp(mid, s_pair, ratio_pair)) >= target:
-            hi = mid
-        else:
-            lo = mid
-    return RecoveryResult(True, hi, horizon)
+    s0, s1 = float(s[j - 1]), float(s[j])
+    r0, r1 = float(ratio[j - 1]), float(ratio[j])
+    return RecoveryResult(True, s0 + (target - r0) / (r1 - r0) * (s1 - s0), horizon)

@@ -347,8 +347,6 @@ def test_short_dwell_runs_with_the_oracle(capsys):
 def test_validation_exit_codes(tmp_path, capsys):
     assert run_cli("cycle", "--ratio", "0.5") == 2
     assert "freq_ratio_r" in capsys.readouterr().err
-    assert run_cli("sweep", "--axis", "theta0", "--values", "a,b") == 2
-    capsys.readouterr()
     # one dwell rule, and one message, for flags and file
     stray_dwell = tmp_path / "dwell.ini"
     stray_dwell.write_text(
@@ -380,6 +378,14 @@ def test_validation_exit_codes(tmp_path, capsys):
         assert f"--workers must be at least 1, got {workers}" in capsys.readouterr().err
 
 
+def test_sweep_values_error_names_its_flag(capsys):
+    # as --range does: the message says which flag held the bad number
+    assert run_cli("sweep", "--axis", "theta0", "--values", "a,b") == 2
+    assert capsys.readouterr().err == (
+        "error: --values 'a,b': could not convert string to float: 'a'\n"
+    )
+
+
 def test_over_stiff_coupling_fails_fast():
     # a separate process, so a hang is caught by the timeout instead of
     # stalling the suite
@@ -403,7 +409,9 @@ def test_oversized_grid_is_refused_before_any_route_allocates(capsys):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert "exceed memory limits" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "(horizon 100000 at step 0.0001) would exceed memory limits" in err
+    assert "step-size underflow" not in err
     assert peak < 1_000_000
 
 

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -413,7 +414,9 @@ def test_kernel_route_integrates_each_interval_once(profile, horizon, ramp, widt
     assert chunked.tobytes() == starts[:n_ramp].tobytes()
     if widths:
         start, width = calls[-1]
-        assert np.all(start >= profile.hold_start)
+        # any held start gives the same bits, so every width starts at the first
+        assert np.all(start == starts[n_ramp])
+        assert starts[n_ramp] >= profile.hold_start
         assert width.tobytes() == np.unique(np.diff(traj.s)[n_ramp:]).tobytes()
 
 
@@ -476,6 +479,12 @@ def test_kernel_route_reports_first_sample_below_ground_state(monkeypatch):
     with pytest.raises(SolverError, match="ground-state limit") as excinfo:
         evolve_eta_closed_form(DEFAULT, OPENING, eta0=1.05, horizon=1.0, samples_per_unit=100)
     assert f"eta reached {eta} at s = 0.05 " in str(excinfo.value)
+    # an eta that overflows is refused as the fixed-step route refuses it
+    monkeypatch.setattr(
+        "molcool.solver._simpson_batch", lambda f, start, width: np.full(start.size, np.inf)
+    )
+    with pytest.raises(SolverError, match="eta reached inf at s = 0.01 "):
+        evolve_eta_closed_form(DEFAULT, OPENING, eta0=1.05, horizon=1.0, samples_per_unit=100)
 
 
 def test_step_size_underflow():
@@ -519,6 +528,12 @@ def test_recovery_time_default_cycle():
     # the reported time sits on the interpolated crossing
     crossing = float(np.interp(rec.s, traj.s, traj.T_ratio))
     assert 0.0 <= crossing - 0.997 <= 1e-9
+
+
+def test_recovery_time_is_the_interpolant_root():
+    # the line from (1, 0.5) to (2, 1) meets 0.997 at s = 1 + 0.497/0.5 exactly
+    traj = SimpleNamespace(s=np.array([0.0, 1.0, 2.0]), T_ratio=np.array([1.0, 0.5, 1.0]))
+    assert recovery_time(traj, target=0.997) == RecoveryResult(True, 1.994, 2.0)
 
 
 def test_recovery_time_edge_cases():
