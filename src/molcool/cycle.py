@@ -790,13 +790,15 @@ def serialize_config(cfg: CycleConfig) -> str:
         "gamma_tau_g": repr(d.gamma_tau_g),
     }
     if cfg.profile != FrequencyProfile():
-        prof = {"shape": cfg.profile.shape.value, "duration": repr(cfg.profile.duration)}
+        prof = {"shape": cfg.profile.shape.value}
         if cfg.profile.shape is ProfileShape.CONSTANT:
             prof["level"] = repr(cfg.profile.level)
-        if cfg.profile.shape is ProfileShape.PIECEWISE_LINEAR:
+        elif cfg.profile.shape is ProfileShape.PIECEWISE_LINEAR:
             prof["breakpoints"] = ", ".join(
                 f"{repr(sv)}:{repr(wv)}" for sv, wv in cfg.profile.breakpoints
             )
+        else:
+            prof["duration"] = repr(cfg.profile.duration)
         cp["profile"] = prof
     run = {"init_mode": cfg.init_mode.name}
     if isinstance(cfg.init_mode, FiniteDwell):

@@ -52,7 +52,7 @@ class FrequencyProfile:
     r being the run's `DimensionlessParams.freq_ratio_r`.  `duration`
     applies to the sine shapes only: the constant shape holds from s = 0
     and the piecewise-linear one from its last breakpoint, and both
-    ignore it.
+    reject a `duration` other than 1.
     """
 
     shape: ProfileShape = ProfileShape.SINE_OPENING
@@ -63,6 +63,10 @@ class FrequencyProfile:
     def __post_init__(self):
         if not (math.isfinite(self.duration) and self.duration > 0.0):
             raise ValueError(f"duration must be positive, got {self.duration}")
+        if self.duration != 1.0 and self.shape in (
+            ProfileShape.CONSTANT, ProfileShape.PIECEWISE_LINEAR
+        ):
+            raise ValueError(f"duration applies to the sine shapes only, not {self.shape.value}")
         if self.shape is ProfileShape.CONSTANT:
             if not (math.isfinite(self.level) and self.level > 0.0):
                 raise ValueError(f"constant profile needs a positive level, got {self.level}")

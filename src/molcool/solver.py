@@ -45,7 +45,14 @@ a time: each bisection level evaluates the forcing at all pending pieces
 in one `omega_at`/`nu_of` call, as the stepper does, and halves only the
 pieces that miss their tolerance.  Too many pending pieces, or too deep a
 bisection, raises `SolverError` naming the `s` range, so over-stiff
-coupling fails fast instead of hanging or exhausting memory.
+coupling fails fast instead of hanging or exhausting memory.  The
+recurrence eta[k+1] = decay_k eta[k] + integral_k is a Python loop (each
+step needs the last), and `_propagate` runs it in place in the
+preallocated eta array through memoryviews: no sample passes through a
+Python list, whose float objects would keep their allocator's arenas
+resident past the route.  Neither route calls `np.unique` without an
+index output, or `np.union1d`: in numpy 2 those take a hashing path
+whose masked-array check imports `numpy.ma`, which a run does not need.
 
 Both routes do the work of a held stretch once.  From the profile's
 `hold_start` on, `omega_at` returns the same bits at every s, so the
@@ -189,9 +196,10 @@ def _split_at_kinks(profile, s, m, g, eta0, forcing, c, x) -> None:
     k_of = np.searchsorted(s, kinks, side="right") - 1
     inside = (k_of < n_intervals) & (s[k_of] < kinks)
     n_sub = m * n_intervals
-    for k in np.unique(k_of[inside]).tolist():
+    # sorted(set()) and return_inverse keep off np.unique's hash path, which imports numpy.ma
+    for k in sorted(set(k_of[inside].tolist())):
         edges = _stage_points(s[-1], n_sub, np.arange(2 * m * k, 2 * m * (k + 1) + 1, 2))
-        edges = np.union1d(edges, kinks[k_of == k])
+        edges = np.unique(np.concatenate([edges, kinks[k_of == k]]), return_inverse=True)[0]
         h = np.diff(edges)
         alpha, q = _substep_coefficients(g, h)
         r = 1.0 - g * alpha
@@ -333,32 +341,38 @@ def evolve_eta_closed_form(
     n_ramp = int(np.searchsorted(starts, profile.hold_start))
     # one decay per distinct width; np.linspace's widths take a handful of values
     distinct, width_id = np.unique(widths, return_inverse=True)
-    decays = np.array(list(map(math.exp, (-g * distinct).tolist())))[width_id].tolist()
-    out = [eta0]
+    decays = memoryview(np.array(list(map(math.exp, (-g * distinct).tolist())))[width_id])
+    eta = np.empty(n_intervals + 1)
+    eta[0] = eta0
     for lo in range(0, n_ramp, _QUAD_CHUNK):
         hi = min(lo + _QUAD_CHUNK, n_ramp)
-        _propagate(out, decays[lo:hi], _simpson_batch(integrand, starts[lo:hi], widths[lo:hi]))
+        _propagate(eta, lo, decays[lo:hi], _simpson_batch(integrand, starts[lo:hi], widths[lo:hi]))
     if n_ramp < n_intervals:
         # a state at the held forcing's equilibrium stays there; the
         # recurrence would move it, since decay q + integral rounds off q
         # and the rounding of each width's integral differs
-        if out[-1] == float(occupation_at(d, profile, profile.hold_start)) + 1.0:
-            out.extend([out[-1]] * (n_intervals - n_ramp))
+        if eta[n_ramp] == float(occupation_at(d, profile, profile.hold_start)) + 1.0:
+            eta[n_ramp + 1:] = eta[n_ramp]
         else:
             # each distinct width of the stretch once, all from its first start;
-            # searchsorted costs a third of np.unique's return_inverse
-            held = np.unique(widths[n_ramp:])
+            # return_inverse keeps off np.unique's hash path, which imports numpy.ma
+            held, held_id = np.unique(widths[n_ramp:], return_inverse=True)
             integrals = _simpson_batch(integrand, np.full(held.size, starts[n_ramp]), held)
-            _propagate(out, decays[n_ramp:], integrals[np.searchsorted(held, widths[n_ramp:])])
-    return EtaTrajectory(samples, _checked_eta(samples, np.array(out)))
+            _propagate(eta, n_ramp, decays[n_ramp:], integrals[held_id])
+    return EtaTrajectory(samples, _checked_eta(samples, eta))
 
 
-def _propagate(out, decays, integrals) -> None:
-    """Append eta <- decay eta + integral to out, one sample per interval."""
-    eta = out[-1]
-    for decay, value in zip(decays, integrals.tolist()):
-        eta = decay * eta + value
-        out.append(eta)
+def _propagate(eta, k, decays, integrals) -> None:
+    """eta[k+1+i] = decays[i] eta[k+i] + integrals[i] for every i, in place in
+    the float64 array eta.  eta and the float64 array integrals are accessed
+    through memoryviews, and decays should be one too, so no sample is held
+    in a Python list."""
+    out = memoryview(eta)
+    value = out[k]
+    for decay, integral in zip(decays, memoryview(integrals)):
+        value = decay * value + integral
+        k += 1
+        out[k] = value
 
 
 def _simpson_batch(f, start, width):

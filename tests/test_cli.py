@@ -384,6 +384,8 @@ def test_sweep_values_error_names_its_flag(capsys):
     assert capsys.readouterr().err == (
         "error: --values 'a,b': could not convert string to float: 'a'\n"
     )
+    assert run_cli("sweep", "--axis", "theta0", "--values", ",") == 2
+    assert capsys.readouterr().err == "error: --values must list at least one number\n"
 
 
 def test_over_stiff_coupling_fails_fast():

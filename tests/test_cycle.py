@@ -343,6 +343,10 @@ def test_empty_record_emits_header_only(tmp_path):
     emit_csv(empty, path)
     assert path.read_text() == CSV_HEADER + "\n"
     assert len(read_csv_record(path)) == 0
+    # a plot of no samples is refused, not written
+    with pytest.raises(ValueError, match="cannot emit a plot script for an empty record"):
+        emit_plot_script(empty, tmp_path / "cycle_plot.py")
+    assert not (tmp_path / "cycle_plot.py").exists()
 
 
 def test_read_csv_rejects_foreign_header(tmp_path):
@@ -803,7 +807,6 @@ def test_config_roundtrips_exactly():
             dimensionless=DimensionlessParams(theta0=0.1, freq_ratio_r=2.5, gamma_tau_g=0.3),
             profile=FrequencyProfile(
                 shape=ProfileShape.PIECEWISE_LINEAR,
-                duration=2.0,
                 breakpoints=((0.0, 1.0), (0.7, 0.4), (2.0, 1.0)),
             ),
             init_mode=FiniteDwell(dwell=3.5),
@@ -825,6 +828,9 @@ def test_config_roundtrips_exactly():
         configs.append(replace(default_cycle_config(), output_dir=directory))
     for cfg in configs:
         assert parse_config(serialize_config(cfg)) == cfg
+    # duration is written for the sine shapes only, which are the shapes that take it
+    written = [("duration = " in serialize_config(cfg)) for cfg in configs[1:4]]
+    assert written == [False, True, False]
 
 
 def test_config_parse_errors():
@@ -856,11 +862,15 @@ def test_config_parse_errors():
         parse_config("not an ini file at all [")
     with pytest.raises(ValueError, match="unsupported output format 'json'"):
         parse_config(good + "\n[output]\nformat = json\n")
+    with pytest.raises(ValueError, match="not a boolean: 'maybe'"):
+        parse_config(good.replace("with_oracle = false", "with_oracle = maybe"))
     # keys of another shape are rejected, not kept where they would break the roundtrip
     with pytest.raises(ValueError, match="level applies to the constant shape only"):
         parse_config(good + "\n[profile]\nshape = sine-opening\nlevel = 0.3\n")
     with pytest.raises(ValueError, match="breakpoints apply to the piecewise-linear shape only"):
         parse_config(good + "\n[profile]\nshape = sine-opening\nbreakpoints = 0:1, 1:0.5\n")
+    with pytest.raises(ValueError, match="duration applies to the sine shapes only, not constant"):
+        parse_config(good + "\n[profile]\nshape = constant\nlevel = 0.5\nduration = 2\n")
     # a directory that would come back as another one is refused, not written
     for directory, read in (("runs/a #1", "runs/a"), (" runs/b", "runs/b")):
         with pytest.raises(ValueError, match=re.escape(f"output_dir {directory!r} would read back")):

@@ -15,6 +15,11 @@ csv, configparser and concurrent.futures (which brings logging, queue
 and traceback with it) serve neither `import molcool` nor `reproduce-fig4`;
 `python -X importtime` put them at ~9.5 ms of every CLI start on the
 same machine.
+
+numpy.ma serves neither reference command (`reproduce-fig4` and the
+dwell-3 `cycle`), but numpy 2 imports it from `np.unique` called without
+an index output and from `np.union1d`; imported alone it cost 12-15 ms
+and 1.2 MB on the same machine.
 """
 
 import os
@@ -27,7 +32,7 @@ ROOT = Path(__file__).resolve().parents[1]
 SCRIPT = """
 import sys
 
-LAZY = ("scipy", "csv", "configparser", "concurrent.futures")
+LAZY = ("scipy", "csv", "configparser", "concurrent.futures", "numpy.ma")
 
 import molcool
 for name in LAZY:
@@ -37,6 +42,10 @@ import molcool.cli
 assert molcool.cli.main(["reproduce-fig4", "--out", sys.argv[1]]) == 0
 for name in LAZY:
     assert name not in sys.modules, f"{name} loaded by reproduce-fig4"
+dwell3 = ["cycle", "--init-mode", "finite-dwell", "--dwell", "3", "--out", sys.argv[1]]
+assert molcool.cli.main(dwell3) == 0
+for name in LAZY:
+    assert name not in sys.modules, f"{name} loaded by the dwell-3 cycle"
 
 from molcool.cycle import CycleConfig, run_cycle
 from molcool.units import DimensionlessParams

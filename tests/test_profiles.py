@@ -91,7 +91,7 @@ def test_hold_start_per_shape():
     assert FrequencyProfile(duration=0.3).hold_start == 0.3
     closing = FrequencyProfile(shape=ProfileShape.REVERSED_SINE_CLOSING)
     assert closing.hold_start == 1.0
-    constant = FrequencyProfile(shape=ProfileShape.CONSTANT, duration=4.0)
+    constant = FrequencyProfile(shape=ProfileShape.CONSTANT)
     assert constant.hold_start == 0.0
     pts = ((0.0, 1.0), (0.5, 0.6), (2.0, 0.9))
     prof = FrequencyProfile(shape=ProfileShape.PIECEWISE_LINEAR, breakpoints=pts)
@@ -147,6 +147,17 @@ def test_rejects_negative_time():
         omega_at(prof, math.nan, 2.0)
 
 
+def test_duration_is_refused_where_it_would_be_ignored():
+    pts = {"breakpoints": ((0.0, 1.0), (2.0, 0.5))}
+    for shape, extra in ((ProfileShape.CONSTANT, {}), (ProfileShape.PIECEWISE_LINEAR, pts)):
+        message = f"duration applies to the sine shapes only, not {shape.value}"
+        with pytest.raises(ValueError, match=message):
+            FrequencyProfile(shape, duration=4.0, **extra)
+        assert FrequencyProfile(shape, duration=1.0, **extra) == FrequencyProfile(shape, **extra)
+    for shape in (ProfileShape.SINE_OPENING, ProfileShape.REVERSED_SINE_CLOSING):
+        assert FrequencyProfile(shape, duration=4.0).hold_start == 4.0
+
+
 def test_profile_validation():
     with pytest.raises(ValueError, match="duration"):
         FrequencyProfile(duration=0.0)
@@ -171,6 +182,9 @@ def test_profile_validation():
             shape=ProfileShape.PIECEWISE_LINEAR,
             breakpoints=((0.0, 1.0), (1.0, 0.0)),
         )
+    for bad in ((math.inf, 0.5), (1.0, math.nan)):
+        with pytest.raises(ValueError, match="breakpoints must be finite"):
+            FrequencyProfile(shape=ProfileShape.PIECEWISE_LINEAR, breakpoints=((0.0, 1.0), bad))
     # shape-specific fields are refused on every other shape
     with pytest.raises(ValueError, match="level applies to the constant shape only"):
         FrequencyProfile(level=0.3)

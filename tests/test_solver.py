@@ -16,6 +16,7 @@ from molcool.solver import (
     _QUAD_CHUNK,
     RecoveryResult,
     _check_run,
+    _propagate,
     _scan,
     _simpson_batch,
     _split_at_kinks,
@@ -420,6 +421,20 @@ def test_kernel_route_integrates_each_interval_once(profile, horizon, ramp, widt
         assert width.tobytes() == np.unique(np.diff(traj.s)[n_ramp:]).tobytes()
 
 
+@pytest.mark.parametrize("k, n", [(0, 7), (3, 4), (5, 0)], ids=["k = 0", "k > 0", "no intervals"])
+def test_propagate_matches_a_plain_loop(k, n):
+    # the recurrence writes eta[k+1..k+n] in place and touches nothing else
+    rng = np.random.default_rng(11)
+    decays, integrals = rng.uniform(0.5, 1.0, n), rng.uniform(0.0, 2.0, n)
+    eta = np.full(k + n + 3, np.nan)
+    eta[k] = 1.5
+    expected = eta.tolist()
+    for i in range(n):
+        expected[k + 1 + i] = float(decays[i]) * expected[k + i] + float(integrals[i])
+    _propagate(eta, k, memoryview(decays), integrals)
+    assert eta.tobytes() == np.array(expected).tobytes()
+
+
 def test_ode_step_halving_is_converged():
     coarse = evolve_eta_ode(DEFAULT, OPENING, horizon=2.0, samples_per_unit=200)
     fine = evolve_eta_ode(
@@ -546,6 +561,9 @@ def test_recovery_time_edge_cases():
     assert never == RecoveryResult(False, None, 10.0)
     with pytest.raises(ValueError, match="target must be positive"):
         recovery_time(traj, target=0.0)
+    one = SimpleNamespace(s=np.array([0.0]), T_ratio=np.array([0.5]))
+    with pytest.raises(ValueError, match="trajectory needs at least two samples"):
+        recovery_time(one)
 
 
 def test_recovery_faster_at_stronger_coupling():

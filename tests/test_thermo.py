@@ -48,6 +48,8 @@ def test_nu_of_rejects_nonpositive():
         nu_of(0.0)
     with pytest.raises(ValueError):
         nu_of(-0.1)
+    with pytest.raises(ValueError, match="theta must not be empty"):
+        nu_of([])
 
 
 def test_nu_of_vectorized():
@@ -98,6 +100,8 @@ def test_temperature_ratio_monotone_in_eta():
 def test_ground_state_guard():
     with pytest.raises(ValueError, match="ground-state limit"):
         ratio_from_eta(1.0 + 1e-13, 0.032)
+    with pytest.raises(ValueError, match="theta_now must be positive and finite"):
+        ratio_from_eta(2.0, 0.0)
     with pytest.raises(ValueError):
         QuenchedState(eta=1.0)
     with pytest.raises(ValueError):

@@ -80,6 +80,11 @@ def test_omega_from_kappa_rejects_bad_mu():
         omega_from_kappa(0.5, 0.0, -1.0)
 
 
+def test_omega_from_kappa_rejects_negative_kappa_t():
+    with pytest.raises(ValueError, match="kappa_t must be >= 0 and finite, got -0.1"):
+        omega_from_kappa(0.5, -0.1, 0.5)
+
+
 def _params_for_tau_osc(tau_osc, temperature=300.0):
     # pick mass=1 and the spring that makes the open frequency 2*pi/tau_osc
     omega0 = 2.0 * math.pi / tau_osc
