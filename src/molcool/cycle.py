@@ -783,27 +783,28 @@ def serialize_config(cfg: CycleConfig) -> str:
     an output_dir it would read back differently (one with " #") is refused."""
     import configparser
     cp = configparser.ConfigParser(interpolation=None)
+
+    def num(x) -> str:  # repr(float): a numpy scalar's repr is not a literal float() reads
+        return repr(float(x))
+
     d = cfg.dimensionless
     cp["dimensionless"] = {
-        "theta0": repr(d.theta0),
-        "freq_ratio_r": repr(d.freq_ratio_r),
-        "gamma_tau_g": repr(d.gamma_tau_g),
+        key: num(getattr(d, key)) for key in ("theta0", "freq_ratio_r", "gamma_tau_g")
     }
     if cfg.profile != FrequencyProfile():
         prof = {"shape": cfg.profile.shape.value}
         if cfg.profile.shape is ProfileShape.CONSTANT:
-            prof["level"] = repr(cfg.profile.level)
+            prof["level"] = num(cfg.profile.level)
         elif cfg.profile.shape is ProfileShape.PIECEWISE_LINEAR:
-            prof["breakpoints"] = ", ".join(
-                f"{repr(sv)}:{repr(wv)}" for sv, wv in cfg.profile.breakpoints
-            )
+            points = cfg.profile.breakpoints
+            prof["breakpoints"] = ", ".join(f"{num(s)}:{num(w)}" for s, w in points)
         else:
-            prof["duration"] = repr(cfg.profile.duration)
+            prof["duration"] = num(cfg.profile.duration)
         cp["profile"] = prof
     run = {"init_mode": cfg.init_mode.name}
     if isinstance(cfg.init_mode, FiniteDwell):
-        run["dwell"] = repr(cfg.init_mode.dwell)
-    run["horizon"] = repr(cfg.horizon)
+        run["dwell"] = num(cfg.init_mode.dwell)
+    run["horizon"] = num(cfg.horizon)
     run["with_oracle"] = "true" if cfg.with_oracle else "false"
     cp["run"] = run
     if cfg.output_dir is not None:

@@ -25,29 +25,30 @@ NDF method of orders 1-5 (Shampine & Reichelt, SIAM J. Sci. Comput. 18,
 1997) with scipy's coefficients and step control.  The law is linear:
 each attempted step solves (I - c band) y_new = y_pred - psi for its
 new state exactly, with no Newton iteration, on I - c band written from
-the two rates.  Before the profile's `hold_start` that is one LAPACK
-tridiagonal solve (dgtsv), as the band changes every step.  From it on
-every s maps to the hold's one band, so I - c band is factored (dgttrf)
-only when c = h/alpha changes, and each step solves on the kept factors
-(dgttrs).  The matrix is an M-matrix, so partial pivoting swaps no row
-and the kept factors repeat dgtsv's arithmetic bit for bit.
+the two rates, from the eta routes' `occupation_at`.  Before the
+profile's `hold_start` that is one LAPACK tridiagonal solve (dgtsv), as
+the band changes every step.  From it on every s maps to the hold's one
+band, so I - c band is factored (dgttrf) only when c = h/alpha changes,
+and each step solves on the kept factors (dgttrs).  The matrix is an
+M-matrix, so partial pivoting swaps no row and the kept factors repeat
+dgtsv's arithmetic bit for bit.
 
 A step takes the step controller's own h, not the difference of the
 times it joins; only the last, clipped to the run's end, takes
 h = t_end - t.  So an unchanged step size gives the same c, bit for
 bit, and the held factors are reused.
 
-Samples are read from each step's interpolating polynomial into one
-block of at most `_BLOCK` = 16 rows, which spans steps: each step
-writes its samples at the block's next free row, and the block is
-checked and reduced to per-sample mean level, tail, total mass and
-geometric-shape residual when it is full, at the last sample, and
-before any `SolverError` leaves the integrator (so a floor or tail
-failure at an earlier s is the one reported).  Only the final vector is
-kept, so memory grows as O(levels x 16).  Each step's rows are one
-product written sample-major into the block, allocated once per run, so
-every reduction runs along memory; a block's mean levels and masses are
-one more product, of its clipped levels with the weights [n, 1].
+Samples, on the eta routes' `_grid`, are read from each step's
+interpolating polynomial into one block of at most `_BLOCK` = 16 rows,
+which spans steps: each step writes its samples at the block's next
+free row, and the block is checked and reduced to per-sample mean level,
+tail, total mass and geometric-shape residual when it is full, at the
+last sample, and before any `SolverError` leaves the integrator (so a
+floor or tail failure at an earlier s is the one reported).  Only the
+final vector is kept, so memory grows as O(levels x 16).  Each step's
+rows are one product written sample-major into the block, allocated once
+per run, so every reduction runs along memory; a block's mean levels and
+masses are one more product, of its clipped levels with the weights [n, 1].
 
 `ladder_levels` sizes the ladder from the cycle's plan, before any
 route runs, and `populations_from_quenched` refuses one of more than
@@ -66,10 +67,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SolverError
-from .profiles import FrequencyProfile, _omega_core
+from .profiles import FrequencyProfile
 from .solver import SAMPLES_PER_UNIT as _ETA_SAMPLES_PER_UNIT
-from .solver import _check_run, occupation_at
-from .thermo import QuenchedState, _nu_core
+from .solver import _grid, occupation_at
+from .thermo import QuenchedState
 from .units import DimensionlessParams
 
 SAMPLES_PER_UNIT = 100  # output samples per tau_open
@@ -157,16 +158,15 @@ def truncation_levels(nu_max: float) -> int:
 def ladder_levels(d: DimensionlessParams, segments) -> int:
     """n_max for a run through the plan's (start, profile, duration) `segments`.
 
-    The largest occupation on the eta routes' sample grids (each up to
-    the first sample in its hold, past which it repeats), sized by
+    The largest occupation on the eta routes' `_grid`s (each up to the
+    first sample in its hold, past which it repeats), sized by
     `truncation_levels`; 20 more levels keep the one-way tail accumulator
     clear of its threshold where ceil(40 * nu) alone sits close to it.
     """
     nu_max = 0.0
     for _, prof, duration in segments:
-        samples = np.linspace(0.0, duration, _check_run(duration, _ETA_SAMPLES_PER_UNIT) + 1)
-        held = int(np.searchsorted(samples[:-1], prof.hold_start))  # the eta routes' rule
-        nu_max = max(nu_max, float(occupation_at(d, prof, samples[: held + 1]).max()))
+        s, held = _grid(duration, _ETA_SAMPLES_PER_UNIT, prof.hold_start)
+        nu_max = max(nu_max, float(occupation_at(d, prof, s[: held + 1]).max()))
     return truncation_levels(nu_max) + 20
 
 
@@ -208,9 +208,8 @@ def mean_occupation(pv: PopulationVector) -> float:
 
 
 def _rates(d: DimensionlessParams, profile: FrequencyProfile, s: float):
-    """(down, up) per-quantum rates g (nu + 1) and g nu at a step's s >= 0, from
-    `occupation_at`'s cores without its input checks: the same bits, for less."""
-    occ = _nu_core(d.theta0 * d.freq_ratio_r * _omega_core(profile, s, d.freq_ratio_r))
+    """(down, up) per-quantum rates g (nu + 1) and g nu at a step's s >= 0."""
+    occ = occupation_at(d, profile, s)
     g = d.gamma_tau_g
     return g * (occ + 1.0), g * occ
 
@@ -233,8 +232,7 @@ def evolve_populations(
     failure) or the tail estimate exceeds `TAIL_THRESHOLD` (truncation
     too small for the schedule).
     """
-    n_intervals = _check_run(horizon, samples_per_unit)
-    samples = np.linspace(0.0, horizon, n_intervals + 1)
+    samples, _ = _grid(horizon, samples_per_unit, profile.hold_start)
     reducer = _SampleReducer(samples, init.p.size)
     y0 = np.concatenate([init.p, [init.tail_bound]])
     return reducer.trajectory(*_evolve_bdf(d, profile, y0, samples, reducer))

@@ -17,9 +17,9 @@ the forcing of a held stretch once instead of at every point of it.
 fixed-step solver splits its substeps there.
 
 `omega_at` checks its s and then runs `_omega_core`, the one place
-omega(s) is computed.  A caller whose s is already known good (the
-oracle's step times, all finite and >= 0) calls the core directly and
-gets the same bits without paying for the checks.
+omega(s) is computed.  `solver.occupation_at`, on the package's own
+grids (all finite and >= 0), calls the core directly and gets the same
+bits without paying for the checks.
 """
 
 from __future__ import annotations

@@ -12,8 +12,10 @@ evaluated by adaptive quadrature (`evolve_eta_closed_form`).  The cycle
 engine cross-checks one against the other on every run.  A route returns
 its samples s and eta alone; the cycle's record derives the observables.
 
-The stepper is classical RK4 on the stage grid of substep edges and
-midpoints, with no loop over substeps or samples.  For this linear law
+Both routes and the oracle read one sample grid (`_grid`) and one
+occupation evaluator (`occupation_at`).  The stepper is classical RK4
+on each interval's substep edges and midpoints, offsets j h/2 from its
+sample, with no loop over substeps or samples.  For this linear law
 one substep of size h is exactly
 
     eta + alpha (u0 - g eta) + (h/6) (Q (um - u0) + (u1 - u0)),
@@ -42,7 +44,7 @@ its independence.
 
 The kernel route's adaptive Simpson runs on `_QUAD_CHUNK` intervals at
 a time: each bisection level evaluates the forcing at all pending pieces
-in one `omega_at`/`nu_of` call, as the stepper does, and halves only the
+in one `occupation_at` call, as the stepper does, and halves only the
 pieces that miss their tolerance.  Too many pending pieces, or too deep a
 bisection, raises `SolverError` naming the `s` range, so over-stiff
 coupling fails fast instead of hanging or exhausting memory.  The
@@ -59,13 +61,13 @@ Both routes do the work of a held stretch once.  From the profile's
 forcing there is one number.  The stepper evaluates it only up to the
 first interval that starts in the hold; a held interval's forcing
 differences are exact zeros, so its drive is one value for all of them.
-The kernel route integrates each distinct width of the intervals that
-start in the hold once, from the stretch's first start: their integrands
-differ in the width alone, so any held start gives the same bits.
-Every sample comes out with the bits it would have with the forcing
-evaluated at every point.  A state that meets those intervals at the
-held forcing's equilibrium q = nu + 1 is held at q bit for bit: the
-recurrence would carry it off q by rounding, a few ulps.
+The kernel route integrates each distinct width of the run's intervals
+once, from the stretch's first start: held integrands differ in the
+width alone, so any held start gives the same bits.  Every sample comes
+out with the bits it would have with the forcing evaluated at every
+point.  A state that meets the held intervals at the held forcing's
+equilibrium q = nu + 1 is held at q bit for bit: the recurrence would
+carry it off q by rounding, a few ulps.
 """
 
 from __future__ import annotations
@@ -76,8 +78,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SolverError
-from .profiles import FrequencyProfile, omega_at
-from .thermo import nu_of, thermal_eta
+from .profiles import FrequencyProfile, _omega_core
+from .thermo import _nu_core, thermal_eta
 from .units import DimensionlessParams
 
 SAMPLES_PER_UNIT = 2000  # both routes' output samples per tau_open
@@ -119,6 +121,14 @@ def _check_run(horizon, samples_per_unit) -> int:
     return max(1, int(round(horizon * samples_per_unit)))
 
 
+def _grid(horizon, samples_per_unit, hold_start) -> tuple[np.ndarray, int]:
+    """(s, n_ramp): every route's samples over `horizon`, np.linspace over
+    `_check_run`'s intervals, and the index of the first interval that
+    starts at or after `hold_start` (the interval count when none does)."""
+    s = np.linspace(0.0, horizon, _check_run(horizon, samples_per_unit) + 1)
+    return s, int(np.searchsorted(s[:-1], hold_start))
+
+
 def _substeps_per_interval(horizon: float, n_intervals: int, step_size: float) -> int:
     """Equal substeps of at most `step_size` per sample interval.
 
@@ -140,26 +150,17 @@ def _substeps_per_interval(horizon: float, n_intervals: int, step_size: float) -
     return m
 
 
-def _stage_points(horizon: float, n_sub: int, idx: np.ndarray) -> np.ndarray:
-    """np.linspace(0.0, horizon, 2 * n_sub + 1)[idx], without the whole grid.
-
-    linspace computes point i as i * (horizon / (2 n_sub)) and sets the
-    last point to `horizon` itself; so does this.
-    """
-    ts = idx * (horizon / (2 * n_sub))
-    ts[idx == 2 * n_sub] = horizon
-    return ts
-
-
 def occupation_at(d: DimensionlessParams, profile: FrequencyProfile, s):
     """nu(theta0 r omega(s)/omega1): the bath occupation the schedule sets
-    at profile-local s, scalar or array."""
-    return nu_of(d.theta0 * d.freq_ratio_r * omega_at(profile, s, d.freq_ratio_r))
+    at profile-local s, a float or float array, finite and >= 0 as on every
+    grid the package builds.  It runs `omega_at`'s and `nu_of`'s cores
+    without their checks, for the same bits."""
+    return _nu_core(d.theta0 * d.freq_ratio_r * _omega_core(profile, s, d.freq_ratio_r))
 
 
 def _start_eta(d: DimensionlessParams, eta0: float | None) -> float:
-    """A route's start value: `eta0`, or the thermal eta at the open
-    frequency when it is None."""
+    """A route's start value: `eta0`, or, when it is None, the thermal eta
+    at the closed frequency, theta0 r, where the opening starts."""
     if eta0 is None:
         return thermal_eta(d.theta0 * d.freq_ratio_r)
     if not (math.isfinite(eta0) and eta0 > 1.0):
@@ -186,20 +187,19 @@ def _substep_coefficients(g, h):
     return h / 6.0 * (6.0 - 3.0 * z + z * z - z * z * z / 4.0), 4.0 - 2.0 * z + z * z / 2.0
 
 
-def _split_at_kinks(profile, s, m, g, eta0, forcing, c, x) -> None:
+def _split_at_kinks(profile, s, m, step, g, eta0, forcing, c, x) -> None:
     """Write (c_k, x_k) into c[k] and x[k] for every sample interval k of the
     grid `s` with one of the profile's kinks strictly inside: its m
-    substeps, the one a kink falls in split there, composed so that its
-    deviation from eta0 goes e -> c_k e + x_k."""
+    substeps (edges s[k] + j step, then s[k+1]), the one a kink falls in
+    split there, composed so that its deviation from eta0 goes e -> c_k e + x_k."""
     kinks = np.array(profile.kinks)
     n_intervals = s.size - 1
     k_of = np.searchsorted(s, kinks, side="right") - 1
     inside = (k_of < n_intervals) & (s[k_of] < kinks)
-    n_sub = m * n_intervals
     # sorted(set()) and return_inverse keep off np.unique's hash path, which imports numpy.ma
     for k in sorted(set(k_of[inside].tolist())):
-        edges = _stage_points(s[-1], n_sub, np.arange(2 * m * k, 2 * m * (k + 1) + 1, 2))
-        edges = np.unique(np.concatenate([edges, kinks[k_of == k]]), return_inverse=True)[0]
+        edges = np.concatenate([s[k] + step * np.arange(m), s[k + 1 : k + 2], kinks[k_of == k]])
+        edges = np.unique(edges, return_inverse=True)[0]
         h = np.diff(edges)
         alpha, q = _substep_coefficients(g, h)
         r = 1.0 - g * alpha
@@ -252,25 +252,23 @@ def evolve_eta_ode(
     from one numpy scan of the per-interval affine maps, not from a loop
     over them.  A step past RK4's stability limit, g h > 2.785, raises
     `SolverError` before the scan, unless the run sits on a fixed point
-    (every map adds exactly 0).
+    (every map adds exactly 0).  `eta0=None` starts from the thermal eta
+    at the closed frequency.
     """
-    n_intervals = _check_run(horizon, samples_per_unit)
-    m = _substeps_per_interval(horizon, n_intervals, step_size)
+    # the substep count is checked before any grid is allocated
+    m = _substeps_per_interval(horizon, _check_run(horizon, samples_per_unit), step_size)
     eta0 = _start_eta(d, eta0)
     g = d.gamma_tau_g
 
     def forcing(t):
         return g * (occupation_at(d, profile, t) + 1.0)
 
-    n_sub = m * n_intervals
-    # the stage grid holds every substep edge and midpoint, np.linspace(0,
-    # horizon, 2 n_sub + 1); only the samples and the stages of the
-    # intervals that start before the hold are built
-    s = _stage_points(horizon, n_sub, np.arange(0, 2 * n_sub + 1, 2 * m))
-    n_ramp = int(np.searchsorted(s[:-1], profile.hold_start))
+    s, n_ramp = _grid(horizon, samples_per_unit, profile.hold_start)
+    n_intervals = s.size - 1
+    h = horizon / (m * n_intervals)
+    # the stages of the intervals before the hold, j h/2 from each sample;
     # u[-1] sits at the first held interval's start, or at the horizon
-    u = forcing(_stage_points(horizon, n_sub, np.arange(2 * m * n_ramp + 1)))
-    h = horizon / n_sub
+    u = forcing(np.append((s[:n_ramp, None] + 0.5 * h * np.arange(2 * m)).ravel(), s[n_ramp]))
     alpha, q = _substep_coefficients(g, h)
     r = 1.0 - g * alpha
     # m substeps from sample k: eta + A (u0[k] - g eta) + drive[k], with
@@ -293,7 +291,7 @@ def evolve_eta_ode(
         x[:n_ramp] = a_m * (u0[:, 0] - g * eta0) + drive
         # a held interval's forcing differences are all exactly 0, so its drive is 0
         x[n_ramp:] = a_m * (u[-1] - g * eta0)
-        _split_at_kinks(profile, s, m, g, eta0, forcing, c, x)
+        _split_at_kinks(profile, s, m, h, g, eta0, forcing, c, x)
     # with every x[k] exactly 0 (a fixed point) every deviation is 0, at any step
     if x.any():
         if not np.all(c <= 1.0):
@@ -323,23 +321,23 @@ def evolve_eta_closed_form(
     and each interval integral is evaluated by adaptive Simpson to
     absolute tolerance `_QUAD_TOL`.  No finite-difference stepping is
     involved, which makes this route the authoritative one in cross-checks.
+    `eta0=None` starts from the thermal eta at the closed frequency.
     """
-    n_intervals = _check_run(horizon, samples_per_unit)
+    s, n_ramp = _grid(horizon, samples_per_unit, profile.hold_start)
     eta0 = _start_eta(d, eta0)
     g = d.gamma_tau_g
-    samples = np.linspace(0.0, horizon, n_intervals + 1)
-    starts = samples[:-1]
-    widths = samples[1:] - starts
+    n_intervals = s.size - 1
+    starts = s[:-1]
+    widths = s[1:] - starts
 
     def integrand(start, v, width):
         return g * np.exp(g * (v - width)) * (occupation_at(d, profile, start + v) + 1.0)
 
     # an interval that starts at or after the hold sees one forcing value,
     # so its integral depends on its width alone: the intervals before the
-    # hold run chunk by chunk, the held ones take one quadrature per
-    # distinct width
-    n_ramp = int(np.searchsorted(starts, profile.hold_start))
-    # one decay per distinct width; np.linspace's widths take a handful of values
+    # hold run chunk by chunk, the held ones index one quadrature per
+    # distinct width.  np.linspace's widths take a handful of values;
+    # return_inverse keeps off np.unique's hash path, which imports numpy.ma
     distinct, width_id = np.unique(widths, return_inverse=True)
     decays = memoryview(np.array(list(map(math.exp, (-g * distinct).tolist())))[width_id])
     eta = np.empty(n_intervals + 1)
@@ -354,12 +352,11 @@ def evolve_eta_closed_form(
         if eta[n_ramp] == float(occupation_at(d, profile, profile.hold_start)) + 1.0:
             eta[n_ramp + 1:] = eta[n_ramp]
         else:
-            # each distinct width of the stretch once, all from its first start;
-            # return_inverse keeps off np.unique's hash path, which imports numpy.ma
-            held, held_id = np.unique(widths[n_ramp:], return_inverse=True)
-            integrals = _simpson_batch(integrand, np.full(held.size, starts[n_ramp]), held)
-            _propagate(eta, n_ramp, decays[n_ramp:], integrals[held_id])
-    return EtaTrajectory(samples, _checked_eta(samples, eta))
+            # every distinct width once, all from the stretch's first start;
+            # each is integrated on its own, so the bits match a held-only table
+            integrals = _simpson_batch(integrand, np.full(distinct.size, starts[n_ramp]), distinct)
+            _propagate(eta, n_ramp, decays[n_ramp:], integrals[width_id[n_ramp:]])
+    return EtaTrajectory(s, _checked_eta(s, eta))
 
 
 def _propagate(eta, k, decays, integrals) -> None:

@@ -7,8 +7,8 @@ has eta = nu(theta) + 1, where nu is the Bose-Einstein occupation at the
 dimensionless level splitting theta = hbar*omega/(k_B*T).
 
 `nu_of` checks its theta and then runs `_nu_core`, the one place nu(theta)
-and its underflow rule are computed; a caller whose theta is already known
-good (the oracle's rates, on a checked schedule) calls the core directly.
+and its underflow rule are computed; `solver.occupation_at`, on the
+package's own grids, calls the core directly.
 """
 
 from __future__ import annotations

@@ -15,6 +15,7 @@ the SI inputs only through three dimensionless groups:
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -26,7 +27,8 @@ class AdiabaticityWarning(UserWarning):
 
 
 def _require_positive(name, value):
-    if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
+    # numbers.Real takes numpy's float and integer scalars as well
+    if not (isinstance(value, numbers.Real) and math.isfinite(value) and value > 0):
         raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
@@ -54,7 +56,7 @@ class PhysicalParams:
         _require_positive("gamma", self.gamma)
         _require_positive("tau_open", self.tau_open)
         if not (
-            isinstance(self.coupling_max, (int, float))
+            isinstance(self.coupling_max, numbers.Real)
             and math.isfinite(self.coupling_max)
             and self.coupling_max >= 0
         ):
@@ -126,7 +128,7 @@ def omega_from_kappa(kappa_rel: float, kappa_t: float, mu: float) -> float:
     """Relative-mode angular frequency sqrt((kappa_rel + kappa_t)/mu)."""
     _require_positive("kappa_rel", kappa_rel)
     _require_positive("mu", mu)
-    if not (isinstance(kappa_t, (int, float)) and math.isfinite(kappa_t) and kappa_t >= 0):
+    if not (isinstance(kappa_t, numbers.Real) and math.isfinite(kappa_t) and kappa_t >= 0):
         raise ValueError(f"kappa_t must be >= 0 and finite, got {kappa_t}")
     return math.sqrt((kappa_rel + kappa_t) / mu)
 

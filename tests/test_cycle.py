@@ -826,11 +826,51 @@ def test_config_roundtrips_exactly():
     # values are literal: no % interpolation, and a # not after whitespace is no comment
     for directory in ("runs/100%", "runs/%(theta0)s", "runs/a#1", "runs/%%#"):
         configs.append(replace(default_cycle_config(), output_dir=directory))
+    # numpy 2 reprs a scalar as np.float32(2.0), which float() refuses: each
+    # number is written as its float's repr
+    configs += [
+        CycleConfig(
+            dimensionless=DimensionlessParams(
+                theta0=np.float32(0.1), freq_ratio_r=np.float64(2.5), gamma_tau_g=np.int64(3)
+            ),
+            profile=FrequencyProfile(duration=np.float32(2.0)),
+            init_mode=FiniteDwell(dwell=np.float32(1.5)),
+            horizon=np.int64(8),
+        ),
+        CycleConfig(
+            dimensionless=DimensionlessParams(np.int64(1), np.float32(2.0), np.float32(0.3)),
+            profile=FrequencyProfile(shape=ProfileShape.CONSTANT, level=np.float32(0.75)),
+        ),
+        CycleConfig(
+            dimensionless=DimensionlessParams(np.float64(0.05), np.int64(3), np.float64(2.0)),
+            profile=FrequencyProfile(
+                shape=ProfileShape.PIECEWISE_LINEAR,
+                breakpoints=((np.float64(0.0), np.float32(1.0)), (np.int64(2), np.float32(0.4))),
+            ),
+        ),
+    ]
     for cfg in configs:
         assert parse_config(serialize_config(cfg)) == cfg
     # duration is written for the sine shapes only, which are the shapes that take it
     written = [("duration = " in serialize_config(cfg)) for cfg in configs[1:4]]
     assert written == [False, True, False]
+
+
+def test_emission_and_reading_name_the_path_they_fail_on(tmp_path):
+    missing = tmp_path / "no such directory"
+    record = TimeSeriesRecord([0.0, 1.0], [1.0, 0.5], [2.0, 2.5], [1.0, 1.5], [1.0, 0.9])
+    rows = [SweepRow(axis_value=1.0, error="ValueError: synthetic")]
+    failures = [
+        (lambda path: emit_csv(record, path), "cycle.csv", "CSV emission to"),
+        (lambda path: emit_sweep_csv(rows, path), "sweep.csv", "CSV emission to"),
+        (lambda path: emit_plot_script(record, path), "plot_cycle.py", "plot-script emission to"),
+        (read_csv_record, "cycle.csv", "CSV read from"),
+    ]
+    for call, name, message in failures:
+        path = missing / name
+        with pytest.raises(OSError, match=f"^{re.escape(f'{message} {path} failed: ')}"):
+            call(path)
+    assert not missing.exists()
 
 
 def test_config_parse_errors():

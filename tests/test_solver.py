@@ -20,7 +20,6 @@ from molcool.solver import (
     _scan,
     _simpson_batch,
     _split_at_kinks,
-    _stage_points,
     _substeps_per_interval,
     evolve_eta_closed_form,
     evolve_eta_ode,
@@ -154,11 +153,12 @@ def test_kernel_quadrature_refines_only_the_kinked_interval():
 
 
 def test_ode_agrees_with_closed_form():
-    ode = evolve_eta_ode(DEFAULT, OPENING, horizon=2.0, samples_per_unit=200)
-    closed = evolve_eta_closed_form(DEFAULT, OPENING, horizon=2.0, samples_per_unit=200)
-    np.testing.assert_allclose(ode.eta, closed.eta, rtol=1e-10)
-    # grids are built independently, so only float-identical up to rounding
-    np.testing.assert_allclose(ode.s, closed.s, rtol=0, atol=1e-12)
+    for profile in SHAPES.values():
+        ode = evolve_eta_ode(DEFAULT, profile, horizon=2.0, samples_per_unit=200)
+        closed = evolve_eta_closed_form(DEFAULT, profile, horizon=2.0, samples_per_unit=200)
+        np.testing.assert_allclose(ode.eta, closed.eta, rtol=1e-10)
+        # both routes read one sample grid
+        assert ode.s.tobytes() == closed.s.tobytes()
 
 
 def rk4_substep_reference(d, profile, eta0, horizon, step_size, samples_per_unit):
@@ -219,19 +219,25 @@ def full_grid_kernel(d, profile, eta0, horizon, samples_per_unit):
     return samples, np.array(out)
 
 
+def rk4_stages(s, m, h):
+    """Every interval's substep edges and midpoints, j h/2 from its sample
+    for j < 2m, then the last sample."""
+    return np.append((s[:-1, None] + 0.5 * h * np.arange(2 * m)).ravel(), s[-1])
+
+
 def full_grid_rk4(d, profile, eta0, horizon, step_size, samples_per_unit):
     """The RK4 route's scan with x[k] built from the forcing at every stage point."""
     n_intervals = round(horizon * samples_per_unit)
     m = max(1, math.ceil(horizon / n_intervals / step_size - 1e-9))
     n_sub = m * n_intervals
-    ts = np.linspace(0.0, horizon, 2 * n_sub + 1)
+    s = np.linspace(0.0, horizon, n_intervals + 1)
     g, r = d.gamma_tau_g, d.freq_ratio_r
 
     def forcing(t):
         return g * (nu_of(d.theta0 * r * omega_at(profile, t, r)) + 1.0)
 
-    u = forcing(ts)
     h = horizon / n_sub
+    u = forcing(rk4_stages(s, m, h))
     z = g * h
     alpha = h / 6.0 * (6.0 - 3.0 * z + z * z - z * z * z / 4.0)
     q = 4.0 - 2.0 * z + z * z / 2.0
@@ -244,9 +250,8 @@ def full_grid_rk4(d, profile, eta0, horizon, step_size, samples_per_unit):
     e = np.empty(n_intervals + 1)
     e[0] = 0.0
     e[1:] = a_m * (u0[:, 0] - g * eta0) + drive
-    s = ts[:: 2 * m]
     c = np.full(n_intervals, 1.0 - g * a_m)
-    _split_at_kinks(profile, s, m, g, eta0, forcing, c, e[1:])
+    _split_at_kinks(profile, s, m, h, g, eta0, forcing, c, e[1:])
     _scan(c, e[1:])
     return s, e + eta0
 
@@ -259,11 +264,11 @@ def sequential_rk4(d, profile, eta0, horizon, step_size, samples_per_unit):
     eta0 = thermal_eta(d.theta0 * d.freq_ratio_r) if eta0 is None else eta0
     g = d.gamma_tau_g
     n_sub = m * n_intervals
-    s = _stage_points(horizon, n_sub, np.arange(0, 2 * n_sub + 1, 2 * m))
+    s = np.linspace(0.0, horizon, n_intervals + 1)
     n_ramp = int(np.searchsorted(s[:-1], profile.hold_start))
-    ts = _stage_points(horizon, n_sub, np.arange(2 * m * n_ramp + 1))
-    u = g * (nu_of(d.theta0 * d.freq_ratio_r * omega_at(profile, ts, d.freq_ratio_r)) + 1.0)
     h = horizon / n_sub
+    ts = rk4_stages(s[: n_ramp + 1], m, h)
+    u = g * (nu_of(d.theta0 * d.freq_ratio_r * omega_at(profile, ts, d.freq_ratio_r)) + 1.0)
     z = g * h
     alpha = h / 6.0 * (6.0 - 3.0 * z + z * z - z * z * z / 4.0)
     q = 4.0 - 2.0 * z + z * z / 2.0
@@ -392,14 +397,15 @@ def test_held_forcing_is_evaluated_once_with_the_same_bits(name, g, monkeypatch)
 
 @pytest.mark.parametrize(
     "profile, horizon, ramp, widths",
-    [(OPENING, 10.0, [1024, 976], 5),
+    [(OPENING, 10.0, [1024, 976], 14),
      (FrequencyProfile(shape=ProfileShape.REVERSED_SINE_CLOSING), 1.0, [1024, 976], 0)],
     ids=["reference opening", "reversed closing"],
 )
 def test_kernel_route_integrates_each_interval_once(profile, horizon, ramp, widths, monkeypatch):
     # the intervals that start before the hold go in whole chunks from the
-    # first, the last chunk ending at the hold; the held ones are one
-    # quadrature per distinct width, and nothing is integrated twice
+    # first, the last chunk ending at the hold; the held ones index one
+    # quadrature per distinct width of the run's one width table (14 on the
+    # reference opening, of which the held stretch has 5)
     calls = []
 
     def spy(f, start, width):
@@ -418,7 +424,7 @@ def test_kernel_route_integrates_each_interval_once(profile, horizon, ramp, widt
         # any held start gives the same bits, so every width starts at the first
         assert np.all(start == starts[n_ramp])
         assert starts[n_ramp] >= profile.hold_start
-        assert width.tobytes() == np.unique(np.diff(traj.s)[n_ramp:]).tobytes()
+        assert width.tobytes() == np.unique(np.diff(traj.s)).tobytes()
 
 
 @pytest.mark.parametrize("k, n", [(0, 7), (3, 4), (5, 0)], ids=["k = 0", "k > 0", "no intervals"])

@@ -153,6 +153,25 @@ def test_si_roundtrip_zero_g_has_no_physical():
     assert si.gamma == 0.0
 
 
+def test_numpy_scalars_are_accepted_as_numbers():
+    # each check takes any real number, numpy's scalars included, by value
+    d = DimensionlessParams(theta0=np.float32(0.1), freq_ratio_r=np.int64(2), gamma_tau_g=1.0)
+    assert d.theta0 == np.float32(0.1)
+    params = PhysicalParams(
+        mass=np.float32(1.0), spring=np.int64(4), coupling_max=np.float64(0.0),
+        temperature=np.float64(300.0), gamma=np.int64(1), tau_open=np.float32(0.5),
+    )
+    assert reduce_to_relative_mode(params).kappa_rel == 2.0
+    assert omega_from_kappa(np.float64(0.5), np.int64(1), np.float32(0.5)) == math.sqrt(3.0)
+    for bad in (np.float32(0.0), np.float64(math.nan), np.float32(-1.0), np.float64(math.inf)):
+        with pytest.raises(ValueError, match="theta0 must be positive and finite"):
+            DimensionlessParams(theta0=bad, freq_ratio_r=2.0, gamma_tau_g=1.0)
+    with pytest.raises(ValueError, match="kappa_t must be >= 0 and finite"):
+        omega_from_kappa(0.5, np.float64(-1.0), 0.5)
+    with pytest.raises(ValueError, match="coupling_max must be >= 0 and finite"):
+        PhysicalParams(1.0, 1.0, np.float32(math.inf), 300.0, 1.0, 1.0)
+
+
 def test_validation_rejects_nonpositive():
     with pytest.raises(ValueError):
         PhysicalParams(mass=0.0, spring=1.0, coupling_max=0.0,
