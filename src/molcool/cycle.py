@@ -14,8 +14,9 @@ the observables from the kernel route's eta, once.
 
 A `TimeSeriesRecord` is immutable.  Its construction rounds every value
 to the 12 significant digits the CSV prints and keeps the decimal
-digits that rounding computed, so `emit_csv` builds each cell from them
-by table lookups of 4-byte words (or "%.11e", in a block holding a
+digits that rounding computed, all in one row-major layout with one row
+per sample as in the CSV, so `emit_csv` builds each cell from them by
+table lookups of 4-byte words (or "%.11e", in a block holding a
 three-digit exponent), and no value's digits are worked out twice.
 """
 
@@ -143,54 +144,46 @@ def _override(base: CycleConfig, **settings) -> CycleConfig:
 
 
 _POW10 = np.array([float(10**k) for k in range(23)])  # every one an exact double
-_QUANTIZE_BLOCK = 1 << 12  # values per `_decimal12` call; bounds its temporaries
+_QUANTIZE_ROWS = 1024  # record rows per `_decimal12` call; bounds its temporaries
 
 
 def _decimal12(v: np.ndarray):
-    """q = float("%.11e" % x) for each x in v, with the mantissa d (int64)
-    and exponent e (int16) of `"%.11e" % abs(x)`, which prints as d's 12
-    digits with a point after the first, then e.
+    """q = float("%.11e" % x) for each x in the finite array v, of any
+    shape, with the mantissa d (int64) and exponent e (int16) of
+    `"%.11e" % abs(x)`, which prints as d's 12 digits with a point after
+    the first, then e.
 
-    Fast path (Clinger's exact case): with e = floor(log10|x|), |x|
-    times or divided by the exact power 10**|11 - e| is one correctly
-    rounded operation, off the exact product by at most 2**-14 below
-    10**12, so its rint r is the printed mantissa unless the fraction
-    lies within 1e-3 of a half, and r divided or multiplied back by the
-    same power, both operands exact, is |q|.  A mantissa rounded up to
-    10**12 becomes 10**11 at the next exponent.  Elements off the fast
-    path (a log10 estimate one off, |11 - e| > 22, a near-half fraction)
-    are printed with "%.11e" and their digits and value parsed back.
-    Zero and non-finite elements give d = e = 0 and q = x.
+    Fast path (Clinger's exact case): |x| is multiplied by the exact power
+    p = 10**k, k = clip(11 - floor(log10|x|), 0, 22), and e = 11 - k.  The
+    product is one correctly rounded operation, off the exact one by at
+    most 2**-14 below 10**12, so where it lies in [10**11, 10**12) its rint
+    r is the printed mantissa unless the fraction lies within 1e-3 of a
+    half, and r / p, both operands exact, is |q|.  A mantissa rounded up
+    to 10**12 becomes 10**11 at the next exponent.  The clip puts zero,
+    |x| < 1e-11 and |x| >= 1e12 outside that range.  Those elements, a
+    log10 estimate one off and near-half fractions are printed with
+    "%.11e" and their digits and value parsed back (zero gives d = e = 0).
     """
-    usable = np.isfinite(v) & (v != 0.0)
-    a = np.where(usable, np.abs(v), 1.0)  # a stand-in that gives zero and non-finite x e = 0
-    e = np.floor(np.log10(a)).astype(np.int16)
-    shift = 11 - e
-    magnitude = np.abs(shift)
-    p = np.take(_POW10, magnitude, mode="clip")  # 10**min(|11 - e|, 22)
-    up = shift >= 0
-    scaled = np.multiply(a, p, out=np.empty_like(a), where=up)
-    np.divide(a, p, out=scaled, where=~up)
+    a = np.abs(v)
+    with np.errstate(divide="ignore"):  # log10(0) = -inf, which clips to k = 22
+        k = np.clip(11.0 - np.floor(np.log10(a)), 0.0, 22.0).astype(np.intp)
+    p = _POW10[k]
+    scaled = a * p
     d = np.rint(scaled)
-    fast = usable & (magnitude <= 22) & (scaled >= 1e11) & (scaled < 1e12)
-    fast &= np.abs(scaled - d) < 0.499
+    fast = (scaled >= 1e11) & (scaled < 1e12) & (np.abs(scaled - d) < 0.499)
     # what these leave in the elements off the fast path is overwritten below
-    q = np.divide(d, p, out=scaled, where=up)
-    np.multiply(d, p, out=q, where=fast & ~up)
+    q = np.divide(d, p, out=scaled)
     np.copyto(d, 0.0, where=~fast)
     bump = d == 1e12
-    if bump.any():
-        d[bump] = 1e11
-        e[bump] += 1
+    d[bump] = 1e11
+    e = (11 - k + bump).astype(np.int16)
     d = d.astype(np.int64)
-    q_flat, d_flat, e_flat, a_flat = q.reshape(-1), d.reshape(-1), e.reshape(-1), a.reshape(-1)
-    for i in np.flatnonzero(usable != fast):  # fast implies usable
-        text = "%.11e" % a_flat[i]
-        q_flat[i] = float(text)
-        d_flat[i] = int(text[0] + text[2:13])
-        e_flat[i] = int(text[14:])
+    for i in np.flatnonzero(~fast):
+        text = "%.11e" % a.flat[i]
+        q.flat[i] = float(text)
+        d.flat[i] = int(text[0] + text[2:13])
+        e.flat[i] = int(text[14:])
     np.copysign(q, v, out=q)
-    np.copyto(q, v, where=~usable)
     return q, d, e
 
 
@@ -205,13 +198,11 @@ class TimeSeriesRecord:
     12 significant digits that the CSV emitter writes.
 
     A record is immutable: its fields cannot be reassigned and its
-    column arrays are read-only.  `_quantized` = (q, d, e) holds the
-    values q rounded by `_decimal12`, `_QUANTIZE_BLOCK` at a time, one
-    row per column (the record's columns are its rows), and the
-    mantissas d and exponents e that print them, one row per sample as
-    in the CSV, from which `emit_csv` formats the cells: row order makes
-    every cell write contiguous, and each column stays contiguous for
-    its readers.
+    column arrays are read-only.  `_quantized` = (q, d, e) holds, in one
+    row-major (samples, 5) layout as in the CSV, the values q rounded by
+    `_decimal12`, `_QUANTIZE_ROWS` rows per call, and the mantissas d and
+    exponents e that print them, from which `emit_csv` formats the cells
+    one contiguous row block at a time.  Each column is a view of q.
     """
 
     s: np.ndarray
@@ -226,18 +217,17 @@ class TimeSeriesRecord:
         n = cols[0].size
         if any(c.size != n for c in cols):
             raise ValueError("record columns must have equal length")
-        q = np.empty((len(cols), n))
-        d = np.empty((n, len(cols)), np.int64)
-        e = np.empty(d.shape, np.int16)
-        for i, c in enumerate(cols):
-            for lo in range(0, n, _QUANTIZE_BLOCK):
-                block = slice(lo, lo + _QUANTIZE_BLOCK)
-                q[i, block], d[block, i], e[block, i] = _decimal12(c[block])
-        if not np.all(np.isfinite(q)):
+        q = np.stack(cols, axis=1)
+        if not np.isfinite(q).all():
             raise ValueError("record values must all be finite")
+        d = np.empty(q.shape, np.int64)
+        e = np.empty(q.shape, np.int16)
+        for lo in range(0, n, _QUANTIZE_ROWS):
+            b = slice(lo, lo + _QUANTIZE_ROWS)
+            q[b], d[b], e[b] = _decimal12(q[b])
         for a in (q, d, e):
             a.flags.writeable = False
-        for name, column in zip(_COLUMNS, q):
+        for name, column in zip(_COLUMNS, q.T):
             object.__setattr__(self, name, column)
         object.__setattr__(self, "_quantized", (q, d, e))
         if n >= 2 and not np.all(np.diff(self.s) > 0.0):
@@ -592,7 +582,7 @@ def emit_csv(record: TimeSeriesRecord, path) -> None:
             fh.write(CSV_HEADER.encode() + b"\n")
             for lo in range(0, len(record), _CSV_BLOCK_ROWS):
                 block = slice(lo, lo + _CSV_BLOCK_ROWS)
-                fh.write(_format_cells(q[:, block].T, d[block], e[block]))
+                fh.write(_format_cells(q[block], d[block], e[block]))
     except OSError as exc:
         raise OSError(f"CSV emission to {path} failed: {exc}") from exc
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 import numbers
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .constants import HBAR, K_B
 
@@ -30,6 +30,12 @@ def _require_positive(name, value):
     # numbers.Real takes numpy's float and integer scalars as well
     if not (isinstance(value, numbers.Real) and math.isfinite(value) and value > 0):
         raise ValueError(f"{name} must be positive and finite, got {value}")
+
+
+def _keep_floats(params):
+    """Store each field as a Python float: numpy 2 computes with a float32 in float32."""
+    for f in fields(params):
+        object.__setattr__(params, f.name, float(getattr(params, f.name)))
 
 
 @dataclass(frozen=True)
@@ -61,6 +67,7 @@ class PhysicalParams:
             and self.coupling_max >= 0
         ):
             raise ValueError(f"coupling_max must be >= 0 and finite, got {self.coupling_max}")
+        _keep_floats(self)
 
 
 @dataclass(frozen=True)
@@ -93,6 +100,7 @@ class DimensionlessParams:
             raise ValueError(f"freq_ratio_r must be >= 1, got {self.freq_ratio_r}")
         if not (math.isfinite(self.gamma_tau_g) and self.gamma_tau_g >= 0.0):
             raise ValueError(f"gamma_tau_g must be >= 0, got {self.gamma_tau_g}")
+        _keep_floats(self)
 
 
 @dataclass(frozen=True)

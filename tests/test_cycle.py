@@ -80,6 +80,20 @@ def test_record_cells_are_quantized(default_result):
         assert all(float(f"{v:.11e}") == v for v in column.tolist())
 
 
+# `_decimal12` scales |x| by 10**clip(11 - floor(log10|x|), 0, 22): values
+# on either side of 1e-11 and 1e12, where the clip starts, and the
+# mantissas that round up to the next exponent right there
+CLIP_EDGES = sorted(
+    {
+        float(x)
+        for edge in (1e-11, 1e12, 9.99999999999995e-12, 999999999999.5)
+        for x in (
+            edge, *np.nextafter(edge, [0.0, np.inf]),
+            np.nextafter(np.nextafter(edge, 0.0), 0.0),
+            np.nextafter(np.nextafter(edge, np.inf), np.inf),
+        )
+    }
+)
 # values whose "%.11e" digits leave the decimal kernel's fast path, or sit
 # where a one-off exponent or a wrong rounding direction would show
 FORMAT_EDGE_CASES = [
@@ -93,6 +107,8 @@ FORMAT_EDGE_CASES = [
     1e200,
     5e-324,
     1.7976931348623157e308,
+    *CLIP_EDGES,
+    *(-v for v in CLIP_EDGES),
 ]
 
 
@@ -139,6 +155,38 @@ def test_decimal_kernel_edge_cases(tmp_path):
 @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=20))
 def test_decimal_kernel_matches_python_format(values):
     assert_formats_like_python(values)
+
+
+# log-uniform over [1e-13, 1e14], across both clip edges, of either sign, and zeros
+STRADDLING = st.one_of(
+    st.floats(-13.0, 14.0).map(lambda t: 10.0**t), st.just(0.0), st.sampled_from(CLIP_EDGES)
+).flatmap(lambda x: st.sampled_from([x, -x]))
+
+
+def assert_block_formats_like_python(block):
+    """`_decimal12` of a (rows, 5) block gives each cell's "%.11e" value and
+    digits, and `_format_cells` its bytes."""
+    q, d, e = _decimal12(block)
+    assert q.shape == d.shape == e.shape == block.shape
+    cells = block.reshape(-1).tolist()
+    expected = np.array([float(f"{v:.11e}") for v in cells])
+    assert np.array_equal(q.reshape(-1).view(np.uint64), expected.view(np.uint64))
+    printed = [
+        f"{m // 10**11}.{m % 10**11:011d}e{x:+03d}"
+        for m, x in zip(d.reshape(-1).tolist(), e.reshape(-1).tolist())
+    ]
+    assert printed == [f"{abs(v):.11e}" for v in cells]
+    assert _format_cells(q, d, e) == python_csv_rows(block.tolist())
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(1, 16).flatmap(
+        lambda k: st.lists(st.lists(STRADDLING, min_size=5, max_size=5), min_size=k, max_size=k)
+    )
+)
+def test_decimal_kernel_blocks_straddle_the_clip_edges(rows):
+    assert_block_formats_like_python(np.array(rows))
 
 
 SUBNORMAL = st.floats(min_value=5e-324, max_value=2.2250738585072009e-308)
@@ -282,6 +330,22 @@ def test_csv_roundtrip_reproduces_any_record(tmp_path_factory, columns, start):
     s = start + np.arange(n) * max(abs(start), 1.0)  # strictly increasing, also past 12 digits
     record = TimeSeriesRecord(s, *columns)
     assert_csv_roundtrip(record, tmp_path_factory.mktemp("roundtrip") / "cycle.csv")
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    columns=st.integers(3, 40).flatmap(
+        lambda n: st.lists(st.lists(STRADDLING, min_size=n, max_size=n), min_size=4, max_size=4)
+    )
+)
+def test_csv_roundtrip_of_values_straddling_the_clip_edges(tmp_path_factory, columns):
+    n = len(columns[0])
+    s = np.concatenate(([-1e13, 0.0], np.geomspace(1e-13, 1e14, n - 2)))
+    record = TimeSeriesRecord(s, *columns)
+    given_rows = np.column_stack([s, *columns]).tolist()
+    expected = np.array([[float(f"{v:.11e}") for v in row] for row in given_rows])
+    assert np.array_equal(record_rows(record).view(np.uint64), expected.view(np.uint64))
+    assert_csv_roundtrip(record, tmp_path_factory.mktemp("straddling") / "cycle.csv")
 
 
 def test_csv_blocks_of_every_layout(tmp_path, monkeypatch):
@@ -475,10 +539,13 @@ def test_kinks_inside_substeps_keep_the_fixed_step_order():
 
 @pytest.mark.parametrize(
     "init_mode, bound_mb",
-    # measured 2.84 and 3.90 MB, bounded 10% above; the same runs peaked at
-    # 4.18 and 5.14 MB while the record quantized a stacked copy of its
-    # columns 16,384 values at a time, and at 5.78 and 7.39 MB while every
-    # route segment and the whole fixed-step trajectory were kept
+    # measured 2.92 and 3.97 MB with the record in one (samples, 5) layout
+    # quantized 1,024 rows at a time, and 2.86 and 3.93 MB with q stored
+    # one row per column, 4,096 values at a time; bounded 10% above an
+    # earlier 2.84 and 3.90 MB.  The same runs peaked at 4.18 and 5.14 MB
+    # while the record quantized a stacked copy of its columns 16,384
+    # values at a time, and at 5.78 and 7.39 MB while every route segment
+    # and the whole fixed-step trajectory were kept
     [(ThermalClosed(), 3.1), (FiniteDwell(dwell=3.0), 4.3)],
     ids=["thermal-closed", "dwell-3"],
 )

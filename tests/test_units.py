@@ -172,6 +172,19 @@ def test_numpy_scalars_are_accepted_as_numbers():
         PhysicalParams(1.0, 1.0, np.float32(math.inf), 300.0, 1.0, 1.0)
 
 
+def test_numpy_scalars_are_stored_as_python_floats():
+    # a float32 kept as given would make numpy 2 compute the groups in float32
+    d = DimensionlessParams(np.float32(0.1), 2.5, np.int64(1))
+    for value in (d.theta0, d.freq_ratio_r, d.gamma_tau_g):
+        assert type(value) is float
+    assert d.theta0 * d.freq_ratio_r == float(np.float32(0.1)) * 2.5  # not np.float32(0.25)
+    # 300 is exact in float32, so the reduction must not depend on its type
+    args = (1e-26, 1.0, 3.0, 300.0, 1e12, 1e-9)
+    narrow = to_dimensionless(PhysicalParams(*args[:3], np.float32(300.0), *args[4:]))
+    assert narrow == to_dimensionless(PhysicalParams(*args))
+    assert type(narrow.theta0) is float
+
+
 def test_validation_rejects_nonpositive():
     with pytest.raises(ValueError):
         PhysicalParams(mass=0.0, spring=1.0, coupling_max=0.0,
