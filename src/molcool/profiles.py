@@ -13,8 +13,8 @@ takes it from its caller.
 s/duration to exactly 1.0, and `np.interp` returns the last breakpoint's
 value itself at and past its s.  The solvers rely on this to evaluate
 the forcing of a held stretch once instead of at every point of it.
-`FrequencyProfile.kinks` lists where omega's slope jumps; the
-fixed-step solver splits its substeps there.
+`FrequencyProfile.kinks` lists where omega is not smooth; both eta
+routes split their sample intervals there.
 
 `omega_at` checks its s and then runs `_omega_core`, the one place
 omega(s) is computed.  `solver.occupation_at`, on the package's own
@@ -102,14 +102,14 @@ class FrequencyProfile:
 
     @property
     def kinks(self) -> tuple[float, ...]:
-        """The s > 0 at which omega's slope jumps: every breakpoint after
-        the first, and the end of the reversed closing, whose sine meets
-        its hold at full slope (the opening meets its hold at zero slope)."""
+        """The s > 0 at which omega is not smooth: every breakpoint after
+        the first, and the end of a sine shape, where the reversed closing's
+        slope jumps and the opening's curvature does."""
         if self.shape is ProfileShape.PIECEWISE_LINEAR:
             return tuple(float(p[0]) for p in self.breakpoints[1:])
-        if self.shape is ProfileShape.REVERSED_SINE_CLOSING:
-            return (self.duration,)
-        return ()
+        if self.shape is ProfileShape.CONSTANT:
+            return ()
+        return (self.duration,)
 
 
 def omega_at(profile: FrequencyProfile, s, r: float):

@@ -8,7 +8,7 @@ linear relaxation law (s = t/tau_open, g = gamma*tau_open)
 
 Two independent routes integrate it: a fixed-step explicit 4th-order
 stepper (`evolve_eta_ode`) and the exact exponential-kernel solution
-evaluated by adaptive quadrature (`evolve_eta_closed_form`).  The cycle
+evaluated by Gauss-Legendre quadrature (`evolve_eta_closed_form`).  The cycle
 engine cross-checks one against the other on every run.  A route returns
 its samples s and eta alone; the cycle's record derives the observables.
 
@@ -29,9 +29,10 @@ for all intervals).  The deviation e = eta - eta0 from the start value
 then goes through one affine map per sample interval, e_{k+1} = c_k e_k
 + x_k, with c_k = 1 - g A and x_k = A (u0_k - g eta0) + G_k.  A sample
 interval with a kink of the profile strictly inside
-(`FrequencyProfile.kinks`) splits the substep the kink falls in there,
-since a substep across a jump in the forcing's slope costs RK4 its
-order, and writes its own c_k and x_k.  `_scan` composes all the maps
+(`FrequencyProfile.kinks`, found by `_kinks_inside` for both routes)
+splits the substep the kink falls in there, since a substep across a
+jump in the forcing's derivatives costs RK4 its order, and writes its
+own c_k and x_k.  `_scan` composes all the maps
 as a prefix scan in ceil(log2 n) numpy doubling passes (Blelloch,
 "Prefix sums and their applications", 1990).  In this form constant
 forcing adds exactly nothing, a fixed point stays put exactly and g = 0
@@ -42,19 +43,23 @@ holds still at any step.  It is still RK4, with RK4's O(h^4) error
 against the kernel route's quadrature error, so the cross-check keeps
 its independence.
 
-The kernel route's adaptive Simpson runs on `_QUAD_CHUNK` intervals at
-a time: each bisection level evaluates the forcing at all pending pieces
-in one `occupation_at` call, as the stepper does, and halves only the
-pieces that miss their tolerance.  Too many pending pieces, or too deep a
-bisection, raises `SolverError` naming the `s` range, so over-stiff
-coupling fails fast instead of hanging or exhausting memory.  The
-recurrence eta[k+1] = decay_k eta[k] + integral_k is a Python loop (each
-step needs the last), and `_propagate` runs it in place in the
-preallocated eta array through memoryviews: no sample passes through a
-Python list, whose float objects would keep their allocator's arenas
-resident past the route.  Neither route calls `np.unique` without an
-index output, or `np.union1d`: in numpy 2 those take a hashing path
-whose masked-array check imports `numpy.ma`, which a run does not need.
+The kernel route integrates each sample interval by a fixed 8-node
+Gauss-Legendre rule (`_gauss_legendre`) per smooth piece, split at the
+kinks inside it, every interval before the hold in one call: 8 nodes per
+interval, fewer than the stepper's 10 stage points, whose grid
+`cycle.run_cycle` bounds first.  A fixed rule has no error estimate of
+its own.  Only the kernel's weight g exp(-g (D - v)) can vary faster
+than a sample width D, and its integral 1 - exp(-g D) is known, so the
+route checks the rule on it at each distinct width first and raises
+`SolverError` naming g D past `_GL_RTOL` relative error (from g D ~ 4.2
+on): over-stiff coupling fails fast.  The recurrence eta[k+1] = decay_k
+eta[k] + integral_k is a Python loop (each step needs the last), and
+`_propagate` runs it in place in the preallocated eta array through
+memoryviews: no sample passes through a Python list, whose float objects
+would keep their allocator's arenas resident past the route.  Neither
+route calls `np.unique` without an index output, or `np.union1d`: in
+numpy 2 those take a hashing path whose masked-array check imports
+`numpy.ma`, which a run does not need.
 
 Both routes do the work of a held stretch once.  From the profile's
 `hold_start` on, `omega_at` returns the same bits at every s, so the
@@ -86,10 +91,13 @@ SAMPLES_PER_UNIT = 2000  # both routes' output samples per tau_open
 STEP_SIZE = 1e-4         # the fixed-step route's largest substep
 _MIN_STEP = 1e-12
 _MAX_STAGE_POINTS = 200_000_000  # fixed-step stage grid: substep edges and midpoints
-_QUAD_TOL = 1e-12           # absolute tolerance of each kernel-route interval integral
-_QUAD_MAX_DEPTH = 40
-_QUAD_CHUNK = 1024          # intervals integrated together
-_QUAD_MAX_PIECES = 1 << 18  # pending pieces allowed per chunk; bounds memory and time
+# np.polynomial.legendre.leggauss(8)'s positive nodes, each paired with its
+# mirror -x, and weights, written out: importing numpy.polynomial costs 0.7 MB
+_GL_NODES = np.array([0.18343464249564978, 0.525532409916329, 0.7966664774136267,
+                      0.9602898564975362])
+_GL_WEIGHTS = (0.36268378337836166, 0.3137066458778869, 0.22238103445337443,
+               0.10122853629037706)
+_GL_RTOL = 1e-13  # the rule's largest relative error on the kernel's bare weight
 
 
 @dataclass(eq=False)
@@ -187,17 +195,23 @@ def _substep_coefficients(g, h):
     return h / 6.0 * (6.0 - 3.0 * z + z * z - z * z * z / 4.0), 4.0 - 2.0 * z + z * z / 2.0
 
 
+def _kinks_inside(profile, s) -> tuple[np.ndarray, np.ndarray]:
+    """(k_of, kinks): the profile's kinks strictly inside a sample interval of
+    the grid `s`, ascending, and the index of the interval each falls in."""
+    kinks = np.array(profile.kinks, dtype=float)
+    k_of = np.searchsorted(s, kinks, side="right") - 1
+    inside = (k_of < s.size - 1) & (s[k_of] < kinks)
+    return k_of[inside], kinks[inside]
+
+
 def _split_at_kinks(profile, s, m, step, g, eta0, forcing, c, x) -> None:
     """Write (c_k, x_k) into c[k] and x[k] for every sample interval k of the
     grid `s` with one of the profile's kinks strictly inside: its m
     substeps (edges s[k] + j step, then s[k+1]), the one a kink falls in
     split there, composed so that its deviation from eta0 goes e -> c_k e + x_k."""
-    kinks = np.array(profile.kinks)
-    n_intervals = s.size - 1
-    k_of = np.searchsorted(s, kinks, side="right") - 1
-    inside = (k_of < n_intervals) & (s[k_of] < kinks)
+    k_of, kinks = _kinks_inside(profile, s)
     # sorted(set()) and return_inverse keep off np.unique's hash path, which imports numpy.ma
-    for k in sorted(set(k_of[inside].tolist())):
+    for k in sorted(set(k_of.tolist())):
         edges = np.concatenate([s[k] + step * np.arange(m), s[k + 1 : k + 2], kinks[k_of == k]])
         edges = np.unique(edges, return_inverse=True)[0]
         h = np.diff(edges)
@@ -318,10 +332,11 @@ def evolve_eta_closed_form(
         eta(s + D) = exp(-g D) eta(s)
                      + integral over [0, D] of g exp(-g (D - v)) (nu(theta(s + v)) + 1) dv,
 
-    and each interval integral is evaluated by adaptive Simpson to
-    absolute tolerance `_QUAD_TOL`.  No finite-difference stepping is
-    involved, which makes this route the authoritative one in cross-checks.
-    `eta0=None` starts from the thermal eta at the closed frequency.
+    each interval integral by `_gauss_legendre`, once the rule has passed
+    its check on the bare weight (module docstring).  No finite-difference
+    stepping is involved, which makes this route the authoritative one in
+    cross-checks.  `eta0=None` starts from the thermal eta at the closed
+    frequency.
     """
     s, n_ramp = _grid(horizon, samples_per_unit, profile.hold_start)
     eta0 = _start_eta(d, eta0)
@@ -330,21 +345,37 @@ def evolve_eta_closed_form(
     starts = s[:-1]
     widths = s[1:] - starts
 
-    def integrand(start, v, width):
-        return g * np.exp(g * (v - width)) * (occupation_at(d, profile, start + v) + 1.0)
+    def weight(start, v, width):
+        return g * np.exp(g * (v - width))
 
-    # an interval that starts at or after the hold sees one forcing value,
-    # so its integral depends on its width alone: the intervals before the
-    # hold run chunk by chunk, the held ones index one quadrature per
-    # distinct width.  np.linspace's widths take a handful of values;
-    # return_inverse keeps off np.unique's hash path, which imports numpy.ma
+    def integrand(start, v, width):
+        return weight(start, v, width) * (occupation_at(d, profile, start + v) + 1.0)
+
+    # np.linspace's widths take a handful of values; return_inverse keeps
+    # off np.unique's hash path, which imports numpy.ma
     distinct, width_id = np.unique(widths, return_inverse=True)
+    zeros = np.zeros(distinct.size)
+    exact = -np.expm1(-g * distinct)
+    error = np.abs(_gauss_legendre(weight, zeros, distinct, zeros, distinct) - exact)
+    bad = np.flatnonzero(error > _GL_RTOL * exact)
+    if bad.size:
+        i = bad[-1]
+        raise SolverError(
+            f"coupling too stiff for the kernel quadrature: g D = {g * distinct[i]:.4g} per "
+            f"sample interval, where the 8-point rule's weight is off by "
+            f"{error[i] / exact[i]:.3g} relative (limit {_GL_RTOL:g})"
+        )
     decays = memoryview(np.array(list(map(math.exp, (-g * distinct).tolist())))[width_id])
     eta = np.empty(n_intervals + 1)
     eta[0] = eta0
-    for lo in range(0, n_ramp, _QUAD_CHUNK):
-        hi = min(lo + _QUAD_CHUNK, n_ramp)
-        _propagate(eta, lo, decays[lo:hi], _simpson_batch(integrand, starts[lo:hi], widths[lo:hi]))
+    # every interval before the hold in one call, one rule per piece between
+    # its ends and the kinks inside it; bincount adds up its pieces in order
+    ramp = s[: n_ramp + 1]
+    edges = np.sort(np.concatenate([ramp, _kinks_inside(profile, ramp)[1]]))
+    k = np.searchsorted(ramp, edges[:-1], side="right") - 1
+    lo, hi = edges[:-1] - starts[k], edges[1:] - starts[k]
+    pieces = _gauss_legendre(integrand, starts[k], widths[k], lo, hi)
+    _propagate(eta, 0, decays[:n_ramp], np.bincount(k, weights=pieces, minlength=n_ramp))
     if n_ramp < n_intervals:
         # a state at the held forcing's equilibrium stays there; the
         # recurrence would move it, since decay q + integral rounds off q
@@ -352,11 +383,25 @@ def evolve_eta_closed_form(
         if eta[n_ramp] == float(occupation_at(d, profile, profile.hold_start)) + 1.0:
             eta[n_ramp + 1:] = eta[n_ramp]
         else:
-            # every distinct width once, all from the stretch's first start;
-            # each is integrated on its own, so the bits match a held-only table
-            integrals = _simpson_batch(integrand, np.full(distinct.size, starts[n_ramp]), distinct)
+            # a held interval sees one forcing value, so its integral depends on
+            # its width alone: each distinct width once, from the first held start
+            held = np.full(distinct.size, starts[n_ramp])
+            integrals = _gauss_legendre(integrand, held, distinct, zeros, distinct)
             _propagate(eta, n_ramp, decays[n_ramp:], integrals[width_id[n_ramp:]])
     return EtaTrajectory(s, _checked_eta(s, eta))
+
+
+def _gauss_legendre(f, start, width, lo, hi):
+    """Integrals of f(start[i], v, width[i]) over v in [lo[i], hi[i]] for every
+    row i by the 8-node Gauss-Legendre rule (Golub and Welsch, Math. Comp.
+    23, 221, 1969), nodes at v = lo + (hi - lo)/2 (1 + x_j).  Each row sums
+    its node pairs w_j (f(x_j) + f(-x_j)) one after another, elementwise,
+    so its bits do not depend on the rows beside it, as a matrix product's would."""
+    half = 0.5 * (hi - lo)[:, None]
+    nodes = lo[:, None] + np.concatenate([half * (1.0 + _GL_NODES), half * (1.0 - _GL_NODES)], 1)
+    values = f(start[:, None], nodes, width[:, None])
+    pairs = values[:, :4] + values[:, 4:]
+    return half[:, 0] * sum(w * pairs[:, j] for j, w in enumerate(_GL_WEIGHTS))
 
 
 def _propagate(eta, k, decays, integrals) -> None:
@@ -370,52 +415,6 @@ def _propagate(eta, k, decays, integrals) -> None:
         value = decay * value + integral
         k += 1
         out[k] = value
-
-
-def _simpson_batch(f, start, width):
-    """Integrals of f(start[i], v, width[i]) over v in [0, width[i]], for every i.
-
-    Bisecting Simpson rule: a piece is accepted once |S_fine - S_coarse|
-    <= 15 * (its share of `_QUAD_TOL`), or once it is below float
-    resolution, and S_fine + (S_fine - S_coarse)/15 joins its interval's total.
-    """
-    total = np.zeros(start.size)
-    k = np.arange(start.size)
-    a = np.zeros(start.size)
-    b = width
-    m = 0.5 * (a + b)
-    fa, fm, fb = np.split(f(np.tile(start, 3), np.concatenate([a, m, b]), np.tile(width, 3)), 3)
-    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    tol = _QUAD_TOL
-    for depth in range(_QUAD_MAX_DEPTH + 1):
-        lm = 0.5 * (a + m)
-        rm = 0.5 * (m + b)
-        flm, frm = np.split(
-            f(np.tile(start[k], 2), np.concatenate([lm, rm]), np.tile(width[k], 2)), 2
-        )
-        left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
-        right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
-        delta = (left + right) - whole
-        # lm == a or rm == m means the piece is below float resolution
-        done = (np.abs(delta) <= 15.0 * tol) | (lm <= a) | (rm >= b)
-        np.add.at(total, k[done], (left + right + delta / 15.0)[done])
-        fail = np.flatnonzero(~done)
-        if fail.size == 0:
-            return total
-        if depth >= _QUAD_MAX_DEPTH or 2 * fail.size > _QUAD_MAX_PIECES:
-            i = fail[0]
-            raise SolverError(
-                f"kernel quadrature did not converge on s in "
-                f"[{float(start[k[i]] + a[i])!r}, {float(start[k[i]] + b[i])!r}] at depth {depth}: "
-                f"local error estimate {abs(delta[i]) / 15.0:.3e} > tolerance {tol:.3e}"
-            )
-        # children: [a, m] refines `left`, [m, b] refines `right`
-        k = np.tile(k[fail], 2)
-        a, fa, m, fm, b, fb, whole = [
-            np.concatenate([lo[fail], hi[fail]])
-            for lo, hi in ((a, m), (fa, fm), (lm, rm), (flm, frm), (m, b), (fm, fb), (left, right))
-        ]
-        tol = 0.5 * tol
 
 
 RECOVERY_TARGET = 0.997  # T_ratio a run must climb back to

@@ -520,6 +520,21 @@ def test_solver_cross_check_guards_coarse_steps(monkeypatch):
         run_cycle(CycleConfig(dimensionless=d))
 
 
+def test_over_stiff_coupling_is_refused_before_the_fixed_step_route(monkeypatch):
+    # g D = 1e4 / 2000 = 5 per sample interval: the kernel's 8-point rule
+    # misses the bare weight's integral 1 - exp(-g D) by more than 1e-13
+    # relative, so the kernel route refuses it before RK4 is started
+    started = []
+    monkeypatch.setattr(molcool.cycle, "evolve_eta_ode", lambda *args: started.append(args))
+    d = DimensionlessParams(theta0=0.032, freq_ratio_r=2.0, gamma_tau_g=1e4)
+    with pytest.raises(
+        SolverError,
+        match=r"^coupling too stiff for the kernel quadrature: g D = 5 per sample interval",
+    ):
+        run_cycle(CycleConfig(dimensionless=d))
+    assert started == []
+
+
 def test_kinks_inside_substeps_keep_the_fixed_step_order():
     # the ramp's kinks at 0.50013 and 0.50513 fall inside 1e-4 substeps; the
     # RK4 route splits those substeps there, so it keeps its 4th order and

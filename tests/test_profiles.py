@@ -103,16 +103,18 @@ def test_kinks_are_where_the_slope_jumps():
     shapes = [
         (FrequencyProfile(shape=ProfileShape.PIECEWISE_LINEAR, breakpoints=pts), (0.5, 2.0)),
         (FrequencyProfile(shape=ProfileShape.REVERSED_SINE_CLOSING, duration=0.3), (0.3,)),
-        (FrequencyProfile(duration=0.3), ()),
+        # the opening meets its hold at zero slope, but its curvature jumps by ~14
+        (FrequencyProfile(duration=0.3), (0.3,)),
         (FrequencyProfile(shape=ProfileShape.CONSTANT, level=0.7), ()),
     ]
-    eps = 1e-6
+    eps = 1e-4
     for prof, kinks in shapes:
         assert prof.kinks == kinks
         for s in kinks + (0.3, 0.5, 2.0):
-            left = (omega_at(prof, s, 2.0) - omega_at(prof, s - eps, 2.0)) / eps
-            right = (omega_at(prof, s + eps, 2.0) - omega_at(prof, s, 2.0)) / eps
-            assert (abs(right - left) > 0.1) == (s in kinks)
+            w = [omega_at(prof, s + j * eps, 2.0) for j in (-2, -1, 0, 1, 2)]
+            slope_jump = (w[3] - 2.0 * w[2] + w[1]) / eps
+            curvature_jump = (w[4] - 2.0 * w[3] + 2.0 * w[1] - w[0]) / eps**2
+            assert (abs(slope_jump) > 0.1 or abs(curvature_jump) > 1.0) == (s in kinks)
 
 
 @settings(max_examples=300, deadline=None)

@@ -8,17 +8,19 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.integrate import solve_ivp
 
 from molcool.cycle import TimeSeriesRecord
 from molcool.errors import SolverError
 from molcool.profiles import FrequencyProfile, ProfileShape, omega_at
 from molcool.solver import (
-    _QUAD_CHUNK,
+    _GL_NODES,
+    _GL_WEIGHTS,
     RecoveryResult,
     _check_run,
+    _gauss_legendre,
     _propagate,
     _scan,
-    _simpson_batch,
     _split_at_kinks,
     _substeps_per_interval,
     evolve_eta_closed_form,
@@ -127,7 +129,7 @@ def test_constant_frequency_fixed_point_is_exact():
 
 
 def test_closed_form_matches_analytic_relaxation():
-    # g = 300 makes the kernel bisect every interval several levels deep
+    # g = 300 puts g D = 0.75 into each sample interval's kernel weight
     prof = constant_profile(level=1.0)
     eta0 = 50.0
     eta_star = nu_of(0.1) + 1.0
@@ -138,18 +140,34 @@ def test_closed_form_matches_analytic_relaxation():
         np.testing.assert_allclose(traj.eta, expected, rtol=1e-11)
 
 
-def test_kernel_quadrature_refines_only_the_kinked_interval():
-    # |x - 0.3| is linear, so exact at depth 0, except in the middle interval,
-    # whose pieces around the kink bisect 28 levels deep
-    start = np.array([0.0, 0.25, 0.5])
-    width = np.full(3, 0.25)
-    values = _simpson_batch(lambda s0, v, w: np.abs(s0 + v - 0.3), start, width)
+def test_kernel_rule_is_numpys_8_point_gauss_legendre_rule():
+    x, w = np.polynomial.legendre.leggauss(8)
+    assert _GL_NODES.tolist() == x[4:].tolist() == (-x[3::-1]).tolist()
+    assert list(_GL_WEIGHTS) == w[4:].tolist() == w[3::-1].tolist()
+
+
+def test_kernel_rule_is_exact_on_an_interval_split_at_its_kink():
+    # |x - 0.3| is linear on either side of its kink: the middle interval,
+    # split at the kink into two rules as the kernel route splits it, is
+    # integrated exactly, like the two intervals beside it
+    def f(s0, v, w):
+        return np.abs(s0 + v - 0.3)
+
+    start = np.array([0.0, 0.25, 0.25, 0.5])
+    width = np.full(4, 0.25)
+    lo = np.array([0.0, 0.0, 0.3 - 0.25, 0.0])
+    hi = np.array([0.25, 0.3 - 0.25, 0.25, 0.25])
+    pieces = _gauss_legendre(f, start, width, lo, hi)
+    values = [pieces[0], pieces[1] + pieces[2], pieces[3]]
 
     def antiderivative(x):
         return (x - 0.3) * abs(x - 0.3) / 2.0
 
-    exact = [antiderivative(a + w) - antiderivative(a) for a, w in zip(start, width)]
-    np.testing.assert_allclose(values, exact, rtol=0, atol=1e-12)
+    exact = [antiderivative(a + 0.25) - antiderivative(a) for a in (0.0, 0.25, 0.5)]
+    np.testing.assert_allclose(values, exact, rtol=1e-15, atol=0)
+    # one rule across the kink misses it by 3.0e-4 relative
+    whole = _gauss_legendre(f, start[1:2], width[1:2], lo[1:2], width[1:2])
+    assert abs(whole[0] / exact[1] - 1.0) > 1e-4
 
 
 def test_ode_agrees_with_closed_form():
@@ -159,6 +177,68 @@ def test_ode_agrees_with_closed_form():
         np.testing.assert_allclose(ode.eta, closed.eta, rtol=1e-10)
         # both routes read one sample grid
         assert ode.s.tobytes() == closed.s.tobytes()
+
+
+def dop853_eta(d, profile, s):
+    """eta at the samples s from the thermal start at the closed frequency:
+    scipy's DOP853 at rtol 1e-13 up to hold_start, restarted at every kink
+    so that no step crosses a jump in the forcing's derivatives, and from
+    there on the hold's closed form q + (eta_h - q) exp(-g (s - s_h))."""
+    g, r = d.gamma_tau_g, d.freq_ratio_r
+
+    def q(t):
+        return 1.0 / math.expm1(d.theta0 * r * omega_at(profile, t, r)) + 1.0
+
+    def rhs(t, eta):
+        return g * q(t) - g * eta
+
+    hold = min(profile.hold_start, float(s[-1]))
+    cuts = [0.0, *sorted(x for x in {*profile.kinks, hold} if 0.0 < x <= hold)]
+    eta = np.empty_like(s)
+    eta[0] = thermal_eta(d.theta0 * r)
+    start = eta[0]
+    for a, b in zip(cuts, cuts[1:]):
+        inside = (s > a) & (s <= b)
+        # the samples in (a, b], then b itself, where the next piece starts
+        t_eval = np.append(s[inside & (s < b)], b)
+        y = solve_ivp(rhs, (a, b), [start], "DOP853", t_eval, rtol=1e-13, atol=1e-300).y[0]
+        eta[inside] = y[: np.count_nonzero(inside)]
+        start = y[-1]
+    held = s > hold
+    eta[held] = q(hold) + (start - q(hold)) * np.exp(-g * (s[held] - hold))
+    return eta
+
+
+# (theta0, r, g, profile, horizon, bound): each bound is about twice the
+# largest relative eta error measured against DOP853, from 3.7e-14 at g =
+# 3e3 to 1.2e-11 on the piecewise-linear ramp
+WITNESSES = {
+    "reference": (0.032, 2.0, 1.0, OPENING, 2.0, 7e-13),
+    "g = 300": (0.032, 2.0, 300.0, OPENING, 2.0, 7e-13),
+    "g = 3e3": (0.032, 2.0, 3e3, OPENING, 0.5, 1e-13),
+    "g = 5e3": (0.032, 2.0, 5e3, OPENING, 0.5, 1e-13),
+    "theta0 = 1e-10": (1e-10, 2.0, 1.0, OPENING, 2.0, 6e-13),
+    "theta0 = 1e-14": (1e-14, 2.0, 1.0, OPENING, 2.0, 8e-13),
+    "piecewise linear": (1.0, 3.0, 10.0, FrequencyProfile(
+        shape=ProfileShape.PIECEWISE_LINEAR,
+        breakpoints=((0.0, 1.0), (0.30025, 0.6), (0.61234, 0.45), (1.1, 0.8)),
+    ), 2.0, 2.5e-11),
+    "reversed closing": (0.1, 5.0, 3.0, FrequencyProfile(
+        shape=ProfileShape.REVERSED_SINE_CLOSING), 2.0, 4e-12),
+    "opening of 0.01234567": (0.032, 2.0, 1.0, FrequencyProfile(duration=0.01234567), 2.0, 2e-13),
+    "opening of 3.3e-4": (0.032, 2.0, 1.0, FrequencyProfile(duration=3.3e-4), 2.0, 2e-13),
+}
+
+
+@pytest.mark.parametrize("name", WITNESSES)
+def test_kernel_route_agrees_with_dop853(name):
+    # stiff, cold, kinked and sub-interval openings, with the kernel's rule
+    # split at every kink; the g >= 3e3 runs stop at 0.5, past the deepest
+    # cooling, since DOP853 takes ~7e3 steps per unit there
+    theta0, r, g, profile, horizon, bound = WITNESSES[name]
+    d = DimensionlessParams(theta0=theta0, freq_ratio_r=r, gamma_tau_g=g)
+    traj = evolve_eta_closed_form(d, profile, horizon=horizon)
+    assert np.max(np.abs(traj.eta / dop853_eta(d, profile, traj.s) - 1.0)) < bound
 
 
 def rk4_substep_reference(d, profile, eta0, horizon, step_size, samples_per_unit):
@@ -198,7 +278,9 @@ def test_ode_matches_per_substep_rk4(g, step_size):
 
 
 def full_grid_kernel(d, profile, eta0, horizon, samples_per_unit):
-    """The kernel route with `_simpson_batch` over every interval, held or not."""
+    """The kernel route with `_gauss_legendre` over every interval, held or
+    not, in one call: one rule per piece between an interval's ends and the
+    profile's kinks strictly inside it, its pieces summed in order."""
     n_intervals = round(horizon * samples_per_unit)
     g, r = d.gamma_tau_g, d.freq_ratio_r
     t0r = d.theta0 * r
@@ -208,12 +290,19 @@ def full_grid_kernel(d, profile, eta0, horizon, samples_per_unit):
     def integrand(start, v, width):
         return g * np.exp(g * (v - width)) * (nu_of(t0r * omega_at(profile, start + v, r)) + 1.0)
 
-    integrals = np.concatenate([
-        _simpson_batch(integrand, starts[lo:lo + _QUAD_CHUNK], widths[lo:lo + _QUAD_CHUNK])
-        for lo in range(0, n_intervals, _QUAD_CHUNK)
-    ])
+    rows, lo, hi = [], [], []
+    for k, (a, b) in enumerate(zip(starts.tolist(), samples[1:].tolist())):
+        cuts = [a, *(kink for kink in profile.kinks if a < kink < b), b]
+        for left, right in zip(cuts, cuts[1:]):
+            rows.append(k)
+            lo.append(left - a)
+            hi.append(right - a)
+    pieces = _gauss_legendre(integrand, starts[rows], widths[rows], np.array(lo), np.array(hi))
+    integrals = [0.0] * n_intervals
+    for k, piece in zip(rows, pieces.tolist()):
+        integrals[k] += piece
     eta, out = eta0, [eta0]
-    for decay, value in zip(map(math.exp, (-g * widths).tolist()), integrals.tolist()):
+    for decay, value in zip(map(math.exp, (-g * widths).tolist()), integrals):
         eta = decay * eta + value
         out.append(eta)
     return samples, np.array(out)
@@ -375,12 +464,10 @@ HOLD_PROFILES = {
 
 @pytest.mark.parametrize("g", [0.0, 1.0, 300.0])
 @pytest.mark.parametrize("name", HOLD_PROFILES)
-def test_held_forcing_is_evaluated_once_with_the_same_bits(name, g, monkeypatch):
+def test_held_forcing_is_evaluated_once_with_the_same_bits(name, g):
     # the routes skip the held stretch's forcing; every bit must stay as if
     # it had been evaluated at every point, with 1 and 3 RK4 substeps per
-    # sample.  32-interval chunks split the ramp into several, the last
-    # one short, before the held intervals' one quadrature per width
-    monkeypatch.setattr("molcool.solver._QUAD_CHUNK", 32)
+    # sample, and kinked intervals split alike
     profile = HOLD_PROFILES[name]
     d = DimensionlessParams(theta0=0.032, freq_ratio_r=2.0, gamma_tau_g=g)
     eta0 = 30.0
@@ -397,34 +484,47 @@ def test_held_forcing_is_evaluated_once_with_the_same_bits(name, g, monkeypatch)
 
 @pytest.mark.parametrize(
     "profile, horizon, ramp, widths",
-    [(OPENING, 10.0, [1024, 976], 14),
-     (FrequencyProfile(shape=ProfileShape.REVERSED_SINE_CLOSING), 1.0, [1024, 976], 0)],
-    ids=["reference opening", "reversed closing"],
+    [(OPENING, 10.0, 2000, 14),
+     (FrequencyProfile(shape=ProfileShape.REVERSED_SINE_CLOSING), 1.0, 2000, 10),
+     (FrequencyProfile(duration=0.30025), 1.0, 602, 10)],
+    ids=["reference opening", "reversed closing", "opening ends mid-interval"],
 )
 def test_kernel_route_integrates_each_interval_once(profile, horizon, ramp, widths, monkeypatch):
-    # the intervals that start before the hold go in whole chunks from the
-    # first, the last chunk ending at the hold; the held ones index one
-    # quadrature per distinct width of the run's one width table (14 on the
-    # reference opening, of which the held stretch has 5)
+    # the rule runs on the bare weight of every distinct width of the run's
+    # one width table (14 on the reference opening, of which the held
+    # stretch has 5), then on every interval that starts before the hold in
+    # one call, an interval with a kink inside as one row per piece, then,
+    # when there is a hold, once more on the distinct widths for the held
+    # intervals to index.  An opening that ends at 0.30025 has 601 intervals
+    # before its hold, the last split at its end: 602 rows
     calls = []
 
-    def spy(f, start, width):
-        calls.append((start.copy(), width.copy()))
-        return _simpson_batch(f, start, width)
+    def spy(f, start, width, lo, hi):
+        calls.append((start.copy(), width.copy(), lo.copy(), hi.copy()))
+        return _gauss_legendre(f, start, width, lo, hi)
 
-    monkeypatch.setattr("molcool.solver._simpson_batch", spy)
+    monkeypatch.setattr("molcool.solver._gauss_legendre", spy)
     traj = evolve_eta_closed_form(DEFAULT, profile, horizon=horizon)
-    starts, n_ramp = traj.s[:-1], sum(ramp)
-    assert n_ramp == np.searchsorted(starts, profile.hold_start)
-    assert [start.size for start, _ in calls] == ramp + ([widths] if widths else [])
-    chunked = np.concatenate([start for start, _ in calls[: len(ramp)]])
-    assert chunked.tobytes() == starts[:n_ramp].tobytes()
-    if widths:
-        start, width = calls[-1]
+    starts = traj.s[:-1]
+    n_ramp = int(np.searchsorted(starts, profile.hold_start))
+    distinct = np.unique(np.diff(traj.s))
+    assert distinct.size == widths
+    (_, check, zeros, whole), (start, width, lo, hi), *held = calls
+    assert check.tobytes() == whole.tobytes() == distinct.tobytes() and not zeros.any()
+    # the ramp's pieces, in order, tile each interval before the hold once
+    assert start.size == ramp
+    assert np.unique(start).tobytes() == starts[:n_ramp].tobytes()
+    assert np.all(lo[1:] == np.where(start[1:] == start[:-1], hi[:-1], 0.0))
+    assert np.all(hi == np.where(np.append(start[1:] != start[:-1], True), width, hi))
+    assert np.count_nonzero(hi != width) == ramp - n_ramp
+    if n_ramp < starts.size:
+        (start, width, lo, hi), = held
         # any held start gives the same bits, so every width starts at the first
         assert np.all(start == starts[n_ramp])
         assert starts[n_ramp] >= profile.hold_start
-        assert width.tobytes() == np.unique(np.diff(traj.s)).tobytes()
+        assert width.tobytes() == hi.tobytes() == distinct.tobytes() and not lo.any()
+    else:
+        assert held == []
 
 
 @pytest.mark.parametrize("k, n", [(0, 7), (3, 4), (5, 0)], ids=["k = 0", "k > 0", "no intervals"])
@@ -488,9 +588,11 @@ def test_unstable_step_and_ground_state_are_refused():
 
 
 def test_kernel_route_reports_first_sample_below_ground_state(monkeypatch):
-    # with no forcing eta only decays: 1.05 exp(-0.01 k) first reaches 1 at k = 5
+    # with no forcing eta only decays: 1.05 exp(-0.01 k) first reaches 1 at
+    # k = 5.  The forcing is nu + 1, so an occupation of -1 zeroes every
+    # integrand; the rule itself stays, as its check on the weight needs it
     monkeypatch.setattr(
-        "molcool.solver._simpson_batch", lambda f, start, width: np.zeros(start.size)
+        "molcool.solver.occupation_at", lambda d, profile, s: np.full(np.shape(s), -1.0)
     )
     samples = np.linspace(0.0, 1.0, 101)
     eta = 1.05
@@ -502,7 +604,7 @@ def test_kernel_route_reports_first_sample_below_ground_state(monkeypatch):
     assert f"eta reached {eta} at s = 0.05 " in str(excinfo.value)
     # an eta that overflows is refused as the fixed-step route refuses it
     monkeypatch.setattr(
-        "molcool.solver._simpson_batch", lambda f, start, width: np.full(start.size, np.inf)
+        "molcool.solver.occupation_at", lambda d, profile, s: np.full(np.shape(s), np.inf)
     )
     with pytest.raises(SolverError, match="eta reached inf at s = 0.01 "):
         evolve_eta_closed_form(DEFAULT, OPENING, eta0=1.05, horizon=1.0, samples_per_unit=100)
