@@ -240,14 +240,14 @@ class TimeSeriesRecord:
     def from_trajectory(cls, traj: EtaTrajectory, omega_over_omega1, theta0_r: float):
         """The record of `traj` under the schedule `omega_over_omega1` at
         theta0 * r = `theta0_r`: the one place mean_n and T_ratio are derived.
-        A sample at or below the ground-state limit is named by its s."""
-        above = traj.eta > 1.0 + GROUND_STATE_EPS
-        if not above.all():
-            i = int(np.argmin(above))  # the first sample that fails
-            raise ValueError(
-                f"eta = {float(traj.eta[i])!r} at s = {traj.s[i]:.6g} is at or below the "
-                f"ground-state limit 1 + {GROUND_STATE_EPS:g}"
-            )
+        A non-finite sample or one at or below the ground-state limit is named by its s."""
+        ok = (traj.eta > 1.0 + GROUND_STATE_EPS) & (traj.eta < math.inf)
+        if not ok.all():
+            i = int(np.argmin(ok))  # the first sample that fails
+            eta = float(traj.eta[i])
+            fault = f"at or below the ground-state limit 1 + {GROUND_STATE_EPS:g}"
+            raise ValueError(f"eta = {eta!r} at s = {traj.s[i]:.6g} is "
+                             + (fault if math.isfinite(eta) else "not finite"))
         ratio = ratio_from_eta(traj.eta, theta0_r * omega_over_omega1)
         return cls(traj.s, omega_over_omega1, traj.eta, traj.eta - 1.0, ratio)
 
@@ -366,7 +366,7 @@ def run_cycle(cfg: CycleConfig) -> CycleResult:
         rk4.append(evolve_eta_ode(d, prof, eta_rk4, duration))
         eta_kernel, eta_rk4 = float(kernel[-1].eta[-1]), float(rk4[-1].eta[-1])
     # omega is evaluated on each segment's own s; the fixed-step route is a
-    # witness, so only its eta is stitched; no segment outlives its stitch
+    # witness, so only its eta is joined; no segment outlives its stitch
     trajectory = _stitch(kernel, segments, ("s", "eta"))
     omega = _join(
         [omega_at(prof, part.s, d.freq_ratio_r) for part, (_, prof, _) in zip(kernel, segments)]
@@ -374,7 +374,7 @@ def run_cycle(cfg: CycleConfig) -> CycleResult:
     del kernel
     margins = {"solver": _cross_check(
         "solver", "eta routes disagree", trajectory.s,
-        _stitch(rk4, segments, ("eta",)).eta, trajectory.eta, SOLVER_AGREEMENT_RTOL,
+        _join([part.eta for part in rk4]), trajectory.eta, SOLVER_AGREEMENT_RTOL,
     )}
     del rk4
 

@@ -50,10 +50,10 @@ rows are one product written sample-major into the block, allocated once
 per run, so every reduction runs along memory; a block's mean levels and
 masses are one more product, of its clipped levels with the weights [n, 1].
 
-`ladder_levels` sizes the ladder from the cycle's plan, before any
-route runs, and `populations_from_quenched` refuses one of more than
-`_MAX_LEVELS` levels, whose run would not fit in memory, before it
-allocates anything.
+`ladder_levels` sizes the ladder from the cycle's plan, with no sample
+grid, before any route runs, and `populations_from_quenched` refuses one
+of more than `_MAX_LEVELS` levels, whose run would not fit in memory,
+before it allocates anything.
 
 Only the integrator imports scipy (its LAPACK wrappers): `import
 molcool` and every run without the oracle never load it.
@@ -68,7 +68,6 @@ import numpy as np
 
 from .errors import SolverError
 from .profiles import FrequencyProfile
-from .solver import SAMPLES_PER_UNIT as _ETA_SAMPLES_PER_UNIT
 from .solver import _grid, occupation_at
 from .thermo import QuenchedState
 from .units import DimensionlessParams
@@ -158,15 +157,15 @@ def truncation_levels(nu_max: float) -> int:
 def ladder_levels(d: DimensionlessParams, segments) -> int:
     """n_max for a run through the plan's (start, profile, duration) `segments`.
 
-    The largest occupation on the eta routes' `_grid`s (each up to the
-    first sample in its hold, past which it repeats), sized by
+    The largest occupation at each segment's start, kinks and end, between
+    which omega is monotone (`FrequencyProfile.kinks`), sized by
     `truncation_levels`; 20 more levels keep the one-way tail accumulator
     clear of its threshold where ceil(40 * nu) alone sits close to it.
     """
     nu_max = 0.0
     for _, prof, duration in segments:
-        s, held = _grid(duration, _ETA_SAMPLES_PER_UNIT, prof.hold_start)
-        nu_max = max(nu_max, float(occupation_at(d, prof, s[: held + 1]).max()))
+        ends = [0.0, *(k for k in prof.kinks if 0.0 < k < duration), duration]
+        nu_max = max(nu_max, float(occupation_at(d, prof, np.array(ends)).max()))
     return truncation_levels(nu_max) + 20
 
 

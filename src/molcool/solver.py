@@ -48,18 +48,18 @@ Gauss-Legendre rule (`_gauss_legendre`) per smooth piece, split at the
 kinks inside it, every interval before the hold in one call: 8 nodes per
 interval, fewer than the stepper's 10 stage points, whose grid
 `cycle.run_cycle` bounds first.  A fixed rule has no error estimate of
-its own.  Only the kernel's weight g exp(-g (D - v)) can vary faster
-than a sample width D, and its integral 1 - exp(-g D) is known, so the
-route checks the rule on it at each distinct width first and raises
-`SolverError` naming g D past `_GL_RTOL` relative error (from g D ~ 4.2
-on): over-stiff coupling fails fast.  The recurrence eta[k+1] = decay_k
-eta[k] + integral_k is a Python loop (each step needs the last), and
-`_propagate` runs it in place in the preallocated eta array through
-memoryviews: no sample passes through a Python list, whose float objects
-would keep their allocator's arenas resident past the route.  Neither
-route calls `np.unique` without an index output, or `np.union1d`: in
-numpy 2 those take a hashing path whose masked-array check imports
-`numpy.ma`, which a run does not need.
+its own.  Only the kernel's weight g exp(-g (D - v)) can vary faster than
+a sample width D, and in the hold, where the forcing is one value F, a
+width's integral is F (1 - exp(-g D)) exactly, so the route checks the
+rule on its held rows before the ramp, raising `SolverError` naming g D
+past `_GL_RTOL` relative error (from g D ~ 4.2 on).  The recurrence
+eta[k+1] = decay_k eta[k] + integral_k is a Python loop (each step needs
+the last), and `_propagate` runs it in place in the preallocated eta
+array through memoryviews: no sample passes through a Python list, whose
+float objects would keep their allocator's arenas resident past the
+route.  Neither route calls `np.unique` without an index output, or
+`np.union1d`: in numpy 2 those take a hashing path whose masked-array
+check imports `numpy.ma`, which a run does not need.
 
 Both routes do the work of a held stretch once.  From the profile's
 `hold_start` on, `omega_at` returns the same bits at every s, so the
@@ -67,10 +67,10 @@ forcing there is one number.  The stepper evaluates it only up to the
 first interval that starts in the hold; a held interval's forcing
 differences are exact zeros, so its drive is one value for all of them.
 The kernel route integrates each distinct width of the run's intervals
-once, from the stretch's first start: held integrands differ in the
-width alone, so any held start gives the same bits.  Every sample comes
-out with the bits it would have with the forcing evaluated at every
-point.  A state that meets the held intervals at the held forcing's
+once, from `hold_start`, in the rows that check its rule: held integrands
+differ in the width alone, so any held start gives the same bits.  Every
+sample comes out with the bits it would have with the forcing evaluated
+at every point.  A state that meets the held intervals at the held forcing's
 equilibrium q = nu + 1 is held at q bit for bit: the recurrence would
 carry it off q by rounding, a few ulps.
 """
@@ -90,14 +90,14 @@ from .units import DimensionlessParams
 SAMPLES_PER_UNIT = 2000  # both routes' output samples per tau_open
 STEP_SIZE = 1e-4         # the fixed-step route's largest substep
 _MIN_STEP = 1e-12
-_MAX_STAGE_POINTS = 200_000_000  # fixed-step stage grid: substep edges and midpoints
+_MAX_STAGE_POINTS = 200_000_000  # a run's substep edges and midpoints, hold included
 # np.polynomial.legendre.leggauss(8)'s positive nodes, each paired with its
 # mirror -x, and weights, written out: importing numpy.polynomial costs 0.7 MB
 _GL_NODES = np.array([0.18343464249564978, 0.525532409916329, 0.7966664774136267,
                       0.9602898564975362])
 _GL_WEIGHTS = (0.36268378337836166, 0.3137066458778869, 0.22238103445337443,
                0.10122853629037706)
-_GL_RTOL = 1e-13  # the rule's largest relative error on the kernel's bare weight
+_GL_RTOL = 1e-13  # the rule's largest relative error on the held rows
 
 
 @dataclass(eq=False)
@@ -140,9 +140,10 @@ def _grid(horizon, samples_per_unit, hold_start) -> tuple[np.ndarray, int]:
 def _substeps_per_interval(horizon: float, n_intervals: int, step_size: float) -> int:
     """Equal substeps of at most `step_size` per sample interval.
 
-    Checked before a fixed-step route allocates its stage grid of
-    2 * m * n_intervals + 1 points, so a tiny step or a long horizon fails
-    fast instead of exhausting memory.
+    The guard bounds the run's substep edges and midpoints,
+    2 * m * n_intervals + 1, and so every per-sample array (about 140 B
+    per sample: horizon 1000 peaks at 309 MB); a tiny step or a long
+    horizon fails fast, before either eta route allocates anything.
     """
     if not (math.isfinite(step_size) and step_size >= _MIN_STEP):
         raise SolverError(
@@ -333,7 +334,7 @@ def evolve_eta_closed_form(
                      + integral over [0, D] of g exp(-g (D - v)) (nu(theta(s + v)) + 1) dv,
 
     each interval integral by `_gauss_legendre`, once the rule has passed
-    its check on the bare weight (module docstring).  No finite-difference
+    its check on the held rows (module docstring).  No finite-difference
     stepping is involved, which makes this route the authoritative one in
     cross-checks.  `eta0=None` starts from the thermal eta at the closed
     frequency.
@@ -344,20 +345,22 @@ def evolve_eta_closed_form(
     n_intervals = s.size - 1
     starts = s[:-1]
     widths = s[1:] - starts
-
-    def weight(start, v, width):
-        return g * np.exp(g * (v - width))
+    held_forcing = float(occupation_at(d, profile, profile.hold_start)) + 1.0
 
     def integrand(start, v, width):
-        return weight(start, v, width) * (occupation_at(d, profile, start + v) + 1.0)
+        return g * np.exp(g * (v - width)) * (occupation_at(d, profile, start + v) + 1.0)
 
     # np.linspace's widths take a handful of values; return_inverse keeps
     # off np.unique's hash path, which imports numpy.ma
     distinct, width_id = np.unique(widths, return_inverse=True)
+    # the held rows, each distinct width from hold_start, check the rule; an
+    # infinite forcing (inf - inf here) is refused as an infinite eta at the end
     zeros = np.zeros(distinct.size)
-    exact = -np.expm1(-g * distinct)
-    error = np.abs(_gauss_legendre(weight, zeros, distinct, zeros, distinct) - exact)
-    bad = np.flatnonzero(error > _GL_RTOL * exact)
+    held = _gauss_legendre(integrand, zeros + profile.hold_start, distinct, zeros, distinct)
+    with np.errstate(invalid="ignore"):
+        exact = -held_forcing * np.expm1(-g * distinct)
+        error = np.abs(held - exact)
+        bad = np.flatnonzero(error > _GL_RTOL * exact)
     if bad.size:
         i = bad[-1]
         raise SolverError(
@@ -380,14 +383,10 @@ def evolve_eta_closed_form(
         # a state at the held forcing's equilibrium stays there; the
         # recurrence would move it, since decay q + integral rounds off q
         # and the rounding of each width's integral differs
-        if eta[n_ramp] == float(occupation_at(d, profile, profile.hold_start)) + 1.0:
+        if eta[n_ramp] == held_forcing:
             eta[n_ramp + 1:] = eta[n_ramp]
         else:
-            # a held interval sees one forcing value, so its integral depends on
-            # its width alone: each distinct width once, from the first held start
-            held = np.full(distinct.size, starts[n_ramp])
-            integrals = _gauss_legendre(integrand, held, distinct, zeros, distinct)
-            _propagate(eta, n_ramp, decays[n_ramp:], integrals[width_id[n_ramp:]])
+            _propagate(eta, n_ramp, decays[n_ramp:], held[width_id[n_ramp:]])
     return EtaTrajectory(s, _checked_eta(s, eta))
 
 

@@ -106,8 +106,8 @@ def ratio_from_eta(eta, theta_now):
     th = np.asarray(theta_now, dtype=float)
     if not np.all(np.isfinite(th)) or np.any(th <= 0.0):
         raise ValueError("theta_now must be positive and finite")
-    if np.any(eta_a <= 1.0 + GROUND_STATE_EPS):
-        raise ValueError("state at or below quantum ground-state limit")
+    if not np.all((eta_a > 1.0 + GROUND_STATE_EPS) & (eta_a < np.inf)):
+        raise ValueError("eta must be finite and above the quantum ground-state limit")
     ratio = th / -np.log1p(-1.0 / eta_a)
     if np.ndim(eta) == 0 and np.ndim(theta_now) == 0:
         return float(ratio)

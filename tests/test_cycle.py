@@ -42,7 +42,7 @@ from molcool.cycle import (
 from molcool.errors import SolverCrossCheckError, SolverError
 from molcool.oracle import evolve_populations
 from molcool.profiles import FrequencyProfile, ProfileShape
-from molcool.solver import evolve_eta_closed_form, evolve_eta_ode
+from molcool.solver import EtaTrajectory, evolve_eta_closed_form, evolve_eta_ode
 from molcool.thermo import OccupationUnderflow
 from molcool.units import DimensionlessParams
 
@@ -279,6 +279,17 @@ def test_record_validation():
             s=[0.0, 1.0], omega_over_omega1=[1.0, np.inf], eta=[2.0, 2.0],
             mean_n=[1.0, 1.0], T_ratio=[1.0, 1.0],
         )
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan, 1.0], ids=["inf", "nan", "ground state"])
+def test_record_names_the_first_sample_without_a_temperature(bad):
+    # an infinite eta passes a ground-state check alone and reaches the
+    # temperature's division; each fault is refused with its sample's s
+    s = np.array([0.0, 0.5, 1.0, 1.5])
+    traj = EtaTrajectory(s, np.array([2.0, 2.0, bad, np.inf]))
+    fault = "is at or below the ground-state limit 1 + 1e-12" if bad == 1.0 else "is not finite"
+    with pytest.raises(ValueError, match=re.escape(f"eta = {bad!r} at s = 1 {fault}")):
+        TimeSeriesRecord.from_trajectory(traj, np.ones(4), 0.064)
 
 
 def test_csv_roundtrip_is_byte_identical(tmp_path, default_result):
@@ -522,7 +533,7 @@ def test_solver_cross_check_guards_coarse_steps(monkeypatch):
 
 def test_over_stiff_coupling_is_refused_before_the_fixed_step_route(monkeypatch):
     # g D = 1e4 / 2000 = 5 per sample interval: the kernel's 8-point rule
-    # misses the bare weight's integral 1 - exp(-g D) by more than 1e-13
+    # misses the held rows' integral F (1 - exp(-g D)) by more than 1e-13
     # relative, so the kernel route refuses it before RK4 is started
     started = []
     monkeypatch.setattr(molcool.cycle, "evolve_eta_ode", lambda *args: started.append(args))

@@ -444,20 +444,47 @@ LADDER_SEGMENTS = {
     ),
     "reversed closing": (FrequencyProfile(ProfileShape.REVERSED_SINE_CLOSING), 2.0),
 }
+# a minimum at s = 0.30013, between samples: the ladder reads it, the grid does not
+OFF_GRID_MINIMUM = FrequencyProfile(
+    ProfileShape.PIECEWISE_LINEAR, breakpoints=((0.0, 1.0), (0.30013, 0.5), (1.0, 1.0))
+)
 _, DWELL_PLAN = _plan_segments(CycleConfig(LADDER_D, init_mode=FiniteDwell(dwell=3.0)))
 for k, (_, prof, duration) in enumerate(DWELL_PLAN):
     LADDER_SEGMENTS[f"finite-dwell segment {k}"] = (prof, duration)
 
 
+def grid_ladder(prof, duration):
+    grid = np.linspace(0.0, duration, round(duration * SAMPLES_PER_UNIT) + 1)
+    return truncation_levels(float(occupation_at(LADDER_D, prof, grid).max())) + 20
+
+
 @pytest.mark.parametrize("name", LADDER_SEGMENTS)
 def test_ladder_levels_match_the_full_sample_grid(name):
-    # the ladder reads the occupation up to the first held sample only; past
-    # it every sample repeats the hold's bits, so the whole grid's largest
-    # occupation is the same
+    # the ladder reads the occupation at a segment's start, kinks and end
+    # only; omega is monotone between them, and on these segments every one
+    # of them is a sample, so the whole grid's largest occupation is the same
     prof, duration = LADDER_SEGMENTS[name]
-    grid = np.linspace(0.0, duration, round(duration * SAMPLES_PER_UNIT) + 1)
-    full = truncation_levels(float(occupation_at(LADDER_D, prof, grid).max())) + 20
-    assert ladder_levels(LADDER_D, [(0.0, prof, duration)]) == full
+    assert ladder_levels(LADDER_D, [(0.0, prof, duration)]) == grid_ladder(prof, duration)
+
+
+def test_ladder_levels_reach_a_minimum_between_samples():
+    # the minimum at 0.30013 lies between the samples 0.3 and 0.3005, where
+    # omega is higher: the grid misses it, the ladder reads it
+    assert ladder_levels(LADDER_D, [(0.0, OFF_GRID_MINIMUM, 2.0)]) > grid_ladder(
+        OFF_GRID_MINIMUM, 2.0
+    )
+
+
+def test_ladder_levels_allocate_no_grid():
+    # one segment of horizon 3000 is a 6e6-sample grid, 48 MB as floats;
+    # the ladder reads its start, kink and end alone
+    tracemalloc.start()
+    try:
+        ladder_levels(LADDER_D, [(0.0, FrequencyProfile(), 3000.0)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 @pytest.mark.parametrize("theta0", [0.003, 0.01, 0.3])

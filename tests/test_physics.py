@@ -1,6 +1,8 @@
 """Physics checks of whole cycles: the classical limit and invariants
 across the parameter space."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -9,7 +11,7 @@ from hypothesis import strategies as st
 from molcool.cycle import CycleConfig, FiniteDwell, ThermalClosed, run_cycle
 from molcool.profiles import FrequencyProfile, ProfileShape, omega_at
 from molcool.solver import SAMPLES_PER_UNIT, evolve_eta_closed_form, evolve_eta_ode
-from molcool.thermo import thermal_eta
+from molcool.thermo import ratio_from_eta, thermal_eta
 from molcool.units import DimensionlessParams
 
 GAUSS_NODES, GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(8)
@@ -185,3 +187,45 @@ def test_cooling_is_shallower_at_higher_theta0(theta0, r, g, factor):
 @given(theta0=THETA0, r=RATIO, g=FRICTION, factor=APART)
 def test_cooling_is_deeper_at_a_larger_frequency_ratio(theta0, r, g, factor):
     assert min_t_ratio(theta0, r, g) > min_t_ratio(theta0, r * factor, g)
+
+
+def sine_opening_min_ratio(theta0, r, g):
+    """The lowest T_ratio of the kernel route over a sine opening to horizon 2."""
+    d = DimensionlessParams(theta0=theta0, freq_ratio_r=r, gamma_tau_g=g)
+    opening = FrequencyProfile()
+    traj = evolve_eta_closed_form(d, opening, horizon=2.0)
+    return float(ratio_from_eta(traj.eta, theta0 * r * omega_at(opening, traj.s, r)).min())
+
+
+@pytest.mark.parametrize("theta0", [0.032, 1.0])
+@pytest.mark.parametrize("r", [1.5, 2.0, 5.0])
+def test_fast_relaxation_law(theta0, r):
+    # g >> 1: eta = q - q'/g + O(g^-2), so with a = 1 - 1/r the lowest ratio
+    # is 1 - (pi/2) a / (g sqrt(1 - a^2)) + C g^-2.  Measured over this grid,
+    # C runs from 0.309 (theta0 = 0.032, r = 1.5) to 5.51 (theta0 = 1, r = 5)
+    # and holds within 0.4% across g at each (theta0, r): bound 0 < C < 6,
+    # and C within 1% of its mean over the three g
+    a = 1.0 - 1.0 / r
+    coefficients = []
+    for g in (300.0, 1000.0, 3000.0):
+        law = 1.0 - 0.5 * math.pi * a / (g * math.sqrt(1.0 - a * a))
+        coefficients.append((sine_opening_min_ratio(theta0, r, g) - law) * g**2)
+    assert all(0.0 < c < 6.0 for c in coefficients)
+    assert np.ptp(coefficients) < 0.01 * np.mean(coefficients)
+
+
+@pytest.mark.parametrize("r", [1.5, 2.0, 5.0])
+def test_slow_relaxation_law(r):
+    # g << 1, classical (theta0 = 1e-3): the lowest ratio is 1/r + (g/r)
+    # [(pi + 2 arcsin a)/(pi sqrt(1 - a^2)) - 1] + C g^2.  Measured, C is
+    # -0.130 and -0.133 at r = 1.5, -0.183 and -0.187 at r = 2, -0.242 and
+    # -0.248 at r = 5, for g = 1e-3 and 1e-2: bound -0.3 < C < -0.1, and
+    # the two g within 5% of each other
+    a = 1.0 - 1.0 / r
+    coefficients = []
+    for g in (1e-3, 1e-2):
+        slope = (math.pi + 2.0 * math.asin(a)) / (math.pi * math.sqrt(1.0 - a * a)) - 1.0
+        law = 1.0 / r + g / r * slope
+        coefficients.append((sine_opening_min_ratio(1e-3, r, g) - law) / g**2)
+    assert all(-0.3 < c < -0.1 for c in coefficients)
+    assert abs(coefficients[1] - coefficients[0]) < 0.05 * abs(coefficients[0])

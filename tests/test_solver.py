@@ -490,13 +490,12 @@ def test_held_forcing_is_evaluated_once_with_the_same_bits(name, g):
     ids=["reference opening", "reversed closing", "opening ends mid-interval"],
 )
 def test_kernel_route_integrates_each_interval_once(profile, horizon, ramp, widths, monkeypatch):
-    # the rule runs on the bare weight of every distinct width of the run's
-    # one width table (14 on the reference opening, of which the held
-    # stretch has 5), then on every interval that starts before the hold in
-    # one call, an interval with a kink inside as one row per piece, then,
-    # when there is a hold, once more on the distinct widths for the held
-    # intervals to index.  An opening that ends at 0.30025 has 601 intervals
-    # before its hold, the last split at its end: 602 rows
+    # two calls: first every distinct width of the run's one width table
+    # (14 on the reference opening, of which the held stretch has 5) from
+    # hold_start, the held rows that are also the rule's check, then every
+    # interval that starts before the hold, an interval with a kink inside
+    # as one row per piece.  An opening that ends at 0.30025 has 601
+    # intervals before its hold, the last split at its end: 602 rows
     calls = []
 
     def spy(f, start, width, lo, hi):
@@ -509,22 +508,26 @@ def test_kernel_route_integrates_each_interval_once(profile, horizon, ramp, widt
     n_ramp = int(np.searchsorted(starts, profile.hold_start))
     distinct = np.unique(np.diff(traj.s))
     assert distinct.size == widths
-    (_, check, zeros, whole), (start, width, lo, hi), *held = calls
-    assert check.tobytes() == whole.tobytes() == distinct.tobytes() and not zeros.any()
+    (held_start, held_width, zeros, held_hi), (start, width, lo, hi) = calls
+    # any held start gives the same bits, so every width starts at hold_start
+    assert np.all(held_start == profile.hold_start)
+    assert held_width.tobytes() == held_hi.tobytes() == distinct.tobytes() and not zeros.any()
     # the ramp's pieces, in order, tile each interval before the hold once
     assert start.size == ramp
     assert np.unique(start).tobytes() == starts[:n_ramp].tobytes()
     assert np.all(lo[1:] == np.where(start[1:] == start[:-1], hi[:-1], 0.0))
     assert np.all(hi == np.where(np.append(start[1:] != start[:-1], True), width, hi))
     assert np.count_nonzero(hi != width) == ramp - n_ramp
-    if n_ramp < starts.size:
-        (start, width, lo, hi), = held
-        # any held start gives the same bits, so every width starts at the first
-        assert np.all(start == starts[n_ramp])
-        assert starts[n_ramp] >= profile.hold_start
-        assert width.tobytes() == hi.tobytes() == distinct.tobytes() and not lo.any()
-    else:
-        assert held == []
+
+
+def test_kernel_rule_refusal_point_at_the_reference():
+    # the held rows check the rule: at D = 1/2000 it resolves the kernel to
+    # 1e-13 up to g D ~ 4.237, so g = 8470 answers and g = 8480 is refused
+    d = DimensionlessParams(theta0=0.032, freq_ratio_r=2.0, gamma_tau_g=8470.0)
+    assert evolve_eta_closed_form(d, OPENING, horizon=2.0).eta.size == 4001
+    d = DimensionlessParams(theta0=0.032, freq_ratio_r=2.0, gamma_tau_g=8480.0)
+    with pytest.raises(SolverError, match=r"^coupling too stiff .*: g D = 4\.24 per "):
+        evolve_eta_closed_form(d, OPENING, horizon=2.0)
 
 
 @pytest.mark.parametrize("k, n", [(0, 7), (3, 4), (5, 0)], ids=["k = 0", "k > 0", "no intervals"])
@@ -590,7 +593,7 @@ def test_unstable_step_and_ground_state_are_refused():
 def test_kernel_route_reports_first_sample_below_ground_state(monkeypatch):
     # with no forcing eta only decays: 1.05 exp(-0.01 k) first reaches 1 at
     # k = 5.  The forcing is nu + 1, so an occupation of -1 zeroes every
-    # integrand; the rule itself stays, as its check on the weight needs it
+    # integrand, and the held rows, 0, pass the rule's check exactly
     monkeypatch.setattr(
         "molcool.solver.occupation_at", lambda d, profile, s: np.full(np.shape(s), -1.0)
     )

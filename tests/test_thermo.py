@@ -102,6 +102,10 @@ def test_ground_state_guard():
         ratio_from_eta(1.0 + 1e-13, 0.032)
     with pytest.raises(ValueError, match="theta_now must be positive and finite"):
         ratio_from_eta(2.0, 0.0)
+    # a non-finite eta has no temperature: refused, not returned as nan or inf
+    for eta in (np.nan, np.inf, [2.0, np.inf], [np.nan, 2.0]):
+        with pytest.raises(ValueError, match="^eta must be finite and above the quantum "):
+            ratio_from_eta(eta, 0.032)
     with pytest.raises(ValueError):
         QuenchedState(eta=1.0)
     with pytest.raises(ValueError):
