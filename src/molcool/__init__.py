@@ -17,7 +17,6 @@ from .cycle import (
     CycleResult,
     CycleSummary,
     FiniteDwell,
-    RECOVERY_TARGET,
     REFERENCE_MIN_T_RATIO,
     REFERENCE_RECOVERY_S,
     SweepRow,
@@ -46,6 +45,7 @@ from .oracle import (
 )
 from .profiles import FrequencyProfile, ProfileShape, omega_at
 from .solver import (
+    RECOVERY_TARGET,
     EtaTrajectory,
     RecoveryResult,
     evolve_eta_closed_form,

@@ -16,10 +16,10 @@ import argparse
 import os
 import sys
 
+from . import solver
 from .cycle import (
     CycleConfig,
     CycleResult,
-    RECOVERY_TARGET,
     REFERENCE_MIN_T_RATIO,
     REFERENCE_RECOVERY_S,
     SweepSpec,
@@ -144,12 +144,12 @@ def _load_config(args) -> CycleConfig:
 
 
 def _print_summary(result: CycleResult) -> None:
-    summ = result.summary
+    summ, target = result.summary, solver.RECOVERY_TARGET
     print(f"min T_ratio = {_fmt(summ.min_t_ratio)} at s = {_fmt(summ.argmin_s)}")
     if summ.recovery.recovered:
-        print(f"recovery to {RECOVERY_TARGET} at s = {_fmt(summ.recovery.s)}")
+        print(f"recovery to {target} at s = {_fmt(summ.recovery.s)}")
     else:
-        print(f"recovery to {RECOVERY_TARGET} not reached within horizon {summ.recovery.horizon}")
+        print(f"recovery to {target} not reached within horizon {summ.recovery.horizon}")
     print(f"final eta = {_fmt(summ.final_eta)}")
     if result.oracle is not None:
         print("oracle cross-check passed")
@@ -288,7 +288,7 @@ def _cmd_reproduce_fig4(args) -> int:
     recovery_s = summ.recovery.s if summ.recovery.recovered else None
     anchors = (
         ("min T_ratio", summ.min_t_ratio, REFERENCE_MIN_T_RATIO),
-        (f"recovery to {RECOVERY_TARGET} at s", recovery_s, REFERENCE_RECOVERY_S),
+        (f"recovery to {solver.RECOVERY_TARGET} at s", recovery_s, REFERENCE_RECOVERY_S),
     )
     ok = True
     for label, value, (expected, tol) in anchors:

@@ -6,8 +6,8 @@ oracle) as cross-checks, sweeps one parameter axis across many runs,
 and emits deterministic CSV files, plot scripts, and config files.
 
 `run_cycle` only orchestrates.  It walks the segment plan (close, hold,
-open; or the opening alone), calls every route on each segment with the
-route's own default grid, joins each route's segments with `_stitch`,
+open; or the opening alone), calls every route on each segment on the
+grid its module sets, joins each route's segments with `_stitch`,
 and compares routes with `_cross_check`, the one place a disagreement
 is measured and refused.  `TimeSeriesRecord.from_trajectory` derives
 the observables from the kernel route's eta, once.
@@ -29,6 +29,7 @@ from typing import ClassVar
 
 import numpy as np
 
+from . import solver
 from .errors import SolverCrossCheckError
 from .oracle import (
     PopulationTrajectory,
@@ -38,15 +39,11 @@ from .oracle import (
 )
 from .profiles import FrequencyProfile, ProfileShape, omega_at
 from .solver import (
-    RECOVERY_TARGET,
-    SAMPLES_PER_UNIT,
-    STEP_SIZE,
     EtaTrajectory,
     RecoveryResult,
-    _check_run,
-    _substeps_per_interval,
     evolve_eta_closed_form,
     evolve_eta_ode,
+    occupation_at,
     recovery_time,
 )
 from .thermo import GROUND_STATE_EPS, QuenchedState, ratio_from_eta, thermal_eta
@@ -256,7 +253,7 @@ class TimeSeriesRecord:
 class CycleSummary:
     """A record's headline numbers: its lowest T_ratio, `min_t_ratio`, and
     the s of its first sample there, `argmin_s`; the `recovery` search
-    from that minimum back to `RECOVERY_TARGET`; and eta at the last
+    from that minimum back to `solver.RECOVERY_TARGET`; and eta at the last
     sample, `final_eta`."""
 
     min_t_ratio: float
@@ -291,6 +288,17 @@ def _plan_segments(cfg: CycleConfig):
         segments.append((-dwell, FrequencyProfile(ProfileShape.CONSTANT), dwell))
     segments.append((0.0, cfg.profile, cfg.horizon))
     return eta0, segments
+
+
+def _largest_occupation(d: DimensionlessParams, segments) -> float:
+    """The largest occupation over the plan's (start, profile, duration)
+    `segments`, inf past float range: at a segment's start, kinks or end,
+    between which omega is monotone (`FrequencyProfile.kinks`)."""
+    nu_max = 0.0
+    for _, prof, duration in segments:
+        ends = [0.0, *(k for k in prof.kinks if 0.0 < k < duration), duration]
+        nu_max = max(nu_max, float(occupation_at(d, prof, np.array(ends)).max()))
+    return nu_max
 
 
 _ORACLE_SAMPLES = ("s", "mean_n", "tail_bound", "mass", "geometric_residual")
@@ -342,22 +350,30 @@ def run_cycle(cfg: CycleConfig) -> CycleResult:
     every sample or the run fails with "solver cross-check failed".
     With `cfg.with_oracle`, the Fock-level populations are evolved too
     and their mean occupation + 1 must match eta within
-    ORACLE_AGREEMENT_RTOL at the oracle's (coarser) samples.  Every
-    route runs on its own default grid.
+    ORACLE_AGREEMENT_RTOL at the oracle's (coarser) samples, each route
+    on the grid its module sets.  A start or forcing past float range is refused first.
     """
     d = cfg.dimensionless
-    eta0, segments = _plan_segments(cfg)
+    with np.errstate(over="ignore", divide="ignore"):
+        eta0, segments = _plan_segments(cfg)
+        nu_max = _largest_occupation(d, segments)
     # `ratio_from_eta` would refuse this start at the record's first sample
     if not eta0 > 1.0 + GROUND_STATE_EPS:
         raise ValueError(
             f"eta0 must exceed 1 + {GROUND_STATE_EPS:g} (the ground-state limit), got {eta0}"
         )
+    forcing = d.gamma_tau_g * (nu_max + 1.0)  # inf past float range, or nan at g = 0
+    if not (eta0 < math.inf and forcing < math.inf):
+        raise ValueError(
+            f"eta0 = {eta0:.3g} and the forcing g (nu + 1) = {forcing:.3g} at the largest "
+            f"occupation nu = {nu_max:.3g} must be finite (theta0 too small or g too large)"
+        )
     # the routes' grids and the oracle's ladder pass their size checks before any route runs
     for _, _, duration in segments:
-        n_intervals = _check_run(duration, SAMPLES_PER_UNIT)
-        _substeps_per_interval(duration, n_intervals, STEP_SIZE)
+        n_intervals = solver._check_run(duration, solver.SAMPLES_PER_UNIT)
+        solver._substeps_per_interval(duration, n_intervals, solver.STEP_SIZE)
     if cfg.with_oracle:
-        pv = populations_from_quenched(QuenchedState(eta=eta0), ladder_levels(d, segments))
+        pv = populations_from_quenched(QuenchedState(eta=eta0), ladder_levels(nu_max))
 
     kernel, rk4 = [], []
     eta_kernel = eta_rk4 = eta0
@@ -399,7 +415,7 @@ def run_cycle(cfg: CycleConfig) -> CycleResult:
     summary = CycleSummary(
         min_t_ratio=float(record.T_ratio[i_min]),
         argmin_s=float(record.s[i_min]),
-        recovery=recovery_time(record, RECOVERY_TARGET),
+        recovery=recovery_time(record),
         final_eta=float(record.eta[-1]),
     )
     return CycleResult(record=record, summary=summary, margins=margins, oracle=oracle)

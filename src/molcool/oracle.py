@@ -50,10 +50,10 @@ rows are one product written sample-major into the block, allocated once
 per run, so every reduction runs along memory; a block's mean levels and
 masses are one more product, of its clipped levels with the weights [n, 1].
 
-`ladder_levels` sizes the ladder from the cycle's plan, with no sample
-grid, before any route runs, and `populations_from_quenched` refuses one
-of more than `_MAX_LEVELS` levels, whose run would not fit in memory,
-before it allocates anything.
+`ladder_levels` sizes the ladder from the largest occupation of the
+cycle's plan, before any route runs, and `truncation_levels` and
+`populations_from_quenched` refuse one of more than `_MAX_LEVELS`
+levels, whose run would not fit in memory, before anything is allocated.
 
 Only the integrator imports scipy (its LAPACK wrappers): `import
 molcool` and every run without the oracle never load it.
@@ -89,8 +89,7 @@ _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
 _BLOCK = 16         # samples reduced at a time
 _SPENT = dict(overwrite_dl=1, overwrite_d=1, overwrite_du=1)  # a solve's diagonals are scratch
 _SHAPE_WINDOW = 51  # geometric residual over p_{n+1}/p_n for n < 51
-# a run's peak RSS grows by 425-440 B per level (measured, 4e4-4e5 levels),
-# so 2e6 levels stay within the 1.6 GB the fixed-step route's stage grid may take
+# a run's peak RSS grows by 425-440 B per level (measured, 4e4-4e5 levels): < 0.9 GB at the cap
 _MAX_LEVELS = 2_000_000
 
 
@@ -147,25 +146,28 @@ class PopulationTrajectory:
         return PopulationVector(p=self.populations.copy(), tail_bound=float(self.tail_bound[-1]))
 
 
+def _check_ladder(levels) -> None:
+    """Refuse a ladder of more than `_MAX_LEVELS` levels, an int or a float count."""
+    if levels > _MAX_LEVELS:
+        raise ValueError(
+            f"a ladder of {levels:.3g} levels would exceed memory limits ({_MAX_LEVELS} allowed)"
+        )
+
+
 def truncation_levels(nu_max: float) -> int:
-    """Level count rule n_max = ceil(40 * nu_max); keeps geometric tails < e^-40."""
+    """Level count rule n_max = ceil(40 * nu_max); keeps geometric tails < e^-40.
+    A count past `_MAX_LEVELS` is refused, one past float range included."""
     if not (math.isfinite(nu_max) and nu_max > 0.0):
         raise ValueError(f"nu_max must be positive, got {nu_max}")
-    return int(math.ceil(40.0 * nu_max))
+    levels = 40.0 * nu_max  # inf past float range
+    _check_ladder(levels)
+    return math.ceil(levels)
 
 
-def ladder_levels(d: DimensionlessParams, segments) -> int:
-    """n_max for a run through the plan's (start, profile, duration) `segments`.
-
-    The largest occupation at each segment's start, kinks and end, between
-    which omega is monotone (`FrequencyProfile.kinks`), sized by
+def ladder_levels(nu_max: float) -> int:
+    """n_max for a run whose largest occupation is `nu_max`, sized by
     `truncation_levels`; 20 more levels keep the one-way tail accumulator
-    clear of its threshold where ceil(40 * nu) alone sits close to it.
-    """
-    nu_max = 0.0
-    for _, prof, duration in segments:
-        ends = [0.0, *(k for k in prof.kinks if 0.0 < k < duration), duration]
-        nu_max = max(nu_max, float(occupation_at(d, prof, np.array(ends)).max()))
+    clear of its threshold where ceil(40 * nu) alone sits close to it."""
     return truncation_levels(nu_max) + 20
 
 
@@ -178,11 +180,7 @@ def populations_from_quenched(state: QuenchedState, n_max: int) -> PopulationVec
     """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
-    if n_max + 1 > _MAX_LEVELS:
-        raise ValueError(
-            f"a ladder of {n_max + 1} levels would exceed memory limits "
-            f"({_MAX_LEVELS} allowed)"
-        )
+    _check_ladder(n_max + 1)
     q = 1.0 - 1.0 / state.eta
     tail = q ** (n_max + 1)
     if tail > TAIL_THRESHOLD:
@@ -218,20 +216,18 @@ def evolve_populations(
     profile: FrequencyProfile,
     init: PopulationVector,
     horizon: float = 10.0,
-    *,
-    samples_per_unit: int = SAMPLES_PER_UNIT,
 ) -> PopulationTrajectory:
     """Integrate the truncated birth-death populations over `horizon`.
 
     Implicit multistep (NDF) on the generator's tridiagonal band,
-    under the error control `_RTOL`/`_ATOL`.  Samples are
-    reduced as they are produced (see `PopulationTrajectory`); only the
-    final vector is kept.  Aborts at the first sample where any
+    under the error control `_RTOL`/`_ATOL`.  Samples, `SAMPLES_PER_UNIT`
+    per tau_open, are reduced as they are produced (see
+    `PopulationTrajectory`); only the final vector is kept.  Aborts at the first sample where any
     population or the tail drops below `NEGATIVITY_FLOOR` (integrator
     failure) or the tail estimate exceeds `TAIL_THRESHOLD` (truncation
     too small for the schedule).
     """
-    samples, _ = _grid(horizon, samples_per_unit, profile.hold_start)
+    samples, _ = _grid(horizon, SAMPLES_PER_UNIT, profile.hold_start)
     reducer = _SampleReducer(samples, init.p.size)
     y0 = np.concatenate([init.p, [init.tail_bound]])
     return reducer.trajectory(*_evolve_bdf(d, profile, y0, samples, reducer))

@@ -104,7 +104,7 @@ class FrequencyProfile:
     def kinks(self) -> tuple[float, ...]:
         """The s > 0 at which omega is not smooth: every breakpoint after
         the first, and the end of a sine shape, where the reversed closing's
-        slope jumps and the opening's curvature does.  `oracle.ladder_levels`
+        slope jumps and the opening's curvature does.  `cycle._largest_occupation`
         relies on omega being monotone between 0, the kinks and a segment's end."""
         if self.shape is ProfileShape.PIECEWISE_LINEAR:
             return tuple(float(p[0]) for p in self.breakpoints[1:])

@@ -89,7 +89,6 @@ from .units import DimensionlessParams
 
 SAMPLES_PER_UNIT = 2000  # both routes' output samples per tau_open
 STEP_SIZE = 1e-4         # the fixed-step route's largest substep
-_MIN_STEP = 1e-12
 _MAX_STAGE_POINTS = 200_000_000  # a run's substep edges and midpoints, hold included
 # np.polynomial.legendre.leggauss(8)'s positive nodes, each paired with its
 # mirror -x, and weights, written out: importing numpy.polynomial costs 0.7 MB
@@ -142,18 +141,14 @@ def _substeps_per_interval(horizon: float, n_intervals: int, step_size: float) -
 
     The guard bounds the run's substep edges and midpoints,
     2 * m * n_intervals + 1, and so every per-sample array (about 140 B
-    per sample: horizon 1000 peaks at 309 MB); a tiny step or a long
-    horizon fails fast, before either eta route allocates anything.
+    per sample: horizon 1000 peaks at 309 MB); a long horizon fails
+    fast, before either eta route allocates anything.
     """
-    if not (math.isfinite(step_size) and step_size >= _MIN_STEP):
-        raise SolverError(
-            f"step-size underflow: step {step_size} below the smallest usable step {_MIN_STEP}"
-        )
     m = max(1, math.ceil(horizon / n_intervals / step_size - 1e-9))
-    n_points = 2 * m * n_intervals + 1
+    n_points = 2.0 * m * n_intervals + 1.0  # a float, which `:.3g` prints at any size
     if n_points > _MAX_STAGE_POINTS:
         raise SolverError(
-            f"a substep grid of {n_points} points (horizon {horizon:g} at step {step_size:g}) "
+            f"a substep grid of {n_points:.3g} points (horizon {horizon:g} at step {step_size:g}) "
             f"would exceed memory limits ({_MAX_STAGE_POINTS} allowed)"
         )
     return m
@@ -182,10 +177,8 @@ def _checked_eta(s: np.ndarray, eta: np.ndarray) -> np.ndarray:
     bad = np.flatnonzero(~((eta > 1.0) & (eta < math.inf)))
     if bad.size:
         k = bad[0]
-        raise SolverError(
-            f"model violation: eta reached {eta[k]} at s = {s[k]:.6g} "
-            "(at or below the ground-state limit)"
-        )
+        fault = "at or below the ground-state limit" if math.isfinite(eta[k]) else "not finite"
+        raise SolverError(f"model violation: eta reached {eta[k]} at s = {s[k]:.6g} ({fault})")
     return eta
 
 
@@ -251,18 +244,15 @@ def evolve_eta_ode(
     profile: FrequencyProfile,
     eta0: float | None = None,
     horizon: float = 10.0,
-    *,
-    step_size: float = STEP_SIZE,
-    samples_per_unit: int = SAMPLES_PER_UNIT,
 ) -> EtaTrajectory:
     """Fixed-step explicit 4th-order integration of the eta relaxation law.
 
-    `step_size` is an upper bound on the substep: every inter-sample
+    `STEP_SIZE` is an upper bound on the substep: every inter-sample
     interval is split into equally many equal substeps, so sample times
     are hit exactly and halving the step exactly doubles the substep
     count.  An interval with one of the profile's kinks strictly inside
     also splits the substep the kink falls in there, so that RK4 only
-    steps over smooth forcing.  Output sampling (`samples_per_unit` per
+    steps over smooth forcing.  Output sampling (`SAMPLES_PER_UNIT` per
     tau_open) is decoupled from the integration step.  The samples come
     from one numpy scan of the per-interval affine maps, not from a loop
     over them.  A step past RK4's stability limit, g h > 2.785, raises
@@ -271,14 +261,14 @@ def evolve_eta_ode(
     at the closed frequency.
     """
     # the substep count is checked before any grid is allocated
-    m = _substeps_per_interval(horizon, _check_run(horizon, samples_per_unit), step_size)
+    m = _substeps_per_interval(horizon, _check_run(horizon, SAMPLES_PER_UNIT), STEP_SIZE)
     eta0 = _start_eta(d, eta0)
     g = d.gamma_tau_g
 
     def forcing(t):
         return g * (occupation_at(d, profile, t) + 1.0)
 
-    s, n_ramp = _grid(horizon, samples_per_unit, profile.hold_start)
+    s, n_ramp = _grid(horizon, SAMPLES_PER_UNIT, profile.hold_start)
     n_intervals = s.size - 1
     h = horizon / (m * n_intervals)
     # the stages of the intervals before the hold, j h/2 from each sample;
@@ -323,12 +313,11 @@ def evolve_eta_closed_form(
     profile: FrequencyProfile,
     eta0: float | None = None,
     horizon: float = 10.0,
-    *,
-    samples_per_unit: int = SAMPLES_PER_UNIT,
 ) -> EtaTrajectory:
     """Exact exponential-kernel solution of the eta relaxation law.
 
-    Sample to sample the linear law propagates exactly as
+    Sample to sample (`SAMPLES_PER_UNIT` per tau_open) the linear law
+    propagates exactly as
 
         eta(s + D) = exp(-g D) eta(s)
                      + integral over [0, D] of g exp(-g (D - v)) (nu(theta(s + v)) + 1) dv,
@@ -339,7 +328,7 @@ def evolve_eta_closed_form(
     cross-checks.  `eta0=None` starts from the thermal eta at the closed
     frequency.
     """
-    s, n_ramp = _grid(horizon, samples_per_unit, profile.hold_start)
+    s, n_ramp = _grid(horizon, SAMPLES_PER_UNIT, profile.hold_start)
     eta0 = _start_eta(d, eta0)
     g = d.gamma_tau_g
     n_intervals = s.size - 1
@@ -419,8 +408,8 @@ def _propagate(eta, k, decays, integrals) -> None:
 RECOVERY_TARGET = 0.997  # T_ratio a run must climb back to
 
 
-def recovery_time(traj, target: float = RECOVERY_TARGET) -> RecoveryResult:
-    """First s at or after the T_ratio minimum where T_ratio >= target.
+def recovery_time(traj) -> RecoveryResult:
+    """First s at or after the T_ratio minimum where T_ratio >= `RECOVERY_TARGET`.
 
     Works on records (`cycle.TimeSeriesRecord`), or any object with `s`
     and `T_ratio` sample arrays.  The sub-sample crossing is the root of
@@ -432,18 +421,16 @@ def recovery_time(traj, target: float = RECOVERY_TARGET) -> RecoveryResult:
     ratio = np.asarray(traj.T_ratio, dtype=float)
     if s.size < 2:
         raise ValueError("trajectory needs at least two samples")
-    if not (math.isfinite(target) and target > 0.0):
-        raise ValueError(f"target must be positive, got {target}")
     horizon = float(s[-1])
     i_min = int(np.argmin(ratio))
-    if ratio[i_min] >= target:
-        # target at or below the minimum: the crossing is the minimum itself
+    if ratio[i_min] >= RECOVERY_TARGET:
+        # the target at or below the minimum: the crossing is the minimum itself
         return RecoveryResult(True, float(s[i_min]), horizon)
-    above = np.nonzero(ratio[i_min:] >= target)[0]
+    above = np.nonzero(ratio[i_min:] >= RECOVERY_TARGET)[0]
     if above.size == 0:
         return RecoveryResult(False, None, horizon)
-    # ratio[j - 1] < target <= ratio[j]: the line through the pair crosses once
+    # ratio[j - 1] < RECOVERY_TARGET <= ratio[j]: the line through the pair crosses once
     j = i_min + int(above[0])
     s0, s1 = float(s[j - 1]), float(s[j])
     r0, r1 = float(ratio[j - 1]), float(ratio[j])
-    return RecoveryResult(True, s0 + (target - r0) / (r1 - r0) * (s1 - s0), horizon)
+    return RecoveryResult(True, s0 + (RECOVERY_TARGET - r0) / (r1 - r0) * (s1 - s0), horizon)

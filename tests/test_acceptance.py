@@ -10,6 +10,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from molcool import solver
 from molcool.cli import main
 from molcool.cycle import (
     CycleConfig,
@@ -64,7 +65,9 @@ def test_criterion_3_weak_coupling_reaches_ideal_limit():
     assert report(3, f"min T_ratio {value:.6f} at gamma_tau_g=1e-4 in 0.500 +/- 0.001 under 5 s", ok)
 
 
-def test_criterion_4_three_way_solver_agreement():
+def test_criterion_4_three_way_solver_agreement(monkeypatch):
+    # the eta routes on the oracle's grid of 100 samples per unit
+    monkeypatch.setattr(solver, "SAMPLES_PER_UNIT", 100)
     start = time.perf_counter()
     worst_routes = 0.0
     worst_oracle = 0.0
@@ -73,15 +76,15 @@ def test_criterion_4_three_way_solver_agreement():
             for g in (0.1, 1.0, 10.0):
                 d = DimensionlessParams(theta0=theta0, freq_ratio_r=ratio, gamma_tau_g=g)
                 prof = FrequencyProfile()
-                closed = evolve_eta_closed_form(d, prof, horizon=3.0, samples_per_unit=100)
-                ode = evolve_eta_ode(d, prof, horizon=3.0, samples_per_unit=100)
+                closed = evolve_eta_closed_form(d, prof, horizon=3.0)
+                ode = evolve_eta_ode(d, prof, horizon=3.0)
                 worst_routes = max(
                     worst_routes, float(np.max(np.abs(ode.eta / closed.eta - 1.0)))
                 )
                 init = populations_from_quenched(
                     thermal_state(theta0 * ratio), truncation_levels(nu_of(theta0)) + 20
                 )
-                pops = evolve_populations(d, prof, init, horizon=3.0, samples_per_unit=100)
+                pops = evolve_populations(d, prof, init, horizon=3.0)
                 worst_oracle = max(
                     worst_oracle,
                     float(np.max(np.abs((pops.mean_n + 1.0) / closed.eta - 1.0))),
@@ -103,7 +106,7 @@ def test_criterion_5_quenched_form_is_preserved():
         thermal_state(d.theta0 * d.freq_ratio_r), truncation_levels(nu_of(d.theta0)) + 20
     )
     start = time.perf_counter()
-    traj = evolve_populations(d, prof, init, horizon=10.0, samples_per_unit=100)
+    traj = evolve_populations(d, prof, init, horizon=10.0)
     elapsed = time.perf_counter() - start
     # max |r_n / mean(r) - 1| over the level ratios r_n = p_{n+1}/p_n, n < 51
     worst = float(traj.geometric_residual.max())
@@ -113,7 +116,7 @@ def test_criterion_5_quenched_form_is_preserved():
     )
 
 
-def test_criterion_6_equilibrium_identity_and_hold():
+def test_criterion_6_equilibrium_identity_and_hold(monkeypatch):
     start = time.perf_counter()
     thetas = np.geomspace(1e-3, 10.0, 200)
     worst_identity = max(
@@ -123,8 +126,10 @@ def test_criterion_6_equilibrium_identity_and_hold():
     d = DimensionlessParams(theta0=0.024, freq_ratio_r=2.0, gamma_tau_g=1.0)
     prof = FrequencyProfile(shape=ProfileShape.CONSTANT, level=1.0)
     eta_star = nu_of(0.048) + 1.0
-    ode = evolve_eta_ode(d, prof, horizon=100.0, step_size=1e-3, samples_per_unit=200)
-    closed = evolve_eta_closed_form(d, prof, horizon=100.0, samples_per_unit=200)
+    monkeypatch.setattr(solver, "SAMPLES_PER_UNIT", 200)
+    monkeypatch.setattr(solver, "STEP_SIZE", 1e-3)
+    ode = evolve_eta_ode(d, prof, horizon=100.0)
+    closed = evolve_eta_closed_form(d, prof, horizon=100.0)
     drift = max(
         float(np.max(np.abs(ode.eta - eta_star))),
         float(np.max(np.abs(closed.eta - eta_star))),

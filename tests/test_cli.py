@@ -5,6 +5,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -429,7 +430,47 @@ def test_oversized_oracle_ladder_is_refused(monkeypatch, capsys):
     monkeypatch.setattr("molcool.cycle.evolve_eta_closed_form", refuse)
     monkeypatch.setattr("molcool.cycle.evolve_eta_ode", refuse)
     assert run_cli("cycle", "--theta0", "1e-6", "--with-oracle", "--horizon", "3000") == 2
-    assert "a ladder of 40000002 levels would exceed memory limits" in capsys.readouterr().err
+    assert "a ladder of 4e+07 levels would exceed memory limits" in capsys.readouterr().err
+
+
+# inputs at the edge of double precision, each refused before any route runs:
+# a ladder count that overflows, two counts too long to print in full, and
+# occupations that overflow at the start or at the opening's end
+EXTREME_INPUTS = {
+    "ladder count overflows": ("--theta0 2e-307 --with-oracle --horizon 2", "a ladder of inf "),
+    "ladder of 4e+201 levels": ("--theta0 1e-200 --with-oracle", "a ladder of 4e+201 levels "),
+    "stage grid of 2e+304 points": (
+        "--init-mode finite-dwell --dwell 1e300", "a substep grid of 2e+304 points "
+    ),
+    "infinite start": ("--theta0 1e-320", "eta0 = inf and the forcing g (nu + 1) = inf "),
+    "infinite occupation": ("--theta0 5e-309", "eta0 = 1e+308 and the forcing g (nu + 1) = inf "),
+    "infinite occupation, oracle": (
+        "--theta0 5e-309 --with-oracle", "eta0 = 1e+308 and the forcing g (nu + 1) = inf "
+    ),
+}
+
+
+@pytest.mark.parametrize("name", EXTREME_INPUTS)
+def test_extreme_inputs_exit_2_with_one_readable_line(name, capsys):
+    # under the repo's warning filters, which raise numpy's overflow
+    # warnings as errors; any other warning shown is recorded
+    argv, message = EXTREME_INPUTS[name]
+    with warnings.catch_warnings(record=True) as shown:
+        assert run_cli("cycle", *argv.split()) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
+    assert len(err) < 200 and "Traceback" not in err
+    assert not [w for w in shown if issubclass(w.category, RuntimeWarning)]
+
+
+def test_tiny_theta0_still_answers(capsys):
+    # theta0 = 1e-300 keeps every occupation finite: the run answers
+    assert run_cli("cycle", "--theta0", "1e-300") == 0
+    assert capsys.readouterr().out == (
+        "min T_ratio = 6.67399546421e-01 at s = 7.82000000000e-01\n"
+        "recovery to 0.997 at s = 5.60644808195e+00\n"
+        "final eta = 9.99962929717e+299\n"
+    )
 
 
 @pytest.mark.filterwarnings("ignore::molcool.thermo.OccupationUnderflow")

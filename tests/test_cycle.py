@@ -1,6 +1,5 @@
 """Tests for cycle orchestration, sweeps, CSV/plot emission, and config files."""
 
-import functools
 import re
 import subprocess
 import sys
@@ -13,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import molcool.cycle
+from molcool import solver
 from molcool.cli import main
 from molcool.cycle import (
     CSV_HEADER,
@@ -514,14 +514,8 @@ RELATIVE_AT_S = r" by \d\.\d{3}e[+-]\d{2} relative at s = -?\d[\d.e+-]* "
 
 def test_solver_cross_check_guards_coarse_steps(monkeypatch):
     # the routes on a 10-samples-per-unit grid, RK4 with one 0.1 substep each
-    monkeypatch.setattr(
-        molcool.cycle, "evolve_eta_closed_form",
-        functools.partial(evolve_eta_closed_form, samples_per_unit=10),
-    )
-    monkeypatch.setattr(
-        molcool.cycle, "evolve_eta_ode",
-        functools.partial(evolve_eta_ode, samples_per_unit=10, step_size=0.1),
-    )
+    monkeypatch.setattr(solver, "SAMPLES_PER_UNIT", 10)
+    monkeypatch.setattr(solver, "STEP_SIZE", 0.1)
     d = DimensionlessParams(theta0=0.032, freq_ratio_r=2.0, gamma_tau_g=10.0)
     shape = (
         "^solver cross-check failed: eta routes disagree"
@@ -529,6 +523,34 @@ def test_solver_cross_check_guards_coarse_steps(monkeypatch):
     )
     with pytest.raises(SolverCrossCheckError, match=shape):
         run_cycle(CycleConfig(dimensionless=d))
+
+
+def test_grid_and_step_settings_govern_both_routes_and_the_pre_check(monkeypatch):
+    # one value of each module constant is read by both eta routes and by
+    # run_cycle's size check, which refuses a grid before either route runs
+    monkeypatch.setattr(solver, "SAMPLES_PER_UNIT", 50)
+    monkeypatch.setattr(solver, "STEP_SIZE", 2e-3)
+    d = default_cycle_config().dimensionless
+    kernel = evolve_eta_closed_form(d, FrequencyProfile(), horizon=2.0)
+    rk4 = evolve_eta_ode(d, FrequencyProfile(), horizon=2.0)
+    assert kernel.s.tobytes() == rk4.s.tobytes() == np.linspace(0.0, 2.0, 101).tobytes()
+    assert rk4.step_size == 2e-3
+    record = run_cycle(CycleConfig(dimensionless=d, horizon=2.0)).record
+    assert len(record) == 101 and record.s[-1] == 2.0
+
+    def refuse(*args):
+        raise AssertionError("an eta route ran before the grid was checked")
+
+    monkeypatch.setattr(molcool.cycle, "evolve_eta_closed_form", refuse)
+    monkeypatch.setattr(molcool.cycle, "evolve_eta_ode", refuse)
+    for samples_per_unit, step_size, count in ((50, 1e-9, "2e+10"), (10**8, 2e-3, "2e+09")):
+        monkeypatch.setattr(solver, "SAMPLES_PER_UNIT", samples_per_unit)
+        monkeypatch.setattr(solver, "STEP_SIZE", step_size)
+        refusal = re.escape(f"a substep grid of {count} points (horizon 10 ")
+        with pytest.raises(SolverError, match=refusal):
+            run_cycle(CycleConfig(dimensionless=d))
+        with pytest.raises(SolverError, match=refusal):
+            evolve_eta_ode(d, FrequencyProfile(), horizon=10.0)
 
 
 def test_over_stiff_coupling_is_refused_before_the_fixed_step_route(monkeypatch):

@@ -1,6 +1,7 @@
 """Tests for the truncated level-population reference integrator."""
 
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -9,7 +10,14 @@ import pytest
 import scipy.linalg.lapack
 
 import molcool.oracle
-from molcool.cycle import CycleConfig, FiniteDwell, _nearest_indices, _plan_segments, run_cycle
+from molcool.cycle import (
+    CycleConfig,
+    FiniteDwell,
+    _largest_occupation,
+    _nearest_indices,
+    _plan_segments,
+    run_cycle,
+)
 from molcool.errors import SolverError
 from molcool.oracle import (
     PopulationVector,
@@ -57,10 +65,8 @@ def test_quenched_rejects_short_truncation():
 def test_oversized_ladder_is_refused_before_allocation():
     state = QuenchedState(eta=2.0)
     assert populations_from_quenched(state, n_max=_MAX_LEVELS - 1).p.size == _MAX_LEVELS
-    refusal = (
-        rf"^a ladder of {_MAX_LEVELS + 1} levels would exceed memory limits "
-        rf"\({_MAX_LEVELS} allowed\)$"
-    )
+    # the count, 2000001, is printed to 3 significant digits
+    refusal = rf"^a ladder of 2e\+06 levels would exceed memory limits \({_MAX_LEVELS} allowed\)$"
     tracemalloc.start()
     try:
         with pytest.raises(ValueError, match=refusal):
@@ -93,6 +99,10 @@ def test_truncation_levels_rule():
     assert truncation_levels(0.024) == 1
     with pytest.raises(ValueError, match="nu_max must be positive"):
         truncation_levels(0.0)
+    # a count past the cap is refused, one past float range (40 x 1e308) too
+    for nu_max, count in ((1e6, "4e+07"), (1e308, "inf")):
+        with pytest.raises(ValueError, match=rf"^a ladder of {re.escape(count)} levels "):
+            truncation_levels(nu_max)
 
 
 def test_population_vector_validation():
@@ -151,11 +161,12 @@ def test_tail_overflow_aborts_mid_run():
     assert "at s =" in str(excinfo.value)
 
 
-def test_trajectory_sample_access():
+def test_trajectory_sample_access(monkeypatch):
+    monkeypatch.setattr(molcool.oracle, "SAMPLES_PER_UNIT", 10)
     d = DimensionlessParams(theta0=0.3, freq_ratio_r=2.0, gamma_tau_g=1.0)
     prof = FrequencyProfile()
     init = thermal_vector(0.6, truncation_levels(nu_of(0.3)) + 20)
-    traj = evolve_populations(d, prof, init, horizon=0.5, samples_per_unit=10)
+    traj = evolve_populations(d, prof, init, horizon=0.5)
     for name in ("s", "mean_n", "tail_bound", "mass", "geometric_residual"):
         assert getattr(traj, name).shape == (6,), name
     # only the final vector is kept
@@ -275,14 +286,15 @@ def shape_residual(p):
     return float(np.max(np.abs(ratios / ratios.mean() - 1.0)))
 
 
-def test_geometric_residual_definition():
+def test_geometric_residual_definition(monkeypatch):
+    monkeypatch.setattr(molcool.oracle, "SAMPLES_PER_UNIT", 10)
     # a start off quenched form by a few percent, level by level
     d = DimensionlessParams(theta0=0.3, freq_ratio_r=2.0, gamma_tau_g=1.0)
     prof = FrequencyProfile()
     base = thermal_vector(0.6, truncation_levels(nu_of(0.3)) + 20)
     p = base.p * (1.0 + 0.03 * np.sin(np.arange(base.p.size)))
     init = PopulationVector(p=p / (p.sum() + base.tail_bound), tail_bound=base.tail_bound)
-    traj = evolve_populations(d, prof, init, horizon=0.5, samples_per_unit=10)
+    traj = evolve_populations(d, prof, init, horizon=0.5)
     assert shape_residual(init.p) > 0.01
     assert traj.geometric_residual[0] == pytest.approx(shape_residual(init.p), abs=1e-12)
     assert traj.geometric_residual[-1] == pytest.approx(shape_residual(traj.final.p), abs=1e-15)
@@ -460,27 +472,27 @@ def grid_ladder(prof, duration):
 
 @pytest.mark.parametrize("name", LADDER_SEGMENTS)
 def test_ladder_levels_match_the_full_sample_grid(name):
-    # the ladder reads the occupation at a segment's start, kinks and end
+    # the ladder's occupation is read at a segment's start, kinks and end
     # only; omega is monotone between them, and on these segments every one
     # of them is a sample, so the whole grid's largest occupation is the same
     prof, duration = LADDER_SEGMENTS[name]
-    assert ladder_levels(LADDER_D, [(0.0, prof, duration)]) == grid_ladder(prof, duration)
+    nu_max = _largest_occupation(LADDER_D, [(0.0, prof, duration)])
+    assert ladder_levels(nu_max) == grid_ladder(prof, duration)
 
 
 def test_ladder_levels_reach_a_minimum_between_samples():
     # the minimum at 0.30013 lies between the samples 0.3 and 0.3005, where
     # omega is higher: the grid misses it, the ladder reads it
-    assert ladder_levels(LADDER_D, [(0.0, OFF_GRID_MINIMUM, 2.0)]) > grid_ladder(
-        OFF_GRID_MINIMUM, 2.0
-    )
+    nu_max = _largest_occupation(LADDER_D, [(0.0, OFF_GRID_MINIMUM, 2.0)])
+    assert ladder_levels(nu_max) > grid_ladder(OFF_GRID_MINIMUM, 2.0)
 
 
 def test_ladder_levels_allocate_no_grid():
     # one segment of horizon 3000 is a 6e6-sample grid, 48 MB as floats;
-    # the ladder reads its start, kink and end alone
+    # the largest occupation is read at its start, kink and end alone
     tracemalloc.start()
     try:
-        ladder_levels(LADDER_D, [(0.0, FrequencyProfile(), 3000.0)])
+        ladder_levels(_largest_occupation(LADDER_D, [(0.0, FrequencyProfile(), 3000.0)]))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -494,7 +506,7 @@ def test_held_factors_repeat_the_tridiagonal_solve(theta0, g):
     # row, and its factors solve as dgtsv does, bit for bit
     d = DimensionlessParams(theta0=theta0, freq_ratio_r=2.0, gamma_tau_g=g)
     prof = FrequencyProfile()
-    levels = np.arange(ladder_levels(d, [(0.0, prof, 10.0)]) + 1, dtype=float)
+    levels = np.arange(ladder_levels(_largest_occupation(d, [(0.0, prof, 10.0)])) + 1, dtype=float)
     down, up = molcool.oracle._rates(d, prof, prof.hold_start)
     lower, upper = up * (levels + 1.0), np.append(down * levels[1:], 0.0)
     main = np.append(-(down * levels + up * (levels + 1.0)), 0.0)

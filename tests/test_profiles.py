@@ -135,7 +135,7 @@ MONOTONE_EXAMPLES = {
 @pytest.mark.parametrize("shape", list(ProfileShape), ids=lambda shape: shape.value)
 @pytest.mark.parametrize("r", [1.0, 2.0, 7.5])
 def test_omega_is_monotone_between_kinks(shape, r):
-    # oracle.ladder_levels reads a segment's largest occupation at its start,
+    # cycle._largest_occupation reads a segment's largest occupation at its start,
     # kinks and end alone; a new shape needs examples here (KeyError)
     for prof in MONOTONE_EXAMPLES[shape]:
         points = (0.0, *prof.kinks, prof.hold_start + 1.0)

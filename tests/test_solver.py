@@ -10,6 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
+from molcool import solver
 from molcool.cycle import TimeSeriesRecord
 from molcool.errors import SolverError
 from molcool.profiles import FrequencyProfile, ProfileShape, omega_at
@@ -35,6 +36,13 @@ DEFAULT = DimensionlessParams(theta0=0.032, freq_ratio_r=2.0, gamma_tau_g=1.0)
 OPENING = FrequencyProfile()
 
 
+def use_grid(mp, samples_per_unit, step_size=solver.STEP_SIZE):
+    """Run the eta routes at `samples_per_unit` samples per unit and a
+    substep of at most `step_size`, through `mp`, a pytest MonkeyPatch."""
+    mp.setattr(solver, "SAMPLES_PER_UNIT", samples_per_unit)
+    mp.setattr(solver, "STEP_SIZE", step_size)
+
+
 def constant_profile(level=1.0):
     return FrequencyProfile(shape=ProfileShape.CONSTANT, level=level)
 
@@ -56,10 +64,11 @@ def record_of(d, profile, traj):
     )
 
 
-def test_decoupled_eta_is_frozen():
+def test_decoupled_eta_is_frozen(monkeypatch):
     d = DimensionlessParams(theta0=0.032, freq_ratio_r=2.0, gamma_tau_g=0.0)
     eta0 = nu_of(0.064) + 1.0
-    traj = evolve_eta_ode(d, OPENING, horizon=2.0, samples_per_unit=500)
+    use_grid(monkeypatch, 500)
+    traj = evolve_eta_ode(d, OPENING, horizon=2.0)
     assert np.all(traj.eta == eta0)
     # frozen eta turns the temperature ratio into the frequency schedule itself
     ratio = temperature_ratio(d, OPENING, traj)
@@ -103,20 +112,19 @@ def test_zero_coupling_freezes_eta_exactly(shape, data, theta0, r, eta0):
     # return eta0 bit for bit, kinked intervals included
     profile, horizon, samples_per_unit = data.draw(frozen_runs(shape))
     d = DimensionlessParams(theta0=theta0, freq_ratio_r=r, gamma_tau_g=0.0)
-    kernel = evolve_eta_closed_form(d, profile, eta0, horizon, samples_per_unit=samples_per_unit)
-    rk4 = evolve_eta_ode(
-        d, profile, eta0, horizon, step_size=1e-3, samples_per_unit=samples_per_unit
-    )
+    with pytest.MonkeyPatch.context() as mp:
+        use_grid(mp, samples_per_unit, 1e-3)
+        kernel = evolve_eta_closed_form(d, profile, eta0, horizon)
+        rk4 = evolve_eta_ode(d, profile, eta0, horizon)
     for traj in (kernel, rk4):
         assert traj.eta.size == _check_run(horizon, samples_per_unit) + 1
         assert np.all(traj.eta == eta0)
 
 
-def test_constant_frequency_fixed_point_is_exact():
+def test_constant_frequency_fixed_point_is_exact(monkeypatch):
     # starting on the stationary value, every RK4 stage vanishes identically
-    traj = evolve_eta_ode(
-        DEFAULT, constant_profile(), horizon=20.0, step_size=1e-3, samples_per_unit=200
-    )
+    use_grid(monkeypatch, 200, 1e-3)
+    traj = evolve_eta_ode(DEFAULT, constant_profile(), horizon=20.0)
     eta_star = nu_of(0.064) + 1.0
     assert np.all(traj.eta == eta_star)
     np.testing.assert_allclose(
@@ -124,18 +132,19 @@ def test_constant_frequency_fixed_point_is_exact():
     )
     # so it does with an unstable step (g h = 50): every map adds exactly 0
     d = DimensionlessParams(theta0=0.032, freq_ratio_r=2.0, gamma_tau_g=5e4)
-    traj = evolve_eta_ode(d, constant_profile(), horizon=1.0, step_size=1e-3, samples_per_unit=200)
+    traj = evolve_eta_ode(d, constant_profile(), horizon=1.0)
     assert np.all(traj.eta == eta_star)
 
 
-def test_closed_form_matches_analytic_relaxation():
+def test_closed_form_matches_analytic_relaxation(monkeypatch):
     # g = 300 puts g D = 0.75 into each sample interval's kernel weight
+    use_grid(monkeypatch, 400)
     prof = constant_profile(level=1.0)
     eta0 = 50.0
     eta_star = nu_of(0.1) + 1.0
     for g in (1.0, 300.0):
         d = DimensionlessParams(theta0=0.1, freq_ratio_r=1.0, gamma_tau_g=g)
-        traj = evolve_eta_closed_form(d, prof, eta0=eta0, horizon=5.0, samples_per_unit=400)
+        traj = evolve_eta_closed_form(d, prof, eta0=eta0, horizon=5.0)
         expected = eta_star + (eta0 - eta_star) * np.exp(-g * traj.s)
         np.testing.assert_allclose(traj.eta, expected, rtol=1e-11)
 
@@ -170,10 +179,11 @@ def test_kernel_rule_is_exact_on_an_interval_split_at_its_kink():
     assert abs(whole[0] / exact[1] - 1.0) > 1e-4
 
 
-def test_ode_agrees_with_closed_form():
+def test_ode_agrees_with_closed_form(monkeypatch):
+    use_grid(monkeypatch, 200)
     for profile in SHAPES.values():
-        ode = evolve_eta_ode(DEFAULT, profile, horizon=2.0, samples_per_unit=200)
-        closed = evolve_eta_closed_form(DEFAULT, profile, horizon=2.0, samples_per_unit=200)
+        ode = evolve_eta_ode(DEFAULT, profile, horizon=2.0)
+        closed = evolve_eta_closed_form(DEFAULT, profile, horizon=2.0)
         np.testing.assert_allclose(ode.eta, closed.eta, rtol=1e-10)
         # both routes read one sample grid
         assert ode.s.tobytes() == closed.s.tobytes()
@@ -265,12 +275,11 @@ def rk4_substep_reference(d, profile, eta0, horizon, step_size, samples_per_unit
 
 @pytest.mark.parametrize("g", [0.0, 1.0, 100.0, 1000.0])
 @pytest.mark.parametrize("step_size", [1e-3, 2e-4])  # 1 and 5 substeps per sample
-def test_ode_matches_per_substep_rk4(g, step_size):
+def test_ode_matches_per_substep_rk4(g, step_size, monkeypatch):
     d = DimensionlessParams(theta0=0.032, freq_ratio_r=2.0, gamma_tau_g=g)
     eta0 = 30.0
-    traj = evolve_eta_ode(
-        d, OPENING, eta0=eta0, horizon=2.0, step_size=step_size, samples_per_unit=1000
-    )
+    use_grid(monkeypatch, 1000, step_size)
+    traj = evolve_eta_ode(d, OPENING, eta0=eta0, horizon=2.0)
     expected = rk4_substep_reference(d, OPENING, eta0, 2.0, step_size, 1000)
     np.testing.assert_allclose(traj.eta, expected, rtol=1e-12, atol=0)
     if g == 0.0:
@@ -442,7 +451,8 @@ def test_scan_composes_the_routes_split_maps_like_a_loop(monkeypatch):
         _scan(c, x)
 
     monkeypatch.setattr("molcool.solver._scan", spy)
-    evolve_eta_ode(DEFAULT, profile, eta0=50.0, horizon=1.0, step_size=2.5e-3, samples_per_unit=100)
+    use_grid(monkeypatch, 100, 2.5e-3)
+    evolve_eta_ode(DEFAULT, profile, eta0=50.0, horizon=1.0)
     (c, x), = maps
     assert np.flatnonzero(c != c[0]).tolist() == [30, 31, 50]
     assert_scan_matches_loop(c, x)
@@ -464,19 +474,21 @@ HOLD_PROFILES = {
 
 @pytest.mark.parametrize("g", [0.0, 1.0, 300.0])
 @pytest.mark.parametrize("name", HOLD_PROFILES)
-def test_held_forcing_is_evaluated_once_with_the_same_bits(name, g):
+def test_held_forcing_is_evaluated_once_with_the_same_bits(name, g, monkeypatch):
     # the routes skip the held stretch's forcing; every bit must stay as if
     # it had been evaluated at every point, with 1 and 3 RK4 substeps per
     # sample, and kinked intervals split alike
     profile = HOLD_PROFILES[name]
     d = DimensionlessParams(theta0=0.032, freq_ratio_r=2.0, gamma_tau_g=g)
     eta0 = 30.0
-    kernel = evolve_eta_closed_form(d, profile, eta0, horizon=2.0, samples_per_unit=128)
+    use_grid(monkeypatch, 128)
+    kernel = evolve_eta_closed_form(d, profile, eta0, horizon=2.0)
     s, eta = full_grid_kernel(d, profile, eta0, 2.0, 128)
     assert kernel.s.tobytes() == s.tobytes()
     assert kernel.eta.tobytes() == eta.tobytes()
     for step_size in (1.0 / 128, 0.003):
-        rk4 = evolve_eta_ode(d, profile, eta0, 2.0, step_size=step_size, samples_per_unit=128)
+        use_grid(monkeypatch, 128, step_size)
+        rk4 = evolve_eta_ode(d, profile, eta0, 2.0)
         s, eta = full_grid_rk4(d, profile, eta0, 2.0, step_size, 128)
         assert rk4.s.tobytes() == s.tobytes()
         assert rk4.eta.tobytes() == eta.tobytes()
@@ -544,18 +556,18 @@ def test_propagate_matches_a_plain_loop(k, n):
     assert eta.tobytes() == np.array(expected).tobytes()
 
 
-def test_ode_step_halving_is_converged():
-    coarse = evolve_eta_ode(DEFAULT, OPENING, horizon=2.0, samples_per_unit=200)
-    fine = evolve_eta_ode(
-        DEFAULT, OPENING, horizon=2.0, step_size=5e-5, samples_per_unit=200
-    )
+def test_ode_step_halving_is_converged(monkeypatch):
+    use_grid(monkeypatch, 200)
+    coarse = evolve_eta_ode(DEFAULT, OPENING, horizon=2.0)
+    use_grid(monkeypatch, 200, 5e-5)
+    fine = evolve_eta_ode(DEFAULT, OPENING, horizon=2.0)
     rel = np.max(np.abs(fine.eta / coarse.eta - 1.0))
     assert rel < 1e-9
 
 
 def test_overdamped_limit_tracks_instantaneous_equilibrium():
     d = DimensionlessParams(theta0=0.032, freq_ratio_r=2.0, gamma_tau_g=1e3)
-    traj = evolve_eta_closed_form(d, OPENING, horizon=1.0, samples_per_unit=2000)
+    traj = evolve_eta_closed_form(d, OPENING, horizon=1.0)
     theta = 0.064 * schedule(d, OPENING, traj)
     target = nu_of(theta) + 1.0
     mask = traj.s >= 0.1
@@ -572,19 +584,21 @@ def test_trajectory_metadata():
     assert closed.s[0] == 0.0 and closed.s[-1] == 1.0
 
 
-def test_unstable_step_and_ground_state_are_refused():
+def test_unstable_step_and_ground_state_are_refused(monkeypatch):
     # g h = 50 is past RK4's stability limit: refused from the maps, before
     # the scan, so no overflowed sample is named
     d = DimensionlessParams(theta0=0.032, freq_ratio_r=2.0, gamma_tau_g=5e4)
     unstable = r"g h = 50 exceeds RK4's stability limit 2\.785"
+    use_grid(monkeypatch, 200, 1e-3)
     with pytest.raises(SolverError, match=unstable) as excinfo:
-        evolve_eta_ode(d, OPENING, eta0=40.0, horizon=1.0, step_size=1e-3, samples_per_unit=200)
+        evolve_eta_ode(d, OPENING, eta0=40.0, horizon=1.0)
     assert "inf" not in str(excinfo.value)
     # a stable step (g h = 0.01) relaxing toward eta* = 1 + 4e-18, which
     # rounds to 1: the first sample that reaches it is refused
     d = DimensionlessParams(theta0=40.0, freq_ratio_r=1.0, gamma_tau_g=100.0)
+    use_grid(monkeypatch, 100)
     with pytest.raises(SolverError) as excinfo:
-        evolve_eta_ode(d, constant_profile(level=1.0), eta0=1.05, horizon=1.0, samples_per_unit=100)
+        evolve_eta_ode(d, constant_profile(level=1.0), eta0=1.05, horizon=1.0)
     assert str(excinfo.value) == (
         "model violation: eta reached 1.0 at s = 0.35 (at or below the ground-state limit)"
     )
@@ -597,30 +611,30 @@ def test_kernel_route_reports_first_sample_below_ground_state(monkeypatch):
     monkeypatch.setattr(
         "molcool.solver.occupation_at", lambda d, profile, s: np.full(np.shape(s), -1.0)
     )
+    use_grid(monkeypatch, 100)
     samples = np.linspace(0.0, 1.0, 101)
     eta = 1.05
     for width in np.diff(samples[:6]).tolist():
         eta = math.exp(-width) * eta
     assert eta <= 1.0 < math.exp(-0.04) * 1.05
     with pytest.raises(SolverError, match="ground-state limit") as excinfo:
-        evolve_eta_closed_form(DEFAULT, OPENING, eta0=1.05, horizon=1.0, samples_per_unit=100)
+        evolve_eta_closed_form(DEFAULT, OPENING, eta0=1.05, horizon=1.0)
     assert f"eta reached {eta} at s = 0.05 " in str(excinfo.value)
-    # an eta that overflows is refused as the fixed-step route refuses it
+    # an eta that overflows is refused as the fixed-step route refuses it, as not finite
     monkeypatch.setattr(
         "molcool.solver.occupation_at", lambda d, profile, s: np.full(np.shape(s), np.inf)
     )
-    with pytest.raises(SolverError, match="eta reached inf at s = 0.01 "):
-        evolve_eta_closed_form(DEFAULT, OPENING, eta0=1.05, horizon=1.0, samples_per_unit=100)
+    with pytest.raises(SolverError, match=r"eta reached inf at s = 0.01 \(not finite\)$"):
+        evolve_eta_closed_form(DEFAULT, OPENING, eta0=1.05, horizon=1.0)
 
 
-def test_step_size_underflow():
-    with pytest.raises(SolverError, match="step-size underflow"):
-        evolve_eta_ode(DEFAULT, OPENING, horizon=1.0, step_size=1e-13)
-    # a 2e10-point stage grid, 100 times the guard: refused with no grid allocated
+def test_oversized_stage_grid_is_refused_before_allocation():
+    # horizon 1e6 is a 2e10-point stage grid, 100 times the guard: refused
+    # with no grid allocated, its point count printed to 3 digits
     tracemalloc.start()
     try:
-        with pytest.raises(SolverError, match="memory"):
-            evolve_eta_ode(DEFAULT, OPENING, horizon=10.0, step_size=1e-9)
+        with pytest.raises(SolverError, match=r"^a substep grid of 2e\+10 points .* memory"):
+            evolve_eta_ode(DEFAULT, OPENING, horizon=1e6)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -659,19 +673,17 @@ def test_recovery_time_default_cycle():
 def test_recovery_time_is_the_interpolant_root():
     # the line from (1, 0.5) to (2, 1) meets 0.997 at s = 1 + 0.497/0.5 exactly
     traj = SimpleNamespace(s=np.array([0.0, 1.0, 2.0]), T_ratio=np.array([1.0, 0.5, 1.0]))
-    assert recovery_time(traj, target=0.997) == RecoveryResult(True, 1.994, 2.0)
+    assert recovery_time(traj) == RecoveryResult(True, 1.994, 2.0)
 
 
 def test_recovery_time_edge_cases():
-    traj = record_of(DEFAULT, OPENING, evolve_eta_closed_form(DEFAULT, OPENING, horizon=10.0))
-    floor = float(np.min(traj.T_ratio))
-    at_min = recovery_time(traj, target=floor)
-    assert at_min.recovered
-    assert at_min.s == traj.s[np.argmin(traj.T_ratio)]
-    never = recovery_time(traj, target=1.5)
-    assert never == RecoveryResult(False, None, 10.0)
-    with pytest.raises(ValueError, match="target must be positive"):
-        recovery_time(traj, target=0.0)
+    # a minimum at or above the 0.997 target is the crossing itself
+    shallow = SimpleNamespace(s=np.array([0.0, 1.0, 2.0]), T_ratio=np.array([1.0, 0.997, 0.998]))
+    assert recovery_time(shallow) == RecoveryResult(True, 1.0, 2.0)
+    # the reference opening has not climbed back to the target by s = 2
+    traj = record_of(DEFAULT, OPENING, evolve_eta_closed_form(DEFAULT, OPENING, horizon=2.0))
+    assert float(np.max(traj.T_ratio[np.argmin(traj.T_ratio):])) < 0.997
+    assert recovery_time(traj) == RecoveryResult(False, None, 2.0)
     one = SimpleNamespace(s=np.array([0.0]), T_ratio=np.array([0.5]))
     with pytest.raises(ValueError, match="trajectory needs at least two samples"):
         recovery_time(one)
