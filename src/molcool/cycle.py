@@ -142,6 +142,7 @@ def _override(base: CycleConfig, **settings) -> CycleConfig:
 
 _POW10 = np.array([float(10**k) for k in range(23)])  # every one an exact double
 _QUANTIZE_ROWS = 1024  # record rows per `_decimal12` call; bounds its temporaries
+_NEAR_HALF = 1e-4  # `_decimal12`'s product error is at most 2**-14 ~ 6.1e-5
 
 
 def _decimal12(v: np.ndarray):
@@ -153,35 +154,47 @@ def _decimal12(v: np.ndarray):
     Fast path (Clinger's exact case): |x| is multiplied by the exact power
     p = 10**k, k = clip(11 - floor(log10|x|), 0, 22), and e = 11 - k.  The
     product is one correctly rounded operation, off the exact one by at
-    most 2**-14 below 10**12, so where it lies in [10**11, 10**12) its rint
-    r is the printed mantissa unless the fraction lies within 1e-3 of a
-    half, and r / p, both operands exact, is |q|.  A mantissa rounded up
-    to 10**12 becomes 10**11 at the next exponent.  The clip puts zero,
-    |x| < 1e-11 and |x| >= 1e12 outside that range.  Those elements, a
-    log10 estimate one off and near-half fractions are printed with
-    "%.11e" and their digits and value parsed back (zero gives d = e = 0).
+    most half an ulp, 2**-14 ~ 6.1e-5, below 10**12.  So where it lies in
+    [10**11, 10**12) and its fraction is more than `_NEAR_HALF` = 1e-4 from
+    a half, the exact product's fraction is on the same side of the half
+    and its rint r is the printed mantissa; r / p, both operands exact, is
+    |q|.  A mantissa rounded up to 10**12 becomes 10**11 at the next
+    exponent.  The clip puts zero, |x| < 1e-11 and |x| >= 1e12 outside
+    that range.  Those elements, a log10 estimate one off and the fractions
+    within 1e-4 of a half go through `_printed_digits` (zero gives d = e = 0).
     """
     a = np.abs(v)
     with np.errstate(divide="ignore"):  # log10(0) = -inf, which clips to k = 22
-        k = np.clip(11.0 - np.floor(np.log10(a)), 0.0, 22.0).astype(np.intp)
+        k = np.log10(a)
+    np.floor(k, out=k)
+    np.subtract(11.0, k, out=k)
+    k = np.clip(k, 0.0, 22.0, out=k).astype(np.intp)
     p = _POW10[k]
-    scaled = a * p
+    scaled = np.multiply(a, p, out=a)
     d = np.rint(scaled)
-    fast = (scaled >= 1e11) & (scaled < 1e12) & (np.abs(scaled - d) < 0.499)
+    frac = np.subtract(scaled, d)
+    slow = np.abs(frac, out=frac) >= 0.5 - _NEAR_HALF
+    slow |= scaled < 1e11
+    slow |= scaled >= 1e12
+    slow = np.flatnonzero(slow)
     # what these leave in the elements off the fast path is overwritten below
     q = np.divide(d, p, out=scaled)
-    np.copyto(d, 0.0, where=~fast)
+    d.flat[slow] = 0.0
     bump = d == 1e12
     d[bump] = 1e11
     e = (11 - k + bump).astype(np.int16)
     d = d.astype(np.int64)
-    for i in np.flatnonzero(~fast):
-        text = "%.11e" % a.flat[i]
-        q.flat[i] = float(text)
-        d.flat[i] = int(text[0] + text[2:13])
-        e.flat[i] = int(text[14:])
+    for i in slow.tolist():
+        q.flat[i], d.flat[i], e.flat[i] = _printed_digits(abs(float(v.flat[i])))
     np.copysign(q, v, out=q)
     return q, d, e
+
+
+def _printed_digits(x: float) -> tuple[float, int, int]:
+    """(float(text), mantissa, exponent) of text = "%.11e" % x, x >= 0:
+    `_decimal12`'s path for the values its product cannot place."""
+    text = "%.11e" % x
+    return float(text), int(text[0] + text[2:13]), int(text[14:])
 
 
 _COLUMNS = CSV_HEADER.split(",")
@@ -351,7 +364,8 @@ def run_cycle(cfg: CycleConfig) -> CycleResult:
     With `cfg.with_oracle`, the Fock-level populations are evolved too
     and their mean occupation + 1 must match eta within
     ORACLE_AGREEMENT_RTOL at the oracle's (coarser) samples, each route
-    on the grid its module sets.  A start or forcing past float range is refused first.
+    on the grid its module sets.  A start past float range, or a forcing
+    above half of it, is refused first.
     """
     d = cfg.dimensionless
     with np.errstate(over="ignore", divide="ignore"):
@@ -363,10 +377,11 @@ def run_cycle(cfg: CycleConfig) -> CycleResult:
             f"eta0 must exceed 1 + {GROUND_STATE_EPS:g} (the ground-state limit), got {eta0}"
         )
     forcing = d.gamma_tau_g * (nu_max + 1.0)  # inf past float range, or nan at g = 0
-    if not (eta0 < math.inf and forcing < math.inf):
+    if not (eta0 < math.inf and forcing <= solver._MAX_FORCING):
         raise ValueError(
             f"eta0 = {eta0:.3g} and the forcing g (nu + 1) = {forcing:.3g} at the largest "
-            f"occupation nu = {nu_max:.3g} must be finite (theta0 too small or g too large)"
+            f"occupation nu = {nu_max:.3g} must be finite, the forcing at most "
+            f"{solver._MAX_FORCING:.3g} (theta0 too small or g too large)"
         )
     # the routes' grids and the oracle's ladder pass their size checks before any route runs
     for _, _, duration in segments:

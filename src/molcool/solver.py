@@ -54,12 +54,19 @@ width's integral is F (1 - exp(-g D)) exactly, so the route checks the
 rule on its held rows before the ramp, raising `SolverError` naming g D
 past `_GL_RTOL` relative error (from g D ~ 4.2 on).  The recurrence
 eta[k+1] = decay_k eta[k] + integral_k is a Python loop (each step needs
-the last), and `_propagate` runs it in place in the preallocated eta
-array through memoryviews: no sample passes through a Python list, whose
-float objects would keep their allocator's arenas resident past the
-route.  Neither route calls `np.unique` without an index output, or
-`np.union1d`: in numpy 2 those take a hashing path whose masked-array
-check imports `numpy.ma`, which a run does not need.
+the last), run in place in the preallocated eta array through
+memoryviews: no sample passes through a Python list, whose float objects
+would keep their allocator's arenas resident past the route.  The
+intervals' widths take a handful of values, the width classes (about 14
+on a linspace grid), found by `np.sort`, an adjacent-difference mask and
+`np.searchsorted`, and each class's decay is one Python float.  Before
+the hold `_propagate` reads each step's integral from an array; in the
+hold `_propagate_held` indexes the class's held integral as a Python
+float too, so a held step reads only its class id from an array.  The
+kernel route calls no `np.unique`, the stepper calls it with an index
+output only, and neither calls `np.union1d`: in numpy 2 those take a
+hashing path whose masked-array check imports `numpy.ma`, which a run
+does not need.
 
 Both routes do the work of a held stretch once.  From the profile's
 `hold_start` on, `omega_at` returns the same bits at every s, so the
@@ -78,6 +85,7 @@ carry it off q by rounding, a few ulps.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -97,6 +105,8 @@ _GL_NODES = np.array([0.18343464249564978, 0.525532409916329, 0.7966664774136267
 _GL_WEIGHTS = (0.36268378337836166, 0.3137066458778869, 0.22238103445337443,
                0.10122853629037706)
 _GL_RTOL = 1e-13  # the rule's largest relative error on the held rows
+# the rule adds its node values, each at most the forcing g (nu + 1), in pairs
+_MAX_FORCING = sys.float_info.max / 2
 
 
 @dataclass(eq=False)
@@ -122,10 +132,17 @@ class RecoveryResult:
 
 def _check_run(horizon, samples_per_unit) -> int:
     """Sample intervals over `horizon`: samples_per_unit per unit, and at
-    least one, so a run shorter than one interval still has two samples."""
+    least one, so a run shorter than one interval still has two samples.
+    A count past float range is refused."""
     if not (math.isfinite(horizon) and horizon > 0.0):
         raise ValueError(f"horizon must be positive, got {horizon}")
-    return max(1, int(round(horizon * samples_per_unit)))
+    intervals = horizon * samples_per_unit
+    if intervals == math.inf:
+        raise SolverError(
+            f"a sample grid of inf intervals (horizon {horizon:g} at {samples_per_unit:g} "
+            "per unit) would exceed memory limits"
+        )
+    return max(1, int(round(intervals)))
 
 
 def _grid(horizon, samples_per_unit, hold_start) -> tuple[np.ndarray, int]:
@@ -339,9 +356,10 @@ def evolve_eta_closed_form(
     def integrand(start, v, width):
         return g * np.exp(g * (v - width)) * (occupation_at(d, profile, start + v) + 1.0)
 
-    # np.linspace's widths take a handful of values; return_inverse keeps
-    # off np.unique's hash path, which imports numpy.ma
-    distinct, width_id = np.unique(widths, return_inverse=True)
+    # the width classes, found by a sort, off np.unique's hash path
+    ordered = np.sort(widths)
+    distinct = ordered[np.append(True, ordered[1:] != ordered[:-1])]
+    width_id = np.searchsorted(distinct, widths)
     # the held rows, each distinct width from hold_start, check the rule; an
     # infinite forcing (inf - inf here) is refused as an infinite eta at the end
     zeros = np.zeros(distinct.size)
@@ -357,7 +375,7 @@ def evolve_eta_closed_form(
             f"sample interval, where the 8-point rule's weight is off by "
             f"{error[i] / exact[i]:.3g} relative (limit {_GL_RTOL:g})"
         )
-    decays = memoryview(np.array(list(map(math.exp, (-g * distinct).tolist())))[width_id])
+    decays = [math.exp(x) for x in (-g * distinct).tolist()]  # one per width class
     eta = np.empty(n_intervals + 1)
     eta[0] = eta0
     # every interval before the hold in one call, one rule per piece between
@@ -367,7 +385,8 @@ def evolve_eta_closed_form(
     k = np.searchsorted(ramp, edges[:-1], side="right") - 1
     lo, hi = edges[:-1] - starts[k], edges[1:] - starts[k]
     pieces = _gauss_legendre(integrand, starts[k], widths[k], lo, hi)
-    _propagate(eta, 0, decays[:n_ramp], np.bincount(k, weights=pieces, minlength=n_ramp))
+    integrals = np.bincount(k, weights=pieces, minlength=n_ramp)
+    _propagate(eta, 0, memoryview(np.array(decays)[width_id[:n_ramp]]), integrals)
     if n_ramp < n_intervals:
         # a state at the held forcing's equilibrium stays there; the
         # recurrence would move it, since decay q + integral rounds off q
@@ -375,7 +394,7 @@ def evolve_eta_closed_form(
         if eta[n_ramp] == held_forcing:
             eta[n_ramp + 1:] = eta[n_ramp]
         else:
-            _propagate(eta, n_ramp, decays[n_ramp:], held[width_id[n_ramp:]])
+            _propagate_held(eta, n_ramp, width_id[n_ramp:], decays, held.tolist())
     return EtaTrajectory(s, _checked_eta(s, eta))
 
 
@@ -401,6 +420,19 @@ def _propagate(eta, k, decays, integrals) -> None:
     value = out[k]
     for decay, integral in zip(decays, memoryview(integrals)):
         value = decay * value + integral
+        k += 1
+        out[k] = value
+
+
+def _propagate_held(eta, k, width_id, decays, held) -> None:
+    """`_propagate` over held intervals, whose decay and integral are those
+    of their width class: eta[k+1+i] = decays[c] eta[k+i] + held[c] with
+    c = width_id[i], from Python floats one per class (a handful), the
+    class ids read through a memoryview."""
+    out = memoryview(eta)
+    value = out[k]
+    for c in memoryview(width_id):
+        value = decays[c] * value + held[c]
         k += 1
         out[k] = value
 

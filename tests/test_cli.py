@@ -447,19 +447,68 @@ EXTREME_INPUTS = {
     "infinite occupation, oracle": (
         "--theta0 5e-309 --with-oracle", "eta0 = 1e+308 and the forcing g (nu + 1) = inf "
     ),
+    # a forcing past half of float max overflows the kernel rule's node-pair sums
+    "forcing past half of float max": (
+        "--theta0 1e-308", "eta0 = 5e+307 and the forcing g (nu + 1) = 1e+308 "
+    ),
+    # horizon x samples per unit overflows a float
+    "sample grid of inf intervals": ("--horizon 1e306", "a sample grid of inf intervals "),
+    "dwell of inf intervals": (
+        "--init-mode finite-dwell --dwell 1e306", "a sample grid of inf intervals "
+    ),
 }
 
 
+def refuse_calls(monkeypatch, *names):
+    """Make each of `names`, as `molcool.cycle` calls it, fail the test."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a route ran before the start state was checked")
+
+    for name in names:
+        monkeypatch.setattr(f"molcool.cycle.{name}", refuse)
+
+
 @pytest.mark.parametrize("name", EXTREME_INPUTS)
-def test_extreme_inputs_exit_2_with_one_readable_line(name, capsys):
+def test_extreme_inputs_exit_2_with_one_readable_line(name, capsys, monkeypatch):
     # under the repo's warning filters, which raise numpy's overflow
-    # warnings as errors; any other warning shown is recorded
+    # warnings as errors; any other warning shown is recorded.  Every
+    # input is refused before a route runs or a ladder is built
     argv, message = EXTREME_INPUTS[name]
+    refuse_calls(monkeypatch, "evolve_eta_closed_form", "evolve_eta_ode",
+                 "populations_from_quenched")
     with warnings.catch_warnings(record=True) as shown:
         assert run_cli("cycle", *argv.split()) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {message}") and err.count("\n") == 1
     assert len(err) < 200 and "Traceback" not in err
+    assert not [w for w in shown if issubclass(w.category, RuntimeWarning)]
+
+
+NEAR_FLOAT_MAX_FORCING = {
+    "--theta0 3e-308": (
+        "min T_ratio = 6.67399546421e-01 at s = 7.82000000000e-01\n"
+        "recovery to 0.997 at s = 5.60644808198e+00\n"
+        "final eta = 3.33320976572e+307\n"
+    ),
+    "--theta0 1e-307": (
+        "min T_ratio = 6.67399546421e-01 at s = 7.82000000000e-01\n"
+        "recovery to 0.997 at s = 5.60644808198e+00\n"
+        "final eta = 9.99962929717e+306\n"
+    ),
+    "--theta0 1e-308 --gamma-tau 0.5": (
+        "min T_ratio = 6.02177322349e-01 at s = 8.62000000000e-01\n"
+        "recovery to 0.997 not reached within horizon 10.0\n"
+        "final eta = 9.95726861431e+307\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("argv", NEAR_FLOAT_MAX_FORCING)
+def test_forcing_up_to_half_of_float_max_still_answers(capsys, argv):
+    # each forcing g (nu + 1) is at most float max / 2: the run answers as before
+    with warnings.catch_warnings(record=True) as shown:
+        assert run_cli("cycle", *argv.split()) == 0
+    assert capsys.readouterr().out == NEAR_FLOAT_MAX_FORCING[argv]
     assert not [w for w in shown if issubclass(w.category, RuntimeWarning)]
 
 
@@ -478,12 +527,8 @@ def test_tiny_theta0_still_answers(capsys):
 def test_ground_state_start_is_refused_before_any_route(monkeypatch, capsys, theta0):
     # at r = 2, theta0 >= ~13.8 starts within 1e-12 of eta = 1, which the
     # record's first sample would refuse; it is refused before anything runs
-    def refuse(*args, **kwargs):
-        raise AssertionError("a route ran before the start state was checked")
-
-    for route in ("evolve_eta_closed_form", "evolve_eta_ode", "ladder_levels",
-                  "populations_from_quenched"):
-        monkeypatch.setattr(f"molcool.cycle.{route}", refuse)
+    refuse_calls(monkeypatch, "evolve_eta_closed_form", "evolve_eta_ode", "ladder_levels",
+                 "populations_from_quenched")
     assert run_cli("cycle", "--theta0", theta0) == 2
     err = capsys.readouterr().err.splitlines()[-1]
     assert err.startswith("error: eta0 must exceed 1 + 1e-12 (the ground-state limit), got 1.0")

@@ -28,6 +28,7 @@ from molcool.cycle import (
     _decimal12,
     _format_cells,
     _nearest_indices,
+    _printed_digits,
     default_cycle_config,
     emit_csv,
     emit_plot_script,
@@ -155,6 +156,31 @@ def test_decimal_kernel_edge_cases(tmp_path):
 @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=20))
 def test_decimal_kernel_matches_python_format(values):
     assert_formats_like_python(values)
+
+
+def test_decimal_kernel_matches_python_format_near_half():
+    # mantissas whose fraction lies within 3e-4 of a half, across the 1e-4
+    # band inside which `_decimal12` hands a value to "%.11e", at every
+    # exponent from 1e-11 to 1e11, of either sign
+    rng = np.random.default_rng(34)
+    fractions = 0.5 + rng.uniform(-3e-4, 3e-4, (23, 2000))
+    mantissas = rng.integers(10**11, 10**12, (23, 2000)) + fractions
+    values = mantissas * 10.0 ** np.arange(-22.0, 1.0)[:, None]
+    assert_formats_like_python((values * rng.choice([-1.0, 1.0], values.shape)).ravel())
+
+
+def test_reference_record_prints_few_values_through_python_format(monkeypatch):
+    # the reproduce-fig4 record's 100,005 values: zeros and fractions within
+    # 1e-4 of a half take "%.11e", 10 of them; a band of 1e-3 takes 119
+    printed = []
+
+    def counted(x):
+        printed.append(x)
+        return _printed_digits(x)
+
+    monkeypatch.setattr(molcool.cycle, "_printed_digits", counted)
+    assert len(run_cycle(default_cycle_config()).record) * 5 == 100_005
+    assert len(printed) == 10
 
 
 # log-uniform over [1e-13, 1e14], across both clip edges, of either sign, and zeros

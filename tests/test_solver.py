@@ -21,6 +21,7 @@ from molcool.solver import (
     _check_run,
     _gauss_legendre,
     _propagate,
+    _propagate_held,
     _scan,
     _split_at_kinks,
     _substeps_per_interval,
@@ -556,6 +557,29 @@ def test_propagate_matches_a_plain_loop(k, n):
     assert eta.tobytes() == np.array(expected).tobytes()
 
 
+def test_propagate_held_matches_a_plain_loop():
+    # each held step takes its width class's decay and integral
+    rng = np.random.default_rng(12)
+    decays, held = rng.uniform(0.5, 1.0, 3).tolist(), rng.uniform(0.0, 2.0, 3).tolist()
+    width_id = rng.integers(0, 3, 9)
+    eta = np.full(13, np.nan)
+    eta[2] = 1.5
+    expected = eta.tolist()
+    for i, c in enumerate(width_id.tolist()):
+        expected[3 + i] = decays[c] * expected[2 + i] + held[c]
+    _propagate_held(eta, 2, width_id, decays, held)
+    assert eta.tobytes() == np.array(expected).tobytes()
+
+
+def test_kernel_route_finds_width_classes_without_np_unique(monkeypatch):
+    # np.unique's hash path imports numpy.ma; the width classes come from a sort
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.unique called")
+
+    monkeypatch.setattr(np, "unique", refuse)
+    assert evolve_eta_closed_form(DEFAULT, OPENING, horizon=3.7).eta.size == 7401
+
+
 def test_ode_step_halving_is_converged(monkeypatch):
     use_grid(monkeypatch, 200)
     coarse = evolve_eta_ode(DEFAULT, OPENING, horizon=2.0)
@@ -639,6 +663,13 @@ def test_oversized_stage_grid_is_refused_before_allocation():
     finally:
         tracemalloc.stop()
     assert peak < 100_000
+
+
+@pytest.mark.parametrize("route", [evolve_eta_ode, evolve_eta_closed_form])
+def test_sample_count_past_float_range_is_refused(route):
+    # 1e306 x 2000 samples per unit overflows to inf, which no int holds
+    with pytest.raises(SolverError, match=r"^a sample grid of inf intervals \(horizon 1e\+306 "):
+        route(DEFAULT, OPENING, horizon=1e306)
 
 
 def test_eta0_validation():
