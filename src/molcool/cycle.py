@@ -34,8 +34,8 @@ from .errors import SolverCrossCheckError
 from .oracle import (
     PopulationTrajectory,
     evolve_populations,
-    ladder_levels,
     populations_from_quenched,
+    truncation_levels,
 )
 from .profiles import FrequencyProfile, ProfileShape, omega_at
 from .solver import (
@@ -142,7 +142,6 @@ def _override(base: CycleConfig, **settings) -> CycleConfig:
 
 _POW10 = np.array([float(10**k) for k in range(23)])  # every one an exact double
 _QUANTIZE_ROWS = 1024  # record rows per `_decimal12` call; bounds its temporaries
-_NEAR_HALF = 1e-4  # `_decimal12`'s product error is at most 2**-14 ~ 6.1e-5
 
 
 def _decimal12(v: np.ndarray):
@@ -153,15 +152,14 @@ def _decimal12(v: np.ndarray):
 
     Fast path (Clinger's exact case): |x| is multiplied by the exact power
     p = 10**k, k = clip(11 - floor(log10|x|), 0, 22), and e = 11 - k.  The
-    product is one correctly rounded operation, off the exact one by at
-    most half an ulp, 2**-14 ~ 6.1e-5, below 10**12.  So where it lies in
-    [10**11, 10**12) and its fraction is more than `_NEAR_HALF` = 1e-4 from
-    a half, the exact product's fraction is on the same side of the half
-    and its rint r is the printed mantissa; r / p, both operands exact, is
-    |q|.  A mantissa rounded up to 10**12 becomes 10**11 at the next
-    exponent.  The clip puts zero, |x| < 1e-11 and |x| >= 1e12 outside
-    that range.  Those elements, a log10 estimate one off and the fractions
-    within 1e-4 of a half go through `_printed_digits` (zero gives d = e = 0).
+    product is correctly rounded, every half-integer below 10**12 is a
+    double and rounding is monotone, so a product not on a half lies on the
+    exact one's side of every half.  Where it lies in [10**11, 10**12) and
+    not on a half, its rint r is the printed mantissa; r / p, both operands
+    exact, is |q|.  A mantissa rounded up to 10**12 becomes 10**11 at the
+    next exponent.  The clip puts zero, |x| < 1e-11 and |x| >= 1e12
+    outside that range.  Those elements, a log10 estimate one off and the
+    products on a half go through `_printed_digits` (zero gives d = e = 0).
     """
     a = np.abs(v)
     with np.errstate(divide="ignore"):  # log10(0) = -inf, which clips to k = 22
@@ -173,7 +171,7 @@ def _decimal12(v: np.ndarray):
     scaled = np.multiply(a, p, out=a)
     d = np.rint(scaled)
     frac = np.subtract(scaled, d)
-    slow = np.abs(frac, out=frac) >= 0.5 - _NEAR_HALF
+    slow = np.abs(frac, out=frac) == 0.5
     slow |= scaled < 1e11
     slow |= scaled >= 1e12
     slow = np.flatnonzero(slow)
@@ -388,7 +386,7 @@ def run_cycle(cfg: CycleConfig) -> CycleResult:
         n_intervals = solver._check_run(duration, solver.SAMPLES_PER_UNIT)
         solver._substeps_per_interval(duration, n_intervals, solver.STEP_SIZE)
     if cfg.with_oracle:
-        pv = populations_from_quenched(QuenchedState(eta=eta0), ladder_levels(nu_max))
+        pv = populations_from_quenched(QuenchedState(eta=eta0), truncation_levels(nu_max))
 
     kernel, rk4 = [], []
     eta_kernel = eta_rk4 = eta0

@@ -50,9 +50,10 @@ rows are one product written sample-major into the block, allocated once
 per run, so every reduction runs along memory; a block's mean levels and
 masses are one more product, of its clipped levels with the weights [n, 1].
 
-`ladder_levels` sizes the ladder from the largest occupation of the
-cycle's plan, before any route runs, and `truncation_levels` and
-`populations_from_quenched` refuse one of more than `_MAX_LEVELS`
+One rule sizes every ladder, `truncation_levels`: n_max = ceil(40 nu) + 20
+at a run's largest occupation nu keeps the quenched tail there below
+e^-40.  `run_cycle` applies it to its plan before any route runs.  It and
+`populations_from_quenched` refuse a ladder of more than `_MAX_LEVELS`
 levels, whose run would not fit in memory, before anything is allocated.
 
 Only the integrator imports scipy (its LAPACK wrappers): `import
@@ -155,20 +156,16 @@ def _check_ladder(levels) -> None:
 
 
 def truncation_levels(nu_max: float) -> int:
-    """Level count rule n_max = ceil(40 * nu_max); keeps geometric tails < e^-40.
-    A count past `_MAX_LEVELS` is refused, one past float range included."""
+    """n_max = ceil(40 nu) + 20 for a run whose largest occupation is
+    nu = `nu_max`: the quenched tail there, (nu/(nu+1))^(n_max+1), is below
+    e^-40, since log1p(x) > 2x/(2 + x) for x > 0 gives (n_max + 1)
+    log1p(1/nu) >= (40 nu + 21) 2/(2 nu + 1) > 40.  A ladder of more than
+    `_MAX_LEVELS` levels is refused, one past float range included."""
     if not (math.isfinite(nu_max) and nu_max > 0.0):
         raise ValueError(f"nu_max must be positive, got {nu_max}")
     levels = 40.0 * nu_max  # inf past float range
-    _check_ladder(levels)
-    return math.ceil(levels)
-
-
-def ladder_levels(nu_max: float) -> int:
-    """n_max for a run whose largest occupation is `nu_max`, sized by
-    `truncation_levels`; 20 more levels keep the one-way tail accumulator
-    clear of its threshold where ceil(40 * nu) alone sits close to it."""
-    return truncation_levels(nu_max) + 20
+    _check_ladder(levels + 21.0)  # levels 0..n_max
+    return math.ceil(levels) + 20
 
 
 def populations_from_quenched(state: QuenchedState, n_max: int) -> PopulationVector:

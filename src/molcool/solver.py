@@ -46,13 +46,14 @@ its independence.
 The kernel route integrates each sample interval by a fixed 8-node
 Gauss-Legendre rule (`_gauss_legendre`) per smooth piece, split at the
 kinks inside it, every interval before the hold in one call: 8 nodes per
-interval, fewer than the stepper's 10 stage points, whose grid
-`cycle.run_cycle` bounds first.  A fixed rule has no error estimate of
-its own.  Only the kernel's weight g exp(-g (D - v)) can vary faster than
-a sample width D, and in the hold, where the forcing is one value F, a
-width's integral is F (1 - exp(-g D)) exactly, so the route checks the
-rule on its held rows before the ramp, raising `SolverError` naming g D
-past `_GL_RTOL` relative error (from g D ~ 4.2 on).  The recurrence
+interval, fewer than the stepper's 10 stage points, whose grid bound
+(`_substeps_per_interval`) it applies before allocating.  A fixed rule
+has no error estimate of its own.  Only the kernel's weight
+g exp(-g (D - v)) can vary faster than a sample width D, and in the
+hold, where the forcing is one value F, a width's integral is
+F (1 - exp(-g D)) exactly, so the route checks the rule on its held
+rows before the ramp, raising `SolverError` naming g D past `_GL_RTOL`
+relative error (from g D ~ 4.2 on).  The recurrence
 eta[k+1] = decay_k eta[k] + integral_k is a Python loop (each step needs
 the last), run in place in the preallocated eta array through
 memoryviews: no sample passes through a Python list, whose float objects
@@ -342,9 +343,11 @@ def evolve_eta_closed_form(
     each interval integral by `_gauss_legendre`, once the rule has passed
     its check on the held rows (module docstring).  No finite-difference
     stepping is involved, which makes this route the authoritative one in
-    cross-checks.  `eta0=None` starts from the thermal eta at the closed
-    frequency.
+    cross-checks.  It refuses the grids `evolve_eta_ode` refuses, before
+    allocating any.  `eta0=None` starts from the thermal eta at the
+    closed frequency.
     """
+    _substeps_per_interval(horizon, _check_run(horizon, SAMPLES_PER_UNIT), STEP_SIZE)
     s, n_ramp = _grid(horizon, SAMPLES_PER_UNIT, profile.hold_start)
     eta0 = _start_eta(d, eta0)
     g = d.gamma_tau_g

@@ -32,6 +32,11 @@ def _require_positive(name, value):
         raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
+def _require_nonnegative(name, value):
+    if not (isinstance(value, numbers.Real) and math.isfinite(value) and value >= 0):
+        raise ValueError(f"{name} must be >= 0 and finite, got {value}")
+
+
 def _keep_floats(params):
     """Store each field as a Python float: numpy 2 computes with a float32 in float32."""
     for f in fields(params):
@@ -61,12 +66,7 @@ class PhysicalParams:
         _require_positive("temperature", self.temperature)
         _require_positive("gamma", self.gamma)
         _require_positive("tau_open", self.tau_open)
-        if not (
-            isinstance(self.coupling_max, numbers.Real)
-            and math.isfinite(self.coupling_max)
-            and self.coupling_max >= 0
-        ):
-            raise ValueError(f"coupling_max must be >= 0 and finite, got {self.coupling_max}")
+        _require_nonnegative("coupling_max", self.coupling_max)
         _keep_floats(self)
 
 
@@ -136,8 +136,7 @@ def omega_from_kappa(kappa_rel: float, kappa_t: float, mu: float) -> float:
     """Relative-mode angular frequency sqrt((kappa_rel + kappa_t)/mu)."""
     _require_positive("kappa_rel", kappa_rel)
     _require_positive("mu", mu)
-    if not (isinstance(kappa_t, numbers.Real) and math.isfinite(kappa_t) and kappa_t >= 0):
-        raise ValueError(f"kappa_t must be >= 0 and finite, got {kappa_t}")
+    _require_nonnegative("kappa_t", kappa_t)
     return math.sqrt((kappa_rel + kappa_t) / mu)
 
 

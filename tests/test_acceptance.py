@@ -82,7 +82,7 @@ def test_criterion_4_three_way_solver_agreement(monkeypatch):
                     worst_routes, float(np.max(np.abs(ode.eta / closed.eta - 1.0)))
                 )
                 init = populations_from_quenched(
-                    thermal_state(theta0 * ratio), truncation_levels(nu_of(theta0)) + 20
+                    thermal_state(theta0 * ratio), truncation_levels(nu_of(theta0))
                 )
                 pops = evolve_populations(d, prof, init, horizon=3.0)
                 worst_oracle = max(
@@ -103,7 +103,7 @@ def test_criterion_5_quenched_form_is_preserved():
     d = default_cycle_config().dimensionless
     prof = FrequencyProfile()
     init = populations_from_quenched(
-        thermal_state(d.theta0 * d.freq_ratio_r), truncation_levels(nu_of(d.theta0)) + 20
+        thermal_state(d.theta0 * d.freq_ratio_r), truncation_levels(nu_of(d.theta0))
     )
     start = time.perf_counter()
     traj = evolve_populations(d, prof, init, horizon=10.0)

@@ -527,7 +527,7 @@ def test_tiny_theta0_still_answers(capsys):
 def test_ground_state_start_is_refused_before_any_route(monkeypatch, capsys, theta0):
     # at r = 2, theta0 >= ~13.8 starts within 1e-12 of eta = 1, which the
     # record's first sample would refuse; it is refused before anything runs
-    refuse_calls(monkeypatch, "evolve_eta_closed_form", "evolve_eta_ode", "ladder_levels",
+    refuse_calls(monkeypatch, "evolve_eta_closed_form", "evolve_eta_ode", "truncation_levels",
                  "populations_from_quenched")
     assert run_cli("cycle", "--theta0", theta0) == 2
     err = capsys.readouterr().err.splitlines()[-1]

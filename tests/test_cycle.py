@@ -159,9 +159,10 @@ def test_decimal_kernel_matches_python_format(values):
 
 
 def test_decimal_kernel_matches_python_format_near_half():
-    # mantissas whose fraction lies within 3e-4 of a half, across the 1e-4
-    # band inside which `_decimal12` hands a value to "%.11e", at every
-    # exponent from 1e-11 to 1e11, of either sign
+    # mantissas whose fraction lies within 3e-4 of a half, on either side
+    # of it or, rounded to a double, on it (6,914 products, which
+    # `_decimal12` hands to "%.11e"), at every exponent from 1e-11 to 1e11,
+    # of either sign
     rng = np.random.default_rng(34)
     fractions = 0.5 + rng.uniform(-3e-4, 3e-4, (23, 2000))
     mantissas = rng.integers(10**11, 10**12, (23, 2000)) + fractions
@@ -170,8 +171,8 @@ def test_decimal_kernel_matches_python_format_near_half():
 
 
 def test_reference_record_prints_few_values_through_python_format(monkeypatch):
-    # the reproduce-fig4 record's 100,005 values: zeros and fractions within
-    # 1e-4 of a half take "%.11e", 10 of them; a band of 1e-3 takes 119
+    # the reproduce-fig4 record's 100,005 values: zeros and products on a
+    # half take "%.11e", 2 of them; a band of 1e-4 around the half takes 10
     printed = []
 
     def counted(x):
@@ -180,7 +181,7 @@ def test_reference_record_prints_few_values_through_python_format(monkeypatch):
 
     monkeypatch.setattr(molcool.cycle, "_printed_digits", counted)
     assert len(run_cycle(default_cycle_config()).record) * 5 == 100_005
-    assert len(printed) == 10
+    assert printed == [0.0, 0.7304308385445]
 
 
 # log-uniform over [1e-13, 1e14], across both clip edges, of either sign, and zeros
@@ -992,6 +993,12 @@ def test_config_roundtrips_exactly():
     ]
     for cfg in configs:
         assert parse_config(serialize_config(cfg)) == cfg
+    # a trailing comma in breakpoints adds no point; csv, the one format, may be named
+    text = serialize_config(configs[1])
+    assert "2.0:1.0\n" in text and "directory = out/run7\n" in text
+    text = text.replace("2.0:1.0\n", "2.0:1.0,\n")
+    text = text.replace("directory = out/run7\n", "directory = out/run7\nformat = csv\n")
+    assert parse_config(text) == configs[1]
     # duration is written for the sine shapes only, which are the shapes that take it
     written = [("duration = " in serialize_config(cfg)) for cfg in configs[1:4]]
     assert written == [False, True, False]

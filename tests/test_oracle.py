@@ -25,7 +25,6 @@ from molcool.oracle import (
     _evolve_bdf,
     _SampleReducer,
     evolve_populations,
-    ladder_levels,
     mean_occupation,
     populations_from_quenched,
     truncation_levels,
@@ -94,15 +93,44 @@ def test_mean_occupation_ground_state():
 
 
 def test_truncation_levels_rule():
-    assert truncation_levels(0.5) == 20
-    assert truncation_levels(nu_of(0.048)) == 814
-    assert truncation_levels(0.024) == 1
+    assert truncation_levels(0.5) == 40
+    assert truncation_levels(nu_of(0.048)) == 834
+    assert truncation_levels(0.024) == 21
     with pytest.raises(ValueError, match="nu_max must be positive"):
         truncation_levels(0.0)
     # a count past the cap is refused, one past float range (40 x 1e308) too
     for nu_max, count in ((1e6, "4e+07"), (1e308, "inf")):
         with pytest.raises(ValueError, match=rf"^a ladder of {re.escape(count)} levels "):
             truncation_levels(nu_max)
+
+
+def test_truncation_levels_keep_the_quenched_tail_below_e_minus_40(monkeypatch):
+    # the docstring's proof, read on the rule itself with the memory cap
+    # lifted: (n_max + 1) log1p(1/nu) >= 40, so the quenched tail at nu,
+    # (nu/(nu+1))^(n_max+1), is below e^-40; ceil(40 nu) alone falls short
+    monkeypatch.setattr(molcool.oracle, "_MAX_LEVELS", math.inf)
+    nu = np.geomspace(1e-8, 1e8, 10001)
+    n_max = np.array([truncation_levels(x) for x in nu], dtype=float)
+    assert np.array_equal(n_max, np.ceil(40.0 * nu) + 20.0)
+    assert np.all((n_max + 1.0) * np.log1p(1.0 / nu) >= 40.0)
+    assert np.all((n_max - 19.0) * np.log1p(1.0 / nu) < 40.0)
+
+
+@pytest.mark.parametrize("theta0", [1.0, 3.0])
+@pytest.mark.parametrize("ratio", [1.5, 2.0, 4.0])
+@pytest.mark.parametrize("g", [0.3, 1.0, 10.0])
+def test_exported_ladder_answers_where_run_cycle_does(theta0, ratio, g):
+    # truncation_levels -> populations_from_quenched -> evolve_populations at
+    # the largest occupation of run_cycle's plan; the unpadded ceil(40 nu)
+    # was refused as "truncation too small" on 12 of these 18 runs
+    d = DimensionlessParams(theta0=theta0, freq_ratio_r=ratio, gamma_tau_g=g)
+    eta0, segments = _plan_segments(CycleConfig(d, horizon=3.0))
+    pv = populations_from_quenched(
+        QuenchedState(eta=eta0), truncation_levels(_largest_occupation(d, segments))
+    )
+    ((_, prof, duration),) = segments
+    traj = evolve_populations(d, prof, pv, duration)
+    assert traj.s[-1] == 3.0
 
 
 def test_population_vector_validation():
@@ -120,7 +148,7 @@ def test_stationary_state_is_preserved():
     # theta held at 1.0; the integrator must sit on the thermal state
     d = DimensionlessParams(theta0=0.5, freq_ratio_r=2.0, gamma_tau_g=1.0)
     prof = FrequencyProfile(shape=ProfileShape.CONSTANT, level=1.0)
-    init = thermal_vector(1.0, truncation_levels(nu_of(1.0)) + 30)
+    init = thermal_vector(1.0, truncation_levels(nu_of(1.0)))
     traj = evolve_populations(d, prof, init, horizon=10.0)
     assert np.max(np.abs(traj.populations - init.p)) < 1e-10
     # column sums of the generator vanish, so total mass is conserved
@@ -132,7 +160,7 @@ def test_decoupled_populations_are_frozen():
     # Newton corrections and its dense output's differences all vanish
     d = DimensionlessParams(theta0=0.3, freq_ratio_r=2.0, gamma_tau_g=0.0)
     prof = FrequencyProfile()
-    init = thermal_vector(0.6, truncation_levels(nu_of(0.6)) + 20)
+    init = thermal_vector(0.6, truncation_levels(nu_of(0.6)))
     traj = evolve_populations(d, prof, init, horizon=2.0)
     assert np.all(traj.populations == init.p)
     assert np.all(traj.mean_n == traj.mean_n[0])
@@ -143,7 +171,7 @@ def test_cooling_preserves_quenched_form():
     # the birth-death flow maps a geometric start onto geometric states
     d = DimensionlessParams(theta0=0.3, freq_ratio_r=2.0, gamma_tau_g=1.0)
     prof = FrequencyProfile()
-    init = thermal_vector(0.6, truncation_levels(nu_of(0.3)) + 20)
+    init = thermal_vector(0.6, truncation_levels(nu_of(0.3)))
     traj = evolve_populations(d, prof, init, horizon=1.0)
     assert np.max(np.abs(traj.mass - 1.0)) < 1e-9
     p_end = traj.final.p
@@ -152,10 +180,11 @@ def test_cooling_preserves_quenched_form():
 
 
 def test_tail_overflow_aborts_mid_run():
-    # truncated for the initial state only; heating past it must abort
+    # a deliberately short ladder, the rule's without its 20 extra levels,
+    # holds the start's tail; heating past it must abort
     d = DimensionlessParams(theta0=0.3, freq_ratio_r=2.0, gamma_tau_g=1.0)
     prof = FrequencyProfile()
-    init = thermal_vector(0.6, truncation_levels(nu_of(0.6)))
+    init = thermal_vector(0.6, math.ceil(40 * nu_of(0.6)))
     with pytest.raises(SolverError, match="truncation too small") as excinfo:
         evolve_populations(d, prof, init, horizon=3.0)
     assert "at s =" in str(excinfo.value)
@@ -165,7 +194,7 @@ def test_trajectory_sample_access(monkeypatch):
     monkeypatch.setattr(molcool.oracle, "SAMPLES_PER_UNIT", 10)
     d = DimensionlessParams(theta0=0.3, freq_ratio_r=2.0, gamma_tau_g=1.0)
     prof = FrequencyProfile()
-    init = thermal_vector(0.6, truncation_levels(nu_of(0.3)) + 20)
+    init = thermal_vector(0.6, truncation_levels(nu_of(0.3)))
     traj = evolve_populations(d, prof, init, horizon=0.5)
     for name in ("s", "mean_n", "tail_bound", "mass", "geometric_residual"):
         assert getattr(traj, name).shape == (6,), name
@@ -291,7 +320,7 @@ def test_geometric_residual_definition(monkeypatch):
     # a start off quenched form by a few percent, level by level
     d = DimensionlessParams(theta0=0.3, freq_ratio_r=2.0, gamma_tau_g=1.0)
     prof = FrequencyProfile()
-    base = thermal_vector(0.6, truncation_levels(nu_of(0.3)) + 20)
+    base = thermal_vector(0.6, truncation_levels(nu_of(0.3)))
     p = base.p * (1.0 + 0.03 * np.sin(np.arange(base.p.size)))
     init = PopulationVector(p=p / (p.sum() + base.tail_bound), tail_bound=base.tail_bound)
     traj = evolve_populations(d, prof, init, horizon=0.5)
@@ -327,7 +356,7 @@ def test_streamed_bdf_matches_unstreamed_reference(monkeypatch):
     monkeypatch.setattr(molcool.oracle, "_SampleReducer", recording)
     d = DimensionlessParams(theta0=0.01, freq_ratio_r=2.0, gamma_tau_g=1.0)
     prof = FrequencyProfile()
-    init = thermal_vector(0.02, truncation_levels(nu_of(0.01)) + 20)
+    init = thermal_vector(0.02, truncation_levels(nu_of(0.01)))
     assert init.p.size >= 1000
     traj = evolve_populations(d, prof, init, horizon=10.0)
     assert len(recorders) == 1 and len(recorders[0].blocks) > 1
@@ -346,7 +375,7 @@ def test_mean_level_tracks_the_kernel_route():
     # measure 1.9e-8; 1e-7 leaves room for a different step sequence
     d = DimensionlessParams(theta0=0.01, freq_ratio_r=2.0, gamma_tau_g=1.0)
     prof = FrequencyProfile()
-    init = thermal_vector(0.02, truncation_levels(nu_of(0.01)) + 20)
+    init = thermal_vector(0.02, truncation_levels(nu_of(0.01)))
     traj = evolve_populations(d, prof, init, horizon=10.0)
     kernel = evolve_eta_closed_form(d, prof, nu_of(0.02) + 1.0, 10.0)
     idx = np.searchsorted(kernel.s, traj.s)
@@ -398,7 +427,7 @@ def test_one_tridiagonal_solve_per_attempted_step(monkeypatch):
         spy(name)
     d = DimensionlessParams(theta0=0.01, freq_ratio_r=2.0, gamma_tau_g=1.0)
     prof = FrequencyProfile()
-    init = thermal_vector(0.02, truncation_levels(nu_of(0.01)) + 20)
+    init = thermal_vector(0.02, truncation_levels(nu_of(0.01)))
     samples = np.linspace(0.0, 10.0, 1001)
     y0 = np.concatenate([init.p, [init.tail_bound]])
     accepted, rejected, *_ = _evolve_bdf(d, prof, y0, samples, _SampleReducer(samples, init.p.size))
@@ -422,7 +451,7 @@ def test_singular_step_matrix_is_refused(monkeypatch):
 
     monkeypatch.setattr(scipy.linalg.lapack, "dgtsv", singular)
     d = DimensionlessParams(theta0=0.3, freq_ratio_r=2.0, gamma_tau_g=1.0)
-    init = thermal_vector(0.6, truncation_levels(nu_of(0.3)) + 20)
+    init = thermal_vector(0.6, truncation_levels(nu_of(0.3)))
     with pytest.raises(SolverError, match=r"^population integration failed: singular at row 7$"):
         evolve_populations(d, FrequencyProfile(), init, horizon=1.0)
 
@@ -436,7 +465,7 @@ def test_singular_held_matrix_is_refused(monkeypatch):
 
     monkeypatch.setattr(scipy.linalg.lapack, "dgttrf", singular)
     d = DimensionlessParams(theta0=0.3, freq_ratio_r=2.0, gamma_tau_g=1.0)
-    init = thermal_vector(0.6, truncation_levels(nu_of(0.3)) + 20)
+    init = thermal_vector(0.6, truncation_levels(nu_of(0.3)))
     with pytest.raises(SolverError, match=r"^population integration failed: singular at row 7$"):
         evolve_populations(d, FrequencyProfile(), init, horizon=2.0)
 
@@ -467,7 +496,7 @@ for k, (_, prof, duration) in enumerate(DWELL_PLAN):
 
 def grid_ladder(prof, duration):
     grid = np.linspace(0.0, duration, round(duration * SAMPLES_PER_UNIT) + 1)
-    return truncation_levels(float(occupation_at(LADDER_D, prof, grid).max())) + 20
+    return truncation_levels(float(occupation_at(LADDER_D, prof, grid).max()))
 
 
 @pytest.mark.parametrize("name", LADDER_SEGMENTS)
@@ -477,14 +506,14 @@ def test_ladder_levels_match_the_full_sample_grid(name):
     # of them is a sample, so the whole grid's largest occupation is the same
     prof, duration = LADDER_SEGMENTS[name]
     nu_max = _largest_occupation(LADDER_D, [(0.0, prof, duration)])
-    assert ladder_levels(nu_max) == grid_ladder(prof, duration)
+    assert truncation_levels(nu_max) == grid_ladder(prof, duration)
 
 
 def test_ladder_levels_reach_a_minimum_between_samples():
     # the minimum at 0.30013 lies between the samples 0.3 and 0.3005, where
     # omega is higher: the grid misses it, the ladder reads it
     nu_max = _largest_occupation(LADDER_D, [(0.0, OFF_GRID_MINIMUM, 2.0)])
-    assert ladder_levels(nu_max) > grid_ladder(OFF_GRID_MINIMUM, 2.0)
+    assert truncation_levels(nu_max) > grid_ladder(OFF_GRID_MINIMUM, 2.0)
 
 
 def test_ladder_levels_allocate_no_grid():
@@ -492,7 +521,7 @@ def test_ladder_levels_allocate_no_grid():
     # the largest occupation is read at its start, kink and end alone
     tracemalloc.start()
     try:
-        ladder_levels(_largest_occupation(LADDER_D, [(0.0, FrequencyProfile(), 3000.0)]))
+        truncation_levels(_largest_occupation(LADDER_D, [(0.0, FrequencyProfile(), 3000.0)]))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -506,7 +535,8 @@ def test_held_factors_repeat_the_tridiagonal_solve(theta0, g):
     # row, and its factors solve as dgtsv does, bit for bit
     d = DimensionlessParams(theta0=theta0, freq_ratio_r=2.0, gamma_tau_g=g)
     prof = FrequencyProfile()
-    levels = np.arange(ladder_levels(_largest_occupation(d, [(0.0, prof, 10.0)])) + 1, dtype=float)
+    n_max = truncation_levels(_largest_occupation(d, [(0.0, prof, 10.0)]))
+    levels = np.arange(n_max + 1, dtype=float)
     down, up = molcool.oracle._rates(d, prof, prof.hold_start)
     lower, upper = up * (levels + 1.0), np.append(down * levels[1:], 0.0)
     main = np.append(-(down * levels + up * (levels + 1.0)), 0.0)
@@ -542,7 +572,7 @@ def test_step_matrix_is_the_dense_ndf_matrix(monkeypatch, g):
     # state a solve returns satisfies its dense system
     d = DimensionlessParams(theta0=0.3, freq_ratio_r=2.0, gamma_tau_g=g)
     prof = FrequencyProfile()
-    init = thermal_vector(0.6, truncation_levels(nu_of(0.3)) + 20)
+    init = thermal_vector(0.6, truncation_levels(nu_of(0.3)))
     asked, calls = [], []
     rates = molcool.oracle._rates
 
@@ -617,7 +647,7 @@ def test_step_counts_are_the_integrators(monkeypatch):
         return tuple(map(lapack_calls.count, COUNTS[2:]))
 
     d = DimensionlessParams(theta0=0.1, freq_ratio_r=2.0, gamma_tau_g=1.0)
-    init = thermal_vector(0.2, truncation_levels(nu_of(0.1)) + 20)
+    init = thermal_vector(0.2, truncation_levels(nu_of(0.1)))
     traj = evolve_populations(d, FrequencyProfile(), init, horizon=3.0)
     assert returned == [kept(traj)]
     assert kept(traj)[2:] == spied() and all(spied())
@@ -642,7 +672,7 @@ def test_non_finite_rates_fail_where_they_start(monkeypatch):
 
     monkeypatch.setattr(molcool.oracle, "_rates", nan_past_half)
     d = DimensionlessParams(theta0=0.3, freq_ratio_r=2.0, gamma_tau_g=1.0)
-    init = thermal_vector(0.6, truncation_levels(nu_of(0.3)) + 20)
+    init = thermal_vector(0.6, truncation_levels(nu_of(0.3)))
     shape = r"^population integration failed: step .* below the float spacing at s = 0\.5$"
     with pytest.raises(SolverError, match=shape):
         evolve_populations(d, FrequencyProfile(), init, horizon=1.0)
@@ -672,7 +702,7 @@ def test_pending_samples_are_reduced_before_a_failure_leaves(monkeypatch):
 
     monkeypatch.setattr(molcool.oracle, "_SampleReducer", recording)
     d = DimensionlessParams(theta0=0.3, freq_ratio_r=2.0, gamma_tau_g=1.0)
-    init = thermal_vector(0.6, truncation_levels(nu_of(0.3)) + 20)
+    init = thermal_vector(0.6, truncation_levels(nu_of(0.3)))
     with pytest.raises(SolverError, match="below the float spacing at s = 0.5$"):
         evolve_populations(d, FrequencyProfile(), init, horizon=1.0)
     (reducer,) = recorders
@@ -699,7 +729,7 @@ def test_a_pending_floor_failure_is_reported_before_a_later_one(monkeypatch):
     monkeypatch.setattr(PoisonedReducer, "start", start)
     monkeypatch.setattr(molcool.oracle, "_SampleReducer", PoisonedReducer)
     d = DimensionlessParams(theta0=0.3, freq_ratio_r=2.0, gamma_tau_g=1.0)
-    init = thermal_vector(0.6, truncation_levels(nu_of(0.3)) + 20)
+    init = thermal_vector(0.6, truncation_levels(nu_of(0.3)))
     floor = rf"^integrator failure: population -1\.000e\+00 below the .* at s = {start / 100:g}$"
     with pytest.raises(SolverError, match=floor):
         evolve_populations(d, FrequencyProfile(), init, horizon=1.0)

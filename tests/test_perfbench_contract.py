@@ -29,7 +29,7 @@ def test_oracle_counts_read_the_trajectory(monkeypatch):
     d = DimensionlessParams(theta0=0.3, freq_ratio_r=2.0, gamma_tau_g=1.0)
     prof = FrequencyProfile()
     init = populations_from_quenched(
-        QuenchedState(eta=nu_of(0.6) + 1.0), truncation_levels(nu_of(0.3)) + 20
+        QuenchedState(eta=nu_of(0.6) + 1.0), truncation_levels(nu_of(0.3))
     )
     traj = evolve_populations(d, prof, init, horizon=1.0)
     counts = tracing._oracle_counts((d, prof, init), traj)

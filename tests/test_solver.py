@@ -653,16 +653,18 @@ def test_kernel_route_reports_first_sample_below_ground_state(monkeypatch):
 
 
 def test_oversized_stage_grid_is_refused_before_allocation():
-    # horizon 1e6 is a 2e10-point stage grid, 100 times the guard: refused
-    # with no grid allocated, its point count printed to 3 digits
-    tracemalloc.start()
-    try:
-        with pytest.raises(SolverError, match=r"^a substep grid of 2e\+10 points .* memory"):
-            evolve_eta_ode(DEFAULT, OPENING, horizon=1e6)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 100_000
+    # horizon 1e6 is a 2e10-point stage grid, 100 times the guard: both
+    # routes refuse it with no grid allocated, its point count printed to
+    # 3 digits (the kernel route's 2e9 samples would need ~85 GB)
+    for route in (evolve_eta_ode, evolve_eta_closed_form):
+        tracemalloc.start()
+        try:
+            with pytest.raises(SolverError, match=r"^a substep grid of 2e\+10 points .* memory"):
+                route(DEFAULT, OPENING, horizon=1e6)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000, route.__name__
 
 
 @pytest.mark.parametrize("route", [evolve_eta_ode, evolve_eta_closed_form])
