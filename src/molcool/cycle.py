@@ -353,6 +353,19 @@ def _nearest_indices(grid: np.ndarray, query: np.ndarray) -> np.ndarray:
     return idx - prefer_left.astype(int)
 
 
+def _record_omega(profile: FrequencyProfile, s: np.ndarray, r: float) -> np.ndarray:
+    """`omega_at(profile, s, r)` on the ascending samples s, bit for bit,
+    evaluated up to the first sample at or past `hold_start` only: from
+    there on omega_at returns that sample's bits (`profiles`)."""
+    head = omega_at(profile, s[: np.searchsorted(s, profile.hold_start) + 1], r)
+    if head.size == s.size:
+        return head
+    omega = np.empty_like(s)
+    omega[: head.size] = head
+    omega[head.size :] = head[-1]
+    return omega
+
+
 def run_cycle(cfg: CycleConfig) -> CycleResult:
     """Run one full cycle with both eta solvers and return the consensus.
 
@@ -366,6 +379,12 @@ def run_cycle(cfg: CycleConfig) -> CycleResult:
     above half of it, is refused first.
     """
     d = cfg.dimensionless
+    # refused before any occupation: times an omega that rounds to 0 it is nan
+    if d.theta0 * d.freq_ratio_r == math.inf:
+        raise ValueError(
+            f"the closed splitting theta0 r = {d.theta0:.3g} x {d.freq_ratio_r:.3g} is past "
+            "float range"
+        )
     with np.errstate(over="ignore", divide="ignore"):
         eta0, segments = _plan_segments(cfg)
         nu_max = _largest_occupation(d, segments)
@@ -397,9 +416,9 @@ def run_cycle(cfg: CycleConfig) -> CycleResult:
     # omega is evaluated on each segment's own s; the fixed-step route is a
     # witness, so only its eta is joined; no segment outlives its stitch
     trajectory = _stitch(kernel, segments, ("s", "eta"))
-    omega = _join(
-        [omega_at(prof, part.s, d.freq_ratio_r) for part, (_, prof, _) in zip(kernel, segments)]
-    )
+    omega = _join([
+        _record_omega(prof, part.s, d.freq_ratio_r) for part, (_, prof, _) in zip(kernel, segments)
+    ])
     del kernel
     margins = {"solver": _cross_check(
         "solver", "eta routes disagree", trajectory.s,
@@ -571,10 +590,12 @@ def _format_cells(q: np.ndarray, d: np.ndarray, e: np.ndarray) -> bytes:
     from tables of 4-byte words: "D.DD" from `_LEAD`, the next two groups
     of four digits from `_QUAD`, then the last digit, "e", the exponent's
     sign and its tens digit from `_EXP`, and its units digit with the
-    separator from `_TAIL`.  One `np.insert` puts a "-" before each
-    negative cell.  A block holding a three-digit exponent (|x| < 1e-99
-    or >= 1e100), which the tables do not cover, is printed value by
-    value with "%.11e".
+    separator from `_TAIL`.  A block whose negative cells are the first
+    column of its first rows, as a record's negative s are, is written as
+    those rows, each behind one "-", then the rest; any other sign pattern
+    takes one `np.insert` that puts a "-" before each negative cell.  A
+    block holding a three-digit exponent (|x| < 1e-99 or >= 1e100), which
+    the tables do not cover, is printed value by value with "%.11e".
     """
     if np.abs(e).max(initial=0) >= 100:
         return "".join(",".join(map(_fmt, row)) + "\n" for row in q.tolist()).encode()
@@ -591,8 +612,16 @@ def _format_cells(q: np.ndarray, d: np.ndarray, e: np.ndarray) -> bytes:
     tail[:, -1] += 199
     cells["tail"] = np.take(_TAIL, tail)
     negative = np.signbit(q)
-    if not negative.any():
+    signed = np.count_nonzero(negative)
+    if not signed:
         return cells.tobytes()
+    if signed <= len(q) and negative[:signed, 0].all():
+        # the negatives are the first column of the first rows, as a
+        # record's negative s are: each such row is "-" and its cells
+        rows = np.empty((signed, 1 + cells[0].nbytes), dtype=np.uint8)
+        rows[:, 0] = ord("-")
+        rows[:, 1:] = cells[:signed].view(np.uint8).reshape(signed, -1)
+        return rows.tobytes() + cells[signed:].tobytes()
     at = np.flatnonzero(negative) * _CELL.itemsize
     return np.insert(cells.view(np.uint8).reshape(-1), at, ord("-")).tobytes()
 

@@ -34,7 +34,12 @@ splits the substep the kink falls in there, since a substep across a
 jump in the forcing's derivatives costs RK4 its order, and writes its
 own c_k and x_k.  `_scan` composes all the maps
 as a prefix scan in ceil(log2 n) numpy doubling passes (Blelloch,
-"Prefix sums and their applications", 1990).  In this form constant
+"Prefix sums and their applications", 1990).  On a grid with no kink
+strictly inside an interval, which covers both reference commands,
+every c_k is one c, and every factor the pass of stride 2^p reads is
+c^(2^p), built by repeated squaring: `_scan_one_factor` carries each
+pass with one float and squares it, with no factor array and the same
+bits.  In this form constant
 forcing adds exactly nothing, a fixed point stays put exactly and g = 0
 freezes eta.  c_k is a product of R's, RK4's stability polynomial, so a
 step past RK4's stability limit (g h > 2.785) shows as c_k > 1, and the
@@ -47,13 +52,21 @@ The kernel route integrates each sample interval by a fixed 8-node
 Gauss-Legendre rule (`_gauss_legendre`) per smooth piece, split at the
 kinks inside it, every interval before the hold in one call: 8 nodes per
 interval, fewer than the stepper's 10 stage points, whose grid bound
-(`_substeps_per_interval`) it applies before allocating.  A fixed rule
+(`_substeps_per_interval`) it applies before allocating.  On a whole
+interval the rule's node offsets v and kernel weights g exp(-g (D - v))
+depend on its width D alone, so `_class_tables` builds them once per
+width class and `_class_rule` gathers them per interval, evaluating only
+the forcing there; only the pieces of an interval with a kink inside go
+through `_gauss_legendre`, and both give the same bits.  A fixed rule
 has no error estimate of its own.  Only the kernel's weight
 g exp(-g (D - v)) can vary faster than a sample width D, and in the
 hold, where the forcing is one value F, a width's integral is
 F (1 - exp(-g D)) exactly, so the route checks the rule on its held
 rows before the ramp, raising `SolverError` naming g D past `_GL_RTOL`
-relative error (from g D ~ 4.2 on).  The recurrence
+relative error (from g D ~ 4.2 on).  A row whose error is below the
+smallest normal float passes: that is rounding in a subnormal integral,
+not the rule.  Where g D is itself subnormal the exact value is written
+(F g) D, which keeps the digits g D has lost.  The recurrence
 eta[k+1] = decay_k eta[k] + integral_k is a Python loop (each step needs
 the last), run in place in the preallocated eta array through
 memoryviews: no sample passes through a Python list, whose float objects
@@ -216,12 +229,12 @@ def _kinks_inside(profile, s) -> tuple[np.ndarray, np.ndarray]:
     return k_of[inside], kinks[inside]
 
 
-def _split_at_kinks(profile, s, m, step, g, eta0, forcing, c, x) -> None:
+def _split_at_kinks(k_of, kinks, s, m, step, g, eta0, forcing, c, x) -> None:
     """Write (c_k, x_k) into c[k] and x[k] for every sample interval k of the
-    grid `s` with one of the profile's kinks strictly inside: its m
-    substeps (edges s[k] + j step, then s[k+1]), the one a kink falls in
-    split there, composed so that its deviation from eta0 goes e -> c_k e + x_k."""
-    k_of, kinks = _kinks_inside(profile, s)
+    grid `s` with one of the kinks strictly inside, k_of and kinks as
+    `_kinks_inside` gives them: its m substeps (edges s[k] + j step, then
+    s[k+1]), the one a kink falls in split there, composed so that its
+    deviation from eta0 goes e -> c_k e + x_k."""
     # sorted(set()) and return_inverse keep off np.unique's hash path, which imports numpy.ma
     for k in sorted(set(k_of.tolist())):
         edges = np.concatenate([s[k] + step * np.arange(m), s[k + 1 : k + 2], kinks[k_of == k]])
@@ -254,6 +267,23 @@ def _scan(c, x) -> None:
         x[stride:] += carried
         np.multiply(c[stride:], c[:-stride], out=carried)
         c[stride:] = carried
+        stride *= 2
+
+
+def _scan_one_factor(c: float, x) -> None:
+    """`_scan` of maps e -> c e + x[i] that share one factor c, x in place.
+
+    At the pass of stride 2^p every factor `_scan` multiplies x by is
+    c^(2^p), which it builds by repeated squaring, so one float carries
+    the pass and is then squared: the same roundings, bit for bit, with no
+    factor array.
+    """
+    n = x.size
+    buf = np.empty(n)
+    stride = 1
+    while stride < n:
+        x[stride:] += np.multiply(x[:-stride], c, out=buf[: n - stride])
+        c *= c
         stride *= 2
 
 
@@ -309,12 +339,15 @@ def evolve_eta_ode(
     with np.errstate(over="ignore", invalid="ignore"):
         weights = r ** np.arange(m - 1, -1, -1, dtype=float)
         a_m = alpha * float(weights.sum())
-        c = np.full(n_intervals, 1.0 - g * a_m)
+        c = 1.0 - g * a_m  # every interval's factor, unless a kink splits it
         drive = (alpha * (u0 - u0[:, :1]) + h / 6.0 * (q * (um - u0) + (u1 - u0))) @ weights
         x[:n_ramp] = a_m * (u0[:, 0] - g * eta0) + drive
         # a held interval's forcing differences are all exactly 0, so its drive is 0
         x[n_ramp:] = a_m * (u[-1] - g * eta0)
-        _split_at_kinks(profile, s, m, h, g, eta0, forcing, c, x)
+        k_of, kinks = _kinks_inside(profile, s)
+        if k_of.size:
+            c = np.full(n_intervals, c)
+            _split_at_kinks(k_of, kinks, s, m, h, g, eta0, forcing, c, x)
     # with every x[k] exactly 0 (a fixed point) every deviation is 0, at any step
     if x.any():
         if not np.all(c <= 1.0):
@@ -322,7 +355,10 @@ def evolve_eta_ode(
                 f"the fixed step is unstable: g h = {g * h:.6g} exceeds RK4's stability "
                 "limit 2.785"
             )
-        _scan(c, x)
+        if k_of.size:
+            _scan(c, x)
+        else:
+            _scan_one_factor(c, x)
     return EtaTrajectory(s, _checked_eta(s, np.add(e, eta0, out=e)), h)
 
 
@@ -340,8 +376,9 @@ def evolve_eta_closed_form(
         eta(s + D) = exp(-g D) eta(s)
                      + integral over [0, D] of g exp(-g (D - v)) (nu(theta(s + v)) + 1) dv,
 
-    each interval integral by `_gauss_legendre`, once the rule has passed
-    its check on the held rows (module docstring).  No finite-difference
+    each interval integral by the 8-point rule (`_class_rule` on a whole
+    interval, `_gauss_legendre` on the pieces of one with a kink inside),
+    once the rule has passed its check on the held rows (module docstring).  No finite-difference
     stepping is involved, which makes this route the authoritative one in
     cross-checks.  It refuses the grids `evolve_eta_ode` refuses, before
     allocating any.  `eta0=None` starts from the thermal eta at the
@@ -356,21 +393,31 @@ def evolve_eta_closed_form(
     widths = s[1:] - starts
     held_forcing = float(occupation_at(d, profile, profile.hold_start)) + 1.0
 
+    def forcing(t):
+        return occupation_at(d, profile, t) + 1.0
+
     def integrand(start, v, width):
-        return g * np.exp(g * (v - width)) * (occupation_at(d, profile, start + v) + 1.0)
+        return g * np.exp(g * (v - width)) * forcing(start + v)
 
     # the width classes, found by a sort, off np.unique's hash path
     ordered = np.sort(widths)
     distinct = ordered[np.append(True, ordered[1:] != ordered[:-1])]
     width_id = np.searchsorted(distinct, widths)
+    tables = _class_tables(g, distinct)
     # the held rows, each distinct width from hold_start, check the rule; an
     # infinite forcing (inf - inf here) is refused as an infinite eta at the end
-    zeros = np.zeros(distinct.size)
-    held = _gauss_legendre(integrand, zeros + profile.hold_start, distinct, zeros, distinct)
+    held_starts = np.full(distinct.size, profile.hold_start)
+    held = _class_rule(forcing, held_starts, np.arange(distinct.size), tables)
     with np.errstate(invalid="ignore"):
-        exact = -held_forcing * np.expm1(-g * distinct)
+        g_d = g * distinct
+        exact = -held_forcing * np.expm1(-g_d)
+        # where g D is subnormal or 0 it has lost digits, but 1 - exp(-g D)
+        # is g D itself: (F g) D keeps them
+        tiny = g_d < sys.float_info.min
+        exact[tiny] = held_forcing * g * distinct[tiny]
         error = np.abs(held - exact)
-        bad = np.flatnonzero(error > _GL_RTOL * exact)
+        # an error below the smallest normal is rounding in a subnormal integral
+        bad = np.flatnonzero((error > _GL_RTOL * exact) & (error >= sys.float_info.min))
     if bad.size:
         i = bad[-1]
         raise SolverError(
@@ -378,17 +425,27 @@ def evolve_eta_closed_form(
             f"sample interval, where the 8-point rule's weight is off by "
             f"{error[i] / exact[i]:.3g} relative (limit {_GL_RTOL:g})"
         )
-    decays = [math.exp(x) for x in (-g * distinct).tolist()]  # one per width class
+    decays = [math.exp(-x) for x in g_d.tolist()]  # one per width class
     eta = np.empty(n_intervals + 1)
     eta[0] = eta0
-    # every interval before the hold in one call, one rule per piece between
-    # its ends and the kinks inside it; bincount adds up its pieces in order
-    ramp = s[: n_ramp + 1]
-    edges = np.sort(np.concatenate([ramp, _kinks_inside(profile, ramp)[1]]))
-    k = np.searchsorted(ramp, edges[:-1], side="right") - 1
-    lo, hi = edges[:-1] - starts[k], edges[1:] - starts[k]
-    pieces = _gauss_legendre(integrand, starts[k], widths[k], lo, hi)
-    integrals = np.bincount(k, weights=pieces, minlength=n_ramp)
+    # every interval before the hold by its class's rule, in one call, but
+    # one with a kink inside, which takes one rule per piece between its
+    # ends and the kinks; its pieces are added up in order from 0
+    k_of, kinks = _kinks_inside(profile, s[: n_ramp + 1])
+    whole = np.ones(n_ramp, dtype=bool)
+    whole[k_of] = False
+    integrals = np.empty(n_ramp)
+    ramp_starts, ramp_id = starts[:n_ramp][whole], width_id[:n_ramp][whole]
+    integrals[whole] = _class_rule(forcing, ramp_starts, ramp_id, tables)
+    if k_of.size:
+        split = np.flatnonzero(~whole)
+        cuts = [np.concatenate([s[k : k + 1], kinks[k_of == k], s[k + 1 : k + 2]]) - s[k]
+                for k in split.tolist()]
+        rows = np.repeat(split, [cut.size - 1 for cut in cuts])
+        lo = np.concatenate([cut[:-1] for cut in cuts])
+        hi = np.concatenate([cut[1:] for cut in cuts])
+        pieces = _gauss_legendre(integrand, starts[rows], widths[rows], lo, hi)
+        integrals[split] = np.bincount(rows, weights=pieces)[split]
     _propagate(eta, 0, memoryview(np.array(decays)[width_id[:n_ramp]]), integrals)
     if n_ramp < n_intervals:
         # a state at the held forcing's equilibrium stays there; the
@@ -407,11 +464,40 @@ def _gauss_legendre(f, start, width, lo, hi):
     23, 221, 1969), nodes at v = lo + (hi - lo)/2 (1 + x_j).  Each row sums
     its node pairs w_j (f(x_j) + f(-x_j)) one after another, elementwise,
     so its bits do not depend on the rows beside it, as a matrix product's would."""
+    half, nodes = _rule_nodes(lo, hi)
+    return _rule_sum(half, f(start[:, None], nodes, width[:, None]))
+
+
+def _rule_nodes(lo, hi):
+    """(half, nodes) of `_gauss_legendre`'s rows: each half-width (hi - lo)/2,
+    as a column, and the row's 8 nodes."""
     half = 0.5 * (hi - lo)[:, None]
     nodes = lo[:, None] + np.concatenate([half * (1.0 + _GL_NODES), half * (1.0 - _GL_NODES)], 1)
-    values = f(start[:, None], nodes, width[:, None])
+    return half, nodes
+
+
+def _rule_sum(half, values):
+    """The rule's sum over each row of its 8 node `values`, half-width `half` a column."""
     pairs = values[:, :4] + values[:, 4:]
     return half[:, 0] * sum(w * pairs[:, j] for j, w in enumerate(_GL_WEIGHTS))
+
+
+def _class_tables(g, distinct):
+    """(half, offsets, kernel): for a whole interval of each width D in
+    `distinct`, `_gauss_legendre`'s half-width and node offsets v, and the
+    kernel weights g exp(g (v - D)) at them, all of which depend on D alone."""
+    half, offsets = _rule_nodes(np.zeros(distinct.size), distinct)
+    return half, offsets, g * np.exp(g * (offsets - distinct[:, None]))
+
+
+def _class_rule(forcing, start, width_id, tables):
+    """`_gauss_legendre` of g exp(g (v - D)) forcing(start + v) over the whole
+    intervals from start[i] of width class width_id[i], bit for bit: the
+    class's nodes and kernel weights are read from `_class_tables`, and
+    only the forcing is evaluated per row."""
+    half, offsets, kernel = tables
+    values = kernel[width_id] * forcing(start[:, None] + offsets[width_id])
+    return _rule_sum(half[width_id], values)
 
 
 def _propagate(eta, k, decays, integrals) -> None:

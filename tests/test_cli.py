@@ -1,5 +1,7 @@
 """End-to-end tests of the command-line interface (in-process unless noted)."""
 
+import contextlib
+import io
 import os
 import subprocess
 import sys
@@ -10,7 +12,7 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from molcool.cli import _load_config, build_parser, main
@@ -25,6 +27,7 @@ from molcool.cycle import (
 )
 from molcool.errors import SolverCrossCheckError
 from molcool.profiles import FrequencyProfile, ProfileShape
+from molcool.thermo import OccupationUnderflow
 from molcool.units import AdiabaticityWarning, DimensionlessParams
 
 
@@ -456,6 +459,11 @@ EXTREME_INPUTS = {
     "dwell of inf intervals": (
         "--init-mode finite-dwell --dwell 1e306", "a sample grid of inf intervals "
     ),
+    # theta0 r overflows, and the opening's omega 1 + (1/r - 1) rounds to 0
+    "closed splitting past float range": (
+        "--ratio 1.7e308 --theta0 2 --init-mode finite-dwell --dwell 1",
+        "the closed splitting theta0 r = 2 x 1.7e+308 is past float range",
+    ),
 }
 
 
@@ -510,6 +518,65 @@ def test_forcing_up_to_half_of_float_max_still_answers(capsys, argv):
         assert run_cli("cycle", *argv.split()) == 0
     assert capsys.readouterr().out == NEAR_FLOAT_MAX_FORCING[argv]
     assert not [w for w in shown if issubclass(w.category, RuntimeWarning)]
+
+
+@pytest.mark.parametrize("theta0", ["1e-12", "1e-3", "0.032"])
+@pytest.mark.parametrize("gamma_tau", ["1e-310", "1e-315", "1e-320", "5e-324"])
+def test_subnormal_coupling_answers_as_no_coupling(gamma_tau, theta0, capsys):
+    # the rule's held-row check no longer reads rounding in a subnormal
+    # integral as a failed rule; every warning is an error, as under -W error
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli("cycle", "--gamma-tau", "0", "--theta0", theta0) == 0
+        uncoupled = capsys.readouterr().out
+        assert run_cli("cycle", "--gamma-tau", gamma_tau, "--theta0", theta0) == 0
+    assert capsys.readouterr().out == uncoupled
+
+
+# the edge values each fuzzed `cycle` flag is drawn from; a horizon or
+# dwell of 700 or more stands for one past float range, 1e306, so that
+# no fuzzed run allocates much
+EDGE_POOL = ("0", "-0", "5e-324", "1e-320", "1e-300", "1e-12", "0.5", "1", "1.0000001", "2",
+             "13.8", "40", "700", "1e5", "1e300", "inf", "nan")
+EDGE_FLAG = st.none() | st.sampled_from(EDGE_POOL)
+DOCUMENTED_WARNINGS = (OccupationUnderflow, AdiabaticityWarning)
+
+
+def run_length(value: str) -> str:
+    return "1e306" if float(value) >= 700.0 else value
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(theta0=EDGE_FLAG, ratio=EDGE_FLAG, gamma_tau=EDGE_FLAG, horizon=EDGE_FLAG,
+       dwell=EDGE_FLAG, oracle=st.booleans())
+@example(theta0="1e-12", ratio=None, gamma_tau="5e-324", horizon=None, dwell=None, oracle=False)
+@example(theta0="1e-300", ratio="1.0000001", gamma_tau="5e-324", horizon="1.0000001",
+         dwell=None, oracle=False)
+def test_cycle_answers_or_exits_2_on_edge_values(theta0, ratio, gamma_tau, horizon, dwell,
+                                                 oracle):
+    # the input contract: exit 0 with nothing on stderr, or exit 2 with
+    # exactly one "error:" line; no traceback, and no warning but the
+    # documented ones
+    argv = ["cycle"]
+    for flag, value in (("theta0", theta0), ("ratio", ratio), ("gamma-tau", gamma_tau),
+                        ("horizon", horizon and run_length(horizon))):
+        if value is not None:
+            argv.append(f"--{flag}={value}")
+    if dwell is not None:
+        argv += ["--init-mode=finite-dwell", f"--dwell={run_length(dwell)}"]
+    if oracle:
+        argv.append("--with-oracle")
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as shown:
+        warnings.simplefilter("always")
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert code in (0, 2), argv
+    if code == 0:
+        assert err.getvalue() == "", argv
+    else:
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1, argv
+    assert not [w for w in shown if not issubclass(w.category, DOCUMENTED_WARNINGS)], argv
 
 
 def test_tiny_theta0_still_answers(capsys):

@@ -29,6 +29,7 @@ from molcool.cycle import (
     _format_cells,
     _nearest_indices,
     _printed_digits,
+    _record_omega,
     default_cycle_config,
     emit_csv,
     emit_plot_script,
@@ -42,7 +43,7 @@ from molcool.cycle import (
 )
 from molcool.errors import SolverCrossCheckError, SolverError
 from molcool.oracle import evolve_populations
-from molcool.profiles import FrequencyProfile, ProfileShape
+from molcool.profiles import FrequencyProfile, ProfileShape, omega_at
 from molcool.solver import EtaTrajectory, evolve_eta_closed_form, evolve_eta_ode
 from molcool.thermo import OccupationUnderflow
 from molcool.units import DimensionlessParams
@@ -288,6 +289,90 @@ def test_dwell_csv_matches_python_format(tmp_path):
     columns = (record.s, record.omega_over_omega1, record.eta, record.mean_n, record.T_ratio)
     rows = np.stack(columns, axis=1).tolist()
     assert path.read_bytes() == CSV_HEADER.encode() + b"\n" + python_csv_rows(rows)
+
+
+def test_signed_blocks_print_like_python(monkeypatch):
+    # a record's negative cells are a prefix of its s column, which
+    # `_format_cells` writes as whole rows, each behind one "-"; any other
+    # sign pattern takes np.insert
+    d = default_cycle_config().dimensionless
+    record = run_cycle(CycleConfig(dimensionless=d, init_mode=FiniteDwell(dwell=3.0))).record
+    values = np.array(record._quantized[0])
+    block = molcool.cycle._CSV_BLOCK_ROWS
+    prefix = np.array([[-1.5, 0.5, 2.0, 1.0, 0.75], [-0.0, 0.5, 2.0, 1.0, 0.75],
+                       [0.0, 0.5, 2.0, 1.0, 0.75], [1e-5, 0.5, 2.0, 1.0, 0.75]])
+    scattered = values[7998:8004].copy()
+    scattered[4, 1] *= -1.0
+    one_more = values[:4].copy()
+    one_more[1, 3] *= -1.0
+    blocks = {
+        "negative-s prefix": (prefix, 0),
+        "every s negative": (values[:block], 0),
+        "straddles the sign change": (values[3 * block : 4 * block], 0),
+        "scattered signs": (scattered, 1),
+        "every s negative and one more cell": (one_more, 1),
+    }
+    inserts = []
+    insert = np.insert
+
+    def spy(*args, **kwargs):
+        inserts.append(1)
+        return insert(*args, **kwargs)
+
+    monkeypatch.setattr(np, "insert", spy)
+    for name, (cells, uses_insert) in blocks.items():
+        inserts.clear()
+        assert format_rows(cells) == python_csv_rows(cells.tolist()), name
+        assert len(inserts) == uses_insert, name
+    assert np.count_nonzero(values[3 * block : 4 * block, 0] < 0.0) == 8000 - 3 * block
+
+
+RECORD_OMEGA_SHAPES = {
+    "sine, hold on a sample": FrequencyProfile(),
+    "sine, hold mid-interval": FrequencyProfile(duration=0.30025),
+    "sine, no hold": FrequencyProfile(duration=5.0),
+    "reversed closing": FrequencyProfile(shape=ProfileShape.REVERSED_SINE_CLOSING),
+    "constant": FrequencyProfile(shape=ProfileShape.CONSTANT, level=0.8),
+    "piecewise linear": FrequencyProfile(
+        shape=ProfileShape.PIECEWISE_LINEAR,
+        breakpoints=((0.0, 1.0), (0.4, 0.5), (1.2345, 0.75)),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", RECORD_OMEGA_SHAPES)
+def test_record_omega_is_omega_at_bit_for_bit(name, monkeypatch):
+    # omega is evaluated up to the first sample at or past hold_start, and
+    # that sample's bits fill the rest
+    profile = RECORD_OMEGA_SHAPES[name]
+    s = np.linspace(0.0, 2.0, 2 * solver.SAMPLES_PER_UNIT + 1)
+    evaluated = []
+
+    def counted(prof, t, r):
+        evaluated.append(t.size)
+        return omega_at(prof, t, r)
+
+    monkeypatch.setattr(molcool.cycle, "omega_at", counted)
+    assert _record_omega(profile, s, 3.0).tobytes() == omega_at(profile, s, 3.0).tobytes()
+    assert evaluated == [min(s.size, int(np.searchsorted(s, profile.hold_start)) + 1)]
+
+
+@pytest.mark.parametrize("mode", [ThermalClosed(), FiniteDwell(dwell=0.5)])
+@pytest.mark.parametrize("name", RECORD_OMEGA_SHAPES)
+def test_run_cycle_records_omega_at_bit_for_bit(name, mode, monkeypatch):
+    # each segment's omega, the finite-dwell closing and dwell included
+    parts = []
+
+    def recorded(prof, s, r):
+        parts.append((prof, s, r, _record_omega(prof, s, r)))
+        return parts[-1][-1]
+
+    monkeypatch.setattr(molcool.cycle, "_record_omega", recorded)
+    d = DimensionlessParams(theta0=0.1, freq_ratio_r=3.0, gamma_tau_g=2.0)
+    run_cycle(CycleConfig(d, RECORD_OMEGA_SHAPES[name], mode, horizon=2.0))
+    assert len(parts) == (1 if isinstance(mode, ThermalClosed) else 3)
+    for prof, s, r, omega in parts:
+        assert omega.tobytes() == omega_at(prof, s, r).tobytes()
 
 
 def test_record_validation():

@@ -19,14 +19,19 @@ from molcool.solver import (
     _GL_WEIGHTS,
     RecoveryResult,
     _check_run,
+    _class_rule,
+    _class_tables,
     _gauss_legendre,
+    _kinks_inside,
     _propagate,
     _propagate_held,
     _scan,
+    _scan_one_factor,
     _split_at_kinks,
     _substeps_per_interval,
     evolve_eta_closed_form,
     evolve_eta_ode,
+    occupation_at,
     recovery_time,
 )
 from molcool.thermo import nu_of, ratio_from_eta, thermal_eta
@@ -350,7 +355,7 @@ def full_grid_rk4(d, profile, eta0, horizon, step_size, samples_per_unit):
     e[0] = 0.0
     e[1:] = a_m * (u0[:, 0] - g * eta0) + drive
     c = np.full(n_intervals, 1.0 - g * a_m)
-    _split_at_kinks(profile, s, m, h, g, eta0, forcing, c, e[1:])
+    _split_at_kinks(*_kinks_inside(profile, s), s, m, h, g, eta0, forcing, c, e[1:])
     _scan(c, e[1:])
     return s, e + eta0
 
@@ -459,6 +464,35 @@ def test_scan_composes_the_routes_split_maps_like_a_loop(monkeypatch):
     assert_scan_matches_loop(c, x)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 1023, 1024, 1025, 20000])
+def test_one_factor_scan_is_the_scan_bit_for_bit(n):
+    rng = np.random.default_rng(n)
+    c, x = float(rng.uniform(0.9, 1.0)), rng.uniform(-1.0, 1.0, n)
+    scanned = x.copy()
+    _scan(np.full(n, c), scanned)
+    _scan_one_factor(c, x)
+    assert x.tobytes() == scanned.tobytes()
+
+
+@pytest.mark.parametrize("kinked", [False, True], ids=["reference opening", "kinked profile"])
+def test_rk4_route_scans_one_factor_exactly_without_a_kink_inside(kinked, monkeypatch):
+    # the reference opening's one kink, its end, falls on a sample; the
+    # profile of the test above has kinks strictly inside three intervals
+    scans = []
+    monkeypatch.setattr("molcool.solver._scan", lambda c, x: scans.append("factors"))
+    monkeypatch.setattr("molcool.solver._scan_one_factor", lambda c, x: scans.append("one"))
+    if kinked:
+        profile = FrequencyProfile(
+            shape=ProfileShape.PIECEWISE_LINEAR,
+            breakpoints=((0.0, 1.0), (0.305, 0.8), (0.315, 0.7), (0.502, 0.9), (0.507, 0.6)),
+        )
+        use_grid(monkeypatch, 100, 2.5e-3)
+        evolve_eta_ode(DEFAULT, profile, eta0=50.0, horizon=1.0)
+    else:
+        evolve_eta_ode(DEFAULT, OPENING, horizon=10.0)
+    assert scans == ["factors" if kinked else "one"]
+
+
 HOLD_PROFILES = {
     # horizon 2 at 128 samples per unit: the sine's hold starts on sample 128
     "sine, hold on a sample": FrequencyProfile(),
@@ -495,42 +529,95 @@ def test_held_forcing_is_evaluated_once_with_the_same_bits(name, g, monkeypatch)
         assert rk4.eta.tobytes() == eta.tobytes()
 
 
-@pytest.mark.parametrize(
-    "profile, horizon, ramp, widths",
-    [(OPENING, 10.0, 2000, 14),
-     (FrequencyProfile(shape=ProfileShape.REVERSED_SINE_CLOSING), 1.0, 2000, 10),
-     (FrequencyProfile(duration=0.30025), 1.0, 602, 10)],
-    ids=["reference opening", "reversed closing", "opening ends mid-interval"],
-)
-def test_kernel_route_integrates_each_interval_once(profile, horizon, ramp, widths, monkeypatch):
-    # two calls: first every distinct width of the run's one width table
-    # (14 on the reference opening, of which the held stretch has 5) from
-    # hold_start, the held rows that are also the rule's check, then every
-    # interval that starts before the hold, an interval with a kink inside
-    # as one row per piece.  An opening that ends at 0.30025 has 601
-    # intervals before its hold, the last split at its end: 602 rows
-    calls = []
+RAMPS = {
+    # (profile, horizon, rows before the hold, distinct widths)
+    "reference opening": (OPENING, 10.0, 2000, 14),
+    "reversed closing": (FrequencyProfile(shape=ProfileShape.REVERSED_SINE_CLOSING), 1.0, 2000, 10),
+    "opening ends mid-interval": (FrequencyProfile(duration=0.30025), 1.0, 602, 10),
+}
 
-    def spy(f, start, width, lo, hi):
-        calls.append((start.copy(), width.copy(), lo.copy(), hi.copy()))
+
+@pytest.mark.parametrize("name", RAMPS)
+def test_kernel_route_integrates_each_interval_once(name, monkeypatch):
+    # the run's one width table (14 widths on the reference opening, of
+    # which the held stretch has 5) is built once; two class-rule calls
+    # read it: first every distinct width from hold_start, the held rows
+    # that are also the rule's check, then every whole interval that starts
+    # before the hold.  Only an interval with a kink inside goes to
+    # `_gauss_legendre`, one row per piece.  An opening that ends at 0.30025
+    # has 601 intervals before its hold, the last split at its end: 602 rows
+    profile, horizon, ramp, widths = RAMPS[name]
+    tables, rules, pieces = [], [], []
+
+    def tables_spy(g, distinct):
+        tables.append(distinct.copy())
+        return _class_tables(g, distinct)
+
+    def rule_spy(forcing, start, width_id, table):
+        rules.append((start.copy(), width_id.copy()))
+        return _class_rule(forcing, start, width_id, table)
+
+    def pieces_spy(f, start, width, lo, hi):
+        pieces.append((start.copy(), width.copy(), lo.copy(), hi.copy()))
         return _gauss_legendre(f, start, width, lo, hi)
 
-    monkeypatch.setattr("molcool.solver._gauss_legendre", spy)
+    monkeypatch.setattr("molcool.solver._class_tables", tables_spy)
+    monkeypatch.setattr("molcool.solver._class_rule", rule_spy)
+    monkeypatch.setattr("molcool.solver._gauss_legendre", pieces_spy)
     traj = evolve_eta_closed_form(DEFAULT, profile, horizon=horizon)
-    starts = traj.s[:-1]
+    starts, all_widths = traj.s[:-1], np.diff(traj.s)
     n_ramp = int(np.searchsorted(starts, profile.hold_start))
-    distinct = np.unique(np.diff(traj.s))
+    (distinct,) = tables
     assert distinct.size == widths
-    (held_start, held_width, zeros, held_hi), (start, width, lo, hi) = calls
-    # any held start gives the same bits, so every width starts at hold_start
+    assert distinct.tobytes() == np.unique(all_widths).tobytes()
+    (held_start, held_id), (start, width_id) = rules
+    # any held start gives the same bits, so every width starts at hold_start, once
     assert np.all(held_start == profile.hold_start)
-    assert held_width.tobytes() == held_hi.tobytes() == distinct.tobytes() and not zeros.any()
-    # the ramp's pieces, in order, tile each interval before the hold once
-    assert start.size == ramp
-    assert np.unique(start).tobytes() == starts[:n_ramp].tobytes()
-    assert np.all(lo[1:] == np.where(start[1:] == start[:-1], hi[:-1], 0.0))
-    assert np.all(hi == np.where(np.append(start[1:] != start[:-1], True), width, hi))
-    assert np.count_nonzero(hi != width) == ramp - n_ramp
+    assert held_id.tolist() == list(range(widths))
+    # each whole interval before the hold once, by its own width's tables
+    k = np.searchsorted(starts, start)
+    assert starts[k].tobytes() == start.tobytes() and np.all(np.diff(k) > 0)
+    assert distinct[width_id].tobytes() == all_widths[k].tobytes()
+    split = np.setdiff1d(np.arange(n_ramp), k)
+    if not split.size:
+        assert not pieces and start.size == ramp == n_ramp
+        return
+    # the rest, in order, tile each interval with a kink inside once
+    (p_start, p_width, lo, hi), = pieces
+    assert start.size + p_start.size == ramp
+    assert np.unique(p_start).tobytes() == starts[split].tobytes()
+    assert p_width.tobytes() == all_widths[np.searchsorted(starts, p_start)].tobytes()
+    assert np.all(lo[1:] == np.where(p_start[1:] == p_start[:-1], hi[:-1], 0.0)) and lo[0] == 0
+    assert np.all(hi == np.where(np.append(p_start[1:] != p_start[:-1], True), p_width, hi))
+    assert np.count_nonzero(hi != p_width) == ramp - n_ramp
+
+
+@pytest.mark.parametrize("g", [0.0, 1.0, 300.0])
+@pytest.mark.parametrize("name", RAMPS)
+def test_class_rule_is_gauss_legendre_bit_for_bit(name, g):
+    # every whole interval of the run, ramp or held, by its class's tables
+    # and by `_gauss_legendre` as the route ran it before the tables
+    profile, horizon = RAMPS[name][:2]
+    d = DimensionlessParams(theta0=0.032, freq_ratio_r=2.0, gamma_tau_g=g)
+    s = np.linspace(0.0, horizon, round(horizon * solver.SAMPLES_PER_UNIT) + 1)
+    starts, widths = s[:-1], np.diff(s)
+    distinct = np.unique(widths)
+    width_id = np.searchsorted(distinct, widths)
+
+    def forcing(t):
+        return occupation_at(d, profile, t) + 1.0
+
+    def integrand(start, v, width):
+        return g * np.exp(g * (v - width)) * forcing(start + v)
+
+    tables = _class_tables(g, distinct)
+    by_class = _class_rule(forcing, starts, width_id, tables)
+    by_rows = _gauss_legendre(integrand, starts, widths, np.zeros(widths.size), widths)
+    assert by_class.tobytes() == by_rows.tobytes()
+    held = np.full(distinct.size, profile.hold_start)
+    by_class = _class_rule(forcing, held, np.arange(distinct.size), tables)
+    by_rows = _gauss_legendre(integrand, held, distinct, np.zeros(distinct.size), distinct)
+    assert by_class.tobytes() == by_rows.tobytes()
 
 
 def test_kernel_rule_refusal_point_at_the_reference():
