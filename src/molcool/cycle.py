@@ -402,8 +402,7 @@ def run_cycle(cfg: CycleConfig) -> CycleResult:
         )
     # the routes' grids and the oracle's ladder pass their size checks before any route runs
     for _, _, duration in segments:
-        n_intervals = solver._check_run(duration, solver.SAMPLES_PER_UNIT)
-        solver._substeps_per_interval(duration, n_intervals, solver.STEP_SIZE)
+        solver._substeps(duration)
     if cfg.with_oracle:
         pv = populations_from_quenched(QuenchedState(eta=eta0), truncation_levels(nu_max))
 
@@ -592,12 +591,14 @@ def _format_cells(q: np.ndarray, d: np.ndarray, e: np.ndarray) -> bytes:
     sign and its tens digit from `_EXP`, and its units digit with the
     separator from `_TAIL`.  A block whose negative cells are the first
     column of its first rows, as a record's negative s are, is written as
-    those rows, each behind one "-", then the rest; any other sign pattern
-    takes one `np.insert` that puts a "-" before each negative cell.  A
-    block holding a three-digit exponent (|x| < 1e-99 or >= 1e100), which
-    the tables do not cover, is printed value by value with "%.11e".
+    those rows, each behind one "-", then the rest.  A block with any
+    other sign pattern, or holding a three-digit exponent (|x| < 1e-99 or
+    >= 1e100), which the tables do not cover, is printed value by value
+    with "%.11e".
     """
-    if np.abs(e).max(initial=0) >= 100:
+    negative = np.signbit(q)
+    signed = np.count_nonzero(negative)
+    if np.abs(e).max(initial=0) >= 100 or not (signed <= len(q) and negative[:signed, 0].all()):
         return "".join(",".join(map(_fmt, row)) + "\n" for row in q.tolist()).encode()
     cells = np.empty(q.shape, dtype=_CELL)
     tens = d // 10  # a floor division by a constant is far cheaper than divmod
@@ -611,19 +612,14 @@ def _format_cells(q: np.ndarray, d: np.ndarray, e: np.ndarray) -> bytes:
     tail = e + 99
     tail[:, -1] += 199
     cells["tail"] = np.take(_TAIL, tail)
-    negative = np.signbit(q)
-    signed = np.count_nonzero(negative)
     if not signed:
         return cells.tobytes()
-    if signed <= len(q) and negative[:signed, 0].all():
-        # the negatives are the first column of the first rows, as a
-        # record's negative s are: each such row is "-" and its cells
-        rows = np.empty((signed, 1 + cells[0].nbytes), dtype=np.uint8)
-        rows[:, 0] = ord("-")
-        rows[:, 1:] = cells[:signed].view(np.uint8).reshape(signed, -1)
-        return rows.tobytes() + cells[signed:].tobytes()
-    at = np.flatnonzero(negative) * _CELL.itemsize
-    return np.insert(cells.view(np.uint8).reshape(-1), at, ord("-")).tobytes()
+    # the negatives are the first column of the first rows, as a record's
+    # negative s are: each such row is "-" and its cells
+    rows = np.empty((signed, 1 + cells[0].nbytes), dtype=np.uint8)
+    rows[:, 0] = ord("-")
+    rows[:, 1:] = cells[:signed].view(np.uint8).reshape(signed, -1)
+    return rows.tobytes() + cells[signed:].tobytes()
 
 
 def emit_csv(record: TimeSeriesRecord, path) -> None:

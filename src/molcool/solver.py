@@ -48,19 +48,18 @@ holds still at any step.  It is still RK4, with RK4's O(h^4) error
 against the kernel route's quadrature error, so the cross-check keeps
 its independence.
 
-The kernel route integrates each sample interval by a fixed 8-node
-Gauss-Legendre rule (`_gauss_legendre`) per smooth piece, split at the
-kinks inside it, every interval before the hold in one call: 8 nodes per
-interval, fewer than the stepper's 10 stage points, whose grid bound
-(`_substeps_per_interval`) it applies before allocating.  On a whole
-interval the rule's node offsets v and kernel weights g exp(-g (D - v))
-depend on its width D alone, so `_class_tables` builds them once per
-width class and `_class_rule` gathers them per interval, evaluating only
-the forcing there; only the pieces of an interval with a kink inside go
-through `_gauss_legendre`, and both give the same bits.  A fixed rule
-has no error estimate of its own.  Only the kernel's weight
-g exp(-g (D - v)) can vary faster than a sample width D, and in the
-hold, where the forcing is one value F, a width's integral is
+Both routes apply one grid guard, `_substeps`, before allocating.  The
+kernel route integrates each sample interval by a fixed 8-node
+Gauss-Legendre rule per smooth piece, split at the kinks inside it,
+every interval before the hold in one call: 8 nodes per interval, fewer
+than the stepper's 10 stage points.  `_rule_tables` builds the rule's
+rows, nodes v and kernel weights g exp(-g (D - v)) over a piece of an
+interval of width D, and `_rule` sums them against the forcing.  A whole
+interval's row depends on D alone, so one table holds a row per width
+class, gathered per interval; an interval with a kink inside gets a row
+per piece.  A fixed rule has no error estimate of its own.  Only the
+kernel's weight g exp(-g (D - v)) can vary faster than a sample width D,
+and in the hold, where the forcing is one value F, a width's integral is
 F (1 - exp(-g D)) exactly, so the route checks the rule on its held
 rows before the ramp, raising `SolverError` naming g D past `_GL_RTOL`
 relative error (from g D ~ 4.2 on).  A row whose error is below the
@@ -167,19 +166,21 @@ def _grid(horizon, samples_per_unit, hold_start) -> tuple[np.ndarray, int]:
     return s, int(np.searchsorted(s[:-1], hold_start))
 
 
-def _substeps_per_interval(horizon: float, n_intervals: int, step_size: float) -> int:
-    """Equal substeps of at most `step_size` per sample interval.
+def _substeps(horizon: float) -> int:
+    """Equal substeps of at most `STEP_SIZE` per sample interval of a run
+    over `horizon`, whose sample count `_check_run` checks first.
 
     The guard bounds the run's substep edges and midpoints,
     2 * m * n_intervals + 1, and so every per-sample array (about 140 B
     per sample: horizon 1000 peaks at 309 MB); a long horizon fails
     fast, before either eta route allocates anything.
     """
-    m = max(1, math.ceil(horizon / n_intervals / step_size - 1e-9))
+    n_intervals = _check_run(horizon, SAMPLES_PER_UNIT)
+    m = max(1, math.ceil(horizon / n_intervals / STEP_SIZE - 1e-9))
     n_points = 2.0 * m * n_intervals + 1.0  # a float, which `:.3g` prints at any size
     if n_points > _MAX_STAGE_POINTS:
         raise SolverError(
-            f"a substep grid of {n_points:.3g} points (horizon {horizon:g} at step {step_size:g}) "
+            f"a substep grid of {n_points:.3g} points (horizon {horizon:g} at step {STEP_SIZE:g}) "
             f"would exceed memory limits ({_MAX_STAGE_POINTS} allowed)"
         )
     return m
@@ -309,7 +310,7 @@ def evolve_eta_ode(
     at the closed frequency.
     """
     # the substep count is checked before any grid is allocated
-    m = _substeps_per_interval(horizon, _check_run(horizon, SAMPLES_PER_UNIT), STEP_SIZE)
+    m = _substeps(horizon)
     eta0 = _start_eta(d, eta0)
     g = d.gamma_tau_g
 
@@ -376,38 +377,33 @@ def evolve_eta_closed_form(
         eta(s + D) = exp(-g D) eta(s)
                      + integral over [0, D] of g exp(-g (D - v)) (nu(theta(s + v)) + 1) dv,
 
-    each interval integral by the 8-point rule (`_class_rule` on a whole
-    interval, `_gauss_legendre` on the pieces of one with a kink inside),
-    once the rule has passed its check on the held rows (module docstring).  No finite-difference
-    stepping is involved, which makes this route the authoritative one in
-    cross-checks.  It refuses the grids `evolve_eta_ode` refuses, before
-    allocating any.  `eta0=None` starts from the thermal eta at the
-    closed frequency.
+    each interval integral by the 8-point rule (`_rule`, a whole interval
+    by its width class's row, each piece of one with a kink inside by its
+    own), once the rule has passed its check on the held rows (module
+    docstring).  No finite-difference stepping is involved, which makes
+    this route the authoritative one in cross-checks.  It refuses the
+    grids `evolve_eta_ode` refuses (`_substeps`), before allocating any.
+    `eta0=None` starts from the thermal eta at the closed frequency.
     """
-    _substeps_per_interval(horizon, _check_run(horizon, SAMPLES_PER_UNIT), STEP_SIZE)
+    _substeps(horizon)
     s, n_ramp = _grid(horizon, SAMPLES_PER_UNIT, profile.hold_start)
     eta0 = _start_eta(d, eta0)
     g = d.gamma_tau_g
-    n_intervals = s.size - 1
-    starts = s[:-1]
-    widths = s[1:] - starts
+    widths = np.diff(s)
     held_forcing = float(occupation_at(d, profile, profile.hold_start)) + 1.0
 
     def forcing(t):
         return occupation_at(d, profile, t) + 1.0
 
-    def integrand(start, v, width):
-        return g * np.exp(g * (v - width)) * forcing(start + v)
-
     # the width classes, found by a sort, off np.unique's hash path
     ordered = np.sort(widths)
     distinct = ordered[np.append(True, ordered[1:] != ordered[:-1])]
     width_id = np.searchsorted(distinct, widths)
-    tables = _class_tables(g, distinct)
+    # one row per width class, a whole interval from 0 to its width
+    tables = _rule_tables(g, np.zeros(distinct.size), distinct, distinct)
     # the held rows, each distinct width from hold_start, check the rule; an
     # infinite forcing (inf - inf here) is refused as an infinite eta at the end
-    held_starts = np.full(distinct.size, profile.hold_start)
-    held = _class_rule(forcing, held_starts, np.arange(distinct.size), tables)
+    held = _rule(forcing, np.full(distinct.size, profile.hold_start), tables)
     with np.errstate(invalid="ignore"):
         g_d = g * distinct
         exact = -held_forcing * np.expm1(-g_d)
@@ -426,17 +422,17 @@ def evolve_eta_closed_form(
             f"{error[i] / exact[i]:.3g} relative (limit {_GL_RTOL:g})"
         )
     decays = [math.exp(-x) for x in g_d.tolist()]  # one per width class
-    eta = np.empty(n_intervals + 1)
+    eta = np.empty(s.size)
     eta[0] = eta0
-    # every interval before the hold by its class's rule, in one call, but
-    # one with a kink inside, which takes one rule per piece between its
+    # every interval before the hold by its class's rows, in one call, but
+    # one with a kink inside, which takes one row per piece between its
     # ends and the kinks; its pieces are added up in order from 0
     k_of, kinks = _kinks_inside(profile, s[: n_ramp + 1])
     whole = np.ones(n_ramp, dtype=bool)
     whole[k_of] = False
     integrals = np.empty(n_ramp)
-    ramp_starts, ramp_id = starts[:n_ramp][whole], width_id[:n_ramp][whole]
-    integrals[whole] = _class_rule(forcing, ramp_starts, ramp_id, tables)
+    ramp_id = width_id[:n_ramp][whole]
+    integrals[whole] = _rule(forcing, s[:n_ramp][whole], [t[ramp_id] for t in tables])
     if k_of.size:
         split = np.flatnonzero(~whole)
         cuts = [np.concatenate([s[k : k + 1], kinks[k_of == k], s[k + 1 : k + 2]]) - s[k]
@@ -444,10 +440,10 @@ def evolve_eta_closed_form(
         rows = np.repeat(split, [cut.size - 1 for cut in cuts])
         lo = np.concatenate([cut[:-1] for cut in cuts])
         hi = np.concatenate([cut[1:] for cut in cuts])
-        pieces = _gauss_legendre(integrand, starts[rows], widths[rows], lo, hi)
+        pieces = _rule(forcing, s[rows], _rule_tables(g, lo, hi, widths[rows]))
         integrals[split] = np.bincount(rows, weights=pieces)[split]
     _propagate(eta, 0, memoryview(np.array(decays)[width_id[:n_ramp]]), integrals)
-    if n_ramp < n_intervals:
+    if n_ramp < widths.size:
         # a state at the held forcing's equilibrium stays there; the
         # recurrence would move it, since decay q + integral rounds off q
         # and the rounding of each width's integral differs
@@ -458,46 +454,26 @@ def evolve_eta_closed_form(
     return EtaTrajectory(s, _checked_eta(s, eta))
 
 
-def _gauss_legendre(f, start, width, lo, hi):
-    """Integrals of f(start[i], v, width[i]) over v in [lo[i], hi[i]] for every
-    row i by the 8-node Gauss-Legendre rule (Golub and Welsch, Math. Comp.
-    23, 221, 1969), nodes at v = lo + (hi - lo)/2 (1 + x_j).  Each row sums
-    its node pairs w_j (f(x_j) + f(-x_j)) one after another, elementwise,
-    so its bits do not depend on the rows beside it, as a matrix product's would."""
-    half, nodes = _rule_nodes(lo, hi)
-    return _rule_sum(half, f(start[:, None], nodes, width[:, None]))
-
-
-def _rule_nodes(lo, hi):
-    """(half, nodes) of `_gauss_legendre`'s rows: each half-width (hi - lo)/2,
-    as a column, and the row's 8 nodes."""
+def _rule_tables(g, lo, hi, width):
+    """(half, nodes, kernel): row i of the 8-node Gauss-Legendre rule (Golub
+    and Welsch, Math. Comp. 23, 221, 1969) for g exp(g (v - width[i]))
+    f(start + v) over v in [lo[i], hi[i]], whatever the start: its
+    half-width (hi - lo)/2 as a column, nodes v = lo + (hi - lo)/2 (1 + x_j)
+    and the kernel weights there."""
     half = 0.5 * (hi - lo)[:, None]
     nodes = lo[:, None] + np.concatenate([half * (1.0 + _GL_NODES), half * (1.0 - _GL_NODES)], 1)
-    return half, nodes
+    return half, nodes, g * np.exp(g * (nodes - width[:, None]))
 
 
-def _rule_sum(half, values):
-    """The rule's sum over each row of its 8 node `values`, half-width `half` a column."""
+def _rule(forcing, start, tables):
+    """The integrals of `_rule_tables`' rows with f = `forcing`, row i from
+    start[i].  Each row sums its node pairs w_j (f(x_j) + f(-x_j)) one
+    after another, elementwise, so its bits do not depend on the rows
+    beside it, as a matrix product's would."""
+    half, nodes, kernel = tables
+    values = kernel * forcing(start[:, None] + nodes)
     pairs = values[:, :4] + values[:, 4:]
     return half[:, 0] * sum(w * pairs[:, j] for j, w in enumerate(_GL_WEIGHTS))
-
-
-def _class_tables(g, distinct):
-    """(half, offsets, kernel): for a whole interval of each width D in
-    `distinct`, `_gauss_legendre`'s half-width and node offsets v, and the
-    kernel weights g exp(g (v - D)) at them, all of which depend on D alone."""
-    half, offsets = _rule_nodes(np.zeros(distinct.size), distinct)
-    return half, offsets, g * np.exp(g * (offsets - distinct[:, None]))
-
-
-def _class_rule(forcing, start, width_id, tables):
-    """`_gauss_legendre` of g exp(g (v - D)) forcing(start + v) over the whole
-    intervals from start[i] of width class width_id[i], bit for bit: the
-    class's nodes and kernel weights are read from `_class_tables`, and
-    only the forcing is evaluated per row."""
-    half, offsets, kernel = tables
-    values = kernel[width_id] * forcing(start[:, None] + offsets[width_id])
-    return _rule_sum(half[width_id], values)
 
 
 def _propagate(eta, k, decays, integrals) -> None:

@@ -150,6 +150,8 @@ def to_dimensionless(params: PhysicalParams) -> DimensionlessParams:
     modes = reduce_to_relative_mode(params)
     omega0 = omega_from_kappa(modes.kappa_rel, 0.0, modes.reduced_mass)
     omega1 = omega_from_kappa(modes.kappa_rel, params.coupling_max, modes.reduced_mass)
+    _require_positive("omega0", omega0)  # both divisors below; either can underflow to 0
+    _require_positive("k_B T", K_B * params.temperature)
     if omega0 * params.tau_open < 20.0 * math.pi:
         warnings.warn(
             f"omega0*tau_open = {omega0 * params.tau_open:.3g} < 20*pi: fewer than "
@@ -183,13 +185,19 @@ def si_roundtrip(
     _require_positive("tau_open", tau_open)
     omega0 = d.theta0 * K_B * temperature / HBAR
     omega1 = d.freq_ratio_r * omega0
+    _require_positive("omega0", omega0)  # theta0 k_B T can leave float range either way
+    _require_positive("omega1", omega1)
     gamma = d.gamma_tau_g / tau_open
     physical = None
     if gamma > 0.0:
+        try:
+            spring, coupling_max = mass * omega0**2, 0.5 * mass * (omega1**2 - omega0**2)
+        except OverflowError:
+            raise ValueError(f"omega1 = {omega1:.3g} rad/s: its square is past float range") from None
         physical = PhysicalParams(
             mass=mass,
-            spring=mass * omega0**2,
-            coupling_max=0.5 * mass * (omega1**2 - omega0**2),
+            spring=spring,
+            coupling_max=coupling_max,
             temperature=temperature,
             gamma=gamma,
             tau_open=tau_open,

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -554,9 +555,6 @@ def run_length(value: str) -> str:
          dwell=None, oracle=False)
 def test_cycle_answers_or_exits_2_on_edge_values(theta0, ratio, gamma_tau, horizon, dwell,
                                                  oracle):
-    # the input contract: exit 0 with nothing on stderr, or exit 2 with
-    # exactly one "error:" line; no traceback, and no warning but the
-    # documented ones
     argv = ["cycle"]
     for flag, value in (("theta0", theta0), ("ratio", ratio), ("gamma-tau", gamma_tau),
                         ("horizon", horizon and run_length(horizon))):
@@ -566,6 +564,14 @@ def test_cycle_answers_or_exits_2_on_edge_values(theta0, ratio, gamma_tau, horiz
         argv += ["--init-mode=finite-dwell", f"--dwell={run_length(dwell)}"]
     if oracle:
         argv.append("--with-oracle")
+    assert_answers_or_exits_2(argv)
+
+
+def assert_answers_or_exits_2(argv, failed_row=None):
+    """The input contract for `main(argv)`: exit 0 with no inf or nan in
+    the answer and nothing on stderr but lines that `failed_row` matches,
+    or exit 2 with exactly one "error:" line; no traceback, and no warning
+    but the documented ones."""
     out, err = io.StringIO(), io.StringIO()
     with warnings.catch_warnings(record=True) as shown:
         warnings.simplefilter("always")
@@ -573,10 +579,76 @@ def test_cycle_answers_or_exits_2_on_edge_values(theta0, ratio, gamma_tau, horiz
             code = main(argv)
     assert code in (0, 2), argv
     if code == 0:
-        assert err.getvalue() == "", argv
+        assert not re.search(r"\b(inf|nan)\b", out.getvalue()), argv
+        lines = err.getvalue().splitlines()
+        assert failed_row is not None or not lines, argv
+        assert all(failed_row.match(line) for line in lines), argv
     else:
         assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1, argv
     assert not [w for w in shown if not issubclass(w.category, DOCUMENTED_WARNINGS)], argv
+
+
+EDGE_VALUE = st.sampled_from(EDGE_POOL)
+# a sweep row that failed: its axis, its value and "failed:", then the refusal
+FAILED_ROW = re.compile(r"(theta0|freq_ratio_r|gamma_tau_g) = \S+: failed: \S")
+
+
+@st.composite
+def sweep_argv(draw):
+    """`sweep` over any axis, by 1-3 edge values or a range between two of
+    them, at any worker count the flag parses and any edge horizon."""
+    argv = ["sweep", f"--axis={draw(st.sampled_from(['theta0', 'ratio', 'gamma-tau']))}",
+            f"--workers={draw(st.sampled_from([-1, 0, 1, 2]))}"]
+    if draw(st.booleans()):
+        argv.append("--values=" + ",".join(draw(st.lists(EDGE_VALUE, min_size=1, max_size=3))))
+    else:
+        spacing = draw(st.sampled_from(["", ":log"]))
+        argv.append(f"--range={draw(EDGE_VALUE)}:{draw(EDGE_VALUE)}:{draw(st.integers(1, 3))}"
+                    + spacing)
+    horizon = draw(EDGE_FLAG)
+    if horizon is not None:
+        argv.append(f"--horizon={run_length(horizon)}")
+    return argv
+
+
+@st.composite
+def convert_argv(draw):
+    """`convert-units` in either direction, its temperature and the
+    direction's own flags each absent or an edge value (the SI direction
+    is chosen by giving --spring)."""
+    argv = ["convert-units", f"--temperature-kelvin={draw(EDGE_VALUE)}"]
+    if draw(st.booleans()):
+        flags = ("theta0", "ratio", "gamma-tau", "mass", "tau-open")
+    else:
+        argv.append(f"--spring={draw(EDGE_VALUE)}")
+        flags = ("mass", "coupling-max", "gamma", "tau-open")
+    for flag in flags:
+        value = draw(st.sampled_from((None, *EDGE_POOL)))
+        if value is not None:
+            argv.append(f"--{flag}={value}")
+    return argv
+
+
+def convert(temperature, *flags):
+    return ["convert-units", f"--temperature-kelvin={temperature}", *flags]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(argv=sweep_argv() | convert_argv())
+# an omega0 of 0 (theta0 k_B T underflows), a square past float range, and
+# an omega1 past it, from dimensionless to SI
+@example(convert("5e-324", "--theta0=5e-324", "--ratio=1", "--gamma-tau=0"))
+@example(convert("5e-324", "--theta0=1e300", "--ratio=1e300", "--gamma-tau=5e-324"))
+@example(convert("13.8", "--theta0=0.5", "--ratio=1e300", "--gamma-tau=0"))
+# k_B T and omega0 of 0, from SI to dimensionless
+@example(convert("5e-324", "--spring=1", "--mass=700", "--coupling-max=0", "--gamma=1",
+                 "--tau-open=1"))
+@example(convert("2", "--spring=1e-320", "--mass=1e300", "--coupling-max=13.8", "--gamma=40",
+                 "--tau-open=1e-300"))
+def test_sweep_and_convert_units_answer_or_exit_2_on_edge_values(argv):
+    # a sweep answers with a refused run's row on stderr; argparse's own
+    # usage errors (a missing required flag) are test_argparse_usage_errors'
+    assert_answers_or_exits_2(argv, FAILED_ROW if argv[0] == "sweep" else None)
 
 
 def test_tiny_theta0_still_answers(capsys):

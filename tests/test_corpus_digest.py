@@ -1,0 +1,33 @@
+"""Smoke tests of `tests/corpus_digest.py`, the script that hashes a seeded
+corpus of `run_cycle` runs so that a change meant to move no output byte
+can be checked against the tree before it."""
+
+import numpy as np
+
+import corpus_digest
+from molcool import solver
+from molcool.cycle import FiniteDwell, ThermalClosed, _plan_segments
+from molcool.profiles import ProfileShape
+
+
+def test_corpus_digest_is_deterministic():
+    sha, answered, refused = corpus_digest.digest(4)
+    assert corpus_digest.digest(4) == (sha, answered, refused)
+    assert len(sha) == 64 and answered + refused == 4
+
+
+def test_corpus_covers_every_shape_both_modes_and_kinked_grids():
+    configs = corpus_digest.corpus()
+    assert len(configs) == 48
+    assert {cfg.profile.shape for cfg in configs} == set(ProfileShape)
+    assert {type(cfg.init_mode) for cfg in configs} == {ThermalClosed, FiniteDwell}
+
+    def kinked(cfg):
+        """Whether a kink falls strictly inside a sample interval of a segment."""
+        for _, prof, duration in _plan_segments(cfg)[1]:
+            n = solver._check_run(duration, solver.SAMPLES_PER_UNIT)
+            if solver._kinks_inside(prof, np.linspace(0.0, duration, n + 1))[0].size:
+                return True
+        return False
+
+    assert sum(map(kinked, configs)) >= 8

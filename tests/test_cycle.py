@@ -294,7 +294,7 @@ def test_dwell_csv_matches_python_format(tmp_path):
 def test_signed_blocks_print_like_python(monkeypatch):
     # a record's negative cells are a prefix of its s column, which
     # `_format_cells` writes as whole rows, each behind one "-"; any other
-    # sign pattern takes np.insert
+    # sign pattern is printed value by value with "%.11e", by `_fmt`
     d = default_cycle_config().dimensionless
     record = run_cycle(CycleConfig(dimensionless=d, init_mode=FiniteDwell(dwell=3.0))).record
     values = np.array(record._quantized[0])
@@ -312,18 +312,18 @@ def test_signed_blocks_print_like_python(monkeypatch):
         "scattered signs": (scattered, 1),
         "every s negative and one more cell": (one_more, 1),
     }
-    inserts = []
-    insert = np.insert
+    printed = []
+    fmt = molcool.cycle._fmt
 
-    def spy(*args, **kwargs):
-        inserts.append(1)
-        return insert(*args, **kwargs)
+    def spy(value):
+        printed.append(value)
+        return fmt(value)
 
-    monkeypatch.setattr(np, "insert", spy)
-    for name, (cells, uses_insert) in blocks.items():
-        inserts.clear()
+    monkeypatch.setattr(molcool.cycle, "_fmt", spy)
+    for name, (cells, by_value) in blocks.items():
+        printed.clear()
         assert format_rows(cells) == python_csv_rows(cells.tolist()), name
-        assert len(inserts) == uses_insert, name
+        assert len(printed) == by_value * cells.size, name
     assert np.count_nonzero(values[3 * block : 4 * block, 0] < 0.0) == 8000 - 3 * block
 
 

@@ -15,7 +15,7 @@ import molcool.cli
 from molcool.cycle import CycleConfig, FiniteDwell, _plan_segments, default_cycle_config
 from molcool.oracle import evolve_populations, populations_from_quenched, truncation_levels
 from molcool.profiles import FrequencyProfile
-from molcool.solver import SAMPLES_PER_UNIT, STEP_SIZE, _check_run, _substeps_per_interval
+from molcool.solver import SAMPLES_PER_UNIT, _check_run, _substeps
 from molcool.thermo import QuenchedState, nu_of
 from molcool.units import DimensionlessParams
 
@@ -91,7 +91,7 @@ def test_traced_counts_are_the_work_done(monkeypatch):
     _, segments = _plan_segments(cfg)
     intervals = [_check_run(duration, SAMPLES_PER_UNIT) for _, _, duration in segments]
     substeps = [
-        n * _substeps_per_interval(duration, n, STEP_SIZE)
+        n * _substeps(duration)
         for n, (_, _, duration) in zip(intervals, segments)
     ]
     assert counted("solver.evolve_eta_closed_form", "samples") == sum(intervals) == 28_000

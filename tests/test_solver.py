@@ -19,16 +19,15 @@ from molcool.solver import (
     _GL_WEIGHTS,
     RecoveryResult,
     _check_run,
-    _class_rule,
-    _class_tables,
-    _gauss_legendre,
     _kinks_inside,
     _propagate,
     _propagate_held,
+    _rule,
+    _rule_tables,
     _scan,
     _scan_one_factor,
     _split_at_kinks,
-    _substeps_per_interval,
+    _substeps,
     evolve_eta_closed_form,
     evolve_eta_ode,
     occupation_at,
@@ -163,16 +162,16 @@ def test_kernel_rule_is_numpys_8_point_gauss_legendre_rule():
 
 def test_kernel_rule_is_exact_on_an_interval_split_at_its_kink():
     # |x - 0.3| is linear on either side of its kink: the middle interval,
-    # split at the kink into two rules as the kernel route splits it, is
+    # split at the kink into two rows as the kernel route splits it, is
     # integrated exactly, like the two intervals beside it
-    def f(s0, v, w):
-        return np.abs(s0 + v - 0.3)
+    def unit_kernel_rule(start, lo, hi):
+        half, nodes, _ = _rule_tables(0.0, lo, hi, hi)
+        return _rule(lambda t: np.abs(t - 0.3), start, (half, nodes, np.ones_like(nodes)))
 
     start = np.array([0.0, 0.25, 0.25, 0.5])
-    width = np.full(4, 0.25)
     lo = np.array([0.0, 0.0, 0.3 - 0.25, 0.0])
     hi = np.array([0.25, 0.3 - 0.25, 0.25, 0.25])
-    pieces = _gauss_legendre(f, start, width, lo, hi)
+    pieces = unit_kernel_rule(start, lo, hi)
     values = [pieces[0], pieces[1] + pieces[2], pieces[3]]
 
     def antiderivative(x):
@@ -181,7 +180,7 @@ def test_kernel_rule_is_exact_on_an_interval_split_at_its_kink():
     exact = [antiderivative(a + 0.25) - antiderivative(a) for a in (0.0, 0.25, 0.5)]
     np.testing.assert_allclose(values, exact, rtol=1e-15, atol=0)
     # one rule across the kink misses it by 3.0e-4 relative
-    whole = _gauss_legendre(f, start[1:2], width[1:2], lo[1:2], width[1:2])
+    whole = unit_kernel_rule(start[1:2], np.zeros(1), np.full(1, 0.25))
     assert abs(whole[0] / exact[1] - 1.0) > 1e-4
 
 
@@ -293,8 +292,8 @@ def test_ode_matches_per_substep_rk4(g, step_size, monkeypatch):
 
 
 def full_grid_kernel(d, profile, eta0, horizon, samples_per_unit):
-    """The kernel route with `_gauss_legendre` over every interval, held or
-    not, in one call: one rule per piece between an interval's ends and the
+    """The kernel route with one rule row per piece of every interval, held
+    or not, in one call: a piece between an interval's ends and the
     profile's kinks strictly inside it, its pieces summed in order."""
     n_intervals = round(horizon * samples_per_unit)
     g, r = d.gamma_tau_g, d.freq_ratio_r
@@ -302,8 +301,8 @@ def full_grid_kernel(d, profile, eta0, horizon, samples_per_unit):
     samples = np.linspace(0.0, horizon, n_intervals + 1)
     starts, widths = samples[:-1], samples[1:] - samples[:-1]
 
-    def integrand(start, v, width):
-        return g * np.exp(g * (v - width)) * (nu_of(t0r * omega_at(profile, start + v, r)) + 1.0)
+    def forcing(t):
+        return nu_of(t0r * omega_at(profile, t, r)) + 1.0
 
     rows, lo, hi = [], [], []
     for k, (a, b) in enumerate(zip(starts.tolist(), samples[1:].tolist())):
@@ -312,7 +311,7 @@ def full_grid_kernel(d, profile, eta0, horizon, samples_per_unit):
             rows.append(k)
             lo.append(left - a)
             hi.append(right - a)
-    pieces = _gauss_legendre(integrand, starts[rows], widths[rows], np.array(lo), np.array(hi))
+    pieces = _rule(forcing, starts[rows], _rule_tables(g, np.array(lo), np.array(hi), widths[rows]))
     integrals = [0.0] * n_intervals
     for k, piece in zip(rows, pieces.tolist()):
         integrals[k] += piece
@@ -360,11 +359,11 @@ def full_grid_rk4(d, profile, eta0, horizon, step_size, samples_per_unit):
     return s, e + eta0
 
 
-def sequential_rk4(d, profile, eta0, horizon, step_size, samples_per_unit):
+def sequential_rk4(d, profile, eta0, horizon):
     """The RK4 route as it ran before its scan: one sample per loop iteration,
     samples and eta returned unchecked.  It does not split kinked intervals."""
-    n_intervals = _check_run(horizon, samples_per_unit)
-    m = _substeps_per_interval(horizon, n_intervals, step_size)
+    n_intervals = _check_run(horizon, solver.SAMPLES_PER_UNIT)
+    m = _substeps(horizon)
     eta0 = thermal_eta(d.theta0 * d.freq_ratio_r) if eta0 is None else eta0
     g = d.gamma_tau_g
     n_sub = m * n_intervals
@@ -415,7 +414,7 @@ SHAPES = {
 def test_scan_matches_sequential_loop(g, shape, eta0):
     d = DimensionlessParams(theta0=0.032, freq_ratio_r=2.0, gamma_tau_g=g)
     traj = evolve_eta_ode(d, SHAPES[shape], eta0, horizon=2.0)
-    s, eta = sequential_rk4(d, SHAPES[shape], eta0, 2.0, 1e-4, 2000)
+    s, eta = sequential_rk4(d, SHAPES[shape], eta0, 2.0)
     assert traj.s.tobytes() == s.tobytes()
     np.testing.assert_allclose(traj.eta, eta, rtol=1e-12, atol=0)
 
@@ -540,50 +539,50 @@ RAMPS = {
 @pytest.mark.parametrize("name", RAMPS)
 def test_kernel_route_integrates_each_interval_once(name, monkeypatch):
     # the run's one width table (14 widths on the reference opening, of
-    # which the held stretch has 5) is built once; two class-rule calls
-    # read it: first every distinct width from hold_start, the held rows
-    # that are also the rule's check, then every whole interval that starts
-    # before the hold.  Only an interval with a kink inside goes to
-    # `_gauss_legendre`, one row per piece.  An opening that ends at 0.30025
-    # has 601 intervals before its hold, the last split at its end: 602 rows
+    # which the held stretch has 5) is built once, a row per distinct
+    # width from 0 to it; two rule calls read it: first every distinct
+    # width from hold_start, the held rows that are also the rule's check,
+    # then every whole interval that starts before the hold, by its class's
+    # row.  Only an interval with a kink inside gets rows of its own, one per
+    # piece.  An opening that ends at 0.30025 has 601 intervals before its
+    # hold, the last split at its end: 602 rows
     profile, horizon, ramp, widths = RAMPS[name]
-    tables, rules, pieces = [], [], []
+    tables, rules = [], []
 
-    def tables_spy(g, distinct):
-        tables.append(distinct.copy())
-        return _class_tables(g, distinct)
+    def tables_spy(g, lo, hi, width):
+        tables.append((lo.copy(), hi.copy(), width.copy()))
+        return _rule_tables(g, lo, hi, width)
 
-    def rule_spy(forcing, start, width_id, table):
-        rules.append((start.copy(), width_id.copy()))
-        return _class_rule(forcing, start, width_id, table)
+    def rule_spy(forcing, start, table):
+        rules.append((start.copy(), table[1].copy()))
+        return _rule(forcing, start, table)
 
-    def pieces_spy(f, start, width, lo, hi):
-        pieces.append((start.copy(), width.copy(), lo.copy(), hi.copy()))
-        return _gauss_legendre(f, start, width, lo, hi)
-
-    monkeypatch.setattr("molcool.solver._class_tables", tables_spy)
-    monkeypatch.setattr("molcool.solver._class_rule", rule_spy)
-    monkeypatch.setattr("molcool.solver._gauss_legendre", pieces_spy)
+    monkeypatch.setattr("molcool.solver._rule_tables", tables_spy)
+    monkeypatch.setattr("molcool.solver._rule", rule_spy)
     traj = evolve_eta_closed_form(DEFAULT, profile, horizon=horizon)
     starts, all_widths = traj.s[:-1], np.diff(traj.s)
     n_ramp = int(np.searchsorted(starts, profile.hold_start))
-    (distinct,) = tables
+    (lo, distinct, width), *pieces = tables
     assert distinct.size == widths
-    assert distinct.tobytes() == np.unique(all_widths).tobytes()
-    (held_start, held_id), (start, width_id) = rules
+    assert distinct.tobytes() == np.unique(all_widths).tobytes() == width.tobytes()
+    assert np.all(lo == 0.0)
+    class_nodes = _rule_tables(DEFAULT.gamma_tau_g, lo, distinct, distinct)[1]
+    (held_start, held_nodes), (start, nodes), *piece_rules = rules
     # any held start gives the same bits, so every width starts at hold_start, once
     assert np.all(held_start == profile.hold_start)
-    assert held_id.tolist() == list(range(widths))
-    # each whole interval before the hold once, by its own width's tables
+    assert held_nodes.tobytes() == class_nodes.tobytes()
+    # each whole interval before the hold once, by its own width's row
     k = np.searchsorted(starts, start)
     assert starts[k].tobytes() == start.tobytes() and np.all(np.diff(k) > 0)
+    width_id = np.searchsorted(distinct, all_widths[k])
     assert distinct[width_id].tobytes() == all_widths[k].tobytes()
+    assert nodes.tobytes() == class_nodes[width_id].tobytes()
     split = np.setdiff1d(np.arange(n_ramp), k)
     if not split.size:
-        assert not pieces and start.size == ramp == n_ramp
+        assert not pieces and not piece_rules and start.size == ramp == n_ramp
         return
     # the rest, in order, tile each interval with a kink inside once
-    (p_start, p_width, lo, hi), = pieces
+    ((lo, hi, p_width),), ((p_start, _),) = pieces, piece_rules
     assert start.size + p_start.size == ramp
     assert np.unique(p_start).tobytes() == starts[split].tobytes()
     assert p_width.tobytes() == all_widths[np.searchsorted(starts, p_start)].tobytes()
@@ -595,8 +594,9 @@ def test_kernel_route_integrates_each_interval_once(name, monkeypatch):
 @pytest.mark.parametrize("g", [0.0, 1.0, 300.0])
 @pytest.mark.parametrize("name", RAMPS)
 def test_class_rule_is_gauss_legendre_bit_for_bit(name, g):
-    # every whole interval of the run, ramp or held, by its class's tables
-    # and by `_gauss_legendre` as the route ran it before the tables
+    # every whole interval of the run, ramp or held, by its width class's
+    # row gathered from the one table, and by a row of its own from 0 to
+    # its width, as the route builds the pieces of a kinked interval
     profile, horizon = RAMPS[name][:2]
     d = DimensionlessParams(theta0=0.032, freq_ratio_r=2.0, gamma_tau_g=g)
     s = np.linspace(0.0, horizon, round(horizon * solver.SAMPLES_PER_UNIT) + 1)
@@ -607,16 +607,16 @@ def test_class_rule_is_gauss_legendre_bit_for_bit(name, g):
     def forcing(t):
         return occupation_at(d, profile, t) + 1.0
 
-    def integrand(start, v, width):
-        return g * np.exp(g * (v - width)) * forcing(start + v)
-
-    tables = _class_tables(g, distinct)
-    by_class = _class_rule(forcing, starts, width_id, tables)
-    by_rows = _gauss_legendre(integrand, starts, widths, np.zeros(widths.size), widths)
-    assert by_class.tobytes() == by_rows.tobytes()
-    held = np.full(distinct.size, profile.hold_start)
-    by_class = _class_rule(forcing, held, np.arange(distinct.size), tables)
-    by_rows = _gauss_legendre(integrand, held, distinct, np.zeros(distinct.size), distinct)
+    tables = _rule_tables(g, np.zeros(distinct.size), distinct, distinct)
+    gathered = [t[width_id] for t in tables]
+    own = _rule_tables(g, np.zeros(widths.size), widths, widths)
+    for class_rows, own_rows in zip(gathered, own):
+        assert class_rows.tobytes() == own_rows.tobytes()
+    assert _rule(forcing, starts, gathered).tobytes() == _rule(forcing, starts, own).tobytes()
+    # a held interval takes its class's held row, integrated from hold_start
+    held = starts >= profile.hold_start
+    by_class = _rule(forcing, np.full(distinct.size, profile.hold_start), tables)[width_id[held]]
+    by_rows = _rule(forcing, starts[held], [t[held] for t in own])
     assert by_class.tobytes() == by_rows.tobytes()
 
 
