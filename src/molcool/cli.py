@@ -155,9 +155,17 @@ def _print_summary(result: CycleResult) -> None:
         print("oracle cross-check passed")
 
 
+def _make_out_dir(out_dir: str | None) -> None:
+    """Create the output directory, if one is given, before the run, so
+    that one it cannot create (an existing file of that name) is refused
+    with exit 4 before anything runs."""
+    if out_dir is not None:
+        os.makedirs(out_dir, exist_ok=True)
+
+
 def _write_outputs(out_dir: str, kind: str, emit, source, **plot) -> None:
-    """`<kind>.csv` written by `emit` and `<kind>_plot.py`, both from `source`."""
-    os.makedirs(out_dir, exist_ok=True)
+    """`<kind>.csv` written by `emit` and `<kind>_plot.py`, both from
+    `source`, into `out_dir`, which `_make_out_dir` has created."""
     csv_path = os.path.join(out_dir, f"{kind}.csv")
     emit(source, csv_path)
     script_path = os.path.join(out_dir, f"{kind}_plot.py")
@@ -168,6 +176,7 @@ def _write_outputs(out_dir: str, kind: str, emit, source, **plot) -> None:
 
 def _cmd_cycle(args) -> int:
     cfg = _load_config(args)
+    _make_out_dir(cfg.output_dir)
     result = run_cycle(cfg)
     _print_summary(result)
     if cfg.output_dir is not None:
@@ -204,6 +213,7 @@ def _cmd_sweep(args) -> int:
     base = _load_config(args)
     axis = _AXIS_BY_FLAG[args.axis]
     spec = SweepSpec(axis=axis, values=_parse_sweep_values(args), base=base)
+    _make_out_dir(base.output_dir)
     rows = run_sweep(spec, max_workers=args.workers)
     for row in rows:
         if row.error is not None:
@@ -283,6 +293,7 @@ def _cmd_convert_units(args) -> int:
 
 
 def _cmd_reproduce_fig4(args) -> int:
+    _make_out_dir(args.out)
     result = run_cycle(default_cycle_config())
     summ = result.summary
     recovery_s = summ.recovery.s if summ.recovery.recovered else None

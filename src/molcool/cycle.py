@@ -400,9 +400,10 @@ def run_cycle(cfg: CycleConfig) -> CycleResult:
             f"occupation nu = {nu_max:.3g} must be finite, the forcing at most "
             f"{solver._MAX_FORCING:.3g} (theta0 too small or g too large)"
         )
-    # the routes' grids and the oracle's ladder pass their size checks before any route runs
+    # the routes' grids, the kernel's g D and the oracle's ladder pass their
+    # checks before any route runs
     for _, _, duration in segments:
-        solver._substeps(duration)
+        solver._check_kernel(d.gamma_tau_g, duration)
     if cfg.with_oracle:
         pv = populations_from_quenched(QuenchedState(eta=eta0), truncation_levels(nu_max))
 

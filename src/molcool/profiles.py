@@ -9,10 +9,11 @@ is stored once, in the run's `DimensionlessParams`, and `omega_at`
 takes it from its caller.
 
 `FrequencyProfile.hold_start` is where that hold begins.  From it on,
-`omega_at` returns the same bits for every s: the sine shapes clip
-s/duration to exactly 1.0, and `np.interp` returns the last breakpoint's
-value itself at and past its s.  The solvers rely on this to evaluate
-the forcing of a held stretch once instead of at every point of it.
+`omega_at` returns the same bits for every s: the sine shapes divide
+min(s, duration) by duration, exactly 1.0 there, and `np.interp`
+returns the last breakpoint's value itself at and past its s.  The
+solvers rely on this to evaluate the forcing of a held stretch once
+instead of at every point of it.
 `FrequencyProfile.kinks` lists where omega is not smooth; both eta
 routes split their sample intervals there.
 
@@ -130,10 +131,12 @@ def _omega_core(profile: FrequencyProfile, s, r: float):
     """`omega_at`'s arithmetic, unchecked: s must be finite and >= 0, a
     float or a float array; returns a numpy scalar or array."""
     if profile.shape is ProfileShape.SINE_OPENING:
-        x = np.minimum(s / profile.duration, 1.0)  # s >= 0, so s/duration clipped to [0, 1]
+        # s/duration clipped to [0, 1], bit for bit, without overflowing at
+        # a subnormal duration
+        x = np.minimum(s, profile.duration) / profile.duration
         return 1.0 + (1.0 / r - 1.0) * np.sin(0.5 * math.pi * x)
     if profile.shape is ProfileShape.REVERSED_SINE_CLOSING:
-        x = np.minimum(s / profile.duration, 1.0)
+        x = np.minimum(s, profile.duration) / profile.duration
         return 1.0 + (1.0 / r - 1.0) * np.sin(0.5 * math.pi * (1.0 - x))
     if profile.shape is ProfileShape.CONSTANT:
         return np.full_like(s, profile.level)

@@ -59,13 +59,12 @@ interval's row depends on D alone, so one table holds a row per width
 class, gathered per interval; an interval with a kink inside gets a row
 per piece.  A fixed rule has no error estimate of its own.  Only the
 kernel's weight g exp(-g (D - v)) can vary faster than a sample width D,
-and in the hold, where the forcing is one value F, a width's integral is
-F (1 - exp(-g D)) exactly, so the route checks the rule on its held
-rows before the ramp, raising `SolverError` naming g D past `_GL_RTOL`
-relative error (from g D ~ 4.2 on).  A row whose error is below the
-smallest normal float passes: that is rounding in a subnormal integral,
-not the rule.  Where g D is itself subnormal the exact value is written
-(F g) D, which keeps the digits g D has lost.  The recurrence
+and the rule's relative error on it, against its integral 1 - exp(-g D),
+depends on g D alone: it reaches 1e-13 at g D = 4.23775 with the nodes
+as `_rule_tables` forms them (4.23784 with them exact).  `_check_kernel`
+refuses a run whose g D, over the width horizon/n, passes `_MAX_GD`,
+before the route allocates anything; `run_cycle` calls it for every
+segment before either route runs.  The recurrence
 eta[k+1] = decay_k eta[k] + integral_k is a Python loop (each step needs
 the last), run in place in the preallocated eta array through
 memoryviews: no sample passes through a Python list, whose float objects
@@ -87,8 +86,9 @@ forcing there is one number.  The stepper evaluates it only up to the
 first interval that starts in the hold; a held interval's forcing
 differences are exact zeros, so its drive is one value for all of them.
 The kernel route integrates each distinct width of the run's intervals
-once, from `hold_start`, in the rows that check its rule: held integrands
-differ in the width alone, so any held start gives the same bits.  Every
+once, from `hold_start`, after the ramp and only when the hold starts
+inside the horizon: held integrands differ in the width alone, so any
+held start gives the same bits.  Every
 sample comes out with the bits it would have with the forcing evaluated
 at every point.  A state that meets the held intervals at the held forcing's
 equilibrium q = nu + 1 is held at q bit for bit: the recurrence would
@@ -117,7 +117,8 @@ _GL_NODES = np.array([0.18343464249564978, 0.525532409916329, 0.7966664774136267
                       0.9602898564975362])
 _GL_WEIGHTS = (0.36268378337836166, 0.3137066458778869, 0.22238103445337443,
                0.10122853629037706)
-_GL_RTOL = 1e-13  # the rule's largest relative error on the held rows
+# the g D up to which the rule's relative error on the kernel is at most 1e-13
+_MAX_GD = 4.2377
 # the rule adds its node values, each at most the forcing g (nu + 1), in pairs
 _MAX_FORCING = sys.float_info.max / 2
 
@@ -184,6 +185,20 @@ def _substeps(horizon: float) -> int:
             f"would exceed memory limits ({_MAX_STAGE_POINTS} allowed)"
         )
     return m
+
+
+def _check_kernel(g: float, horizon: float) -> None:
+    """Refuse a kernel run over `horizon` at coupling g before it
+    allocates: a grid `_substeps` refuses, or a g D past `_MAX_GD` over
+    the sample width D = horizon/n that `_check_run` sets."""
+    _substeps(horizon)
+    g_d = g * (horizon / _check_run(horizon, SAMPLES_PER_UNIT))
+    if not g_d <= _MAX_GD:
+        raise SolverError(
+            f"coupling too stiff for the kernel quadrature: g D = {g_d:.4g} per sample "
+            f"interval, past {_MAX_GD:g}, where the 8-point rule's relative error on the "
+            "kernel reaches 1e-13"
+        )
 
 
 def occupation_at(d: DimensionlessParams, profile: FrequencyProfile, s):
@@ -379,18 +394,17 @@ def evolve_eta_closed_form(
 
     each interval integral by the 8-point rule (`_rule`, a whole interval
     by its width class's row, each piece of one with a kink inside by its
-    own), once the rule has passed its check on the held rows (module
-    docstring).  No finite-difference stepping is involved, which makes
-    this route the authoritative one in cross-checks.  It refuses the
-    grids `evolve_eta_ode` refuses (`_substeps`), before allocating any.
+    own).  No finite-difference stepping is involved, which makes this
+    route the authoritative one in cross-checks.  It refuses the grids
+    `evolve_eta_ode` refuses and a g D the rule does not resolve
+    (`_check_kernel`), before allocating any.
     `eta0=None` starts from the thermal eta at the closed frequency.
     """
-    _substeps(horizon)
+    g = d.gamma_tau_g
+    _check_kernel(g, horizon)
     s, n_ramp = _grid(horizon, SAMPLES_PER_UNIT, profile.hold_start)
     eta0 = _start_eta(d, eta0)
-    g = d.gamma_tau_g
     widths = np.diff(s)
-    held_forcing = float(occupation_at(d, profile, profile.hold_start)) + 1.0
 
     def forcing(t):
         return occupation_at(d, profile, t) + 1.0
@@ -401,27 +415,7 @@ def evolve_eta_closed_form(
     width_id = np.searchsorted(distinct, widths)
     # one row per width class, a whole interval from 0 to its width
     tables = _rule_tables(g, np.zeros(distinct.size), distinct, distinct)
-    # the held rows, each distinct width from hold_start, check the rule; an
-    # infinite forcing (inf - inf here) is refused as an infinite eta at the end
-    held = _rule(forcing, np.full(distinct.size, profile.hold_start), tables)
-    with np.errstate(invalid="ignore"):
-        g_d = g * distinct
-        exact = -held_forcing * np.expm1(-g_d)
-        # where g D is subnormal or 0 it has lost digits, but 1 - exp(-g D)
-        # is g D itself: (F g) D keeps them
-        tiny = g_d < sys.float_info.min
-        exact[tiny] = held_forcing * g * distinct[tiny]
-        error = np.abs(held - exact)
-        # an error below the smallest normal is rounding in a subnormal integral
-        bad = np.flatnonzero((error > _GL_RTOL * exact) & (error >= sys.float_info.min))
-    if bad.size:
-        i = bad[-1]
-        raise SolverError(
-            f"coupling too stiff for the kernel quadrature: g D = {g * distinct[i]:.4g} per "
-            f"sample interval, where the 8-point rule's weight is off by "
-            f"{error[i] / exact[i]:.3g} relative (limit {_GL_RTOL:g})"
-        )
-    decays = [math.exp(-x) for x in g_d.tolist()]  # one per width class
+    decays = [math.exp(-x) for x in (g * distinct).tolist()]  # one per width class
     eta = np.empty(s.size)
     eta[0] = eta0
     # every interval before the hold by its class's rows, in one call, but
@@ -444,12 +438,14 @@ def evolve_eta_closed_form(
         integrals[split] = np.bincount(rows, weights=pieces)[split]
     _propagate(eta, 0, memoryview(np.array(decays)[width_id[:n_ramp]]), integrals)
     if n_ramp < widths.size:
-        # a state at the held forcing's equilibrium stays there; the
-        # recurrence would move it, since decay q + integral rounds off q
-        # and the rounding of each width's integral differs
+        # the hold starts inside the horizon.  A state at the held forcing's
+        # equilibrium stays there; the recurrence would move it, since decay
+        # q + integral rounds off q and the rounding of each width's integral differs
+        held_forcing = float(occupation_at(d, profile, profile.hold_start)) + 1.0
         if eta[n_ramp] == held_forcing:
             eta[n_ramp + 1:] = eta[n_ramp]
         else:
+            held = _rule(forcing, np.full(distinct.size, profile.hold_start), tables)
             _propagate_held(eta, n_ramp, width_id[n_ramp:], decays, held.tolist())
     return EtaTrajectory(s, _checked_eta(s, eta))
 

@@ -1,13 +1,14 @@
 #!/usr/bin/env python3
-"""One sha256 over a seeded corpus of `run_cycle` runs.
+"""Two sha256 digests over a seeded corpus of `run_cycle` runs.
 
     python tests/corpus_digest.py [RUNS]
 
-prints the digest, then the counts of answered and refused runs.  Two
-trees whose outputs agree bit for bit print the same three values, so a
-change meant to move no byte is checked by running this script on the
-tree before it and on the tree after it.  The script imports the
-package from the `src` beside it.
+prints one line for the answered runs and one for the refused ones, each
+with its count and its digest.  Two trees whose outputs agree bit for
+bit print the same two lines, so a change meant to move no byte is
+checked by running this script on the tree before it and on the tree
+after it; a change that rewords only a refusal moves the second line
+alone.  The script imports the package from the `src` beside it.
 
 The corpus (48 runs unless RUNS is given) cycles through the four
 profile shapes, alternates the two init modes every four runs, and draws
@@ -17,7 +18,8 @@ stiff limit (g ~ 8.5e3), so some runs are refused, and the sine shapes'
 ends and the piecewise-linear breakpoints fall strictly inside sample
 intervals, where both routes split them.  Each answered run adds its
 record's rounded values, mantissas and exponents, its margins and its
-summary to the hash; each refused run adds its refusal.
+summary to the first hash; each refused run adds its refusal to the
+second.
 """
 
 from __future__ import annotations
@@ -65,12 +67,13 @@ def corpus(runs: int = RUNS):
     return configs
 
 
-def digest(runs: int = RUNS) -> tuple[str, int, int]:
-    """(sha256, answered, refused) over the corpus's first `runs` runs."""
+def digest(runs: int = RUNS) -> tuple[tuple[str, int], tuple[str, int]]:
+    """((sha256, count) of the answered runs, (sha256, count) of the
+    refused ones) over the corpus's first `runs` runs."""
     from molcool.cycle import run_cycle
     from molcool.errors import SolverCrossCheckError, SolverError
 
-    h = hashlib.sha256()
+    answers, refusals = hashlib.sha256(), hashlib.sha256()
     answered = refused = 0
     for cfg in corpus(runs):
         try:
@@ -79,20 +82,20 @@ def digest(runs: int = RUNS) -> tuple[str, int, int]:
                 result = run_cycle(cfg)
         except (ValueError, SolverError, SolverCrossCheckError) as exc:
             refused += 1
-            h.update(f"{type(exc).__name__}: {exc}\n".encode())
+            refusals.update(f"{type(exc).__name__}: {exc}\n".encode())
             continue
         answered += 1
         for array in result.record._quantized:
-            h.update(array.tobytes())
-        h.update(f"{sorted(result.margins.items())!r} {result.summary!r}\n".encode())
-    return h.hexdigest(), answered, refused
+            answers.update(array.tobytes())
+        answers.update(f"{sorted(result.margins.items())!r} {result.summary!r}\n".encode())
+    return (answers.hexdigest(), answered), (refusals.hexdigest(), refused)
 
 
 def main(argv) -> None:
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
-    sha, answered, refused = digest(int(argv[0]) if argv else RUNS)
-    print(sha)
-    print(f"answered {answered}, refused {refused}")
+    (answers, answered), (refusals, refused) = digest(int(argv[0]) if argv else RUNS)
+    print(f"answered {answered}: {answers}")
+    print(f"refused {refused}: {refusals}")
 
 
 if __name__ == "__main__":

@@ -4,29 +4,38 @@ numbers, computed without the package's routes, for `test_accuracy.py`.
 
     python tests/make_accuracy_corpus.py
 
-Each point is a thermal-closed run of the sine opening (duration 1).  Its
-reference values come from the law in n = eta - 1,
+Each answered point is a run of an opening (the sine of duration 1, or
+piecewise-linear breakpoints), thermal-closed or, with a `dwell`, from
+the finite-dwell plan: the reversed-sine closing over [-1 - dwell,
+-dwell] from the thermal state at the open frequency, then the closed
+dwell.  Its reference values come from the law in n = eta - 1,
 
     n' = -g n + g nu(theta(s)),   theta(s) = theta0 r omega(s)/omega1,
 
-integrated by scipy's DOP853 at rtol 1e-13 over the ramp [0, 1], and in
-the hold (s >= 1, theta = theta0) from the closed form
-n(s) = nu_h + (n_h - nu_h) exp(-g (s - 1)).  They are
+integrated by scipy's DOP853 at rtol 1e-13 over each ramp piece between
+the opening's kinks (and over the closing), and, where theta holds (the
+dwell, and the hold from the opening's last kink on), from the closed
+form n(s) = nu_h + (n_a - nu_h) exp(-g (s - a)).  They are
 
 - `min_t_ratio`: the least T_ratio = theta(s)/log1p(1/n(s)), by bounded
   Brent (xatol 1e-12) within one sample of the record's argmin;
 - `recovery_s`: where the hold's closed form reaches
-  `solver.RECOVERY_TARGET`, s = 1 + ln((nu_h - n_h)/(nu_h - n*))/g with
-  n* = 1/expm1(theta0/target);
-- `mean_n`: n at a few samples s <= 3.
+  `solver.RECOVERY_TARGET`, s = a + ln((nu_h - n_a)/(nu_h - n*))/g with
+  n* = 1/expm1(theta_h/target), or the argmin where the least T_ratio
+  is already at or above the target;
+- `mean_n`: n at a few samples s <= min(3, horizon).
 
-The tolerances are per region of theta0 and per quantity, absolute for
-min T_ratio and recovery and relative for mean_n: between 1 and 1.5
-times the worst error the package makes in that region, which the script
+The tolerances are per region and per quantity, absolute for min
+T_ratio and recovery and relative for mean_n: between 1 and 1.5 times
+the worst error the package makes in that region, which the script
 prints.  They are written here, not derived from the run, and the script
 writes nothing while a worst error lies outside that band: a change that
 makes an error larger fails, and one that makes it much smaller asks
 for the tolerance to be tightened by hand.
+
+A refused point stores the start of the message it is refused with.  A
+change that makes it answer fails the test, and the point then gets its
+reference values.
 """
 
 from __future__ import annotations
@@ -51,54 +60,118 @@ POINTS = (
     (5.0, 2.0, 1.0, 10.0, "crossover"),
     (13.0, 2.0, 1.0, 10.0, "quantum"),
 )
+# the corners: a finite dwell and a breakpoint strictly inside a sample
+# interval (600.5 samples in) at the reference point, and a stiff coupling
+CORNERS = (
+    {"theta0": 0.032, "r": 2.0, "g": 1.0, "horizon": 10.0, "region": "dwell", "dwell": 1.0},
+    {"theta0": 0.032, "r": 2.0, "g": 1.0, "horizon": 10.0, "region": "kink",
+     "breakpoints": [[0.0, 1.0], [0.30025, 0.75], [1.0, 0.5]]},
+    {"theta0": 0.032, "r": 2.0, "g": 3e3, "horizon": 2.0, "region": "stiff"},
+)
+# the envelope's ends, each with the start of the message it is refused with
+REFUSED = (
+    {"theta0": 0.032, "r": 2.0, "g": 1e4, "horizon": 2.0, "region": "refused",
+     "refused": "coupling too stiff for the kernel quadrature: g D = 5 per sample interval"},
+    {"theta0": 14.0, "r": 2.0, "g": 1.0, "horizon": 10.0, "region": "refused",
+     "refused": "eta0 must exceed 1 + 1e-12 (the ground-state limit)"},
+)
 MEAN_N_AT = (0.1, 0.25, 0.5, 1.0, 2.0, 3.0)
 TOLERANCES = {
     "classical": {"min_t_ratio": 2.1e-8, "recovery_s": 3.1e-7, "mean_n": 3.7e-12},
     "crossover": {"min_t_ratio": 1.3e-8, "recovery_s": 1.3e-7, "mean_n": 1.8e-10},
     "quantum": {"min_t_ratio": 1.6e-8, "recovery_s": 2.5e-6, "mean_n": 1e-3},
+    "dwell": {"min_t_ratio": 2.0e-8, "recovery_s": 4.6e-9, "mean_n": 2.0e-12},
+    "kink": {"min_t_ratio": 2.4e-9, "recovery_s": 2.0e-8, "mean_n": 3.8e-12},
+    # the least T_ratio is above the target: recovery is the argmin, to a sample
+    "stiff": {"min_t_ratio": 1.8e-11, "recovery_s": 2.2e-4, "mean_n": 2.3e-12},
 }
 
 
-def reference(theta0, r, g, horizon, argmin_s, spacing):
+def opening_of(point):
+    """The point's opening profile: its breakpoints, or the sine."""
+    from molcool.profiles import FrequencyProfile, ProfileShape
+
+    if "breakpoints" in point:
+        return FrequencyProfile(ProfileShape.PIECEWISE_LINEAR,
+                                breakpoints=tuple(map(tuple, point["breakpoints"])))
+    return FrequencyProfile()
+
+
+def reference(point, argmin_s, spacing):
     """The reference values of one point, given the record's argmin and
     sample spacing."""
     from scipy.integrate import solve_ivp
     from scipy.optimize import minimize_scalar
 
-    from molcool.profiles import FrequencyProfile, omega_at
+    from molcool.profiles import FrequencyProfile, ProfileShape, omega_at
     from molcool.solver import RECOVERY_TARGET
 
-    opening = FrequencyProfile()
+    theta0, r, g, horizon = (point[key] for key in ("theta0", "r", "g", "horizon"))
+    opening = opening_of(point)
+    closed = theta0 * r
 
-    def theta(s):
-        return theta0 * r * omega_at(opening, s, r)
+    def ramp(profile, start):
+        """theta(s) over `profile` played from s = start."""
+        return lambda s: theta0 * r * omega_at(profile, s - start, r)
 
     def nu(th):
         return 1.0 / np.expm1(th)
 
-    ramp = solve_ivp(
-        lambda s, n: g * (nu(theta(s)) - n), (0.0, 1.0), [nu(theta0 * r)], "DOP853",
-        rtol=1e-13, atol=1e-300, dense_output=True,
-    )
-    n_h, nu_h = float(ramp.y[0, -1]), float(nu(theta0))
+    # the run before the hold as pieces (start, end, theta), smooth inside;
+    # a float theta holds
+    if "dwell" in point:
+        start = -1.0 - point["dwell"]
+        closing = FrequencyProfile(ProfileShape.REVERSED_SINE_CLOSING)
+        pieces = [(start, -point["dwell"], ramp(closing, start)), (-point["dwell"], 0.0, closed)]
+        n_a = nu(theta0)
+    else:
+        start, pieces, n_a = 0.0, [], nu(closed)
+    ends = [0.0, *opening.kinks]
+    pieces += [(a, b, ramp(opening, 0.0)) for a, b in zip(ends, ends[1:])]
+    # the sine opens to 1/r exactly, and piecewise-linear to its last level
+    theta_h = closed * opening.breakpoints[-1][1] if opening.breakpoints else theta0
+    solved = []
+    for a, b, theta in pieces:
+        if isinstance(theta, float):
+            solved.append((a, b, theta, n_a))
+            n_a = nu(theta) + (n_a - nu(theta)) * math.exp(-g * (b - a))
+            continue
+        sol = solve_ivp(
+            lambda s, n, theta=theta: g * (nu(theta(s)) - n), (a, b), [n_a], "DOP853",
+            rtol=1e-13, atol=1e-300, dense_output=True,
+        )
+        solved.append((a, b, theta, sol.sol))
+        n_a = float(sol.y[0, -1])
+    hold, n_h, nu_h = ends[-1], n_a, float(nu(theta_h))
 
-    def n_at(s):
-        if s <= 1.0:
-            return float(ramp.sol(s)[0])
-        return nu_h + (n_h - nu_h) * math.exp(-g * (s - 1.0))
+    def at(s):
+        """(theta, n) at s."""
+        for a, b, theta, n in solved:
+            if s <= b:
+                if isinstance(theta, float):
+                    return theta, nu(theta) + (n - nu(theta)) * math.exp(-g * (s - a))
+                return float(theta(s)), float(n(s)[0])
+        return theta_h, nu_h + (n_h - nu_h) * math.exp(-g * (s - hold))
 
     def t_ratio(s):
-        return float(theta(s)) / math.log1p(1.0 / n_at(s))
+        theta, n = at(s)
+        return theta / math.log1p(1.0 / n)
 
-    lo, hi = max(0.0, argmin_s - spacing), min(horizon, argmin_s + spacing)
+    lo, hi = max(start, argmin_s - spacing), min(horizon, argmin_s + spacing)
     found = minimize_scalar(t_ratio, bounds=(lo, hi), method="bounded",
                             options={"xatol": 1e-12})
-    n_star = 1.0 / math.expm1(theta0 / RECOVERY_TARGET)
+    if found.fun >= RECOVERY_TARGET:
+        recovery_s = float(found.x)
+    else:
+        n_star = 1.0 / math.expm1(theta_h / RECOVERY_TARGET)
+        recovery_s = hold + math.log((nu_h - n_h) / (nu_h - n_star)) / g
+        if not found.x < hold <= recovery_s:
+            raise SystemExit(f"{point}: the recovery at s = {recovery_s} is not in the hold")
     return {
         "min_t_ratio": float(found.fun),
         "argmin_s": float(found.x),
-        "recovery_s": 1.0 + math.log((nu_h - n_h) / (nu_h - n_star)) / g,
-        "mean_n": {str(s): n_at(s) for s in MEAN_N_AT},
+        "recovery_s": recovery_s,
+        "mean_n": {str(s): at(s)[1] for s in MEAN_N_AT if s <= horizon},
     }
 
 
@@ -106,8 +179,7 @@ def errors(point, result):
     """|printed - true| of each quantity of a `run_cycle` result, the
     worst mean_n relative."""
     record = result.record
-    spacing = float(record.s[1] - record.s[0])
-    at = [int(round(float(s) / spacing)) for s in point["mean_n"]]
+    at = [int(np.abs(record.s - float(s)).argmin()) for s in point["mean_n"]]
     return {
         "min_t_ratio": abs(result.summary.min_t_ratio - point["min_t_ratio"]),
         "recovery_s": abs(result.summary.recovery.s - point["recovery_s"]),
@@ -117,31 +189,49 @@ def errors(point, result):
     }
 
 
-def run(theta0, r, g, horizon):
-    from molcool.cycle import CycleConfig, run_cycle
+def run(point):
+    """`run_cycle` of a corpus point."""
+    from molcool.cycle import CycleConfig, FiniteDwell, ThermalClosed, run_cycle
     from molcool.units import DimensionlessParams
 
-    return run_cycle(CycleConfig(DimensionlessParams(theta0, r, g), horizon=horizon))
+    mode = FiniteDwell(point["dwell"]) if "dwell" in point else ThermalClosed()
+    d = DimensionlessParams(point["theta0"], point["r"], point["g"])
+    return run_cycle(CycleConfig(d, opening_of(point), mode, point["horizon"]))
 
 
 def main() -> None:
     sys.path.insert(0, str(HERE.parent / "src"))
+    from molcool.errors import SolverError
+
     points, worst = [], {region: {} for region in TOLERANCES}
-    for theta0, r, g, horizon, region in POINTS:
-        result = run(theta0, r, g, horizon)
+    answered = [{"theta0": theta0, "r": r, "g": g, "horizon": horizon, "region": region}
+                for theta0, r, g, horizon, region in POINTS]
+    for point in [*answered, *CORNERS]:
+        result = run(point)
         spacing = float(result.record.s[1] - result.record.s[0])
-        point = {"theta0": theta0, "r": r, "g": g, "horizon": horizon, "region": region,
-                 **reference(theta0, r, g, horizon, result.summary.argmin_s, spacing)}
+        point = {**point, **reference(point, result.summary.argmin_s, spacing)}
         points.append(point)
         for name, error in errors(point, result).items():
-            worst[region][name] = max(worst[region].get(name, 0.0), error)
+            worst[point["region"]][name] = max(worst[point["region"]].get(name, 0.0), error)
+    for point in REFUSED:
+        try:
+            run(point)
+        except (ValueError, SolverError) as exc:
+            if not str(exc).startswith(point["refused"]):
+                raise
+        else:
+            raise SystemExit(f"{point}: answered, where it should be refused")
+        points.append(point)
+    outside = []
     for region, measured in worst.items():
         for name, error in measured.items():
             tolerance = TOLERANCES[region][name]
             print(f"{region:9} {name:11} worst {error:.3g}  tolerance {tolerance:.3g}")
             if not error <= tolerance <= 1.5 * error:
-                raise SystemExit(f"{region} {name}: tolerance {tolerance:.3g} is not within "
-                                 f"1 to 1.5 times today's worst error {error:.3g}")
+                outside.append(f"{region} {name}: tolerance {tolerance:.3g} is not within 1 to "
+                               f"1.5 times today's worst error {error:.3g}")
+    if outside:
+        raise SystemExit("\n".join(outside))
     CORPUS.write_text(json.dumps({"tolerances": TOLERANCES, "points": points}, indent=1) + "\n")
 
 

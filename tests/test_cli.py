@@ -2,6 +2,7 @@
 
 import contextlib
 import io
+import math
 import os
 import re
 import subprocess
@@ -12,22 +13,26 @@ import warnings
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from molcool.cli import _load_config, build_parser, main
 from molcool.cycle import (
+    _CONFIG_KEYS,
+    _INIT_MODES,
     CycleConfig,
     FiniteDwell,
     _fmt,
+    _plan_segments,
     default_cycle_config,
     parse_config,
     run_cycle,
     serialize_config,
 )
 from molcool.errors import SolverCrossCheckError
-from molcool.profiles import FrequencyProfile, ProfileShape
+from molcool.profiles import FrequencyProfile, ProfileShape, omega_at
 from molcool.thermo import OccupationUnderflow
 from molcool.units import AdiabaticityWarning, DimensionlessParams
 
@@ -437,6 +442,24 @@ def test_oversized_oracle_ladder_is_refused(monkeypatch, capsys):
     assert "a ladder of 4e+07 levels would exceed memory limits" in capsys.readouterr().err
 
 
+def test_over_stiff_oracle_run_is_refused_before_any_grid_or_ladder(monkeypatch, capsys):
+    # g D = 1e4 / 2000 = 5 per sample interval is refused from the plan,
+    # before the ladder of ~4e5 levels or either route's 6e6 samples
+    refuse_calls(monkeypatch, "evolve_eta_closed_form", "evolve_eta_ode", "truncation_levels",
+                 "populations_from_quenched")
+    argv = ("--with-oracle", "--theta0", "1e-4", "--gamma-tau", "1e4", "--horizon", "3000")
+    tracemalloc.start()
+    try:
+        assert run_cli("cycle", *argv) == 2
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert capsys.readouterr().err.startswith(
+        "error: coupling too stiff for the kernel quadrature: g D = 5 per sample interval"
+    )
+    assert peak < 1_000_000
+
+
 # inputs at the edge of double precision, each refused before any route runs:
 # a ladder count that overflows, two counts too long to print in full, and
 # occupations that overflow at the start or at the opening's end
@@ -524,8 +547,8 @@ def test_forcing_up_to_half_of_float_max_still_answers(capsys, argv):
 @pytest.mark.parametrize("theta0", ["1e-12", "1e-3", "0.032"])
 @pytest.mark.parametrize("gamma_tau", ["1e-310", "1e-315", "1e-320", "5e-324"])
 def test_subnormal_coupling_answers_as_no_coupling(gamma_tau, theta0, capsys):
-    # the rule's held-row check no longer reads rounding in a subnormal
-    # integral as a failed rule; every warning is an error, as under -W error
+    # a subnormal g D is far inside the kernel rule's bound, and nothing
+    # divides by it; every warning is an error, as under -W error
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert run_cli("cycle", "--gamma-tau", "0", "--theta0", theta0) == 0
@@ -567,11 +590,11 @@ def test_cycle_answers_or_exits_2_on_edge_values(theta0, ratio, gamma_tau, horiz
     assert_answers_or_exits_2(argv)
 
 
-def assert_answers_or_exits_2(argv, failed_row=None):
+def assert_answers_or_exits_2(argv, failed_row=None, documented=DOCUMENTED_WARNINGS):
     """The input contract for `main(argv)`: exit 0 with no inf or nan in
     the answer and nothing on stderr but lines that `failed_row` matches,
     or exit 2 with exactly one "error:" line; no traceback, and no warning
-    but the documented ones."""
+    but the `documented` ones."""
     out, err = io.StringIO(), io.StringIO()
     with warnings.catch_warnings(record=True) as shown:
         warnings.simplefilter("always")
@@ -585,7 +608,7 @@ def assert_answers_or_exits_2(argv, failed_row=None):
         assert all(failed_row.match(line) for line in lines), argv
     else:
         assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1, argv
-    assert not [w for w in shown if not issubclass(w.category, DOCUMENTED_WARNINGS)], argv
+    assert not [w for w in shown if not issubclass(w.category, documented)], argv
 
 
 EDGE_VALUE = st.sampled_from(EDGE_POOL)
@@ -651,6 +674,89 @@ def test_sweep_and_convert_units_answer_or_exit_2_on_edge_values(argv):
     assert_answers_or_exits_2(argv, FAILED_ROW if argv[0] == "sweep" else None)
 
 
+# what a fuzzed config key takes three times in four, and an edge value
+# otherwise: the names it knows, or the reference cycle's value (horizon
+# 2, to keep runs short)
+CONFIG_NAMES = {
+    "theta0": ["0.032"], "freq_ratio_r": ["2"], "gamma_tau_g": ["1"],
+    "shape": [shape.value for shape in ProfileShape], "duration": ["1"], "level": ["0.5"],
+    "init_mode": list(_INIT_MODES), "dwell": ["1"], "horizon": ["2"],
+    "with_oracle": ["true", "false"], "format": ["csv"],
+}
+
+
+@st.composite
+def config_file(draw):
+    """INI text over `_CONFIG_KEYS`: every [dimensionless] key, and each
+    other section and each of its keys or not, from `CONFIG_NAMES` or the
+    edge pool (a horizon or dwell >= 700 as 1e306); breakpoints are edge
+    values, their times ascending from 0, and the output directory is "{out}"."""
+    lines = []
+    for section, keys in _CONFIG_KEYS.items():
+        if section != "dimensionless" and not draw(st.booleans()):
+            continue
+        lines.append(f"[{section}]")
+        for key in keys:
+            if section != "dimensionless" and not draw(st.booleans()):
+                continue
+            if key == "breakpoints":
+                times = sorted(draw(st.lists(EDGE_VALUE, min_size=1, max_size=2)), key=float)
+                levels = draw(st.lists(EDGE_VALUE, min_size=len(times) + 1,
+                                       max_size=len(times) + 1))
+                value = ", ".join(f"{t}:{w}" for t, w in zip(["0", *times], levels))
+            elif key == "directory":
+                value = "{out}"
+            else:
+                edge = draw(st.integers(0, 3)) == 0
+                value = draw(EDGE_VALUE if edge else st.sampled_from(CONFIG_NAMES[key]))
+                value = run_length(value) if key in ("horizon", "dwell") else value
+            lines.append(f"{key} = {value}")
+    return "\n".join(lines) + "\n"
+
+
+def reaches_underflow(text):
+    """Whether the run a config file describes reaches a theta past 700,
+    where the occupation underflows and `OccupationUnderflow` is warned:
+    at either start splitting, or at a segment's start, kinks or end,
+    between which omega is monotone (`FrequencyProfile.kinks`)."""
+    try:
+        cfg = parse_config(text)
+    except ValueError:
+        return False
+    d = cfg.dimensionless
+    closed = d.theta0 * d.freq_ratio_r
+    if closed == math.inf:  # refused before any occupation is evaluated
+        return False
+    thetas = [d.theta0, closed]
+    with warnings.catch_warnings(), np.errstate(all="ignore"):
+        warnings.simplefilter("ignore")
+        for _, prof, duration in _plan_segments(cfg)[1]:
+            ends = [0.0, *(k for k in prof.kinks if 0.0 < k < duration), duration]
+            thetas.extend((closed * omega_at(prof, np.array(ends), d.freq_ratio_r)).tolist())
+    return not all(theta <= 700.0 for theta in thetas)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=config_file())
+# a hold past the horizon at an omega that rounds to 0 (divide by zero),
+# at theta 800 (OccupationUnderflow), and a subnormal sine duration
+@example(text="[dimensionless]\ntheta0 = 5e-324\nfreq_ratio_r = 1e300\ngamma_tau_g = 0.032\n"
+              "[profile]\nshape = sine-opening\nduration = 40\n")
+@example(text="[dimensionless]\ntheta0 = 10\nfreq_ratio_r = 2\ngamma_tau_g = 1\n"
+              "[profile]\nshape = piecewise-linear\nbreakpoints = 0:1, 20:40\n"
+              "[run]\nhorizon = 2\n")
+@example(text="[dimensionless]\ntheta0 = 0.032\nfreq_ratio_r = 2\ngamma_tau_g = 1\n"
+              "[profile]\nshape = sine-opening\nduration = 5e-324\n")
+def test_config_files_answer_or_exit_2(tmp_path, text):
+    # OccupationUnderflow is documented only for a run that reaches theta > 700
+    text = text.replace("{out}", str(tmp_path / "out"))
+    path = tmp_path / "run.ini"
+    path.write_text(text)
+    documented = DOCUMENTED_WARNINGS if reaches_underflow(text) else (AdiabaticityWarning,)
+    assert_answers_or_exits_2(["cycle", f"--config={path}"], documented=documented)
+
+
 def test_tiny_theta0_still_answers(capsys):
     # theta0 = 1e-300 keeps every occupation finite: the run answers
     assert run_cli("cycle", "--theta0", "1e-300") == 0
@@ -709,6 +815,23 @@ def test_io_exit_codes(tmp_path, capsys):
     blocker = tmp_path / "blocker"
     blocker.write_text("a file, not a directory\n")
     assert run_cli("cycle", "--horizon", "2", "--out", str(blocker)) == 4
+
+
+def test_unusable_output_directory_is_refused_before_the_run(tmp_path, monkeypatch, capsys):
+    # an existing file where the output directory would go: exit 4 with a
+    # message naming it, and nothing run or printed before
+    def refuse(*args, **kwargs):
+        raise AssertionError("the run started before the output directory was made")
+
+    monkeypatch.setattr("molcool.cli.run_cycle", refuse)
+    monkeypatch.setattr("molcool.cli.run_sweep", refuse)
+    blocker = tmp_path / "blocker"
+    blocker.write_text("a file, not a directory\n")
+    for argv in (("cycle",), ("sweep", "--axis", "theta0", "--values", "0.032"),
+                 ("reproduce-fig4",)):
+        assert run_cli(*argv, "--out", str(blocker)) == 4
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and str(blocker) in err
 
 
 def test_cross_check_exit_code(monkeypatch, capsys):

@@ -11,9 +11,9 @@ from molcool.profiles import ProfileShape
 
 
 def test_corpus_digest_is_deterministic():
-    sha, answered, refused = corpus_digest.digest(4)
-    assert corpus_digest.digest(4) == (sha, answered, refused)
-    assert len(sha) == 64 and answered + refused == 4
+    (answers, answered), (refusals, refused) = corpus_digest.digest(4)
+    assert corpus_digest.digest(4) == ((answers, answered), (refusals, refused))
+    assert len(answers) == len(refusals) == 64 and answered + refused == 4
 
 
 def test_corpus_covers_every_shape_both_modes_and_kinked_grids():

@@ -4,6 +4,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
@@ -666,18 +667,38 @@ def test_grid_and_step_settings_govern_both_routes_and_the_pre_check(monkeypatch
 
 
 def test_over_stiff_coupling_is_refused_before_the_fixed_step_route(monkeypatch):
-    # g D = 1e4 / 2000 = 5 per sample interval: the kernel's 8-point rule
-    # misses the held rows' integral F (1 - exp(-g D)) by more than 1e-13
-    # relative, so the kernel route refuses it before RK4 is started
+    # g D = 1e4 / 2000 = 5 per sample interval is past what the kernel's
+    # 8-point rule resolves (`solver._MAX_GD`), so run_cycle's pre-check
+    # refuses it before either eta route starts or the oracle's ladder is sized
     started = []
-    monkeypatch.setattr(molcool.cycle, "evolve_eta_ode", lambda *args: started.append(args))
+    for name in ("evolve_eta_closed_form", "evolve_eta_ode", "populations_from_quenched"):
+        monkeypatch.setattr(molcool.cycle, name, lambda *args: started.append(args))
     d = DimensionlessParams(theta0=0.032, freq_ratio_r=2.0, gamma_tau_g=1e4)
     with pytest.raises(
         SolverError,
         match=r"^coupling too stiff for the kernel quadrature: g D = 5 per sample interval",
     ):
-        run_cycle(CycleConfig(dimensionless=d))
+        run_cycle(CycleConfig(dimensionless=d, with_oracle=True))
     assert started == []
+
+
+def test_run_cycle_evaluates_no_hold_it_does_not_reach():
+    # the breakpoints hold from s = 20 at theta0 r omega = 800, where the
+    # occupation underflows; a 2-unit run reaches theta 98 at most, so it
+    # answers with no warning, and with the values it had when it warned
+    opening = FrequencyProfile(
+        shape=ProfileShape.PIECEWISE_LINEAR, breakpoints=((0.0, 1.0), (20.0, 40.0))
+    )
+    d = DimensionlessParams(theta0=10.0, freq_ratio_r=2.0, gamma_tau_g=1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = run_cycle(CycleConfig(d, opening, horizon=2.0))
+    summary = result.summary
+    assert (summary.min_t_ratio, summary.argmin_s, summary.final_eta) == (
+        1.00000000169, 0.0, 1.00000000029
+    )
+    assert summary.recovery.s == 0.0
+    assert result.margins == {"solver": (8.060219156471747e-14, 2.0)}
 
 
 def test_kinks_inside_substeps_keep_the_fixed_step_order():

@@ -1,6 +1,7 @@
 """Tests for the frequency control schedules."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -157,6 +158,24 @@ def test_omega_is_bit_constant_from_the_hold_on(prof, r, offsets):
     for si in s.tolist():
         assert omega_at(prof, si, r) == held
     assert omega_at(prof, s, r).tobytes() == np.full(s.size, held).tobytes()
+
+
+@pytest.mark.parametrize(
+    "shape", [ProfileShape.SINE_OPENING, ProfileShape.REVERSED_SINE_CLOSING],
+    ids=lambda shape: shape.value,
+)
+def test_sine_ramp_position_does_not_overflow(shape):
+    # min(s, duration)/duration is s/duration clipped to 1 bit for bit, and
+    # a subnormal duration overflows nothing (a traceback under -W error)
+    s = np.array([0.0, 5e-324, 1e-310, 1e-5, 0.3, 1.0, 2.0, 40.0, 1e300])
+    for duration in (5e-324, 1e-310, 1e-300, 1e-5, 0.3, 1.0, 40.0, 1e5, 1e300):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            omega = omega_at(FrequencyProfile(shape, duration=duration), s, 2.0)
+        with np.errstate(over="ignore"):
+            x = np.minimum(s / duration, 1.0)
+        angle = 0.5 * math.pi * (x if shape is ProfileShape.SINE_OPENING else 1.0 - x)
+        assert omega.tobytes() == (1.0 + (1.0 / 2.0 - 1.0) * np.sin(angle)).tobytes()
 
 
 def test_scalar_and_array_returns():

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -18,6 +19,7 @@ from molcool.solver import (
     _GL_NODES,
     _GL_WEIGHTS,
     RecoveryResult,
+    _check_kernel,
     _check_run,
     _kinks_inside,
     _propagate,
@@ -533,6 +535,7 @@ RAMPS = {
     "reference opening": (OPENING, 10.0, 2000, 14),
     "reversed closing": (FrequencyProfile(shape=ProfileShape.REVERSED_SINE_CLOSING), 1.0, 2000, 10),
     "opening ends mid-interval": (FrequencyProfile(duration=0.30025), 1.0, 602, 10),
+    "hold past the horizon": (FrequencyProfile(duration=2.0), 1.0, 2000, 10),
 }
 
 
@@ -540,12 +543,14 @@ RAMPS = {
 def test_kernel_route_integrates_each_interval_once(name, monkeypatch):
     # the run's one width table (14 widths on the reference opening, of
     # which the held stretch has 5) is built once, a row per distinct
-    # width from 0 to it; two rule calls read it: first every distinct
-    # width from hold_start, the held rows that are also the rule's check,
-    # then every whole interval that starts before the hold, by its class's
-    # row.  Only an interval with a kink inside gets rows of its own, one per
-    # piece.  An opening that ends at 0.30025 has 601 intervals before its
-    # hold, the last split at its end: 602 rows
+    # width from 0 to it; rule calls read it: first every whole interval
+    # that starts before the hold, by its class's row, then, after the
+    # ramp and only when the hold starts inside the horizon, every
+    # distinct width from hold_start.  Only an interval with a kink inside
+    # gets rows of its own, one per piece.  An opening that ends at 0.30025
+    # has 601 intervals before its hold, the last split at its end: 602
+    # rows.  The reversed closing's hold starts at the horizon and the
+    # 2-unit opening's past it: neither has held rows
     profile, horizon, ramp, widths = RAMPS[name]
     tables, rules = [], []
 
@@ -567,10 +572,14 @@ def test_kernel_route_integrates_each_interval_once(name, monkeypatch):
     assert distinct.tobytes() == np.unique(all_widths).tobytes() == width.tobytes()
     assert np.all(lo == 0.0)
     class_nodes = _rule_tables(DEFAULT.gamma_tau_g, lo, distinct, distinct)[1]
-    (held_start, held_nodes), (start, nodes), *piece_rules = rules
-    # any held start gives the same bits, so every width starts at hold_start, once
-    assert np.all(held_start == profile.hold_start)
-    assert held_nodes.tobytes() == class_nodes.tobytes()
+    (start, nodes), *piece_rules = rules
+    if n_ramp < starts.size:
+        # any held start gives the same bits, so every width starts at hold_start, once
+        *piece_rules, (held_start, held_nodes) = piece_rules
+        assert np.all(held_start == profile.hold_start)
+        assert held_nodes.tobytes() == class_nodes.tobytes()
+    else:
+        assert n_ramp == starts.size and profile.hold_start >= horizon
     # each whole interval before the hold once, by its own width's row
     k = np.searchsorted(starts, start)
     assert starts[k].tobytes() == start.tobytes() and np.all(np.diff(k) > 0)
@@ -620,14 +629,86 @@ def test_class_rule_is_gauss_legendre_bit_for_bit(name, g):
     assert by_class.tobytes() == by_rows.tobytes()
 
 
+def rule_error_on_the_kernel(g_d, width):
+    """The 8-point rule's relative error on the kernel g exp(-g (D - v))
+    over [0, D], D = `width`, against its integral 1 - exp(-g D): `_rule`
+    itself, run in extended precision so that rounding stays far below
+    the 1e-13 it is compared with."""
+    width = np.array([width], dtype=np.longdouble)
+    g = np.longdouble(g_d) / width[0]
+    start = np.zeros(1, dtype=np.longdouble)
+    integral = _rule(np.ones_like, start, _rule_tables(g, start, width, width))[0]
+    return abs(integral / -np.expm1(-g * width[0]) - 1)
+
+
+def test_max_gd_is_where_the_rule_misses_the_kernel_by_1e13():
+    if np.finfo(np.longdouble).eps > 1e-18:
+        pytest.skip("needs a long double wider than a double")
+    # the error depends on g D alone: the same bound holds at three widths
+    for width in (1.0, 5e-4, 2.0**-11):
+        errors = [rule_error_on_the_kernel(g_d, width)
+                  for g_d in np.linspace(np.longdouble(1e-3), np.longdouble(solver._MAX_GD), 200)]
+        assert max(errors) <= 1e-13
+        assert rule_error_on_the_kernel(str(solver._MAX_GD + 1e-4), width) > 1e-13
+
+
+def test_max_gd_rounds_down_the_exact_crossing():
+    # the rule with its nodes and weights as written, in exact arithmetic,
+    # misses the kernel by 1e-13 relative at g D = 4.23784; with 1 +- x_j
+    # rounded to doubles, as `_rule_tables` forms its nodes, at 4.23775
+    mp = pytest.importorskip("mpmath")
+
+    def error(x, rounded):
+        total = 0
+        for node, weight in zip(_GL_NODES.tolist(), _GL_WEIGHTS):
+            exact = mp.mpf(node)
+            for u in (1.0 + node, 1.0 - node) if rounded else (1 + exact, 1 - exact):
+                total += mp.mpf(weight) * x * mp.exp(-x * (1 - mp.mpf(u) / 2))
+        return abs(total / 2 / -mp.expm1(-x) - 1)
+
+    def crossing(rounded):
+        lo, hi = mp.mpf(4), mp.mpf(5)
+        for _ in range(60):
+            mid = (lo + hi) / 2
+            lo, hi = (lo, mid) if error(mid, rounded) > 1e-13 else (mid, hi)
+        return float(lo)
+
+    with mp.workdps(40):
+        assert round(crossing(rounded=False), 5) == 4.23784
+        assert round(crossing(rounded=True), 5) == 4.23775
+        assert 0 <= crossing(rounded=True) - solver._MAX_GD < 1e-4
+
+
 def test_kernel_rule_refusal_point_at_the_reference():
-    # the held rows check the rule: at D = 1/2000 it resolves the kernel to
-    # 1e-13 up to g D ~ 4.237, so g = 8470 answers and g = 8480 is refused
-    d = DimensionlessParams(theta0=0.032, freq_ratio_r=2.0, gamma_tau_g=8470.0)
-    assert evolve_eta_closed_form(d, OPENING, horizon=2.0).eta.size == 4001
-    d = DimensionlessParams(theta0=0.032, freq_ratio_r=2.0, gamma_tau_g=8480.0)
-    with pytest.raises(SolverError, match=r"^coupling too stiff .*: g D = 4\.24 per "):
-        evolve_eta_closed_form(d, OPENING, horizon=2.0)
+    # at theta0 = 0.032, r = 2, horizon 2 (D = 1/2000) every g of a 0.01
+    # grid over [8470, 8480] answers up to g D = _MAX_GD and is refused past it
+    grid = np.arange(847_000, 848_001) / 100
+    answers = []
+    for g in grid.tolist():
+        try:
+            _check_kernel(g, 2.0)
+            answers.append(True)
+        except SolverError:
+            answers.append(False)
+    cut = answers.index(False)
+    assert all(answers[:cut]) and not any(answers[cut:])
+    assert grid[cut - 1] * 5e-4 <= solver._MAX_GD < grid[cut] * 5e-4
+    below, past = (DimensionlessParams(0.032, 2.0, grid[k]) for k in (cut - 1, cut))
+    assert evolve_eta_closed_form(below, OPENING, horizon=2.0).eta.size == 4001
+    with pytest.raises(SolverError, match=r"^coupling too stiff .*: g D = 4\.238 per "):
+        evolve_eta_closed_form(past, OPENING, horizon=2.0)
+
+
+def test_an_unreached_hold_is_not_evaluated():
+    # the closing's hold at s = 5, past the horizon 2, sits at theta0 r = 800,
+    # where the occupation underflows; the run reaches theta ~ 476 only, so
+    # it answers with no warning, and with the bits it had when it warned
+    d = DimensionlessParams(theta0=400.0, freq_ratio_r=2.0, gamma_tau_g=1.0)
+    closing = FrequencyProfile(shape=ProfileShape.REVERSED_SINE_CLOSING, duration=5.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        eta = evolve_eta_closed_form(d, closing, 1.5, horizon=2.0).eta
+    assert (eta[2000], eta[-1]) == (1.1839397205856752, 1.0676676416182864)
 
 
 @pytest.mark.parametrize("k, n", [(0, 7), (3, 4), (5, 0)], ids=["k = 0", "k > 0", "no intervals"])
@@ -718,7 +799,7 @@ def test_unstable_step_and_ground_state_are_refused(monkeypatch):
 def test_kernel_route_reports_first_sample_below_ground_state(monkeypatch):
     # with no forcing eta only decays: 1.05 exp(-0.01 k) first reaches 1 at
     # k = 5.  The forcing is nu + 1, so an occupation of -1 zeroes every
-    # integrand, and the held rows, 0, pass the rule's check exactly
+    # integrand
     monkeypatch.setattr(
         "molcool.solver.occupation_at", lambda d, profile, s: np.full(np.shape(s), -1.0)
     )
