@@ -403,7 +403,7 @@ def run_cycle(cfg: CycleConfig) -> CycleResult:
     # the routes' grids, the kernel's g D and the oracle's ladder pass their
     # checks before any route runs
     for _, _, duration in segments:
-        solver._check_kernel(d.gamma_tau_g, duration)
+        solver._substeps(duration, d.gamma_tau_g)
     if cfg.with_oracle:
         pv = populations_from_quenched(QuenchedState(eta=eta0), truncation_levels(nu_max))
 

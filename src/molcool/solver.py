@@ -41,15 +41,22 @@ c^(2^p), built by repeated squaring: `_scan_one_factor` carries each
 pass with one float and squares it, with no factor array and the same
 bits.  In this form constant
 forcing adds exactly nothing, a fixed point stays put exactly and g = 0
-freezes eta.  c_k is a product of R's, RK4's stability polynomial, so a
-step past RK4's stability limit (g h > 2.785) shows as c_k > 1, and the
-route refuses it before the scan, unless every x_k is exactly 0 and eta
-holds still at any step.  It is still RK4, with RK4's O(h^4) error
-against the kernel route's quadrature error, so the cross-check keeps
-its independence.
+freezes eta.  It is still RK4, with RK4's O(h^4) error against the
+kernel route's quadrature error, so the cross-check keeps its
+independence.
 
-Both routes apply one grid guard, `_substeps`, before allocating.  The
-kernel route integrates each sample interval by a fixed 8-node
+Both routes apply one run guard, `_substeps`, before allocating, and
+`run_cycle` calls it for every segment before either route runs.  It
+refuses a grid or a g D (below) the routes do not resolve, and sets the
+stepper's m substeps per interval, h at most `STEP_SIZE` and g h at most
+`_MAX_GH` = 0.088: far inside RK4's stability limit 2.785 (Hairer and
+Wanner, Solving ODEs II, IV.2), so every R and c_k is in (0, 1].  RK4's
+error on a jump in the forcing, decaying as exp(-g s), is O((g h)^4);
+0.088 is the largest two-digit bound that keeps constant and
+reversed-sine openings at theta0 = 0.032, r = 2 and g from 1.5e3 to
+8.47e3 within 1e-7 of the kernel route.  Up to g = 880 at D = 1/2000,
+`STEP_SIZE` alone sets m = 5.  The kernel
+route integrates each sample interval by a fixed 8-node
 Gauss-Legendre rule per smooth piece, split at the kinks inside it,
 every interval before the hold in one call: 8 nodes per interval, fewer
 than the stepper's 10 stage points.  `_rule_tables` builds the rule's
@@ -61,10 +68,9 @@ per piece.  A fixed rule has no error estimate of its own.  Only the
 kernel's weight g exp(-g (D - v)) can vary faster than a sample width D,
 and the rule's relative error on it, against its integral 1 - exp(-g D),
 depends on g D alone: it reaches 1e-13 at g D = 4.23775 with the nodes
-as `_rule_tables` forms them (4.23784 with them exact).  `_check_kernel`
-refuses a run whose g D, over the width horizon/n, passes `_MAX_GD`,
-before the route allocates anything; `run_cycle` calls it for every
-segment before either route runs.  The recurrence
+as `_rule_tables` forms them (4.23784 with them exact).  `_substeps`
+refuses a run whose g D, over the width horizon/n, passes `_MAX_GD`.
+The recurrence
 eta[k+1] = decay_k eta[k] + integral_k is a Python loop (each step needs
 the last), run in place in the preallocated eta array through
 memoryviews: no sample passes through a Python list, whose float objects
@@ -110,6 +116,7 @@ from .units import DimensionlessParams
 
 SAMPLES_PER_UNIT = 2000  # both routes' output samples per tau_open
 STEP_SIZE = 1e-4         # the fixed-step route's largest substep
+_MAX_GH = 0.088          # the fixed-step route's largest g h
 _MAX_STAGE_POINTS = 200_000_000  # a run's substep edges and midpoints, hold included
 # np.polynomial.legendre.leggauss(8)'s positive nodes, each paired with its
 # mirror -x, and weights, written out: importing numpy.polynomial costs 0.7 MB
@@ -167,38 +174,37 @@ def _grid(horizon, samples_per_unit, hold_start) -> tuple[np.ndarray, int]:
     return s, int(np.searchsorted(s[:-1], hold_start))
 
 
-def _substeps(horizon: float) -> int:
-    """Equal substeps of at most `STEP_SIZE` per sample interval of a run
-    over `horizon`, whose sample count `_check_run` checks first.
+def _substeps(horizon: float, g: float) -> int:
+    """m, the equal RK4 substeps per sample interval of a run over `horizon`
+    at coupling g, once the run passes its guards, before either eta route
+    allocates anything.
 
-    The guard bounds the run's substep edges and midpoints,
-    2 * m * n_intervals + 1, and so every per-sample array (about 140 B
-    per sample: horizon 1000 peaks at 309 MB); a long horizon fails
-    fast, before either eta route allocates anything.
+    Refused, in this order: a sample grid `_check_run` refuses; a g D past
+    `_MAX_GD` over the sample width D = horizon/n, which the kernel
+    quadrature does not resolve; and more than `_MAX_STAGE_POINTS` substep
+    edges and midpoints, 2 m n + 1, which bounds every per-sample array
+    (about 140 B per sample: horizon 1000 at m = 5 peaks at 309 MB).  m is
+    the least count whose substep h = D/m is at most `STEP_SIZE` and puts
+    g h at most `_MAX_GH`.
     """
     n_intervals = _check_run(horizon, SAMPLES_PER_UNIT)
-    m = max(1, math.ceil(horizon / n_intervals / STEP_SIZE - 1e-9))
-    n_points = 2.0 * m * n_intervals + 1.0  # a float, which `:.3g` prints at any size
-    if n_points > _MAX_STAGE_POINTS:
-        raise SolverError(
-            f"a substep grid of {n_points:.3g} points (horizon {horizon:g} at step {STEP_SIZE:g}) "
-            f"would exceed memory limits ({_MAX_STAGE_POINTS} allowed)"
-        )
-    return m
-
-
-def _check_kernel(g: float, horizon: float) -> None:
-    """Refuse a kernel run over `horizon` at coupling g before it
-    allocates: a grid `_substeps` refuses, or a g D past `_MAX_GD` over
-    the sample width D = horizon/n that `_check_run` sets."""
-    _substeps(horizon)
-    g_d = g * (horizon / _check_run(horizon, SAMPLES_PER_UNIT))
+    width = horizon / n_intervals
+    g_d = g * width
     if not g_d <= _MAX_GD:
         raise SolverError(
             f"coupling too stiff for the kernel quadrature: g D = {g_d:.4g} per sample "
             f"interval, past {_MAX_GD:g}, where the 8-point rule's relative error on the "
             "kernel reaches 1e-13"
         )
+    m = max(1, math.ceil(max(width / STEP_SIZE, g_d / _MAX_GH) - 1e-9))
+    n_points = 2.0 * m * n_intervals + 1.0  # a float, which `:.3g` prints at any size
+    if n_points > _MAX_STAGE_POINTS:
+        raise SolverError(
+            f"a substep grid of {n_points:.3g} points (horizon {horizon:g} at step "
+            f"{horizon / (m * n_intervals):g}) would exceed memory limits "
+            f"({_MAX_STAGE_POINTS} allowed)"
+        )
+    return m
 
 
 def occupation_at(d: DimensionlessParams, profile: FrequencyProfile, s):
@@ -311,23 +317,22 @@ def evolve_eta_ode(
 ) -> EtaTrajectory:
     """Fixed-step explicit 4th-order integration of the eta relaxation law.
 
-    `STEP_SIZE` is an upper bound on the substep: every inter-sample
-    interval is split into equally many equal substeps, so sample times
-    are hit exactly and halving the step exactly doubles the substep
-    count.  An interval with one of the profile's kinks strictly inside
+    Every inter-sample interval is split into the m equal substeps that
+    `_substeps` sets, h at most `STEP_SIZE` and g h at most `_MAX_GH`, so
+    sample times are hit exactly and every substep is stable.  An
+    interval with one of the profile's kinks strictly inside
     also splits the substep the kink falls in there, so that RK4 only
     steps over smooth forcing.  Output sampling (`SAMPLES_PER_UNIT` per
     tau_open) is decoupled from the integration step.  The samples come
     from one numpy scan of the per-interval affine maps, not from a loop
-    over them.  A step past RK4's stability limit, g h > 2.785, raises
-    `SolverError` before the scan, unless the run sits on a fixed point
-    (every map adds exactly 0).  `eta0=None` starts from the thermal eta
-    at the closed frequency.
+    over them.  It refuses what `evolve_eta_closed_form` refuses, a g D
+    past `_MAX_GD` too.  `eta0=None` starts from the thermal eta at the
+    closed frequency.
     """
-    # the substep count is checked before any grid is allocated
-    m = _substeps(horizon)
-    eta0 = _start_eta(d, eta0)
     g = d.gamma_tau_g
+    # the substep count is checked before any grid is allocated
+    m = _substeps(horizon, g)
+    eta0 = _start_eta(d, eta0)
 
     def forcing(t):
         return g * (occupation_at(d, profile, t) + 1.0)
@@ -348,33 +353,24 @@ def evolve_eta_ode(
     u1 = u[2::2].reshape(n_ramp, m)
     # e[k] = eta[k] - eta0 obeys e[k+1] = c[k] e[k] + x[k], c[k] = 1 - g A
     # and x[k] = A (u0[k] - g eta0) + drive[k]; x is built in e's tail and
-    # scanned there.  An unstable step may overflow here; c says so below
+    # scanned there
     e = np.empty(n_intervals + 1)
     e[0] = 0.0
     x = e[1:]
-    with np.errstate(over="ignore", invalid="ignore"):
-        weights = r ** np.arange(m - 1, -1, -1, dtype=float)
-        a_m = alpha * float(weights.sum())
-        c = 1.0 - g * a_m  # every interval's factor, unless a kink splits it
-        drive = (alpha * (u0 - u0[:, :1]) + h / 6.0 * (q * (um - u0) + (u1 - u0))) @ weights
-        x[:n_ramp] = a_m * (u0[:, 0] - g * eta0) + drive
-        # a held interval's forcing differences are all exactly 0, so its drive is 0
-        x[n_ramp:] = a_m * (u[-1] - g * eta0)
-        k_of, kinks = _kinks_inside(profile, s)
-        if k_of.size:
-            c = np.full(n_intervals, c)
-            _split_at_kinks(k_of, kinks, s, m, h, g, eta0, forcing, c, x)
-    # with every x[k] exactly 0 (a fixed point) every deviation is 0, at any step
-    if x.any():
-        if not np.all(c <= 1.0):
-            raise SolverError(
-                f"the fixed step is unstable: g h = {g * h:.6g} exceeds RK4's stability "
-                "limit 2.785"
-            )
-        if k_of.size:
-            _scan(c, x)
-        else:
-            _scan_one_factor(c, x)
+    weights = r ** np.arange(m - 1, -1, -1, dtype=float)
+    a_m = alpha * float(weights.sum())
+    c = 1.0 - g * a_m  # every interval's factor, unless a kink splits it
+    drive = (alpha * (u0 - u0[:, :1]) + h / 6.0 * (q * (um - u0) + (u1 - u0))) @ weights
+    x[:n_ramp] = a_m * (u0[:, 0] - g * eta0) + drive
+    # a held interval's forcing differences are all exactly 0, so its drive is 0
+    x[n_ramp:] = a_m * (u[-1] - g * eta0)
+    k_of, kinks = _kinks_inside(profile, s)
+    if k_of.size:
+        c = np.full(n_intervals, c)
+        _split_at_kinks(k_of, kinks, s, m, h, g, eta0, forcing, c, x)
+        _scan(c, x)
+    else:
+        _scan_one_factor(c, x)
     return EtaTrajectory(s, _checked_eta(s, np.add(e, eta0, out=e)), h)
 
 
@@ -395,13 +391,12 @@ def evolve_eta_closed_form(
     each interval integral by the 8-point rule (`_rule`, a whole interval
     by its width class's row, each piece of one with a kink inside by its
     own).  No finite-difference stepping is involved, which makes this
-    route the authoritative one in cross-checks.  It refuses the grids
-    `evolve_eta_ode` refuses and a g D the rule does not resolve
-    (`_check_kernel`), before allocating any.
+    route the authoritative one in cross-checks.  It refuses what
+    `evolve_eta_ode` refuses (`_substeps`), before allocating any.
     `eta0=None` starts from the thermal eta at the closed frequency.
     """
     g = d.gamma_tau_g
-    _check_kernel(g, horizon)
+    _substeps(horizon, g)
     s, n_ramp = _grid(horizon, SAMPLES_PER_UNIT, profile.hold_start)
     eta0 = _start_eta(d, eta0)
     widths = np.diff(s)

@@ -1,14 +1,15 @@
 #!/usr/bin/env python3
-"""Two sha256 digests over a seeded corpus of `run_cycle` runs.
+"""One line per run of a seeded corpus of `run_cycle` runs.
 
     python tests/corpus_digest.py [RUNS]
 
-prints one line for the answered runs and one for the refused ones, each
-with its count and its digest.  Two trees whose outputs agree bit for
-bit print the same two lines, so a change meant to move no byte is
-checked by running this script on the tree before it and on the tree
-after it; a change that rewords only a refusal moves the second line
-alone.  The script imports the package from the `src` beside it.
+prints, for each run in order, its index and either the sha256 of its
+record and summary, then apart from it its cross-check margins, or its
+refusal.  A change meant to move no byte is checked by running this
+script on the tree before it and on the tree after it and diffing the
+two listings: the diff names every run that moved, and a run whose
+digest holds moved in its margins alone.  The script imports the
+package from the `src` beside it.
 
 The corpus (48 runs unless RUNS is given) cycles through the four
 profile shapes, alternates the two init modes every four runs, and draws
@@ -16,10 +17,8 @@ theta0, r, g, the horizon and the profile from one seeded generator.
 The ranges reach past the start limit (theta0 r ~ 27) and the kernel's
 stiff limit (g ~ 8.5e3), so some runs are refused, and the sine shapes'
 ends and the piecewise-linear breakpoints fall strictly inside sample
-intervals, where both routes split them.  Each answered run adds its
-record's rounded values, mantissas and exponents, its margins and its
-summary to the first hash; each refused run adds its refusal to the
-second.
+intervals, where both routes split them.  A run's digest covers its
+record's rounded values, mantissas and exponents, and its summary.
 """
 
 from __future__ import annotations
@@ -67,35 +66,33 @@ def corpus(runs: int = RUNS):
     return configs
 
 
-def digest(runs: int = RUNS) -> tuple[tuple[str, int], tuple[str, int]]:
-    """((sha256, count) of the answered runs, (sha256, count) of the
-    refused ones) over the corpus's first `runs` runs."""
+def run_lines(runs: int = RUNS) -> list[str]:
+    """The listing's lines over the corpus's first `runs` runs, in order."""
     from molcool.cycle import run_cycle
     from molcool.errors import SolverCrossCheckError, SolverError
 
-    answers, refusals = hashlib.sha256(), hashlib.sha256()
-    answered = refused = 0
-    for cfg in corpus(runs):
+    lines = []
+    for i, cfg in enumerate(corpus(runs)):
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
                 result = run_cycle(cfg)
         except (ValueError, SolverError, SolverCrossCheckError) as exc:
-            refused += 1
-            refusals.update(f"{type(exc).__name__}: {exc}\n".encode())
+            lines.append(f"{i:2} refused {type(exc).__name__}: {exc}")
             continue
-        answered += 1
+        answer = hashlib.sha256()
         for array in result.record._quantized:
-            answers.update(array.tobytes())
-        answers.update(f"{sorted(result.margins.items())!r} {result.summary!r}\n".encode())
-    return (answers.hexdigest(), answered), (refusals.hexdigest(), refused)
+            answer.update(array.tobytes())
+        answer.update(repr(result.summary).encode())
+        margins = " ".join(f"{route} {margin!r} at s = {s!r}"
+                           for route, (margin, s) in sorted(result.margins.items()))
+        lines.append(f"{i:2} {answer.hexdigest()} margins {margins}")
+    return lines
 
 
 def main(argv) -> None:
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
-    (answers, answered), (refusals, refused) = digest(int(argv[0]) if argv else RUNS)
-    print(f"answered {answered}: {answers}")
-    print(f"refused {refused}: {refusals}")
+    print("\n".join(run_lines(int(argv[0]) if argv else RUNS)))
 
 
 if __name__ == "__main__":

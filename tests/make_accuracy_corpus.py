@@ -4,8 +4,9 @@ numbers, computed without the package's routes, for `test_accuracy.py`.
 
     python tests/make_accuracy_corpus.py
 
-Each answered point is a run of an opening (the sine of duration 1, or
-piecewise-linear breakpoints), thermal-closed or, with a `dwell`, from
+Each answered point is a run of an opening (the sine of duration 1,
+piecewise-linear breakpoints, or a `shape` that jumps open at s = 0: the
+constant `level` or the reversed sine), thermal-closed or, with a `dwell`, from
 the finite-dwell plan: the reversed-sine closing over [-1 - dwell,
 -dwell] from the thermal state at the open frequency, then the closed
 dwell.  Its reference values come from the law in n = eta - 1,
@@ -21,8 +22,9 @@ form n(s) = nu_h + (n_a - nu_h) exp(-g (s - a)).  They are
   Brent (xatol 1e-12) within one sample of the record's argmin;
 - `recovery_s`: where the hold's closed form reaches
   `solver.RECOVERY_TARGET`, s = a + ln((nu_h - n_a)/(nu_h - n*))/g with
-  n* = 1/expm1(theta_h/target), or the argmin where the least T_ratio
-  is already at or above the target;
+  n* = 1/expm1(theta_h/target); where T_ratio reaches the target on the
+  ramp, its root there by Brent (xtol 1e-14); or the argmin where the
+  least T_ratio is already at or above the target;
 - `mean_n`: n at a few samples s <= min(3, horizon).
 
 The tolerances are per region and per quantity, absolute for min
@@ -61,12 +63,19 @@ POINTS = (
     (13.0, 2.0, 1.0, 10.0, "quantum"),
 )
 # the corners: a finite dwell and a breakpoint strictly inside a sample
-# interval (600.5 samples in) at the reference point, and a stiff coupling
+# interval (600.5 samples in) at the reference point, a stiff coupling, and
+# the openings that jump at s = 0, weak and (the constant one) stiff
 CORNERS = (
     {"theta0": 0.032, "r": 2.0, "g": 1.0, "horizon": 10.0, "region": "dwell", "dwell": 1.0},
     {"theta0": 0.032, "r": 2.0, "g": 1.0, "horizon": 10.0, "region": "kink",
      "breakpoints": [[0.0, 1.0], [0.30025, 0.75], [1.0, 0.5]]},
     {"theta0": 0.032, "r": 2.0, "g": 3e3, "horizon": 2.0, "region": "stiff"},
+    {"theta0": 0.032, "r": 2.0, "g": 1.0, "horizon": 10.0, "region": "constant",
+     "shape": "constant", "level": 0.5},
+    {"theta0": 0.032, "r": 2.0, "g": 1.0, "horizon": 10.0, "region": "reversed",
+     "shape": "reversed-sine-closing"},
+    {"theta0": 0.032, "r": 2.0, "g": 3e3, "horizon": 2.0, "region": "stiff constant",
+     "shape": "constant", "level": 0.5},
 )
 # the envelope's ends, each with the start of the message it is refused with
 REFUSED = (
@@ -84,16 +93,23 @@ TOLERANCES = {
     "kink": {"min_t_ratio": 2.4e-9, "recovery_s": 2.0e-8, "mean_n": 3.8e-12},
     # the least T_ratio is above the target: recovery is the argmin, to a sample
     "stiff": {"min_t_ratio": 1.8e-11, "recovery_s": 2.2e-4, "mean_n": 2.3e-12},
+    # the jump puts the least T_ratio at s = 0, 0.5 exactly, where the record prints it
+    "constant": {"min_t_ratio": 0.0, "recovery_s": 2.5e-8, "mean_n": 2.0e-12},
+    "reversed": {"min_t_ratio": 0.0, "recovery_s": 2.6e-9, "mean_n": 2.2e-12},
+    # recovery within a few samples of the jump: the record's straight line, to a sample
+    "stiff constant": {"min_t_ratio": 0.0, "recovery_s": 1.2e-4, "mean_n": 1.9e-12},
 }
 
 
 def opening_of(point):
-    """The point's opening profile: its breakpoints, or the sine."""
+    """The point's opening profile: its breakpoints, its shape, or the sine."""
     from molcool.profiles import FrequencyProfile, ProfileShape
 
     if "breakpoints" in point:
         return FrequencyProfile(ProfileShape.PIECEWISE_LINEAR,
                                 breakpoints=tuple(map(tuple, point["breakpoints"])))
+    if "shape" in point:
+        return FrequencyProfile(ProfileShape(point["shape"]), level=point.get("level", 1.0))
     return FrequencyProfile()
 
 
@@ -101,7 +117,7 @@ def reference(point, argmin_s, spacing):
     """The reference values of one point, given the record's argmin and
     sample spacing."""
     from scipy.integrate import solve_ivp
-    from scipy.optimize import minimize_scalar
+    from scipy.optimize import brentq, minimize_scalar
 
     from molcool.profiles import FrequencyProfile, ProfileShape, omega_at
     from molcool.solver import RECOVERY_TARGET
@@ -128,8 +144,9 @@ def reference(point, argmin_s, spacing):
         start, pieces, n_a = 0.0, [], nu(closed)
     ends = [0.0, *opening.kinks]
     pieces += [(a, b, ramp(opening, 0.0)) for a, b in zip(ends, ends[1:])]
-    # the sine opens to 1/r exactly, and piecewise-linear to its last level
-    theta_h = closed * opening.breakpoints[-1][1] if opening.breakpoints else theta0
+    # the sine opens to 1/r exactly, and the other shapes to their omega at the hold
+    theta_h = theta0 if opening.shape is ProfileShape.SINE_OPENING else (
+        closed * float(omega_at(opening, opening.hold_start, r)))
     solved = []
     for a, b, theta in pieces:
         if isinstance(theta, float):
@@ -160,16 +177,22 @@ def reference(point, argmin_s, spacing):
     lo, hi = max(start, argmin_s - spacing), min(horizon, argmin_s + spacing)
     found = minimize_scalar(t_ratio, bounds=(lo, hi), method="bounded",
                             options={"xatol": 1e-12})
-    if found.fun >= RECOVERY_TARGET:
-        recovery_s = float(found.x)
+    # bounded Brent never tries the bracket's ends, where a jump at s = 0 puts the least
+    argmin_s = min((found.x, lo, hi), key=t_ratio)
+    min_t_ratio = t_ratio(argmin_s)
+    if min_t_ratio >= RECOVERY_TARGET:
+        recovery_s = float(argmin_s)
+    elif t_ratio(hold) >= RECOVERY_TARGET:
+        # T_ratio climbs back on the ramp, once: its root there
+        recovery_s = brentq(lambda s: t_ratio(s) - RECOVERY_TARGET, argmin_s, hold, xtol=1e-14)
     else:
         n_star = 1.0 / math.expm1(theta_h / RECOVERY_TARGET)
         recovery_s = hold + math.log((nu_h - n_h) / (nu_h - n_star)) / g
-        if not found.x < hold <= recovery_s:
+        if not argmin_s <= hold <= recovery_s:
             raise SystemExit(f"{point}: the recovery at s = {recovery_s} is not in the hold")
     return {
-        "min_t_ratio": float(found.fun),
-        "argmin_s": float(found.x),
+        "min_t_ratio": float(min_t_ratio),
+        "argmin_s": float(argmin_s),
         "recovery_s": recovery_s,
         "mean_n": {str(s): at(s)[1] for s in MEAN_N_AT if s <= horizon},
     }

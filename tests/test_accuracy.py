@@ -16,7 +16,8 @@ CORPUS = json.loads((Path(__file__).resolve().parent / "accuracy_corpus.json").r
 
 def point_id(point):
     corner = f", dwell {point['dwell']:g}" if "dwell" in point else (
-        ", breakpoints" if "breakpoints" in point else "")
+        ", breakpoints" if "breakpoints" in point else (
+            f", {point['shape']}" if "shape" in point else ""))
     return f"theta0={point['theta0']:g}, r={point['r']:g}, g={point['g']:g}{corner}"
 
 

@@ -1,6 +1,8 @@
-"""Smoke tests of `tests/corpus_digest.py`, the script that hashes a seeded
-corpus of `run_cycle` runs so that a change meant to move no output byte
-can be checked against the tree before it."""
+"""Smoke tests of `tests/corpus_digest.py`, the script that lists a seeded
+corpus of `run_cycle` runs, one line each, so that a change meant to move
+no output byte can be checked against the tree before it."""
+
+import re
 
 import numpy as np
 
@@ -11,9 +13,14 @@ from molcool.profiles import ProfileShape
 
 
 def test_corpus_digest_is_deterministic():
-    (answers, answered), (refusals, refused) = corpus_digest.digest(4)
-    assert corpus_digest.digest(4) == ((answers, answered), (refusals, refused))
-    assert len(answers) == len(refusals) == 64 and answered + refused == 4
+    lines = corpus_digest.run_lines(4)
+    assert corpus_digest.run_lines(4) == lines
+    # each run's index, then its digest and apart from it its margins, or its refusal
+    answered = re.compile(r" \d [0-9a-f]{64} margins solver \S+ at s = \S+$")
+    refused = re.compile(r" \d refused \w+: \S")
+    assert [line[:2] for line in lines] == [" 0", " 1", " 2", " 3"]
+    assert all(answered.match(line) or refused.match(line) for line in lines)
+    assert any(answered.match(line) for line in lines)
 
 
 def test_corpus_covers_every_shape_both_modes_and_kinked_grids():

@@ -626,9 +626,11 @@ RELATIVE_AT_S = r" by \d\.\d{3}e[+-]\d{2} relative at s = -?\d[\d.e+-]* "
 
 
 def test_solver_cross_check_guards_coarse_steps(monkeypatch):
-    # the routes on a 10-samples-per-unit grid, RK4 with one 0.1 substep each
+    # the routes on a 10-samples-per-unit grid, RK4 with one 0.1 substep
+    # each, g h = 1, once the bound on g h allows it
     monkeypatch.setattr(solver, "SAMPLES_PER_UNIT", 10)
     monkeypatch.setattr(solver, "STEP_SIZE", 0.1)
+    monkeypatch.setattr(solver, "_MAX_GH", 1.0)
     d = DimensionlessParams(theta0=0.032, freq_ratio_r=2.0, gamma_tau_g=10.0)
     shape = (
         "^solver cross-check failed: eta routes disagree"
@@ -680,6 +682,36 @@ def test_over_stiff_coupling_is_refused_before_the_fixed_step_route(monkeypatch)
     ):
         run_cycle(CycleConfig(dimensionless=d, with_oracle=True))
     assert started == []
+
+
+STIFF_JUMPS = {
+    # openings that jump at s = 0, which cost RK4 its order on the first substep
+    "constant 0.5": FrequencyProfile(shape=ProfileShape.CONSTANT, level=0.5),
+    "reversed sine": FrequencyProfile(shape=ProfileShape.REVERSED_SINE_CLOSING),
+}
+
+
+@pytest.mark.parametrize("mode", [ThermalClosed(), FiniteDwell(1.0)], ids=["thermal", "dwell"])
+@pytest.mark.parametrize("g", [1.5e3, 3e3, 6e3, 8.47e3])
+@pytest.mark.parametrize("opening", STIFF_JUMPS)
+def test_stiff_jumps_pass_the_solver_cross_check(opening, g, mode):
+    # the fixed step takes its substep from g, so g h stays at most
+    # `solver._MAX_GH` and the witness agrees with the kernel route to 1e-7
+    d = DimensionlessParams(theta0=0.032, freq_ratio_r=2.0, gamma_tau_g=g)
+    result = run_cycle(CycleConfig(d, STIFF_JUMPS[opening], mode, horizon=2.0))
+    assert result.margins["solver"][0] <= 1e-7
+
+
+def test_the_substep_follows_g_only_past_1e4_max_gh():
+    # D = 1/2000: up to g = 1e4 _MAX_GH, STEP_SIZE sets m = 5, as it always
+    # did, and past it g h = _MAX_GH does; the smooth sine at g = 8e3 then
+    # agrees to 1e-11
+    bound = 1e4 * solver._MAX_GH
+    for horizon in (2.0, 10.0):
+        assert {solver._substeps(horizon, g) for g in np.linspace(0.0, bound, 101)} == {5}
+        assert solver._substeps(horizon, bound * (1.0 + 1e-6)) == 6
+    d = DimensionlessParams(theta0=0.032, freq_ratio_r=2.0, gamma_tau_g=8e3)
+    assert run_cycle(CycleConfig(dimensionless=d, horizon=2.0)).margins["solver"][0] <= 1e-11
 
 
 def test_run_cycle_evaluates_no_hold_it_does_not_reach():

@@ -90,10 +90,8 @@ def test_traced_counts_are_the_work_done(monkeypatch):
 
     _, segments = _plan_segments(cfg)
     intervals = [_check_run(duration, SAMPLES_PER_UNIT) for _, _, duration in segments]
-    substeps = [
-        n * _substeps(duration)
-        for n, (_, _, duration) in zip(intervals, segments)
-    ]
+    g = cfg.dimensionless.gamma_tau_g
+    substeps = [n * _substeps(duration, g) for n, (_, _, duration) in zip(intervals, segments)]
     assert counted("solver.evolve_eta_closed_form", "samples") == sum(intervals) == 28_000
     assert counted("solver.evolve_eta_ode", "substeps") == sum(substeps) == 140_000
     assert counted("cycle.record", "values") == 5 * len(result.record)

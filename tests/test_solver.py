@@ -19,7 +19,6 @@ from molcool.solver import (
     _GL_NODES,
     _GL_WEIGHTS,
     RecoveryResult,
-    _check_kernel,
     _check_run,
     _kinks_inside,
     _propagate,
@@ -137,9 +136,11 @@ def test_constant_frequency_fixed_point_is_exact(monkeypatch):
     np.testing.assert_allclose(
         temperature_ratio(DEFAULT, constant_profile(), traj), 1.0, rtol=0, atol=1e-12
     )
-    # so it does with an unstable step (g h = 50): every map adds exactly 0
-    d = DimensionlessParams(theta0=0.032, freq_ratio_r=2.0, gamma_tau_g=5e4)
+    # so it does just under the kernel's g D bound (g D = 4.235 over
+    # D = 1/200), with 49 substeps per sample: every map adds exactly 0
+    d = DimensionlessParams(theta0=0.032, freq_ratio_r=2.0, gamma_tau_g=847.0)
     traj = evolve_eta_ode(d, constant_profile(), horizon=1.0)
+    assert traj.step_size == 1.0 / (200 * 49)
     assert np.all(traj.eta == eta_star)
 
 
@@ -258,10 +259,11 @@ def test_kernel_route_agrees_with_dop853(name):
     assert np.max(np.abs(traj.eta / dop853_eta(d, profile, traj.s) - 1.0)) < bound
 
 
-def rk4_substep_reference(d, profile, eta0, horizon, step_size, samples_per_unit):
-    """Plain RK4 of eta' = u - g eta, one substep at a time, sampled like evolve_eta_ode."""
+def rk4_substep_reference(d, profile, eta0, horizon, samples_per_unit):
+    """Plain RK4 of eta' = u - g eta, one substep at a time, sampled like
+    evolve_eta_ode, with the substeps per sample its guard sets."""
     n_intervals = round(horizon * samples_per_unit)
-    m = max(1, math.ceil(horizon / n_intervals / step_size - 1e-9))
+    m = _substeps(horizon, d.gamma_tau_g)
     n_sub = m * n_intervals
     ts = np.linspace(0.0, horizon, 2 * n_sub + 1)
     g, r = d.gamma_tau_g, d.freq_ratio_r
@@ -281,13 +283,13 @@ def rk4_substep_reference(d, profile, eta0, horizon, step_size, samples_per_unit
 
 
 @pytest.mark.parametrize("g", [0.0, 1.0, 100.0, 1000.0])
-@pytest.mark.parametrize("step_size", [1e-3, 2e-4])  # 1 and 5 substeps per sample
+@pytest.mark.parametrize("step_size", [1e-3, 2e-4])  # 1 and 5 substeps per sample, 12 at g = 1e3
 def test_ode_matches_per_substep_rk4(g, step_size, monkeypatch):
     d = DimensionlessParams(theta0=0.032, freq_ratio_r=2.0, gamma_tau_g=g)
     eta0 = 30.0
     use_grid(monkeypatch, 1000, step_size)
     traj = evolve_eta_ode(d, OPENING, eta0=eta0, horizon=2.0)
-    expected = rk4_substep_reference(d, OPENING, eta0, 2.0, step_size, 1000)
+    expected = rk4_substep_reference(d, OPENING, eta0, 2.0, 1000)
     np.testing.assert_allclose(traj.eta, expected, rtol=1e-12, atol=0)
     if g == 0.0:
         assert np.all(traj.eta == eta0)
@@ -330,10 +332,11 @@ def rk4_stages(s, m, h):
     return np.append((s[:-1, None] + 0.5 * h * np.arange(2 * m)).ravel(), s[-1])
 
 
-def full_grid_rk4(d, profile, eta0, horizon, step_size, samples_per_unit):
-    """The RK4 route's scan with x[k] built from the forcing at every stage point."""
+def full_grid_rk4(d, profile, eta0, horizon, samples_per_unit):
+    """The RK4 route's scan with x[k] built from the forcing at every stage
+    point, with the substeps per sample its guard sets."""
     n_intervals = round(horizon * samples_per_unit)
-    m = max(1, math.ceil(horizon / n_intervals / step_size - 1e-9))
+    m = _substeps(horizon, d.gamma_tau_g)
     n_sub = m * n_intervals
     s = np.linspace(0.0, horizon, n_intervals + 1)
     g, r = d.gamma_tau_g, d.freq_ratio_r
@@ -365,7 +368,7 @@ def sequential_rk4(d, profile, eta0, horizon):
     """The RK4 route as it ran before its scan: one sample per loop iteration,
     samples and eta returned unchecked.  It does not split kinked intervals."""
     n_intervals = _check_run(horizon, solver.SAMPLES_PER_UNIT)
-    m = _substeps(horizon)
+    m = _substeps(horizon, d.gamma_tau_g)
     eta0 = thermal_eta(d.theta0 * d.freq_ratio_r) if eta0 is None else eta0
     g = d.gamma_tau_g
     n_sub = m * n_intervals
@@ -413,7 +416,9 @@ SHAPES = {
 )
 @pytest.mark.parametrize("shape", SHAPES)
 @pytest.mark.parametrize("g", [0.0, 1e-3, 1.0, 300.0, 3000.0, 2e4])
-def test_scan_matches_sequential_loop(g, shape, eta0):
+def test_scan_matches_sequential_loop(g, shape, eta0, monkeypatch):
+    # 5000 samples per unit keep g = 2e4 within the kernel's g D bound (g D = 4)
+    use_grid(monkeypatch, 5000)
     d = DimensionlessParams(theta0=0.032, freq_ratio_r=2.0, gamma_tau_g=g)
     traj = evolve_eta_ode(d, SHAPES[shape], eta0, horizon=2.0)
     s, eta = sequential_rk4(d, SHAPES[shape], eta0, 2.0)
@@ -513,7 +518,7 @@ HOLD_PROFILES = {
 def test_held_forcing_is_evaluated_once_with_the_same_bits(name, g, monkeypatch):
     # the routes skip the held stretch's forcing; every bit must stay as if
     # it had been evaluated at every point, with 1 and 3 RK4 substeps per
-    # sample, and kinked intervals split alike
+    # sample (27 at g = 300, where g h sets them), and kinked intervals split alike
     profile = HOLD_PROFILES[name]
     d = DimensionlessParams(theta0=0.032, freq_ratio_r=2.0, gamma_tau_g=g)
     eta0 = 30.0
@@ -525,7 +530,7 @@ def test_held_forcing_is_evaluated_once_with_the_same_bits(name, g, monkeypatch)
     for step_size in (1.0 / 128, 0.003):
         use_grid(monkeypatch, 128, step_size)
         rk4 = evolve_eta_ode(d, profile, eta0, 2.0)
-        s, eta = full_grid_rk4(d, profile, eta0, 2.0, step_size, 128)
+        s, eta = full_grid_rk4(d, profile, eta0, 2.0, 128)
         assert rk4.s.tobytes() == s.tobytes()
         assert rk4.eta.tobytes() == eta.tobytes()
 
@@ -686,7 +691,7 @@ def test_kernel_rule_refusal_point_at_the_reference():
     answers = []
     for g in grid.tolist():
         try:
-            _check_kernel(g, 2.0)
+            _substeps(2.0, g)
             answers.append(True)
         except SolverError:
             answers.append(False)
@@ -776,16 +781,14 @@ def test_trajectory_metadata():
     assert closed.s[0] == 0.0 and closed.s[-1] == 1.0
 
 
-def test_unstable_step_and_ground_state_are_refused(monkeypatch):
-    # g h = 50 is past RK4's stability limit: refused from the maps, before
-    # the scan, so no overflowed sample is named
+def test_stiff_coupling_and_ground_state_are_refused(monkeypatch):
+    # g D = 250 is past the kernel's bound: the fixed-step route refuses it
+    # too, before it allocates, whatever substep would have been stable
     d = DimensionlessParams(theta0=0.032, freq_ratio_r=2.0, gamma_tau_g=5e4)
-    unstable = r"g h = 50 exceeds RK4's stability limit 2\.785"
     use_grid(monkeypatch, 200, 1e-3)
-    with pytest.raises(SolverError, match=unstable) as excinfo:
+    with pytest.raises(SolverError, match=r"^coupling too stiff .*: g D = 250 per sample"):
         evolve_eta_ode(d, OPENING, eta0=40.0, horizon=1.0)
-    assert "inf" not in str(excinfo.value)
-    # a stable step (g h = 0.01) relaxing toward eta* = 1 + 4e-18, which
+    # a step of g h = 0.01 relaxing toward eta* = 1 + 4e-18, which
     # rounds to 1: the first sample that reaches it is refused
     d = DimensionlessParams(theta0=40.0, freq_ratio_r=1.0, gamma_tau_g=100.0)
     use_grid(monkeypatch, 100)
