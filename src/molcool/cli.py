@@ -6,6 +6,10 @@ on threads, at least 1, that the one thread always meets),
 `convert-units` (dimensionless <-> SI), `reproduce-fig4` (the pinned
 reference cycle with its two anchors checked).
 
+`main` builds a new parser on every call, with arguments for the
+command it invokes alone (`build_parser`); every command's subparser is
+still created, so argparse's usage, help and error lines name them all.
+
 Exit codes: 0 success, 1 reference-anchor failure, 2 validation error or a
 run the solver cannot finish, 3 solver cross-check failure, 4 I/O error.
 """
@@ -71,57 +75,57 @@ def _add_param_flags(sub):
         help="closed hold time before opening (finite-dwell mode only)",
     )
     sub.add_argument("--config", default=None, help="INI config file; flags override it")
+    _add_out_flag(sub)
+
+
+def _add_out_flag(sub):
     sub.add_argument("--out", default=None, help="directory for CSV and plot-script output")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _add_sweep_flags(sub):
+    _add_param_flags(sub)
+    sub.add_argument(
+        "--axis", required=True, choices=sorted(_AXIS_BY_FLAG), help="parameter to vary"
+    )
+    group = sub.add_mutually_exclusive_group(required=True)
+    group.add_argument("--values", default=None, help="comma-separated axis values")
+    group.add_argument(
+        "--range", dest="value_range", default=None, help="min:max:count[:log] axis values"
+    )
+    sub.add_argument(
+        "--workers", type=int, default=1,
+        help="upper bound on threads, at least 1; runs are serial (default: 1)",
+    )
+
+
+def _add_convert_units_flags(sub):
+    sub.add_argument("--theta0", type=float, default=None)
+    sub.add_argument("--ratio", type=float, default=None)
+    sub.add_argument("--gamma-tau", type=float, default=None)
+    sub.add_argument("--temperature-kelvin", type=float, required=True)
+    sub.add_argument("--mass", type=float, default=None, help="kg (SI direction, or free scale)")
+    sub.add_argument("--spring", type=float, default=None, help="frame spring per arm, N/m")
+    sub.add_argument("--coupling-max", type=float, default=None, help="peak coupling spring, N/m")
+    sub.add_argument("--gamma", type=float, default=None, help="relaxation rate, 1/s")
+    sub.add_argument("--tau-open", type=float, default=None, help="opening duration, s")
+
+
+def build_parser(argv=None) -> argparse.ArgumentParser:
+    """The `molcool` parser for `argv`: every command's subparser, with
+    its arguments only for the command argv[0] names, to which argparse
+    hands every later word, or for every command when argv names none
+    first or is not given."""
     parser = argparse.ArgumentParser(
         prog="molcool",
         description="Cooling cycles of a damped oscillator with a time-dependent frequency.",
     )
     commands = parser.add_subparsers(dest="command", required=True)
-
-    cycle = commands.add_parser("cycle", help="run one cooling cycle")
-    _add_param_flags(cycle)
-    cycle.set_defaults(func=_cmd_cycle)
-
-    sweep = commands.add_parser("sweep", help="vary one parameter over many runs")
-    _add_param_flags(sweep)
-    sweep.add_argument(
-        "--axis", required=True, choices=sorted(_AXIS_BY_FLAG), help="parameter to vary"
-    )
-    group = sweep.add_mutually_exclusive_group(required=True)
-    group.add_argument("--values", default=None, help="comma-separated axis values")
-    group.add_argument(
-        "--range", dest="value_range", default=None, help="min:max:count[:log] axis values"
-    )
-    sweep.add_argument(
-        "--workers", type=int, default=1,
-        help="upper bound on threads, at least 1; runs are serial (default: 1)",
-    )
-    sweep.set_defaults(func=_cmd_sweep)
-
-    conv = commands.add_parser(
-        "convert-units", help="dimensionless -> SI, or SI -> dimensionless with --spring"
-    )
-    conv.add_argument("--theta0", type=float, default=None)
-    conv.add_argument("--ratio", type=float, default=None)
-    conv.add_argument("--gamma-tau", type=float, default=None)
-    conv.add_argument("--temperature-kelvin", type=float, required=True)
-    conv.add_argument("--mass", type=float, default=None, help="kg (SI direction, or free scale)")
-    conv.add_argument("--spring", type=float, default=None, help="frame spring per arm, N/m")
-    conv.add_argument("--coupling-max", type=float, default=None, help="peak coupling spring, N/m")
-    conv.add_argument("--gamma", type=float, default=None, help="relaxation rate, 1/s")
-    conv.add_argument("--tau-open", type=float, default=None, help="opening duration, s")
-    conv.set_defaults(func=_cmd_convert_units)
-
-    fig4 = commands.add_parser(
-        "reproduce-fig4",
-        help="run the pinned reference cycle and check both of its anchors",
-    )
-    fig4.add_argument("--out", default=None, help="directory for CSV and plot-script output")
-    fig4.set_defaults(func=_cmd_reproduce_fig4)
-
+    named = argv[0] if argv and argv[0] in _COMMANDS else None
+    for name, (help_text, add_flags, run) in _COMMANDS.items():
+        sub = commands.add_parser(name, help=help_text)
+        if named in (None, name):
+            add_flags(sub)
+        sub.set_defaults(func=run)
     return parser
 
 
@@ -313,9 +317,24 @@ def _cmd_reproduce_fig4(args) -> int:
     return 0 if ok else 1
 
 
+# the commands in help order: (help text, flag-adder, handler) by name
+_COMMANDS = {
+    "cycle": ("run one cooling cycle", _add_param_flags, _cmd_cycle),
+    "sweep": ("vary one parameter over many runs", _add_sweep_flags, _cmd_sweep),
+    "convert-units": (
+        "dimensionless -> SI, or SI -> dimensionless with --spring",
+        _add_convert_units_flags, _cmd_convert_units,
+    ),
+    "reproduce-fig4": (
+        "run the pinned reference cycle and check both of its anchors",
+        _add_out_flag, _cmd_reproduce_fig4,
+    ),
+}
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser(argv).parse_args(argv)
     try:
         return args.func(args)
     except SolverCrossCheckError as exc:

@@ -144,11 +144,12 @@ _POW10 = np.array([float(10**k) for k in range(23)])  # every one an exact doubl
 _QUANTIZE_ROWS = 1024  # record rows per `_decimal12` call; bounds its temporaries
 
 
-def _decimal12(v: np.ndarray):
-    """q = float("%.11e" % x) for each x in the finite array v, of any
-    shape, with the mantissa d (int64) and exponent e (int16) of
+def _decimal12(v: np.ndarray, out=None):
+    """(q, d, e): q = float("%.11e" % x) for each x in the finite array v,
+    of any shape, with the mantissa d (int64) and exponent e (int16) of
     `"%.11e" % abs(x)`, which prints as d's 12 digits with a point after
-    the first, then e.
+    the first, then e.  Written into `out` = (q, d, e) when given, whose q
+    may be v itself; new arrays otherwise.
 
     Fast path (Clinger's exact case): |x| is multiplied by the exact power
     p = 10**k, k = clip(11 - floor(log10|x|), 0, 22), and e = 11 - k.  The
@@ -160,31 +161,43 @@ def _decimal12(v: np.ndarray):
     next exponent.  The clip puts zero, |x| < 1e-11 and |x| >= 1e12
     outside that range.  Those elements, a log10 estimate one off and the
     products on a half go through `_printed_digits` (zero gives d = e = 0).
+    Only a block that holds a sign bit has its signs copied back.
     """
+    if out is None:
+        out = (np.empty(v.shape), np.empty(v.shape, np.int64), np.empty(v.shape, np.int16))
+    q, d, e = out
     a = np.abs(v)
     with np.errstate(divide="ignore"):  # log10(0) = -inf, which clips to k = 22
         k = np.log10(a)
     np.floor(k, out=k)
     np.subtract(11.0, k, out=k)
-    k = np.clip(k, 0.0, 22.0, out=k).astype(np.intp)
+    np.maximum(k, 0.0, out=k)
+    k = np.minimum(k, 22.0, out=k).astype(np.intp)
     p = _POW10[k]
     scaled = np.multiply(a, p, out=a)
-    d = np.rint(scaled)
-    frac = np.subtract(scaled, d)
+    r = np.rint(scaled)
+    frac = np.subtract(scaled, r)
     slow = np.abs(frac, out=frac) == 0.5
     slow |= scaled < 1e11
     slow |= scaled >= 1e12
     slow = np.flatnonzero(slow)
+    # read from v before q, which may be v, is written
+    printed = [_printed_digits(abs(x)) for x in v.flat[slow].tolist()]
+    signed = np.signbit(v).any()
     # what these leave in the elements off the fast path is overwritten below
-    q = np.divide(d, p, out=scaled)
-    d.flat[slow] = 0.0
-    bump = d == 1e12
-    d[bump] = 1e11
-    e = (11 - k + bump).astype(np.int16)
-    d = d.astype(np.int64)
-    for i in slow.tolist():
-        q.flat[i], d.flat[i], e.flat[i] = _printed_digits(abs(float(v.flat[i])))
-    np.copysign(q, v, out=q)
+    abs_q = np.divide(r, p, out=scaled if signed else q)
+    r.flat[slow] = 0.0
+    np.subtract(11, k, out=k)  # k is now the exponent
+    bump = np.flatnonzero(r == 1e12)
+    if bump.size:
+        r.flat[bump] = 1e11
+        k.flat[bump] += 1
+    np.copyto(d, r, casting="unsafe")
+    np.copyto(e, k, casting="unsafe")
+    for i, (value, mantissa, exponent) in zip(slow.tolist(), printed):
+        abs_q.flat[i], d.flat[i], e.flat[i] = value, mantissa, exponent
+    if signed:
+        np.copysign(abs_q, v, out=q)
     return q, d, e
 
 
@@ -207,10 +220,11 @@ class TimeSeriesRecord:
 
     A record is immutable: its fields cannot be reassigned and its
     column arrays are read-only.  `_quantized` = (q, d, e) holds, in one
-    row-major (samples, 5) layout as in the CSV, the values q rounded by
-    `_decimal12`, `_QUANTIZE_ROWS` rows per call, and the mantissas d and
-    exponents e that print them, from which `emit_csv` formats the cells
-    one contiguous row block at a time.  Each column is a view of q.
+    row-major (samples, 5) layout as in the CSV, the values q rounded in
+    place by `_decimal12`, `_QUANTIZE_ROWS` rows per call, and the
+    mantissas d and exponents e that print them, written there too, from
+    which `emit_csv` formats the cells one contiguous row block at a time.
+    Each column is a view of q.
     """
 
     s: np.ndarray
@@ -232,7 +246,7 @@ class TimeSeriesRecord:
         e = np.empty(q.shape, np.int16)
         for lo in range(0, n, _QUANTIZE_ROWS):
             b = slice(lo, lo + _QUANTIZE_ROWS)
-            q[b], d[b], e[b] = _decimal12(q[b])
+            _decimal12(q[b], out=(q[b], d[b], e[b]))
         for a in (q, d, e):
             a.flags.writeable = False
         for name, column in zip(_COLUMNS, q.T):
@@ -581,7 +595,7 @@ del _quad, _exponent, _tu, _chars
 _CELL = np.dtype([("lead", "u4"), ("mid", "u4"), ("low", "u4"), ("exp", "u4"), ("tail", "u2")])
 
 
-def _format_cells(q: np.ndarray, d: np.ndarray, e: np.ndarray) -> bytes:
+def _format_cells(q: np.ndarray, d: np.ndarray, e: np.ndarray):
     """CSV bytes of a (rows, columns) block of finite values q, given with
     their `_decimal12` mantissas d and exponents e: each cell is
     `"%.11e" % x`, cells joined by "," and rows ended by "\n".
@@ -595,7 +609,8 @@ def _format_cells(q: np.ndarray, d: np.ndarray, e: np.ndarray) -> bytes:
     those rows, each behind one "-", then the rest.  A block with any
     other sign pattern, or holding a three-digit exponent (|x| < 1e-99 or
     >= 1e100), which the tables do not cover, is printed value by value
-    with "%.11e".
+    with "%.11e".  A block with no negative cell is returned as a
+    memoryview of its cells, not copied; the others as bytes.
     """
     negative = np.signbit(q)
     signed = np.count_nonzero(negative)
@@ -614,7 +629,7 @@ def _format_cells(q: np.ndarray, d: np.ndarray, e: np.ndarray) -> bytes:
     tail[:, -1] += 199
     cells["tail"] = np.take(_TAIL, tail)
     if not signed:
-        return cells.tobytes()
+        return memoryview(cells.reshape(-1).view(np.uint8))
     # the negatives are the first column of the first rows, as a record's
     # negative s are: each such row is "-" and its cells
     rows = np.empty((signed, 1 + cells[0].nbytes), dtype=np.uint8)
@@ -629,7 +644,8 @@ def emit_csv(record: TimeSeriesRecord, path) -> None:
 
     Cells are exactly Python's `"%.11e" % x`, built by `_format_cells`
     in blocks of `_CSV_BLOCK_ROWS` rows from the digits the record kept
-    when it was quantized; no value's digits are worked out again.
+    when it was quantized; no value's digits are worked out again, and a
+    block's bytes-like result is written as it is, with no copy.
     """
     q, d, e = record._quantized
     try:

@@ -1,15 +1,19 @@
 #!/usr/bin/env python3
-"""One line per run of a seeded corpus of `run_cycle` runs.
+"""One line per run of a seeded corpus of `run_cycle` runs, or per CLI call.
 
     python tests/corpus_digest.py [RUNS]
+    python tests/corpus_digest.py cli
 
-prints, for each run in order, its index and either the sha256 of its
-record and summary, then apart from it its cross-check margins, or its
-refusal.  A change meant to move no byte is checked by running this
-script on the tree before it and on the tree after it and diffing the
-two listings: the diff names every run that moved, and a run whose
-digest holds moved in its margins alone.  The script imports the
-package from the `src` beside it.
+The first prints, for each run in order, its index and either the sha256
+of its record and summary, then apart from it its cross-check margins,
+or its refusal.  The second prints, for each argv of `CLI_ARGVS` (every
+command's help, usage errors and unknown words, none of which runs a
+cycle), the argv, the exit code of `molcool.cli.main` and the sha256 of
+its stdout and of its stderr, at 80 columns.  A change meant to move no
+byte is checked by running this script on the tree before it and on the
+tree after it and diffing the two listings: the diff names every run or
+call that moved, and a run whose digest holds moved in its margins
+alone.  The script imports the package from the `src` beside it.
 
 The corpus (48 runs unless RUNS is given) cycles through the four
 profile shapes, alternates the two init modes every four runs, and draws
@@ -23,15 +27,30 @@ record's rounded values, mantissas and exponents, and its summary.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
+import os
 import sys
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 
 RUNS = 48
 SEED = 2009
+_COMMANDS = ("cycle", "sweep", "convert-units", "reproduce-fig4")
+# the CLI's messages: each command's help, no arguments, an unknown
+# command, an unknown flag after each command, and two missing flags
+CLI_ARGVS = (
+    *([command, "--help"] for command in _COMMANDS),
+    [],
+    ["bogus"],
+    *([command, "--bogus"] for command in _COMMANDS),
+    ["sweep", "--axis", "theta0"],
+    ["convert-units"],
+)
 
 
 def corpus(runs: int = RUNS):
@@ -90,9 +109,39 @@ def run_lines(runs: int = RUNS) -> list[str]:
     return lines
 
 
+def cli_call(argv, main=None) -> tuple[int, str, str]:
+    """(exit code, stdout, stderr) of `main(argv)`, `molcool.cli.main`
+    unless given, at 80 columns; a `SystemExit` gives its code."""
+    if main is None:
+        from molcool.cli import main
+    out, err = io.StringIO(), io.StringIO()
+    # argparse wraps help to the terminal's width, which COLUMNS sets
+    with mock.patch.dict(os.environ, COLUMNS="80"), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def cli_lines() -> list[str]:
+    """The CLI listing's lines, one per argv of `CLI_ARGVS`, in order."""
+    lines = []
+    for argv in CLI_ARGVS:
+        code, out, err = cli_call(argv)
+        digests = (hashlib.sha256(text.encode()).hexdigest() for text in (out, err))
+        lines.append(f"{' '.join(argv) or '(no arguments)'}: exit {code} "
+                     "stdout {} stderr {}".format(*digests))
+    return lines
+
+
 def main(argv) -> None:
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
-    print("\n".join(run_lines(int(argv[0]) if argv else RUNS)))
+    if argv == ["cli"]:
+        print("\n".join(cli_lines()))
+    else:
+        print("\n".join(run_lines(int(argv[0]) if argv else RUNS)))
 
 
 if __name__ == "__main__":

@@ -77,6 +77,12 @@ CORNERS = (
     {"theta0": 0.032, "r": 2.0, "g": 3e3, "horizon": 2.0, "region": "stiff constant",
      "shape": "constant", "level": 0.5},
 )
+# the first slice of the log grids: theta0 in {1e-3, 0.1, 3} x g in {1, 10,
+# 100} at r = 3 and horizon 10, each theta0 row its own region
+GRID = tuple(
+    {"theta0": theta0, "r": 3.0, "g": g, "horizon": 10.0, "region": f"grid theta0={theta0:g}"}
+    for theta0 in (1e-3, 0.1, 3.0) for g in (1.0, 10.0, 100.0)
+)
 # the envelope's ends, each with the start of the message it is refused with
 REFUSED = (
     {"theta0": 0.032, "r": 2.0, "g": 1e4, "horizon": 2.0, "region": "refused",
@@ -98,6 +104,10 @@ TOLERANCES = {
     "reversed": {"min_t_ratio": 0.0, "recovery_s": 2.6e-9, "mean_n": 2.2e-12},
     # recovery within a few samples of the jump: the record's straight line, to a sample
     "stiff constant": {"min_t_ratio": 0.0, "recovery_s": 1.2e-4, "mean_n": 1.9e-12},
+    # the log grid's rows, r = 3 and g in {1, 10, 100}
+    "grid theta0=0.001": {"min_t_ratio": 6.1e-8, "recovery_s": 4.0e-7, "mean_n": 1.6e-12},
+    "grid theta0=0.1": {"min_t_ratio": 9.5e-9, "recovery_s": 3.9e-7, "mean_n": 1.8e-12},
+    "grid theta0=3": {"min_t_ratio": 1.7e-8, "recovery_s": 4.1e-7, "mean_n": 5.6e-11},
 }
 
 
@@ -229,7 +239,7 @@ def main() -> None:
     points, worst = [], {region: {} for region in TOLERANCES}
     answered = [{"theta0": theta0, "r": r, "g": g, "horizon": horizon, "region": region}
                 for theta0, r, g, horizon, region in POINTS]
-    for point in [*answered, *CORNERS]:
+    for point in [*answered, *CORNERS, *GRID]:
         result = run(point)
         spacing = float(result.record.s[1] - result.record.s[0])
         point = {**point, **reference(point, result.summary.argmin_s, spacing)}

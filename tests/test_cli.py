@@ -18,6 +18,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from corpus_digest import CLI_ARGVS, cli_call
 from molcool.cli import _load_config, build_parser, main
 from molcool.cycle import (
     _CONFIG_KEYS,
@@ -842,6 +843,16 @@ def test_cross_check_exit_code(monkeypatch, capsys):
     rc = run_cli("cycle")
     assert rc == 3
     assert "solver cross-check failed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", CLI_ARGVS, ids=lambda argv: " ".join(argv) or "no arguments")
+def test_messages_match_a_parser_of_every_command(argv):
+    # main gives arguments to the named command alone, which no help,
+    # usage or error line may show: each usage still names every command
+    def every_command(argv):
+        return build_parser().parse_args(argv)
+
+    assert cli_call(argv) == cli_call(argv, every_command)
 
 
 def test_argparse_usage_errors():

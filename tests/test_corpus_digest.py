@@ -38,3 +38,15 @@ def test_corpus_covers_every_shape_both_modes_and_kinked_grids():
         return False
 
     assert sum(map(kinked, configs)) >= 8
+
+
+def test_cli_listing_names_each_call_with_its_exit_code():
+    lines = corpus_digest.cli_lines()
+    assert corpus_digest.cli_lines() == lines
+    listed = re.compile(r"(.+): exit (\d) stdout [0-9a-f]{64} stderr [0-9a-f]{64}$")
+    calls = [listed.match(line).groups() for line in lines]
+    argvs = corpus_digest.CLI_ARGVS
+    assert [label for label, _ in calls] == [" ".join(argv) or "(no arguments)" for argv in argvs]
+    # help answers, and every other call is a usage error
+    assert [code for _, code in calls] == ["0" if "--help" in argv else "2" for argv in argvs]
+    assert len(lines) == 12

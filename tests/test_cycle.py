@@ -218,6 +218,56 @@ def test_decimal_kernel_blocks_straddle_the_clip_edges(rows):
     assert_block_formats_like_python(np.array(rows))
 
 
+def sign_block(cells):
+    """A (6, 5) block of log-uniform values in [1e-3, 1e3] with `cells`
+    (row, column) -> value set."""
+    block = 10.0 ** np.random.default_rng(40).uniform(-3.0, 3.0, (6, 5))
+    for at, value in cells.items():
+        block[at] = value
+    return block
+
+
+# one block for each of `_decimal12`'s sign cases: a sign bit held by -0.0
+# alone, one negative cell in the last row, and none (a +0.0 among them)
+SIGN_BLOCKS = {
+    "only -0.0": sign_block({(2, 3): -0.0}),
+    "negative last row": sign_block({(5, 1): -2.5}),
+    "no negative": sign_block({(3, 0): 0.0}),
+}
+
+
+@pytest.mark.parametrize("name", SIGN_BLOCKS)
+def test_decimal12_keeps_every_sign_bit_in_place_or_not(name):
+    block = SIGN_BLOCKS[name]
+    cells = block.reshape(-1).tolist()
+    expected = np.array([float(f"{v:.11e}") for v in cells])
+    in_place = block.copy()
+    out = (in_place, np.empty(block.shape, np.int64), np.empty(block.shape, np.int16))
+    for q, d, e in (_decimal12(block), _decimal12(in_place, out=out)):
+        assert np.array_equal(q.reshape(-1).view(np.uint64), expected.view(np.uint64))
+        digits = [f"{m // 10**11}.{m % 10**11:011d}e{x:+03d}"
+                  for m, x in zip(d.reshape(-1).tolist(), e.reshape(-1).tolist())]
+        assert digits == [f"{abs(v):.11e}" for v in cells]
+    assert out[0] is in_place and np.array_equal(block, SIGN_BLOCKS[name])
+
+
+# one block for each of `_format_cells`' layouts
+LAYOUT_BLOCKS = {
+    "unsigned": sign_block({}),
+    "signed prefix": sign_block({(0, 0): -1.5, (1, 0): -0.0}),
+    "fallback": sign_block({(5, 1): -2.5}),
+}
+
+
+@pytest.mark.parametrize("name", LAYOUT_BLOCKS)
+def test_format_cells_bytes_are_python_format(name):
+    block = LAYOUT_BLOCKS[name]
+    out = _format_cells(*_decimal12(block))
+    # the unsigned block comes back as a view of its cells, uncopied
+    assert isinstance(out, memoryview) == (name == "unsigned")
+    assert bytes(out) == python_csv_rows(block.tolist())
+
+
 SUBNORMAL = st.floats(min_value=5e-324, max_value=2.2250738585072009e-308)
 NEAR_1E100 = st.floats(min_value=9.9e99, max_value=1.1e100)  # e+99 | e+100
 NEAR_1E_MINUS_100 = st.floats(min_value=9.9e-101, max_value=1.1e-99)  # e-101 | e-100 | e-99
