@@ -6,9 +6,10 @@ on threads, at least 1, that the one thread always meets),
 `convert-units` (dimensionless <-> SI), `reproduce-fig4` (the pinned
 reference cycle with its two anchors checked).
 
-`main` builds a new parser on every call, with arguments for the
-command it invokes alone (`build_parser`); every command's subparser is
-still created, so argparse's usage, help and error lines name them all.
+`main` builds a new parser on every call, with the subparser of the
+command it invokes alone (`build_parser`); its usage names every
+command, as argparse's own usage, help and error lines do when no
+command is named and all four are built.
 
 Exit codes: 0 success, 1 reference-anchor failure, 2 validation error or a
 run the solver cannot finish, 3 solver cross-check failure, 4 I/O error.
@@ -111,20 +112,26 @@ def _add_convert_units_flags(sub):
 
 
 def build_parser(argv=None) -> argparse.ArgumentParser:
-    """The `molcool` parser for `argv`: every command's subparser, with
-    its arguments only for the command argv[0] names, to which argparse
-    hands every later word, or for every command when argv names none
-    first or is not given."""
+    """The `molcool` parser for `argv`: the subparser of the command
+    argv[0] names alone, to which argparse hands every later word, under
+    the usage `{cycle,sweep,convert-units,reproduce-fig4}` that argparse
+    prints for all four; or every command's subparser when argv names
+    none first or is not given."""
     parser = argparse.ArgumentParser(
         prog="molcool",
         description="Cooling cycles of a damped oscillator with a time-dependent frequency.",
     )
-    commands = parser.add_subparsers(dest="command", required=True)
-    named = argv[0] if argv and argv[0] in _COMMANDS else None
-    for name, (help_text, add_flags, run) in _COMMANDS.items():
+    named = argv[:1] if argv and argv[0] in _COMMANDS else []
+    # a metavar would also rename "command" in the errors of a call that
+    # names none, so it is given only where one subparser would narrow the usage
+    commands = parser.add_subparsers(
+        dest="command", required=True,
+        metavar="{" + ",".join(_COMMANDS) + "}" if named else None,
+    )
+    for name in named or _COMMANDS:
+        help_text, add_flags, run = _COMMANDS[name]
         sub = commands.add_parser(name, help=help_text)
-        if named in (None, name):
-            add_flags(sub)
+        add_flags(sub)
         sub.set_defaults(func=run)
     return parser
 

@@ -46,7 +46,7 @@ from .solver import (
     occupation_at,
     recovery_time,
 )
-from .thermo import GROUND_STATE_EPS, QuenchedState, ratio_from_eta, thermal_eta
+from .thermo import GROUND_STATE_EPS, QuenchedState, thermal_eta
 from .units import DimensionlessParams
 
 SOLVER_AGREEMENT_RTOL = 1e-6   # fixed-step route must match the kernel route this well
@@ -141,7 +141,7 @@ def _override(base: CycleConfig, **settings) -> CycleConfig:
 
 
 _POW10 = np.array([float(10**k) for k in range(23)])  # every one an exact double
-_QUANTIZE_ROWS = 1024  # record rows per `_decimal12` call; bounds its temporaries
+_BLOCK_ROWS = 2048  # record rows per `_decimal12` call and per CSV block; bounds temporaries
 
 
 def _decimal12(v: np.ndarray, out=None):
@@ -157,10 +157,10 @@ def _decimal12(v: np.ndarray, out=None):
     double and rounding is monotone, so a product not on a half lies on the
     exact one's side of every half.  Where it lies in [10**11, 10**12) and
     not on a half, its rint r is the printed mantissa; r / p, both operands
-    exact, is |q|.  A mantissa rounded up to 10**12 becomes 10**11 at the
-    next exponent.  The clip puts zero, |x| < 1e-11 and |x| >= 1e12
-    outside that range.  Those elements, a log10 estimate one off and the
-    products on a half go through `_printed_digits` (zero gives d = e = 0).
+    exact, is |q|.  The clip puts zero, |x| < 1e-11 and |x| >= 1e12
+    outside that range.  Those elements, a log10 estimate one off, a
+    mantissa that rounds up to 10**12 and the products on a half go
+    through `_printed_digits` (zero gives d = e = 0).
     Only a block that holds a sign bit has its signs copied back.
     """
     if out is None:
@@ -179,7 +179,7 @@ def _decimal12(v: np.ndarray, out=None):
     frac = np.subtract(scaled, r)
     slow = np.abs(frac, out=frac) == 0.5
     slow |= scaled < 1e11
-    slow |= scaled >= 1e12
+    slow |= r >= 1e12
     slow = np.flatnonzero(slow)
     # read from v before q, which may be v, is written
     printed = [_printed_digits(abs(x)) for x in v.flat[slow].tolist()]
@@ -188,10 +188,6 @@ def _decimal12(v: np.ndarray, out=None):
     abs_q = np.divide(r, p, out=scaled if signed else q)
     r.flat[slow] = 0.0
     np.subtract(11, k, out=k)  # k is now the exponent
-    bump = np.flatnonzero(r == 1e12)
-    if bump.size:
-        r.flat[bump] = 1e11
-        k.flat[bump] += 1
     np.copyto(d, r, casting="unsafe")
     np.copyto(e, k, casting="unsafe")
     for i, (value, mantissa, exponent) in zip(slow.tolist(), printed):
@@ -221,7 +217,7 @@ class TimeSeriesRecord:
     A record is immutable: its fields cannot be reassigned and its
     column arrays are read-only.  `_quantized` = (q, d, e) holds, in one
     row-major (samples, 5) layout as in the CSV, the values q rounded in
-    place by `_decimal12`, `_QUANTIZE_ROWS` rows per call, and the
+    place by `_decimal12`, `_BLOCK_ROWS` rows per call, and the
     mantissas d and exponents e that print them, written there too, from
     which `emit_csv` formats the cells one contiguous row block at a time.
     Each column is a view of q.
@@ -244,8 +240,8 @@ class TimeSeriesRecord:
             raise ValueError("record values must all be finite")
         d = np.empty(q.shape, np.int64)
         e = np.empty(q.shape, np.int16)
-        for lo in range(0, n, _QUANTIZE_ROWS):
-            b = slice(lo, lo + _QUANTIZE_ROWS)
+        for lo in range(0, n, _BLOCK_ROWS):
+            b = slice(lo, lo + _BLOCK_ROWS)
             _decimal12(q[b], out=(q[b], d[b], e[b]))
         for a in (q, d, e):
             a.flags.writeable = False
@@ -262,7 +258,8 @@ class TimeSeriesRecord:
     def from_trajectory(cls, traj: EtaTrajectory, omega_over_omega1, theta0_r: float):
         """The record of `traj` under the schedule `omega_over_omega1` at
         theta0 * r = `theta0_r`: the one place mean_n and T_ratio are derived.
-        A non-finite sample or one at or below the ground-state limit is named by its s."""
+        A non-finite sample or one at or below the ground-state limit is named by its s;
+        T_ratio is `thermo.ratio_from_eta`'s expression, without its second check."""
         ok = (traj.eta > 1.0 + GROUND_STATE_EPS) & (traj.eta < math.inf)
         if not ok.all():
             i = int(np.argmin(ok))  # the first sample that fails
@@ -270,7 +267,7 @@ class TimeSeriesRecord:
             fault = f"at or below the ground-state limit 1 + {GROUND_STATE_EPS:g}"
             raise ValueError(f"eta = {eta!r} at s = {traj.s[i]:.6g} is "
                              + (fault if math.isfinite(eta) else "not finite"))
-        ratio = ratio_from_eta(traj.eta, theta0_r * omega_over_omega1)
+        ratio = theta0_r * omega_over_omega1 / -np.log1p(-1.0 / traj.eta)
         return cls(traj.s, omega_over_omega1, traj.eta, traj.eta - 1.0, ratio)
 
 
@@ -402,7 +399,7 @@ def run_cycle(cfg: CycleConfig) -> CycleResult:
     with np.errstate(over="ignore", divide="ignore"):
         eta0, segments = _plan_segments(cfg)
         nu_max = _largest_occupation(d, segments)
-    # `ratio_from_eta` would refuse this start at the record's first sample
+    # `TimeSeriesRecord.from_trajectory` would refuse this start at its first sample
     if not eta0 > 1.0 + GROUND_STATE_EPS:
         raise ValueError(
             f"eta0 must exceed 1 + {GROUND_STATE_EPS:g} (the ground-state limit), got {eta0}"
@@ -551,9 +548,6 @@ def _fmt(value: float) -> str:
     return f"{value:.11e}"
 
 
-_CSV_BLOCK_ROWS = 2048  # rows formatted per block; bounds the writer's memory
-
-
 _DIGITS = np.frombuffer(b"0123456789", dtype=np.uint8)
 
 
@@ -609,13 +603,14 @@ def _format_cells(q: np.ndarray, d: np.ndarray, e: np.ndarray):
     those rows, each behind one "-", then the rest.  A block with any
     other sign pattern, or holding a three-digit exponent (|x| < 1e-99 or
     >= 1e100), which the tables do not cover, is printed value by value
-    with "%.11e".  A block with no negative cell is returned as a
-    memoryview of its cells, not copied; the others as bytes.
+    with "%.11e".  The block comes back as a tuple of bytes-like parts:
+    a view of its cells, uncopied, behind the "-"-prefixed rows when it
+    has them, or the one bytes object printed value by value.
     """
     negative = np.signbit(q)
     signed = np.count_nonzero(negative)
     if np.abs(e).max(initial=0) >= 100 or not (signed <= len(q) and negative[:signed, 0].all()):
-        return "".join(",".join(map(_fmt, row)) + "\n" for row in q.tolist()).encode()
+        return ("".join(",".join(map(_fmt, row)) + "\n" for row in q.tolist()).encode(),)
     cells = np.empty(q.shape, dtype=_CELL)
     tens = d // 10  # a floor division by a constant is far cheaper than divmod
     last = d - tens * 10
@@ -629,13 +624,13 @@ def _format_cells(q: np.ndarray, d: np.ndarray, e: np.ndarray):
     tail[:, -1] += 199
     cells["tail"] = np.take(_TAIL, tail)
     if not signed:
-        return memoryview(cells.reshape(-1).view(np.uint8))
+        return (memoryview(cells.reshape(-1).view(np.uint8)),)
     # the negatives are the first column of the first rows, as a record's
     # negative s are: each such row is "-" and its cells
     rows = np.empty((signed, 1 + cells[0].nbytes), dtype=np.uint8)
     rows[:, 0] = ord("-")
     rows[:, 1:] = cells[:signed].view(np.uint8).reshape(signed, -1)
-    return rows.tobytes() + cells[signed:].tobytes()
+    return memoryview(rows.reshape(-1)), memoryview(cells[signed:].reshape(-1).view(np.uint8))
 
 
 def emit_csv(record: TimeSeriesRecord, path) -> None:
@@ -643,17 +638,17 @@ def emit_csv(record: TimeSeriesRecord, path) -> None:
     notation, LF line endings, byte-deterministic for equal records.
 
     Cells are exactly Python's `"%.11e" % x`, built by `_format_cells`
-    in blocks of `_CSV_BLOCK_ROWS` rows from the digits the record kept
+    in blocks of `_BLOCK_ROWS` rows from the digits the record kept
     when it was quantized; no value's digits are worked out again, and a
-    block's bytes-like result is written as it is, with no copy.
+    block's bytes-like parts are written as they are, with no copy.
     """
     q, d, e = record._quantized
     try:
         with open(path, "wb") as fh:
             fh.write(CSV_HEADER.encode() + b"\n")
-            for lo in range(0, len(record), _CSV_BLOCK_ROWS):
-                block = slice(lo, lo + _CSV_BLOCK_ROWS)
-                fh.write(_format_cells(q[block], d[block], e[block]))
+            for lo in range(0, len(record), _BLOCK_ROWS):
+                block = slice(lo, lo + _BLOCK_ROWS)
+                fh.writelines(_format_cells(q[block], d[block], e[block]))
     except OSError as exc:
         raise OSError(f"CSV emission to {path} failed: {exc}") from exc
 

@@ -42,7 +42,9 @@ RUNS = 48
 SEED = 2009
 _COMMANDS = ("cycle", "sweep", "convert-units", "reproduce-fig4")
 # the CLI's messages: each command's help, no arguments, an unknown
-# command, an unknown flag after each command, and two missing flags
+# command, an unknown flag after each command, two missing flags, and four
+# errors raised inside a named command (a bad value, a bad choice, an extra
+# word and two exclusive flags)
 CLI_ARGVS = (
     *([command, "--help"] for command in _COMMANDS),
     [],
@@ -50,6 +52,10 @@ CLI_ARGVS = (
     *([command, "--bogus"] for command in _COMMANDS),
     ["sweep", "--axis", "theta0"],
     ["convert-units"],
+    ["cycle", "--theta0", "abc"],
+    ["cycle", "--init-mode", "nope"],
+    ["reproduce-fig4", "extra"],
+    ["sweep", "--axis", "theta0", "--values", "1", "--range", "1:2:3"],
 )
 
 

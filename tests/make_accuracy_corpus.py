@@ -77,11 +77,12 @@ CORNERS = (
     {"theta0": 0.032, "r": 2.0, "g": 3e3, "horizon": 2.0, "region": "stiff constant",
      "shape": "constant", "level": 0.5},
 )
-# the first slice of the log grids: theta0 in {1e-3, 0.1, 3} x g in {1, 10,
-# 100} at r = 3 and horizon 10, each theta0 row its own region
+# the log grids' slices so far: theta0 in {1e-3, 0.1, 3} x g in {1, 10, 100}
+# at r in {3, 1.2, 8} and horizon 10, each (r, theta0) row its own region
 GRID = tuple(
-    {"theta0": theta0, "r": 3.0, "g": g, "horizon": 10.0, "region": f"grid theta0={theta0:g}"}
-    for theta0 in (1e-3, 0.1, 3.0) for g in (1.0, 10.0, 100.0)
+    {"theta0": theta0, "r": r, "g": g, "horizon": 10.0,
+     "region": f"grid r={r:g} theta0={theta0:g}"}
+    for r in (3.0, 1.2, 8.0) for theta0 in (1e-3, 0.1, 3.0) for g in (1.0, 10.0, 100.0)
 )
 # the envelope's ends, each with the start of the message it is refused with
 REFUSED = (
@@ -104,10 +105,19 @@ TOLERANCES = {
     "reversed": {"min_t_ratio": 0.0, "recovery_s": 2.6e-9, "mean_n": 2.2e-12},
     # recovery within a few samples of the jump: the record's straight line, to a sample
     "stiff constant": {"min_t_ratio": 0.0, "recovery_s": 1.2e-4, "mean_n": 1.9e-12},
-    # the log grid's rows, r = 3 and g in {1, 10, 100}
-    "grid theta0=0.001": {"min_t_ratio": 6.1e-8, "recovery_s": 4.0e-7, "mean_n": 1.6e-12},
-    "grid theta0=0.1": {"min_t_ratio": 9.5e-9, "recovery_s": 3.9e-7, "mean_n": 1.8e-12},
-    "grid theta0=3": {"min_t_ratio": 1.7e-8, "recovery_s": 4.1e-7, "mean_n": 5.6e-11},
+    # the log grid's rows, g in {1, 10, 100}
+    "grid r=3 theta0=0.001": {"min_t_ratio": 6.1e-8, "recovery_s": 4.0e-7, "mean_n": 1.6e-12},
+    "grid r=3 theta0=0.1": {"min_t_ratio": 9.5e-9, "recovery_s": 3.9e-7, "mean_n": 1.8e-12},
+    "grid r=3 theta0=3": {"min_t_ratio": 1.7e-8, "recovery_s": 4.1e-7, "mean_n": 5.6e-11},
+    # at r = 1.2 and g = 100 the least T_ratio is above the target: recovery
+    # is the argmin, to a sample
+    "grid r=1.2 theta0=0.001": {"min_t_ratio": 2.7e-9, "recovery_s": 1.9e-4, "mean_n": 6.7e-13},
+    "grid r=1.2 theta0=0.1": {"min_t_ratio": 3.7e-9, "recovery_s": 1.9e-4, "mean_n": 7.6e-13},
+    "grid r=1.2 theta0=3": {"min_t_ratio": 5.4e-9, "recovery_s": 2.5e-4, "mean_n": 4.6e-12},
+    "grid r=8 theta0=0.001": {"min_t_ratio": 1.8e-8, "recovery_s": 1.7e-7, "mean_n": 3.4e-12},
+    "grid r=8 theta0=0.1": {"min_t_ratio": 1.2e-7, "recovery_s": 4.0e-8, "mean_n": 5.2e-12},
+    # the closed theta0 r = 24 leaves n ~ 4e-11, whose digits eta - 1 loses
+    "grid r=8 theta0=3": {"min_t_ratio": 1.4e-7, "recovery_s": 2.9e-7, "mean_n": 6.2e-5},
 }
 
 

@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface (in-process unless noted)."""
 
+import argparse
 import contextlib
 import io
 import math
@@ -847,12 +848,33 @@ def test_cross_check_exit_code(monkeypatch, capsys):
 
 @pytest.mark.parametrize("argv", CLI_ARGVS, ids=lambda argv: " ".join(argv) or "no arguments")
 def test_messages_match_a_parser_of_every_command(argv):
-    # main gives arguments to the named command alone, which no help,
+    # main builds the named command's subparser alone, which no help,
     # usage or error line may show: each usage still names every command
     def every_command(argv):
         return build_parser().parse_args(argv)
 
     assert cli_call(argv) == cli_call(argv, every_command)
+
+
+def subparsers(parser):
+    """The command names `parser` has a subparser for, in order."""
+    (commands,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return list(commands.choices)
+
+
+def test_a_named_command_builds_its_subparser_alone(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage to the terminal's width
+    parser = build_parser(["cycle", "--theta0", "0.1"])
+    assert subparsers(parser) == ["cycle"]
+    assert parser.format_usage() == (
+        "usage: molcool [-h] {cycle,sweep,convert-units,reproduce-fig4} ...\n"
+    )
+    assert parser.format_usage() == build_parser().format_usage()
+
+
+@pytest.mark.parametrize("argv", [None, [], ["bogus"], ["--help"]], ids=repr)
+def test_no_named_command_builds_every_subparser(argv):
+    assert subparsers(build_parser(argv)) == ["cycle", "sweep", "convert-units", "reproduce-fig4"]
 
 
 def test_argparse_usage_errors():

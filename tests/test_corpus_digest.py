@@ -49,4 +49,4 @@ def test_cli_listing_names_each_call_with_its_exit_code():
     assert [label for label, _ in calls] == [" ".join(argv) or "(no arguments)" for argv in argvs]
     # help answers, and every other call is a usage error
     assert [code for _, code in calls] == ["0" if "--help" in argv else "2" for argv in argvs]
-    assert len(lines) == 12
+    assert len(lines) == 16

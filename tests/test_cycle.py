@@ -122,7 +122,7 @@ def python_csv_rows(rows) -> bytes:
 def format_rows(block) -> bytes:
     """CSV bytes of a (rows, columns) block of finite values, formatted by
     `_format_cells` from the digits `_decimal12` works out here."""
-    return _format_cells(*_decimal12(np.asarray(block, dtype=float)))
+    return b"".join(_format_cells(*_decimal12(np.asarray(block, dtype=float))))
 
 
 def assert_formats_like_python(values):
@@ -205,7 +205,7 @@ def assert_block_formats_like_python(block):
         for m, x in zip(d.reshape(-1).tolist(), e.reshape(-1).tolist())
     ]
     assert printed == [f"{abs(v):.11e}" for v in cells]
-    assert _format_cells(q, d, e) == python_csv_rows(block.tolist())
+    assert b"".join(_format_cells(q, d, e)) == python_csv_rows(block.tolist())
 
 
 @settings(max_examples=150, deadline=None)
@@ -263,9 +263,12 @@ LAYOUT_BLOCKS = {
 def test_format_cells_bytes_are_python_format(name):
     block = LAYOUT_BLOCKS[name]
     out = _format_cells(*_decimal12(block))
-    # the unsigned block comes back as a view of its cells, uncopied
-    assert isinstance(out, memoryview) == (name == "unsigned")
-    assert bytes(out) == python_csv_rows(block.tolist())
+    # a block's cells come back as a view, uncopied, behind its "-"-prefixed
+    # rows if it has them, unless they are printed value by value
+    assert [type(part) for part in out] == {
+        "unsigned": [memoryview], "signed prefix": [memoryview] * 2, "fallback": [bytes],
+    }[name]
+    assert b"".join(out) == python_csv_rows(block.tolist())
 
 
 SUBNORMAL = st.floats(min_value=5e-324, max_value=2.2250738585072009e-308)
@@ -328,7 +331,7 @@ def test_dwell_csv_matches_python_format(tmp_path):
     # holds both signs in the s column and the rest hold one
     d = default_cycle_config().dimensionless
     record = run_cycle(CycleConfig(dimensionless=d, init_mode=FiniteDwell(dwell=3.0))).record
-    n, block = len(record), molcool.cycle._CSV_BLOCK_ROWS
+    n, block = len(record), molcool.cycle._BLOCK_ROWS
     assert n == 28001 and -(-n // block) == 14
     signs = {
         (bool(np.any(record.s[lo:lo + block] < 0)), bool(np.any(record.s[lo:lo + block] >= 0)))
@@ -349,7 +352,7 @@ def test_signed_blocks_print_like_python(monkeypatch):
     d = default_cycle_config().dimensionless
     record = run_cycle(CycleConfig(dimensionless=d, init_mode=FiniteDwell(dwell=3.0))).record
     values = np.array(record._quantized[0])
-    block = molcool.cycle._CSV_BLOCK_ROWS
+    block = molcool.cycle._BLOCK_ROWS
     prefix = np.array([[-1.5, 0.5, 2.0, 1.0, 0.75], [-0.0, 0.5, 2.0, 1.0, 0.75],
                        [0.0, 0.5, 2.0, 1.0, 0.75], [1e-5, 0.5, 2.0, 1.0, 0.75]])
     scattered = values[7998:8004].copy()
@@ -523,7 +526,7 @@ def test_csv_roundtrip_of_values_straddling_the_clip_edges(tmp_path_factory, col
 
 
 def test_csv_blocks_of_every_layout(tmp_path, monkeypatch):
-    block = molcool.cycle._CSV_BLOCK_ROWS
+    block = molcool.cycle._BLOCK_ROWS
     n = 3 * block
     # the first block holds negatives at its first cell, at the cell just
     # after its first "\n", mid-row, at a row's last cell and at its last cell
