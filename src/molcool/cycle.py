@@ -16,8 +16,9 @@ A `TimeSeriesRecord` is immutable.  Its construction rounds every value
 to the 12 significant digits the CSV prints and keeps the decimal
 digits that rounding computed, all in one row-major layout with one row
 per sample as in the CSV, so `emit_csv` builds each cell from them by
-table lookups of 4-byte words (or "%.11e", in a block holding a
-three-digit exponent), and no value's digits are worked out twice.
+four stores of overlapping 8- and 4-byte words looked up in tables (or
+"%.11e", in a block holding a three-digit exponent), and no value's
+digits are worked out twice.
 """
 
 from __future__ import annotations
@@ -144,6 +145,24 @@ _POW10 = np.array([float(10**k) for k in range(23)])  # every one an exact doubl
 _BLOCK_ROWS = 2048  # record rows per `_decimal12` call and per CSV block; bounds temporaries
 
 
+def _read_only(table: np.ndarray) -> np.ndarray:
+    table.flags.writeable = False
+    return table
+
+
+# floor(log10 2**n), n = b - 1023, for each biased exponent b: for no
+# 0 < |n| <= 1074 is n log10 2 within 4.5e-4 of an integer, so the floor
+# of its double product is the exact one
+_BINADE_LOG10 = _read_only(np.floor((np.arange(2048) - 1023) * np.log10(2.0)).astype(np.int16))
+# the power of ten that may lie inside binade b (inf at b = 2047, which no finite value has)
+with np.errstate(over="ignore"):
+    _TEN_ABOVE = _read_only(10.0 ** (_BINADE_LOG10 + 1.0))
+_k = np.clip(11 - (_BINADE_LOG10[:, None] + np.arange(2)), 0, 22).reshape(-1)
+_SCALE = _read_only(_POW10[_k])  # 10**k at 2 b + c, c = 1 for |x| at or above _TEN_ABOVE[b]
+_EXPONENT = _read_only((11 - _k).astype(np.int16))  # 11 - k, the exponent printed with it
+del _k
+
+
 def _decimal12(v: np.ndarray, out=None):
     """(q, d, e): q = float("%.11e" % x) for each x in the finite array v,
     of any shape, with the mantissa d (int64) and exponent e (int16) of
@@ -152,28 +171,33 @@ def _decimal12(v: np.ndarray, out=None):
     may be v itself; new arrays otherwise.
 
     Fast path (Clinger's exact case): |x| is multiplied by the exact power
-    p = 10**k, k = clip(11 - floor(log10|x|), 0, 22), and e = 11 - k.  The
-    product is correctly rounded, every half-integer below 10**12 is a
-    double and rounding is monotone, so a product not on a half lies on the
-    exact one's side of every half.  Where it lies in [10**11, 10**12) and
-    not on a half, its rint r is the printed mantissa; r / p, both operands
-    exact, is |q|.  The clip puts zero, |x| < 1e-11 and |x| >= 1e12
-    outside that range.  Those elements, a log10 estimate one off, a
-    mantissa that rounds up to 10**12 and the products on a half go
-    through `_printed_digits` (zero gives d = e = 0).
+    p = 10**k, k = clip(11 - floor(log10|x|), 0, 22), and e = 11 - k.
+    floor(log10|x|) is read from the biased exponent b of |x|: it is
+    `_BINADE_LOG10[b]`, plus one where |x| is at or above `_TEN_ABOVE[b]`,
+    the one power of ten that may lie inside that binade; p and e are
+    looked up from that one compare in the 2 x 2,048-entry `_SCALE` and
+    `_EXPONENT`.  The product is correctly rounded, every half-integer
+    below 10**12 is a double and rounding is monotone, so a product not on
+    a half lies on the exact one's side of every half.  Where it lies in
+    [10**11, 10**12) and not on a half, its rint r is the printed mantissa
+    whatever k was picked; r / p, both operands exact, is |q|.  The clip
+    puts zero, |x| < 1e-11 and |x| >= 1e12 outside that range.  Those
+    elements, a k one off (a power of ten rounded across |x|), a mantissa
+    that rounds up to 10**12 and the products on a half go through
+    `_printed_digits` (zero gives d = e = 0).
     Only a block that holds a sign bit has its signs copied back.
     """
     if out is None:
         out = (np.empty(v.shape), np.empty(v.shape, np.int64), np.empty(v.shape, np.int16))
     q, d, e = out
     a = np.abs(v)
-    with np.errstate(divide="ignore"):  # log10(0) = -inf, which clips to k = 22
-        k = np.log10(a)
-    np.floor(k, out=k)
-    np.subtract(11.0, k, out=k)
-    np.maximum(k, 0.0, out=k)
-    k = np.minimum(k, 22.0, out=k).astype(np.intp)
-    p = _POW10[k]
+    index = a.view(np.int64) >> 52  # b, then 2 b + c
+    p = np.take(_TEN_ABOVE, index)
+    index += index
+    np.add(index, 1, out=index, where=a >= p)
+    # every index is in range; mode "clip" writes into out unbuffered
+    np.take(_EXPONENT, index, out=e, mode="clip")
+    p = np.take(_SCALE, index, out=p, mode="clip")
     scaled = np.multiply(a, p, out=a)
     r = np.rint(scaled)
     frac = np.subtract(scaled, r)
@@ -187,9 +211,7 @@ def _decimal12(v: np.ndarray, out=None):
     # what these leave in the elements off the fast path is overwritten below
     abs_q = np.divide(r, p, out=scaled if signed else q)
     r.flat[slow] = 0.0
-    np.subtract(11, k, out=k)  # k is now the exponent
     np.copyto(d, r, casting="unsafe")
-    np.copyto(e, k, casting="unsafe")
     for i, (value, mantissa, exponent) in zip(slow.tolist(), printed):
         abs_q.flat[i], d.flat[i], e.flat[i] = value, mantissa, exponent
     if signed:
@@ -218,8 +240,10 @@ class TimeSeriesRecord:
     column arrays are read-only.  `_quantized` = (q, d, e) holds, in one
     row-major (samples, 5) layout as in the CSV, the values q rounded in
     place by `_decimal12`, `_BLOCK_ROWS` rows per call, and the
-    mantissas d and exponents e that print them, written there too, from
-    which `emit_csv` formats the cells one contiguous row block at a time.
+    mantissas d and exponents e that print them, written there too (e
+    looked up from each value's binary exponent and one compare), from
+    which `emit_csv` formats the cells one contiguous row block at a
+    time, four overlapping-word stores per cell (`_format_cells`).
     Each column is a view of q.
     """
 
@@ -562,31 +586,34 @@ def _digit_rows(places: int) -> np.ndarray:
 
 
 def _words(chars: np.ndarray) -> np.ndarray:
-    """A read-only flat table of the last-axis rows of a uint8 array of 2 or
-    4 columns, each row's bytes packed in memory order into one word."""
-    table = np.ascontiguousarray(chars).view(f"u{chars.shape[-1]}").reshape(-1)
-    table.flags.writeable = False
-    return table
+    """A read-only flat table of the last-axis rows of a uint8 array of 4
+    or 8 columns, each row's bytes packed in memory order into one word."""
+    return _read_only(np.ascontiguousarray(chars).view(f"u{chars.shape[-1]}").reshape(-1))
 
 
 _quad = _digit_rows(4)
-_QUAD = _words(_quad)  # "DDDD" at i: a mantissa's 4th to 7th or 8th to 11th digits
-_LEAD = _words(np.insert(_quad[:1000, 1:], 1, ord("."), axis=1))  # "D.DD" at i: its first three
+_QUAD = _words(_quad)  # "DDDD" at i: a mantissa's 5th to 8th or 9th to 12th digits
+_head = np.zeros((10_000, 8), dtype=np.uint8)
+_head[:, [0, 2, 3, 4]] = _quad
+_head[:, 1] = ord(".")
+_HEAD = _words(_head)  # "D.DDD" and 3 zero bytes at i: a mantissa's first four digits
 _exponent = np.arange(-99, 100)
-_tu = _digit_rows(2)[np.abs(_exponent)]  # the tens and units digits of each exponent
-_chars = np.empty((10, 199, 4), dtype=np.uint8)
-_chars[..., 0] = _DIGITS[:, None]
-_chars[..., 1] = ord("e")
-_chars[..., 2] = np.where(_exponent < 0, ord("-"), ord("+"))
-_chars[..., 3] = _tu[:, 0]
-_EXP = _words(_chars)  # "De±t" at D * 199 + e + 99
-# "u," at e + 99 and "u\n" at 199 + e + 99: the units digit and the separator
-_TAIL = _words(
-    np.stack([np.stack((_tu[:, 1], np.full(199, sep, np.uint8)), axis=1) for sep in b",\n"])
-)
-del _quad, _exponent, _tu, _chars
+_chars = np.zeros((2, 199, 8), dtype=np.uint8)
+_chars[..., 3] = ord("e")
+_chars[..., 4] = np.where(_exponent < 0, ord("-"), ord("+"))
+_chars[..., 5:7] = _digit_rows(2)[np.abs(_exponent)]
+_chars[..., 7] = np.frombuffer(b",\n", np.uint8)[:, None]
+_TAIL = _words(_chars)  # 3 zero bytes and "e±tu," at e + 99, "e±tu\n" at 199 + e + 99
+del _quad, _head, _exponent, _chars
 
-_CELL = np.dtype([("lead", "u4"), ("mid", "u4"), ("low", "u4"), ("exp", "u4"), ("tail", "u2")])
+# one 18-byte cell "D.DDDDDDDDDDDe±tu,": fields that overlap, stored in
+# this order, "mid" and "low" each over the zero bytes the store before left
+_CELL = np.dtype({
+    "names": ["head", "mid", "tail", "low"],
+    "formats": ["u8", "u4", "u8", "u4"],
+    "offsets": [0, 5, 10, 9],
+    "itemsize": 18,
+})
 
 
 def _format_cells(q: np.ndarray, d: np.ndarray, e: np.ndarray):
@@ -594,35 +621,35 @@ def _format_cells(q: np.ndarray, d: np.ndarray, e: np.ndarray):
     their `_decimal12` mantissas d and exponents e: each cell is
     `"%.11e" % x`, cells joined by "," and rows ended by "\n".
 
-    Each cell of |x| is one 18-byte `_CELL` record, filled word by word
-    from tables of 4-byte words: "D.DD" from `_LEAD`, the next two groups
-    of four digits from `_QUAD`, then the last digit, "e", the exponent's
-    sign and its tens digit from `_EXP`, and its units digit with the
-    separator from `_TAIL`.  A block whose negative cells are the first
-    column of its first rows, as a record's negative s are, is written as
-    those rows, each behind one "-", then the rest.  A block with any
-    other sign pattern, or holding a three-digit exponent (|x| < 1e-99 or
+    Each cell of |x| is one 18-byte `_CELL` record, filled by four stores
+    of overlapping words: "D.DDD" from `_HEAD` at d // 10**8 (8 bytes at
+    offset 0), the next four digits from `_QUAD` (at 5), "e", the
+    exponent's sign, tens and units digits and the separator from `_TAIL`
+    (8 bytes at 10), and the last four digits from `_QUAD` (at 9).  The
+    second and fourth stores overwrite the three zero bytes the store
+    before each left.  A block whose negative cells are the first column
+    of its first rows, as a record's negative s are, is written as those
+    rows, each behind one "-", then the rest.  A block with any other
+    sign pattern, or holding a three-digit exponent (|x| < 1e-99 or
     >= 1e100), which the tables do not cover, is printed value by value
-    with "%.11e".  The block comes back as a tuple of bytes-like parts:
-    a view of its cells, uncopied, behind the "-"-prefixed rows when it
-    has them, or the one bytes object printed value by value.
+    with "%.11e".  The block comes back as a tuple of bytes-like parts: a
+    view of its cells, uncopied, behind the "-"-prefixed rows when it has
+    them, or the one bytes object printed value by value.
     """
     negative = np.signbit(q)
     signed = np.count_nonzero(negative)
     if np.abs(e).max(initial=0) >= 100 or not (signed <= len(q) and negative[:signed, 0].all()):
         return ("".join(",".join(map(_fmt, row)) + "\n" for row in q.tolist()).encode(),)
     cells = np.empty(q.shape, dtype=_CELL)
-    tens = d // 10  # a floor division by a constant is far cheaper than divmod
-    last = d - tens * 10
-    upper = tens // 10_000
-    cells["low"] = np.take(_QUAD, tens - upper * 10_000)
-    lead = upper // 10_000
-    cells["mid"] = np.take(_QUAD, upper - lead * 10_000)
-    cells["lead"] = np.take(_LEAD, lead)
-    cells["exp"] = np.take(_EXP, last * 199 + (e + 99))
+    upper = d // 10_000  # a floor division by a constant is far cheaper than divmod
+    low = d - upper * 10_000
+    head = upper // 10_000
     tail = e + 99
     tail[:, -1] += 199
+    cells["head"] = np.take(_HEAD, head)
+    cells["mid"] = np.take(_QUAD, upper - head * 10_000)
     cells["tail"] = np.take(_TAIL, tail)
+    cells["low"] = np.take(_QUAD, low)
     if not signed:
         return (memoryview(cells.reshape(-1).view(np.uint8)),)
     # the negatives are the first column of the first rows, as a record's

@@ -2,18 +2,23 @@
 """One line per run of a seeded corpus of `run_cycle` runs, or per CLI call.
 
     python tests/corpus_digest.py [RUNS]
+    python tests/corpus_digest.py csv [RUNS]
     python tests/corpus_digest.py cli
 
 The first prints, for each run in order, its index and either the sha256
 of its record and summary, then apart from it its cross-check margins,
-or its refusal.  The second prints, for each argv of `CLI_ARGVS` (every
-command's help, usage errors and unknown words, none of which runs a
-cycle), the argv, the exit code of `molcool.cli.main` and the sha256 of
-its stdout and of its stderr, at 80 columns.  A change meant to move no
-byte is checked by running this script on the tree before it and on the
-tree after it and diffing the two listings: the diff names every run or
-call that moved, and a run whose digest holds moved in its margins
-alone.  The script imports the package from the `src` beside it.
+or its refusal.  The second prints, for each run that answers, its index
+and the sha256 of the bytes `emit_csv` writes for its record, so the CSV
+formatter is checked on every answered run, signed finite-dwell blocks
+and every shape included.  The third prints, for each argv of
+`CLI_ARGVS` (every command's help, usage errors and unknown words, none
+of which runs a cycle), the argv, the exit code of `molcool.cli.main`
+and the sha256 of its stdout and of its stderr, at 80 columns.  A change
+meant to move no byte is checked by running this script on the tree
+before it and on the tree after it and diffing the two listings: the
+diff names every run or call that moved, and a run whose digest holds
+moved in its margins alone.  The script imports the package from the
+`src` beside it.
 
 The corpus (48 runs unless RUNS is given) cycles through the four
 profile shapes, alternates the two init modes every four runs, and draws
@@ -32,6 +37,7 @@ import hashlib
 import io
 import os
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 from unittest import mock
@@ -91,19 +97,28 @@ def corpus(runs: int = RUNS):
     return configs
 
 
-def run_lines(runs: int = RUNS) -> list[str]:
-    """The listing's lines over the corpus's first `runs` runs, in order."""
+def results(runs: int = RUNS):
+    """(index, `run_cycle` result or the exception refusing it) of each of
+    the corpus's first `runs` runs, in order."""
     from molcool.cycle import run_cycle
     from molcool.errors import SolverCrossCheckError, SolverError
 
-    lines = []
     for i, cfg in enumerate(corpus(runs)):
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
                 result = run_cycle(cfg)
         except (ValueError, SolverError, SolverCrossCheckError) as exc:
-            lines.append(f"{i:2} refused {type(exc).__name__}: {exc}")
+            result = exc
+        yield i, result
+
+
+def run_lines(runs: int = RUNS) -> list[str]:
+    """The listing's lines over the corpus's first `runs` runs, in order."""
+    lines = []
+    for i, result in results(runs):
+        if isinstance(result, Exception):
+            lines.append(f"{i:2} refused {type(result).__name__}: {result}")
             continue
         answer = hashlib.sha256()
         for array in result.record._quantized:
@@ -112,6 +127,21 @@ def run_lines(runs: int = RUNS) -> list[str]:
         margins = " ".join(f"{route} {margin!r} at s = {s!r}"
                            for route, (margin, s) in sorted(result.margins.items()))
         lines.append(f"{i:2} {answer.hexdigest()} margins {margins}")
+    return lines
+
+
+def csv_lines(runs: int = RUNS) -> list[str]:
+    """The CSV listing's lines over the answered runs among the corpus's
+    first `runs`, in order: index and sha256 of the run's `cycle.csv`."""
+    from molcool.cycle import emit_csv
+
+    lines = []
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cycle.csv"
+        for i, result in results(runs):
+            if not isinstance(result, Exception):
+                emit_csv(result.record, path)
+                lines.append(f"{i:2} csv {hashlib.sha256(path.read_bytes()).hexdigest()}")
     return lines
 
 
@@ -146,6 +176,8 @@ def main(argv) -> None:
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
     if argv == ["cli"]:
         print("\n".join(cli_lines()))
+    elif argv[:1] == ["csv"]:
+        print("\n".join(csv_lines(int(argv[1]) if argv[1:] else RUNS)))
     else:
         print("\n".join(run_lines(int(argv[0]) if argv else RUNS)))
 

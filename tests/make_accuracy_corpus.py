@@ -83,6 +83,10 @@ GRID = tuple(
     {"theta0": theta0, "r": r, "g": g, "horizon": 10.0,
      "region": f"grid r={r:g} theta0={theta0:g}"}
     for r in (3.0, 1.2, 8.0) for theta0 in (1e-3, 0.1, 3.0) for g in (1.0, 10.0, 100.0)
+) + tuple(
+    # and at r = 3, g at both ends of the envelope, each g its own region
+    {"theta0": theta0, "r": 3.0, "g": g, "horizon": 10.0, "region": f"grid r=3 g={g:g}"}
+    for g in (1e-2, 3e3) for theta0 in (1e-3, 0.1, 3.0)
 )
 # the envelope's ends, each with the start of the message it is refused with
 REFUSED = (
@@ -118,6 +122,12 @@ TOLERANCES = {
     "grid r=8 theta0=0.1": {"min_t_ratio": 1.2e-7, "recovery_s": 4.0e-8, "mean_n": 5.2e-12},
     # the closed theta0 r = 24 leaves n ~ 4e-11, whose digits eta - 1 loses
     "grid r=8 theta0=3": {"min_t_ratio": 1.4e-7, "recovery_s": 2.9e-7, "mean_n": 6.2e-5},
+    # the grid's g ends at r = 3, theta0 in {1e-3, 0.1, 3}: at g = 0.01 the
+    # recovery lies past the horizon (s ~ 467-541), so the run must report
+    # none; at g = 3e3 the least T_ratio is above the target, so recovery
+    # is the argmin, to a sample
+    "grid r=3 g=0.01": {"min_t_ratio": 4.2e-8, "recovery_s": 0.0, "mean_n": 3.3e-10},
+    "grid r=3 g=3000": {"min_t_ratio": 7.8e-11, "recovery_s": 3.1e-4, "mean_n": 1.6e-12},
 }
 
 
@@ -221,11 +231,14 @@ def reference(point, argmin_s, spacing):
 def errors(point, result):
     """|printed - true| of each quantity of a `run_cycle` result, the
     worst mean_n relative."""
-    record = result.record
+    record, recovery = result.record, result.summary.recovery
     at = [int(np.abs(record.s - float(s)).argmin()) for s in point["mean_n"]]
+    # a recovery past the horizon must be reported as none, and one within it found
+    within = point["recovery_s"] <= point["horizon"]
     return {
         "min_t_ratio": abs(result.summary.min_t_ratio - point["min_t_ratio"]),
-        "recovery_s": abs(result.summary.recovery.s - point["recovery_s"]),
+        "recovery_s": abs(recovery.s - point["recovery_s"]) if recovery.recovered and within
+        else 0.0 if recovery.recovered == within else math.inf,
         "mean_n": max(
             abs(float(record.mean_n[k]) / n - 1.0) for k, n in zip(at, point["mean_n"].values())
         ),

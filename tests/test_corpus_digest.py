@@ -2,13 +2,14 @@
 corpus of `run_cycle` runs, one line each, so that a change meant to move
 no output byte can be checked against the tree before it."""
 
+import hashlib
 import re
 
 import numpy as np
 
 import corpus_digest
 from molcool import solver
-from molcool.cycle import FiniteDwell, ThermalClosed, _plan_segments
+from molcool.cycle import CSV_HEADER, FiniteDwell, ThermalClosed, _plan_segments
 from molcool.profiles import ProfileShape
 
 
@@ -21,6 +22,22 @@ def test_corpus_digest_is_deterministic():
     assert [line[:2] for line in lines] == [" 0", " 1", " 2", " 3"]
     assert all(answered.match(line) or refused.match(line) for line in lines)
     assert any(answered.match(line) for line in lines)
+
+
+def test_csv_listing_digests_python_format_of_each_answered_run():
+    # runs 4 to 7 are finite-dwell, so their records start at negative s
+    expected, signed = [], 0
+    for i, result in corpus_digest.results(8):
+        if isinstance(result, Exception):
+            continue
+        rows = np.stack([getattr(result.record, name) for name in CSV_HEADER.split(",")], axis=1)
+        text = CSV_HEADER + "\n" + "".join(
+            ",".join(f"{v:.11e}" for v in row) + "\n" for row in rows.tolist()
+        )
+        expected.append(f"{i:2} csv {hashlib.sha256(text.encode()).hexdigest()}")
+        signed += bool(result.record.s[0] < 0.0)
+    assert corpus_digest.csv_lines(8) == expected
+    assert len(expected) >= 5 and signed >= 2
 
 
 def test_corpus_covers_every_shape_both_modes_and_kinked_grids():

@@ -97,6 +97,12 @@ CLIP_EDGES = sorted(
         )
     }
 )
+# every power of ten from 1e-300 to 1e300, where `_decimal12`'s one compare
+# may split a binade, and its neighbours on either side
+POWERS_OF_TEN = [
+    float(x) for n in range(-300, 301)
+    for x in (float(f"1e{n}"), *np.nextafter(float(f"1e{n}"), [0.0, np.inf]))
+]
 # values whose "%.11e" digits leave the decimal kernel's fast path, or sit
 # where a one-off exponent or a wrong rounding direction would show
 FORMAT_EDGE_CASES = [
@@ -112,6 +118,8 @@ FORMAT_EDGE_CASES = [
     1.7976931348623157e308,
     *CLIP_EDGES,
     *(-v for v in CLIP_EDGES),
+    *POWERS_OF_TEN,
+    *(-v for v in POWERS_OF_TEN),
 ]
 
 
@@ -307,22 +315,50 @@ def table_entries(table):
 
 def test_cell_tables_match_python_format():
     cycle = molcool.cycle
-    for table in (cycle._LEAD, cycle._QUAD, cycle._EXP):
-        assert table.dtype.itemsize == 4
-    lead = [f"{i // 100}.{i % 100:02d}".encode() for i in range(1000)]
-    assert table_entries(cycle._LEAD) == lead
-    assert table_entries(cycle._QUAD) == [f"{i:04d}".encode() for i in range(10_000)]
-    # the last mantissa digit D, the exponent and the separator
-    narrow = table_entries(cycle._EXP)
-    tails = table_entries(cycle._TAIL)
-    assert [
-        narrow[digit * 199 + e + 99] + tails[last * 199 + e + 99]
-        for digit in range(10) for last in (0, 1) for e in range(-99, 100)
-    ] == [
-        f"{digit}e{e:+03d}{sep}".encode()
-        for digit in range(10) for sep in ",\n" for e in range(-99, 100)
+    # "D.DDD" and 3 zero bytes, which the next store overwrites ("0.000" is zero's)
+    assert table_entries(cycle._HEAD) == [
+        f"{i // 1000}.{i % 1000:03d}".encode() + bytes(3) for i in range(10_000)
     ]
-    for table in (cycle._LEAD, cycle._QUAD, cycle._EXP, cycle._TAIL):
+    assert table_entries(cycle._QUAD) == [f"{i:04d}".encode() for i in range(10_000)]
+    # 3 zero bytes, which the last store overwrites, the exponent and the separator
+    assert table_entries(cycle._TAIL) == [
+        bytes(3) + f"e{e:+03d}{sep}".encode() for sep in ",\n" for e in range(-99, 100)
+    ]
+    for table in (cycle._HEAD, cycle._QUAD, cycle._TAIL):
+        assert not table.flags.writeable
+
+
+def test_cells_at_every_exponent_and_mantissa_edge_print_like_python():
+    # every two-digit exponent, with the first four digits 1000 or 9999 and
+    # each later group of four 0000 or 9999, before "," and before "\n"
+    mantissas = [f"{h}{m}{low}" for h in ("1000", "9999")
+                 for m in ("0000", "9999") for low in ("0000", "9999")]
+    values = [float(f"{m[0]}.{m[1:]}e{e:+03d}") for e in range(-99, 100) for m in mantissas]
+    _, d, e = _decimal12(np.array(values))
+    assert [f"{x:012d}" for x in d.tolist()] == mantissas * 199
+    assert sorted(set(e.tolist())) == list(range(-99, 100))
+    block = np.column_stack([values, values])
+    out = format_rows(block)
+    assert out == python_csv_rows(block.tolist())
+    assert b"\0" not in out
+
+
+def exact_floor_log10_of_power_of_two(n: int) -> int:
+    """floor(log10 2**n), in Python integers: 2**n has that many digits
+    less one for n >= 0; for n < 0, 10**-F is the least power of ten above
+    2**-n, never equal to it."""
+    return len(str(2**n)) - 1 if n >= 0 else -len(str(2**-n))
+
+
+def test_exponent_tables_hold_each_binade_floor_log10():
+    cycle = molcool.cycle
+    floors = cycle._BINADE_LOG10.tolist()
+    assert floors[1:2047] == [exact_floor_log10_of_power_of_two(b - 1023) for b in range(1, 2047)]
+    # at 2 b + c: c = 1 past the binade's power of ten, the clipped scale and its exponent
+    k = np.clip(11 - (np.array(floors)[:, None] + np.arange(2)), 0, 22).reshape(-1)
+    assert cycle._EXPONENT.tolist() == (11 - k).tolist()
+    assert cycle._SCALE.tolist() == [float(10**i) for i in k.tolist()]
+    for table in (cycle._BINADE_LOG10, cycle._TEN_ABOVE, cycle._SCALE, cycle._EXPONENT):
         assert not table.flags.writeable
 
 
