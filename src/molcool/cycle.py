@@ -192,19 +192,19 @@ def _decimal12(v: np.ndarray, out=None):
     q, d, e = out
     a = np.abs(v)
     index = a.view(np.int64) >> 52  # b, then 2 b + c
-    p = np.take(_TEN_ABOVE, index)
+    p = _TEN_ABOVE.take(index)
     index += index
     np.add(index, 1, out=index, where=a >= p)
     # every index is in range; mode "clip" writes into out unbuffered
-    np.take(_EXPONENT, index, out=e, mode="clip")
-    p = np.take(_SCALE, index, out=p, mode="clip")
+    _EXPONENT.take(index, out=e, mode="clip")
+    p = _SCALE.take(index, out=p, mode="clip")
     scaled = np.multiply(a, p, out=a)
     r = np.rint(scaled)
     frac = np.subtract(scaled, r)
     slow = np.abs(frac, out=frac) == 0.5
     slow |= scaled < 1e11
     slow |= r >= 1e12
-    slow = np.flatnonzero(slow)
+    slow = slow.ravel().nonzero()[0]
     # read from v before q, which may be v, is written
     printed = [_printed_digits(abs(x)) for x in v.flat[slow].tolist()]
     signed = np.signbit(v).any()
@@ -238,13 +238,15 @@ class TimeSeriesRecord:
 
     A record is immutable: its fields cannot be reassigned and its
     column arrays are read-only.  `_quantized` = (q, d, e) holds, in one
-    row-major (samples, 5) layout as in the CSV, the values q rounded in
-    place by `_decimal12`, `_BLOCK_ROWS` rows per call, and the
+    row-major (samples, 5) layout as in the CSV, the values q, each
+    column stored into q in place and rounded there by `_decimal12`,
+    `_BLOCK_ROWS` rows per call, and the
     mantissas d and exponents e that print them, written there too (e
     looked up from each value's binary exponent and one compare), from
     which `emit_csv` formats the cells one contiguous row block at a
     time, four overlapping-word stores per cell (`_format_cells`).
-    Each column is a view of q.
+    Each column is a view of q.  The sample times must increase strictly
+    as printed: each rounded s is compared with the one before it.
     """
 
     s: np.ndarray
@@ -259,7 +261,9 @@ class TimeSeriesRecord:
         n = cols[0].size
         if any(c.size != n for c in cols):
             raise ValueError("record columns must have equal length")
-        q = np.stack(cols, axis=1)
+        q = np.empty((n, len(cols)))
+        for j, column in enumerate(cols):
+            q[:, j] = column
         if not np.isfinite(q).all():
             raise ValueError("record values must all be finite")
         d = np.empty(q.shape, np.int64)
@@ -272,7 +276,8 @@ class TimeSeriesRecord:
         for name, column in zip(_COLUMNS, q.T):
             object.__setattr__(self, name, column)
         object.__setattr__(self, "_quantized", (q, d, e))
-        if n >= 2 and not np.all(np.diff(self.s) > 0.0):
+        s = q[:, 0]
+        if not (s[1:] > s[:-1]).all():
             raise ValueError("sample times must be strictly increasing")
 
     def __len__(self) -> int:
@@ -646,10 +651,10 @@ def _format_cells(q: np.ndarray, d: np.ndarray, e: np.ndarray):
     head = upper // 10_000
     tail = e + 99
     tail[:, -1] += 199
-    cells["head"] = np.take(_HEAD, head)
-    cells["mid"] = np.take(_QUAD, upper - head * 10_000)
-    cells["tail"] = np.take(_TAIL, tail)
-    cells["low"] = np.take(_QUAD, low)
+    cells["head"] = _HEAD.take(head)
+    cells["mid"] = _QUAD.take(upper - head * 10_000)
+    cells["tail"] = _TAIL.take(tail)
+    cells["low"] = _QUAD.take(low)
     if not signed:
         return (memoryview(cells.reshape(-1).view(np.uint8)),)
     # the negatives are the first column of the first rows, as a record's

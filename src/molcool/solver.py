@@ -39,7 +39,11 @@ strictly inside an interval, which covers both reference commands,
 every c_k is one c, and every factor the pass of stride 2^p reads is
 c^(2^p), built by repeated squaring: `_scan_one_factor` carries each
 pass with one float and squares it, with no factor array and the same
-bits.  In this form constant
+bits.  Every held interval's x_k is one value, so after each pass every
+x from a boundary on, which moves up by the pass's stride from the
+hold's first interval, is one value: `_scan_one_factor` carries that
+value as one float too, works each pass only below the boundary and
+writes the tail once.  In this form constant
 forcing adds exactly nothing, a fixed point stays put exactly and g = 0
 freezes eta.  It is still RK4, with RK4's O(h^4) error against the
 kernel route's quadrature error, so the cross-check keeps its
@@ -71,20 +75,21 @@ depends on g D alone: it reaches 1e-13 at g D = 4.23775 with the nodes
 as `_rule_tables` forms them (4.23784 with them exact).  `_substeps`
 refuses a run whose g D, over the width horizon/n, passes `_MAX_GD`.
 The recurrence
-eta[k+1] = decay_k eta[k] + integral_k is a Python loop (each step needs
-the last), run in place in the preallocated eta array through
-memoryviews: no sample passes through a Python list, whose float objects
-would keep their allocator's arenas resident past the route.  The
+eta[k+1] = decay_k eta[k] + integral_k is a Python generator (each step
+needs the last) that `np.fromiter` reads into an array, with the same
+multiply and add per step: its operands come through memoryviews, so no
+sample passes through a Python list, whose float objects would keep
+their allocator's arenas resident past the route.  The
 intervals' widths take a handful of values, the width classes (about 14
 on a linspace grid), found by `np.sort`, an adjacent-difference mask and
 `np.searchsorted`, and each class's decay is one Python float.  Before
-the hold `_propagate` reads each step's integral from an array; in the
-hold `_propagate_held` indexes the class's held integral as a Python
-float too, so a held step reads only its class id from an array.  The
-kernel route calls no `np.unique`, the stepper calls it with an index
-output only, and neither calls `np.union1d`: in numpy 2 those take a
-hashing path whose masked-array check imports `numpy.ma`, which a run
-does not need.
+the hold `_propagate` reads each step's decay and integral from arrays
+(the decays gathered by `np.take`); in the hold `_propagate_held`
+indexes the class's decay and held integral as Python floats, so a held
+step reads only its class id from an array.  The kernel route calls no
+`np.unique`, the stepper calls it with an index output only, and neither
+calls `np.union1d`: in numpy 2 those take a hashing path whose
+masked-array check imports `numpy.ma`, which a run does not need.
 
 Both routes do the work of a held stretch once.  From the profile's
 `hold_start` on, `omega_at` returns the same bits at every s, so the
@@ -182,8 +187,10 @@ def _substeps(horizon: float, g: float) -> int:
     Refused, in this order: a sample grid `_check_run` refuses; a g D past
     `_MAX_GD` over the sample width D = horizon/n, which the kernel
     quadrature does not resolve; and more than `_MAX_STAGE_POINTS` substep
-    edges and midpoints, 2 m n + 1, which bounds every per-sample array
-    (about 140 B per sample: horizon 1000 at m = 5 peaks at 309 MB).  m is
+    edges and midpoints, 2 m n + 1, which bounds every per-sample array.
+    A run holds about 140 B per sample when its opening holds from s = 1
+    (horizon 1000 at m = 5 peaks at 309 MB), and 465 B per sample when a
+    ramp lasts the whole horizon at m = 5 (README).  m is
     the least count whose substep h = D/m is at most `STEP_SIZE` and puts
     g h at most `_MAX_GH`.
     """
@@ -292,21 +299,32 @@ def _scan(c, x) -> None:
         stride *= 2
 
 
-def _scan_one_factor(c: float, x) -> None:
-    """`_scan` of maps e -> c e + x[i] that share one factor c, x in place.
+def _scan_one_factor(c: float, x, held: int) -> None:
+    """`_scan` of maps e -> c e + x[i] that share one factor c, x in place,
+    every x[i] from i = `held` on one value.
 
     At the pass of stride 2^p every factor `_scan` multiplies x by is
     c^(2^p), which it builds by repeated squaring, so one float carries
     the pass and is then squared: the same roundings, bit for bit, with no
-    factor array.
+    factor array.  Past `live`, at first `held`, every x[i] is one value v:
+    a pass of stride d adds c^d v to v there, and `live` moves up by d.  So
+    each pass fills only the slots it newly reads with v and works on
+    x[d : live + d], and the tail is written once, at the end.
     """
     n = x.size
     buf = np.empty(n)
+    live = held
+    v = float(x[held]) if held < n else 0.0
     stride = 1
     while stride < n:
-        x[stride:] += np.multiply(x[:-stride], c, out=buf[: n - stride])
+        end = min(n, live + stride)
+        x[live:end] = v
+        x[stride:end] += np.multiply(x[: end - stride], c, out=buf[: end - stride])
+        v += v * c
+        live += stride
         c *= c
         stride *= 2
+    x[live:] = v
 
 
 def evolve_eta_ode(
@@ -342,7 +360,10 @@ def evolve_eta_ode(
     h = horizon / (m * n_intervals)
     # the stages of the intervals before the hold, j h/2 from each sample;
     # u[-1] sits at the first held interval's start, or at the horizon
-    u = forcing(np.append((s[:n_ramp, None] + 0.5 * h * np.arange(2 * m)).ravel(), s[n_ramp]))
+    points = np.empty(2 * m * n_ramp + 1)
+    np.add(s[:n_ramp, None], 0.5 * h * np.arange(2 * m), out=points[:-1].reshape(n_ramp, 2 * m))
+    points[-1] = s[n_ramp]
+    u = forcing(points)
     alpha, q = _substep_coefficients(g, h)
     r = 1.0 - g * alpha
     # m substeps from sample k: eta + A (u0[k] - g eta) + drive[k], with
@@ -370,7 +391,7 @@ def evolve_eta_ode(
         _split_at_kinks(k_of, kinks, s, m, h, g, eta0, forcing, c, x)
         _scan(c, x)
     else:
-        _scan_one_factor(c, x)
+        _scan_one_factor(c, x, n_ramp)
     return EtaTrajectory(s, _checked_eta(s, np.add(e, eta0, out=e)), h)
 
 
@@ -421,7 +442,7 @@ def evolve_eta_closed_form(
     whole[k_of] = False
     integrals = np.empty(n_ramp)
     ramp_id = width_id[:n_ramp][whole]
-    integrals[whole] = _rule(forcing, s[:n_ramp][whole], [t[ramp_id] for t in tables])
+    integrals[whole] = _rule(forcing, s[:n_ramp][whole], [t.take(ramp_id, axis=0) for t in tables])
     if k_of.size:
         split = np.flatnonzero(~whole)
         cuts = [np.concatenate([s[k : k + 1], kinks[k_of == k], s[k + 1 : k + 2]]) - s[k]
@@ -431,7 +452,7 @@ def evolve_eta_closed_form(
         hi = np.concatenate([cut[1:] for cut in cuts])
         pieces = _rule(forcing, s[rows], _rule_tables(g, lo, hi, widths[rows]))
         integrals[split] = np.bincount(rows, weights=pieces)[split]
-    _propagate(eta, 0, memoryview(np.array(decays)[width_id[:n_ramp]]), integrals)
+    _propagate(eta, 0, memoryview(np.take(decays, width_id[:n_ramp])), integrals)
     if n_ramp < widths.size:
         # the hold starts inside the horizon.  A state at the held forcing's
         # equilibrium stays there; the recurrence would move it, since decay
@@ -469,28 +490,30 @@ def _rule(forcing, start, tables):
 
 def _propagate(eta, k, decays, integrals) -> None:
     """eta[k+1+i] = decays[i] eta[k+i] + integrals[i] for every i, in place in
-    the float64 array eta.  eta and the float64 array integrals are accessed
-    through memoryviews, and decays should be one too, so no sample is held
-    in a Python list."""
-    out = memoryview(eta)
-    value = out[k]
-    for decay, integral in zip(decays, memoryview(integrals)):
-        value = decay * value + integral
-        k += 1
-        out[k] = value
+    the float64 array eta, from a generator of the steps' values that
+    `np.fromiter` reads into an array.  The float64 array integrals is read
+    through a memoryview, and decays should be one too, so no sample is
+    held in a Python list."""
+    def steps(value):
+        for decay, integral in zip(decays, memoryview(integrals)):
+            value = decay * value + integral
+            yield value
+
+    eta[k + 1 : k + 1 + integrals.size] = np.fromiter(steps(float(eta[k])), float, integrals.size)
 
 
 def _propagate_held(eta, k, width_id, decays, held) -> None:
     """`_propagate` over held intervals, whose decay and integral are those
     of their width class: eta[k+1+i] = decays[c] eta[k+i] + held[c] with
     c = width_id[i], from Python floats one per class (a handful), the
-    class ids read through a memoryview."""
-    out = memoryview(eta)
-    value = out[k]
-    for c in memoryview(width_id):
-        value = decays[c] * value + held[c]
-        k += 1
-        out[k] = value
+    class ids read through a memoryview and the steps' values yielded to
+    `np.fromiter` as there."""
+    def steps(value):
+        for c in memoryview(width_id):
+            value = decays[c] * value + held[c]
+            yield value
+
+    eta[k + 1 : k + 1 + width_id.size] = np.fromiter(steps(float(eta[k])), float, width_id.size)
 
 
 RECOVERY_TARGET = 0.997  # T_ratio a run must climb back to

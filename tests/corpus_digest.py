@@ -4,6 +4,7 @@
     python tests/corpus_digest.py [RUNS]
     python tests/corpus_digest.py csv [RUNS]
     python tests/corpus_digest.py cli
+    python tests/corpus_digest.py all > tests/corpus_listing.txt
 
 The first prints, for each run in order, its index and either the sha256
 of its record and summary, then apart from it its cross-check margins,
@@ -13,12 +14,14 @@ formatter is checked on every answered run, signed finite-dwell blocks
 and every shape included.  The third prints, for each argv of
 `CLI_ARGVS` (every command's help, usage errors and unknown words, none
 of which runs a cycle), the argv, the exit code of `molcool.cli.main`
-and the sha256 of its stdout and of its stderr, at 80 columns.  A change
-meant to move no byte is checked by running this script on the tree
-before it and on the tree after it and diffing the two listings: the
-diff names every run or call that moved, and a run whose digest holds
-moved in its margins alone.  The script imports the package from the
-`src` beside it.
+and the sha256 of its stdout and of its stderr, at 80 columns.  The
+fourth prints the three full listings one after another, which
+`tests/corpus_listing.txt` pins: a test regenerates them and compares, so
+a change meant to move no byte is checked by the test suite, and the
+diff names every run or call that moved (a run whose digest holds moved
+in its margins alone).  A change meant to move bytes regenerates the file
+with this command.  The script imports the package from the `src` beside
+it.
 
 The corpus (48 runs unless RUNS is given) cycles through the four
 profile shapes, alternates the two init modes every four runs, and draws
@@ -172,10 +175,17 @@ def cli_lines() -> list[str]:
     return lines
 
 
+def all_lines() -> list[str]:
+    """The three full listings, runs, CSVs and CLI calls, one after another."""
+    return run_lines() + csv_lines() + cli_lines()
+
+
 def main(argv) -> None:
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
     if argv == ["cli"]:
         print("\n".join(cli_lines()))
+    elif argv == ["all"]:
+        print("\n".join(all_lines()))
     elif argv[:1] == ["csv"]:
         print("\n".join(csv_lines(int(argv[1]) if argv[1:] else RUNS)))
     else:

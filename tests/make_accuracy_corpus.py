@@ -84,9 +84,9 @@ GRID = tuple(
      "region": f"grid r={r:g} theta0={theta0:g}"}
     for r in (3.0, 1.2, 8.0) for theta0 in (1e-3, 0.1, 3.0) for g in (1.0, 10.0, 100.0)
 ) + tuple(
-    # and at r = 3, g at both ends of the envelope, each g its own region
-    {"theta0": theta0, "r": 3.0, "g": g, "horizon": 10.0, "region": f"grid r=3 g={g:g}"}
-    for g in (1e-2, 3e3) for theta0 in (1e-3, 0.1, 3.0)
+    # and at r in {3, 1.2, 8}, g at both ends of the envelope, each (r, g) its own region
+    {"theta0": theta0, "r": r, "g": g, "horizon": 10.0, "region": f"grid r={r:g} g={g:g}"}
+    for r in (3.0, 1.2, 8.0) for g in (1e-2, 3e3) for theta0 in (1e-3, 0.1, 3.0)
 )
 # the envelope's ends, each with the start of the message it is refused with
 REFUSED = (
@@ -128,6 +128,14 @@ TOLERANCES = {
     # is the argmin, to a sample
     "grid r=3 g=0.01": {"min_t_ratio": 4.2e-8, "recovery_s": 0.0, "mean_n": 3.3e-10},
     "grid r=3 g=3000": {"min_t_ratio": 7.8e-11, "recovery_s": 3.1e-4, "mean_n": 1.6e-12},
+    # the same ends at r = 1.2 and 8: at g = 0.01 recovery lies past the
+    # horizon (s ~ 390-568), at g = 3e3 it is the argmin, to a sample; at
+    # r = 8, theta0 = 3 the closed theta0 r = 24 leaves n ~ 4e-11, whose
+    # digits eta - 1 loses
+    "grid r=1.2 g=0.01": {"min_t_ratio": 9.4e-9, "recovery_s": 0.0, "mean_n": 1.3e-11},
+    "grid r=1.2 g=3000": {"min_t_ratio": 1.1e-12, "recovery_s": 8.2e-5, "mean_n": 1.6e-12},
+    "grid r=8 g=0.01": {"min_t_ratio": 1.2e-7, "recovery_s": 0.0, "mean_n": 3.2e-4},
+    "grid r=8 g=3000": {"min_t_ratio": 2.5e-10, "recovery_s": 2.5e-4, "mean_n": 3.6e-8},
 }
 
 

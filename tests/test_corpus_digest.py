@@ -4,6 +4,7 @@ no output byte can be checked against the tree before it."""
 
 import hashlib
 import re
+from pathlib import Path
 
 import numpy as np
 
@@ -67,3 +68,11 @@ def test_cli_listing_names_each_call_with_its_exit_code():
     # help answers, and every other call is a usage error
     assert [code for _, code in calls] == ["0" if "--help" in argv else "2" for argv in argvs]
     assert len(lines) == 16
+
+
+def test_listings_match_the_pinned_file():
+    # every run's record, summary, margins and CSV bytes, and every CLI
+    # message, as `corpus_digest.py all` wrote them into the pinned file
+    pinned = (Path(__file__).parent / "corpus_listing.txt").read_text().splitlines()
+    assert len(pinned) == 48 + 45 + 16
+    assert corpus_digest.all_lines() == pinned

@@ -476,6 +476,13 @@ def test_record_validation():
             s=[0.0, 0.0], omega_over_omega1=[1.0, 1.0], eta=[2.0, 2.0],
             mean_n=[1.0, 1.0], T_ratio=[1.0, 1.0],
         )
+    # 1.0 and 1.0 + 1e-13 differ as floats but print the same 12 digits:
+    # the check reads the quantized s
+    with pytest.raises(ValueError, match="strictly increasing"):
+        TimeSeriesRecord(
+            s=[1.0, 1.0 + 1e-13], omega_over_omega1=[1.0, 1.0], eta=[2.0, 2.0],
+            mean_n=[1.0, 1.0], T_ratio=[1.0, 1.0],
+        )
     with pytest.raises(ValueError, match="finite"):
         TimeSeriesRecord(
             s=[0.0, 1.0], omega_over_omega1=[1.0, np.inf], eta=[2.0, 2.0],
@@ -820,6 +827,14 @@ def test_run_cycle_evaluates_no_hold_it_does_not_reach():
     )
     assert summary.recovery.s == 0.0
     assert result.margins == {"solver": (8.060219156471747e-14, 2.0)}
+
+
+def test_reference_commands_keep_their_solver_margins(default_result):
+    # `reproduce-fig4` and `cycle --init-mode finite-dwell --dwell 3`: a
+    # change meant to move no bit keeps each check's margin and its s
+    assert default_result.margins == {"solver": (1.3164140542522728e-13, 7.439)}
+    dwell = run_cycle(replace(default_cycle_config(), init_mode=FiniteDwell(dwell=3.0)))
+    assert dwell.margins == {"solver": (1.316174905170842e-13, 5.363)}
 
 
 def test_kinks_inside_substeps_keep_the_fixed_step_order():

@@ -470,13 +470,17 @@ def test_scan_composes_the_routes_split_maps_like_a_loop(monkeypatch):
     assert_scan_matches_loop(c, x)
 
 
+@pytest.mark.parametrize("start", ["0", "1", "n//3", "n-1", "n"])
 @pytest.mark.parametrize("n", [1, 2, 3, 1023, 1024, 1025, 20000])
-def test_one_factor_scan_is_the_scan_bit_for_bit(n):
+def test_one_factor_scan_is_the_scan_bit_for_bit(n, start):
+    # x is one value from the held start on, as the RK4 route's held intervals are
+    held = {"0": 0, "1": 1, "n//3": n // 3, "n-1": n - 1, "n": n}[start]
     rng = np.random.default_rng(n)
     c, x = float(rng.uniform(0.9, 1.0)), rng.uniform(-1.0, 1.0, n)
+    x[held:] = rng.uniform(-1.0, 1.0)
     scanned = x.copy()
     _scan(np.full(n, c), scanned)
-    _scan_one_factor(c, x)
+    _scan_one_factor(c, x, held)
     assert x.tobytes() == scanned.tobytes()
 
 
@@ -486,7 +490,7 @@ def test_rk4_route_scans_one_factor_exactly_without_a_kink_inside(kinked, monkey
     # profile of the test above has kinks strictly inside three intervals
     scans = []
     monkeypatch.setattr("molcool.solver._scan", lambda c, x: scans.append("factors"))
-    monkeypatch.setattr("molcool.solver._scan_one_factor", lambda c, x: scans.append("one"))
+    monkeypatch.setattr("molcool.solver._scan_one_factor", lambda c, x, held: scans.append("one"))
     if kinked:
         profile = FrequencyProfile(
             shape=ProfileShape.PIECEWISE_LINEAR,
