@@ -6,10 +6,8 @@ on threads, at least 1, that the one thread always meets),
 `convert-units` (dimensionless <-> SI), `reproduce-fig4` (the pinned
 reference cycle with its two anchors checked).
 
-`main` builds a new parser on every call, with the subparser of the
-command it invokes alone (`build_parser`); its usage names every
-command, as argparse's own usage, help and error lines do when no
-command is named and all four are built.
+`main` parses with one parser per process (`build_parser`), which holds
+every command's subparser and is built at the first call.
 
 Exit codes: 0 success, 1 reference-anchor failure, 2 validation error or a
 run the solver cannot finish, 3 solver cross-check failure, 4 I/O error.
@@ -18,6 +16,7 @@ run the solver cannot finish, 3 solver cross-check failure, 4 I/O error.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -111,25 +110,17 @@ def _add_convert_units_flags(sub):
     sub.add_argument("--tau-open", type=float, default=None, help="opening duration, s")
 
 
-def build_parser(argv=None) -> argparse.ArgumentParser:
-    """The `molcool` parser for `argv`: the subparser of the command
-    argv[0] names alone, to which argparse hands every later word, under
-    the usage `{cycle,sweep,convert-units,reproduce-fig4}` that argparse
-    prints for all four; or every command's subparser when argv names
-    none first or is not given."""
+@functools.cache
+def build_parser() -> argparse.ArgumentParser:
+    """The `molcool` parser, with every command's subparser, built once per
+    process.  Parsing leaves it as it is, and argparse reads the terminal's
+    width each time it formats help or usage, so every call may share it."""
     parser = argparse.ArgumentParser(
         prog="molcool",
         description="Cooling cycles of a damped oscillator with a time-dependent frequency.",
     )
-    named = argv[:1] if argv and argv[0] in _COMMANDS else []
-    # a metavar would also rename "command" in the errors of a call that
-    # names none, so it is given only where one subparser would narrow the usage
-    commands = parser.add_subparsers(
-        dest="command", required=True,
-        metavar="{" + ",".join(_COMMANDS) + "}" if named else None,
-    )
-    for name in named or _COMMANDS:
-        help_text, add_flags, run = _COMMANDS[name]
+    commands = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, add_flags, run) in _COMMANDS.items():
         sub = commands.add_parser(name, help=help_text)
         add_flags(sub)
         sub.set_defaults(func=run)
@@ -340,8 +331,7 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
-    args = build_parser(argv).parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except SolverCrossCheckError as exc:

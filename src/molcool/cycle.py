@@ -180,11 +180,13 @@ def _decimal12(v: np.ndarray, out=None):
     below 10**12 is a double and rounding is monotone, so a product not on
     a half lies on the exact one's side of every half.  Where it lies in
     [10**11, 10**12) and not on a half, its rint r is the printed mantissa
-    whatever k was picked; r / p, both operands exact, is |q|.  The clip
-    puts zero, |x| < 1e-11 and |x| >= 1e12 outside that range.  Those
-    elements, a k one off (a power of ten rounded across |x|), a mantissa
-    that rounds up to 10**12 and the products on a half go through
-    `_printed_digits` (zero gives d = e = 0).
+    whatever k was picked; r / p, both operands exact, is |q|.  A product
+    that rounds up to r = 10**12 prints as 1.00000000000 at the next
+    exponent, so d = 10**11 and e + 1 there, and r / p is |q| as before.
+    The clip puts zero, |x| < 1e-11 and |x| >= 1e12 outside that range.
+    Those elements, a k one off (a power of ten rounded across |x|) and
+    the products on a half go through `_printed_digits` (zero gives
+    d = e = 0).
     Only a block that holds a sign bit has its signs copied back.
     """
     if out is None:
@@ -203,7 +205,7 @@ def _decimal12(v: np.ndarray, out=None):
     frac = np.subtract(scaled, r)
     slow = np.abs(frac, out=frac) == 0.5
     slow |= scaled < 1e11
-    slow |= r >= 1e12
+    slow |= scaled >= 1e12
     slow = slow.ravel().nonzero()[0]
     # read from v before q, which may be v, is written
     printed = [_printed_digits(abs(x)) for x in v.flat[slow].tolist()]
@@ -211,6 +213,10 @@ def _decimal12(v: np.ndarray, out=None):
     # what these leave in the elements off the fast path is overwritten below
     abs_q = np.divide(r, p, out=scaled if signed else q)
     r.flat[slow] = 0.0
+    # a mantissa that rounds up to 10**12 prints as 1.00000000000 at the next exponent
+    up = r == 1e12
+    np.copyto(r, 1e11, where=up)
+    e += up
     np.copyto(d, r, casting="unsafe")
     for i, (value, mantissa, exponent) in zip(slow.tolist(), printed):
         abs_q.flat[i], d.flat[i], e.flat[i] = value, mantissa, exponent

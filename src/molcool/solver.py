@@ -75,18 +75,17 @@ depends on g D alone: it reaches 1e-13 at g D = 4.23775 with the nodes
 as `_rule_tables` forms them (4.23784 with them exact).  `_substeps`
 refuses a run whose g D, over the width horizon/n, passes `_MAX_GD`.
 The recurrence
-eta[k+1] = decay_k eta[k] + integral_k is a Python generator (each step
-needs the last) that `np.fromiter` reads into an array, with the same
-multiply and add per step: its operands come through memoryviews, so no
-sample passes through a Python list, whose float objects would keep
-their allocator's arenas resident past the route.  The
-intervals' widths take a handful of values, the width classes (about 14
-on a linspace grid), found by `np.sort`, an adjacent-difference mask and
-`np.searchsorted`, and each class's decay is one Python float.  Before
-the hold `_propagate` reads each step's decay and integral from arrays
-(the decays gathered by `np.take`); in the hold `_propagate_held`
-indexes the class's decay and held integral as Python floats, so a held
-step reads only its class id from an array.  The kernel route calls no
+eta[k+1] = decay_k eta[k] + integral_k over the whole horizon is one
+Python generator (each step needs the last), `_propagate`, that one
+`np.fromiter` reads into an array, with the same multiply and add per
+step: its operands come through memoryviews, so no sample passes through
+a Python list, whose float objects would keep their allocator's arenas
+resident past the route.  The intervals' widths take a handful of
+values, the width classes (about 14 on a linspace grid), found by
+`np.sort`, an adjacent-difference mask and `np.searchsorted`.  Each step
+reads its class id and indexes its class's decay, one Python float; a
+ramp step adds its own interval's integral, and a held step its class's
+held integral, one Python float too.  The kernel route calls no
 `np.unique`, the stepper calls it with an index output only, and neither
 calls `np.union1d`: in numpy 2 those take a hashing path whose
 masked-array check imports `numpy.ma`, which a run does not need.
@@ -96,18 +95,19 @@ Both routes do the work of a held stretch once.  From the profile's
 forcing there is one number.  The stepper evaluates it only up to the
 first interval that starts in the hold; a held interval's forcing
 differences are exact zeros, so its drive is one value for all of them.
-The kernel route integrates each distinct width of the run's intervals
-once, from `hold_start`, after the ramp and only when the hold starts
-inside the horizon: held integrands differ in the width alone, so any
-held start gives the same bits.  Every
-sample comes out with the bits it would have with the forcing evaluated
-at every point.  A state that meets the held intervals at the held forcing's
-equilibrium q = nu + 1 is held at q bit for bit: the recurrence would
-carry it off q by rounding, a few ulps.
+The kernel route integrates each width class once, from `hold_start`,
+when the hold starts inside the horizon: held integrands differ in the
+width alone, so any held start gives the same bits.  Every sample comes
+out with the bits it would have with the forcing evaluated at every
+point.  A ramp that ends at the held forcing's equilibrium q = nu + 1,
+or a run held from s = 0 that starts there, is held at q bit for bit:
+the recurrence would carry it off q by rounding, a few ulps, so
+`_propagate` yields q for the rest of the horizon.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -452,17 +452,12 @@ def evolve_eta_closed_form(
         hi = np.concatenate([cut[1:] for cut in cuts])
         pieces = _rule(forcing, s[rows], _rule_tables(g, lo, hi, widths[rows]))
         integrals[split] = np.bincount(rows, weights=pieces)[split]
-    _propagate(eta, 0, memoryview(np.take(decays, width_id[:n_ramp])), integrals)
+    held, q = [], math.nan
     if n_ramp < widths.size:
-        # the hold starts inside the horizon.  A state at the held forcing's
-        # equilibrium stays there; the recurrence would move it, since decay
-        # q + integral rounds off q and the rounding of each width's integral differs
-        held_forcing = float(occupation_at(d, profile, profile.hold_start)) + 1.0
-        if eta[n_ramp] == held_forcing:
-            eta[n_ramp + 1:] = eta[n_ramp]
-        else:
-            held = _rule(forcing, np.full(distinct.size, profile.hold_start), tables)
-            _propagate_held(eta, n_ramp, width_id[n_ramp:], decays, held.tolist())
+        # the hold starts inside the horizon: each width class's held integral
+        q = float(occupation_at(d, profile, profile.hold_start)) + 1.0
+        held = _rule(forcing, np.full(distinct.size, profile.hold_start), tables).tolist()
+    _propagate(eta, width_id, decays, integrals, held, q)
     return EtaTrajectory(s, _checked_eta(s, eta))
 
 
@@ -488,32 +483,29 @@ def _rule(forcing, start, tables):
     return half[:, 0] * sum(w * pairs[:, j] for j, w in enumerate(_GL_WEIGHTS))
 
 
-def _propagate(eta, k, decays, integrals) -> None:
-    """eta[k+1+i] = decays[i] eta[k+i] + integrals[i] for every i, in place in
-    the float64 array eta, from a generator of the steps' values that
-    `np.fromiter` reads into an array.  The float64 array integrals is read
-    through a memoryview, and decays should be one too, so no sample is
+def _propagate(eta, width_id, decays, integrals, held, q) -> None:
+    """eta[k+1] = decays[c] eta[k] + integrals[k] over the ramp's
+    integrals.size intervals, then + held[c] over the held ones, with
+    c = width_id[k], in place in the float64 array eta from eta[0].  A ramp
+    that ends at the held equilibrium q stays there: the held steps would
+    carry it off q by rounding.  decays and held are Python floats, one
+    per width class; width_id and integrals are read through memoryviews
+    and the steps' values yielded to one `np.fromiter`, so no sample is
     held in a Python list."""
+    n_ramp = integrals.size
+    ids = memoryview(width_id)
+
     def steps(value):
-        for decay, integral in zip(decays, memoryview(integrals)):
-            value = decay * value + integral
+        for c, integral in zip(ids[:n_ramp], memoryview(integrals)):
+            value = decays[c] * value + integral
             yield value
-
-    eta[k + 1 : k + 1 + integrals.size] = np.fromiter(steps(float(eta[k])), float, integrals.size)
-
-
-def _propagate_held(eta, k, width_id, decays, held) -> None:
-    """`_propagate` over held intervals, whose decay and integral are those
-    of their width class: eta[k+1+i] = decays[c] eta[k+i] + held[c] with
-    c = width_id[i], from Python floats one per class (a handful), the
-    class ids read through a memoryview and the steps' values yielded to
-    `np.fromiter` as there."""
-    def steps(value):
-        for c in memoryview(width_id):
+        if value == q:
+            yield from itertools.repeat(q)  # np.fromiter stops at the horizon
+        for c in ids[n_ramp:]:
             value = decays[c] * value + held[c]
             yield value
 
-    eta[k + 1 : k + 1 + width_id.size] = np.fromiter(steps(float(eta[k])), float, width_id.size)
+    eta[1:] = np.fromiter(steps(float(eta[0])), float, width_id.size)
 
 
 RECOVERY_TARGET = 0.997  # T_ratio a run must climb back to

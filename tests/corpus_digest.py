@@ -4,6 +4,7 @@
     python tests/corpus_digest.py [RUNS]
     python tests/corpus_digest.py csv [RUNS]
     python tests/corpus_digest.py cli
+    python tests/corpus_digest.py slow [RUNS]
     python tests/corpus_digest.py all > tests/corpus_listing.txt
 
 The first prints, for each run in order, its index and either the sha256
@@ -15,7 +16,11 @@ and every shape included.  The third prints, for each argv of
 `CLI_ARGVS` (every command's help, usage errors and unknown words, none
 of which runs a cycle), the argv, the exit code of `molcool.cli.main`
 and the sha256 of its stdout and of its stderr, at 80 columns.  The
-fourth prints the three full listings one after another, which
+fourth prints, for each run that answers and then for the reference
+point at each g of `SLOW_PATH_G`, how many of its record's values
+`_decimal12` prints one at a time with "%.11e" (`_printed_digits`), so a
+change that sends values off the fast path shows although it moves no
+byte.  The fifth prints the four full listings one after another, which
 `tests/corpus_listing.txt` pins: a test regenerates them and compares, so
 a change meant to move no byte is checked by the test suite, and the
 diff names every run or call that moved (a run whose digest holds moved
@@ -36,6 +41,7 @@ record's rounded values, mantissas and exponents, and its summary.
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import hashlib
 import io
 import os
@@ -49,6 +55,8 @@ import numpy as np
 
 RUNS = 48
 SEED = 2009
+# the reference point's couplings at which the slow-path listing counts
+SLOW_PATH_G = (1.0, 3.0, 10.0, 100.0, 300.0)
 _COMMANDS = ("cycle", "sweep", "convert-units", "reproduce-fig4")
 # the CLI's messages: each command's help, no arguments, an unknown
 # command, an unknown flag after each command, two missing flags, and four
@@ -148,11 +156,11 @@ def csv_lines(runs: int = RUNS) -> list[str]:
     return lines
 
 
-def cli_call(argv, main=None) -> tuple[int, str, str]:
-    """(exit code, stdout, stderr) of `main(argv)`, `molcool.cli.main`
-    unless given, at 80 columns; a `SystemExit` gives its code."""
-    if main is None:
-        from molcool.cli import main
+def cli_call(argv) -> tuple[int, str, str]:
+    """(exit code, stdout, stderr) of `molcool.cli.main(argv)` at 80
+    columns; a `SystemExit` gives its code."""
+    from molcool.cli import main
+
     out, err = io.StringIO(), io.StringIO()
     # argparse wraps help to the terminal's width, which COLUMNS sets
     with mock.patch.dict(os.environ, COLUMNS="80"), contextlib.redirect_stdout(out), \
@@ -175,15 +183,40 @@ def cli_lines() -> list[str]:
     return lines
 
 
+def slow_path_lines(runs: int = RUNS) -> list[str]:
+    """The slow-path listing's lines: for each answered run among the
+    corpus's first `runs`, in order, then for the reference point at each
+    g of `SLOW_PATH_G`, the number of record values `_decimal12` sends to
+    `_printed_digits` ("%.11e" one value at a time)."""
+    from molcool import cycle
+
+    lines = []
+    with mock.patch.object(cycle, "_printed_digits", wraps=cycle._printed_digits) as printed:
+        for i, result in results(runs):
+            if not isinstance(result, Exception):
+                lines.append(f"{i:2} slow path {printed.call_count}")
+            printed.reset_mock()
+        for g in SLOW_PATH_G:
+            base = cycle.default_cycle_config()
+            d = dataclasses.replace(base.dimensionless, gamma_tau_g=g)
+            cycle.run_cycle(dataclasses.replace(base, dimensionless=d))
+            lines.append(f"reference g={g:g} slow path {printed.call_count}")
+            printed.reset_mock()
+    return lines
+
+
 def all_lines() -> list[str]:
-    """The three full listings, runs, CSVs and CLI calls, one after another."""
-    return run_lines() + csv_lines() + cli_lines()
+    """The four full listings, runs, CSVs, CLI calls and slow-path counts,
+    one after another."""
+    return run_lines() + csv_lines() + cli_lines() + slow_path_lines()
 
 
 def main(argv) -> None:
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
     if argv == ["cli"]:
         print("\n".join(cli_lines()))
+    elif argv[:1] == ["slow"]:
+        print("\n".join(slow_path_lines(int(argv[1]) if argv[1:] else RUNS)))
     elif argv == ["all"]:
         print("\n".join(all_lines()))
     elif argv[:1] == ["csv"]:

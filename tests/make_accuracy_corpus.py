@@ -88,6 +88,15 @@ GRID = tuple(
     {"theta0": theta0, "r": r, "g": g, "horizon": 10.0, "region": f"grid r={r:g} g={g:g}"}
     for r in (3.0, 1.2, 8.0) for g in (1e-2, 3e3) for theta0 in (1e-3, 0.1, 3.0)
 )
+# held from s = 0 at theta0 in {1e-3, 0.1, 3}, r = 3 and g = 1: behind a ramp
+# (the finite dwell's closed dwell, dwell 3) and with no ramp (the constant
+# opening at level 1/3), each its own region
+HELD = tuple(
+    {"theta0": theta0, "r": 3.0, "g": 1.0, "horizon": 10.0, "region": region, **opening}
+    for region, opening in (("held dwell=3", {"dwell": 3.0}),
+                            ("held level=1/3", {"shape": "constant", "level": 1.0 / 3.0}))
+    for theta0 in (1e-3, 0.1, 3.0)
+)
 # the envelope's ends, each with the start of the message it is refused with
 REFUSED = (
     {"theta0": 0.032, "r": 2.0, "g": 1e4, "horizon": 2.0, "region": "refused",
@@ -136,6 +145,11 @@ TOLERANCES = {
     "grid r=1.2 g=3000": {"min_t_ratio": 1.1e-12, "recovery_s": 8.2e-5, "mean_n": 1.6e-12},
     "grid r=8 g=0.01": {"min_t_ratio": 1.2e-7, "recovery_s": 0.0, "mean_n": 3.2e-4},
     "grid r=8 g=3000": {"min_t_ratio": 2.5e-10, "recovery_s": 2.5e-4, "mean_n": 3.6e-8},
+    # held from s = 0 at r = 3, g = 1, theta0 in {1e-3, 0.1, 3}: the closed
+    # dwell behind the closing ramp, and the constant opening, whose least
+    # T_ratio is the 1/3 at s = 0 that the record prints to 12 digits
+    "held dwell=3": {"min_t_ratio": 5.0e-8, "recovery_s": 3.0e-8, "mean_n": 1.1e-10},
+    "held level=1/3": {"min_t_ratio": 3.4e-13, "recovery_s": 3.0e-8, "mean_n": 5.6e-12},
 }
 
 
@@ -270,7 +284,7 @@ def main() -> None:
     points, worst = [], {region: {} for region in TOLERANCES}
     answered = [{"theta0": theta0, "r": r, "g": g, "horizon": horizon, "region": region}
                 for theta0, r, g, horizon, region in POINTS]
-    for point in [*answered, *CORNERS, *GRID]:
+    for point in [*answered, *CORNERS, *GRID, *HELD]:
         result = run(point)
         spacing = float(result.record.s[1] - result.record.s[0])
         point = {**point, **reference(point, result.summary.argmin_s, spacing)}

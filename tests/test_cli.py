@@ -20,6 +20,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from corpus_digest import CLI_ARGVS, cli_call
+from molcool import cli
 from molcool.cli import _load_config, build_parser, main
 from molcool.cycle import (
     _CONFIG_KEYS,
@@ -847,13 +848,14 @@ def test_cross_check_exit_code(monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("argv", CLI_ARGVS, ids=lambda argv: " ".join(argv) or "no arguments")
-def test_messages_match_a_parser_of_every_command(argv):
-    # main builds the named command's subparser alone, which no help,
-    # usage or error line may show: each usage still names every command
-    def every_command(argv):
-        return build_parser().parse_args(argv)
-
-    assert cli_call(argv) == cli_call(argv, every_command)
+def test_messages_match_a_parser_of_every_command(argv, monkeypatch):
+    # the shared parser, once it has served every command, prints what a
+    # parser of every command built afresh for this one call prints
+    for other in CLI_ARGVS:
+        cli_call(other)
+    shared = cli_call(argv)
+    monkeypatch.setattr(cli, "build_parser", build_parser.__wrapped__)
+    assert cli_call(argv) == shared
 
 
 def subparsers(parser):
@@ -862,19 +864,34 @@ def subparsers(parser):
     return list(commands.choices)
 
 
-def test_a_named_command_builds_its_subparser_alone(monkeypatch):
-    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage to the terminal's width
-    parser = build_parser(["cycle", "--theta0", "0.1"])
-    assert subparsers(parser) == ["cycle"]
-    assert parser.format_usage() == (
-        "usage: molcool [-h] {cycle,sweep,convert-units,reproduce-fig4} ...\n"
-    )
-    assert parser.format_usage() == build_parser().format_usage()
-
-
 @pytest.mark.parametrize("argv", [None, [], ["bogus"], ["--help"]], ids=repr)
-def test_no_named_command_builds_every_subparser(argv):
-    assert subparsers(build_parser(argv)) == ["cycle", "sweep", "convert-units", "reproduce-fig4"]
+def test_no_named_command_builds_every_subparser(argv, monkeypatch, capsys):
+    # main parses with the one shared parser, which has every command's
+    # subparser; argv None reads sys.argv
+    monkeypatch.setattr(sys, "argv", ["molcool", *(argv or [])])
+    parser = build_parser()
+    with pytest.raises(SystemExit):  # each argv is a usage error or a help
+        main(argv)
+    assert build_parser() is parser
+    assert subparsers(parser) == ["cycle", "sweep", "convert-units", "reproduce-fig4"]
+    assert "{cycle,sweep,convert-units,reproduce-fig4}" in "".join(capsys.readouterr())
+
+
+def test_repeated_calls_share_one_parser_and_print_alike(monkeypatch, capsys):
+    # main parses with one parser per process: a second round of calls, after
+    # an argparse error and a help in between, prints what the first printed
+    first = [cli_call(argv) for argv in CLI_ARGVS]
+    assert cli_call(["cycle", "--theta0", "abc"])[0] == 2
+    assert cli_call(["sweep", "--help"])[0] == 0
+    assert [cli_call(argv) for argv in CLI_ARGVS] == first
+    # and its help still wraps to the terminal's width, which COLUMNS sets
+    widest = {}
+    for columns in ("80", "200"):
+        monkeypatch.setenv("COLUMNS", columns)
+        with pytest.raises(SystemExit):
+            main(["cycle", "--help"])
+        widest[columns] = max(map(len, capsys.readouterr().out.splitlines()))
+    assert widest["80"] <= 80 < widest["200"] <= 200
 
 
 def test_argparse_usage_errors():

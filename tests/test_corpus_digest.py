@@ -70,9 +70,20 @@ def test_cli_listing_names_each_call_with_its_exit_code():
     assert len(lines) == 16
 
 
+def test_slow_path_listing_counts_each_answered_run_and_reference_coupling():
+    lines = corpus_digest.slow_path_lines(8)
+    answered = [i for i, result in corpus_digest.results(8) if not isinstance(result, Exception)]
+    labels = [f"{i:2}" for i in answered] + [
+        f"reference g={g:g}" for g in corpus_digest.SLOW_PATH_G]
+    assert [line.rsplit(" slow path ", 1)[0] for line in lines] == labels
+    # the reference point's zero and its one product on a half
+    assert lines[-len(corpus_digest.SLOW_PATH_G)] == "reference g=1 slow path 2"
+
+
 def test_listings_match_the_pinned_file():
-    # every run's record, summary, margins and CSV bytes, and every CLI
-    # message, as `corpus_digest.py all` wrote them into the pinned file
+    # every run's record, summary, margins and CSV bytes, every CLI message,
+    # and every slow-path count, as `corpus_digest.py all` wrote them into
+    # the pinned file
     pinned = (Path(__file__).parent / "corpus_listing.txt").read_text().splitlines()
-    assert len(pinned) == 48 + 45 + 16
+    assert len(pinned) == 48 + 45 + 16 + 45 + 5
     assert corpus_digest.all_lines() == pinned

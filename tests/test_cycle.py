@@ -194,6 +194,23 @@ def test_reference_record_prints_few_values_through_python_format(monkeypatch):
     assert printed == [0.0, 0.7304308385445]
 
 
+def test_mantissas_that_round_up_to_1e12_stay_on_the_fast_path(monkeypatch):
+    # 10^j (1 - 4e-13) prints as 1.00000000000e(j) at every j the product
+    # scales, as held T_ratio cells within 5e-13 of 1 do; none takes "%.11e"
+    printed = []
+
+    def counted(x):
+        printed.append(x)
+        return _printed_digits(x)
+
+    monkeypatch.setattr(molcool.cycle, "_printed_digits", counted)
+    values = [10.0**j * (1.0 - 4e-13) for j in range(-10, 13)]
+    q, d, e = _decimal12(np.array(values))
+    assert printed == []
+    expected = [_printed_digits(v) for v in values]
+    assert list(zip(q.tolist(), d.tolist(), e.tolist())) == expected
+
+
 # log-uniform over [1e-13, 1e14], across both clip edges, of either sign, and zeros
 STRADDLING = st.one_of(
     st.floats(-13.0, 14.0).map(lambda t: 10.0**t), st.just(0.0), st.sampled_from(CLIP_EDGES)

@@ -22,7 +22,6 @@ from molcool.solver import (
     _check_run,
     _kinks_inside,
     _propagate,
-    _propagate_held,
     _rule,
     _rule_tables,
     _scan,
@@ -720,32 +719,45 @@ def test_an_unreached_hold_is_not_evaluated():
     assert (eta[2000], eta[-1]) == (1.1839397205856752, 1.0676676416182864)
 
 
-@pytest.mark.parametrize("k, n", [(0, 7), (3, 4), (5, 0)], ids=["k = 0", "k > 0", "no intervals"])
-def test_propagate_matches_a_plain_loop(k, n):
-    # the recurrence writes eta[k+1..k+n] in place and touches nothing else
+def plain_propagate(eta0, width_id, decays, integrals, held, q):
+    """`_propagate`'s samples by a plain loop: the ramp's steps, then the
+    held ones, or q throughout the hold where the ramp ends at q."""
+    eta = [eta0]
+    for k, c in enumerate(width_id):
+        if k < len(integrals):
+            eta.append(decays[c] * eta[k] + integrals[k])
+        elif eta[len(integrals)] == q:
+            eta.append(q)
+        else:
+            eta.append(decays[c] * eta[k] + held[c])
+    return eta
+
+
+@pytest.mark.parametrize("n_steps, n_ramp, at_q",
+                         [(9, 9, False), (9, 0, False), (9, 5, True), (9, 5, False), (0, 0, False)],
+                         ids=["hold past the horizon", "hold from s = 0",
+                              "ramp ends at q", "ramp then hold", "no intervals"])
+def test_propagate_matches_a_plain_loop(n_steps, n_ramp, at_q):
+    # each step takes its width class's decay, and a held one its class's integral
     rng = np.random.default_rng(11)
-    decays, integrals = rng.uniform(0.5, 1.0, n), rng.uniform(0.0, 2.0, n)
-    eta = np.full(k + n + 3, np.nan)
-    eta[k] = 1.5
-    expected = eta.tolist()
-    for i in range(n):
-        expected[k + 1 + i] = float(decays[i]) * expected[k + i] + float(integrals[i])
-    _propagate(eta, k, memoryview(decays), integrals)
-    assert eta.tobytes() == np.array(expected).tobytes()
-
-
-def test_propagate_held_matches_a_plain_loop():
-    # each held step takes its width class's decay and integral
-    rng = np.random.default_rng(12)
     decays, held = rng.uniform(0.5, 1.0, 3).tolist(), rng.uniform(0.0, 2.0, 3).tolist()
-    width_id = rng.integers(0, 3, 9)
-    eta = np.full(13, np.nan)
-    eta[2] = 1.5
-    expected = eta.tolist()
-    for i, c in enumerate(width_id.tolist()):
-        expected[3 + i] = decays[c] * expected[2 + i] + held[c]
-    _propagate_held(eta, 2, width_id, decays, held)
+    width_id, integrals = rng.integers(0, 3, n_steps), rng.uniform(0.0, 2.0, n_ramp)
+    q = rng.uniform(1.0, 3.0)
+    if n_ramp == width_id.size:
+        # as the kernel route passes a hold past the horizon
+        held, q = [], math.nan
+    if at_q:
+        q = plain_propagate(1.5, width_id[:n_ramp].tolist(), decays, integrals.tolist(), [], q)[-1]
+    expected = plain_propagate(1.5, width_id.tolist(), decays, integrals.tolist(), held, q)
+    eta = np.full(n_steps + 1, np.nan)
+    eta[0] = 1.5
+    _propagate(eta, width_id, decays, integrals, held, q)
     assert eta.tobytes() == np.array(expected).tobytes()
+    if at_q:
+        # held at q, where the held steps would have moved it
+        assert expected[n_ramp:] == [q] * (n_steps + 1 - n_ramp)
+        moved = plain_propagate(1.5, width_id.tolist(), decays, integrals.tolist(), held, math.nan)
+        assert moved[n_ramp:] != expected[n_ramp:]
 
 
 def test_kernel_route_finds_width_classes_without_np_unique(monkeypatch):
