@@ -12,7 +12,6 @@ and the pinned reference cycle.
 
 from .constants import HBAR, K_B
 from .cycle import (
-    CSV_HEADER,
     CycleConfig,
     CycleResult,
     CycleSummary,
@@ -22,19 +21,13 @@ from .cycle import (
     SweepRow,
     SweepSpec,
     ThermalClosed,
-    TimeSeriesRecord,
     default_cycle_config,
-    emit_csv,
-    emit_plot_script,
-    emit_sweep_csv,
-    parse_config,
-    read_csv_record,
     run_cycle,
     run_sweep,
-    serialize_config,
     sweep_range_values,
 )
 from .errors import SolverCrossCheckError, SolverError
+from .files import emit_plot_script, emit_sweep_csv, parse_config, serialize_config
 from .oracle import (
     PopulationTrajectory,
     PopulationVector,
@@ -44,6 +37,7 @@ from .oracle import (
     truncation_levels,
 )
 from .profiles import FrequencyProfile, ProfileShape, omega_at
+from .record import CSV_HEADER, TimeSeriesRecord, emit_csv, read_csv_record
 from .solver import (
     RECOVERY_TARGET,
     EtaTrajectory,

@@ -28,18 +28,15 @@ from .cycle import (
     REFERENCE_RECOVERY_S,
     SweepSpec,
     _INIT_MODES,
-    _fmt,
     _override,
     default_cycle_config,
-    emit_csv,
-    emit_plot_script,
-    emit_sweep_csv,
-    parse_config,
     run_cycle,
     run_sweep,
     sweep_range_values,
 )
 from .errors import SolverCrossCheckError, SolverError
+from .files import emit_plot_script, emit_sweep_csv, parse_config
+from .record import _fmt, emit_csv
 from .units import (
     DimensionlessParams,
     PhysicalParams,

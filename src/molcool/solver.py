@@ -140,7 +140,7 @@ class EtaTrajectory:
     """What an eta route computes: eta at the samples s (profile-local, from
     0 to the horizon), and the substep it took, `step_size`, which is None
     from the kernel route.  The observables are derived from eta once, by
-    `cycle.TimeSeriesRecord.from_trajectory`."""
+    `record.TimeSeriesRecord.from_trajectory`."""
 
     s: np.ndarray
     eta: np.ndarray
@@ -514,7 +514,7 @@ RECOVERY_TARGET = 0.997  # T_ratio a run must climb back to
 def recovery_time(traj) -> RecoveryResult:
     """First s at or after the T_ratio minimum where T_ratio >= `RECOVERY_TARGET`.
 
-    Works on records (`cycle.TimeSeriesRecord`), or any object with `s`
+    Works on records (`record.TimeSeriesRecord`), or any object with `s`
     and `T_ratio` sample arrays.  The sub-sample crossing is the root of
     the straight line through the two bracketing samples.  When the
     trajectory never crosses the target the result carries

@@ -144,7 +144,7 @@ def run_lines(runs: int = RUNS) -> list[str]:
 def csv_lines(runs: int = RUNS) -> list[str]:
     """The CSV listing's lines over the answered runs among the corpus's
     first `runs`, in order: index and sha256 of the run's `cycle.csv`."""
-    from molcool.cycle import emit_csv
+    from molcool.record import emit_csv
 
     lines = []
     with tempfile.TemporaryDirectory() as tmp:
@@ -188,10 +188,10 @@ def slow_path_lines(runs: int = RUNS) -> list[str]:
     corpus's first `runs`, in order, then for the reference point at each
     g of `SLOW_PATH_G`, the number of record values `_decimal12` sends to
     `_printed_digits` ("%.11e" one value at a time)."""
-    from molcool import cycle
+    from molcool import cycle, record
 
     lines = []
-    with mock.patch.object(cycle, "_printed_digits", wraps=cycle._printed_digits) as printed:
+    with mock.patch.object(record, "_printed_digits", wraps=record._printed_digits) as printed:
         for i, result in results(runs):
             if not isinstance(result, Exception):
                 lines.append(f"{i:2} slow path {printed.call_count}")

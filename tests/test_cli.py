@@ -23,19 +23,17 @@ from corpus_digest import CLI_ARGVS, cli_call
 from molcool import cli
 from molcool.cli import _load_config, build_parser, main
 from molcool.cycle import (
-    _CONFIG_KEYS,
     _INIT_MODES,
     CycleConfig,
     FiniteDwell,
-    _fmt,
     _plan_segments,
     default_cycle_config,
-    parse_config,
     run_cycle,
-    serialize_config,
 )
 from molcool.errors import SolverCrossCheckError
+from molcool.files import _CONFIG_KEYS, parse_config, serialize_config
 from molcool.profiles import FrequencyProfile, ProfileShape, omega_at
+from molcool.record import _fmt
 from molcool.thermo import OccupationUnderflow
 from molcool.units import AdiabaticityWarning, DimensionlessParams
 

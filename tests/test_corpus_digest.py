@@ -10,8 +10,9 @@ import numpy as np
 
 import corpus_digest
 from molcool import solver
-from molcool.cycle import CSV_HEADER, FiniteDwell, ThermalClosed, _plan_segments
+from molcool.cycle import FiniteDwell, ThermalClosed, _plan_segments
 from molcool.profiles import ProfileShape
+from molcool.record import CSV_HEADER
 
 
 def test_corpus_digest_is_deterministic():

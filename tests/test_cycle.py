@@ -1,5 +1,6 @@
 """Tests for cycle orchestration, sweeps, CSV/plot emission, and config files."""
 
+import hashlib
 import re
 import subprocess
 import sys
@@ -13,38 +14,43 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import molcool.cycle
+import molcool.record
 from molcool import solver
 from molcool.cli import main
 from molcool.cycle import (
-    CSV_HEADER,
     SOLVER_AGREEMENT_RTOL,
-    SWEEP_CSV_HEADER,
     CycleConfig,
     FiniteDwell,
     SweepRow,
     SweepSpec,
     ThermalClosed,
-    TimeSeriesRecord,
     _cross_check,
-    _decimal12,
-    _format_cells,
     _nearest_indices,
-    _printed_digits,
     _record_omega,
     default_cycle_config,
-    emit_csv,
-    emit_plot_script,
-    emit_sweep_csv,
-    parse_config,
-    read_csv_record,
     run_cycle,
     run_sweep,
-    serialize_config,
     sweep_range_values,
 )
 from molcool.errors import SolverCrossCheckError, SolverError
+from molcool.files import (
+    SWEEP_CSV_HEADER,
+    emit_plot_script,
+    emit_sweep_csv,
+    parse_config,
+    serialize_config,
+)
 from molcool.oracle import evolve_populations
 from molcool.profiles import FrequencyProfile, ProfileShape, omega_at
+from molcool.record import (
+    CSV_HEADER,
+    TimeSeriesRecord,
+    _decimal12,
+    _format_cells,
+    _printed_digits,
+    emit_csv,
+    read_csv_record,
+)
 from molcool.solver import EtaTrajectory, evolve_eta_closed_form, evolve_eta_ode
 from molcool.thermo import OccupationUnderflow
 from molcool.units import DimensionlessParams
@@ -189,7 +195,7 @@ def test_reference_record_prints_few_values_through_python_format(monkeypatch):
         printed.append(x)
         return _printed_digits(x)
 
-    monkeypatch.setattr(molcool.cycle, "_printed_digits", counted)
+    monkeypatch.setattr(molcool.record, "_printed_digits", counted)
     assert len(run_cycle(default_cycle_config()).record) * 5 == 100_005
     assert printed == [0.0, 0.7304308385445]
 
@@ -203,7 +209,7 @@ def test_mantissas_that_round_up_to_1e12_stay_on_the_fast_path(monkeypatch):
         printed.append(x)
         return _printed_digits(x)
 
-    monkeypatch.setattr(molcool.cycle, "_printed_digits", counted)
+    monkeypatch.setattr(molcool.record, "_printed_digits", counted)
     values = [10.0**j * (1.0 - 4e-13) for j in range(-10, 13)]
     q, d, e = _decimal12(np.array(values))
     assert printed == []
@@ -331,17 +337,17 @@ def table_entries(table):
 
 
 def test_cell_tables_match_python_format():
-    cycle = molcool.cycle
+    record = molcool.record
     # "D.DDD" and 3 zero bytes, which the next store overwrites ("0.000" is zero's)
-    assert table_entries(cycle._HEAD) == [
+    assert table_entries(record._HEAD) == [
         f"{i // 1000}.{i % 1000:03d}".encode() + bytes(3) for i in range(10_000)
     ]
-    assert table_entries(cycle._QUAD) == [f"{i:04d}".encode() for i in range(10_000)]
+    assert table_entries(record._QUAD) == [f"{i:04d}".encode() for i in range(10_000)]
     # 3 zero bytes, which the last store overwrites, the exponent and the separator
-    assert table_entries(cycle._TAIL) == [
+    assert table_entries(record._TAIL) == [
         bytes(3) + f"e{e:+03d}{sep}".encode() for sep in ",\n" for e in range(-99, 100)
     ]
-    for table in (cycle._HEAD, cycle._QUAD, cycle._TAIL):
+    for table in (record._HEAD, record._QUAD, record._TAIL):
         assert not table.flags.writeable
 
 
@@ -368,14 +374,14 @@ def exact_floor_log10_of_power_of_two(n: int) -> int:
 
 
 def test_exponent_tables_hold_each_binade_floor_log10():
-    cycle = molcool.cycle
-    floors = cycle._BINADE_LOG10.tolist()
+    record = molcool.record
+    floors = record._BINADE_LOG10.tolist()
     assert floors[1:2047] == [exact_floor_log10_of_power_of_two(b - 1023) for b in range(1, 2047)]
     # at 2 b + c: c = 1 past the binade's power of ten, the clipped scale and its exponent
     k = np.clip(11 - (np.array(floors)[:, None] + np.arange(2)), 0, 22).reshape(-1)
-    assert cycle._EXPONENT.tolist() == (11 - k).tolist()
-    assert cycle._SCALE.tolist() == [float(10**i) for i in k.tolist()]
-    for table in (cycle._BINADE_LOG10, cycle._TEN_ABOVE, cycle._SCALE, cycle._EXPONENT):
+    assert record._EXPONENT.tolist() == (11 - k).tolist()
+    assert record._SCALE.tolist() == [float(10**i) for i in k.tolist()]
+    for table in (record._BINADE_LOG10, record._TEN_ABOVE, record._SCALE, record._EXPONENT):
         assert not table.flags.writeable
 
 
@@ -384,7 +390,7 @@ def test_dwell_csv_matches_python_format(tmp_path):
     # holds both signs in the s column and the rest hold one
     d = default_cycle_config().dimensionless
     record = run_cycle(CycleConfig(dimensionless=d, init_mode=FiniteDwell(dwell=3.0))).record
-    n, block = len(record), molcool.cycle._BLOCK_ROWS
+    n, block = len(record), molcool.record._BLOCK_ROWS
     assert n == 28001 and -(-n // block) == 14
     signs = {
         (bool(np.any(record.s[lo:lo + block] < 0)), bool(np.any(record.s[lo:lo + block] >= 0)))
@@ -405,7 +411,7 @@ def test_signed_blocks_print_like_python(monkeypatch):
     d = default_cycle_config().dimensionless
     record = run_cycle(CycleConfig(dimensionless=d, init_mode=FiniteDwell(dwell=3.0))).record
     values = np.array(record._quantized[0])
-    block = molcool.cycle._BLOCK_ROWS
+    block = molcool.record._BLOCK_ROWS
     prefix = np.array([[-1.5, 0.5, 2.0, 1.0, 0.75], [-0.0, 0.5, 2.0, 1.0, 0.75],
                        [0.0, 0.5, 2.0, 1.0, 0.75], [1e-5, 0.5, 2.0, 1.0, 0.75]])
     scattered = values[7998:8004].copy()
@@ -420,13 +426,13 @@ def test_signed_blocks_print_like_python(monkeypatch):
         "every s negative and one more cell": (one_more, 1),
     }
     printed = []
-    fmt = molcool.cycle._fmt
+    fmt = molcool.record._fmt
 
     def spy(value):
         printed.append(value)
         return fmt(value)
 
-    monkeypatch.setattr(molcool.cycle, "_fmt", spy)
+    monkeypatch.setattr(molcool.record, "_fmt", spy)
     for name, (cells, by_value) in blocks.items():
         printed.clear()
         assert format_rows(cells) == python_csv_rows(cells.tolist()), name
@@ -586,7 +592,7 @@ def test_csv_roundtrip_of_values_straddling_the_clip_edges(tmp_path_factory, col
 
 
 def test_csv_blocks_of_every_layout(tmp_path, monkeypatch):
-    block = molcool.cycle._BLOCK_ROWS
+    block = molcool.record._BLOCK_ROWS
     n = 3 * block
     # the first block holds negatives at its first cell, at the cell just
     # after its first "\n", mid-row, at a row's last cell and at its last cell
@@ -599,13 +605,13 @@ def test_csv_blocks_of_every_layout(tmp_path, monkeypatch):
     eta[2 * block + 11] = 1.0e100  # the third block holds the smallest three-digit exponent
     record = TimeSeriesRecord(s, np.ones(n), eta, np.full(n, 0.5), t_ratio)
     layouts = []
-    format_cells = molcool.cycle._format_cells
+    format_cells = molcool.record._format_cells
 
     def spy(q, d, e):
         layouts.append((bool(np.signbit(q).any()), bool(np.abs(e).max() >= 100)))
         return format_cells(q, d, e)
 
-    monkeypatch.setattr(molcool.cycle, "_format_cells", spy)
+    monkeypatch.setattr(molcool.record, "_format_cells", spy)
     assert_csv_roundtrip(record, tmp_path / "cycle.csv")
     assert layouts == [(True, False), (False, False), (False, True)]
 
@@ -617,7 +623,7 @@ def test_emit_csv_reuses_the_record_digits(tmp_path, monkeypatch, default_result
     def refuse(*args, **kwargs):
         raise AssertionError("emit_csv worked out digits the record keeps")
 
-    monkeypatch.setattr(molcool.cycle, "_decimal12", refuse)
+    monkeypatch.setattr(molcool.record, "_decimal12", refuse)
     path = tmp_path / "cycle.csv"
     emit_csv(default_result.record, path)
     assert path.read_bytes() == expected.read_bytes()
@@ -1199,6 +1205,33 @@ def test_dwell_title_marks_extension_mode(tmp_path):
     script = tmp_path / "cycle_plot.py"
     emit_plot_script(res.record, script)
     assert "extension mode" in script.read_text()
+
+
+# sha256 of each plot script `emit_plot_script` writes; its cycle and sweep
+# scripts share one skeleton, whose every byte these pin
+PLOT_SCRIPT_SHA256 = {
+    "opening": "310e75bbdba4bad4b944468bec28a53efd1f766e013b7cee588db338b5924ce8",
+    "finite dwell": "aaabceb5672c62aaac4887569e62b8f7c3880b082751bc215bf41fa69859566c",
+    "sweep over theta0": "047ff1d01c7f108dbfe01c5c84c19677f27c1756060c6d584d990162ff3b115f",
+}
+
+
+def test_plot_scripts_keep_their_bytes(tmp_path):
+    def record(s):
+        ones = np.ones(len(s))
+        return TimeSeriesRecord(np.array(s), ones, 2.0 * ones, ones, ones)
+
+    sources = {
+        "opening": (record([0.0, 1.0]), {}),
+        "finite dwell": (record([-1.0, 0.0]), {}),
+        "sweep over theta0": ([SweepRow(0.032)], {"axis": "theta0"}),
+    }
+    digests = {}
+    for name, (source, axis) in sources.items():
+        script = tmp_path / f"{name}.py"
+        emit_plot_script(source, script, **axis)
+        digests[name] = hashlib.sha256(script.read_bytes()).hexdigest()
+    assert digests == PLOT_SCRIPT_SHA256
 
 
 def test_config_roundtrips_exactly():

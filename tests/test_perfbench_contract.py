@@ -112,6 +112,19 @@ def test_traced_cli_reaches_the_emitters(monkeypatch, tmp_path):
     assert csv_span.counts["bytes"] == (tmp_path / "cycle.csv").stat().st_size
 
 
+def test_roundtrip_reads_back_a_reference_record(monkeypatch, tmp_path):
+    # once per run, after its first good op, the harness writes and reads
+    # back that op's record through molcool.cycle.emit_csv and
+    # read_csv_record, its only calls of either; a name gone from
+    # molcool.cycle would mark every stiff_sweep and oracle_ladder run incorrect
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import workloads
+
+    record = molcool.cycle.run_cycle(default_cycle_config()).record
+    path = tmp_path / "roundtrip.csv"
+    assert workloads.roundtrip_problem(record, str(path)) is None
+    assert not path.exists()
+
 def test_each_workload_runs_one_op_cleanly(monkeypatch, tmp_path):
     # BENCHMARK.json runs two of the three workloads; one op of each, on
     # its cheapest input, keeps the calls all three make of molcool

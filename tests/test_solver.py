@@ -12,9 +12,9 @@ from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 from molcool import solver
-from molcool.cycle import TimeSeriesRecord
 from molcool.errors import SolverError
 from molcool.profiles import FrequencyProfile, ProfileShape, omega_at
+from molcool.record import TimeSeriesRecord
 from molcool.solver import (
     _GL_NODES,
     _GL_WEIGHTS,
