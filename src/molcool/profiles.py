@@ -20,7 +20,10 @@ routes split their sample intervals there.
 `omega_at` checks its s and then runs `_omega_core`, the one place
 omega(s) is computed.  `solver.occupation_at`, on the package's own
 grids (all finite and >= 0), calls the core directly and gets the same
-bits without paying for the checks.
+bits without paying for the checks.  A piecewise-linear profile builds
+the two breakpoint arrays the core interpolates, `_table`, once, when it
+is made: a run evaluates omega once per kinked interval and per oracle
+step, and building them costs O(breakpoints).
 """
 
 from __future__ import annotations
@@ -87,6 +90,7 @@ class FrequencyProfile:
                 raise ValueError("first breakpoint must be at s = 0")
             if any(w <= 0.0 for w in ws):
                 raise ValueError("breakpoint frequencies must be positive")
+            object.__setattr__(self, "_table", (np.array(ss, float), np.array(ws, float)))
         elif self.breakpoints:
             raise ValueError(
                 f"breakpoints apply to the piecewise-linear shape only, not {self.shape.value}"
@@ -140,6 +144,4 @@ def _omega_core(profile: FrequencyProfile, s, r: float):
         return 1.0 + (1.0 / r - 1.0) * np.sin(0.5 * math.pi * (1.0 - x))
     if profile.shape is ProfileShape.CONSTANT:
         return np.full_like(s, profile.level)
-    xs = np.array([p[0] for p in profile.breakpoints])
-    ws = np.array([p[1] for p in profile.breakpoints])
-    return np.interp(s, xs, ws)
+    return np.interp(s, *profile._table)

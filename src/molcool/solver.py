@@ -27,25 +27,25 @@ A = alpha sum_j R^j, R = 1 - g alpha, and G_k the interval's forcing
 beyond its first u0 carried forward by powers of R (one matrix product
 for all intervals).  The deviation e = eta - eta0 from the start value
 then goes through one affine map per sample interval, e_{k+1} = c_k e_k
-+ x_k, with c_k = 1 - g A and x_k = A (u0_k - g eta0) + G_k.  A sample
-interval with a kink of the profile strictly inside
-(`FrequencyProfile.kinks`, found by `_kinks_inside` for both routes)
-splits the substep the kink falls in there, since a substep across a
-jump in the forcing's derivatives costs RK4 its order, and writes its
-own c_k and x_k.  `_scan` composes all the maps
-as a prefix scan in ceil(log2 n) numpy doubling passes (Blelloch,
-"Prefix sums and their applications", 1990).  On a grid with no kink
-strictly inside an interval, which covers both reference commands,
-every c_k is one c, and every factor the pass of stride 2^p reads is
-c^(2^p), built by repeated squaring: `_scan_one_factor` carries each
-pass with one float and squares it, with no factor array and the same
-bits.  Every held interval's x_k is one value, so after each pass every
-x from a boundary on, which moves up by the pass's stride from the
-hold's first interval, is one value: `_scan_one_factor` carries that
-value as one float too, works each pass only below the boundary and
-writes the tail once.  In this form constant
-forcing adds exactly nothing, a fixed point stays put exactly and g = 0
-freezes eta.  It is still RK4, with RK4's O(h^4) error against the
++ x_k, with c_k = 1 - g A and x_k = A (u0_k - g eta0) + G_k.
+`_kink_cuts` lists, for both routes, each sample interval with a kink of
+the profile (`FrequencyProfile.kinks`) strictly inside, with its ends and
+its kinks, in one pass over the kinks.  The stepper splits the substep a
+kink falls in there, since a substep across a jump in the forcing's
+derivatives costs RK4 its order, and such an interval writes its own c_k
+and x_k (`_split_at_kinks`).  `_scan` composes all the maps as a prefix
+scan in ceil(log2 n) numpy doubling passes (Blelloch, "Prefix sums and
+their applications", 1990).  Every other c_k is one c, and from the
+hold's first interval on, past every kink, every x_k is one value.  The
+factor the pass of stride 2^p reads there is c^(2^p), built by repeated
+squaring, and after each pass every x from a boundary on, which moves up
+by the pass's stride from the hold's first interval, is one value: `_scan`
+carries both as floats, works each pass only below the boundary and
+writes the tail once, with the same bits.  On a grid with no kink
+strictly inside an interval, which covers both reference commands, c is
+one float throughout and no factor array is built.  In this form
+constant forcing adds exactly nothing, a fixed point stays put exactly
+and g = 0 freezes eta.  It is still RK4, with RK4's O(h^4) error against the
 kernel route's quadrature error, so the cross-check keeps its
 independence.
 
@@ -67,11 +67,12 @@ than the stepper's 10 stage points.  `_rule_tables` builds the rule's
 rows, nodes v and kernel weights g exp(-g (D - v)) over a piece of an
 interval of width D, and `_rule` sums them against the forcing.  A whole
 interval's row depends on D alone, so one table holds a row per width
-class, gathered per interval; an interval with a kink inside gets a row
-per piece.  A fixed rule has no error estimate of its own.  Only the
-kernel's weight g exp(-g (D - v)) can vary faster than a sample width D,
-and the rule's relative error on it, against its integral 1 - exp(-g D),
-depends on g D alone: it reaches 1e-13 at g D = 4.23775 with the nodes
+class, gathered per interval; an interval with a kink inside also gets a
+row per piece, whose sum replaces its whole row's integral.  A fixed rule
+has no error estimate of its own.  Only the kernel's weight
+g exp(-g (D - v)) can vary faster than a sample width D, and the rule's
+relative error on it, against its integral 1 - exp(-g D), depends on
+g D alone: it reaches 1e-13 at g D = 4.23775 with the nodes
 as `_rule_tables` forms them (4.23784 with them exact).  `_substeps`
 refuses a run whose g D, over the width horizon/n, passes `_MAX_GD`.
 The recurrence
@@ -249,25 +250,34 @@ def _substep_coefficients(g, h):
     return h / 6.0 * (6.0 - 3.0 * z + z * z - z * z * z / 4.0), 4.0 - 2.0 * z + z * z / 2.0
 
 
-def _kinks_inside(profile, s) -> tuple[np.ndarray, np.ndarray]:
-    """(k_of, kinks): the profile's kinks strictly inside a sample interval of
-    the grid `s`, ascending, and the index of the interval each falls in."""
+def _kink_cuts(profile, s) -> list[tuple[int, np.ndarray]]:
+    """(k, cut) for every sample interval k of the grid `s` with one of the
+    profile's kinks strictly inside, k ascending: cut is s[k], the kinks
+    inside, ascending, and s[k+1].  The kinks ascend, so each interval's are
+    one run of them, grouped in one pass."""
     kinks = np.array(profile.kinks, dtype=float)
     k_of = np.searchsorted(s, kinks, side="right") - 1
     inside = (k_of < s.size - 1) & (s[k_of] < kinks)
-    return k_of[inside], kinks[inside]
+    if not inside.any():
+        return []
+    k_of, kinks = k_of[inside], kinks[inside]
+    first = np.flatnonzero(np.append(True, k_of[1:] != k_of[:-1]))
+    return [(k, np.concatenate([s[k : k + 1], run, s[k + 1 : k + 2]]))
+            for k, run in zip(k_of[first].tolist(), np.split(kinks, first[1:]))]
 
 
-def _split_at_kinks(k_of, kinks, s, m, step, g, eta0, forcing, c, x) -> None:
-    """Write (c_k, x_k) into c[k] and x[k] for every sample interval k of the
-    grid `s` with one of the kinks strictly inside, k_of and kinks as
-    `_kinks_inside` gives them: its m substeps (edges s[k] + j step, then
-    s[k+1]), the one a kink falls in split there, composed so that its
-    deviation from eta0 goes e -> c_k e + x_k."""
-    # sorted(set()) and return_inverse keep off np.unique's hash path, which imports numpy.ma
-    for k in sorted(set(k_of.tolist())):
-        edges = np.concatenate([s[k] + step * np.arange(m), s[k + 1 : k + 2], kinks[k_of == k]])
-        edges = np.unique(edges, return_inverse=True)[0]
+def _split_at_kinks(cuts, m, step, g, eta0, forcing, c, x) -> None:
+    """Write (c_k, x_k) into c[k] and x[k] for every (k, cut) of
+    `_kink_cuts`: the interval's m substeps (edges cut[0] + j step, then
+    its end cut[-1]), the one a kink falls in split there, composed so that
+    its deviation from eta0 goes e -> c_k e + x_k.  One interval at a time,
+    each reading the forcing once at its own stage points: `x_sub @ later`
+    is a BLAS dot, whose summation order a batched product need not repeat,
+    so the loop keeps every interval's bits."""
+    for k, cut in cuts:
+        # return_inverse keeps off np.unique's hash path, which imports numpy.ma
+        edges = np.unique(np.concatenate([cut[0] + step * np.arange(m), cut]),
+                          return_inverse=True)[0]
         h = np.diff(edges)
         alpha, q = _substep_coefficients(g, h)
         r = 1.0 - g * alpha
@@ -279,50 +289,45 @@ def _split_at_kinks(k_of, kinks, s, m, step, g, eta0, forcing, c, x) -> None:
         c[k], x[k] = np.prod(r), x_sub @ later
 
 
-def _scan(c, x) -> None:
-    """Compose the affine maps e -> c[i] e + x[i] from e = 0, in place.
+def _scan(c, x, held: int) -> None:
+    """Compose the affine maps e -> c[i] e + x[i] from e = 0, x in place,
+    where every x[i] from i = `held` on is one value and c is one float
+    shared by every map or an array of factors, one per map, the same from
+    `held` on.
 
-    Afterwards x[i] is the deviation after map i and c[i] the product of
-    c[0..i], so (c[-1], x[-1]) is the whole run's map.  Doubling passes
-    (Hillis and Steele; Blelloch 1990): after the pass of stride d, x[i]
-    and c[i] compose maps i-2d+1..i, so ceil(log2 n) passes finish it.
+    Afterwards x[i] is the deviation after map i; an array c is scratch.
+    Doubling passes (Hillis and Steele; Blelloch 1990): after the pass of
+    stride d, x[i] composes maps i-2d+1..i, so ceil(log2 n) passes finish
+    it.  The factor the pass multiplies x[i] by composes the d maps up to
+    i, built by repeated squaring, so where those maps are all held it is
+    the held factor's c^d: one float, `tail`, carries it and is squared
+    after each pass.  Past `live`, at first `held`, every x[i] is one value
+    v: a pass of stride d adds c^d v to v there, and `live` moves up by d.
+    So each pass fills only the slots it newly reads with v (and an array
+    c with c^d), works on x[d : live + d] and writes the tail once, at the
+    end, with the bits of passes over the whole arrays.
     """
     n = x.size
-    buf = np.empty(n)
-    stride = 1
-    while stride < n:
-        carried = buf[: n - stride]
-        np.multiply(c[stride:], x[:-stride], out=carried)
-        x[stride:] += carried
-        np.multiply(c[stride:], c[:-stride], out=carried)
-        c[stride:] = carried
-        stride *= 2
-
-
-def _scan_one_factor(c: float, x, held: int) -> None:
-    """`_scan` of maps e -> c e + x[i] that share one factor c, x in place,
-    every x[i] from i = `held` on one value.
-
-    At the pass of stride 2^p every factor `_scan` multiplies x by is
-    c^(2^p), which it builds by repeated squaring, so one float carries
-    the pass and is then squared: the same roundings, bit for bit, with no
-    factor array.  Past `live`, at first `held`, every x[i] is one value v:
-    a pass of stride d adds c^d v to v there, and `live` moves up by d.  So
-    each pass fills only the slots it newly reads with v and works on
-    x[d : live + d], and the tail is written once, at the end.
-    """
-    n = x.size
+    factors = isinstance(c, np.ndarray)
     buf = np.empty(n)
     live = held
     v = float(x[held]) if held < n else 0.0
+    # with held = n the tail is empty and its factor unread
+    tail = float(c[min(held, n - 1)]) if factors else c
     stride = 1
     while stride < n:
         end = min(n, live + stride)
         x[live:end] = v
-        x[stride:end] += np.multiply(x[: end - stride], c, out=buf[: end - stride])
-        v += v * c
+        factor = tail
+        if factors:
+            c[live:end] = tail
+            factor = c[stride:end]
+        x[stride:end] += np.multiply(factor, x[: end - stride], out=buf[: end - stride])
+        if factors:
+            c[stride:end] *= c[: end - stride]
+        v += tail * v
         live += stride
-        c *= c
+        tail *= tail
         stride *= 2
     x[live:] = v
 
@@ -385,13 +390,11 @@ def evolve_eta_ode(
     x[:n_ramp] = a_m * (u0[:, 0] - g * eta0) + drive
     # a held interval's forcing differences are all exactly 0, so its drive is 0
     x[n_ramp:] = a_m * (u[-1] - g * eta0)
-    k_of, kinks = _kinks_inside(profile, s)
-    if k_of.size:
+    cuts = _kink_cuts(profile, s)
+    if cuts:
         c = np.full(n_intervals, c)
-        _split_at_kinks(k_of, kinks, s, m, h, g, eta0, forcing, c, x)
-        _scan(c, x)
-    else:
-        _scan_one_factor(c, x, n_ramp)
+        _split_at_kinks(cuts, m, h, g, eta0, forcing, c, x)
+    _scan(c, x, n_ramp)
     return EtaTrajectory(s, _checked_eta(s, np.add(e, eta0, out=e)), h)
 
 
@@ -434,22 +437,16 @@ def evolve_eta_closed_form(
     decays = [math.exp(-x) for x in (g * distinct).tolist()]  # one per width class
     eta = np.empty(s.size)
     eta[0] = eta0
-    # every interval before the hold by its class's rows, in one call, but
-    # one with a kink inside, which takes one row per piece between its
-    # ends and the kinks; its pieces are added up in order from 0
-    k_of, kinks = _kinks_inside(profile, s[: n_ramp + 1])
-    whole = np.ones(n_ramp, dtype=bool)
-    whole[k_of] = False
-    integrals = np.empty(n_ramp)
-    ramp_id = width_id[:n_ramp][whole]
-    integrals[whole] = _rule(forcing, s[:n_ramp][whole], [t.take(ramp_id, axis=0) for t in tables])
-    if k_of.size:
-        split = np.flatnonzero(~whole)
-        cuts = [np.concatenate([s[k : k + 1], kinks[k_of == k], s[k + 1 : k + 2]]) - s[k]
-                for k in split.tolist()]
-        rows = np.repeat(split, [cut.size - 1 for cut in cuts])
-        lo = np.concatenate([cut[:-1] for cut in cuts])
-        hi = np.concatenate([cut[1:] for cut in cuts])
+    # every interval before the hold by its class's row, in one call; then
+    # each one with a kink inside by one row per piece between its ends and
+    # the kinks, its pieces added up in order from 0
+    integrals = _rule(forcing, s[:n_ramp], [t.take(width_id[:n_ramp], axis=0) for t in tables])
+    cuts = _kink_cuts(profile, s)
+    if cuts:
+        split = [k for k, _ in cuts]
+        rows = np.repeat(split, [cut.size - 1 for _, cut in cuts])
+        lo = np.concatenate([cut[:-1] - cut[0] for _, cut in cuts])
+        hi = np.concatenate([cut[1:] - cut[0] for _, cut in cuts])
         pieces = _rule(forcing, s[rows], _rule_tables(g, lo, hi, widths[rows]))
         integrals[split] = np.bincount(rows, weights=pieces)[split]
     held, q = [], math.nan

@@ -4,9 +4,11 @@ numbers, computed without the package's routes, for `test_accuracy.py`.
 
     python tests/make_accuracy_corpus.py
 
-Each answered point is a run of an opening (the sine of duration 1,
-piecewise-linear breakpoints, or a `shape` that jumps open at s = 0: the
-constant `level` or the reversed sine), thermal-closed or, with a `dwell`, from
+Each answered point is a run of an opening (the sine of a `duration`, 1
+unless given; piecewise-linear breakpoints, listed or, with `half_sine`,
+that many samples of the sine of the `duration`; or a `shape` that jumps
+open at s = 0: the constant `level` or the reversed sine), thermal-closed
+or, with a `dwell`, from
 the finite-dwell plan: the reversed-sine closing over [-1 - dwell,
 -dwell] from the thermal state at the open frequency, then the closed
 dwell.  Its reference values come from the law in n = eta - 1,
@@ -97,6 +99,24 @@ HELD = tuple(
                             ("held level=1/3", {"shape": "constant", "level": 1.0 / 3.0}))
     for theta0 in (1e-3, 0.1, 3.0)
 )
+# kinked grids at theta0 in {1e-3, 0.1, 3}, r = 3 and g = 1: the sine opening
+# of duration 1.00013, which ends 0.26 samples past s = 1, and breakpoints
+# off the grid, thermal-closed and finite-dwell 1, each (opening, mode) its
+# own region; then a measured opening's many breakpoints, 2,001 samples of
+# the sine of duration 1.00013, at the reference point
+KINKED = tuple(
+    {"theta0": theta0, "r": 3.0, "g": 1.0, "horizon": 10.0, "region": region + mode,
+     **opening, **dwell}
+    for region, opening in (
+        ("kinked sine", {"duration": 1.00013}),
+        ("kinked breakpoints", {"breakpoints": [[0.0, 1.0], [0.30025, 0.85], [0.70037, 0.6],
+                                                [1.0, 1.0 / 3.0]]}))
+    for mode, dwell in (("", {}), (" dwell=1", {"dwell": 1.0}))
+    for theta0 in (1e-3, 0.1, 3.0)
+) + (
+    {"theta0": 0.032, "r": 2.0, "g": 1.0, "horizon": 10.0, "region": "2001 breakpoints",
+     "duration": 1.00013, "half_sine": 2001},
+)
 # the envelope's ends, each with the start of the message it is refused with
 REFUSED = (
     {"theta0": 0.032, "r": 2.0, "g": 1e4, "horizon": 2.0, "region": "refused",
@@ -150,19 +170,36 @@ TOLERANCES = {
     # T_ratio is the 1/3 at s = 0 that the record prints to 12 digits
     "held dwell=3": {"min_t_ratio": 5.0e-8, "recovery_s": 3.0e-8, "mean_n": 1.1e-10},
     "held level=1/3": {"min_t_ratio": 3.4e-13, "recovery_s": 3.0e-8, "mean_n": 5.6e-12},
+    # kinked grids at r = 3, g = 1, theta0 in {1e-3, 0.1, 3}: the sine's end
+    # and the breakpoints fall inside sample intervals.  The breakpoints'
+    # least T_ratio is at their last kink, on a sample: from the thermal
+    # start bounded Brent stops up to 5.4e-9 short of it, as at the kink corner
+    "kinked sine": {"min_t_ratio": 3.4e-8, "recovery_s": 3.2e-8, "mean_n": 3.7e-11},
+    "kinked sine dwell=1": {"min_t_ratio": 5.2e-8, "recovery_s": 2.6e-8, "mean_n": 4.5e-12},
+    "kinked breakpoints": {"min_t_ratio": 4.1e-9, "recovery_s": 2.8e-8, "mean_n": 8.2e-11},
+    "kinked breakpoints dwell=1": {"min_t_ratio": 4.6e-13, "recovery_s": 2.2e-8,
+                                   "mean_n": 6.1e-12},
+    # a measured opening: 2,001 breakpoints, nearly all inside sample intervals
+    "2001 breakpoints": {"min_t_ratio": 4.3e-8, "recovery_s": 1.2e-8, "mean_n": 2.6e-12},
 }
 
 
 def opening_of(point):
-    """The point's opening profile: its breakpoints, its shape, or the sine."""
-    from molcool.profiles import FrequencyProfile, ProfileShape
+    """The point's opening profile: its breakpoints, the sine's at
+    `half_sine` samples, its shape, or the sine of its duration."""
+    from molcool.profiles import FrequencyProfile, ProfileShape, omega_at
 
+    sine = FrequencyProfile(duration=point.get("duration", 1.0))
+    if "half_sine" in point:
+        s = np.linspace(0.0, sine.duration, point["half_sine"])
+        breakpoints = zip(s.tolist(), omega_at(sine, s, point["r"]).tolist())
+        return FrequencyProfile(ProfileShape.PIECEWISE_LINEAR, breakpoints=tuple(breakpoints))
     if "breakpoints" in point:
         return FrequencyProfile(ProfileShape.PIECEWISE_LINEAR,
                                 breakpoints=tuple(map(tuple, point["breakpoints"])))
     if "shape" in point:
         return FrequencyProfile(ProfileShape(point["shape"]), level=point.get("level", 1.0))
-    return FrequencyProfile()
+    return sine
 
 
 def reference(point, argmin_s, spacing):
@@ -229,8 +266,11 @@ def reference(point, argmin_s, spacing):
     lo, hi = max(start, argmin_s - spacing), min(horizon, argmin_s + spacing)
     found = minimize_scalar(t_ratio, bounds=(lo, hi), method="bounded",
                             options={"xatol": 1e-12})
-    # bounded Brent never tries the bracket's ends, where a jump at s = 0 puts the least
-    argmin_s = min((found.x, lo, hi), key=t_ratio)
+    # bounded Brent never tries the bracket's ends, where a jump at s = 0 puts the
+    # least, and may stop just past the hold, where T_ratio is monotone: when the
+    # least is at the opening's last kink it is the hold itself
+    past = (hold,) if lo < hold < found.x else ()
+    argmin_s = min((found.x, lo, hi, *past), key=t_ratio)
     min_t_ratio = t_ratio(argmin_s)
     if min_t_ratio >= RECOVERY_TARGET:
         recovery_s = float(argmin_s)
@@ -284,7 +324,7 @@ def main() -> None:
     points, worst = [], {region: {} for region in TOLERANCES}
     answered = [{"theta0": theta0, "r": r, "g": g, "horizon": horizon, "region": region}
                 for theta0, r, g, horizon, region in POINTS]
-    for point in [*answered, *CORNERS, *GRID, *HELD]:
+    for point in [*answered, *CORNERS, *GRID, *HELD, *KINKED]:
         result = run(point)
         spacing = float(result.record.s[1] - result.record.s[0])
         point = {**point, **reference(point, result.summary.argmin_s, spacing)}

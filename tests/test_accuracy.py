@@ -15,10 +15,12 @@ CORPUS = json.loads((Path(__file__).resolve().parent / "accuracy_corpus.json").r
 
 
 def point_id(point):
-    corner = f", dwell {point['dwell']:g}" if "dwell" in point else (
-        ", breakpoints" if "breakpoints" in point else (
-            f", {point['shape']}" if "shape" in point else ""))
-    return f"theta0={point['theta0']:g}, r={point['r']:g}, g={point['g']:g}{corner}"
+    opening = (f", {point['half_sine']} breakpoints" if "half_sine" in point else
+               ", breakpoints" if "breakpoints" in point else
+               f", {point['shape']}" if "shape" in point else
+               f", duration {point['duration']:g}" if "duration" in point else "")
+    dwell = f", dwell {point['dwell']:g}" if "dwell" in point else ""
+    return f"theta0={point['theta0']:g}, r={point['r']:g}, g={point['g']:g}{opening}{dwell}"
 
 
 @pytest.mark.parametrize(

@@ -52,7 +52,7 @@ def test_corpus_covers_every_shape_both_modes_and_kinked_grids():
         """Whether a kink falls strictly inside a sample interval of a segment."""
         for _, prof, duration in _plan_segments(cfg)[1]:
             n = solver._check_run(duration, solver.SAMPLES_PER_UNIT)
-            if solver._kinks_inside(prof, np.linspace(0.0, duration, n + 1))[0].size:
+            if solver._kink_cuts(prof, np.linspace(0.0, duration, n + 1)):
                 return True
         return False
 

@@ -877,6 +877,30 @@ def test_kinks_inside_substeps_keep_the_fixed_step_order():
     assert np.max(np.abs(rk4.eta / result.record.eta - 1.0)) < 1e-8
 
 
+def test_breakpoints_are_read_once_per_profile(monkeypatch):
+    # every omega evaluation of a run, the oracle's one per step and the
+    # RK4 route's one per kinked interval included, interpolates the arrays
+    # the profile built when it was made: none is rebuilt from the tuple
+    ramp = FrequencyProfile(
+        shape=ProfileShape.PIECEWISE_LINEAR,
+        breakpoints=((0.0, 1.0), (0.30025, 0.75), (0.60013, 0.7), (1.00013, 0.5)),
+    )
+    tables = []
+    interp = np.interp
+
+    def spy(x, xp, fp, *args, **kwargs):
+        tables.append((xp, fp))
+        return interp(x, xp, fp, *args, **kwargs)
+
+    monkeypatch.setattr(np, "interp", spy)
+    d = DimensionlessParams(theta0=0.3, freq_ratio_r=2.0, gamma_tau_g=1.0)
+    result = run_cycle(CycleConfig(dimensionless=d, profile=ramp, horizon=3.0, with_oracle=True))
+    assert set(result.margins) == {"solver", "oracle"}
+    xp, fp = tables[0]
+    assert len(tables) > 100
+    assert all(x is xp and f is fp for x, f in tables)
+
+
 @pytest.mark.parametrize(
     "init_mode, bound_mb",
     # measured 2.92 and 3.97 MB with the record in one (samples, 5) layout

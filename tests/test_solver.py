@@ -7,7 +7,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
@@ -20,12 +20,11 @@ from molcool.solver import (
     _GL_WEIGHTS,
     RecoveryResult,
     _check_run,
-    _kinks_inside,
+    _kink_cuts,
     _propagate,
     _rule,
     _rule_tables,
     _scan,
-    _scan_one_factor,
     _split_at_kinks,
     _substeps,
     evolve_eta_closed_form,
@@ -358,8 +357,8 @@ def full_grid_rk4(d, profile, eta0, horizon, samples_per_unit):
     e[0] = 0.0
     e[1:] = a_m * (u0[:, 0] - g * eta0) + drive
     c = np.full(n_intervals, 1.0 - g * a_m)
-    _split_at_kinks(*_kinks_inside(profile, s), s, m, h, g, eta0, forcing, c, e[1:])
-    _scan(c, e[1:])
+    _split_at_kinks(_kink_cuts(profile, s), m, h, g, eta0, forcing, c, e[1:])
+    doubling_scan(c, e[1:])
     return s, e + eta0
 
 
@@ -425,6 +424,22 @@ def test_scan_matches_sequential_loop(g, shape, eta0, monkeypatch):
     np.testing.assert_allclose(traj.eta, eta, rtol=1e-12, atol=0)
 
 
+def doubling_scan(c, x):
+    """The reference `_scan` is held to bit for bit: every map's x and
+    factor composed in place by doubling passes over the whole arrays,
+    with no held tail."""
+    n = x.size
+    buf = np.empty(n)
+    stride = 1
+    while stride < n:
+        carried = buf[: n - stride]
+        np.multiply(c[stride:], x[:-stride], out=carried)
+        x[stride:] += carried
+        np.multiply(c[stride:], c[:-stride], out=carried)
+        c[stride:] = carried
+        stride *= 2
+
+
 def affine_loop(c, x):
     """e_k of e = c[k] e + x[k] from e = 0, one map per loop iteration."""
     e, out = 0.0, []
@@ -434,52 +449,57 @@ def affine_loop(c, x):
     return np.array(out)
 
 
-def assert_scan_matches_loop(c, x):
-    scanned_c, scanned_x = c.copy(), x.copy()
-    _scan(scanned_c, scanned_x)
-    np.testing.assert_allclose(scanned_x, affine_loop(c, x), rtol=1e-12, atol=0)
-    # c ends as the composed maps' factors, the last one the whole run's
-    np.testing.assert_allclose(scanned_c, np.cumprod(c), rtol=1e-12, atol=1e-300)
+def assert_scan_matches_loop(c, x, held):
+    scanned = x.copy()
+    _scan(c.copy(), scanned, held)
+    np.testing.assert_allclose(scanned, affine_loop(c, x), rtol=1e-12, atol=0)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 1023, 1024, 1025])
 def test_scan_composes_random_maps_like_a_loop(n):
     rng = np.random.default_rng(n)
-    assert_scan_matches_loop(rng.uniform(0.0, 1.0, n), rng.uniform(0.0, 1.0, n))
+    assert_scan_matches_loop(rng.uniform(0.0, 1.0, n), rng.uniform(0.0, 1.0, n), n)
 
 
 def test_scan_composes_the_routes_split_maps_like_a_loop(monkeypatch):
     # kinks in two adjacent intervals (30 and 31) and twice in interval 50:
-    # each such interval enters the scan with its own c_k
+    # each such interval enters the scan with its own c_k, below the hold
+    # from 0.507 on
     profile = FrequencyProfile(
         shape=ProfileShape.PIECEWISE_LINEAR,
         breakpoints=((0.0, 1.0), (0.305, 0.8), (0.315, 0.7), (0.502, 0.9), (0.507, 0.6)),
     )
     maps = []
 
-    def spy(c, x):
-        maps.append((c.copy(), x.copy()))
-        _scan(c, x)
+    def spy(c, x, held):
+        maps.append((c.copy(), x.copy(), held))
+        _scan(c, x, held)
 
     monkeypatch.setattr("molcool.solver._scan", spy)
     use_grid(monkeypatch, 100, 2.5e-3)
     evolve_eta_ode(DEFAULT, profile, eta0=50.0, horizon=1.0)
-    (c, x), = maps
-    assert np.flatnonzero(c != c[0]).tolist() == [30, 31, 50]
-    assert_scan_matches_loop(c, x)
+    (c, x, held), = maps
+    assert np.flatnonzero(c != c[0]).tolist() == [30, 31, 50] and held == 51
+    assert_scan_matches_loop(c, x, held)
 
 
+@pytest.mark.parametrize("factor", ["shared", "per interval", "differing below held"])
 @pytest.mark.parametrize("start", ["0", "1", "n//3", "n-1", "n"])
 @pytest.mark.parametrize("n", [1, 2, 3, 1023, 1024, 1025, 20000])
-def test_one_factor_scan_is_the_scan_bit_for_bit(n, start):
-    # x is one value from the held start on, as the RK4 route's held intervals are
+def test_scan_is_the_doubling_scan_bit_for_bit(n, start, factor):
+    # x is one value from the held start on, as the RK4 route's held
+    # intervals are, and so is the factor; a kinked interval, always below
+    # the hold, has a factor of its own
     held = {"0": 0, "1": 1, "n//3": n // 3, "n-1": n - 1, "n": n}[start]
     rng = np.random.default_rng(n)
     c, x = float(rng.uniform(0.9, 1.0)), rng.uniform(-1.0, 1.0, n)
     x[held:] = rng.uniform(-1.0, 1.0)
+    factors = np.full(n, c)
+    if factor == "differing below held":
+        factors[:held] = rng.uniform(0.9, 1.0, held)
     scanned = x.copy()
-    _scan(np.full(n, c), scanned)
-    _scan_one_factor(c, x, held)
+    doubling_scan(factors.copy(), scanned)
+    _scan(c if factor == "shared" else factors, x, held)
     assert x.tobytes() == scanned.tobytes()
 
 
@@ -488,8 +508,7 @@ def test_rk4_route_scans_one_factor_exactly_without_a_kink_inside(kinked, monkey
     # the reference opening's one kink, its end, falls on a sample; the
     # profile of the test above has kinks strictly inside three intervals
     scans = []
-    monkeypatch.setattr("molcool.solver._scan", lambda c, x: scans.append("factors"))
-    monkeypatch.setattr("molcool.solver._scan_one_factor", lambda c, x, held: scans.append("one"))
+    monkeypatch.setattr("molcool.solver._scan", lambda c, x, held: scans.append(type(c)))
     if kinked:
         profile = FrequencyProfile(
             shape=ProfileShape.PIECEWISE_LINEAR,
@@ -499,7 +518,39 @@ def test_rk4_route_scans_one_factor_exactly_without_a_kink_inside(kinked, monkey
         evolve_eta_ode(DEFAULT, profile, eta0=50.0, horizon=1.0)
     else:
         evolve_eta_ode(DEFAULT, OPENING, horizon=10.0)
-    assert scans == ["factors" if kinked else "one"]
+    assert scans == [np.ndarray if kinked else float]
+
+
+def brute_force_cuts(kinks, s):
+    """(k, cut) of every interval of the grid s with kinks strictly inside,
+    one interval and one kink at a time."""
+    found = []
+    for k in range(s.size - 1):
+        inside = [kink for kink in kinks if s[k] < kink < s[k + 1]]
+        if inside:
+            found.append((k, [float(s[k]), *inside, float(s[k + 1])]))
+    return found
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(1, 12),
+    on=st.sets(st.integers(1, 12)),
+    off=st.sets(st.floats(1e-6, 2.0), max_size=8),
+)
+@example(n=4, on=set(), off=set())  # no kink but the horizon's end, a sample
+@example(n=2, on={1}, off={0.1, 0.2, 0.3, 1.5})  # three in one interval, one past the end
+def test_kink_cuts_group_like_a_brute_force(n, on, off):
+    # kinks on samples s[j] of the horizon 1, off them (several in one
+    # interval, or past the horizon), or none strictly inside at all
+    s = np.linspace(0.0, 1.0, n + 1)
+    times = sorted({1.0, *(float(s[j]) for j in on if j <= n), *off})
+    profile = FrequencyProfile(
+        shape=ProfileShape.PIECEWISE_LINEAR,
+        breakpoints=((0.0, 1.0), *((x, 0.5 + 0.1 * (i % 3)) for i, x in enumerate(times))),
+    )
+    cuts = _kink_cuts(profile, s)
+    assert [(k, cut.tolist()) for k, cut in cuts] == brute_force_cuts(profile.kinks, s)
 
 
 HOLD_PROFILES = {
@@ -539,27 +590,28 @@ def test_held_forcing_is_evaluated_once_with_the_same_bits(name, g, monkeypatch)
 
 
 RAMPS = {
-    # (profile, horizon, rows before the hold, distinct widths)
-    "reference opening": (OPENING, 10.0, 2000, 14),
-    "reversed closing": (FrequencyProfile(shape=ProfileShape.REVERSED_SINE_CLOSING), 1.0, 2000, 10),
-    "opening ends mid-interval": (FrequencyProfile(duration=0.30025), 1.0, 602, 10),
-    "hold past the horizon": (FrequencyProfile(duration=2.0), 1.0, 2000, 10),
+    # (profile, horizon, piece rows, distinct widths)
+    "reference opening": (OPENING, 10.0, 0, 14),
+    "reversed closing": (FrequencyProfile(shape=ProfileShape.REVERSED_SINE_CLOSING), 1.0, 0, 10),
+    "opening ends mid-interval": (FrequencyProfile(duration=0.30025), 1.0, 2, 10),
+    "hold past the horizon": (FrequencyProfile(duration=2.0), 1.0, 0, 10),
 }
 
 
 @pytest.mark.parametrize("name", RAMPS)
-def test_kernel_route_integrates_each_interval_once(name, monkeypatch):
+def test_kernel_route_integrates_the_ramp_in_one_rule_call(name, monkeypatch):
     # the run's one width table (14 widths on the reference opening, of
     # which the held stretch has 5) is built once, a row per distinct
-    # width from 0 to it; rule calls read it: first every whole interval
-    # that starts before the hold, by its class's row, then, after the
-    # ramp and only when the hold starts inside the horizon, every
-    # distinct width from hold_start.  Only an interval with a kink inside
-    # gets rows of its own, one per piece.  An opening that ends at 0.30025
-    # has 601 intervals before its hold, the last split at its end: 602
-    # rows.  The reversed closing's hold starts at the horizon and the
-    # 2-unit opening's past it: neither has held rows
-    profile, horizon, ramp, widths = RAMPS[name]
+    # width from 0 to it; rule calls read it: first every interval that
+    # starts before the hold, by its class's row, then, after the ramp and
+    # only when the hold starts inside the horizon, every distinct width
+    # from hold_start.  An interval with a kink inside also gets rows of
+    # its own, one per piece, whose sum replaces its class row's integral.
+    # An opening that ends at 0.30025 has 601 intervals before its hold,
+    # the last split at its end into 2 pieces.  The reversed closing's
+    # hold starts at the horizon and the 2-unit opening's past it: neither
+    # has held rows
+    profile, horizon, piece_rows, widths = RAMPS[name]
     tables, rules = [], []
 
     def tables_spy(g, lo, hi, width):
@@ -588,24 +640,24 @@ def test_kernel_route_integrates_each_interval_once(name, monkeypatch):
         assert held_nodes.tobytes() == class_nodes.tobytes()
     else:
         assert n_ramp == starts.size and profile.hold_start >= horizon
-    # each whole interval before the hold once, by its own width's row
-    k = np.searchsorted(starts, start)
-    assert starts[k].tobytes() == start.tobytes() and np.all(np.diff(k) > 0)
-    width_id = np.searchsorted(distinct, all_widths[k])
-    assert distinct[width_id].tobytes() == all_widths[k].tobytes()
+    # every interval before the hold once, in order, by its own width's row
+    assert start.tobytes() == starts[:n_ramp].tobytes()
+    width_id = np.searchsorted(distinct, all_widths[:n_ramp])
+    assert distinct[width_id].tobytes() == all_widths[:n_ramp].tobytes()
     assert nodes.tobytes() == class_nodes[width_id].tobytes()
-    split = np.setdiff1d(np.arange(n_ramp), k)
-    if not split.size:
-        assert not pieces and not piece_rules and start.size == ramp == n_ramp
+    split = [k for k in range(n_ramp) if any(starts[k] < kink < traj.s[k + 1]
+                                             for kink in profile.kinks)]
+    if not split:
+        assert not pieces and not piece_rules and piece_rows == 0
         return
     # the rest, in order, tile each interval with a kink inside once
     ((lo, hi, p_width),), ((p_start, _),) = pieces, piece_rules
-    assert start.size + p_start.size == ramp
+    assert p_start.size == piece_rows
     assert np.unique(p_start).tobytes() == starts[split].tobytes()
     assert p_width.tobytes() == all_widths[np.searchsorted(starts, p_start)].tobytes()
     assert np.all(lo[1:] == np.where(p_start[1:] == p_start[:-1], hi[:-1], 0.0)) and lo[0] == 0
     assert np.all(hi == np.where(np.append(p_start[1:] != p_start[:-1], True), p_width, hi))
-    assert np.count_nonzero(hi != p_width) == ramp - n_ramp
+    assert np.count_nonzero(hi != p_width) == piece_rows - len(split)
 
 
 @pytest.mark.parametrize("g", [0.0, 1.0, 300.0])
